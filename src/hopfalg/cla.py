@@ -19,13 +19,72 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError, StructuralError
-from .exactlin import Matrix, ONE, ZERO, in_span, reduce_to_basis, scalar
+from .exactlin import (Matrix, ONE, ZERO, add_scaled, add_term, express,
+                       reduce_to_basis, scalar, sparse)
 from .hopf import HopfPresentation, TensorElement, tensor_bracket, tensor_of
 from .ore import AlgebraElement, GeneratorInfo, OrePresentation
 from .reports import VerificationReport
 
 
-class CLA:
+class LieConstants:
+    """Lie bracket structure constants on a named basis.
+
+    Subclasses set ``names`` and ``brackets``, stored for i < j only:
+    {(i, j): {k: b_ijk}} meaning [x_i, x_j] = sum_k b_ijk x_k.
+    """
+
+    names: Sequence[str]
+    brackets: dict[tuple[int, int], dict[int, Fraction]]
+
+    @property
+    def dim(self) -> int:
+        return len(self.names)
+
+    def bracket_constants(self, i: int, j: int) -> dict[int, Fraction]:
+        """[x_i, x_j] as {k: coefficient}."""
+        if i == j:
+            return {}
+        if i < j:
+            return dict(self.brackets.get((i, j), {}))
+        return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
+
+    def bracket_vectors(self, u: Sequence[Fraction], v: Sequence[Fraction]
+                        ) -> list[Fraction]:
+        """Bracket of two coefficient vectors."""
+        out = [ZERO] * self.dim
+        for i, ci in enumerate(u):
+            if not ci:
+                continue
+            for j, cj in enumerate(v):
+                if not cj:
+                    continue
+                for k, c in self.bracket_constants(i, j).items():
+                    out[k] += ci * cj * c
+        return out
+
+    def jacobi_witness(self, max_degree: Optional[int] = None):
+        """Names of the first basis triple breaking the Jacobi identity, or None.
+
+        With ``max_degree``, only triples whose ``degrees`` (which the
+        subclass must then provide) sum to at most max_degree are checked.
+        """
+        n = self.dim
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    if (max_degree is not None and self.degrees[i]
+                            + self.degrees[j] + self.degrees[k] > max_degree):
+                        continue
+                    total: dict[int, Fraction] = {}
+                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                        for t, ct in self.bracket_constants(a, b).items():
+                            add_scaled(total, self.bracket_constants(t, c), ct)
+                    if total:
+                        return (self.names[i], self.names[j], self.names[k])
+        return None
+
+
+class CLA(LieConstants):
     """Finite-dimensional bracket + coproduct structure constants.
 
     brackets: {(i, j): {k: b_ijk}} meaning [x_i, x_j] = sum_k b_ijk x_k;
@@ -74,34 +133,8 @@ class CLA:
             if clean:
                 self.delta[i] = clean
 
-    @property
-    def dim(self) -> int:
-        return len(self.names)
-
-    def bracket_constants(self, i: int, j: int) -> dict[int, Fraction]:
-        """[x_i, x_j] as {k: coefficient}."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
-
     def delta_constants(self, i: int) -> dict[tuple[int, int], Fraction]:
         return dict(self.delta.get(i, {}))
-
-    def bracket_vectors(self, u: Sequence[Fraction], v: Sequence[Fraction]
-                        ) -> list[Fraction]:
-        """Bracket of two coefficient vectors."""
-        out = [ZERO] * self.dim
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if not cj:
-                    continue
-                for k, c in self.bracket_constants(i, j).items():
-                    out[k] += ci * cj * c
-        return out
 
     def delta_matrix(self) -> Matrix:
         """delta as a matrix from L to L(x)L (pair coordinates (j,k))."""
@@ -133,7 +166,7 @@ class CLA:
 
 
 @dataclass
-class GradedLie:
+class GradedLie(LieConstants):
     """Graded Lie algebra by structure constants (brackets add degrees)."""
 
     names: list[str]
@@ -141,33 +174,10 @@ class GradedLie:
     # brackets stored for i < j only: {(i, j): {k: coeff}}
     brackets: dict[tuple[int, int], dict[int, Fraction]] = field(default_factory=dict)
 
-    @property
-    def dim(self) -> int:
-        return len(self.names)
-
     def dims_by_degree(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for d in self.degrees:
             out[d] = out.get(d, 0) + 1
-        return out
-
-    def bracket_constants(self, i: int, j: int) -> dict[int, Fraction]:
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
-
-    def bracket_vectors(self, u, v) -> list[Fraction]:
-        out = [ZERO] * self.dim
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if not cj:
-                    continue
-                for k, c in self.bracket_constants(i, j).items():
-                    out[k] += ci * cj * c
         return out
 
     def verify(self, max_total_degree: Optional[int] = None) -> VerificationReport:
@@ -182,27 +192,9 @@ class GradedLie:
                     graded_ok = False
         report.add("brackets add degrees", graded_ok)
         bound = max_total_degree if max_total_degree is not None else top
-        jac_ok = True
-        witness = None
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    if self.degrees[i] + self.degrees[j] + self.degrees[k] > bound:
-                        continue
-                    total = [ZERO] * n
-                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = [ZERO] * n
-                        for t, ct in self.bracket_constants(a, b).items():
-                            inner[t] = ct
-                        for t, ct in enumerate(self.bracket_vectors(inner, _unit(n, c))):
-                            total[t] += ct
-                    if any(total):
-                        jac_ok = False
-                        witness = witness or (self.names[i], self.names[j],
-                                              self.names[k])
-        report.add(f"Jacobi identity (total degree <= {bound})", jac_ok,
-                   witness=witness)
+        witness = self.jacobi_witness(bound)
+        report.add(f"Jacobi identity (total degree <= {bound})",
+                   witness is None, witness=witness)
         return report
 
     def __repr__(self):
@@ -216,12 +208,6 @@ class GradedLie:
                 f"{'; '.join(rels) or 'abelian'})")
 
 
-def _unit(n: int, i: int) -> list[Fraction]:
-    v = [ZERO] * n
-    v[i] = ONE
-    return v
-
-
 # -- verification ----------------------------------------------------------------
 
 
@@ -231,22 +217,8 @@ def verify_cla(L: CLA) -> VerificationReport:
     report = VerificationReport(f"CLA axioms for {L!r}")
     n = L.dim
 
-    jac_ok = True
-    witness = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total = [ZERO] * n
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = [ZERO] * n
-                    for t, ct in L.bracket_constants(a, b).items():
-                        inner[t] = ct
-                    for t, ct in enumerate(L.bracket_vectors(inner, _unit(n, c))):
-                        total[t] += ct
-                if any(total):
-                    jac_ok = False
-                    witness = witness or (L.names[i], L.names[j], L.names[k])
-    report.add("Jacobi identity", jac_ok, witness=witness)
+    witness = L.jacobi_witness()
+    report.add("Jacobi identity", witness is None, witness=witness)
 
     coassoc_ok = True
     witness = None
@@ -255,13 +227,9 @@ def verify_cla(L: CLA) -> VerificationReport:
         rhs: dict[tuple, Fraction] = {}
         for (j, k), c in L.delta_constants(i).items():
             for (p, q), c2 in L.delta_constants(j).items():
-                key = (p, q, k)
-                lhs[key] = lhs.get(key, ZERO) + c * c2
+                add_term(lhs, (p, q, k), c * c2)
             for (p, q), c2 in L.delta_constants(k).items():
-                key = (j, p, q)
-                rhs[key] = rhs.get(key, ZERO) + c * c2
-        lhs = {t: c for t, c in lhs.items() if c}
-        rhs = {t: c for t, c in rhs.items() if c}
+                add_term(rhs, (j, p, q), c * c2)
         if lhs != rhs:
             coassoc_ok = False
             witness = witness or L.names[i]
@@ -292,23 +260,18 @@ def _compatibility_defect(L: CLA, env: HopfPresentation, i: int, j: int
                           ) -> TensorElement:
     """LHS minus RHS of the compatibility condition for the pair (x_i, x_j)."""
     p = env.algebra
+    gens = [p.monomial_tuple({name: 1}) for name in p.names]
 
     def gen_elt(k: int) -> AlgebraElement:
-        return p.gen(p.names[k])
+        return AlgebraElement(p, {gens[k]: ONE})
 
     def bracket_elt(a: int, b: int) -> AlgebraElement:
-        out = p.zero()
-        for k, c in L.bracket_constants(a, b).items():
-            out = out + gen_elt(k).scale(c)
-        return out
+        return AlgebraElement(p, {gens[k]: c for k, c in
+                                  L.bracket_constants(a, b).items()})
 
     def delta_tensor(k: int) -> TensorElement:
-        terms = {}
-        for (a, b), c in L.delta_constants(k).items():
-            key = (p.monomial_tuple({p.names[a]: 1}),
-                   p.monomial_tuple({p.names[b]: 1}))
-            terms[key] = terms.get(key, ZERO) + c
-        return TensorElement(p, 2, terms)
+        return TensorElement(p, 2, {(gens[a], gens[b]): c for (a, b), c in
+                                    L.delta_constants(k).items()})
 
     lhs = TensorElement(p, 2, {})
     for k, c in L.bracket_constants(i, j).items():
@@ -345,24 +308,10 @@ def _iterated_delta_kernel_dims(L: CLA, max_steps: Optional[int] = None):
             out: dict[tuple, Fraction] = {}
             for tup, c in t.items():
                 for (j, k), c2 in L.delta_constants(tup[0]).items():
-                    key = (j, k) + tup[1:]
-                    s = out.get(key, ZERO) + c * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                    add_term(out, (j, k) + tup[1:], c * c2)
             nxt.append(out)
         tensors = nxt
-        coords: dict[tuple, int] = {}
-        cols = []
-        for t in tensors:
-            col = {}
-            for tup, c in t.items():
-                r = coords.setdefault(tup, len(coords))
-                col[r] = c
-            cols.append(col)
-        m = Matrix.from_columns(cols, max(len(coords), 1))
-        kernel = m.kernel_basis()
+        kernel = Matrix.from_keyed_columns(tensors).kernel_basis()
         dims.append(len(kernel))
         kernels.append(kernel)
         if len(kernel) == n:
@@ -412,11 +361,12 @@ def enveloping(L: CLA, check: bool = True) -> HopfPresentation:
 
     n = L.dim
     weights: list[Optional[int]] = [None] * n
+    units = [{i: ONE} for i in range(n)]
     for step, kernel in enumerate(kernels, start=1):
         basis_in = 0
-        kernel_rows = reduce_to_basis([list(v) for v in kernel])
+        coords = express([sparse(v) for v in kernel], units)
         for i in range(n):
-            if in_span(kernel_rows, _unit(n, i)):
+            if coords[i] is not None:
                 basis_in += 1
                 if weights[i] is None:
                     weights[i] = step
@@ -480,38 +430,13 @@ def lantern_of_cla(L: CLA) -> GradedLie:
     degrees = [1] * kdim + [2] * len(complement)
 
     # express delta of each complement vector over kernel-basis pairs
-    pair_cols = []
-    coords: dict[tuple, int] = {}
-
-    def tensor_coords(terms: dict[tuple, Fraction]) -> dict[int, Fraction]:
-        col = {}
-        for t, c in terms.items():
-            r = coords.setdefault(t, len(coords))
-            col[r] = c
-        return col
-
-    for a in range(kdim):
-        for b in range(kdim):
-            terms: dict[tuple, Fraction] = {}
-            for i, ci in enumerate(kernel[a]):
-                if not ci:
-                    continue
-                for j, cj in enumerate(kernel[b]):
-                    if cj:
-                        terms[(i, j)] = terms.get((i, j), ZERO) + ci * cj
-            pair_cols.append(tensor_coords(terms))
-    delta_cols = []
-    for c_idx in complement:
-        delta_cols.append(tensor_coords(
-            {t: c for t, c in L.delta_constants(c_idx).items()}))
-    nrows = max(len(coords), 1)
-    m = Matrix.from_columns(pair_cols, nrows)
+    pair_cols = [{(i, j): ci * cj
+                  for i, ci in enumerate(kernel[a]) if ci
+                  for j, cj in enumerate(kernel[b]) if cj}
+                 for a in range(kdim) for b in range(kdim)]
+    deltas = [L.delta_constants(c_idx) for c_idx in complement]
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for s, col in enumerate(delta_cols):
-        rhs = [ZERO] * nrows
-        for r, c in col.items():
-            rhs[r] = c
-        sol = m.solve(rhs)
+    for s, sol in enumerate(express(pair_cols, deltas)):
         if sol is None:
             raise StructuralError(
                 f"delta({L.names[complement[s]]}) does not lie in "
@@ -520,13 +445,7 @@ def lantern_of_cla(L: CLA) -> GradedLie:
             for b in range(a + 1, kdim):
                 coeff = sol[a * kdim + b]
                 if coeff:
-                    key = (a, b)
-                    entry = brackets.setdefault(key, {})
-                    target = kdim + s
-                    entry[target] = entry.get(target, ZERO) + 2 * coeff
-    brackets = {k: {t: c for t, c in v.items() if c}
-                for k, v in brackets.items()}
-    brackets = {k: v for k, v in brackets.items() if v}
+                    brackets.setdefault((a, b), {})[kdim + s] = 2 * coeff
     return GradedLie(names, degrees, brackets)
 
 
@@ -543,20 +462,11 @@ def cla_transform(L: CLA, m: Matrix) -> CLA:
     except ValueError as exc:
         raise InputError("base-change matrix is singular") from exc
 
+    rows = [[m[i, j] for j in range(n)] for i in range(n)]
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            out = [ZERO] * n
-            for a in range(n):
-                ca = m[i, a]
-                if not ca:
-                    continue
-                for b in range(n):
-                    cb = m[j, b]
-                    if not cb:
-                        continue
-                    for c, coeff in L.bracket_constants(a, b).items():
-                        out[c] += ca * cb * coeff
+            out = L.bracket_vectors(rows[i], rows[j])
             terms = {}
             for d in range(n):
                 v = sum((out[c] * inv[c, d] for c in range(n)), ZERO)
@@ -581,12 +491,7 @@ def cla_transform(L: CLA, m: Matrix) -> CLA:
                         ib = inv[b, q]
                         if not ib:
                             continue
-                        key = (p, q)
-                        s = acc.get(key, ZERO) + cj * coeff * ia * ib
-                        if s:
-                            acc[key] = s
-                        else:
-                            acc.pop(key, None)
+                        add_term(acc, (p, q), cj * coeff * ia * ib)
         if acc:
             delta[i] = acc
     return CLA(L.names, brackets, delta)

@@ -13,8 +13,9 @@
 
 Objects come either from the built-in catalog (--family/--params) or from
 a JSON file (--file) in the schema documented in the README.  Exit codes:
-0 all checks pass, 1 a verification failed, 2 malformed input.  The
-default degree bound is 5; override with --max-degree or HOPF_MAX_DEGREE.
+0 all checks pass, 1 a verification failed, 2 malformed input; any other
+exception is a defect and propagates.  The default degree bound is 5
+(lantern: 3); override with --max-degree or HOPF_MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .cobar import h2_report
 from .errors import HopfAlgError, InputError
 from .exactlin import scalar
 from .hopf import HopfPresentation
-from .jsonio import cla_to_json, load_object, presentation_from_json
+from .jsonio import cla_to_json, load_object, presentation_from_json, read_json
 from .replicate import object_battery, run_replication
 from .structure import (coradical_filtration, extract_cla, lantern_of_hopf,
                         p2_space, primitive_space)
@@ -42,7 +43,16 @@ EXIT_BAD_INPUT = 2
 
 def default_bound() -> int:
     env = os.environ.get("HOPF_MAX_DEGREE")
-    return int(env) if env else 5
+    if not env:
+        return 5
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise InputError(f"HOPF_MAX_DEGREE={env!r} is not an integer") from exc
+
+
+def max_degree(args) -> int:
+    return args.max_degree if args.max_degree is not None else default_bound()
 
 
 def add_object_args(sub):
@@ -85,13 +95,7 @@ def subspace_payload(space, stable) -> dict:
 
 def cmd_verify(args) -> int:
     obj = resolve_object(args)
-    if args.max_degree is not None:
-        bound = args.max_degree
-    elif os.environ.get("HOPF_MAX_DEGREE"):
-        bound = int(os.environ["HOPF_MAX_DEGREE"])
-    else:
-        bound = 4
-    report = object_battery(obj, antipode_bound=bound)
+    report = object_battery(obj, antipode_bound=max_degree(args))
     emit(args, str(report), report.to_json())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -100,7 +104,7 @@ def _space_command(args, compute) -> int:
     obj = resolve_object(args)
     if isinstance(obj, CLA):
         obj = enveloping(obj)
-    bound = args.max_degree if args.max_degree is not None else default_bound()
+    bound = max_degree(args)
     space = compute(obj, bound)
     prev = compute(obj, bound - 1) if bound > 1 else space
     stable = prev.dim == space.dim
@@ -123,7 +127,7 @@ def cmd_coradical(args) -> int:
     obj = resolve_object(args)
     if isinstance(obj, CLA):
         obj = enveloping(obj)
-    bound = args.max_degree if args.max_degree is not None else default_bound()
+    bound = max_degree(args)
     space = coradical_filtration(obj, args.level, bound)
     if bound > 1:
         prev = coradical_filtration(obj, args.level, bound - 1)
@@ -143,8 +147,7 @@ def cmd_extract_cla(args) -> int:
     obj = resolve_object(args)
     if isinstance(obj, CLA):
         raise InputError("extract-cla expects a Hopf presentation")
-    bound = args.max_degree if args.max_degree is not None else default_bound()
-    L = extract_cla(obj, bound)
+    L = extract_cla(obj, max_degree(args))
     emit(args, repr(L), cla_to_json(L))
     return EXIT_OK
 
@@ -168,9 +171,12 @@ def cmd_lantern(args) -> int:
 
 def cmd_cohomology(args) -> int:
     obj = require_hopf(resolve_object(args))
-    bound = args.max_degree if args.max_degree is not None else default_bound()
+    bound = max_degree(args)
     report = h2_report(obj, bound, by_bidegree=args.bidegree)
-    emit(args, str(report), report.to_json())
+    stable = report.stable_from_previous_bound
+    payload = report.to_json()
+    payload["stable_from_previous_bound"] = stable
+    emit(args, f"{report}\n  stable from bound {bound - 1}: {stable}", payload)
     return EXIT_OK
 
 
@@ -188,8 +194,7 @@ def _morphism_side(data, label):
 def cmd_morphism(args) -> int:
     if not args.file:
         raise InputError("morphism requires --file with source, target, images")
-    with open(args.file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(args.file)
     src = require_hopf(_morphism_side(data.get("source"), "source"))
     dst = require_hopf(_morphism_side(data.get("target"), "target"))
     images = {}
@@ -248,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub("verify", cmd_verify, help="run the verification battery")
     add_object_args(s)
     s.add_argument("--max-degree", type=int, default=None,
-                   help="antipode check bound (default 4)")
+                   help="antipode check bound (default 5)")
 
     for name, fn in (("primitives", cmd_primitives), ("p2", cmd_p2)):
         s = sub(name, fn, help=f"compute the {name} space")
@@ -292,7 +297,7 @@ def main(argv=None) -> int:
     except HopfAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

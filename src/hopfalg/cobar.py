@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError
-from .exactlin import Matrix, ZERO
+from .exactlin import Matrix, add_scaled, add_term, express
 from .hopf import HopfPresentation, TensorElement
 from .ore import AlgebraElement, Monomial
 from .reports import VerificationReport
@@ -48,21 +48,10 @@ class CobarComplex:
     def verify_differential(self) -> VerificationReport:
         """d^2 = 0, composed symbolically on every rank-1 basis element."""
         report = VerificationReport("cobar differential squares to zero")
-        ok = True
-        witness = None
-        for (m,) in self.bases[1]:
-            acc: dict[tuple, Fraction] = {}
-            for pair, c in _d1_terms(self.presentation, m).items():
-                for triple, c2 in _d2_terms(self.presentation, pair).items():
-                    s = acc.get(triple, ZERO) + c * c2
-                    if s:
-                        acc[triple] = s
-                    else:
-                        acc.pop(triple, None)
-            if acc:
-                ok = False
-                witness = witness or m
-        report.add("d2 after d1 vanishes", ok, witness=witness)
+        h = self.presentation
+        witness = next((m for (m,) in self.bases[1]
+                        if _apply_d2(h, _d1_terms(h, m))), None)
+        report.add("d2 after d1 vanishes", witness is None, witness=witness)
         return report
 
 
@@ -75,19 +64,18 @@ def _d2_terms(h: HopfPresentation, pair: tuple) -> dict[tuple, Fraction]:
     a, b = pair
     out: dict[tuple, Fraction] = {}
     for (u, v), c in _d1_terms(h, a).items():
-        key = (u, v, b)
-        s = out.get(key, ZERO) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        add_term(out, (u, v, b), c)
     for (u, v), c in _d1_terms(h, b).items():
-        key = (a, u, v)
-        s = out.get(key, ZERO) - c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        add_term(out, (a, u, v), -c)
+    return out
+
+
+def _apply_d2(h: HopfPresentation, w: dict[tuple, Fraction]
+              ) -> dict[tuple, Fraction]:
+    """d^2 of a rank-2 cochain given as {pair: coefficient}."""
+    out: dict[tuple, Fraction] = {}
+    for pair, c in w.items():
+        add_scaled(out, _d2_terms(h, pair), c)
     return out
 
 
@@ -152,11 +140,18 @@ class CobarReport:
             return sum(r["h2"] for r in self.rows)
         return self.rows[-1]["h2"] if self.rows else 0
 
-    def h2_at(self, key) -> int:
-        for r in self.rows:
-            if r.get("bidegree") == key or r.get("level") == key:
-                return r["h2"]
-        return 0
+    @property
+    def stable_from_previous_bound(self) -> bool:
+        """Whether raising the bound from N-1 to N left H^2 unchanged.
+
+        Read off this report alone: in total mode the level N-1 row is the
+        bound N-1 report; in bidegree mode the rows new at bound N are
+        those of total degree N, and none of them may carry H^2.
+        """
+        if self.mode == "bidegree":
+            return not any(r["h2"] for r in self.rows
+                           if sum(r["bidegree"]) == self.bound)
+        return len(self.rows) < 2 or self.rows[-2]["h2"] == self.rows[-1]["h2"]
 
     def to_json(self) -> dict:
         return {"bound": self.bound, "mode": self.mode,
@@ -174,19 +169,6 @@ class CobarReport:
         return "\n".join(lines)
 
 
-def _columns_of(matrix: Matrix) -> list[dict[int, Fraction]]:
-    cols: list[dict[int, Fraction]] = [dict() for _ in range(matrix.cols)]
-    for (r, c), v in matrix.entries.items():
-        cols[c][r] = v
-    return cols
-
-
-def _prefix_rank_profile(matrix: Matrix) -> list[int]:
-    """pivots in column order; rank of any column prefix is a count."""
-    _, pivots = matrix.row_echelon()
-    return pivots
-
-
 def h2_report(h: HopfPresentation, bound: int,
               by_bidegree: bool = False) -> CobarReport:
     """Kernel/image dimensions of the truncated complex in rank 2."""
@@ -202,8 +184,8 @@ def h2_report(h: HopfPresentation, bound: int,
         mono_bd: dict[tuple, list[int]] = {}
         for idx, (m,) in enumerate(cx.bases[1]):
             mono_bd.setdefault(alg.monomial_bidegree(m), []).append(idx)
-        d1_cols = _columns_of(cx.d1)
-        d2_cols = _columns_of(cx.d2)
+        d1_cols = cx.d1.columns()
+        d2_cols = cx.d2.columns()
         report = CobarReport(bound, "bidegree")
         for bd in sorted(pair_bd, key=lambda b: (b[0] + b[1], b)):
             cols = pair_bd[bd]
@@ -217,9 +199,10 @@ def h2_report(h: HopfPresentation, bound: int,
         return report
 
     # total-degree mode: cumulative dimensions per truncation level,
-    # read off one echelon pass (columns are sorted by degree)
-    d2_pivots = _prefix_rank_profile(cx.d2)
-    d1_pivots = _prefix_rank_profile(cx.d1)
+    # read off one echelon pass (columns are sorted by degree, and pivots
+    # come in column order, so the rank of any column prefix is a count)
+    _, d2_pivots = cx.d2.row_echelon()
+    _, d1_pivots = cx.d1.row_echelon()
     pair_degrees = [cx.tuple_degree(t) for t in cx.bases[2]]
     mono_degrees = [cx.tuple_degree(t) for t in cx.bases[1]]
     report = CobarReport(bound, "total")
@@ -284,43 +267,18 @@ def is_coboundary(h: HopfPresentation, w: TensorElement,
     if w.p is not h.algebra:
         raise InputError("tensor belongs to a different presentation")
     # cocycle precondition: the derivation differential must kill w
-    acc: dict[tuple, Fraction] = {}
-    for pair, c in w.terms.items():
-        for triple, c2 in _d2_terms(h, pair).items():
-            s = acc.get(triple, ZERO) + c * c2
-            if s:
-                acc[triple] = s
-            else:
-                acc.pop(triple, None)
-    if acc:
+    if _apply_d2(h, w.terms):
         raise InputError("input is not a 2-cocycle")
     deg = w.total_degree()
     level = max(deg if deg is not None else 1, 1)
     if level > bound:
         raise InputError(f"tensor degree {level} exceeds the bound {bound}")
-    alg = h.algebra
-    monos = alg.monomials_up_to(level)
-    coords: dict[tuple, int] = {}
-    cols = []
-    for m in monos:
-        col = {}
-        for t, c in _d1_terms(h, m).items():
-            col[coords.setdefault(t, len(coords))] = c
-        cols.append(col)
-    for t in w.terms:
-        coords.setdefault(t, len(coords))
-    mat = Matrix.from_columns(cols, max(len(coords), 1))
-    rhs = [ZERO] * max(len(coords), 1)
-    for t, c in w.terms.items():
-        rhs[coords[t]] = c
-    sol = mat.solve(rhs)
-    rank = mat.rank()
+    monos = h.algebra.monomials_up_to(level)
+    cols = [_d1_terms(h, m) for m in monos]
+    sol = express(cols, [w.terms])[0]
+    rank = Matrix.from_keyed_columns(cols).rank()
     if sol is None:
-        aug = Matrix(mat.rows, mat.cols + 1)
-        aug.entries = dict(mat.entries)
-        for i, v in enumerate(rhs):
-            if v:
-                aug.entries[(i, mat.cols)] = v
-        return CoboundaryResult(False, None, rank, aug.rank())
-    witness = AlgebraElement(alg, {m: c for m, c in zip(monos, sol) if c})
+        # w is outside the image of d^1, so appending it raises the rank
+        return CoboundaryResult(False, None, rank, rank + 1)
+    witness = AlgebraElement(h.algebra, {m: c for m, c in zip(monos, sol) if c})
     return CoboundaryResult(True, witness, rank, rank)

@@ -10,7 +10,9 @@ floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Hashable, Mapping, Optional, Sequence
+
+from .errors import InputError
 
 Scalar = Fraction
 
@@ -19,19 +21,63 @@ ONE = Fraction(1)
 
 
 def scalar(value) -> Fraction:
-    """Coerce ints, strings like ``"-3/4"``, or Fractions to a Fraction."""
+    """Coerce ints, strings like ``"-3/4"``, or Fractions to a Fraction.
+
+    A string that is not a rational (or has a zero denominator) is
+    malformed input and raises InputError.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"{value!r} is not an exact rational") from exc
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
 def format_scalar(q: Fraction) -> str:
     """Serialize as ``"p/q"`` (or ``"p"`` when q = 1), sign on the numerator."""
     return str(q)
+
+
+# -- sparse linear combinations ---------------------------------------------
+#
+# A sparse vector is a dict key -> nonzero Fraction over any hashable keys
+# (monomials, tensor tuples, row indices); these two helpers are the only
+# place that adds into one.
+
+
+def add_term(acc: dict, key: Hashable, c: Fraction) -> None:
+    """acc[key] += c, dropping the key when the sum vanishes."""
+    s = acc.get(key, ZERO) + c
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
+def add_scaled(acc: dict, terms: Mapping, c: Fraction = ONE) -> dict:
+    """acc += c * terms, dropping zero sums; returns acc."""
+    # add_term inlined: this loop is the row operation of every elimination
+    get = acc.get
+    if c == 1:
+        for key, v in terms.items():
+            s = get(key, ZERO) + v
+            if s:
+                acc[key] = s
+            else:
+                acc.pop(key, None)
+    else:
+        for key, v in terms.items():
+            s = get(key, ZERO) + c * v
+            if s:
+                acc[key] = s
+            else:
+                acc.pop(key, None)
+    return acc
 
 
 class Matrix:
@@ -67,6 +113,23 @@ class Matrix:
         return m
 
     @classmethod
+    def from_keyed_columns(cls, columns: Sequence[Mapping]) -> "Matrix":
+        """Build from sparse columns over any hashable keys.
+
+        Each key gets a row, numbered in order of first appearance; the
+        matrix has at least one row.
+        """
+        index: dict = {}
+        entries = {}
+        for j, col in enumerate(columns):
+            for key, v in col.items():
+                if v:
+                    entries[(index.setdefault(key, len(index)), j)] = v
+        m = cls(max(len(index), 1), len(columns))
+        m.entries = entries
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, {(i, i): ONE for i in range(n)})
 
@@ -95,8 +158,12 @@ class Matrix:
         m.entries = dict(self.entries)
         return m
 
-    def to_lists(self) -> list[list[Fraction]]:
-        return [[self[i, j] for j in range(self.cols)] for i in range(self.rows)]
+    def columns(self) -> list[dict[int, Fraction]]:
+        """The columns as sparse dicts row -> value."""
+        cols: list[dict[int, Fraction]] = [dict() for _ in range(self.cols)]
+        for (i, j), v in self.entries.items():
+            cols[j][i] = v
+        return cols
 
     def mul_vector(self, vec: Sequence[Fraction]) -> list[Fraction]:
         if len(vec) != self.cols:
@@ -116,17 +183,22 @@ class Matrix:
             rows[i][j] = v
         return rows
 
-    def row_echelon(self):
+    def row_echelon(self, pivot_limit: Optional[int] = None):
         """Reduced row echelon form.
 
         Returns (rref rows as sparse dicts, pivot column list). Columns are
         eliminated left to right, so ``pivots[:k]`` restricted to columns
         < c gives the rank profile of every column prefix.
+
+        With ``pivot_limit``, only columns below it are pivoted; the rows
+        left nonzero (entries in columns >= pivot_limit only) follow the
+        ``len(pivots)`` pivot rows.
         """
+        limit = self.cols if pivot_limit is None else pivot_limit
         rows = [r for r in self._sparse_rows() if r]
         pivots: list[int] = []
         reduced: list[dict[int, Fraction]] = []
-        for col in range(self.cols):
+        for col in range(limit):
             # pick the sparsest available row with a nonzero entry in col
             best = None
             for idx, r in enumerate(rows):
@@ -141,19 +213,17 @@ class Matrix:
             for r in rows:
                 f = r.get(col)
                 if f:
-                    r = _row_axpy(r, piv, -f)
+                    add_scaled(r, piv, -f)
                 if r:
                     survivors.append(r)
             rows = survivors
             for r in reduced:
                 f = r.get(col)
                 if f:
-                    updated = _row_axpy(r, piv, -f)
-                    r.clear()
-                    r.update(updated)
+                    add_scaled(r, piv, -f)
             reduced.append(piv)
             pivots.append(col)
-        return reduced, pivots
+        return reduced + rows, pivots
 
     def rank(self) -> int:
         return len(self.row_echelon()[1])
@@ -184,52 +254,58 @@ class Matrix:
         """One solution of self * x = rhs, or None when inconsistent."""
         if len(rhs) != self.rows:
             raise ValueError("dimension mismatch")
-        aug = Matrix(self.rows, self.cols + 1)
-        aug.entries = dict(self.entries)
-        for i, v in enumerate(rhs):
-            if v:
-                aug.entries[(i, self.cols)] = scalar(v)
-        reduced, pivots = aug.row_echelon()
-        if self.cols in pivots:
-            return None
-        x = [ZERO] * self.cols
-        for col, row in zip(pivots, reduced):
-            x[col] = row.get(self.cols, ZERO)
-        return x
+        target = {i: scalar(v) for i, v in enumerate(rhs) if v}
+        return express(self.columns(), [target])[0]
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("not square")
         n = self.rows
-        aug = Matrix(n, 2 * n)
-        aug.entries = dict(self.entries)
-        for i in range(n):
-            aug.entries[(i, n + i)] = ONE
-        reduced, pivots = aug.row_echelon()
-        if pivots[:n] != list(range(n)):
+        cols = express(self.columns(), [{i: ONE} for i in range(n)])
+        if None in cols:
             raise ValueError("matrix is singular")
         inv = Matrix(n, n)
-        for row_idx, col in enumerate(pivots[:n]):
-            for c, v in reduced[row_idx].items():
-                if c >= n:
-                    inv[col, c - n] = v
+        for j, col in enumerate(cols):
+            for i, v in enumerate(col):
+                if v:
+                    inv.entries[(i, j)] = v
         return inv
 
 
-def _row_axpy(r: dict[int, Fraction], piv: dict[int, Fraction], f: Fraction) -> dict[int, Fraction]:
-    """r + f * piv, dropping zeros."""
-    out = dict(r)
-    for c, v in piv.items():
-        s = out.get(c, ZERO) + f * v
-        if s:
-            out[c] = s
-        else:
-            out.pop(c, None)
+def express(basis: Sequence[Mapping], targets: Sequence[Mapping]
+            ) -> list[Optional[list[Fraction]]]:
+    """Coordinates of each target over the basis vectors.
+
+    Vectors are sparse dicts over any hashable keys.  One elimination of
+    [basis | targets] pivots on basis columns only, so a target is judged
+    against span(basis) alone, never against earlier targets.  Returns per
+    target a list of len(basis) coefficients, or None when the target is
+    outside the span; when the basis vectors are dependent, the solution
+    has zero coefficients on the non-pivot ones.
+    """
+    n = len(basis)
+    m = Matrix.from_keyed_columns(list(basis) + list(targets))
+    reduced, pivots = m.row_echelon(pivot_limit=n)
+    outside = {c for row in reduced[len(pivots):] for c in row}
+    out: list[Optional[list[Fraction]]] = []
+    for t in range(n, m.cols):
+        if t in outside:
+            out.append(None)
+            continue
+        x = [ZERO] * n
+        for col, row in zip(pivots, reduced):
+            x[col] = row.get(t, ZERO)
+        out.append(x)
     return out
 
 
-def rank_of_columns(columns: Iterable[dict[int, Fraction]], nrows: int) -> int:
-    return Matrix.from_columns(list(columns), nrows).rank()
+def sparse(vec: Sequence[Fraction]) -> dict[int, Fraction]:
+    """A dense coefficient list as a sparse vector over its positions."""
+    return {i: c for i, c in enumerate(vec) if c}
+
+
+def in_span(basis: list[list[Fraction]], vec: list[Fraction]) -> bool:
+    return express([sparse(b) for b in basis], [sparse(vec)])[0] is not None
 
 
 def reduce_to_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -245,11 +321,3 @@ def reduce_to_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
             vec[c] = v
         out.append(vec)
     return out
-
-
-def in_span(basis: list[list[Fraction]], vec: list[Fraction]) -> bool:
-    if not basis:
-        return all(v == 0 for v in vec)
-    cols = [{i: v for i, v in enumerate(b) if v} for b in basis]
-    m = Matrix.from_columns(cols, len(vec))
-    return m.solve(list(vec)) is not None

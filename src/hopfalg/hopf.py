@@ -10,10 +10,11 @@ antipode recursion terminate.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional
 
 from .errors import InputError, StructuralError
-from .exactlin import ONE, ZERO, scalar
+from .exactlin import ONE, add_scaled, add_term, scalar
 from .ore import AlgebraElement, Monomial, OrePresentation
 from .reports import VerificationReport
 
@@ -50,14 +51,8 @@ class TensorElement:
 
     def __add__(self, other):
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for t, c in other.terms.items():
-            s = terms.get(t, ZERO) + c
-            if s:
-                terms[t] = s
-            else:
-                terms.pop(t, None)
-        return TensorElement(self.p, self.rank, terms)
+        return TensorElement(self.p, self.rank,
+                             add_scaled(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + (-other)
@@ -89,19 +84,9 @@ class TensorElement:
                     nxt: dict[tuple, Fraction] = {}
                     for prefix, c in partial.items():
                         for m, cm in factor.items():
-                            key = prefix + (m,)
-                            v = nxt.get(key, ZERO) + c * cm
-                            if v:
-                                nxt[key] = v
-                            else:
-                                nxt.pop(key, None)
+                            add_term(nxt, prefix + (m,), c * cm)
                     partial = nxt
-                for t, c in partial.items():
-                    v = out.get(t, ZERO) + c
-                    if v:
-                        out[t] = v
-                    else:
-                        out.pop(t, None)
+                add_scaled(out, partial)
         return TensorElement(self.p, self.rank, out)
 
     def flip(self) -> "TensorElement":
@@ -155,7 +140,7 @@ def tensor_of(a: AlgebraElement, b: AlgebraElement) -> TensorElement:
     terms: dict[tuple, Fraction] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
-            terms[(ma, mb)] = terms.get((ma, mb), ZERO) + ca * cb
+            add_term(terms, (ma, mb), ca * cb)
     return TensorElement(a.p, 2, terms)
 
 
@@ -166,8 +151,9 @@ class HopfPresentation:
                  *, strict: bool = True):
         self.algebra = algebra
         self.strict = strict and algebra.strict
-        # delta_gen[i]: terms of delta(x_i) as (left mono, right mono) -> coeff
-        self.delta_gen: dict[int, dict[tuple, Fraction]] = {}
+        # delta_gen[i]: terms of delta(x_i) as (left mono, right mono) -> coeff;
+        # read-only, because the coproduct and antipode caches depend on it
+        delta_gen: dict[int, MappingProxyType] = {}
         for name, value in (coproducts or {}).items():
             i = algebra.index.get(name)
             if i is None:
@@ -177,7 +163,8 @@ class HopfPresentation:
                 continue
             if strict:
                 self._validate_delta(i, terms)
-            self.delta_gen[i] = terms
+            delta_gen[i] = MappingProxyType(terms)
+        self.delta_gen = MappingProxyType(delta_gen)
         self._coproduct_cache: dict[Monomial, TensorElement] = {}
         self._antipode_cache: dict[Monomial, AlgebraElement] = {}
 
@@ -190,13 +177,8 @@ class HopfPresentation:
             items = list(value)
         for coeff, left, right in items:
             c = scalar(coeff)
-            key = (self.algebra.monomial_tuple(left),
-                   self.algebra.monomial_tuple(right))
-            s = out.get(key, ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            add_term(out, (self.algebra.monomial_tuple(left),
+                           self.algebra.monomial_tuple(right)), c)
         return out
 
     def _validate_delta(self, i: int, terms: dict[tuple, Fraction]):
@@ -244,8 +226,7 @@ class HopfPresentation:
             xg[g] = 1
             xg = tuple(xg)
             factor_terms = {(xg, unit): ONE, (unit, xg): ONE}
-            for t, c in self.delta_gen.get(g, {}).items():
-                factor_terms[t] = factor_terms.get(t, ZERO) + c
+            add_scaled(factor_terms, self.delta_gen.get(g, {}))
             factor = TensorElement(p, 2, factor_terms)
             result = self._coproduct_monomial(tuple(rest)) * factor
         self._coproduct_cache[m] = result
@@ -255,10 +236,10 @@ class HopfPresentation:
         """Delta(a), extended from the generators as an algebra map."""
         if a.p is not self.algebra:
             raise InputError("element belongs to a different presentation")
-        out = TensorElement(self.algebra, 2, {})
+        out: dict[tuple, Fraction] = {}
         for m, c in a.terms.items():
-            out = out + self._coproduct_monomial(m).scale(c)
-        return out
+            add_scaled(out, self._coproduct_monomial(m).terms, c)
+        return TensorElement(self.algebra, 2, out)
 
     def counit(self, a: AlgebraElement) -> Fraction:
         if a.p is not self.algebra:
@@ -275,16 +256,9 @@ class HopfPresentation:
         unit = self.algebra.unit_monomial
         terms = dict(t.terms)
         for m, c in a.terms.items():
-            for key in ((m, unit), (unit, m)):
-                s = terms.get(key, ZERO) - c
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
+            add_term(terms, (m, unit), -c)
+            add_term(terms, (unit, m), -c)
         return TensorElement(self.algebra, 2, terms)
-
-    def is_primitive(self, a: AlgebraElement) -> bool:
-        return a.counit() == 0 and self.reduced_coproduct(a).is_zero()
 
     # -- antipode ----------------------------------------------------------------
 
@@ -313,10 +287,10 @@ class HopfPresentation:
             raise StructuralError(
                 "antipode recursion requires a presentation validated for the "
                 "degree-drop invariant (strict=True)")
-        out = self.algebra.zero()
+        out: dict[Monomial, Fraction] = {}
         for m, c in a.terms.items():
-            out = out + self._antipode_monomial(m).scale(c)
-        return out
+            add_scaled(out, self._antipode_monomial(m).terms, c)
+        return AlgebraElement(self.algebra, out)
 
     # -- tensor utilities ----------------------------------------------------------
 
@@ -326,12 +300,7 @@ class HopfPresentation:
         for tup, c in t.terms.items():
             inner = self._coproduct_monomial(tup[slot])
             for (l, r), ci in inner.terms.items():
-                key = tup[:slot] + (l, r) + tup[slot + 1:]
-                s = out.get(key, ZERO) + c * ci
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                add_term(out, tup[:slot] + (l, r) + tup[slot + 1:], c * ci)
         return TensorElement(self.algebra, t.rank + 1, out)
 
     def _contract_counit(self, t: TensorElement, slot: int) -> TensorElement:
@@ -341,12 +310,7 @@ class HopfPresentation:
         for tup, c in t.terms.items():
             if tup[slot] != unit:
                 continue
-            key = tup[:slot] + tup[slot + 1:]
-            s = out.get(key, ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            add_term(out, tup[:slot] + tup[slot + 1:], c)
         return TensorElement(self.algebra, t.rank - 1, out)
 
     def tensor(self, terms, rank: int = 2) -> TensorElement:
@@ -357,11 +321,7 @@ class HopfPresentation:
             key = tuple(self.algebra.monomial_tuple(m) for m in item[1:])
             if len(key) != rank:
                 raise InputError("term arity does not match rank")
-            s = out.get(key, ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            add_term(out, key, c)
         return TensorElement(self.algebra, rank, out)
 
     # -- verifications ----------------------------------------------------------------
@@ -507,12 +467,7 @@ class HopfPresentation:
                 for (l, r), c in self.coproduct(g).terms.items():
                     fl = self.apply_map(images, AlgebraElement(src, {l: ONE}))
                     fr = self.apply_map(images, AlgebraElement(src, {r: ONE}))
-                    for t, ct in tensor_of(fl, fr).terms.items():
-                        s = rhs_terms.get(t, ZERO) + c * ct
-                        if s:
-                            rhs_terms[t] = s
-                        else:
-                            rhs_terms.pop(t, None)
+                    add_scaled(rhs_terms, tensor_of(fl, fr).terms, c)
                 rhs = TensorElement(dst.algebra, 2, rhs_terms)
                 diff = lhs - rhs
                 report.add(f"coproduct respected on {name}", diff.is_zero(),

@@ -107,23 +107,34 @@ def cla_from_json(data: dict) -> CLA:
     if data.get("dim") is not None and data["dim"] != len(basis):
         raise InputError("dim does not match the basis length")
     brackets = {}
-    for key, terms in (data.get("brackets") or {}).items():
-        if isinstance(key, str):
-            i, j = (int(s) for s in key.split(","))
-        else:
-            i, j = key
-        brackets[(i, j)] = {t["basis"]: scalar(t["coeff"]) for t in terms}
     delta = {}
-    for key, terms in (data.get("delta") or {}).items():
-        delta[int(key)] = {(t["left"], t["right"]): scalar(t["coeff"])
-                           for t in terms}
+    try:
+        for key, terms in (data.get("brackets") or {}).items():
+            if isinstance(key, str):
+                i, j = (int(s) for s in key.split(","))
+            else:
+                i, j = key
+            brackets[(i, j)] = {t["basis"]: scalar(t["coeff"]) for t in terms}
+        for key, terms in (data.get("delta") or {}).items():
+            delta[int(key)] = {(t["left"], t["right"]): scalar(t["coeff"])
+                               for t in terms}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed CLA data: {exc!r}") from exc
     return CLA(basis, brackets, delta)
+
+
+def read_json(path: str):
+    """The decoded contents of a JSON file; undecodable text is InputError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InputError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
 
 
 def load_object(path: str, strict: bool = True):
     """Load a Hopf presentation or a CLA from a JSON file, by schema."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise InputError("top-level JSON value must be an object")
     if "generators" in data:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .errors import InputError, StructuralError
-from .exactlin import ONE, ZERO, scalar
+from .exactlin import ONE, ZERO, add_scaled, add_term, scalar
 from .reports import VerificationReport
 
 Monomial = tuple  # exponent vector, one entry per generator
@@ -64,8 +65,10 @@ class OrePresentation:
         self.bidegrees = tuple(g.bidegree for g in gens) if with_bidegree else None
         self.strict = strict
 
-        # kappa[(j, i)] with j > i: terms of [x_j, x_i] as monomial -> coefficient
-        self.kappa: dict[tuple[int, int], dict[Monomial, Fraction]] = {}
+        # kappa[(j, i)] with j > i: terms of [x_j, x_i] as monomial -> coefficient.
+        # The public table is a read-only view because _mul_cache is only
+        # valid for one table; rewriting reads the faster plain dicts behind it.
+        self._kappa: dict[tuple[int, int], dict[Monomial, Fraction]] = {}
         for key, value in (commutators or {}).items():
             j, i = self._pair_indices(key)
             terms = self._terms_from(value)
@@ -78,7 +81,9 @@ class OrePresentation:
                     raise StructuralError(
                         f"[{self.names[j]},{self.names[i]}] has weighted degree "
                         f"{worst} >= {bound}; rewriting would not terminate")
-            self.kappa[(j, i)] = terms
+            self._kappa[(j, i)] = terms
+        self.kappa = MappingProxyType(
+            {key: MappingProxyType(terms) for key, terms in self._kappa.items()})
 
         self._mul_cache: dict[tuple[Monomial, Monomial], dict[Monomial, Fraction]] = {}
 
@@ -113,12 +118,7 @@ class OrePresentation:
             items = list(value)
         for coeff, mono in items:
             c = scalar(coeff)
-            m = self.monomial_tuple(mono)
-            s = out.get(m, ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            add_term(out, self.monomial_tuple(mono), c)
         return out
 
     def monomial_tuple(self, mono) -> Monomial:
@@ -251,17 +251,12 @@ class OrePresentation:
                     pos = t
                     break
             if pos < 0:
-                m = self._word_monomial(w)
-                s = acc.get(m, ZERO) + c
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
+                add_term(acc, self._word_monomial(w), c)
                 continue
             j, i = w[pos], w[pos + 1]
             head, tail = w[:pos], w[pos + 2:]
             stack.append((head + (i, j) + tail, c))
-            km = self.kappa.get((j, i))
+            km = self._kappa.get((j, i))
             if km:
                 for mono, kc in km.items():
                     stack.append((head + self._monomial_word(mono) + tail, c * kc))
@@ -295,13 +290,7 @@ class OrePresentation:
         terms: dict[Monomial, Fraction] = {}
         for ma, ca in a.terms.items():
             for mb, cb in b.terms.items():
-                c = ca * cb
-                for m, cm in self.mul_monomials(ma, mb).items():
-                    s = terms.get(m, ZERO) + c * cm
-                    if s:
-                        terms[m] = s
-                    else:
-                        terms.pop(m, None)
+                add_scaled(terms, self.mul_monomials(ma, mb), ca * cb)
         return AlgebraElement(self, terms)
 
     # -- confluence --------------------------------------------------------------
@@ -384,14 +373,7 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._check_same(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, ZERO) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return AlgebraElement(self.p, terms)
+        return AlgebraElement(self.p, add_scaled(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + (-other)

@@ -44,7 +44,10 @@ def hopf_battery(h: HopfPresentation, antipode_bound: int = 4) -> VerificationRe
     report.extend(h.algebra.verify_pbw_consistency())
     report.extend(h.verify_coassociativity())
     report.extend(h.verify_compatibility())
-    report.extend(h.verify_antipode(antipode_bound))
+    antipode = h.verify_antipode(antipode_bound)
+    report.extend(antipode)
+    # the battery keeps no sub-report titles; this one carries the bound
+    report.add(antipode.title, antipode.passed, informational=True)
     return report
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .cla import CLA, GradedLie
 from .errors import InputError, StructuralError
-from .exactlin import Matrix, ONE, ZERO, reduce_to_basis
+from .exactlin import Matrix, ONE, ZERO, express, reduce_to_basis, sparse
 from .hopf import HopfPresentation, tensor_of
 from .ore import AlgebraElement, Monomial, OrePresentation
 
@@ -34,15 +34,7 @@ class FilteredSubspace:
         return len(self.basis)
 
     def contains(self, a: AlgebraElement) -> bool:
-        monos = sorted({m for b in self.basis for m in b.terms}
-                       | set(a.terms), key=self.presentation.algebra.monomial_key)
-        coords = {m: i for i, m in enumerate(monos)}
-        cols = [{coords[m]: c for m, c in b.terms.items()} for b in self.basis]
-        mat = Matrix.from_columns(cols, len(monos))
-        rhs = [ZERO] * len(monos)
-        for m, c in a.terms.items():
-            rhs[coords[m]] = c
-        return mat.solve(rhs) is not None
+        return express([b.terms for b in self.basis], [a.terms])[0] is not None
 
     def to_json(self) -> dict:
         return {
@@ -63,23 +55,6 @@ class FilteredSubspace:
                 f"{self.degree_bound}: {basis})")
 
 
-class _TensorCoords:
-    """Assign stable row indices to tensor keys as they appear."""
-
-    def __init__(self):
-        self.index: dict = {}
-
-    def key(self, k) -> int:
-        return self.index.setdefault(k, len(self.index))
-
-    def column(self, terms: dict) -> dict[int, Fraction]:
-        return {self.key(t): c for t, c in terms.items()}
-
-    @property
-    def size(self) -> int:
-        return max(len(self.index), 1)
-
-
 def _elements_from_vectors(h: HopfPresentation, monos: list[Monomial],
                            vectors: list[list[Fraction]]) -> list[AlgebraElement]:
     out = []
@@ -94,10 +69,8 @@ def primitive_space(h: HopfPresentation, d: int) -> FilteredSubspace:
     if d < 1:
         raise InputError("degree bound must be >= 1")
     monos = h.algebra.monomials_up_to(d)
-    coords = _TensorCoords()
-    cols = [coords.column(h.reduced_coproduct(h.algebra.monomial(m)).terms)
-            for m in monos]
-    mat = Matrix.from_columns(cols, coords.size)
+    mat = Matrix.from_keyed_columns(
+        [h.reduced_coproduct(h.algebra.monomial(m)).terms for m in monos])
     return FilteredSubspace(h, d, _elements_from_vectors(h, monos,
                                                          mat.kernel_basis()))
 
@@ -115,29 +88,21 @@ def p2_space(h: HopfPresentation, d: int,
         primitives = primitive_space(h, d)
     monos = h.algebra.monomials_up_to(d)
     pbasis = primitives.basis
-    coords = _TensorCoords()
     deltas = [h.reduced_coproduct(h.algebra.monomial(m)) for m in monos]
 
+    # rows: ("m", key) for delta(a) - sum mu_ab p_a (x) p_b, ("s", key)
+    # for the symmetric part of delta(a)
     columns = []
     for t in deltas:
-        col = {}
-        for key, c in t.terms.items():
-            r = coords.key(("m", key))
-            col[r] = col.get(r, ZERO) + c
-        sym = t + t.flip()
-        for key, c in sym.terms.items():
-            r = coords.key(("s", key))
-            col[r] = col.get(r, ZERO) + c
+        col = {("m", key): c for key, c in t.terms.items()}
+        col.update({("s", key): c for key, c in (t + t.flip()).terms.items()})
         columns.append(col)
     for a in pbasis:
         for b in pbasis:
-            col = {}
-            for key, c in tensor_of(a, b).terms.items():
-                r = coords.key(("m", key))
-                col[r] = col.get(r, ZERO) - c
-            columns.append(col)
+            columns.append({("m", key): -c
+                            for key, c in tensor_of(a, b).terms.items()})
 
-    mat = Matrix.from_columns(columns, coords.size)
+    mat = Matrix.from_keyed_columns(columns)
     kernel = mat.kernel_basis()
     projected = [vec[:len(monos)] for vec in kernel]
     basis_vectors = reduce_to_basis([list(v) for v in projected])
@@ -161,18 +126,11 @@ def coradical_filtration(h: HopfPresentation, n: int, d: int) -> FilteredSubspac
     deltas = [h.reduced_coproduct(h.algebra.monomial(m)) for m in monos]
     level_basis: list[AlgebraElement] = []
     for _ in range(1, n + 1):
-        coords = _TensorCoords()
-        columns = []
-        for t in deltas:
-            columns.append(coords.column(t.terms))
+        columns = [t.terms for t in deltas]
         for a in level_basis:
             for b in level_basis:
-                col = {}
-                for key, c in tensor_of(a, b).terms.items():
-                    r = coords.key(key)
-                    col[r] = col.get(r, ZERO) - c
-                columns.append(col)
-        mat = Matrix.from_columns(columns, coords.size)
+                columns.append((-tensor_of(a, b)).terms)
+        mat = Matrix.from_keyed_columns(columns)
         kernel = mat.kernel_basis()
         projected = [vec[:len(monos)] for vec in kernel]
         vectors = reduce_to_basis([list(v) for v in projected])
@@ -211,53 +169,29 @@ def extract_cla(h: HopfPresentation, d: int) -> CLA:
                 continue
         names.append(f"p{i + 1}")
 
-    monos = sorted({m for b in basis for m in b.terms},
-                   key=h.algebra.monomial_key)
-    coords = {m: i for i, m in enumerate(monos)}
-    basis_cols = [{coords[m]: c for m, c in b.terms.items()} for b in basis]
-    basis_mat = Matrix.from_columns(basis_cols, len(monos))
-
-    brackets = {}
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            r = basis[i] * basis[j] - basis[j] * basis[i]
-            rhs = [ZERO] * len(monos)
-            for m, c in r.terms.items():
-                if m not in coords:
-                    raise StructuralError(
-                        f"[{names[i]},{names[j]}] leaves the p2 space")
-                rhs[coords[m]] = c
-            sol = basis_mat.solve(rhs)
-            if sol is None:
-                raise StructuralError(
-                    f"[{names[i]},{names[j]}] does not lie in the p2 space")
-            terms = {k: c for k, c in enumerate(sol) if c}
-            if terms:
-                brackets[(i, j)] = terms
-
-    tcoords = _TensorCoords()
-    pair_cols = []
-    for a in basis:
-        for b in basis:
-            pair_cols.append(tcoords.column(tensor_of(a, b).terms))
-    delta_cols = [tcoords.column(h.reduced_coproduct(b).terms) for b in basis]
-    pair_mat = Matrix.from_columns(pair_cols, tcoords.size)
-    delta = {}
     nb = len(basis)
-    for i, col in enumerate(delta_cols):
-        rhs = [ZERO] * tcoords.size
-        for r, c in col.items():
-            rhs[r] = c
-        sol = pair_mat.solve(rhs)
+    pairs = [(i, j) for i in range(nb) for j in range(i + 1, nb)]
+    commutators = [(basis[i] * basis[j] - basis[j] * basis[i]).terms
+                   for i, j in pairs]
+    brackets = {}
+    for (i, j), sol in zip(pairs, express([b.terms for b in basis],
+                                          commutators)):
+        if sol is None:
+            raise StructuralError(
+                f"[{names[i]},{names[j]}] does not lie in the p2 space")
+        terms = sparse(sol)
+        if terms:
+            brackets[(i, j)] = terms
+
+    pair_cols = [tensor_of(a, b).terms for a in basis for b in basis]
+    deltas = [h.reduced_coproduct(b).terms for b in basis]
+    delta = {}
+    for i, sol in enumerate(express(pair_cols, deltas)):
         if sol is None:
             raise StructuralError(
                 f"delta({names[i]}) does not lie in P2 (x) P2")
-        terms = {}
-        for a in range(nb):
-            for b in range(nb):
-                c = sol[a * nb + b]
-                if c:
-                    terms[(a, b)] = c
+        terms = {(a, b): sol[a * nb + b]
+                 for a in range(nb) for b in range(nb) if sol[a * nb + b]}
         if terms:
             delta[i] = terms
     return CLA(names, brackets, delta)

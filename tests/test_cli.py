@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hopfalg.catalog import make_B
 from hopfalg.cli import main
 from hopfalg.jsonio import presentation_to_json
@@ -179,3 +181,65 @@ def test_replicate_fails_on_injected_corruption(capsys, monkeypatch):
     code, out, _ = run(capsys, "replicate")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_unparseable_params_are_input_errors(capsys):
+    for params in ("1/0", "abc"):
+        code, _, err = run(capsys, "verify", "--family", "B", "--params", params)
+        assert code == 2
+        assert "rational" in err
+
+
+def test_malformed_json_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"generators": [')
+    code, _, err = run(capsys, "verify", "--file", str(path))
+    assert code == 2 and "JSON" in err
+
+
+def test_bad_env_bound_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("HOPF_MAX_DEGREE", "five")
+    code, _, err = run(capsys, "primitives", "--family", "B", "--params", "0")
+    assert code == 2 and "HOPF_MAX_DEGREE" in err
+
+
+def test_internal_value_error_is_not_reported_as_bad_input(monkeypatch):
+    from hopfalg import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal defect")
+
+    monkeypatch.setattr(cli, "h2_report", broken)
+    with pytest.raises(ValueError, match="internal defect"):
+        main(["cohomology", "--family", "A", "--params", "0,0,0"])
+
+
+def test_verify_default_bound_is_five(capsys, monkeypatch):
+    monkeypatch.delenv("HOPF_MAX_DEGREE", raising=False)
+    code, out, _ = run(capsys, "verify", "--family", "B", "--params", "0",
+                       "--json")
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert "antipode axiom through degree 5" in names
+
+
+def test_cohomology_total_mode_reports_stability(capsys):
+    # A(0,0,0): H^2 by level is 0, 0, 2, 2, ... so it settles at bound 4
+    for bound, stable in (("3", False), ("4", True)):
+        code, out, _ = run(capsys, "cohomology", "--family", "A",
+                           "--params", "0,0,0", "--max-degree", bound, "--json")
+        assert code == 0
+        assert json.loads(out)["stable_from_previous_bound"] is stable
+    code, out, _ = run(capsys, "cohomology", "--family", "A",
+                       "--params", "0,0,0", "--max-degree", "4")
+    assert "stable from bound 3: True" in out
+
+
+def test_cohomology_bidegree_mode_reports_stability(capsys):
+    # the classes of A(0,0,0) sit in bidegrees (1,2) and (2,1), total degree 3
+    for bound, stable in (("3", False), ("4", True)):
+        code, out, _ = run(capsys, "cohomology", "--family", "A",
+                           "--params", "0,0,0", "--max-degree", bound,
+                           "--bidegree", "--json")
+        assert code == 0
+        assert json.loads(out)["stable_from_previous_bound"] is stable

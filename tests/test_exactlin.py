@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfalg.exactlin import (Matrix, format_scalar, in_span, reduce_to_basis,
-                              scalar)
+from hopfalg.errors import InputError
+from hopfalg.exactlin import (Matrix, add_scaled, add_term, express,
+                              format_scalar, in_span, reduce_to_basis, scalar)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
                          max_denominator=10**4)
@@ -17,6 +18,9 @@ def test_scalar_parsing_and_formatting():
     assert format_scalar(Fraction(8, 2)) == "4"
     with pytest.raises(TypeError):
         scalar(0.5)
+    for bad in ("1/0", "abc"):
+        with pytest.raises(InputError):
+            scalar(bad)
 
 
 @given(rationals, rationals)
@@ -95,3 +99,62 @@ def test_no_stored_zero_entries():
     m = Matrix(2, 2, {(0, 0): Fraction(1)})
     m[0, 0] = 0
     assert m.entries == {}
+
+
+def test_accumulators_drop_zero_sums():
+    acc = {"a": Fraction(1)}
+    add_term(acc, "a", Fraction(-1))
+    add_term(acc, "b", Fraction(2))
+    assert acc == {"b": Fraction(2)}
+    assert add_scaled(acc, {"b": Fraction(1), "c": Fraction(1, 2)},
+                      Fraction(-2)) == {"c": Fraction(-1)}
+    assert add_scaled(acc, {"c": Fraction(1)}) == {}
+
+
+small_vectors = st.dictionaries(
+    st.sampled_from("pqrs"),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+    max_size=4)
+
+
+def _solve_one(basis, target):
+    """Per-target oracles over sorted keys: Matrix.solve, and membership by
+    comparing the rank of the basis with and without the target."""
+    keys = sorted({k for v in basis for k in v} | set(target)) or ["p"]
+    rows = {k: i for i, k in enumerate(keys)}
+    cols = [{rows[k]: c for k, c in v.items()} for v in basis]
+    m = Matrix.from_columns(cols, len(keys))
+    grown = Matrix.from_columns(cols + [{rows[k]: c for k, c in target.items()}],
+                                len(keys))
+    inside = grown.rank() == m.rank()
+    return m.solve([target.get(k, Fraction(0)) for k in keys]), inside
+
+
+@given(st.lists(small_vectors, max_size=4), st.lists(small_vectors, max_size=3))
+def test_express_agrees_with_per_target_solve(basis, targets):
+    got = express(basis, targets)
+    assert len(got) == len(targets)
+    for target, coords in zip(targets, got):
+        want, inside = _solve_one(basis, target)
+        assert (coords is None) == (want is None) == (not inside)
+        if coords is not None:
+            assert coords == want
+            combo = {}
+            for v, c in zip(basis, coords):
+                add_scaled(combo, v, c)
+            assert combo == target
+
+
+def test_express_judges_each_target_against_the_basis_alone():
+    p, q = Fraction(1), Fraction(2)
+    basis = [{"x": p}]
+    # the second target lies in span(basis, first target), not in span(basis)
+    got = express(basis, [{"y": p}, {"x": p, "y": q}, {"x": q}])
+    assert got == [None, None, [q]]
+
+
+def test_express_edge_cases():
+    assert express([], [{}, {"x": Fraction(1)}]) == [[], None]
+    assert express([{"x": Fraction(1)}, {"x": Fraction(2)}], [{}]) == [
+        [Fraction(0), Fraction(0)]]
+    assert express([{"x": Fraction(1)}], []) == []

@@ -236,3 +236,17 @@ def test_tensor_of_elements(A000):
     p = A000.algebra
     t = tensor_of(p.gen("X") + p.one(), p.gen("Y"))
     assert t == A000.tensor([(1, {"X": 1}, {"Y": 1}), (1, {}, {"Y": 1})])
+
+
+def test_cached_tables_are_read_only(K):
+    alg = K.algebra
+    key, terms = next(iter(alg.kappa.items()))
+    with pytest.raises(TypeError):
+        alg.kappa[key] = {}
+    with pytest.raises(TypeError):
+        terms[alg.unit_monomial] = 1
+    g, dterms = next(iter(K.delta_gen.items()))
+    with pytest.raises(TypeError):
+        K.delta_gen[g] = {}
+    with pytest.raises(TypeError):
+        dterms[(alg.unit_monomial, alg.unit_monomial)] = 1
