@@ -20,6 +20,8 @@ algebra) and hard errors for CLA variants with restricted domains.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -213,81 +215,89 @@ def make_cla_35(variant: str, **params) -> CLA:
     g with b = c = 0 and h with a = 0.
     """
     variant = variant.lower().removeprefix("35")
-    names = ["x1", "x2", "x3", "z"]
-    delta = {3: {(0, 1): Fraction(1), (1, 0): Fraction(-1)}}
-
-    def need(*keys):
-        missing = [k for k in keys if k not in params]
-        extra = [k for k in params if k not in keys]
-        if missing or extra:
-            raise ParameterError(
-                f"variant {variant!r} takes parameters {list(keys)}; "
-                f"missing {missing}, unexpected {extra}")
-        return [scalar(params[k]) for k in keys]
-
-    def ab_domain(a, b):
-        if (a, b) not in _AB_CHOICES:
-            raise ParameterError(
-                f"(a, b) must be one of (1,1), (1,0), (0,1), (0,0); got "
-                f"({a}, {b})")
-
-    if variant == "a":
-        a, b, c = need("a", "b", "c")
-        ab_domain(a, b)
-        brackets = {(1, 0): {1: 1},
-                    (3, 0): {3: 1, 0: a, 1: c},
-                    (3, 1): {1: a},
-                    (3, 2): {1: b}}
-    elif variant == "b":
-        (a11, a12, a13, a21, a22, a23, a31, a32, a33) = need(
-            "a11", "a12", "a13", "a21", "a22", "a23", "a31", "a32", "a33")
-        brackets = {(3, 0): {0: a11, 1: a12, 2: a13},
-                    (3, 1): {0: a21, 1: a22, 2: a23},
-                    (3, 2): {0: a31, 1: a32, 2: a33}}
-    elif variant == "c":
-        a, b, c = need("a", "b", "c")
-        brackets = {(2, 0): {1: 1},
-                    (3, 0): {0: a, 2: b},
-                    (3, 1): {1: 1},
-                    (3, 2): {0: c, 2: 1 - a}}
-    elif variant == "d":
-        a, b, c = need("a", "b", "c")
-        brackets = {(2, 0): {1: 1},
-                    (3, 0): {0: a, 2: b},
-                    (3, 2): {0: c, 2: -a}}
-    elif variant == "e":
-        a, b, c = need("a", "b", "c")
-        ab_domain(a, b)
-        brackets = {(2, 0): {0: 1},
-                    (3, 0): {0: a},
-                    (3, 1): {0: b},
-                    (3, 2): {3: -1, 0: c, 2: a}}
-    elif variant == "f":
-        need()
-        brackets = {(2, 0): {0: 1, 1: 1},
-                    (2, 1): {1: 1},
-                    (3, 2): {3: -2}}
-    elif variant == "g":
-        a, b, c = need("a", "b", "c")
-        ab_domain(a, b)
-        brackets = {(2, 0): {0: 1},
-                    (2, 1): {1: -1},
-                    (3, 0): {0: a, 1: c},
-                    (3, 1): {0: b}}
-    elif variant == "h":
-        lam, a = need("lam", "a")
-        if lam in (0, -1):
-            raise ParameterError("variant h requires lam outside {0, -1}")
-        if a not in (0, 1):
-            raise ParameterError("variant h requires a in {0, 1}")
-        brackets = {(2, 0): {0: 1},
-                    (2, 1): {1: lam},
-                    (3, 0): {1: a},
-                    (3, 1): {0: a},
-                    (3, 2): {3: -1 - lam}}
-    else:
+    if "cla35" + variant not in _FAMILIES:
         raise ParameterError(f"unknown 4-dim CLA variant {variant!r}")
-    return CLA(names, brackets, delta)
+    constructor, keys = _FAMILIES["cla35" + variant]
+    missing = [k for k in keys if k not in params]
+    extra = [k for k in params if k not in keys]
+    if missing or extra:
+        raise ParameterError(
+            f"variant {variant!r} takes parameters {list(keys)}; "
+            f"missing {missing}, unexpected {extra}")
+    return constructor(**{k: scalar(v) for k, v in params.items()})
+
+
+def _cla35(brackets) -> CLA:
+    return CLA(["x1", "x2", "x3", "z"], brackets,
+               {3: {(0, 1): Fraction(1), (1, 0): Fraction(-1)}})
+
+
+def _ab_domain(a, b):
+    if (a, b) not in _AB_CHOICES:
+        raise ParameterError(
+            f"(a, b) must be one of (1,1), (1,0), (0,1), (0,0); got "
+            f"({a}, {b})")
+
+
+def _cla35_a(a, b, c) -> CLA:
+    _ab_domain(a, b)
+    return _cla35({(1, 0): {1: 1},
+                   (3, 0): {3: 1, 0: a, 1: c},
+                   (3, 1): {1: a},
+                   (3, 2): {1: b}})
+
+
+def _cla35_b(a11, a12, a13, a21, a22, a23, a31, a32, a33) -> CLA:
+    return _cla35({(3, 0): {0: a11, 1: a12, 2: a13},
+                   (3, 1): {0: a21, 1: a22, 2: a23},
+                   (3, 2): {0: a31, 1: a32, 2: a33}})
+
+
+def _cla35_c(a, b, c) -> CLA:
+    return _cla35({(2, 0): {1: 1},
+                   (3, 0): {0: a, 2: b},
+                   (3, 1): {1: 1},
+                   (3, 2): {0: c, 2: 1 - a}})
+
+
+def _cla35_d(a, b, c) -> CLA:
+    return _cla35({(2, 0): {1: 1},
+                   (3, 0): {0: a, 2: b},
+                   (3, 2): {0: c, 2: -a}})
+
+
+def _cla35_e(a, b, c) -> CLA:
+    _ab_domain(a, b)
+    return _cla35({(2, 0): {0: 1},
+                   (3, 0): {0: a},
+                   (3, 1): {0: b},
+                   (3, 2): {3: -1, 0: c, 2: a}})
+
+
+def _cla35_f() -> CLA:
+    return _cla35({(2, 0): {0: 1, 1: 1},
+                   (2, 1): {1: 1},
+                   (3, 2): {3: -2}})
+
+
+def _cla35_g(a, b, c) -> CLA:
+    _ab_domain(a, b)
+    return _cla35({(2, 0): {0: 1},
+                   (2, 1): {1: -1},
+                   (3, 0): {0: a, 1: c},
+                   (3, 1): {0: b}})
+
+
+def _cla35_h(lam, a) -> CLA:
+    if lam in (0, -1):
+        raise ParameterError("variant h requires lam outside {0, -1}")
+    if a not in (0, 1):
+        raise ParameterError("variant h requires a in {0, 1}")
+    return _cla35({(2, 0): {0: 1},
+                   (2, 1): {1: lam},
+                   (3, 0): {1: a},
+                   (3, 1): {0: a},
+                   (3, 2): {3: -1 - lam}})
 
 
 # -- ready-made Lie algebras used by the catalog ------------------------------------
@@ -309,57 +319,37 @@ def make_lie_preset(name: str) -> HopfPresentation:
 
 # -- dispatch ------------------------------------------------------------------------
 
-_HOPF_PARAM_NAMES = {
-    "A": ["l1", "l2", "alpha"],
-    "B": ["lam"],
-    "D": ["t1", "t2", "a11", "a12", "a21", "a22", "x1", "x2"],
-    "E": ["a", "b", "xi"],
-    "F": ["beta", "gamma", "xi"],
-    "K": [],
-}
+# family tag -> (constructor, parameter names); the names are read off the
+# constructor's signature, which is where each family declares them
+_FAMILIES = {
+    tag: (fn, tuple(inspect.signature(fn).parameters)) for tag, fn in {
+        "A": make_A, "B": make_B, "D": make_D, "E": make_E, "F": make_F,
+        "K": make_K, "cla_a": make_cla_a, "cla_b": make_cla_b,
+        "cla35a": _cla35_a, "cla35b": _cla35_b, "cla35c": _cla35_c,
+        "cla35d": _cla35_d, "cla35e": _cla35_e, "cla35f": _cla35_f,
+        "cla35g": _cla35_g, "cla35h": _cla35_h,
+        **{"lie_" + name: functools.partial(make_lie_preset, name)
+           for name in _LIE_PRESETS},
+    }.items()}
 
-_CLA35_PARAM_NAMES = {
-    "a": ["a", "b", "c"],
-    "b": ["a11", "a12", "a13", "a21", "a22", "a23", "a31", "a32", "a33"],
-    "c": ["a", "b", "c"],
-    "d": ["a", "b", "c"],
-    "e": ["a", "b", "c"],
-    "f": [],
-    "g": ["a", "b", "c"],
-    "h": ["lam", "a"],
-}
+_TAG_ALIASES = {"cla-a": "cla_a", "claa": "cla_a",
+                "cla-b": "cla_b", "clab": "cla_b"}
 
 
 def family_parameter_names(tag: str) -> list[str]:
     """Positional parameter names for a family tag (CLI --params order)."""
-    tag = _normalize_tag(tag)
-    if tag in _HOPF_PARAM_NAMES:
-        return list(_HOPF_PARAM_NAMES[tag])
-    if tag == "cla_a":
-        return ["l1", "l2", "alpha"]
-    if tag == "cla_b":
-        return ["lam"]
-    if tag.startswith("cla35"):
-        return list(_CLA35_PARAM_NAMES[tag[5:]])
-    if tag.startswith("lie_"):
-        return []
-    raise InputError(f"unknown family tag {tag!r}")
+    return list(_FAMILIES[_normalize_tag(tag)][1])
 
 
 def _normalize_tag(tag: str) -> str:
     t = tag.strip()
-    if t.upper() in _HOPF_PARAM_NAMES:
+    if t.upper() in _FAMILIES:
         return t.upper()
     t = t.lower()
-    if t in ("cla_a", "cla-a", "claa"):
-        return "cla_a"
-    if t in ("cla_b", "cla-b", "clab"):
-        return "cla_b"
+    t = _TAG_ALIASES.get(t, t)
     if t.startswith("cla-35"):
         t = "cla35" + t[6:]
-    if t.startswith("cla35") and t[5:] in _CLA35_PARAM_NAMES:
-        return t
-    if t.startswith("lie_") and t[4:] in _LIE_PRESETS:
+    if t in _FAMILIES:
         return t
     raise InputError(f"unknown family tag {tag!r}")
 
@@ -367,33 +357,12 @@ def _normalize_tag(tag: str) -> str:
 def build(spec: FamilySpec):
     """Construct the Hopf presentation or CLA described by a FamilySpec."""
     tag = _normalize_tag(spec.tag)
-    names = family_parameter_names(tag)
+    constructor, names = _FAMILIES[tag]
     missing = [n for n in names if n not in spec.params]
     if missing:
-        raise InputError(f"family {tag} needs parameters {names}; "
+        raise InputError(f"family {tag} needs parameters {list(names)}; "
                          f"missing {missing}")
-    args = [spec.params[n] for n in names]
-    if tag == "A":
-        return make_A(*args)
-    if tag == "B":
-        return make_B(*args)
-    if tag == "D":
-        return make_D(*args)
-    if tag == "E":
-        return make_E(*args)
-    if tag == "F":
-        return make_F(*args)
-    if tag == "K":
-        return make_K()
-    if tag == "cla_a":
-        return make_cla_a(*args)
-    if tag == "cla_b":
-        return make_cla_b(*args)
-    if tag.startswith("cla35"):
-        return make_cla_35(tag[5:], **dict(zip(names, args)))
-    if tag.startswith("lie_"):
-        return make_lie_preset(tag[4:])
-    raise InputError(f"unknown family tag {spec.tag!r}")
+    return constructor(**{n: scalar(spec.params[n]) for n in names})
 
 
 def from_cli_params(tag: str, params: list) -> FamilySpec:
@@ -407,60 +376,50 @@ def from_cli_params(tag: str, params: list) -> FamilySpec:
     return FamilySpec(tag, dict(zip(names, [scalar(p) for p in params])))
 
 
+def _spec(tag: str, label: str, *values) -> FamilySpec:
+    return FamilySpec(tag, dict(zip(family_parameter_names(tag),
+                                    map(Fraction, values))), label)
+
+
 def list_catalog() -> list[FamilySpec]:
     """One representative per family, at the documented normalized parameters."""
-    f = Fraction
-    entries = [
-        FamilySpec("A", {"l1": f(0), "l2": f(0), "alpha": f(0)}, "A(0,0,0)"),
-        FamilySpec("A", {"l1": f(1), "l2": f(0), "alpha": f(0)}, "A(1,0,0)"),
-        FamilySpec("A", {"l1": f(0), "l2": f(0), "alpha": f(1)}, "A(0,0,1)"),
-        FamilySpec("A", {"l1": f(1), "l2": f(1), "alpha": f(1)}, "A(1,1,1)"),
-        FamilySpec("A", {"l1": f(1), "l2": f(2), "alpha": f(0)}, "A(1,2,0)"),
-        FamilySpec("B", {"lam": f(0)}, "B(0)"),
-        FamilySpec("B", {"lam": f(1)}, "B(1)"),
-        FamilySpec("D", {"t1": f(0), "t2": f(1), "a11": f(0), "a12": f(0),
-                         "a21": f(0), "a22": f(0), "x1": f(0), "x2": f(0)},
-                   "D({0,1},{0},{0})"),
-        FamilySpec("D", {"t1": f(1), "t2": f(0), "a11": f(1), "a12": f(0),
-                         "a21": f(0), "a22": f(1), "x1": f(1), "x2": f(0)},
-                   "D({1,0},{1,0,0,1},{1,0})"),
-        FamilySpec("E", {"a": f(0), "b": f(0), "xi": f(0)}, "E(0,0,0)"),
-        FamilySpec("E", {"a": f(1), "b": f(1), "xi": f(0)}, "E(1,1,0)"),
-        FamilySpec("E", {"a": f(0), "b": f(1), "xi": f(2)}, "E(0,1,2)"),
-        FamilySpec("F", {"beta": f(1), "gamma": f(0), "xi": f(0)}, "F(1,0,0)"),
-        FamilySpec("F", {"beta": f(0), "gamma": f(1), "xi": f(0)}, "F(0,1,0)"),
-        FamilySpec("F", {"beta": f(0), "gamma": f(1), "xi": f(5)}, "F(0,1,5)"),
-        FamilySpec("K", {}, "K"),
-        FamilySpec("lie_abelian4", {}, "U(abelian, dim 4)"),
-        FamilySpec("lie_heis3", {}, "U(Heisenberg, dim 3)"),
-        FamilySpec("lie_solv2", {}, "U(solvable, dim 2)"),
-        FamilySpec("cla_a", {"l1": f(0), "l2": f(0), "alpha": f(0)}, "a(0,0,0)"),
-        FamilySpec("cla_a", {"l1": f(1), "l2": f(2), "alpha": f(0)}, "a(1,2,0)"),
-        FamilySpec("cla_a", {"l1": f(0), "l2": f(0), "alpha": f(1)}, "a(0,0,1)"),
-        FamilySpec("cla_a", {"l1": f(1), "l2": f(1), "alpha": f(1)}, "a(1,1,1)"),
-        FamilySpec("cla_b", {"lam": f(0)}, "b(0)"),
-        FamilySpec("cla_b", {"lam": f(1)}, "b(1)"),
-        FamilySpec("cla35a", {"a": f(1), "b": f(1), "c": f(0)},
-                   "dim-4 CLA, variant a, (1,1,0)"),
-        FamilySpec("cla35b", {k: f(0) for k in _CLA35_PARAM_NAMES["b"]},
-                   "dim-4 CLA, variant b, zero matrix"),
-        FamilySpec("cla35b", {"a11": f(1), "a12": f(0), "a13": f(0),
-                              "a21": f(0), "a22": f(2), "a23": f(0),
-                              "a31": f(0), "a32": f(0), "a33": f(3)},
-                   "dim-4 CLA, variant b, diag(1,2,3)"),
-        FamilySpec("cla35c", {"a": f(1), "b": f(1), "c": f(1)},
-                   "dim-4 CLA, variant c, (1,1,1)"),
-        FamilySpec("cla35d", {"a": f(1), "b": f(0), "c": f(0)},
-                   "dim-4 CLA, variant d, (1,0,0)"),
-        FamilySpec("cla35e", {"a": f(1), "b": f(1), "c": f(0)},
-                   "dim-4 CLA, variant e, (1,1,0)"),
-        FamilySpec("cla35f", {}, "dim-4 CLA, variant f"),
+    return [
+        _spec("A", "A(0,0,0)", 0, 0, 0),
+        _spec("A", "A(1,0,0)", 1, 0, 0),
+        _spec("A", "A(0,0,1)", 0, 0, 1),
+        _spec("A", "A(1,1,1)", 1, 1, 1),
+        _spec("A", "A(1,2,0)", 1, 2, 0),
+        _spec("B", "B(0)", 0),
+        _spec("B", "B(1)", 1),
+        _spec("D", "D({0,1},{0},{0})", 0, 1, 0, 0, 0, 0, 0, 0),
+        _spec("D", "D({1,0},{1,0,0,1},{1,0})", 1, 0, 1, 0, 0, 1, 1, 0),
+        _spec("E", "E(0,0,0)", 0, 0, 0),
+        _spec("E", "E(1,1,0)", 1, 1, 0),
+        _spec("E", "E(0,1,2)", 0, 1, 2),
+        _spec("F", "F(1,0,0)", 1, 0, 0),
+        _spec("F", "F(0,1,0)", 0, 1, 0),
+        _spec("F", "F(0,1,5)", 0, 1, 5),
+        _spec("K", "K"),
+        _spec("lie_abelian4", "U(abelian, dim 4)"),
+        _spec("lie_heis3", "U(Heisenberg, dim 3)"),
+        _spec("lie_solv2", "U(solvable, dim 2)"),
+        _spec("cla_a", "a(0,0,0)", 0, 0, 0),
+        _spec("cla_a", "a(1,2,0)", 1, 2, 0),
+        _spec("cla_a", "a(0,0,1)", 0, 0, 1),
+        _spec("cla_a", "a(1,1,1)", 1, 1, 1),
+        _spec("cla_b", "b(0)", 0),
+        _spec("cla_b", "b(1)", 1),
+        _spec("cla35a", "dim-4 CLA, variant a, (1,1,0)", 1, 1, 0),
+        _spec("cla35b", "dim-4 CLA, variant b, zero matrix", *[0] * 9),
+        _spec("cla35b", "dim-4 CLA, variant b, diag(1,2,3)",
+              1, 0, 0, 0, 2, 0, 0, 0, 3),
+        _spec("cla35c", "dim-4 CLA, variant c, (1,1,1)", 1, 1, 1),
+        _spec("cla35d", "dim-4 CLA, variant d, (1,0,0)", 1, 0, 0),
+        _spec("cla35e", "dim-4 CLA, variant e, (1,1,0)", 1, 1, 0),
+        _spec("cla35f", "dim-4 CLA, variant f"),
         # the printed variant-g table with b or c nonzero, and the printed
         # variant-h table with a = 1, fail the Jacobi identity (see
         # make_cla_35); the catalog carries the Jacobi-consistent parameters
-        FamilySpec("cla35g", {"a": f(1), "b": f(0), "c": f(0)},
-                   "dim-4 CLA, variant g, (1,0,0)"),
-        FamilySpec("cla35h", {"lam": f(2), "a": f(0)},
-                   "dim-4 CLA, variant h, (2,0)"),
+        _spec("cla35g", "dim-4 CLA, variant g, (1,0,0)", 1, 0, 0),
+        _spec("cla35h", "dim-4 CLA, variant h, (2,0)", 2, 0),
     ]
-    return entries

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError, StructuralError
 from .exactlin import (Matrix, ONE, ZERO, add_scaled, add_term, express,
-                       reduce_to_basis, scalar, sparse)
+                       map_slot, reduce_to_basis, scalar, sparse)
 from .hopf import HopfPresentation, TensorElement, tensor_bracket, tensor_of
 from .ore import AlgebraElement, GeneratorInfo, OrePresentation
 from .reports import VerificationReport
@@ -220,20 +220,11 @@ def verify_cla(L: CLA) -> VerificationReport:
     witness = L.jacobi_witness()
     report.add("Jacobi identity", witness is None, witness=witness)
 
-    coassoc_ok = True
-    witness = None
-    for i in range(n):
-        lhs: dict[tuple, Fraction] = {}
-        rhs: dict[tuple, Fraction] = {}
-        for (j, k), c in L.delta_constants(i).items():
-            for (p, q), c2 in L.delta_constants(j).items():
-                add_term(lhs, (p, q, k), c * c2)
-            for (p, q), c2 in L.delta_constants(k).items():
-                add_term(rhs, (j, p, q), c * c2)
-        if lhs != rhs:
-            coassoc_ok = False
-            witness = witness or L.names[i]
-    report.add("coassociativity of delta", coassoc_ok, witness=witness)
+    witness = next((L.names[i] for i in range(n)
+                    if map_slot(L.delta_constants(i), 0, L.delta_constants)
+                    != map_slot(L.delta_constants(i), 1, L.delta_constants)),
+                   None)
+    report.add("coassociativity of delta", witness is None, witness=witness)
 
     try:
         env = enveloping(L, check=False)
@@ -273,21 +264,21 @@ def _compatibility_defect(L: CLA, env: HopfPresentation, i: int, j: int
         return TensorElement(p, 2, {(gens[a], gens[b]): c for (a, b), c in
                                     L.delta_constants(k).items()})
 
-    lhs = TensorElement(p, 2, {})
+    lhs: dict[tuple, Fraction] = {}
     for k, c in L.bracket_constants(i, j).items():
-        lhs = lhs + delta_tensor(k).scale(c)
+        add_scaled(lhs, delta_tensor(k).terms, c)
 
-    rhs = TensorElement(p, 2, {})
+    rhs: dict[tuple, Fraction] = {}
     # b_1 (x) [a, b_2]  and  [a, b_1] (x) b_2
     for (pp, qq), c in L.delta_constants(j).items():
-        rhs = rhs + tensor_of(gen_elt(pp), bracket_elt(i, qq)).scale(c)
-        rhs = rhs + tensor_of(bracket_elt(i, pp), gen_elt(qq)).scale(c)
+        add_scaled(rhs, tensor_of(gen_elt(pp), bracket_elt(i, qq)).terms, c)
+        add_scaled(rhs, tensor_of(bracket_elt(i, pp), gen_elt(qq)).terms, c)
     # [a_1, b] (x) a_2  and  a_1 (x) [a_2, b]
     for (pp, qq), c in L.delta_constants(i).items():
-        rhs = rhs + tensor_of(bracket_elt(pp, j), gen_elt(qq)).scale(c)
-        rhs = rhs + tensor_of(gen_elt(pp), bracket_elt(qq, j)).scale(c)
-    rhs = rhs + tensor_bracket(delta_tensor(i), delta_tensor(j))
-    return lhs - rhs
+        add_scaled(rhs, tensor_of(bracket_elt(pp, j), gen_elt(qq)).terms, c)
+        add_scaled(rhs, tensor_of(gen_elt(pp), bracket_elt(qq, j)).terms, c)
+    add_scaled(rhs, tensor_bracket(delta_tensor(i), delta_tensor(j)).terms)
+    return TensorElement(p, 2, add_scaled(lhs, rhs, -ONE))
 
 
 # -- kernel filtration -----------------------------------------------------------
@@ -303,14 +294,7 @@ def _iterated_delta_kernel_dims(L: CLA, max_steps: Optional[int] = None):
     kernels = []
     for _ in range(steps):
         # apply delta to the first slot of each tensor
-        nxt = []
-        for t in tensors:
-            out: dict[tuple, Fraction] = {}
-            for tup, c in t.items():
-                for (j, k), c2 in L.delta_constants(tup[0]).items():
-                    add_term(out, (j, k) + tup[1:], c * c2)
-            nxt.append(out)
-        tensors = nxt
+        tensors = [map_slot(t, 0, L.delta_constants) for t in tensors]
         kernel = Matrix.from_keyed_columns(tensors).kernel_basis()
         dims.append(len(kernel))
         kernels.append(kernel)

@@ -29,9 +29,9 @@ from .catalog import build, family_parameter_names, from_cli_params, list_catalo
 from .cla import CLA, enveloping, lantern_of_cla
 from .cobar import h2_report
 from .errors import HopfAlgError, InputError
-from .exactlin import scalar
 from .hopf import HopfPresentation
-from .jsonio import cla_to_json, load_object, presentation_from_json, read_json
+from .jsonio import (cla_to_json, load_object, presentation_from_json,
+                     read_json, terms_from_json)
 from .replicate import object_battery, run_replication
 from .structure import (coradical_filtration, extract_cla, lantern_of_hopf,
                         p2_space, primitive_space)
@@ -87,12 +87,6 @@ def emit(args, human: str, payload: dict) -> None:
         print(human)
 
 
-def subspace_payload(space, stable) -> dict:
-    data = space.to_json()
-    data["stable_from_previous_bound"] = stable
-    return data
-
-
 def cmd_verify(args) -> int:
     obj = resolve_object(args)
     report = object_battery(obj, antipode_bound=max_degree(args))
@@ -100,7 +94,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _space_command(args, compute) -> int:
+def _space_command(args, compute, label: str = "", **extra) -> int:
     obj = resolve_object(args)
     if isinstance(obj, CLA):
         obj = enveloping(obj)
@@ -108,10 +102,11 @@ def _space_command(args, compute) -> int:
     space = compute(obj, bound)
     prev = compute(obj, bound - 1) if bound > 1 else space
     stable = prev.dim == space.dim
-    human = [f"dimension {space.dim} within degree bound {bound} "
+    human = [f"{label}dimension {space.dim} within degree bound {bound} "
              f"(stable from bound {bound - 1}: {stable})"]
     human += [f"  {b!r}" for b in space.basis]
-    emit(args, "\n".join(human), subspace_payload(space, stable))
+    emit(args, "\n".join(human),
+         dict(space.to_json(), stable_from_previous_bound=stable, **extra))
     return EXIT_OK
 
 
@@ -124,23 +119,9 @@ def cmd_p2(args) -> int:
 
 
 def cmd_coradical(args) -> int:
-    obj = resolve_object(args)
-    if isinstance(obj, CLA):
-        obj = enveloping(obj)
-    bound = max_degree(args)
-    space = coradical_filtration(obj, args.level, bound)
-    if bound > 1:
-        prev = coradical_filtration(obj, args.level, bound - 1)
-        stable = prev.dim == space.dim
-    else:
-        stable = True
-    human = [f"coradical piece {args.level}: dimension {space.dim} within "
-             f"degree bound {bound} (stable from bound {bound - 1}: {stable})"]
-    human += [f"  {b!r}" for b in space.basis]
-    payload = subspace_payload(space, stable)
-    payload["level"] = args.level
-    emit(args, "\n".join(human), payload)
-    return EXIT_OK
+    return _space_command(
+        args, lambda h, d: coradical_filtration(h, args.level, d),
+        f"coradical piece {args.level}: ", level=args.level)
 
 
 def cmd_extract_cla(args) -> int:
@@ -195,12 +176,16 @@ def cmd_morphism(args) -> int:
     if not args.file:
         raise InputError("morphism requires --file with source, target, images")
     data = read_json(args.file)
+    if not isinstance(data, dict):
+        raise InputError("morphism file must hold a JSON object")
     src = require_hopf(_morphism_side(data.get("source"), "source"))
     dst = require_hopf(_morphism_side(data.get("target"), "target"))
-    images = {}
-    for name, terms in (data.get("images") or {}).items():
-        images[name] = dst.algebra.element(
-            [(scalar(t["coeff"]), t.get("monomial", {})) for t in terms])
+    try:
+        parsed = {name: terms_from_json(terms, "monomial")
+                  for name, terms in (data.get("images") or {}).items()}
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise InputError(f"malformed morphism images: {exc!r}") from exc
+    images = {name: dst.algebra.element(terms) for name, terms in parsed.items()}
     report = src.verify_morphism(dst, images,
                                  check_coalgebra=data.get("check_coalgebra",
                                                           True))

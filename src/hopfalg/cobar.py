@@ -15,14 +15,15 @@ assuming it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError
-from .exactlin import Matrix, add_scaled, add_term, express
+from .exactlin import ONE, Matrix, express, map_slot
 from .hopf import HopfPresentation, TensorElement
-from .ore import AlgebraElement, Monomial
+from .ore import AlgebraElement
 from .reports import VerificationReport
 
 
@@ -40,43 +41,30 @@ class CobarComplex:
         return sum(alg.monomial_degree(m) for m in t)
 
     def differential_one(self, t: tuple) -> dict[tuple, Fraction]:
-        return _d1_terms(self.presentation, t[0])
+        return _d1_map(self.presentation)(t[0])
 
     def differential_two(self, t: tuple) -> dict[tuple, Fraction]:
-        return _d2_terms(self.presentation, t)
+        return _apply_d2(_d1_map(self.presentation), {t: ONE})
 
     def verify_differential(self) -> VerificationReport:
         """d^2 = 0, composed symbolically on every rank-1 basis element."""
         report = VerificationReport("cobar differential squares to zero")
-        h = self.presentation
-        witness = next((m for (m,) in self.bases[1]
-                        if _apply_d2(h, _d1_terms(h, m))), None)
+        d1 = _d1_map(self.presentation)
+        witness = next((m for (m,) in self.bases[1] if _apply_d2(d1, d1(m))),
+                       None)
         report.add("d2 after d1 vanishes", witness is None, witness=witness)
         return report
 
 
-def _d1_terms(h: HopfPresentation, m: Monomial) -> dict[tuple, Fraction]:
-    elt = AlgebraElement(h.algebra, {m: Fraction(1)})
-    return dict(h.reduced_coproduct(elt).terms)
+def _d1_map(h: HopfPresentation):
+    """d^1 on monomials, m -> delta(m) as {pair: coefficient}, memoised."""
+    return functools.cache(lambda m: h.reduced_coproduct(
+        AlgebraElement(h.algebra, {m: ONE})).terms)
 
 
-def _d2_terms(h: HopfPresentation, pair: tuple) -> dict[tuple, Fraction]:
-    a, b = pair
-    out: dict[tuple, Fraction] = {}
-    for (u, v), c in _d1_terms(h, a).items():
-        add_term(out, (u, v, b), c)
-    for (u, v), c in _d1_terms(h, b).items():
-        add_term(out, (a, u, v), -c)
-    return out
-
-
-def _apply_d2(h: HopfPresentation, w: dict[tuple, Fraction]
-              ) -> dict[tuple, Fraction]:
-    """d^2 of a rank-2 cochain given as {pair: coefficient}."""
-    out: dict[tuple, Fraction] = {}
-    for pair, c in w.items():
-        add_scaled(out, _d2_terms(h, pair), c)
-    return out
+def _apply_d2(d1, w: dict[tuple, Fraction]) -> dict[tuple, Fraction]:
+    """d^2 of a rank-2 cochain {pair: coefficient}: d1 on each slot, signed."""
+    return map_slot(w, 1, d1, -ONE, map_slot(w, 0, d1))
 
 
 def build_complex(h: HopfPresentation, bound: int) -> CobarComplex:
@@ -85,24 +73,25 @@ def build_complex(h: HopfPresentation, bound: int) -> CobarComplex:
         raise InputError("cobar bound must be >= 1")
     alg = h.algebra
     monos = alg.monomials_up_to(bound)
-    keyfn = alg.monomial_key
+    # degrees and sort keys are read once per monomial, not once per tuple
+    degree = {m: alg.monomial_degree(m) for m in monos}
+    key = {m: alg.monomial_key(m) for m in monos}
 
     def tuple_key(t):
-        return (sum(alg.monomial_degree(m) for m in t),
-                tuple(keyfn(m) for m in t))
+        return (sum(degree[m] for m in t), tuple(key[m] for m in t))
 
     bases: dict[int, list[tuple]] = {1: [(m,) for m in monos]}
     pairs = []
     triples = []
     for a in monos:
-        da = alg.monomial_degree(a)
+        da = degree[a]
         for b in monos:
-            dab = da + alg.monomial_degree(b)
+            dab = da + degree[b]
             if dab > bound:
                 continue
             pairs.append((a, b))
             for c in monos:
-                if dab + alg.monomial_degree(c) <= bound:
+                if dab + degree[c] <= bound:
                     triples.append((a, b, c))
     pairs.sort(key=tuple_key)
     triples.sort(key=tuple_key)
@@ -111,15 +100,13 @@ def build_complex(h: HopfPresentation, bound: int) -> CobarComplex:
     coords = {r: {t: i for i, t in enumerate(basis)}
               for r, basis in bases.items()}
 
-    d1_cols = []
-    for (m,) in bases[1]:
-        d1_cols.append({coords[2][t]: c for t, c in _d1_terms(h, m).items()})
-    d1 = Matrix.from_columns(d1_cols, max(len(bases[2]), 1))
-    d2_cols = []
-    for pair in bases[2]:
-        d2_cols.append({coords[3][t]: c for t, c in _d2_terms(h, pair).items()})
-    d2 = Matrix.from_columns(d2_cols, max(len(bases[3]), 1))
-    return CobarComplex(h, bound, bases, coords, d1, d2)
+    d1 = _d1_map(h)
+    d1_cols = [{coords[2][t]: c for t, c in d1(m).items()} for m in monos]
+    d2_cols = [{coords[3][t]: c for t, c in _apply_d2(d1, {pair: ONE}).items()}
+               for pair in bases[2]]
+    return CobarComplex(h, bound, bases, coords,
+                        Matrix.from_columns(d1_cols, max(len(bases[2]), 1)),
+                        Matrix.from_columns(d2_cols, max(len(bases[3]), 1)))
 
 
 @dataclass
@@ -267,14 +254,15 @@ def is_coboundary(h: HopfPresentation, w: TensorElement,
     if w.p is not h.algebra:
         raise InputError("tensor belongs to a different presentation")
     # cocycle precondition: the derivation differential must kill w
-    if _apply_d2(h, w.terms):
+    d1 = _d1_map(h)
+    if _apply_d2(d1, w.terms):
         raise InputError("input is not a 2-cocycle")
     deg = w.total_degree()
     level = max(deg if deg is not None else 1, 1)
     if level > bound:
         raise InputError(f"tensor degree {level} exceeds the bound {bound}")
     monos = h.algebra.monomials_up_to(level)
-    cols = [_d1_terms(h, m) for m in monos]
+    cols = [d1(m) for m in monos]
     sol = express(cols, [w.terms])[0]
     rank = Matrix.from_keyed_columns(cols).rank()
     if sol is None:

@@ -10,7 +10,7 @@ floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 from .errors import InputError
 
@@ -46,7 +46,7 @@ def format_scalar(q: Fraction) -> str:
 # -- sparse linear combinations ---------------------------------------------
 #
 # A sparse vector is a dict key -> nonzero Fraction over any hashable keys
-# (monomials, tensor tuples, row indices); these two helpers are the only
+# (monomials, tensor tuples, row indices); these helpers are the only
 # place that adds into one.
 
 
@@ -77,6 +77,24 @@ def add_scaled(acc: dict, terms: Mapping, c: Fraction = ONE) -> dict:
                 acc[key] = s
             else:
                 acc.pop(key, None)
+    return acc
+
+
+def map_slot(terms: Mapping, slot: int, image: Callable[..., Mapping],
+             c: Fraction = ONE, acc: Optional[dict] = None) -> dict:
+    """acc += c * (image applied at tuple position slot); returns acc.
+
+    ``terms`` is a sparse vector over tuples and ``image(key)`` a sparse
+    vector over replacement tuples, spliced in place of the key: a pair
+    raises the rank by one, the empty tuple drops the slot.
+    """
+    if acc is None:
+        acc = {}
+    for tup, v in terms.items():
+        head, tail = tup[:slot], tup[slot + 1:]
+        cv = c * v
+        for rep, w in image(tup[slot]).items():
+            add_term(acc, head + rep + tail, cv * w)
     return acc
 
 
@@ -152,11 +170,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
-
-    def copy(self) -> "Matrix":
-        m = Matrix(self.rows, self.cols)
-        m.entries = dict(self.entries)
-        return m
 
     def columns(self) -> list[dict[int, Fraction]]:
         """The columns as sparse dicts row -> value."""

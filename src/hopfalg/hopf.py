@@ -14,15 +14,15 @@ from types import MappingProxyType
 from typing import Optional
 
 from .errors import InputError, StructuralError
-from .exactlin import ONE, add_scaled, add_term, scalar
-from .ore import AlgebraElement, Monomial, OrePresentation
+from .exactlin import ONE, add_scaled, add_term, map_slot, scalar
+from .ore import AlgebraElement, Combination, Monomial, OrePresentation
 from .reports import VerificationReport
 
 
-class TensorElement:
+class TensorElement(Combination):
     """Linear combination of r-tuples of PBW monomials over one presentation."""
 
-    __slots__ = ("p", "rank", "terms")
+    __slots__ = ("rank",)
 
     def __init__(self, p: OrePresentation, rank: int,
                  terms: dict[tuple, Fraction]):
@@ -35,45 +35,27 @@ class TensorElement:
             if len(t) != rank:
                 raise InputError(f"tuple {t} does not have rank {rank}")
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _new(self, terms) -> "TensorElement":
+        return TensorElement(self.p, self.rank, terms)
+
+    def _shape(self) -> tuple:
+        return (self.p, self.rank)
+
+    def _check(self, other):
+        super()._check(other)
+        if self.rank != other.rank:
+            raise InputError(f"rank mismatch: {self.rank} vs {other.rank}")
 
     def total_degree(self) -> Optional[int]:
         if not self.terms:
             return None
         return max(sum(self.p.monomial_degree(m) for m in t) for t in self.terms)
 
-    def _check_compatible(self, other: "TensorElement"):
-        if self.p is not other.p:
-            raise InputError("tensors belong to different presentations")
-        if self.rank != other.rank:
-            raise InputError(f"rank mismatch: {self.rank} vs {other.rank}")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return TensorElement(self.p, self.rank,
-                             add_scaled(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement(self.p, self.rank,
-                             {t: -c for t, c in self.terms.items()})
-
-    def scale(self, q):
-        q = scalar(q)
-        return TensorElement(self.p, self.rank,
-                             {t: q * c for t, c in self.terms.items()})
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def __mul__(self, other):
         """Componentwise product (a(x)b)(c(x)d) = ac(x)bd, factors normalized."""
         if not isinstance(other, TensorElement):
             return self.scale(other)
-        self._check_compatible(other)
+        self._check(other)
         p = self.p
         out: dict[tuple, Fraction] = {}
         for t1, c1 in self.terms.items():
@@ -94,38 +76,14 @@ class TensorElement:
         return TensorElement(self.p, self.rank,
                              {t[::-1]: c for t, c in self.terms.items()})
 
-    def __eq__(self, other):
-        return (isinstance(other, TensorElement) and self.p is other.p
-                and self.rank == other.rank and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((id(self.p), self.rank, frozenset(self.terms.items())))
-
     def sorted_terms(self):
         keyfn = self.p.monomial_key
         return sorted(self.terms.items(),
                       key=lambda kv: tuple(keyfn(m) for m in kv[0]))
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        render = AlgebraElement(self.p, {self.p.unit_monomial: ONE}).render_monomial
-        chunks = []
-        for t, c in self.sorted_terms():
-            body = " (x) ".join(render(m) for m in t)
-            if c == 1:
-                text = body
-            elif c == -1:
-                text = f"-{body}"
-            else:
-                text = f"{c}*{body}"
-            if chunks and not text.startswith("-"):
-                chunks.append("+ " + text)
-            elif chunks:
-                chunks.append("- " + text[1:])
-            else:
-                chunks.append(text)
-        return " ".join(chunks)
+    def _render_key(self, t: tuple) -> str:
+        render = AlgebraElement(self.p, {}).render_monomial
+        return " (x) ".join(render(m) for m in t)
 
 
 def tensor_bracket(s: TensorElement, t: TensorElement) -> TensorElement:
@@ -158,7 +116,9 @@ class HopfPresentation:
             i = algebra.index.get(name)
             if i is None:
                 raise InputError(f"coproduct given for unknown generator {name!r}")
-            terms = self._tensor_terms_from(value)
+            if isinstance(value, TensorElement):
+                value = [(c, *t) for t, c in value.terms.items()]
+            terms = self.tensor(value).terms
             if not terms:
                 continue
             if strict:
@@ -167,19 +127,6 @@ class HopfPresentation:
         self.delta_gen = MappingProxyType(delta_gen)
         self._coproduct_cache: dict[Monomial, TensorElement] = {}
         self._antipode_cache: dict[Monomial, AlgebraElement] = {}
-
-    def _tensor_terms_from(self, value) -> dict[tuple, Fraction]:
-        """Accept [(coeff, left mono, right mono), ...] or a TensorElement."""
-        out: dict[tuple, Fraction] = {}
-        if isinstance(value, TensorElement):
-            items = [(c, t[0], t[1]) for t, c in value.terms.items()]
-        else:
-            items = list(value)
-        for coeff, left, right in items:
-            c = scalar(coeff)
-            add_term(out, (self.algebra.monomial_tuple(left),
-                           self.algebra.monomial_tuple(right)), c)
-        return out
 
     def _validate_delta(self, i: int, terms: dict[tuple, Fraction]):
         gname = self.algebra.names[i]
@@ -201,9 +148,6 @@ class HopfPresentation:
                     f"delta({gname}) has a term of total degree {dl + dr} > {gdeg}")
 
     # -- basic coalgebra maps -------------------------------------------------
-
-    def delta_of_generator(self, i: int) -> TensorElement:
-        return TensorElement(self.algebra, 2, dict(self.delta_gen.get(i, {})))
 
     def unit_tensor(self) -> TensorElement:
         u = self.algebra.unit_monomial
@@ -270,12 +214,13 @@ class HopfPresentation:
         if m == p.unit_monomial:
             result = p.one()
         else:
+            # S(m) = -m - sum S(m'_1) m'_2 over delta(m) = sum m'_1 (x) m'_2
             mono = AlgebraElement(p, {m: ONE})
-            result = -mono
+            out = {m: -ONE}
             for (l, r), c in self.reduced_coproduct(mono).terms.items():
-                # S(m) = -m - sum S(m'_1) m'_2 over delta(m) = sum m'_1 (x) m'_2
-                sl = self._antipode_monomial(l)
-                result = result - (sl * AlgebraElement(p, {r: c}))
+                for ml, cl in self._antipode_monomial(l).terms.items():
+                    add_scaled(out, p.mul_monomials(ml, r), -c * cl)
+            result = AlgebraElement(p, out)
         self._antipode_cache[m] = result
         return result
 
@@ -296,22 +241,14 @@ class HopfPresentation:
 
     def _expand_slot(self, t: TensorElement, slot: int) -> TensorElement:
         """Apply the full coproduct to one tensor slot (rank grows by one)."""
-        out: dict[tuple, Fraction] = {}
-        for tup, c in t.terms.items():
-            inner = self._coproduct_monomial(tup[slot])
-            for (l, r), ci in inner.terms.items():
-                add_term(out, tup[:slot] + (l, r) + tup[slot + 1:], c * ci)
-        return TensorElement(self.algebra, t.rank + 1, out)
+        return TensorElement(self.algebra, t.rank + 1, map_slot(
+            t.terms, slot, lambda m: self._coproduct_monomial(m).terms))
 
     def _contract_counit(self, t: TensorElement, slot: int) -> TensorElement:
         """Apply the counit to one tensor slot (rank drops by one)."""
         unit = self.algebra.unit_monomial
-        out: dict[tuple, Fraction] = {}
-        for tup, c in t.terms.items():
-            if tup[slot] != unit:
-                continue
-            add_term(out, tup[:slot] + tup[slot + 1:], c)
-        return TensorElement(self.algebra, t.rank - 1, out)
+        return TensorElement(self.algebra, t.rank - 1, map_slot(
+            t.terms, slot, lambda m: {(): ONE} if m == unit else {}))
 
     def tensor(self, terms, rank: int = 2) -> TensorElement:
         """Build a tensor from [(coeff, mono, mono, ...), ...] term data."""
@@ -390,21 +327,20 @@ class HopfPresentation:
         ok_left = ok_right = True
         witness = None
         for m in p.monomials_up_to(degree_bound, include_unit=True):
-            t = self._coproduct_monomial(m)
-            left = p.zero()
-            right = p.zero()
-            for (l, r), c in t.terms.items():
-                left = left + (self._antipode_monomial(l)
-                               * AlgebraElement(p, {r: c}))
-                right = right + (AlgebraElement(p, {l: c})
-                                 * self._antipode_monomial(r))
-            want = p.one().scale(AlgebraElement(p, {m: ONE}).counit())
+            left: dict[Monomial, Fraction] = {}
+            right: dict[Monomial, Fraction] = {}
+            for (l, r), c in self._coproduct_monomial(m).terms.items():
+                for ml, cl in self._antipode_monomial(l).terms.items():
+                    add_scaled(left, p.mul_monomials(ml, r), c * cl)
+                for mr, cr in self._antipode_monomial(r).terms.items():
+                    add_scaled(right, p.mul_monomials(l, mr), c * cr)
+            want = {m: ONE} if m == p.unit_monomial else {}
             if left != want:
                 ok_left = False
-                witness = witness or (m, left)
+                witness = witness or (m, AlgebraElement(p, left))
             if right != want:
                 ok_right = False
-                witness = witness or (m, right)
+                witness = witness or (m, AlgebraElement(p, right))
         report.add("m(S(x)id)Delta = unit.counit", ok_left, witness=witness)
         report.add("m(id(x)S)Delta = unit.counit", ok_right)
         return report
@@ -422,15 +358,15 @@ class HopfPresentation:
                 raise InputError(f"no image given for generator {name!r}")
             if images[name].p is not dst:
                 raise InputError("images live in different presentations")
-        out = dst.zero()
+        out: dict[Monomial, Fraction] = {}
         for m, c in a.terms.items():
             word = dst.one()
             for i, e in enumerate(m):
                 img = images[self.algebra.names[i]]
                 for _ in range(e):
                     word = word * img
-            out = out + word.scale(c)
-        return out
+            add_scaled(out, word.terms, c)
+        return AlgebraElement(dst, out)
 
     def verify_morphism(self, dst: "HopfPresentation",
                         images: dict[str, AlgebraElement],

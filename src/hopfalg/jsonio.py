@@ -67,22 +67,24 @@ def presentation_to_json(h: HopfPresentation) -> dict:
             "coproducts": coproducts}
 
 
+def terms_from_json(terms, *parts: str) -> list[tuple]:
+    """[(coeff, part, ...), ...] from [{"coeff": ..., part: ..., ...}, ...];
+    an omitted part is the empty monomial {}."""
+    return [(scalar(t["coeff"]), *(t.get(k, {}) for k in parts)) for t in terms]
+
+
 def presentation_from_json(data: dict, strict: bool = True) -> HopfPresentation:
     try:
         gens = [GeneratorInfo(g["name"], g["degree"],
                               tuple(g["bidegree"]) if "bidegree" in g else None)
                 for g in data["generators"]]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed generator list: {exc}") from exc
-    commutators = {}
-    for key, terms in (data.get("commutators") or {}).items():
-        commutators[key] = [(scalar(t["coeff"]), t.get("monomial", {}))
-                            for t in terms]
+        commutators = {key: terms_from_json(terms, "monomial") for key, terms
+                       in (data.get("commutators") or {}).items()}
+        coproducts = {name: terms_from_json(terms, "left", "right") for
+                      name, terms in (data.get("coproducts") or {}).items()}
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise InputError(f"malformed presentation: {exc!r}") from exc
     algebra = OrePresentation(gens, commutators, strict=strict)
-    coproducts = {}
-    for name, terms in (data.get("coproducts") or {}).items():
-        coproducts[name] = [(scalar(t["coeff"]), t.get("left", {}),
-                             t.get("right", {})) for t in terms]
     return HopfPresentation(algebra, coproducts, strict=strict)
 
 

@@ -133,8 +133,9 @@ class OrePresentation:
             i = self.index.get(name)
             if i is None:
                 raise InputError(f"unknown generator {name!r}")
-            if e < 0:
-                raise InputError(f"negative exponent for {name!r}")
+            if not isinstance(e, int) or e < 0:
+                raise InputError(
+                    f"exponent of {name!r} must be a non-negative integer")
             exps[i] += e
         return tuple(exps)
 
@@ -338,17 +339,89 @@ class OrePresentation:
         return f"OrePresentation({gens})"
 
 
-class AlgebraElement:
-    """A linear combination of PBW monomials over a fixed presentation."""
+class Combination:
+    """A sparse linear combination over one presentation: shared arithmetic.
+
+    Subclasses add construction (``_new`` builds one of the same kind and
+    shape), the operand check (``_check``), the product, the term order
+    (``sorted_terms``) and key rendering (``_render_key``, None for a key
+    that prints as its bare coefficient).
+    """
 
     __slots__ = ("p", "terms")
+
+    def _shape(self) -> tuple:
+        return (self.p,)
+
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise InputError(f"cannot combine {type(self).__name__} with "
+                             f"{type(other).__name__}")
+        if other.p is not self.p:
+            raise InputError("operands belong to different presentations")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        self._check(other)
+        return self._new(add_scaled(dict(self.terms), other.terms))
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._new(add_scaled(dict(self.terms), other.terms, -ONE))
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def scale(self, q):
+        q = scalar(q)
+        return self._new({k: q * c for k, c in self.terms.items()})
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._shape() == other._shape()
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self._shape(), frozenset(self.terms.items())))
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        chunks = []
+        for key, c in self.sorted_terms():
+            body = self._render_key(key)
+            if body is None:
+                text = str(c)
+            elif c == 1:
+                text = body
+            elif c == -1:
+                text = f"-{body}"
+            else:
+                text = f"{c}*{body}"
+            if chunks and not text.startswith("-"):
+                chunks.append("+ " + text)
+            elif chunks:
+                chunks.append("- " + text[1:])
+            else:
+                chunks.append(text)
+        return " ".join(chunks)
+
+
+class AlgebraElement(Combination):
+    """A linear combination of PBW monomials over a fixed presentation."""
+
+    __slots__ = ()
 
     def __init__(self, p: OrePresentation, terms: dict[Monomial, Fraction]):
         self.p = p
         self.terms = {m: c for m, c in terms.items() if c}
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _new(self, terms) -> "AlgebraElement":
+        return AlgebraElement(self.p, terms)
 
     @property
     def degree(self) -> Optional[int]:
@@ -364,41 +437,10 @@ class AlgebraElement:
     def counit(self) -> Fraction:
         return self.terms.get(self.p.unit_monomial, ZERO)
 
-    def coefficient(self, mono) -> Fraction:
-        return self.terms.get(self.p.monomial_tuple(mono), ZERO)
-
-    def _check_same(self, other: "AlgebraElement"):
-        if self.p is not other.p:
-            raise InputError("elements belong to different presentations")
-
-    def __add__(self, other):
-        self._check_same(other)
-        return AlgebraElement(self.p, add_scaled(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return AlgebraElement(self.p, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, q) -> "AlgebraElement":
-        q = scalar(q)
-        return AlgebraElement(self.p, {m: q * c for m, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return self.p.mul(self, other)
         return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other):
-        return (isinstance(other, AlgebraElement) and self.p is other.p
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((id(self.p), frozenset(self.terms.items())))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: self.p.monomial_key(kv[0]))
@@ -414,27 +456,8 @@ class AlgebraElement:
                 parts.append(f"{name}^{e}")
         return "*".join(parts)
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for m, c in self.sorted_terms():
-            mono = self.render_monomial(m)
-            if mono == "1":
-                text = str(c)
-            elif c == 1:
-                text = mono
-            elif c == -1:
-                text = f"-{mono}"
-            else:
-                text = f"{c}*{mono}"
-            if chunks and not text.startswith("-"):
-                chunks.append("+ " + text)
-            elif chunks:
-                chunks.append("- " + text[1:])
-            else:
-                chunks.append(text)
-        return " ".join(chunks)
+    def _render_key(self, m: Monomial) -> Optional[str]:
+        return self.render_monomial(m) if any(m) else None
 
 
 def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

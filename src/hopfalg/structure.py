@@ -64,49 +64,51 @@ def _elements_from_vectors(h: HopfPresentation, monos: list[Monomial],
     return out
 
 
+def _monomial_deltas(h: HopfPresentation, monos: list[Monomial]):
+    return [h.reduced_coproduct(h.algebra.monomial(m)) for m in monos]
+
+
 def primitive_space(h: HopfPresentation, d: int) -> FilteredSubspace:
     """Basis of {a : deg a <= d, counit(a) = 0, delta(a) = 0}."""
     if d < 1:
         raise InputError("degree bound must be >= 1")
     monos = h.algebra.monomials_up_to(d)
-    mat = Matrix.from_keyed_columns(
-        [h.reduced_coproduct(h.algebra.monomial(m)).terms for m in monos])
+    mat = Matrix.from_keyed_columns([t.terms for t in _monomial_deltas(h, monos)])
     return FilteredSubspace(h, d, _elements_from_vectors(h, monos,
                                                          mat.kernel_basis()))
 
 
-def p2_space(h: HopfPresentation, d: int,
-             primitives: Optional[FilteredSubspace] = None) -> FilteredSubspace:
-    """Basis of {a : deg a <= d, delta(a) skew-symmetric and in P(x)P}.
+def _coradical_kernel(h: HopfPresentation, monos: list[Monomial], columns,
+                      factors: list[AlgebraElement]) -> list[AlgebraElement]:
+    """Canonical basis of the a over monos with delta(a) in factors (x) factors.
 
     Solved as one kernel problem: unknowns are the coefficients of a over
-    the monomial basis plus auxiliary coefficients mu_ab expressing
-    delta(a) = sum mu_ab p_a (x) p_b; the skew condition is a second block
-    of equations in the monomial coefficients alone.
+    the monomials, whose reduced coproducts are ``columns`` (they may carry
+    extra rows, conditions on a alone), plus auxiliary coefficients mu_fg
+    expressing delta(a) = sum mu_fg f (x) g.  The kernel is projected to
+    the coefficients of a.
     """
+    columns = list(columns)
+    for a in factors:
+        for b in factors:
+            columns.append({key: -c for key, c in tensor_of(a, b).terms.items()})
+    kernel = Matrix.from_keyed_columns(columns).kernel_basis()
+    vectors = reduce_to_basis([vec[:len(monos)] for vec in kernel])
+    return _elements_from_vectors(h, monos, vectors)
+
+
+def p2_space(h: HopfPresentation, d: int,
+             primitives: Optional[FilteredSubspace] = None) -> FilteredSubspace:
+    """Basis of {a : deg a <= d, delta(a) skew-symmetric and in P(x)P}."""
     if primitives is None:
         primitives = primitive_space(h, d)
     monos = h.algebra.monomials_up_to(d)
-    pbasis = primitives.basis
-    deltas = [h.reduced_coproduct(h.algebra.monomial(m)) for m in monos]
-
-    # rows: ("m", key) for delta(a) - sum mu_ab p_a (x) p_b, ("s", key)
-    # for the symmetric part of delta(a)
-    columns = []
-    for t in deltas:
-        col = {("m", key): c for key, c in t.terms.items()}
-        col.update({("s", key): c for key, c in (t + t.flip()).terms.items()})
-        columns.append(col)
-    for a in pbasis:
-        for b in pbasis:
-            columns.append({("m", key): -c
-                            for key, c in tensor_of(a, b).terms.items()})
-
-    mat = Matrix.from_keyed_columns(columns)
-    kernel = mat.kernel_basis()
-    projected = [vec[:len(monos)] for vec in kernel]
-    basis_vectors = reduce_to_basis([list(v) for v in projected])
-    return FilteredSubspace(h, d, _elements_from_vectors(h, monos, basis_vectors))
+    # rows ("s", key) ask the symmetric part of delta(a) to vanish
+    columns = [{**t.terms, **{("s", key): c for key, c in
+                              (t + t.flip()).terms.items()}}
+               for t in _monomial_deltas(h, monos)]
+    return FilteredSubspace(h, d, _coradical_kernel(h, monos, columns,
+                                                    primitives.basis))
 
 
 def coradical_filtration(h: HopfPresentation, n: int, d: int) -> FilteredSubspace:
@@ -123,18 +125,10 @@ def coradical_filtration(h: HopfPresentation, n: int, d: int) -> FilteredSubspac
     if n == 0:
         return FilteredSubspace(h, d, [h.algebra.one()])
     monos = h.algebra.monomials_up_to(d)
-    deltas = [h.reduced_coproduct(h.algebra.monomial(m)) for m in monos]
+    columns = [t.terms for t in _monomial_deltas(h, monos)]
     level_basis: list[AlgebraElement] = []
     for _ in range(1, n + 1):
-        columns = [t.terms for t in deltas]
-        for a in level_basis:
-            for b in level_basis:
-                columns.append((-tensor_of(a, b)).terms)
-        mat = Matrix.from_keyed_columns(columns)
-        kernel = mat.kernel_basis()
-        projected = [vec[:len(monos)] for vec in kernel]
-        vectors = reduce_to_basis([list(v) for v in projected])
-        level_basis = _elements_from_vectors(h, monos, vectors)
+        level_basis = _coradical_kernel(h, monos, columns, level_basis)
     return FilteredSubspace(h, d, [h.algebra.one()] + level_basis)
 
 
@@ -260,42 +254,24 @@ def lantern_of_hopf(h: HopfPresentation, d: int) -> GradedLie:
     for deg in range(1, d + 1):
         monos = by_degree.get(deg, [])
         if not monos:
-            lifts[deg] = []
-            functionals[deg] = []
+            lifts[deg] = functionals[deg] = []
             continue
         coords = {m: i for i, m in enumerate(monos)}
-        decomposable_rows = []
-        for lower in range(1, deg):
-            for u in by_degree.get(lower, []):
-                for v in by_degree.get(deg - lower, []):
-                    prod = alg.mul_monomials(u, v)
-                    row = [ZERO] * len(monos)
-                    for m, c in prod.items():
-                        row[coords[m]] = c
-                    decomposable_rows.append(row)
-        dec_basis = reduce_to_basis(decomposable_rows)
-        pivot = {next(i for i, c in enumerate(row) if c) for row in dec_basis}
-        free = [i for i in range(len(monos)) if i not in pivot]
+        products = [alg.mul_monomials(u, v) for lower in range(1, deg)
+                    for u in by_degree.get(lower, [])
+                    for v in by_degree.get(deg - lower, [])]
+        decomposables, pivots = Matrix(len(products), len(monos), {
+            (r, coords[m]): c for r, prod in enumerate(products)
+            for m, c in prod.items()}).row_echelon() if products else ([], [])
+        free = sorted(set(range(len(monos))) - set(pivots))
         lifts[deg] = [monos[i] for i in free]
-        # invert [decomposable basis | lift coordinates] to read off the
-        # dual functionals of the lifts
-        ncols = len(dec_basis) + len(free)
-        if ncols != len(monos):
-            raise StructuralError("indecomposable complement mismatch")
-        mat = Matrix(len(monos), ncols)
-        for jcol, row in enumerate(dec_basis):
-            for i, c in enumerate(row):
-                if c:
-                    mat[i, jcol] = c
-        for jcol, i in enumerate(free):
-            mat[i, len(dec_basis) + jcol] = ONE
-        inv = mat.inverse()
-        funcs = []
-        for s in range(len(free)):
-            row = len(dec_basis) + s
-            funcs.append({monos[c]: inv[row, c] for c in range(len(monos))
-                          if inv[row, c]})
-        functionals[deg] = funcs
+        # the dual functional of a lift reads its coordinate when each
+        # monomial is expressed over [decomposables | lifts]
+        units = [{i: ONE} for i in range(len(monos))]
+        coords_of = express(decomposables + [units[i] for i in free], units)
+        functionals[deg] = [
+            {monos[c]: x[len(pivots) + s] for c, x in enumerate(coords_of)
+             if x[len(pivots) + s]} for s in range(len(free))]
 
     names = []
     degrees = []

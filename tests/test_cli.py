@@ -142,6 +142,36 @@ def test_morphism_file(tmp_path, capsys):
     assert code == 0
 
 
+def _malformed_presentation(edit):
+    data = presentation_to_json(make_B(1))
+    edit(data["commutators"]["Z,X"][0])
+    return data
+
+
+def _malformed_morphism(edit):
+    data = {"source": {"family": "K"}, "target": {"family": "K"},
+            "images": {name: [{"coeff": "1", "monomial": {name: 1}}]
+                       for name in ("X", "Y", "Z", "W")}}
+    edit(data["images"]["X"][0])
+    return data
+
+
+@pytest.mark.parametrize("command, data", [
+    ("verify", _malformed_presentation(lambda t: t.pop("coeff"))),
+    ("verify", _malformed_presentation(lambda t: t.update(coeff=1.5))),
+    ("verify", _malformed_presentation(lambda t: t.update(monomial={"Z": "a"}))),
+    ("morphism", _malformed_morphism(lambda t: t.pop("coeff"))),
+    ("morphism", [_malformed_morphism(lambda t: None)]),
+], ids=["presentation-no-coeff", "presentation-float-coeff",
+        "presentation-string-exponent", "morphism-no-coeff",
+        "morphism-top-level-list"])
+def test_malformed_file_is_input_error(tmp_path, capsys, command, data):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "--file", str(path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_catalog_listing_deterministic(capsys):
     code1, out1, _ = run(capsys, "catalog")
     code2, out2, _ = run(capsys, "catalog")

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from hopfalg.errors import InputError
 from hopfalg.exactlin import (Matrix, add_scaled, add_term, express,
-                              format_scalar, in_span, reduce_to_basis, scalar)
+                              format_scalar, in_span, map_slot,
+                              reduce_to_basis, scalar)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
                          max_denominator=10**4)
@@ -33,6 +34,25 @@ def test_scalar_sum_matches_cross_multiplication(a, b):
     assert s.denominator > 0
     from math import gcd
     assert gcd(abs(s.numerator), s.denominator) == 1
+
+
+def test_map_slot_splices_images_into_one_slot():
+    F = Fraction
+    split = {"a": {("b", "c"): F(2)}, "b": {("b", "b"): F(1)}}.get
+    # rank grows: a (x) b -> 2 b (x) c (x) b
+    assert map_slot({("a", "b"): F(3)}, 0, split) == {("b", "c", "b"): 6}
+    assert map_slot({("a", "b"): F(3)}, 1, split) == {("a", "b", "b"): 3}
+    # rank shrinks: the empty replacement drops the slot
+    counit = lambda k: {(): F(1)} if k == "u" else {}
+    assert map_slot({("u", "x"): F(5), ("y", "x"): F(7)}, 0, counit) == {
+        ("x",): 5}
+    # zero sums are dropped
+    assert map_slot({("a", "u"): F(1), ("a", "v"): F(-1)}, 1,
+                    lambda k: {("w",): F(1)}) == {}
+    # c scales the image and acc is added into (and returned)
+    acc = {("b", "c", "b"): F(1), ("z",): F(4)}
+    out = map_slot({("a", "b"): F(1, 4)}, 0, split, F(-2), acc)
+    assert out is acc and acc == {("z",): 4}
 
 
 def test_kernel_of_zero_map():
