@@ -359,9 +359,10 @@ def build(spec: FamilySpec):
     tag = _normalize_tag(spec.tag)
     constructor, names = _FAMILIES[tag]
     missing = [n for n in names if n not in spec.params]
-    if missing:
-        raise InputError(f"family {tag} needs parameters {list(names)}; "
-                         f"missing {missing}")
+    extra = [n for n in spec.params if n not in names]
+    if missing or extra:
+        raise InputError(f"family {tag} takes parameters {list(names)}; "
+                         f"missing {missing}, unexpected {extra}")
     return constructor(**{n: scalar(spec.params[n]) for n in names})
 
 

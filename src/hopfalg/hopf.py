@@ -164,15 +164,12 @@ class HopfPresentation:
         else:
             # split off the last generator letter: m = m' * x_g
             g = max(i for i, e in enumerate(m) if e)
-            rest = list(m)
-            rest[g] -= 1
-            xg = [0] * len(m)
-            xg[g] = 1
-            xg = tuple(xg)
+            xg = unit[:g] + (1,) + unit[g + 1:]
             factor_terms = {(xg, unit): ONE, (unit, xg): ONE}
             add_scaled(factor_terms, self.delta_gen.get(g, {}))
             factor = TensorElement(p, 2, factor_terms)
-            result = self._coproduct_monomial(tuple(rest)) * factor
+            result = self._coproduct_monomial(
+                m[:g] + (m[g] - 1,) + m[g + 1:]) * factor
         self._coproduct_cache[m] = result
         return result
 
@@ -347,17 +344,22 @@ class HopfPresentation:
 
     # -- morphisms -------------------------------------------------------------------
 
+    def _image_target(self, images: dict[str, AlgebraElement]):
+        """The one presentation holding the images of exactly our generators."""
+        stray = [name for name in images if name not in self.algebra.index]
+        missing = [name for name in self.algebra.names if name not in images]
+        if stray or missing or not images:
+            raise InputError(f"images must map exactly the source generators: "
+                             f"unknown {stray}, missing {missing}")
+        targets = {img.p for img in images.values()}
+        if len(targets) > 1:
+            raise InputError("images live in different presentations")
+        return targets.pop()
+
     def apply_map(self, images: dict[str, AlgebraElement],
                   a: AlgebraElement) -> AlgebraElement:
         """Extend a generator assignment multiplicatively and linearly."""
-        if not images:
-            raise InputError("empty image assignment")
-        dst = next(iter(images.values())).p
-        for name in self.algebra.names:
-            if name not in images:
-                raise InputError(f"no image given for generator {name!r}")
-            if images[name].p is not dst:
-                raise InputError("images live in different presentations")
+        dst = self._image_target(images)
         out: dict[Monomial, Fraction] = {}
         for m, c in a.terms.items():
             word = dst.one()
@@ -378,12 +380,8 @@ class HopfPresentation:
         """
         report = VerificationReport("morphism verification")
         src = self.algebra
-        for name in src.names:
-            if name not in images:
-                raise InputError(f"no image given for generator {name!r}")
-            if images[name].p is not dst.algebra:
-                raise InputError(
-                    f"image of {name!r} lies in a different presentation")
+        if self._image_target(images) is not dst.algebra:
+            raise InputError("images lie outside the target presentation")
         n = len(src.names)
         for j in range(1, n):
             for i in range(j):

@@ -2,10 +2,13 @@
 
 An algebra is presented by ordered, weighted generators x_1 < ... < x_n
 and a commutator table [x_j, x_i] = kappa_ji (j > i) whose entries have
-weighted degree strictly below deg x_i + deg x_j.  Under that degree drop
-the rewriting rule  x_j x_i -> x_i x_j + kappa_ji  terminates, and the
-sorted monomials x_1^{e_1}...x_n^{e_n} span the algebra; whether they are
-a *basis* is certified separately by the overlap check
+weighted degree strictly below deg x_i + deg x_j.  Every product folds
+its letters, right to left, through one memoised recursion on a generator
+times a sorted monomial m = x_i m' (`_gen_times`, cached on (j, m)):
+x_j m = m x_j if j <= i, else x_j x_i m' = x_i (x_j m') + kappa_ji m'.
+Under the degree drop (weighted degree, inversion count) falls at every
+step, so it terminates.  The sorted monomials x_1^{e_1}...x_n^{e_n} span
+the algebra; whether they are a *basis* is certified by the overlap check
 (`verify_pbw_consistency`), never assumed.
 """
 
@@ -86,6 +89,7 @@ class OrePresentation:
             {key: MappingProxyType(terms) for key, terms in self._kappa.items()})
 
         self._mul_cache: dict[tuple[Monomial, Monomial], dict[Monomial, Fraction]] = {}
+        self._gen_cache: dict[tuple[int, Monomial], dict[Monomial, Fraction]] = {}
 
     # -- construction helpers ----------------------------------------------
 
@@ -223,66 +227,62 @@ class OrePresentation:
 
     # -- rewriting -------------------------------------------------------------
 
-    def _monomial_word(self, m: Monomial) -> tuple[int, ...]:
-        word: list[int] = []
-        for i, e in enumerate(m):
-            word.extend([i] * e)
-        return tuple(word)
+    def _gen_times(self, j: int, m: Monomial) -> dict[Monomial, Fraction]:
+        """x_j * m for a sorted monomial m, cached on (j, m); do not mutate it.
 
-    def _word_monomial(self, w: tuple[int, ...]) -> Monomial:
-        exps = [0] * len(self.names)
-        for i in w:
-            exps[i] += 1
-        return tuple(exps)
-
-    def _normalize_word(self, word: tuple[int, ...], coeff: Fraction,
-                        acc: dict[Monomial, Fraction]):
-        """Rewrite the leftmost out-of-order pair until sorted, into acc.
-
-        Terminates because each step either keeps the weighted degree and
-        lowers the inversion count (the swap) or strictly lowers the
-        weighted degree (the kappa terms).
+        With x_i the first generator of m = x_i m': m x_j if j <= i, else
+        x_i (x_j m') + kappa_ji m'.  (Weighted degree, inversion count) drops
+        in every recursive call: x_j m' and kappa_ji m' lose degree, and x_i
+        times a term of x_j m' either loses degree or is sorted already.
         """
-        stack = [(word, coeff)]
-        while stack:
-            w, c = stack.pop()
-            pos = -1
-            for t in range(len(w) - 1):
-                if w[t] > w[t + 1]:
-                    pos = t
-                    break
-            if pos < 0:
-                add_term(acc, self._word_monomial(w), c)
-                continue
-            j, i = w[pos], w[pos + 1]
-            head, tail = w[:pos], w[pos + 2:]
-            stack.append((head + (i, j) + tail, c))
-            km = self._kappa.get((j, i))
-            if km:
-                for mono, kc in km.items():
-                    stack.append((head + self._monomial_word(mono) + tail, c * kc))
+        for i in range(j):
+            if m[i]:
+                break
+        else:
+            return {m[:j] + (m[j] + 1,) + m[j + 1:]: ONE}
+        key = (j, m)
+        hit = self._gen_cache.get(key)
+        if hit is None:
+            rest = m[:i] + (m[i] - 1,) + m[i + 1:]
+            hit = {}
+            for t, c in self._gen_times(j, rest).items():
+                add_scaled(hit, self._gen_times(i, t), c)
+            for mono, kc in self._kappa.get((j, i), {}).items():
+                kappa_rest = self._left_mul(self._letters(mono), {rest: ONE})
+                add_scaled(hit, kappa_rest, kc)
+            self._gen_cache[key] = hit
+        return hit
+
+    def _letters(self, m: Monomial):
+        """The letters of a sorted monomial, right to left."""
+        return (i for i in range(len(m) - 1, -1, -1) for _ in range(m[i]))
+
+    def _left_mul(self, letters, terms: dict[Monomial, Fraction]
+                  ) -> dict[Monomial, Fraction]:
+        """x_{l_k} ... x_{l_1} * terms: a new dict, or terms if no letters."""
+        for j in letters:
+            nxt: dict[Monomial, Fraction] = {}
+            for m, c in terms.items():
+                add_scaled(nxt, self._gen_times(j, m), c)
+            terms = nxt
+        return terms
 
     def normal_form(self, word: Sequence[str], coeff=1) -> "AlgebraElement":
         """Normal form of a single word (sequence of generator names)."""
-        idx = []
         for name in word:
-            i = self.index.get(name)
-            if i is None:
+            if name not in self.index:
                 raise InputError(f"unknown generator {name!r} in word")
-            idx.append(i)
-        acc: dict[Monomial, Fraction] = {}
-        self._normalize_word(tuple(idx), scalar(coeff), acc)
-        return AlgebraElement(self, acc)
+        letters = [self.index[name] for name in reversed(word)]
+        return AlgebraElement(self, self._left_mul(
+            letters, {self.unit_monomial: scalar(coeff)}))
 
     def mul_monomials(self, a: Monomial, b: Monomial) -> dict[Monomial, Fraction]:
         """Normal form of the product of two PBW monomials (cached)."""
         key = (a, b)
         hit = self._mul_cache.get(key)
         if hit is None:
-            acc: dict[Monomial, Fraction] = {}
-            self._normalize_word(self._monomial_word(a) + self._monomial_word(b),
-                                 ONE, acc)
-            self._mul_cache[key] = hit = acc
+            self._mul_cache[key] = hit = self._left_mul(self._letters(a),
+                                                        {b: ONE})
         return hit
 
     def mul(self, a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":
@@ -321,17 +321,17 @@ class OrePresentation:
         return report
 
     def _resolve_overlap(self, k: int, j: int, i: int, inner_first: bool):
-        acc: dict[Monomial, Fraction] = {}
         if inner_first:
             # x_k (x_j x_i) -> x_k x_i x_j + x_k kappa_ji
-            self._normalize_word((k, i, j), ONE, acc)
-            for mono, c in self.kappa.get((j, i), {}).items():
-                self._normalize_word((k,) + self._monomial_word(mono), c, acc)
+            acc = self._left_mul((j, i, k), {self.unit_monomial: ONE})
+            for mono, c in self._kappa.get((j, i), {}).items():
+                add_scaled(acc, self._gen_times(k, mono), c)
         else:
             # (x_k x_j) x_i -> x_j x_k x_i + kappa_kj x_i
-            self._normalize_word((j, k, i), ONE, acc)
-            for mono, c in self.kappa.get((k, j), {}).items():
-                self._normalize_word(self._monomial_word(mono) + (i,), c, acc)
+            x_i = self._gen_times(i, self.unit_monomial)
+            acc = self._left_mul((k, j), x_i)
+            for mono, c in self._kappa.get((k, j), {}).items():
+                add_scaled(acc, self._left_mul(self._letters(mono), x_i), c)
         return AlgebraElement(self, acc)
 
     def __repr__(self):

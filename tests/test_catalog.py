@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfalg.catalog import (build, family_parameter_names,
+from hopfalg.catalog import (FamilySpec, build, family_parameter_names,
                              from_cli_params, list_catalog, make_A, make_B,
                              make_D, make_E, make_F, make_cla_35,
                              make_cla_a, make_cla_b, make_lie)
@@ -140,6 +140,15 @@ def test_catalog_builds_correct_kinds():
             assert obj.is_anti_cocommutative()
         else:
             assert isinstance(obj, HopfPresentation)
+
+
+def test_build_rejects_unknown_parameters():
+    for spec in (FamilySpec("B", {"lam": 1, "typo": 2}),
+                 FamilySpec("K", {"lam": 3})):
+        with pytest.raises(InputError, match="unexpected"):
+            build(spec)
+    with pytest.raises(InputError, match="missing"):
+        build(FamilySpec("B", {}))
 
 
 def test_cli_parameter_parsing():

@@ -172,6 +172,15 @@ def test_malformed_file_is_input_error(tmp_path, capsys, command, data):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+def test_morphism_image_of_unknown_generator_is_input_error(tmp_path, capsys):
+    data = _malformed_morphism(lambda t: None)
+    data["images"]["Q"] = [{"coeff": "1", "monomial": {"X": 1}}]
+    path = tmp_path / "morphism.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "morphism", "--file", str(path))
+    assert code == 2 and out == "" and "'Q'" in err
+
+
 def test_catalog_listing_deterministic(capsys):
     code1, out1, _ = run(capsys, "catalog")
     code2, out2, _ = run(capsys, "catalog")

@@ -232,6 +232,15 @@ def test_morphism_requires_full_image_assignment(A000):
         A000.verify_morphism(A000, {"X": A000.algebra.gen("X")})
 
 
+def test_morphism_rejects_images_of_unknown_generators(K):
+    images = {n: K.algebra.gen(n) for n in K.algebra.names}
+    images["Q"] = K.algebra.gen("X")
+    with pytest.raises(InputError, match="Q"):
+        K.verify_morphism(K, images)
+    with pytest.raises(InputError, match="Q"):
+        K.apply_map(images, K.algebra.gen("W"))
+
+
 def test_tensor_of_elements(A000):
     p = A000.algebra
     t = tensor_of(p.gen("X") + p.one(), p.gen("Y"))

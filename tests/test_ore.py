@@ -1,10 +1,40 @@
 import itertools
 import random
+import signal
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hopfalg.catalog import build, list_catalog, make_D, make_F, make_K
 from hopfalg.errors import InputError, StructuralError
+from hopfalg.exactlin import add_scaled, add_term
+from hopfalg.hopf import HopfPresentation
 from hopfalg.ore import GeneratorInfo, OrePresentation, bracket
+
+
+def reference_normal_form(p, word):
+    """Oracle: rewrite the leftmost inversion of whole words, one branch at a
+    time (exponential in the word length, independent of the engine)."""
+    acc = {}
+    stack = [(tuple(word), Fraction(1))]
+    while stack:
+        w, c = stack.pop()
+        pos = next((t for t in range(len(w) - 1) if w[t] > w[t + 1]), None)
+        if pos is None:
+            add_term(acc, tuple(w.count(i) for i in range(len(p.names))), c)
+            continue
+        j, i = w[pos], w[pos + 1]
+        head, tail = w[:pos], w[pos + 2:]
+        stack.append((head + (i, j) + tail, c))
+        for mono, kc in p.kappa.get((j, i), {}).items():
+            letters = tuple(g for g, e in enumerate(mono) for _ in range(e))
+            stack.append((head + letters + tail, c * kc))
+    return acc
+
+
+def word_of(m):
+    return tuple(i for i, e in enumerate(m) for _ in range(e))
 
 
 def random_element(p, rng, max_degree=3, terms=3):
@@ -208,3 +238,79 @@ def test_element_rendering(K):
     assert repr(p.one()) == "1"
     elt = p.monomial({"X": 2, "Y": 1}) - p.gen("W").scale("1/2")
     assert repr(elt) == "X^2*Y - 1/2*W"
+
+
+CATALOG = [(spec.describe(), obj.algebra) for spec in list_catalog()
+           for obj in [build(spec)] if isinstance(obj, HopfPresentation)]
+
+
+@st.composite
+def presentation_and_monomials(draw):
+    label, p = draw(st.sampled_from(CATALOG))
+    monos = st.sampled_from(p.monomials_up_to(5, include_unit=True))
+    word = draw(st.lists(st.sampled_from(range(len(p.names))), max_size=5))
+    while sum(p.degrees[i] for i in word) > 5:
+        word.pop()
+    return label, p, draw(monos), draw(monos), word
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentation_and_monomials())
+def test_products_match_word_rewriting_oracle(case):
+    label, p, a, b, word = case
+    assert p.mul_monomials(a, b) == reference_normal_form(
+        p, word_of(a) + word_of(b)), label
+    names = [p.names[i] for i in word]
+    assert p.normal_form(names).terms == reference_normal_form(p, word), label
+
+
+@pytest.mark.parametrize("make", [make_K, lambda: make_D(*[1] * 8),
+                                  lambda: make_F(0, 1, 0)],
+                         ids=["K", "D(1,...,1)", "F(0,1,0)"])
+def test_associativity_exhaustive_monomials_degree_4(make):
+    p = make().algebra
+    monos = p.monomials_up_to(4, include_unit=True)
+    for a, b, c in itertools.product(monos, repeat=3):
+        left, right = {}, {}
+        for t, ct in p.mul_monomials(a, b).items():
+            add_scaled(left, p.mul_monomials(t, c), ct)
+        for t, ct in p.mul_monomials(b, c).items():
+            add_scaled(right, p.mul_monomials(a, t), ct)
+        assert left == right, (a, b, c)
+
+
+def _expire(signum, frame):
+    raise TimeoutError("PBW product exceeded its time budget")
+
+
+@pytest.mark.parametrize("k", [6, 10])
+def test_d_product_scales_polynomially(k):
+    # whole-word rewriting needed 84 s already at k = 5; the memoised
+    # recursion takes well under a second at k = 10
+    p = make_D(*[1] * 8).algebra
+    a = p.monomial_tuple({"W": k, "Z": k})
+    b = p.monomial_tuple({"X": k, "Y": k})
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, 30)
+    try:
+        product = p.mul_monomials(a, b)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(product) == (k + 1) ** 2
+    assert product[p.monomial_tuple({"X": k, "Y": k, "Z": k, "W": k})] == 1
+
+
+def test_generator_products_are_cached_per_presentation():
+    p, q = make_K().algebra, make_K().algebra
+    w, x = p.index["W"], p.index["X"]
+    xy = p.monomial_tuple({"X": 1, "Y": 1})
+    first = p._gen_times(w, xy)
+    assert (w, xy) in p._gen_cache and p._gen_times(w, xy) is first
+    assert not q._gen_cache and q._gen_cache is not p._gen_cache
+    assert q._gen_times(w, xy) == first and q._gen_times(w, xy) is not first
+    # a generator that precedes every letter of m needs no rewriting
+    assert p._gen_times(x, xy) == {p.monomial_tuple({"X": 2, "Y": 1}): 1}
+    # products cache only the pair asked for, not intermediate pairs
+    p.mul_monomials(p.monomial_tuple({"W": 2, "Z": 1}), xy)
+    assert list(p._mul_cache) == [(p.monomial_tuple({"W": 2, "Z": 1}), xy)]
