@@ -186,10 +186,10 @@ def h2_report(h: HopfPresentation, bound: int,
         return report
 
     # total-degree mode: cumulative dimensions per truncation level,
-    # read off one echelon pass (columns are sorted by degree, and pivots
-    # come in column order, so the rank of any column prefix is a count)
-    _, d2_pivots = cx.d2.row_echelon()
-    _, d1_pivots = cx.d1.row_echelon()
+    # read off one rank profile each (columns are sorted by degree, and
+    # pivots come in column order, so the rank of any column prefix is a count)
+    d2_pivots = cx.d2.rank_profile()
+    d1_pivots = cx.d1.rank_profile()
     pair_degrees = [cx.tuple_degree(t) for t in cx.bases[2]]
     mono_degrees = [cx.tuple_degree(t) for t in cx.bases[1]]
     report = CobarReport(bound, "total")

@@ -1,14 +1,26 @@
 """Exact rational scalars and sparse rational linear algebra.
 
 Everything downstream (normal forms, subspace computations, cohomology)
-reduces to kernels, ranks and solves over the rationals, so this module
-works exclusively with ``fractions.Fraction`` (arbitrary-precision,
-always in lowest terms with positive denominator) and never touches
-floating point.
+reduces to kernels, ranks and solves over the rationals.  Scalars are
+``fractions.Fraction`` (arbitrary-precision, always in lowest terms with
+positive denominator); floating point is never used.
+
+Rank profiles take a fast path through integers mod the prime
+P = 2^61 - 1, and every answer it gives is certified exactly over Q.
+Reduction mod P cannot raise the rank of any column prefix, so the
+pivots found mod P bound the rational rank profile from below.  For each
+column f that is free mod P, the reduced-echelon kernel vector (v_f = 1,
+support in columns <= f) is lifted by rational reconstruction and
+A v = 0 is checked in exact integer arithmetic; it shows that column f
+is not a pivot over Q either.  The two bounds together make the pivot
+sets equal.  Whenever a denominator vanishes mod P, a reconstruction
+fails or a product is nonzero, the ``Fraction`` elimination answers
+instead.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
@@ -18,6 +30,11 @@ Scalar = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# the prime of the modular rank profile, and Wang's bound sqrt(P/2) on the
+# numerator and denominator of a reconstructed rational
+P = 2**61 - 1
+_WANG_BOUND = math.isqrt(P // 2)
 
 
 def scalar(value) -> Fraction:
@@ -52,31 +69,46 @@ def format_scalar(q: Fraction) -> str:
 
 def add_term(acc: dict, key: Hashable, c: Fraction) -> None:
     """acc[key] += c, dropping the key when the sum vanishes."""
-    s = acc.get(key, ZERO) + c
+    old = acc.get(key)
+    if old is None:
+        if c:
+            acc[key] = c
+        return
+    s = old + c
     if s:
         acc[key] = s
     else:
-        acc.pop(key, None)
+        del acc[key]
 
 
 def add_scaled(acc: dict, terms: Mapping, c: Fraction = ONE) -> dict:
     """acc += c * terms, dropping zero sums; returns acc."""
     # add_term inlined: this loop is the row operation of every elimination
+    if not c:
+        return acc
     get = acc.get
     if c == 1:
         for key, v in terms.items():
-            s = get(key, ZERO) + v
-            if s:
-                acc[key] = s
+            old = get(key)
+            if old is None:
+                acc[key] = v
             else:
-                acc.pop(key, None)
+                s = old + v
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
     else:
         for key, v in terms.items():
-            s = get(key, ZERO) + c * v
-            if s:
-                acc[key] = s
+            old = get(key)
+            if old is None:
+                acc[key] = c * v
             else:
-                acc.pop(key, None)
+                s = old + c * v
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
     return acc
 
 
@@ -208,38 +240,93 @@ class Matrix:
         ``len(pivots)`` pivot rows.
         """
         limit = self.cols if pivot_limit is None else pivot_limit
-        rows = [r for r in self._sparse_rows() if r]
-        pivots: list[int] = []
-        reduced: list[dict[int, Fraction]] = []
-        for col in range(limit):
-            # pick the sparsest available row with a nonzero entry in col
-            best = None
-            for idx, r in enumerate(rows):
-                if col in r and (best is None or len(r) < len(rows[best])):
-                    best = idx
-            if best is None:
-                continue
-            piv = rows.pop(best)
-            inv = ONE / piv[col]
-            piv = {c: v * inv for c, v in piv.items()}
-            survivors = []
-            for r in rows:
-                f = r.get(col)
-                if f:
-                    add_scaled(r, piv, -f)
-                if r:
-                    survivors.append(r)
-            rows = survivors
-            for r in reduced:
-                f = r.get(col)
-                if f:
-                    add_scaled(r, piv, -f)
-            reduced.append(piv)
-            pivots.append(col)
-        return reduced + rows, pivots
+        reduced, pivots, rest = _forward(self._sparse_rows(), limit,
+                                         _normalise_exact, _reduce_exact)
+        _back_substitute(reduced, pivots, _reduce_exact)
+        return reduced + rest, pivots
+
+    def rank_profile(self) -> list[int]:
+        """The pivot columns of the reduced echelon form, in increasing order.
+
+        Equal to ``row_echelon()[1]``: column c is a pivot exactly when it
+        is not a combination of the columns before it.  One forward
+        elimination runs mod P and the result is certified over Q (see the
+        module docstring); when the certificate cannot be made, the
+        ``Fraction`` elimination answers.
+        """
+        pivots = self._certified_modular_profile()
+        return self.row_echelon()[1] if pivots is None else pivots
+
+    def _certified_modular_profile(self) -> Optional[list[int]]:
+        """Pivots found mod P, or None unless each free column is shown
+        dependent on the columns before it by an exact kernel vector."""
+        rows = self._rows_mod_p()
+        if rows is None:
+            return None
+        reduced, pivots, _ = _forward(rows, self.cols, _normalise_mod,
+                                      _reduce_mod)
+        del rows
+        _back_substitute(reduced, pivots, _reduce_mod)
+        # kernel vector of free column f: 1 at f, -rref[c][f] at pivot c < f
+        pivot_set = set(pivots)
+        kernel: dict[int, dict[int, Fraction]] = {
+            f: {f: ONE} for f in range(self.cols) if f not in pivot_set}
+        for c, row in zip(pivots, reduced):
+            for f, x in row.items():
+                if f != c:
+                    q = _reconstruct(P - x)
+                    if q is None:
+                        return None
+                    kernel[f][c] = q
+        # the rows go before the integer columns are built
+        del reduced
+        return pivots if self._annihilates(kernel.values()) else None
+
+    def _rows_mod_p(self) -> Optional[list[dict[int, int]]]:
+        """The rows reduced mod P, or None when a denominator is 0 mod P."""
+        inverse: dict[int, int] = {}
+        rows: list[dict[int, int]] = [dict() for _ in range(self.rows)]
+        for (i, j), v in self.entries.items():
+            d = v.denominator
+            inv = inverse.get(d)
+            if inv is None:
+                if d % P == 0:
+                    return None
+                inv = inverse[d] = pow(d, -1, P)
+            x = v.numerator * inv % P
+            if x:
+                rows[i][j] = x
+        return rows
+
+    def _annihilates(self, vectors) -> bool:
+        """Whether A v = 0 for every sparse rational vector v, checked in
+        integers: column j is scaled by the lcm s_j of its denominators
+        and v_j / s_j by the lcm of those over the vector."""
+        columns: dict[int, dict[int, Fraction]] = {
+            j: {} for vec in vectors for j in vec}
+        for (i, j), v in self.entries.items():
+            col = columns.get(j)
+            if col is not None:
+                col[i] = v
+        scale = {}
+        for j, col in columns.items():
+            s = scale[j] = math.lcm(*(v.denominator for v in col.values()))
+            columns[j] = {i: v.numerator * (s // v.denominator)
+                          for i, v in col.items()}
+        for vec in vectors:
+            w = {j: q / scale[j] for j, q in vec.items()}
+            lcm = math.lcm(*(q.denominator for q in w.values()))
+            acc: dict[int, int] = {}
+            for j, q in w.items():
+                k = q.numerator * (lcm // q.denominator)
+                for i, a in columns[j].items():
+                    acc[i] = acc.get(i, 0) + k * a
+            if any(acc.values()):
+                return False
+        return True
 
     def rank(self) -> int:
-        return len(self.row_echelon()[1])
+        return len(self.rank_profile())
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Basis of the right null space, one vector per free column.
@@ -283,6 +370,88 @@ class Matrix:
                 if v:
                     inv.entries[(i, j)] = v
         return inv
+
+
+def _forward(rows: list[dict], limit: int, normalise, reduce):
+    """Forward elimination of sparse rows on the columns below ``limit``.
+
+    Rows are filed by leading column; for each column c in turn the
+    sparsest row of its bucket becomes the pivot row (normalised to 1 at
+    c), c is eliminated from the rest of the bucket and each survivor is
+    re-filed under its new leading column.  ``normalise(row, c)`` returns
+    the pivot row and ``reduce(row, piv, f)`` subtracts f * piv in place,
+    so one loop serves every arithmetic.  Returns the pivot rows, their
+    columns in increasing order, and the rows left nonzero.
+    """
+    buckets: dict[int, list[dict]] = {}
+    for r in rows:
+        if r:
+            buckets.setdefault(min(r), []).append(r)
+    reduced: list[dict] = []
+    pivots: list[int] = []
+    for c in range(limit):
+        bucket = buckets.pop(c, None)
+        if bucket is None:
+            continue
+        best = min(range(len(bucket)), key=lambda k: len(bucket[k]))
+        piv = normalise(bucket.pop(best), c)
+        for r in bucket:
+            reduce(r, piv, r[c])
+            if r:
+                buckets.setdefault(min(r), []).append(r)
+        reduced.append(piv)
+        pivots.append(c)
+    return reduced, pivots, [r for bucket in buckets.values() for r in bucket]
+
+
+def _back_substitute(reduced: list[dict], pivots: list[int], reduce) -> None:
+    """Clear every other pivot column from the pivot rows, last row first.
+
+    A pivot row minus a multiple of a later, already cleared one gains
+    entries in non-pivot columns only, so one sweep per row suffices.
+    """
+    where = dict(zip(pivots, reduced))
+    for c, row in zip(reversed(pivots), reversed(reduced)):
+        for k in [k for k in row if k != c and k in where]:
+            reduce(row, where[k], row[k])
+
+
+def _normalise_exact(row: dict, c: int) -> dict:
+    inv = ONE / row[c]
+    return {k: v * inv for k, v in row.items()}
+
+
+def _reduce_exact(row: dict, piv: Mapping, f: Fraction) -> None:
+    add_scaled(row, piv, -f)
+
+
+def _normalise_mod(row: dict, c: int) -> dict:
+    inv = pow(row[c], -1, P)
+    return {k: v * inv % P for k, v in row.items()}
+
+
+def _reduce_mod(row: dict, piv: Mapping, f: int) -> None:
+    get = row.get
+    for k, v in piv.items():
+        s = (get(k, 0) - f * v) % P
+        if s:
+            row[k] = s
+        else:
+            row.pop(k, None)
+
+
+def _reconstruct(x: int) -> Optional[Fraction]:
+    """The rational a/b with a = b x mod P and |a|, |b| <= sqrt(P/2), or
+    None when there is none (Wang 1981: extended Euclid stopped at the
+    first remainder below the bound)."""
+    r0, r1, t0, t1 = P, x, 0, 1
+    while r1 > _WANG_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > _WANG_BOUND or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
 
 
 def express(basis: Sequence[Mapping], targets: Sequence[Mapping]

@@ -1,8 +1,11 @@
+import signal
+
 import pytest
 
 from hopfalg.catalog import build, list_catalog, make_A
 from hopfalg.cobar import build_complex, h2_report, is_coboundary
 from hopfalg.errors import InputError
+from hopfalg.exactlin import Matrix
 from hopfalg.hopf import HopfPresentation
 from hopfalg.replicate import cocycle_t, cocycle_u
 
@@ -111,3 +114,43 @@ def test_report_serialization(A000):
     assert data["mode"] == "bidegree"
     assert data["total_h2"] == 2
     assert str(rep)
+
+
+def test_total_mode_is_served_by_certified_rank_profiles(K, monkeypatch):
+    # with the Fraction elimination out of reach, a rank profile that fell
+    # back to it would raise here instead of only running slower
+    def refuse(self, pivot_limit=None):
+        raise AssertionError("rank profile fell back to Fraction elimination")
+
+    profiles = []
+    certified = Matrix.rank_profile
+
+    def spy(self):
+        profiles.append(certified(self))
+        return profiles[-1]
+
+    monkeypatch.setattr(Matrix, "row_echelon", refuse)
+    monkeypatch.setattr(Matrix, "rank_profile", spy)
+    rep = h2_report(K, 8)
+    assert rep.total_h2 == 2
+    d2_pivots, _ = profiles
+    assert len(d2_pivots) == 1257
+    assert rep.rows[-1]["cocycles"] == 1392 - 1257
+
+
+def _expire(signum, frame):
+    raise TimeoutError("cobar report exceeded its time budget")
+
+
+def test_h2_report_scales_to_bound_nine(K):
+    # the d2 matrix at N = 9 has 2290 pivots; a full Fraction RREF that
+    # scanned every row per pivot spent about 7 s on it alone
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    try:
+        rep = h2_report(K, 9)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rep.total_h2 == 2
+    assert rep.stable_from_previous_bound

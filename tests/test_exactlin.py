@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hopfalg.errors import InputError
-from hopfalg.exactlin import (Matrix, add_scaled, add_term, express,
+from hopfalg.exactlin import (P, Matrix, add_scaled, add_term, express,
                               format_scalar, in_span, map_slot,
                               reduce_to_basis, scalar)
 
@@ -129,6 +129,12 @@ def test_accumulators_drop_zero_sums():
     assert add_scaled(acc, {"b": Fraction(1), "c": Fraction(1, 2)},
                       Fraction(-2)) == {"c": Fraction(-1)}
     assert add_scaled(acc, {"c": Fraction(1)}) == {}
+    # a zero multiple and a zero term leave the accumulator as it is
+    acc = {"a": Fraction(3)}
+    assert add_scaled(acc, {"a": Fraction(1), "b": Fraction(2)}, 0) is acc
+    assert acc == {"a": Fraction(3)}
+    add_term(acc, "b", Fraction(0))
+    assert acc == {"a": Fraction(3)}
 
 
 small_vectors = st.dictionaries(
@@ -178,3 +184,69 @@ def test_express_edge_cases():
     assert express([{"x": Fraction(1)}, {"x": Fraction(2)}], [{}]) == [
         [Fraction(0), Fraction(0)]]
     assert express([{"x": Fraction(1)}], []) == []
+
+
+def _sparse_matrix(rows, cols, entries):
+    m = Matrix(rows, cols)
+    for i, j, v in entries:
+        m[i, j] = m[i, j] + v
+    return m
+
+
+def _entries(rows, cols, values, max_size):
+    return st.lists(st.tuples(st.integers(0, rows - 1),
+                              st.integers(0, cols - 1), values),
+                    max_size=max_size)
+
+
+# no deadline: the first example pays for importing sympy
+@settings(deadline=None)
+@given(st.integers(1, 8), st.integers(1, 4), st.integers(1, 6), st.data())
+def test_rank_profile_matches_fraction_rref_and_sympy(cols, height, inner,
+                                                      data):
+    # tall (up to 4x as many rows as columns, like the cobar d2) and of
+    # any rank: a product of two sparse factors plus a sparse perturbation
+    sympy = pytest.importorskip("sympy")
+    rows = cols * height
+    values = st.fractions(min_value=-10**4, max_value=10**4,
+                          max_denominator=10**3)
+    left = _sparse_matrix(rows, inner, data.draw(
+        _entries(rows, inner, values, 3 * rows)))
+    right = _sparse_matrix(inner, cols, data.draw(
+        _entries(inner, cols, values, 2 * cols)))
+    m = _sparse_matrix(rows, cols, data.draw(
+        _entries(rows, cols, values, 3)))
+    for (i, k), a in left.entries.items():
+        for (k2, j), b in right.entries.items():
+            if k == k2:
+                m[i, j] = m[i, j] + a * b
+    profile = m.rank_profile()
+    assert profile == m.row_echelon()[1]
+    dense = sympy.Matrix(rows, cols, lambda i, j: sympy.Rational(
+        m[i, j].numerator, m[i, j].denominator))
+    assert len(profile) == m.rank() == dense.rank()
+
+
+@pytest.mark.parametrize("data, pivots", [
+    # a denominator divisible by P has no residue mod P
+    ([[Fraction(1, P), 1], [2, 2]], [0, 1]),
+    # the rank drops mod P: the reconstructed kernel vector (-1, 1) is
+    # a kernel vector mod P only, and the exact product A v = (0, P) says so
+    ([[1, 1], [1, 1 + P]], [0, 1]),
+    # kernel entries beyond the reconstruction bound: for -3^23 / 2^40 no
+    # rational within it matches the residue, for -3^30 / 2^40 a wrong one
+    # (449312213/576617187) does and the exact product refutes it
+    ([[2**40, 3**23]], [0]),
+    ([[2**40, 3**30]], [0]),
+])
+def test_rank_profile_falls_back_when_it_cannot_certify(data, pivots):
+    m = Matrix.from_rows(data)
+    assert m._certified_modular_profile() is None
+    assert m.rank_profile() == m.row_echelon()[1] == pivots
+
+
+def test_rank_profile_certifies_rational_kernels():
+    # the kernel vector of the free column 2 is (-1/2, -3/7, 1)
+    m = Matrix.from_rows([[2, 0, 1], [0, Fraction(7, 3), 1], [4, 0, 2]])
+    assert m._certified_modular_profile() == [0, 1]
+    assert Matrix(3, 2)._certified_modular_profile() == []
