@@ -5,17 +5,21 @@ reduces to kernels, ranks and solves over the rationals.  Scalars are
 ``fractions.Fraction`` (arbitrary-precision, always in lowest terms with
 positive denominator); floating point is never used.
 
-Rank profiles take a fast path through integers mod the prime
-P = 2^61 - 1, and every answer it gives is certified exactly over Q.
+Every elimination (rank, kernel, solve) is one reduced row echelon form,
+computed mod the prime P = 2^61 - 1 and certified exactly over Q.
 Reduction mod P cannot raise the rank of any column prefix, so the
-pivots found mod P bound the rational rank profile from below.  For each
-column f that is free mod P, the reduced-echelon kernel vector (v_f = 1,
-support in columns <= f) is lifted by rational reconstruction and
-A v = 0 is checked in exact integer arithmetic; it shows that column f
-is not a pivot over Q either.  The two bounds together make the pivot
-sets equal.  Whenever a denominator vanishes mod P, a reconstruction
-fails or a product is nonzero, the ``Fraction`` elimination answers
-instead.
+pivots found mod P bound the rational rank profile from below.  Each
+entry of the RREF mod P is lifted to a rational by reconstruction; for
+each free column f the kernel vector v_f (1 at f, -rref[c][f] at each
+pivot c) is checked to satisfy A v_f = 0 in exact integer arithmetic.
+That shows column f is not a pivot over Q either, so the pivot sets are
+equal.  The pivot columns are then independent over Q, so column f has
+one set of coefficients over them: the RREF entries over Q are the
+lifted ones.  In particular a target t is outside span(A) whenever it
+is a pivot of [A | t] mod P, because
+rank_Q[A | t] >= rank_P[A | t] = rank_P(A) + 1 = rank_Q(A) + 1.
+Whenever a denominator vanishes mod P, a reconstruction fails or a
+product is nonzero, the ``Fraction`` elimination answers instead.
 """
 
 from __future__ import annotations
@@ -155,11 +159,11 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[dict[int, Fraction]], rows: int) -> "Matrix":
-        """Build from sparse columns (dicts row -> value)."""
+        """Build from sparse columns (dicts row -> Fraction, each row below
+        ``rows``)."""
         m = cls(rows, len(columns))
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                m[i, j] = v
+        m.entries = {(i, j): v for j, col in enumerate(columns)
+                     for i, v in col.items() if v}
         return m
 
     @classmethod
@@ -210,77 +214,54 @@ class Matrix:
             cols[j][i] = v
         return cols
 
-    def mul_vector(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        out = [ZERO] * self.rows
-        for (i, j), v in self.entries.items():
-            c = vec[j]
-            if c:
-                out[i] += v * c
-        return out
-
     # -- echelon machinery -------------------------------------------------
 
-    def _sparse_rows(self) -> list[dict[int, Fraction]]:
+    def row_echelon(self):
+        """Reduced row echelon form: (the nonzero rows as sparse dicts, their
+        pivot columns in increasing order).
+
+        Column c is a pivot exactly when it is not a combination of the
+        columns before it.  The form is computed mod P and certified over
+        Q (see the module docstring); when the certificate cannot be made,
+        the ``Fraction`` elimination answers.
+        """
+        certified = self._certified_rref()
+        return self._fraction_rref() if certified is None else certified
+
+    def _fraction_rref(self):
+        """The reduced echelon form by elimination over ``Fraction``."""
         rows: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
             rows[i][j] = v
-        return rows
-
-    def row_echelon(self, pivot_limit: Optional[int] = None):
-        """Reduced row echelon form.
-
-        Returns (rref rows as sparse dicts, pivot column list). Columns are
-        eliminated left to right, so ``pivots[:k]`` restricted to columns
-        < c gives the rank profile of every column prefix.
-
-        With ``pivot_limit``, only columns below it are pivoted; the rows
-        left nonzero (entries in columns >= pivot_limit only) follow the
-        ``len(pivots)`` pivot rows.
-        """
-        limit = self.cols if pivot_limit is None else pivot_limit
-        reduced, pivots, rest = _forward(self._sparse_rows(), limit,
-                                         _normalise_exact, _reduce_exact)
+        reduced, pivots = _forward(rows, _normalise_exact, _reduce_exact)
         _back_substitute(reduced, pivots, _reduce_exact)
-        return reduced + rest, pivots
+        return reduced, pivots
 
-    def rank_profile(self) -> list[int]:
-        """The pivot columns of the reduced echelon form, in increasing order.
-
-        Equal to ``row_echelon()[1]``: column c is a pivot exactly when it
-        is not a combination of the columns before it.  One forward
-        elimination runs mod P and the result is certified over Q (see the
-        module docstring); when the certificate cannot be made, the
-        ``Fraction`` elimination answers.
-        """
-        pivots = self._certified_modular_profile()
-        return self.row_echelon()[1] if pivots is None else pivots
-
-    def _certified_modular_profile(self) -> Optional[list[int]]:
-        """Pivots found mod P, or None unless each free column is shown
-        dependent on the columns before it by an exact kernel vector."""
+    def _certified_rref(self):
+        """The reduced echelon form mod P with every entry reconstructed as
+        a rational, or None unless each free column is shown to be that
+        combination of the pivot columns by an exact kernel vector."""
         rows = self._rows_mod_p()
         if rows is None:
             return None
-        reduced, pivots, _ = _forward(rows, self.cols, _normalise_mod,
-                                      _reduce_mod)
+        reduced, pivots = _forward(rows, _normalise_mod, _reduce_mod)
         del rows
         _back_substitute(reduced, pivots, _reduce_mod)
-        # kernel vector of free column f: 1 at f, -rref[c][f] at pivot c < f
+        # minus the kernel vector of free column f: -1 at f, rref[c][f] at
+        # each pivot c < f
         pivot_set = set(pivots)
         kernel: dict[int, dict[int, Fraction]] = {
-            f: {f: ONE} for f in range(self.cols) if f not in pivot_set}
+            f: {f: -ONE} for f in range(self.cols) if f not in pivot_set}
         for c, row in zip(pivots, reduced):
+            row[c] = ONE
             for f, x in row.items():
                 if f != c:
-                    q = _reconstruct(P - x)
+                    q = _reconstruct(x)
                     if q is None:
                         return None
+                    row[f] = q
                     kernel[f][c] = q
-        # the rows go before the integer columns are built
-        del reduced
-        return pivots if self._annihilates(kernel.values()) else None
+        return (reduced, pivots) if self._annihilates(kernel.values()) else None
 
     def _rows_mod_p(self) -> Optional[list[dict[int, int]]]:
         """The rows reduced mod P, or None when a denominator is 0 mod P."""
@@ -325,8 +306,12 @@ class Matrix:
                 return False
         return True
 
+    def rank_profile(self) -> list[int]:
+        """The pivot columns of the reduced echelon form, in increasing order."""
+        return self.row_echelon()[1]
+
     def rank(self) -> int:
-        return len(self.rank_profile())
+        return len(self.row_echelon()[1])
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Basis of the right null space, one vector per free column.
@@ -336,19 +321,15 @@ class Matrix:
         """
         reduced, pivots = self.row_echelon()
         pivot_set = set(pivots)
-        pivot_row = {col: r for col, r in zip(pivots, reduced)}
-        basis = []
-        for f in range(self.cols):
-            if f in pivot_set:
-                continue
-            vec = [ZERO] * self.cols
+        basis = {f: [ZERO] * self.cols for f in range(self.cols)
+                 if f not in pivot_set}
+        for f, vec in basis.items():
             vec[f] = ONE
-            for col in pivots:
-                coeff = pivot_row[col].get(f)
-                if coeff:
-                    vec[col] = -coeff
-            basis.append(vec)
-        return basis
+        for c, row in zip(pivots, reduced):
+            for f, v in row.items():
+                if f != c:
+                    basis[f][c] = -v
+        return list(basis.values())
 
     def solve(self, rhs: Sequence[Fraction]):
         """One solution of self * x = rhs, or None when inconsistent."""
@@ -372,24 +353,26 @@ class Matrix:
         return inv
 
 
-def _forward(rows: list[dict], limit: int, normalise, reduce):
-    """Forward elimination of sparse rows on the columns below ``limit``.
+def _forward(rows: list[dict], normalise, reduce):
+    """Forward elimination of sparse rows.
 
     Rows are filed by leading column; for each column c in turn the
     sparsest row of its bucket becomes the pivot row (normalised to 1 at
     c), c is eliminated from the rest of the bucket and each survivor is
     re-filed under its new leading column.  ``normalise(row, c)`` returns
     the pivot row and ``reduce(row, piv, f)`` subtracts f * piv in place,
-    so one loop serves every arithmetic.  Returns the pivot rows, their
-    columns in increasing order, and the rows left nonzero.
+    so one loop serves every arithmetic.  Returns the pivot rows and their
+    columns in increasing order; every other row is reduced to zero.
     """
     buckets: dict[int, list[dict]] = {}
     for r in rows:
         if r:
             buckets.setdefault(min(r), []).append(r)
+    # elimination never adds a column that no row had
+    stop = max((max(r) for r in rows if r), default=-1) + 1
     reduced: list[dict] = []
     pivots: list[int] = []
-    for c in range(limit):
+    for c in range(stop):
         bucket = buckets.pop(c, None)
         if bucket is None:
             continue
@@ -401,7 +384,7 @@ def _forward(rows: list[dict], limit: int, normalise, reduce):
                 buckets.setdefault(min(r), []).append(r)
         reduced.append(piv)
         pivots.append(c)
-    return reduced, pivots, [r for bucket in buckets.values() for r in bucket]
+    return reduced, pivots
 
 
 def _back_substitute(reduced: list[dict], pivots: list[int], reduce) -> None:
@@ -458,24 +441,27 @@ def express(basis: Sequence[Mapping], targets: Sequence[Mapping]
             ) -> list[Optional[list[Fraction]]]:
     """Coordinates of each target over the basis vectors.
 
-    Vectors are sparse dicts over any hashable keys.  One elimination of
-    [basis | targets] pivots on basis columns only, so a target is judged
-    against span(basis) alone, never against earlier targets.  Returns per
-    target a list of len(basis) coefficients, or None when the target is
-    outside the span; when the basis vectors are dependent, the solution
-    has zero coefficients on the non-pivot ones.
+    Vectors are sparse dicts over any hashable keys.  Returns per target a
+    list of len(basis) coefficients, or None when the target is outside
+    span(basis); when the basis vectors are dependent, the solution has
+    zero coefficients on the non-pivot ones.  Each target is judged
+    against span(basis) alone, never against earlier targets.
     """
     n = len(basis)
     m = Matrix.from_keyed_columns(list(basis) + list(targets))
-    reduced, pivots = m.row_echelon(pivot_limit=n)
-    outside = {c for row in reduced[len(pivots):] for c in row}
+    reduced, pivots = m.row_echelon()
+    # in the RREF of [basis | targets] a target column is a combination of
+    # the pivot columns; it is outside span(basis) exactly when that
+    # combination uses a target pivot column
+    k = sum(1 for c in pivots if c < n)
+    outside = {c for row in reduced[k:] for c in row}
     out: list[Optional[list[Fraction]]] = []
     for t in range(n, m.cols):
         if t in outside:
             out.append(None)
             continue
         x = [ZERO] * n
-        for col, row in zip(pivots, reduced):
+        for col, row in zip(pivots[:k], reduced):
             x[col] = row.get(t, ZERO)
         out.append(x)
     return out
@@ -484,10 +470,6 @@ def express(basis: Sequence[Mapping], targets: Sequence[Mapping]
 def sparse(vec: Sequence[Fraction]) -> dict[int, Fraction]:
     """A dense coefficient list as a sparse vector over its positions."""
     return {i: c for i, c in enumerate(vec) if c}
-
-
-def in_span(basis: list[list[Fraction]], vec: list[Fraction]) -> bool:
-    return express([sparse(b) for b in basis], [sparse(vec)])[0] is not None
 
 
 def reduce_to_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -119,7 +119,7 @@ def test_report_serialization(A000):
 def test_total_mode_is_served_by_certified_rank_profiles(K, monkeypatch):
     # with the Fraction elimination out of reach, a rank profile that fell
     # back to it would raise here instead of only running slower
-    def refuse(self, pivot_limit=None):
+    def refuse(self):
         raise AssertionError("rank profile fell back to Fraction elimination")
 
     profiles = []
@@ -129,7 +129,7 @@ def test_total_mode_is_served_by_certified_rank_profiles(K, monkeypatch):
         profiles.append(certified(self))
         return profiles[-1]
 
-    monkeypatch.setattr(Matrix, "row_echelon", refuse)
+    monkeypatch.setattr(Matrix, "_fraction_rref", refuse)
     monkeypatch.setattr(Matrix, "rank_profile", spy)
     rep = h2_report(K, 8)
     assert rep.total_h2 == 2

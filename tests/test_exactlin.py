@@ -1,12 +1,13 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfalg.errors import InputError
 from hopfalg.exactlin import (P, Matrix, add_scaled, add_term, express,
-                              format_scalar, in_span, map_slot,
-                              reduce_to_basis, scalar)
+                              format_scalar, map_slot, reduce_to_basis,
+                              scalar, sparse)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
                          max_denominator=10**4)
@@ -55,6 +56,14 @@ def test_map_slot_splices_images_into_one_slot():
     assert out is acc and acc == {("z",): 4}
 
 
+def _apply(m, vec):
+    """A v as a dense list."""
+    out = [Fraction(0)] * m.rows
+    for (i, j), a in m.entries.items():
+        out[i] += a * vec[j]
+    return out
+
+
 def test_kernel_of_zero_map():
     m = Matrix.from_rows([[0]])
     assert m.kernel_basis() == [[Fraction(1)]]
@@ -91,15 +100,15 @@ def test_rank_nullity_and_exact_kernel(rows, cols, data):
     kernel = m.kernel_basis()
     assert m.rank() + len(kernel) == cols
     for vec in kernel:
-        assert all(v == 0 for v in m.mul_vector(vec))
+        assert all(v == 0 for v in _apply(m, vec))
 
 
 def test_solve_and_inverse():
     m = Matrix.from_rows([[1, 2], [3, 4]])
     x = m.solve([Fraction(5), Fraction(11)])
-    assert m.mul_vector(x) == [Fraction(5), Fraction(11)]
+    assert _apply(m, x) == [Fraction(5), Fraction(11)]
     inv = m.inverse()
-    assert inv.mul_vector([Fraction(5), Fraction(11)]) == x
+    assert _apply(inv, [Fraction(5), Fraction(11)]) == x
     assert Matrix.from_rows([[1, 1], [1, 1]]).solve(
         [Fraction(0), Fraction(1)]) is None
     with pytest.raises(ValueError):
@@ -111,8 +120,12 @@ def test_reduce_to_basis_and_span():
                              [Fraction(2), Fraction(2), Fraction(0)],
                              [Fraction(0), Fraction(0), Fraction(3)]])
     assert len(basis) == 2
-    assert in_span(basis, [Fraction(3), Fraction(3), Fraction(-1)])
-    assert not in_span(basis, [Fraction(1), Fraction(0), Fraction(0)])
+    inside, outside = express(
+        [sparse(b) for b in basis],
+        [sparse([Fraction(3), Fraction(3), Fraction(-1)]),
+         sparse([Fraction(1), Fraction(0), Fraction(0)])])
+    assert inside == [Fraction(3), Fraction(-1)]
+    assert outside is None
 
 
 def test_no_stored_zero_entries():
@@ -204,8 +217,10 @@ def _entries(rows, cols, values, max_size):
 @given(st.integers(1, 8), st.integers(1, 4), st.integers(1, 6), st.data())
 def test_rank_profile_matches_fraction_rref_and_sympy(cols, height, inner,
                                                       data):
-    # tall (up to 4x as many rows as columns, like the cobar d2) and of
-    # any rank: a product of two sparse factors plus a sparse perturbation
+    # the certified RREF, its kernel and express against the Fraction
+    # elimination, and the rank against sympy, on a matrix that is tall
+    # (up to 4x as many rows as columns, like the cobar d2) and of any
+    # rank: a product of two sparse factors plus a sparse perturbation
     sympy = pytest.importorskip("sympy")
     rows = cols * height
     values = st.fractions(min_value=-10**4, max_value=10**4,
@@ -220,11 +235,30 @@ def test_rank_profile_matches_fraction_rref_and_sympy(cols, height, inner,
         for (k2, j), b in right.entries.items():
             if k == k2:
                 m[i, j] = m[i, j] + a * b
-    profile = m.rank_profile()
-    assert profile == m.row_echelon()[1]
+    reduced, pivots = m.row_echelon()
+    oracle = m._fraction_rref()
+    assert (reduced, pivots) == oracle
+    assert m.rank_profile() == pivots
+    # the kernel vector of free column f: 1 at f, -rref[c][f] at pivot c
+    kernel = []
+    for f in range(cols):
+        if f not in pivots:
+            vec = [Fraction(0)] * cols
+            vec[f] = Fraction(1)
+            for c, row in zip(pivots, oracle[0]):
+                vec[c] = -row.get(f, Fraction(0))
+            kernel.append(vec)
+    assert m.kernel_basis() == kernel
+    # targets in span (a sum of columns) and most likely outside it
+    columns = m.columns()
+    extra = _sparse_matrix(rows, 2, data.draw(_entries(rows, 2, values, 4)))
+    targets = [add_scaled(dict(columns[0]), columns[-1])] + extra.columns()
+    with mock.patch.object(Matrix, "_certified_rref", lambda self: None):
+        want = express(columns, targets)
+    assert express(columns, targets) == want
     dense = sympy.Matrix(rows, cols, lambda i, j: sympy.Rational(
         m[i, j].numerator, m[i, j].denominator))
-    assert len(profile) == m.rank() == dense.rank()
+    assert len(pivots) == m.rank() == dense.rank()
 
 
 @pytest.mark.parametrize("data, pivots", [
@@ -241,12 +275,14 @@ def test_rank_profile_matches_fraction_rref_and_sympy(cols, height, inner,
 ])
 def test_rank_profile_falls_back_when_it_cannot_certify(data, pivots):
     m = Matrix.from_rows(data)
-    assert m._certified_modular_profile() is None
-    assert m.rank_profile() == m.row_echelon()[1] == pivots
+    assert m._certified_rref() is None
+    assert m.row_echelon() == m._fraction_rref()
+    assert m.rank_profile() == pivots
 
 
 def test_rank_profile_certifies_rational_kernels():
     # the kernel vector of the free column 2 is (-1/2, -3/7, 1)
     m = Matrix.from_rows([[2, 0, 1], [0, Fraction(7, 3), 1], [4, 0, 2]])
-    assert m._certified_modular_profile() == [0, 1]
-    assert Matrix(3, 2)._certified_modular_profile() == []
+    assert m._certified_rref() == (
+        [{0: 1, 2: Fraction(1, 2)}, {1: 1, 2: Fraction(3, 7)}], [0, 1])
+    assert Matrix(3, 2)._certified_rref() == ([], [])

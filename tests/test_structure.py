@@ -7,6 +7,7 @@ from hopfalg.catalog import (build, list_catalog, make_cla_35, make_cla_a,
                              make_lie_preset)
 from hopfalg.cla import enveloping, lantern_of_cla
 from hopfalg.errors import StructuralError
+from hopfalg.exactlin import Matrix
 from hopfalg.ore import AlgebraElement, bracket
 from hopfalg.structure import (associated_graded, coradical_filtration,
                                extract_cla, lantern_of_hopf, p2_space,
@@ -90,6 +91,17 @@ def test_p2_bracket_closures(D01, K):
         for a in q.basis:
             for b in p.basis:
                 assert q.contains(bracket(a, b))
+
+
+def test_kernels_and_solves_are_served_by_the_certified_rref(K, monkeypatch):
+    # with the Fraction elimination out of reach, a kernel or a solve that
+    # fell back to it would raise here instead of only running slower
+    def refuse(self):
+        raise AssertionError("elimination fell back to Fraction arithmetic")
+
+    monkeypatch.setattr(Matrix, "_fraction_rref", refuse)
+    assert coradical_filtration(K, 3, 10).dim == 14
+    assert p2_space(K, 10).dim == 3
 
 
 def test_coradical_filtration_levels():
