@@ -138,7 +138,7 @@ def make_F(beta, gamma, xi) -> HopfPresentation:
     """[Z,X] = Y; [W,X] = beta Y, [W,Y] = gamma Y,
     [W,Z] = gamma Z - (2/3) Y^3 + xi X; delta(W) = t."""
     beta, gamma, xi = scalar(beta), scalar(gamma), scalar(xi)
-    if {beta, gamma} not in ({Fraction(0), Fraction(1)},):
+    if {beta, gamma} != {0, 1}:
         warnings.warn(
             "F-family parameters outside the normalized classes "
             "({beta, gamma} = {0, 1}); the result is still a valid Hopf "
@@ -198,8 +198,7 @@ def make_cla_b(lam) -> CLA:
                delta={2: {(0, 1): 1, (1, 0): -1}})
 
 
-_AB_CHOICES = {(Fraction(1), Fraction(1)), (Fraction(1), Fraction(0)),
-               (Fraction(0), Fraction(1)), (Fraction(0), Fraction(0))}
+_AB_CHOICES = {(1, 1), (1, 0), (0, 1), (0, 0)}
 
 
 def make_cla_35(variant: str, **params) -> CLA:
@@ -229,7 +228,7 @@ def make_cla_35(variant: str, **params) -> CLA:
 
 def _cla35(brackets) -> CLA:
     return CLA(["x1", "x2", "x3", "z"], brackets,
-               {3: {(0, 1): Fraction(1), (1, 0): Fraction(-1)}})
+               {3: {(0, 1): 1, (1, 0): -1}})
 
 
 def _ab_domain(a, b):
@@ -379,7 +378,7 @@ def from_cli_params(tag: str, params: list) -> FamilySpec:
 
 def _spec(tag: str, label: str, *values) -> FamilySpec:
     return FamilySpec(tag, dict(zip(family_parameter_names(tag),
-                                    map(Fraction, values))), label)
+                                    map(scalar, values))), label)
 
 
 def list_catalog() -> list[FamilySpec]:

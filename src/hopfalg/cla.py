@@ -15,12 +15,11 @@ enveloping presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError, StructuralError
-from .exactlin import (Matrix, ONE, ZERO, add_scaled, add_term, express,
-                       map_slot, reduce_to_basis, scalar, sparse)
+from .exactlin import (Matrix, Scalar, add_scaled, add_term, express, map_slot,
+                       reduce_to_basis, scalar, sparse)
 from .hopf import HopfPresentation, TensorElement, tensor_bracket, tensor_of
 from .ore import AlgebraElement, GeneratorInfo, OrePresentation
 from .reports import VerificationReport
@@ -34,13 +33,13 @@ class LieConstants:
     """
 
     names: Sequence[str]
-    brackets: dict[tuple[int, int], dict[int, Fraction]]
+    brackets: dict[tuple[int, int], dict[int, Scalar]]
 
     @property
     def dim(self) -> int:
         return len(self.names)
 
-    def bracket_constants(self, i: int, j: int) -> dict[int, Fraction]:
+    def bracket_constants(self, i: int, j: int) -> dict[int, Scalar]:
         """[x_i, x_j] as {k: coefficient}."""
         if i == j:
             return {}
@@ -48,10 +47,10 @@ class LieConstants:
             return dict(self.brackets.get((i, j), {}))
         return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
 
-    def bracket_vectors(self, u: Sequence[Fraction], v: Sequence[Fraction]
-                        ) -> list[Fraction]:
+    def bracket_vectors(self, u: Sequence[Scalar], v: Sequence[Scalar]
+                        ) -> list[Scalar]:
         """Bracket of two coefficient vectors."""
-        out = [ZERO] * self.dim
+        out = [0] * self.dim
         for i, ci in enumerate(u):
             if not ci:
                 continue
@@ -75,7 +74,7 @@ class LieConstants:
                     if (max_degree is not None and self.degrees[i]
                             + self.degrees[j] + self.degrees[k] > max_degree):
                         continue
-                    total: dict[int, Fraction] = {}
+                    total: dict[int, Scalar] = {}
                     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                         for t, ct in self.bracket_constants(a, b).items():
                             add_scaled(total, self.bracket_constants(t, c), ct)
@@ -97,7 +96,7 @@ class CLA(LieConstants):
         if len(set(self.names)) != len(self.names):
             raise InputError("basis names must be unique")
         n = self.dim
-        self.brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+        self.brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
         for (i, j), terms in (brackets or {}).items():
             if not (0 <= i < n and 0 <= j < n):
                 raise InputError(f"bracket index ({i},{j}) out of range")
@@ -119,7 +118,7 @@ class CLA(LieConstants):
                     f"inconsistent antisymmetric data for bracket {key}")
             if stored:
                 self.brackets[key] = stored
-        self.delta: dict[int, dict[tuple[int, int], Fraction]] = {}
+        self.delta: dict[int, dict[tuple[int, int], Scalar]] = {}
         for i, terms in (delta or {}).items():
             if not (0 <= i < n):
                 raise InputError(f"delta index {i} out of range")
@@ -133,7 +132,7 @@ class CLA(LieConstants):
             if clean:
                 self.delta[i] = clean
 
-    def delta_constants(self, i: int) -> dict[tuple[int, int], Fraction]:
+    def delta_constants(self, i: int) -> dict[tuple[int, int], Scalar]:
         return dict(self.delta.get(i, {}))
 
     def delta_matrix(self) -> Matrix:
@@ -148,7 +147,7 @@ class CLA(LieConstants):
     def is_anti_cocommutative(self) -> bool:
         for terms in self.delta.values():
             for (j, k), c in terms.items():
-                if terms.get((k, j), ZERO) != -c:
+                if terms.get((k, j), 0) != -c:
                     return False
         return True
 
@@ -172,7 +171,7 @@ class GradedLie(LieConstants):
     names: list[str]
     degrees: list[int]
     # brackets stored for i < j only: {(i, j): {k: coeff}}
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = field(default_factory=dict)
+    brackets: dict[tuple[int, int], dict[int, Scalar]] = field(default_factory=dict)
 
     def dims_by_degree(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -254,7 +253,7 @@ def _compatibility_defect(L: CLA, env: HopfPresentation, i: int, j: int
     gens = [p.monomial_tuple({name: 1}) for name in p.names]
 
     def gen_elt(k: int) -> AlgebraElement:
-        return AlgebraElement(p, {gens[k]: ONE})
+        return AlgebraElement(p, {gens[k]: 1})
 
     def bracket_elt(a: int, b: int) -> AlgebraElement:
         return AlgebraElement(p, {gens[k]: c for k, c in
@@ -264,11 +263,11 @@ def _compatibility_defect(L: CLA, env: HopfPresentation, i: int, j: int
         return TensorElement(p, 2, {(gens[a], gens[b]): c for (a, b), c in
                                     L.delta_constants(k).items()})
 
-    lhs: dict[tuple, Fraction] = {}
+    lhs: dict[tuple, Scalar] = {}
     for k, c in L.bracket_constants(i, j).items():
         add_scaled(lhs, delta_tensor(k).terms, c)
 
-    rhs: dict[tuple, Fraction] = {}
+    rhs: dict[tuple, Scalar] = {}
     # b_1 (x) [a, b_2]  and  [a, b_1] (x) b_2
     for (pp, qq), c in L.delta_constants(j).items():
         add_scaled(rhs, tensor_of(gen_elt(pp), bracket_elt(i, qq)).terms, c)
@@ -278,7 +277,7 @@ def _compatibility_defect(L: CLA, env: HopfPresentation, i: int, j: int
         add_scaled(rhs, tensor_of(bracket_elt(pp, j), gen_elt(qq)).terms, c)
         add_scaled(rhs, tensor_of(gen_elt(pp), bracket_elt(qq, j)).terms, c)
     add_scaled(rhs, tensor_bracket(delta_tensor(i), delta_tensor(j)).terms)
-    return TensorElement(p, 2, add_scaled(lhs, rhs, -ONE))
+    return TensorElement(p, 2, add_scaled(lhs, rhs, -1))
 
 
 # -- kernel filtration -----------------------------------------------------------
@@ -288,7 +287,7 @@ def _iterated_delta_kernel_dims(L: CLA, max_steps: Optional[int] = None):
     """Dimensions of ker delta^n for n = 1, 2, ... until stabilization."""
     n = L.dim
     # state: per basis vector, the iterated coproduct as {index tuple: coeff}
-    tensors = [{(i,): ONE} for i in range(n)]
+    tensors = [{(i,): 1} for i in range(n)]
     dims = []
     steps = max_steps if max_steps is not None else n + 1
     kernels = []
@@ -305,7 +304,7 @@ def _iterated_delta_kernel_dims(L: CLA, max_steps: Optional[int] = None):
     return dims, kernels
 
 
-def kernel_delta(L: CLA) -> list[list[Fraction]]:
+def kernel_delta(L: CLA) -> list[list[Scalar]]:
     """Canonical basis of ker delta (coefficient vectors over the CLA basis)."""
     return L.delta_matrix().kernel_basis()
 
@@ -345,7 +344,7 @@ def enveloping(L: CLA, check: bool = True) -> HopfPresentation:
 
     n = L.dim
     weights: list[Optional[int]] = [None] * n
-    units = [{i: ONE} for i in range(n)]
+    units = [{i: 1} for i in range(n)]
     for step, kernel in enumerate(kernels, start=1):
         basis_in = 0
         coords = express([sparse(v) for v in kernel], units)
@@ -419,7 +418,7 @@ def lantern_of_cla(L: CLA) -> GradedLie:
                   for j, cj in enumerate(kernel[b]) if cj}
                  for a in range(kdim) for b in range(kdim)]
     deltas = [L.delta_constants(c_idx) for c_idx in complement]
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
     for s, sol in enumerate(express(pair_cols, deltas)):
         if sol is None:
             raise StructuralError(
@@ -447,21 +446,21 @@ def cla_transform(L: CLA, m: Matrix) -> CLA:
         raise InputError("base-change matrix is singular") from exc
 
     rows = [[m[i, j] for j in range(n)] for i in range(n)]
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
     for i in range(n):
         for j in range(i + 1, n):
             out = L.bracket_vectors(rows[i], rows[j])
             terms = {}
             for d in range(n):
-                v = sum((out[c] * inv[c, d] for c in range(n)), ZERO)
+                v = sum(out[c] * inv[c, d] for c in range(n))
                 if v:
                     terms[d] = v
             if terms:
                 brackets[(i, j)] = terms
 
-    delta: dict[int, dict[tuple[int, int], Fraction]] = {}
+    delta: dict[int, dict[tuple[int, int], Scalar]] = {}
     for i in range(n):
-        acc: dict[tuple[int, int], Fraction] = {}
+        acc: dict[tuple[int, int], Scalar] = {}
         for jj in range(n):
             cj = m[i, jj]
             if not cj:

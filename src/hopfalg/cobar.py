@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError
-from .exactlin import ONE, Matrix, express, map_slot
+from .exactlin import Matrix, Scalar, express, map_slot
 from .hopf import HopfPresentation, TensorElement
 from .ore import AlgebraElement
 from .reports import VerificationReport
@@ -40,11 +39,11 @@ class CobarComplex:
         alg = self.presentation.algebra
         return sum(alg.monomial_degree(m) for m in t)
 
-    def differential_one(self, t: tuple) -> dict[tuple, Fraction]:
+    def differential_one(self, t: tuple) -> dict[tuple, Scalar]:
         return _d1_map(self.presentation)(t[0])
 
-    def differential_two(self, t: tuple) -> dict[tuple, Fraction]:
-        return _apply_d2(_d1_map(self.presentation), {t: ONE})
+    def differential_two(self, t: tuple) -> dict[tuple, Scalar]:
+        return _apply_d2(_d1_map(self.presentation), {t: 1})
 
     def verify_differential(self) -> VerificationReport:
         """d^2 = 0, composed symbolically on every rank-1 basis element."""
@@ -59,12 +58,12 @@ class CobarComplex:
 def _d1_map(h: HopfPresentation):
     """d^1 on monomials, m -> delta(m) as {pair: coefficient}, memoised."""
     return functools.cache(lambda m: h.reduced_coproduct(
-        AlgebraElement(h.algebra, {m: ONE})).terms)
+        AlgebraElement(h.algebra, {m: 1})).terms)
 
 
-def _apply_d2(d1, w: dict[tuple, Fraction]) -> dict[tuple, Fraction]:
+def _apply_d2(d1, w: dict[tuple, Scalar]) -> dict[tuple, Scalar]:
     """d^2 of a rank-2 cochain {pair: coefficient}: d1 on each slot, signed."""
-    return map_slot(w, 1, d1, -ONE, map_slot(w, 0, d1))
+    return map_slot(w, 1, d1, -1, map_slot(w, 0, d1))
 
 
 def build_complex(h: HopfPresentation, bound: int) -> CobarComplex:
@@ -102,7 +101,7 @@ def build_complex(h: HopfPresentation, bound: int) -> CobarComplex:
 
     d1 = _d1_map(h)
     d1_cols = [{coords[2][t]: c for t, c in d1(m).items()} for m in monos]
-    d2_cols = [{coords[3][t]: c for t, c in _apply_d2(d1, {pair: ONE}).items()}
+    d2_cols = [{coords[3][t]: c for t, c in _apply_d2(d1, {pair: 1}).items()}
                for pair in bases[2]]
     return CobarComplex(h, bound, bases, coords,
                         Matrix.from_columns(d1_cols, max(len(bases[2]), 1)),

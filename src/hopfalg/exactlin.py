@@ -1,9 +1,14 @@
 """Exact rational scalars and sparse rational linear algebra.
 
 Everything downstream (normal forms, subspace computations, cohomology)
-reduces to kernels, ranks and solves over the rationals.  Scalars are
-``fractions.Fraction`` (arbitrary-precision, always in lowest terms with
-positive denominator); floating point is never used.
+reduces to kernels, ranks and solves over the rationals.  A scalar is an
+``int`` when it is integral and a ``fractions.Fraction`` (lowest terms,
+positive denominator) when it is a proper fraction; floating point is
+never used.  Integral presentations therefore run on Python ints
+throughout.  Sums and products of scalars stay scalars, but ``int / int``
+is a float, so every division goes through ``quotient``.  A product
+involving a Fraction may come out integral yet still be a Fraction;
+equality, hashing and printing do not tell the two apart.
 
 Every elimination (rank, kernel, solve) is one reduced row echelon form,
 computed mod the prime P = 2^61 - 1 and certified exactly over Q.
@@ -19,7 +24,8 @@ lifted ones.  In particular a target t is outside span(A) whenever it
 is a pivot of [A | t] mod P, because
 rank_Q[A | t] >= rank_P[A | t] = rank_P(A) + 1 = rank_Q(A) + 1.
 Whenever a denominator vanishes mod P, a reconstruction fails or a
-product is nonzero, the ``Fraction`` elimination answers instead.
+product is nonzero, the exact elimination ``_fraction_rref`` answers
+instead.
 """
 
 from __future__ import annotations
@@ -30,10 +36,7 @@ from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 from .errors import InputError
 
-Scalar = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Scalar = int | Fraction
 
 # the prime of the modular rank profile, and Wang's bound sqrt(P/2) on the
 # numerator and denominator of a reconstructed rational
@@ -41,37 +44,51 @@ P = 2**61 - 1
 _WANG_BOUND = math.isqrt(P // 2)
 
 
-def scalar(value) -> Fraction:
-    """Coerce ints, strings like ``"-3/4"``, or Fractions to a Fraction.
+def _lowest(q: Fraction) -> Scalar:
+    """q as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def scalar(value) -> Scalar:
+    """Coerce ints, strings like ``"-3/4"``, or Fractions to a scalar: an
+    int when the value is integral, else a Fraction.
 
     A string that is not a rational (or has a zero denominator) is
     malformed input and raises InputError.
     """
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, Fraction):
+        return _lowest(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _lowest(Fraction(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{value!r} is not an exact rational") from exc
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def format_scalar(q: Fraction) -> str:
+def quotient(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b: an int when it is integral, else a Fraction.
+
+    The one division of scalars in the package (``int / int`` is a float).
+    """
+    return _lowest(Fraction(a, b))
+
+
+def format_scalar(q: Scalar) -> str:
     """Serialize as ``"p/q"`` (or ``"p"`` when q = 1), sign on the numerator."""
     return str(q)
 
 
 # -- sparse linear combinations ---------------------------------------------
 #
-# A sparse vector is a dict key -> nonzero Fraction over any hashable keys
+# A sparse vector is a dict key -> nonzero scalar over any hashable keys
 # (monomials, tensor tuples, row indices); these helpers are the only
 # place that adds into one.
 
 
-def add_term(acc: dict, key: Hashable, c: Fraction) -> None:
+def add_term(acc: dict, key: Hashable, c: Scalar) -> None:
     """acc[key] += c, dropping the key when the sum vanishes."""
     old = acc.get(key)
     if old is None:
@@ -85,7 +102,7 @@ def add_term(acc: dict, key: Hashable, c: Fraction) -> None:
         del acc[key]
 
 
-def add_scaled(acc: dict, terms: Mapping, c: Fraction = ONE) -> dict:
+def add_scaled(acc: dict, terms: Mapping, c: Scalar = 1) -> dict:
     """acc += c * terms, dropping zero sums; returns acc."""
     # add_term inlined: this loop is the row operation of every elimination
     if not c:
@@ -117,7 +134,7 @@ def add_scaled(acc: dict, terms: Mapping, c: Fraction = ONE) -> dict:
 
 
 def map_slot(terms: Mapping, slot: int, image: Callable[..., Mapping],
-             c: Fraction = ONE, acc: Optional[dict] = None) -> dict:
+             c: Scalar = 1, acc: Optional[dict] = None) -> dict:
     """acc += c * (image applied at tuple position slot); returns acc.
 
     ``terms`` is a sparse vector over tuples and ``image(key)`` a sparse
@@ -135,12 +152,12 @@ def map_slot(terms: Mapping, slot: int, image: Callable[..., Mapping],
 
 
 class Matrix:
-    """Sparse rational matrix; entries stored as (row, col) -> nonzero Fraction."""
+    """Sparse rational matrix; entries stored as (row, col) -> nonzero scalar."""
 
     def __init__(self, rows: int, cols: int, entries=None):
         self.rows = rows
         self.cols = cols
-        self.entries: dict[tuple[int, int], Fraction] = {}
+        self.entries: dict[tuple[int, int], Scalar] = {}
         if entries:
             for (i, j), v in entries.items():
                 self[i, j] = scalar(v)
@@ -158,8 +175,8 @@ class Matrix:
         return m
 
     @classmethod
-    def from_columns(cls, columns: Sequence[dict[int, Fraction]], rows: int) -> "Matrix":
-        """Build from sparse columns (dicts row -> Fraction, each row below
+    def from_columns(cls, columns: Sequence[dict[int, Scalar]], rows: int) -> "Matrix":
+        """Build from sparse columns (dicts row -> scalar, each row below
         ``rows``)."""
         m = cls(rows, len(columns))
         m.entries = {(i, j): v for j, col in enumerate(columns)
@@ -185,10 +202,10 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, {(i, i): ONE for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
-    def __getitem__(self, key) -> Fraction:
-        return self.entries.get(key, ZERO)
+    def __getitem__(self, key) -> Scalar:
+        return self.entries.get(key, 0)
 
     def __setitem__(self, key, value):
         i, j = key
@@ -207,9 +224,9 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
 
-    def columns(self) -> list[dict[int, Fraction]]:
+    def columns(self) -> list[dict[int, Scalar]]:
         """The columns as sparse dicts row -> value."""
-        cols: list[dict[int, Fraction]] = [dict() for _ in range(self.cols)]
+        cols: list[dict[int, Scalar]] = [dict() for _ in range(self.cols)]
         for (i, j), v in self.entries.items():
             cols[j][i] = v
         return cols
@@ -223,14 +240,14 @@ class Matrix:
         Column c is a pivot exactly when it is not a combination of the
         columns before it.  The form is computed mod P and certified over
         Q (see the module docstring); when the certificate cannot be made,
-        the ``Fraction`` elimination answers.
+        the exact elimination ``_fraction_rref`` answers.
         """
         certified = self._certified_rref()
         return self._fraction_rref() if certified is None else certified
 
     def _fraction_rref(self):
-        """The reduced echelon form by elimination over ``Fraction``."""
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
+        """The reduced echelon form by exact elimination over Q."""
+        rows: list[dict[int, Scalar]] = [dict() for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
             rows[i][j] = v
         reduced, pivots = _forward(rows, _normalise_exact, _reduce_exact)
@@ -250,10 +267,10 @@ class Matrix:
         # minus the kernel vector of free column f: -1 at f, rref[c][f] at
         # each pivot c < f
         pivot_set = set(pivots)
-        kernel: dict[int, dict[int, Fraction]] = {
-            f: {f: -ONE} for f in range(self.cols) if f not in pivot_set}
+        kernel: dict[int, dict[int, Scalar]] = {
+            f: {f: -1} for f in range(self.cols) if f not in pivot_set}
         for c, row in zip(pivots, reduced):
-            row[c] = ONE
+            row[c] = 1
             for f, x in row.items():
                 if f != c:
                     q = _reconstruct(x)
@@ -283,7 +300,7 @@ class Matrix:
         """Whether A v = 0 for every sparse rational vector v, checked in
         integers: column j is scaled by the lcm s_j of its denominators
         and v_j / s_j by the lcm of those over the vector."""
-        columns: dict[int, dict[int, Fraction]] = {
+        columns: dict[int, dict[int, Scalar]] = {
             j: {} for vec in vectors for j in vec}
         for (i, j), v in self.entries.items():
             col = columns.get(j)
@@ -295,7 +312,7 @@ class Matrix:
             columns[j] = {i: v.numerator * (s // v.denominator)
                           for i, v in col.items()}
         for vec in vectors:
-            w = {j: q / scale[j] for j, q in vec.items()}
+            w = {j: quotient(q, scale[j]) for j, q in vec.items()}
             lcm = math.lcm(*(q.denominator for q in w.values()))
             acc: dict[int, int] = {}
             for j, q in w.items():
@@ -313,7 +330,7 @@ class Matrix:
     def rank(self) -> int:
         return len(self.row_echelon()[1])
 
-    def kernel_basis(self) -> list[list[Fraction]]:
+    def kernel_basis(self) -> list[list[Scalar]]:
         """Basis of the right null space, one vector per free column.
 
         The vector for free column f has 1 in position f, solved entries at
@@ -321,17 +338,17 @@ class Matrix:
         """
         reduced, pivots = self.row_echelon()
         pivot_set = set(pivots)
-        basis = {f: [ZERO] * self.cols for f in range(self.cols)
+        basis = {f: [0] * self.cols for f in range(self.cols)
                  if f not in pivot_set}
         for f, vec in basis.items():
-            vec[f] = ONE
+            vec[f] = 1
         for c, row in zip(pivots, reduced):
             for f, v in row.items():
                 if f != c:
                     basis[f][c] = -v
         return list(basis.values())
 
-    def solve(self, rhs: Sequence[Fraction]):
+    def solve(self, rhs: Sequence[Scalar]):
         """One solution of self * x = rhs, or None when inconsistent."""
         if len(rhs) != self.rows:
             raise ValueError("dimension mismatch")
@@ -342,7 +359,7 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("not square")
         n = self.rows
-        cols = express(self.columns(), [{i: ONE} for i in range(n)])
+        cols = express(self.columns(), [{i: 1} for i in range(n)])
         if None in cols:
             raise ValueError("matrix is singular")
         inv = Matrix(n, n)
@@ -400,11 +417,11 @@ def _back_substitute(reduced: list[dict], pivots: list[int], reduce) -> None:
 
 
 def _normalise_exact(row: dict, c: int) -> dict:
-    inv = ONE / row[c]
+    inv = quotient(1, row[c])
     return {k: v * inv for k, v in row.items()}
 
 
-def _reduce_exact(row: dict, piv: Mapping, f: Fraction) -> None:
+def _reduce_exact(row: dict, piv: Mapping, f: Scalar) -> None:
     add_scaled(row, piv, -f)
 
 
@@ -423,7 +440,7 @@ def _reduce_mod(row: dict, piv: Mapping, f: int) -> None:
             row.pop(k, None)
 
 
-def _reconstruct(x: int) -> Optional[Fraction]:
+def _reconstruct(x: int) -> Optional[Scalar]:
     """The rational a/b with a = b x mod P and |a|, |b| <= sqrt(P/2), or
     None when there is none (Wang 1981: extended Euclid stopped at the
     first remainder below the bound)."""
@@ -434,11 +451,11 @@ def _reconstruct(x: int) -> Optional[Fraction]:
         t0, t1 = t1, t0 - q * t1
     if abs(t1) > _WANG_BOUND or math.gcd(r1, t1) != 1:
         return None
-    return Fraction(r1, t1)
+    return quotient(r1, t1)
 
 
 def express(basis: Sequence[Mapping], targets: Sequence[Mapping]
-            ) -> list[Optional[list[Fraction]]]:
+            ) -> list[Optional[list[Scalar]]]:
     """Coordinates of each target over the basis vectors.
 
     Vectors are sparse dicts over any hashable keys.  Returns per target a
@@ -455,24 +472,24 @@ def express(basis: Sequence[Mapping], targets: Sequence[Mapping]
     # combination uses a target pivot column
     k = sum(1 for c in pivots if c < n)
     outside = {c for row in reduced[k:] for c in row}
-    out: list[Optional[list[Fraction]]] = []
+    out: list[Optional[list[Scalar]]] = []
     for t in range(n, m.cols):
         if t in outside:
             out.append(None)
             continue
-        x = [ZERO] * n
+        x = [0] * n
         for col, row in zip(pivots[:k], reduced):
-            x[col] = row.get(t, ZERO)
+            x[col] = row.get(t, 0)
         out.append(x)
     return out
 
 
-def sparse(vec: Sequence[Fraction]) -> dict[int, Fraction]:
+def sparse(vec: Sequence[Scalar]) -> dict[int, Scalar]:
     """A dense coefficient list as a sparse vector over its positions."""
     return {i: c for i, c in enumerate(vec) if c}
 
 
-def reduce_to_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
+def reduce_to_basis(vectors: list[list[Scalar]]) -> list[list[Scalar]]:
     """Canonical (reduced-echelon) basis of the span of the given vectors."""
     if not vectors:
         return []
@@ -480,7 +497,7 @@ def reduce_to_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
     reduced, pivots = m.row_echelon()
     out = []
     for row in reduced:
-        vec = [ZERO] * m.cols
+        vec = [0] * m.cols
         for c, v in row.items():
             vec[c] = v
         out.append(vec)

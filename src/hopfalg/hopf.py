@@ -9,12 +9,11 @@ antipode recursion terminate.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Optional
 
 from .errors import InputError, StructuralError
-from .exactlin import ONE, add_scaled, add_term, map_slot, scalar
+from .exactlin import Scalar, add_scaled, add_term, map_slot, scalar
 from .ore import AlgebraElement, Combination, Monomial, OrePresentation
 from .reports import VerificationReport
 
@@ -25,7 +24,7 @@ class TensorElement(Combination):
     __slots__ = ("rank",)
 
     def __init__(self, p: OrePresentation, rank: int,
-                 terms: dict[tuple, Fraction]):
+                 terms: dict[tuple, Scalar]):
         if rank < 1:
             raise InputError("tensor rank must be positive")
         self.p = p
@@ -57,13 +56,13 @@ class TensorElement(Combination):
             return self.scale(other)
         self._check(other)
         p = self.p
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, Scalar] = {}
         for t1, c1 in self.terms.items():
             for t2, c2 in other.terms.items():
-                partial: dict[tuple, Fraction] = {(): c1 * c2}
+                partial: dict[tuple, Scalar] = {(): c1 * c2}
                 for s in range(self.rank):
                     factor = p.mul_monomials(t1[s], t2[s])
-                    nxt: dict[tuple, Fraction] = {}
+                    nxt: dict[tuple, Scalar] = {}
                     for prefix, c in partial.items():
                         for m, cm in factor.items():
                             add_term(nxt, prefix + (m,), c * cm)
@@ -95,7 +94,7 @@ def tensor_of(a: AlgebraElement, b: AlgebraElement) -> TensorElement:
     """The rank-2 tensor a (x) b."""
     if a.p is not b.p:
         raise InputError("factors belong to different presentations")
-    terms: dict[tuple, Fraction] = {}
+    terms: dict[tuple, Scalar] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             add_term(terms, (ma, mb), ca * cb)
@@ -128,7 +127,7 @@ class HopfPresentation:
         self._coproduct_cache: dict[Monomial, TensorElement] = {}
         self._antipode_cache: dict[Monomial, AlgebraElement] = {}
 
-    def _validate_delta(self, i: int, terms: dict[tuple, Fraction]):
+    def _validate_delta(self, i: int, terms: dict[tuple, Scalar]):
         gname = self.algebra.names[i]
         gdeg = self.algebra.degrees[i]
         unit = self.algebra.unit_monomial
@@ -151,7 +150,7 @@ class HopfPresentation:
 
     def unit_tensor(self) -> TensorElement:
         u = self.algebra.unit_monomial
-        return TensorElement(self.algebra, 2, {(u, u): ONE})
+        return TensorElement(self.algebra, 2, {(u, u): 1})
 
     def _coproduct_monomial(self, m: Monomial) -> TensorElement:
         cached = self._coproduct_cache.get(m)
@@ -165,7 +164,7 @@ class HopfPresentation:
             # split off the last generator letter: m = m' * x_g
             g = max(i for i, e in enumerate(m) if e)
             xg = unit[:g] + (1,) + unit[g + 1:]
-            factor_terms = {(xg, unit): ONE, (unit, xg): ONE}
+            factor_terms = {(xg, unit): 1, (unit, xg): 1}
             add_scaled(factor_terms, self.delta_gen.get(g, {}))
             factor = TensorElement(p, 2, factor_terms)
             result = self._coproduct_monomial(
@@ -177,12 +176,12 @@ class HopfPresentation:
         """Delta(a), extended from the generators as an algebra map."""
         if a.p is not self.algebra:
             raise InputError("element belongs to a different presentation")
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, Scalar] = {}
         for m, c in a.terms.items():
             add_scaled(out, self._coproduct_monomial(m).terms, c)
         return TensorElement(self.algebra, 2, out)
 
-    def counit(self, a: AlgebraElement) -> Fraction:
+    def counit(self, a: AlgebraElement) -> Scalar:
         if a.p is not self.algebra:
             raise InputError("element belongs to a different presentation")
         return a.counit()
@@ -212,8 +211,8 @@ class HopfPresentation:
             result = p.one()
         else:
             # S(m) = -m - sum S(m'_1) m'_2 over delta(m) = sum m'_1 (x) m'_2
-            mono = AlgebraElement(p, {m: ONE})
-            out = {m: -ONE}
+            mono = AlgebraElement(p, {m: 1})
+            out = {m: -1}
             for (l, r), c in self.reduced_coproduct(mono).terms.items():
                 for ml, cl in self._antipode_monomial(l).terms.items():
                     add_scaled(out, p.mul_monomials(ml, r), -c * cl)
@@ -229,7 +228,7 @@ class HopfPresentation:
             raise StructuralError(
                 "antipode recursion requires a presentation validated for the "
                 "degree-drop invariant (strict=True)")
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for m, c in a.terms.items():
             add_scaled(out, self._antipode_monomial(m).terms, c)
         return AlgebraElement(self.algebra, out)
@@ -245,11 +244,11 @@ class HopfPresentation:
         """Apply the counit to one tensor slot (rank drops by one)."""
         unit = self.algebra.unit_monomial
         return TensorElement(self.algebra, t.rank - 1, map_slot(
-            t.terms, slot, lambda m: {(): ONE} if m == unit else {}))
+            t.terms, slot, lambda m: {(): 1} if m == unit else {}))
 
     def tensor(self, terms, rank: int = 2) -> TensorElement:
         """Build a tensor from [(coeff, mono, mono, ...), ...] term data."""
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, Scalar] = {}
         for item in terms:
             c = scalar(item[0])
             key = tuple(self.algebra.monomial_tuple(m) for m in item[1:])
@@ -324,14 +323,14 @@ class HopfPresentation:
         ok_left = ok_right = True
         witness = None
         for m in p.monomials_up_to(degree_bound, include_unit=True):
-            left: dict[Monomial, Fraction] = {}
-            right: dict[Monomial, Fraction] = {}
+            left: dict[Monomial, Scalar] = {}
+            right: dict[Monomial, Scalar] = {}
             for (l, r), c in self._coproduct_monomial(m).terms.items():
                 for ml, cl in self._antipode_monomial(l).terms.items():
                     add_scaled(left, p.mul_monomials(ml, r), c * cl)
                 for mr, cr in self._antipode_monomial(r).terms.items():
                     add_scaled(right, p.mul_monomials(l, mr), c * cr)
-            want = {m: ONE} if m == p.unit_monomial else {}
+            want = {m: 1} if m == p.unit_monomial else {}
             if left != want:
                 ok_left = False
                 witness = witness or (m, AlgebraElement(p, left))
@@ -360,7 +359,7 @@ class HopfPresentation:
                   a: AlgebraElement) -> AlgebraElement:
         """Extend a generator assignment multiplicatively and linearly."""
         dst = self._image_target(images)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for m, c in a.terms.items():
             word = dst.one()
             for i, e in enumerate(m):
@@ -397,10 +396,10 @@ class HopfPresentation:
                 g = src.gen(name)
                 img = images[name]
                 lhs = dst.coproduct(img)
-                rhs_terms: dict[tuple, Fraction] = {}
+                rhs_terms: dict[tuple, Scalar] = {}
                 for (l, r), c in self.coproduct(g).terms.items():
-                    fl = self.apply_map(images, AlgebraElement(src, {l: ONE}))
-                    fr = self.apply_map(images, AlgebraElement(src, {r: ONE}))
+                    fl = self.apply_map(images, AlgebraElement(src, {l: 1}))
+                    fr = self.apply_map(images, AlgebraElement(src, {r: 1}))
                     add_scaled(rhs_terms, tensor_of(fl, fr).terms, c)
                 rhs = TensorElement(dst.algebra, 2, rhs_terms)
                 diff = lhs - rhs

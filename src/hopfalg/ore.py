@@ -15,12 +15,11 @@ the algebra; whether they are a *basis* is certified by the overlap check
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .errors import InputError, StructuralError
-from .exactlin import ONE, ZERO, add_scaled, add_term, scalar
+from .exactlin import Scalar, add_scaled, add_term, scalar
 from .reports import VerificationReport
 
 Monomial = tuple  # exponent vector, one entry per generator
@@ -71,7 +70,7 @@ class OrePresentation:
         # kappa[(j, i)] with j > i: terms of [x_j, x_i] as monomial -> coefficient.
         # The public table is a read-only view because _mul_cache is only
         # valid for one table; rewriting reads the faster plain dicts behind it.
-        self._kappa: dict[tuple[int, int], dict[Monomial, Fraction]] = {}
+        self._kappa: dict[tuple[int, int], dict[Monomial, Scalar]] = {}
         for key, value in (commutators or {}).items():
             j, i = self._pair_indices(key)
             terms = self._terms_from(value)
@@ -88,8 +87,8 @@ class OrePresentation:
         self.kappa = MappingProxyType(
             {key: MappingProxyType(terms) for key, terms in self._kappa.items()})
 
-        self._mul_cache: dict[tuple[Monomial, Monomial], dict[Monomial, Fraction]] = {}
-        self._gen_cache: dict[tuple[int, Monomial], dict[Monomial, Fraction]] = {}
+        self._mul_cache: dict[tuple[Monomial, Monomial], dict[Monomial, Scalar]] = {}
+        self._gen_cache: dict[tuple[int, Monomial], dict[Monomial, Scalar]] = {}
 
     # -- construction helpers ----------------------------------------------
 
@@ -113,9 +112,9 @@ class OrePresentation:
                 "generator order")
         return j, i
 
-    def _terms_from(self, value) -> dict[Monomial, Fraction]:
+    def _terms_from(self, value) -> dict[Monomial, Scalar]:
         """Accept [(coeff, {name: exp}), ...] or {Monomial: coeff} term data."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         if isinstance(value, dict):
             items = [(c, m) for m, c in value.items()]
         else:
@@ -209,7 +208,7 @@ class OrePresentation:
         return AlgebraElement(self, {})
 
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, {self.unit_monomial: ONE})
+        return AlgebraElement(self, {self.unit_monomial: 1})
 
     def gen(self, name: str) -> "AlgebraElement":
         i = self.index.get(name)
@@ -217,17 +216,17 @@ class OrePresentation:
             raise InputError(f"unknown generator {name!r}")
         exps = [0] * len(self.names)
         exps[i] = 1
-        return AlgebraElement(self, {tuple(exps): ONE})
+        return AlgebraElement(self, {tuple(exps): 1})
 
     def monomial(self, mono) -> "AlgebraElement":
-        return AlgebraElement(self, {self.monomial_tuple(mono): ONE})
+        return AlgebraElement(self, {self.monomial_tuple(mono): 1})
 
     def element(self, terms) -> "AlgebraElement":
         return AlgebraElement(self, self._terms_from(terms))
 
     # -- rewriting -------------------------------------------------------------
 
-    def _gen_times(self, j: int, m: Monomial) -> dict[Monomial, Fraction]:
+    def _gen_times(self, j: int, m: Monomial) -> dict[Monomial, Scalar]:
         """x_j * m for a sorted monomial m, cached on (j, m); do not mutate it.
 
         With x_i the first generator of m = x_i m': m x_j if j <= i, else
@@ -239,7 +238,7 @@ class OrePresentation:
             if m[i]:
                 break
         else:
-            return {m[:j] + (m[j] + 1,) + m[j + 1:]: ONE}
+            return {m[:j] + (m[j] + 1,) + m[j + 1:]: 1}
         key = (j, m)
         hit = self._gen_cache.get(key)
         if hit is None:
@@ -248,7 +247,7 @@ class OrePresentation:
             for t, c in self._gen_times(j, rest).items():
                 add_scaled(hit, self._gen_times(i, t), c)
             for mono, kc in self._kappa.get((j, i), {}).items():
-                kappa_rest = self._left_mul(self._letters(mono), {rest: ONE})
+                kappa_rest = self._left_mul(self._letters(mono), {rest: 1})
                 add_scaled(hit, kappa_rest, kc)
             self._gen_cache[key] = hit
         return hit
@@ -257,11 +256,11 @@ class OrePresentation:
         """The letters of a sorted monomial, right to left."""
         return (i for i in range(len(m) - 1, -1, -1) for _ in range(m[i]))
 
-    def _left_mul(self, letters, terms: dict[Monomial, Fraction]
-                  ) -> dict[Monomial, Fraction]:
+    def _left_mul(self, letters, terms: dict[Monomial, Scalar]
+                  ) -> dict[Monomial, Scalar]:
         """x_{l_k} ... x_{l_1} * terms: a new dict, or terms if no letters."""
         for j in letters:
-            nxt: dict[Monomial, Fraction] = {}
+            nxt: dict[Monomial, Scalar] = {}
             for m, c in terms.items():
                 add_scaled(nxt, self._gen_times(j, m), c)
             terms = nxt
@@ -276,19 +275,19 @@ class OrePresentation:
         return AlgebraElement(self, self._left_mul(
             letters, {self.unit_monomial: scalar(coeff)}))
 
-    def mul_monomials(self, a: Monomial, b: Monomial) -> dict[Monomial, Fraction]:
+    def mul_monomials(self, a: Monomial, b: Monomial) -> dict[Monomial, Scalar]:
         """Normal form of the product of two PBW monomials (cached)."""
         key = (a, b)
         hit = self._mul_cache.get(key)
         if hit is None:
             self._mul_cache[key] = hit = self._left_mul(self._letters(a),
-                                                        {b: ONE})
+                                                        {b: 1})
         return hit
 
     def mul(self, a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":
         if a.p is not self or b.p is not self:
             raise InputError("elements belong to a different presentation")
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Scalar] = {}
         for ma, ca in a.terms.items():
             for mb, cb in b.terms.items():
                 add_scaled(terms, self.mul_monomials(ma, mb), ca * cb)
@@ -323,7 +322,7 @@ class OrePresentation:
     def _resolve_overlap(self, k: int, j: int, i: int, inner_first: bool):
         if inner_first:
             # x_k (x_j x_i) -> x_k x_i x_j + x_k kappa_ji
-            acc = self._left_mul((j, i, k), {self.unit_monomial: ONE})
+            acc = self._left_mul((j, i, k), {self.unit_monomial: 1})
             for mono, c in self._kappa.get((j, i), {}).items():
                 add_scaled(acc, self._gen_times(k, mono), c)
         else:
@@ -369,7 +368,7 @@ class Combination:
 
     def __sub__(self, other):
         self._check(other)
-        return self._new(add_scaled(dict(self.terms), other.terms, -ONE))
+        return self._new(add_scaled(dict(self.terms), other.terms, -1))
 
     def __neg__(self):
         return self._new({k: -c for k, c in self.terms.items()})
@@ -416,7 +415,7 @@ class AlgebraElement(Combination):
 
     __slots__ = ()
 
-    def __init__(self, p: OrePresentation, terms: dict[Monomial, Fraction]):
+    def __init__(self, p: OrePresentation, terms: dict[Monomial, Scalar]):
         self.p = p
         self.terms = {m: c for m, c in terms.items() if c}
 
@@ -434,8 +433,8 @@ class AlgebraElement(Combination):
         return AlgebraElement(self.p, {
             m: c for m, c in self.terms.items() if self.p.monomial_degree(m) == n})
 
-    def counit(self) -> Fraction:
-        return self.terms.get(self.p.unit_monomial, ZERO)
+    def counit(self) -> Scalar:
+        return self.terms.get(self.p.unit_monomial, 0)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):

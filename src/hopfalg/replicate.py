@@ -16,7 +16,7 @@ from .catalog import FamilySpec, build, list_catalog, make_lie
 from .cla import cla_transform, enveloping, lantern_of_cla, verify_cla
 from .cobar import h2_report
 from .errors import HopfAlgError
-from .exactlin import Matrix
+from .exactlin import Matrix, quotient
 from .hopf import HopfPresentation, TensorElement, tensor_bracket
 from .reports import VerificationReport
 from .structure import extract_cla, lantern_of_hopf, p2_space, primitive_space
@@ -441,14 +441,15 @@ def criterion_substitutions():
             failures.append(f"K: W' substitution ({rep.failures()[0].name})")
     # base-change equivalences lam <-> 1/lam
     from .catalog import make_cla_35, make_cla_a
-    for lam in (F(2), F(3)):
-        m = Matrix.from_rows([[0, 1, 0], [-1 / lam, 0, 0], [0, 0, 1 / lam]])
-        if cla_transform(make_cla_a(1, lam, 0), m) != make_cla_a(1, 1 / lam, 0):
+    for lam in (2, 3):
+        inv = quotient(1, lam)
+        m = Matrix.from_rows([[0, 1, 0], [-inv, 0, 0], [0, 0, inv]])
+        if cla_transform(make_cla_a(1, lam, 0), m) != make_cla_a(1, inv, 0):
             failures.append(f"a(1,{lam},0) base change")
         m4 = Matrix.from_rows([[0, 1, 0, 0], [1, 0, 0, 0],
-                               [0, 0, 1 / lam, 0], [0, 0, 0, -1]])
+                               [0, 0, inv, 0], [0, 0, 0, -1]])
         src = make_cla_35("h", lam=lam, a=0)
-        dst = make_cla_35("h", lam=1 / lam, a=0)
+        dst = make_cla_35("h", lam=inv, a=0)
         if cla_transform(src, m4) != dst:
             failures.append(f"dim-4 variant h, lam={lam} base change")
     return failures

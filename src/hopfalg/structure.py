@@ -11,12 +11,11 @@ to certify statements about the full algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .cla import CLA, GradedLie
 from .errors import InputError, StructuralError
-from .exactlin import Matrix, ONE, ZERO, express, reduce_to_basis, sparse
+from .exactlin import Matrix, Scalar, express, reduce_to_basis, sparse
 from .hopf import HopfPresentation, tensor_of
 from .ore import AlgebraElement, Monomial, OrePresentation
 
@@ -56,7 +55,7 @@ class FilteredSubspace:
 
 
 def _elements_from_vectors(h: HopfPresentation, monos: list[Monomial],
-                           vectors: list[list[Fraction]]) -> list[AlgebraElement]:
+                           vectors: list[list[Scalar]]) -> list[AlgebraElement]:
     out = []
     for vec in vectors:
         terms = {m: c for m, c in zip(monos, vec) if c}
@@ -250,7 +249,7 @@ def lantern_of_hopf(h: HopfPresentation, d: int) -> GradedLie:
         by_degree.setdefault(alg.monomial_degree(m), []).append(m)
 
     lifts: dict[int, list[Monomial]] = {}
-    functionals: dict[int, list[dict[Monomial, Fraction]]] = {}
+    functionals: dict[int, list[dict[Monomial, Scalar]]] = {}
     for deg in range(1, d + 1):
         monos = by_degree.get(deg, [])
         if not monos:
@@ -267,7 +266,7 @@ def lantern_of_hopf(h: HopfPresentation, d: int) -> GradedLie:
         lifts[deg] = [monos[i] for i in free]
         # the dual functional of a lift reads its coordinate when each
         # monomial is expressed over [decomposables | lifts]
-        units = [{i: ONE} for i in range(len(monos))]
+        units = [{i: 1} for i in range(len(monos))]
         coords_of = express(decomposables + [units[i] for i in free], units)
         functionals[deg] = [
             {monos[c]: x[len(pivots) + s] for c, x in enumerate(coords_of)
@@ -283,11 +282,11 @@ def lantern_of_hopf(h: HopfPresentation, d: int) -> GradedLie:
                 g = next(i for i, e in enumerate(m) if e)
                 names.append(alg.names[g] + "*")
             else:
-                base = AlgebraElement(alg, {m: ONE}).render_monomial(m)
+                base = AlgebraElement(alg, {m: 1}).render_monomial(m)
                 names.append(f"({base})*")
             degrees.append(deg)
 
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
     for p_deg in range(1, d + 1):
         for q_deg in range(p_deg, d + 1):
             target = p_deg + q_deg
@@ -299,18 +298,18 @@ def lantern_of_hopf(h: HopfPresentation, d: int) -> GradedLie:
                     ft = functionals[q_deg][t]
                     consts = {}
                     for r, y in enumerate(lifts[target]):
-                        val = ZERO
+                        val = 0
                         for (m1, m2), c in G._coproduct_monomial(y).terms.items():
                             d1 = alg.monomial_degree(m1)
                             d2 = alg.monomial_degree(m2)
                             if d1 == p_deg and d2 == q_deg:
-                                a = fs.get(m1, ZERO)
-                                b = ft.get(m2, ZERO)
+                                a = fs.get(m1, 0)
+                                b = ft.get(m2, 0)
                                 if a and b:
                                     val += c * a * b
                             if d1 == q_deg and d2 == p_deg:
-                                a = ft.get(m1, ZERO)
-                                b = fs.get(m2, ZERO)
+                                a = ft.get(m1, 0)
+                                b = fs.get(m2, 0)
                                 if a and b:
                                     val -= c * a * b
                         if val:

@@ -286,3 +286,56 @@ def test_rank_profile_certifies_rational_kernels():
     assert m._certified_rref() == (
         [{0: 1, 2: Fraction(1, 2)}, {1: 1, 2: Fraction(3, 7)}], [0, 1])
     assert Matrix(3, 2)._certified_rref() == ([], [])
+
+
+def _rref_scalars(rref):
+    reduced, pivots = rref
+    return [v for row in reduced for v in row.values()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_fraction_rref_of_int_matrices_has_no_floats(rows, cols, data):
+    # the exact elimination divides by pivots: every quotient must be an
+    # int or a Fraction, and the result must equal the certified RREF
+    sympy = pytest.importorskip("sympy")
+    entries = data.draw(_entries(rows, cols, st.integers(-9, 9), 2 * rows * cols))
+    m = _sparse_matrix(rows, cols, entries)
+    oracle = m._fraction_rref()
+    assert all(type(v) in (int, Fraction) for v in _rref_scalars(oracle))
+    certified = m.row_echelon()
+    assert certified == oracle
+    assert all(type(v) in (int, Fraction) for v in _rref_scalars(certified))
+    # integral entries of the certified RREF and its kernel come back as ints
+    assert all(type(v) is int for v in _rref_scalars(certified)
+               if v.denominator == 1)
+    assert all(type(v) is int for vec in m.kernel_basis() for v in vec
+               if v.denominator == 1)
+    dense = sympy.Matrix(rows, cols, lambda i, j: int(m[i, j]))
+    assert len(certified[1]) == dense.rank()
+
+
+@pytest.mark.parametrize("data", [
+    [[Fraction(1, P), 1], [2, 2]],
+    [[1, 1], [1, 1 + P]],
+    [[2**40, 3**23]],
+    [[2**40, 3**30]],
+])
+def test_fraction_rref_without_certificate_has_no_floats(data):
+    sympy = pytest.importorskip("sympy")
+    m = Matrix.from_rows(data)
+    rref = m.row_echelon()
+    assert all(type(v) in (int, Fraction) for v in _rref_scalars(rref))
+    assert all(type(v) in (int, Fraction) for v in m.entries.values())
+    assert len(rref[1]) == sympy.Matrix(data).rank()
+
+
+def test_integral_rref_entries_and_coordinates_are_ints():
+    m = Matrix.from_rows([[1, 2, 3], [2, 4, 7]])
+    reduced, pivots = m.row_echelon()
+    assert (reduced, pivots) == ([{0: 1, 1: 2}, {2: 1}], [0, 2])
+    assert all(type(v) is int for row in reduced for v in row.values())
+    (vec,) = m.kernel_basis()
+    assert vec == [-2, 1, 0] and all(type(v) is int for v in vec)
+    (coords,) = express(m.columns()[:1] + m.columns()[2:], [{0: 4, 1: 9}])
+    assert coords == [1, 1] and all(type(v) is int for v in coords)

@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from hopfalg.catalog import make_cla_b
+from hopfalg.catalog import make_cla_b, make_F
 from hopfalg.errors import InputError
 from hopfalg.jsonio import (cla_from_json, cla_to_json, element_to_terms,
                             load_object, presentation_from_json,
@@ -80,3 +81,20 @@ def test_malformed_presentation_rejected():
         presentation_from_json({"generators": [{"degree": 1}]})
     with pytest.raises(InputError):
         cla_from_json({"dim": 2, "basis": ["x"]})
+
+
+def test_presentation_round_trip_keeps_scalar_types():
+    # F(0,1,5): integral coefficients (1, 5, -1) and a proper fraction -2/3
+    h = make_F(0, 1, 5)
+    text = json.dumps(presentation_to_json(h), sort_keys=True)
+    back = presentation_from_json(json.loads(text))
+    assert back.algebra.kappa == h.algebra.kappa
+    assert back.delta_gen == h.delta_gen
+    assert json.dumps(presentation_to_json(back), sort_keys=True) == text
+    coeffs = [c for terms in back.algebra.kappa.values()
+              for c in terms.values()]
+    coeffs += [c for terms in back.delta_gen.values() for c in terms.values()]
+    assert Fraction(-2, 3) in coeffs and 5 in coeffs
+    for c in coeffs:
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+    assert '"coeff": "-2/3"' in text and '"coeff": "5"' in text
