@@ -135,15 +135,6 @@ class CLA(LieConstants):
     def delta_constants(self, i: int) -> dict[tuple[int, int], Scalar]:
         return dict(self.delta.get(i, {}))
 
-    def delta_matrix(self) -> Matrix:
-        """delta as a matrix from L to L(x)L (pair coordinates (j,k))."""
-        n = self.dim
-        m = Matrix(n * n, n)
-        for i in range(n):
-            for (j, k), c in self.delta.get(i, {}).items():
-                m[j * n + k, i] = m[j * n + k, i] + c
-        return m
-
     def is_anti_cocommutative(self) -> bool:
         for terms in self.delta.values():
             for (j, k), c in terms.items():
@@ -283,15 +274,14 @@ def _compatibility_defect(L: CLA, env: HopfPresentation, i: int, j: int
 # -- kernel filtration -----------------------------------------------------------
 
 
-def _iterated_delta_kernel_dims(L: CLA, max_steps: Optional[int] = None):
+def _iterated_delta_kernel_dims(L: CLA):
     """Dimensions of ker delta^n for n = 1, 2, ... until stabilization."""
     n = L.dim
     # state: per basis vector, the iterated coproduct as {index tuple: coeff}
     tensors = [{(i,): 1} for i in range(n)]
     dims = []
-    steps = max_steps if max_steps is not None else n + 1
     kernels = []
-    for _ in range(steps):
+    for _ in range(n + 1):
         # apply delta to the first slot of each tensor
         tensors = [map_slot(t, 0, L.delta_constants) for t in tensors]
         kernel = Matrix.from_keyed_columns(tensors).kernel_basis()
@@ -306,7 +296,8 @@ def _iterated_delta_kernel_dims(L: CLA, max_steps: Optional[int] = None):
 
 def kernel_delta(L: CLA) -> list[list[Scalar]]:
     """Canonical basis of ker delta (coefficient vectors over the CLA basis)."""
-    return L.delta_matrix().kernel_basis()
+    return Matrix.from_keyed_columns(
+        [L.delta_constants(i) for i in range(L.dim)]).kernel_basis()
 
 
 def conilpotency_index(L: CLA) -> Optional[int]:

@@ -157,49 +157,61 @@ class CobarReport:
 
 def h2_report(h: HopfPresentation, bound: int,
               by_bidegree: bool = False) -> CobarReport:
-    """Kernel/image dimensions of the truncated complex in rank 2."""
+    """Kernel/image dimensions of the truncated complex in rank 2.
+
+    Both modes read one rank profile of d^2 and one of d^1, counting the
+    columns and the pivot columns of each grade: the total degree of a
+    tuple, or its bidegree.  In total mode the bases are sorted by degree,
+    so the pivots up to a level are the rank of that truncation.  In
+    bidegree mode d maps each bidegree block into tuples of the same
+    bidegree (``_require_bihomogeneous``), so blocks have disjoint rows: a
+    column is independent of the columns before it exactly when it is
+    independent of the earlier columns of its own block, and the pivots
+    inside a block number its rank.
+    """
     cx = build_complex(h, bound)
     alg = h.algebra
     if by_bidegree:
         if alg.bidegrees is None:
             raise InputError("bidegree mode requires bidegrees on all generators")
         _require_bihomogeneous(h)
-        pair_bd: dict[tuple, list[int]] = {}
-        for idx, pair in enumerate(cx.bases[2]):
-            pair_bd.setdefault(_tuple_bidegree(alg, pair), []).append(idx)
-        mono_bd: dict[tuple, list[int]] = {}
-        for idx, (m,) in enumerate(cx.bases[1]):
-            mono_bd.setdefault(alg.monomial_bidegree(m), []).append(idx)
-        d1_cols = cx.d1.columns()
-        d2_cols = cx.d2.columns()
+        grade = functools.partial(_tuple_bidegree, alg)
+    else:
+        grade = cx.tuple_degree
+    pairs = _grade_counts(cx.bases[2], cx.d2.rank_profile(), grade)
+    monos = _grade_counts(cx.bases[1], cx.d1.rank_profile(), grade)
+    if by_bidegree:
         report = CobarReport(bound, "bidegree")
-        for bd in sorted(pair_bd, key=lambda b: (b[0] + b[1], b)):
-            cols = pair_bd[bd]
-            sub2 = Matrix.from_columns([d2_cols[c] for c in cols], cx.d2.rows)
-            z = len(cols) - sub2.rank()
-            dcols = mono_bd.get(bd, [])
-            sub1 = Matrix.from_columns([d1_cols[c] for c in dcols], cx.d1.rows)
-            b = sub1.rank() if dcols else 0
+        for bd in sorted(pairs, key=lambda b: (b[0] + b[1], b)):
+            columns, rank = pairs[bd]
+            z = columns - rank
+            b = monos.get(bd, (0, 0))[1]
             report.rows.append({"bidegree": bd, "cocycles": z,
                                 "coboundaries": b, "h2": z - b})
         return report
 
-    # total-degree mode: cumulative dimensions per truncation level,
-    # read off one rank profile each (columns are sorted by degree, and
-    # pivots come in column order, so the rank of any column prefix is a count)
-    d2_pivots = cx.d2.rank_profile()
-    d1_pivots = cx.d1.rank_profile()
-    pair_degrees = [cx.tuple_degree(t) for t in cx.bases[2]]
-    mono_degrees = [cx.tuple_degree(t) for t in cx.bases[1]]
+    # total mode: cumulative dimensions per truncation level
     report = CobarReport(bound, "total")
+    z = b = 0
     for level in range(1, bound + 1):
-        k2 = sum(1 for d in pair_degrees if d <= level)
-        z = k2 - sum(1 for p in d2_pivots if p < k2)
-        k1 = sum(1 for d in mono_degrees if d <= level)
-        b = sum(1 for p in d1_pivots if p < k1)
+        columns, rank = pairs.get(level, (0, 0))
+        z += columns - rank
+        b += monos.get(level, (0, 0))[1]
         report.rows.append({"level": level, "cocycles": z,
                             "coboundaries": b, "h2": z - b})
     return report
+
+
+def _grade_counts(basis: list[tuple], pivots: list[int],
+                  grade) -> dict[object, list[int]]:
+    """grade -> [columns, pivot columns] over the tuples of a basis."""
+    grades = [grade(t) for t in basis]
+    counts: dict[object, list[int]] = {}
+    for g in grades:
+        counts.setdefault(g, [0, 0])[0] += 1
+    for p in pivots:
+        counts[grades[p]][1] += 1
+    return counts
 
 
 def _tuple_bidegree(alg, t: tuple) -> tuple[int, int]:

@@ -299,7 +299,7 @@ class Matrix:
     def _annihilates(self, vectors) -> bool:
         """Whether A v = 0 for every sparse rational vector v, checked in
         integers: column j is scaled by the lcm s_j of its denominators
-        and v_j / s_j by the lcm of those over the vector."""
+        and v by the lcm of den(v_j) * s_j over its entries."""
         columns: dict[int, dict[int, Scalar]] = {
             j: {} for vec in vectors for j in vec}
         for (i, j), v in self.entries.items():
@@ -312,11 +312,10 @@ class Matrix:
             columns[j] = {i: v.numerator * (s // v.denominator)
                           for i, v in col.items()}
         for vec in vectors:
-            w = {j: quotient(q, scale[j]) for j, q in vec.items()}
-            lcm = math.lcm(*(q.denominator for q in w.values()))
+            lcm = math.lcm(*(q.denominator * scale[j] for j, q in vec.items()))
             acc: dict[int, int] = {}
-            for j, q in w.items():
-                k = q.numerator * (lcm // q.denominator)
+            for j, q in vec.items():
+                k = q.numerator * (lcm // (q.denominator * scale[j]))
                 for i, a in columns[j].items():
                     acc[i] = acc.get(i, 0) + k * a
             if any(acc.values()):

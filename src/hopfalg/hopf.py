@@ -104,10 +104,8 @@ def tensor_of(a: AlgebraElement, b: AlgebraElement) -> TensorElement:
 class HopfPresentation:
     """Algebra presentation plus reduced coproducts of the generators."""
 
-    def __init__(self, algebra: OrePresentation, coproducts=None,
-                 *, strict: bool = True):
+    def __init__(self, algebra: OrePresentation, coproducts=None):
         self.algebra = algebra
-        self.strict = strict and algebra.strict
         # delta_gen[i]: terms of delta(x_i) as (left mono, right mono) -> coeff;
         # read-only, because the coproduct and antipode caches depend on it
         delta_gen: dict[int, MappingProxyType] = {}
@@ -120,8 +118,7 @@ class HopfPresentation:
             terms = self.tensor(value).terms
             if not terms:
                 continue
-            if strict:
-                self._validate_delta(i, terms)
+            self._validate_delta(i, terms)
             delta_gen[i] = MappingProxyType(terms)
         self.delta_gen = MappingProxyType(delta_gen)
         self._coproduct_cache: dict[Monomial, TensorElement] = {}
@@ -221,13 +218,9 @@ class HopfPresentation:
         return result
 
     def antipode(self, a: AlgebraElement) -> AlgebraElement:
-        """S(a); the recursion needs the validated degree-drop invariant."""
+        """S(a); the recursion ends by the degree drop validated at construction."""
         if a.p is not self.algebra:
             raise InputError("element belongs to a different presentation")
-        if not self.strict:
-            raise StructuralError(
-                "antipode recursion requires a presentation validated for the "
-                "degree-drop invariant (strict=True)")
         out: dict[Monomial, Scalar] = {}
         for m, c in a.terms.items():
             add_scaled(out, self._antipode_monomial(m).terms, c)

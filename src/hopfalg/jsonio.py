@@ -73,7 +73,7 @@ def terms_from_json(terms, *parts: str) -> list[tuple]:
     return [(scalar(t["coeff"]), *(t.get(k, {}) for k in parts)) for t in terms]
 
 
-def presentation_from_json(data: dict, strict: bool = True) -> HopfPresentation:
+def presentation_from_json(data: dict) -> HopfPresentation:
     try:
         gens = [GeneratorInfo(g["name"], g["degree"],
                               tuple(g["bidegree"]) if "bidegree" in g else None)
@@ -84,8 +84,7 @@ def presentation_from_json(data: dict, strict: bool = True) -> HopfPresentation:
                       name, terms in (data.get("coproducts") or {}).items()}
     except (KeyError, TypeError, AttributeError) as exc:
         raise InputError(f"malformed presentation: {exc!r}") from exc
-    algebra = OrePresentation(gens, commutators, strict=strict)
-    return HopfPresentation(algebra, coproducts, strict=strict)
+    return HopfPresentation(OrePresentation(gens, commutators), coproducts)
 
 
 def cla_to_json(L: CLA) -> dict:
@@ -134,13 +133,13 @@ def read_json(path: str):
             raise InputError(f"{path}: not valid UTF-8 JSON: {exc}") from exc
 
 
-def load_object(path: str, strict: bool = True):
+def load_object(path: str):
     """Load a Hopf presentation or a CLA from a JSON file, by schema."""
     data = read_json(path)
     if not isinstance(data, dict):
         raise InputError("top-level JSON value must be an object")
     if "generators" in data:
-        return presentation_from_json(data, strict=strict)
+        return presentation_from_json(data)
     if "basis" in data:
         return cla_from_json(data)
     raise InputError(

@@ -48,8 +48,7 @@ class GeneratorInfo:
 class OrePresentation:
     """Ordered weighted generators plus the commutator table [x_j, x_i] = kappa_ji."""
 
-    def __init__(self, generators: Sequence[GeneratorInfo], commutators=None,
-                 *, strict: bool = True):
+    def __init__(self, generators: Sequence[GeneratorInfo], commutators=None):
         gens = []
         for g in generators:
             if not isinstance(g, GeneratorInfo):
@@ -65,7 +64,6 @@ class OrePresentation:
         if with_bidegree and len(with_bidegree) != len(gens):
             raise InputError("either all generators carry a bidegree or none do")
         self.bidegrees = tuple(g.bidegree for g in gens) if with_bidegree else None
-        self.strict = strict
 
         # kappa[(j, i)] with j > i: terms of [x_j, x_i] as monomial -> coefficient.
         # The public table is a read-only view because _mul_cache is only
@@ -76,13 +74,12 @@ class OrePresentation:
             terms = self._terms_from(value)
             if not terms:
                 continue
-            if strict:
-                bound = self.degrees[i] + self.degrees[j]
-                worst = max(self.monomial_degree(m) for m in terms)
-                if worst >= bound:
-                    raise StructuralError(
-                        f"[{self.names[j]},{self.names[i]}] has weighted degree "
-                        f"{worst} >= {bound}; rewriting would not terminate")
+            bound = self.degrees[i] + self.degrees[j]
+            worst = max(self.monomial_degree(m) for m in terms)
+            if worst >= bound:
+                raise StructuralError(
+                    f"[{self.names[j]},{self.names[i]}] has weighted degree "
+                    f"{worst} >= {bound}; rewriting would not terminate")
             self._kappa[(j, i)] = terms
         self.kappa = MappingProxyType(
             {key: MappingProxyType(terms) for key, terms in self._kappa.items()})

@@ -221,9 +221,8 @@ def associated_graded(h: HopfPresentation) -> HopfPresentation:
                              {p.names[t]: e for t, e in enumerate(r) if e}))
         if kept:
             coproducts[p.names[g]] = kept
-    algebra = OrePresentation(list(p.generators), commutators,
-                              strict=p.strict)
-    return HopfPresentation(algebra, coproducts, strict=h.strict)
+    return HopfPresentation(OrePresentation(list(p.generators), commutators),
+                            coproducts)
 
 
 # -- lantern -----------------------------------------------------------------------
@@ -232,10 +231,13 @@ def associated_graded(h: HopfPresentation) -> HopfPresentation:
 def lantern_of_hopf(h: HopfPresentation, d: int) -> GradedLie:
     """Graded Lie algebra dual to the associated graded algebra, degrees <= d.
 
-    In each degree m the indecomposable quotient of gr H is computed by
-    greedy echelon pivoting; the dual basis of a monomial complement gives
-    the degree-m component.  Brackets of dual functionals pair against the
-    coproduct of lifted indecomposables:
+    In each degree m the functionals on gr H that kill every product of
+    lower-degree monomials are the kernel of the product matrix (one row
+    per product, one column per monomial of degree m).  Its canonical
+    kernel basis is dual to the free columns: the vector of free column f
+    reads 1 on monomial f, 0 on every other free monomial, and f is its
+    largest support index, the indecomposable it lifts.  Brackets of dual
+    functionals pair against the coproduct of lifted indecomposables:
     [f, g](y) = (f (x) g - g (x) f)(Delta y), which is independent of the
     lift because commutators of primitive functionals kill decomposables.
     """
@@ -248,74 +250,45 @@ def lantern_of_hopf(h: HopfPresentation, d: int) -> GradedLie:
     for m in alg.monomials_up_to(d):
         by_degree.setdefault(alg.monomial_degree(m), []).append(m)
 
-    lifts: dict[int, list[Monomial]] = {}
-    functionals: dict[int, list[dict[Monomial, Scalar]]] = {}
+    # (degree, lifted indecomposable, dual functional), by degree
+    lantern: list[tuple[int, Monomial, dict[Monomial, Scalar]]] = []
     for deg in range(1, d + 1):
         monos = by_degree.get(deg, [])
-        if not monos:
-            lifts[deg] = functionals[deg] = []
-            continue
         coords = {m: i for i, m in enumerate(monos)}
         products = [alg.mul_monomials(u, v) for lower in range(1, deg)
                     for u in by_degree.get(lower, [])
                     for v in by_degree.get(deg - lower, [])]
-        decomposables, pivots = Matrix(len(products), len(monos), {
+        matrix = Matrix(len(products), len(monos), {
             (r, coords[m]): c for r, prod in enumerate(products)
-            for m, c in prod.items()}).row_echelon() if products else ([], [])
-        free = sorted(set(range(len(monos))) - set(pivots))
-        lifts[deg] = [monos[i] for i in free]
-        # the dual functional of a lift reads its coordinate when each
-        # monomial is expressed over [decomposables | lifts]
-        units = [{i: 1} for i in range(len(monos))]
-        coords_of = express(decomposables + [units[i] for i in free], units)
-        functionals[deg] = [
-            {monos[c]: x[len(pivots) + s] for c, x in enumerate(coords_of)
-             if x[len(pivots) + s]} for s in range(len(free))]
+            for m, c in prod.items()})
+        for vec in matrix.kernel_basis():
+            terms = sparse(vec)
+            lantern.append((deg, monos[max(terms)],
+                            {monos[i]: c for i, c in terms.items()}))
 
     names = []
-    degrees = []
-    index: dict[tuple[int, int], int] = {}
-    for deg in range(1, d + 1):
-        for s, m in enumerate(lifts[deg]):
-            index[(deg, s)] = len(names)
-            if sum(m) == 1:
-                g = next(i for i, e in enumerate(m) if e)
-                names.append(alg.names[g] + "*")
-            else:
-                base = AlgebraElement(alg, {m: 1}).render_monomial(m)
-                names.append(f"({base})*")
-            degrees.append(deg)
+    for _, m, _ in lantern:
+        if sum(m) == 1:
+            g = next(i for i, e in enumerate(m) if e)
+            names.append(alg.names[g] + "*")
+        else:
+            base = AlgebraElement(alg, {m: 1}).render_monomial(m)
+            names.append(f"({base})*")
 
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for p_deg in range(1, d + 1):
-        for q_deg in range(p_deg, d + 1):
-            target = p_deg + q_deg
-            if target > d or not lifts.get(target):
-                continue
-            for s, fs in enumerate(functionals[p_deg]):
-                t_start = s + 1 if p_deg == q_deg else 0
-                for t in range(t_start, len(functionals[q_deg])):
-                    ft = functionals[q_deg][t]
-                    consts = {}
-                    for r, y in enumerate(lifts[target]):
-                        val = 0
-                        for (m1, m2), c in G._coproduct_monomial(y).terms.items():
-                            d1 = alg.monomial_degree(m1)
-                            d2 = alg.monomial_degree(m2)
-                            if d1 == p_deg and d2 == q_deg:
-                                a = fs.get(m1, 0)
-                                b = ft.get(m2, 0)
-                                if a and b:
-                                    val += c * a * b
-                            if d1 == q_deg and d2 == p_deg:
-                                a = ft.get(m1, 0)
-                                b = fs.get(m2, 0)
-                                if a and b:
-                                    val -= c * a * b
-                        if val:
-                            consts[index[(target, r)]] = val
-                    if consts:
-                        ii = index[(p_deg, s)]
-                        jj = index[(q_deg, t)]
-                        brackets[(ii, jj)] = consts
-    return GradedLie(names, degrees, brackets)
+    for i, (p, _, f) in enumerate(lantern):
+        for j in range(i + 1, len(lantern)):
+            q, _, g = lantern[j]
+            consts = {}
+            for k, (r, y, _) in enumerate(lantern):
+                if r != p + q:
+                    continue
+                val = sum(c * (f.get(m1, 0) * g.get(m2, 0)
+                               - g.get(m1, 0) * f.get(m2, 0))
+                          for (m1, m2), c in
+                          G._coproduct_monomial(y).terms.items())
+                if val:
+                    consts[k] = val
+            if consts:
+                brackets[(i, j)] = consts
+    return GradedLie(names, [deg for deg, _, _ in lantern], brackets)

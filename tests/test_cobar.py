@@ -138,6 +138,55 @@ def test_total_mode_is_served_by_certified_rank_profiles(K, monkeypatch):
     assert rep.rows[-1]["cocycles"] == 1392 - 1257
 
 
+def _block_ranks(h, bound):
+    """Bidegree rows from one rank per bidegree block of d2 and of d1."""
+    cx = build_complex(h, bound)
+    alg = h.algebra
+
+    def bidegree(t):
+        return tuple(sum(alg.monomial_bidegree(m)[s] for m in t)
+                     for s in (0, 1))
+
+    d1_cols, d2_cols = cx.d1.columns(), cx.d2.columns()
+    rows = []
+    for bd in sorted({bidegree(t) for t in cx.bases[2]},
+                     key=lambda b: (sum(b), b)):
+        cols = [c for c, t in enumerate(cx.bases[2]) if bidegree(t) == bd]
+        z = len(cols) - Matrix.from_columns(
+            [d2_cols[c] for c in cols], cx.d2.rows).rank()
+        dcols = [c for c, t in enumerate(cx.bases[1]) if bidegree(t) == bd]
+        b = Matrix.from_columns(
+            [d1_cols[c] for c in dcols], cx.d1.rows).rank() if dcols else 0
+        rows.append({"bidegree": bd, "cocycles": z, "coboundaries": b,
+                     "h2": z - b})
+    return rows
+
+
+@pytest.mark.parametrize("family, bound", [("A000", 8), ("D01", 6)])
+def test_bidegree_rows_match_block_ranks(family, bound, request):
+    # the two bihomogeneous presentations of the catalog: pivots counted
+    # per block of one rank profile equal the rank of each block alone
+    h = request.getfixturevalue(family)
+    assert h2_report(h, bound, by_bidegree=True).rows == _block_ranks(h, bound)
+
+
+@pytest.mark.parametrize("by_bidegree", [False, True])
+def test_h2_report_takes_one_elimination_per_differential(A000, by_bidegree,
+                                                          monkeypatch):
+    shapes = []
+    echelon = Matrix.row_echelon
+
+    def spy(self):
+        shapes.append((self.rows, self.cols))
+        return echelon(self)
+
+    monkeypatch.setattr(Matrix, "row_echelon", spy)
+    rep = h2_report(A000, 6, by_bidegree=by_bidegree)
+    assert rep.total_h2 == 2
+    cx = build_complex(A000, 6)
+    assert shapes == [(cx.d2.rows, cx.d2.cols), (cx.d1.rows, cx.d1.cols)]
+
+
 def _expire(signum, frame):
     raise TimeoutError("cobar report exceeded its time budget")
 

@@ -155,19 +155,20 @@ def test_reduced_coassociativity_on_monomials(D01):
         assert left == right
 
 
-def test_coassociativity_detects_corruption(A000):
-    # delta(Z) = X (x) Z breaks the degree-drop invariant, so it can only
-    # be built without validation; coassociativity must then fail with
-    # witness X (x) X (x) Z
-    algebra = OrePresentation([("X", 1), ("Y", 1), ("Z", 2)])
-    bad = HopfPresentation(algebra, {"Z": [(1, {"X": 1}, {"Z": 1})]},
-                           strict=False)
+def test_coassociativity_detects_corruption():
+    # delta(W) = X (x) Z passes validation (factors of degree 1 and 2 below
+    # deg W = 3), but delta(Z) = X (x) Y - Y (x) X is not zero, so
+    # (Delta (x) id) Delta(W) - (id (x) Delta) Delta(W) = -X (x) delta(Z)
+    algebra = OrePresentation([("X", 1), ("Y", 1), ("Z", 2), ("W", 3)])
+    bad = HopfPresentation(algebra, {
+        "Z": [(1, {"X": 1}, {"Y": 1}), (-1, {"Y": 1}, {"X": 1})],
+        "W": [(1, {"X": 1}, {"Z": 1})]})
     report = bad.verify_coassociativity()
     assert not report.passed
     witness = next(c.witness for c in report.failures())
     x = algebra.monomial_tuple({"X": 1})
-    z = algebra.monomial_tuple({"Z": 1})
-    assert witness.terms == {(x, x, z): -1}
+    y = algebra.monomial_tuple({"Y": 1})
+    assert witness.terms == {(x, x, y): -1, (x, y, x): 1}
 
 
 def test_strict_construction_rejects_degree_violations():
@@ -176,14 +177,6 @@ def test_strict_construction_rejects_degree_violations():
         HopfPresentation(algebra, {"Z": [(1, {"X": 1}, {"Z": 1})]})
     with pytest.raises(StructuralError):
         HopfPresentation(algebra, {"Z": [(1, {}, {"X": 1})]})
-
-
-def test_antipode_refuses_unvalidated_presentation():
-    algebra = OrePresentation([("X", 1), ("Y", 1), ("Z", 2)])
-    bad = HopfPresentation(algebra, {"Z": [(1, {"X": 1}, {"Z": 1})]},
-                           strict=False)
-    with pytest.raises(StructuralError):
-        bad.antipode(algebra.gen("Z"))
 
 
 def test_compatibility_detects_wrong_sign():

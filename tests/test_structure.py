@@ -1,5 +1,7 @@
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +225,41 @@ def test_lantern_agrees_with_cla_computation():
         assert lh.degrees == lc.degrees
         assert lh.brackets == lc.brackets
         assert lh.names == lc.names
+
+
+def test_lanterns_match_golden_on_catalog():
+    # tests/golden/lanterns_d4.json holds lantern_of_hopf(h, 4) of every
+    # Hopf presentation of the catalog: integral constants as JSON ints,
+    # Fractions as "p/q" strings, so a change of scalar type shows too
+    golden = json.loads((Path(__file__).parent / "golden" /
+                         "lanterns_d4.json").read_text())
+    seen = {}
+    for spec, h in hopf_catalog():
+        gl = lantern_of_hopf(h, 4)
+        seen[spec.describe()] = {
+            "names": gl.names, "degrees": gl.degrees,
+            "brackets": {f"{i},{j}": {str(k): c if isinstance(c, int) else str(c)
+                                      for k, c in sorted(terms.items())}
+                         for (i, j), terms in sorted(gl.brackets.items())}}
+    assert seen == golden
+
+
+def test_lantern_takes_one_elimination_per_degree(D01, monkeypatch):
+    # the dual functionals are the kernel basis of each degree's product
+    # matrix; no second elimination re-expresses the monomials
+    calls = []
+    echelon = Matrix.row_echelon
+
+    def spy(self):
+        calls.append(self.cols)
+        return echelon(self)
+
+    monkeypatch.setattr(Matrix, "row_echelon", spy)
+    for d in range(1, 6):
+        calls.clear()
+        gl = lantern_of_hopf(D01, d)
+        assert len(calls) == d
+    assert gl.dims_by_degree() == {1: 2, 2: 1, 3: 1}
 
 
 def test_lantern_generated_in_degree_one(K):
