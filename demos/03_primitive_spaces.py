@@ -17,7 +17,7 @@ print("   delta(W) =", d.reduced_coproduct(d.algebra.gen("W")))
 
 for bound in (3, 4, 5):
     p = primitive_space(d, bound)
-    q = p2_space(d, bound, primitives=p)
+    q = p2_space(d, bound)
     print(f"bound {bound}: dim P = {p.dim}, basis {p.basis}; "
           f"dim P2 = {q.dim}, basis {q.basis}")
 

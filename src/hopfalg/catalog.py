@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cla import CLA
+from .cla import CLA, _checked_envelope
 from .errors import InputError, ParameterError
 from .exactlin import scalar
 from .hopf import HopfPresentation
@@ -170,14 +170,12 @@ def make_lie(basis, brackets) -> HopfPresentation:
     basis; all generators are primitive with weight 1.  The constants must
     satisfy Jacobi (checked via the CLA machinery with delta = 0).
     """
-    L = CLA(basis, brackets)
-    from .cla import enveloping, verify_cla
-    report = verify_cla(L)
-    if not report.passed:
+    report, env = _checked_envelope(CLA(basis, brackets))
+    if env is None:
         raise InputError(
             f"structure constants are not a Lie algebra: "
             f"{report.failures()[0].name}")
-    return enveloping(L, check=False)
+    return env
 
 
 def make_cla_a(l1, l2, alpha) -> CLA:

@@ -8,8 +8,14 @@ enveloping algebra:
                  + [a_1,b](x)a_2 + a_1(x)[a_2,b] + [delta(a), delta(b)]
 
 (Sweedler notation, sums omitted).  The last term is a commutator of
-tensors in U(L)(x)U(L), which is why the compatibility check builds the
-enveloping presentation.
+tensors in U(L)(x)U(L), so the check builds the enveloping presentation
+and runs its ``verify_compatibility``, Delta([a,b]) = [Delta a, Delta b].
+With Delta = x(x)1 + 1(x)x + delta on generators, expand
+[a(x)1 + 1(x)a + delta(a), b(x)1 + 1(x)b + delta(b)]: the primitive parts
+give [a,b](x)1 + 1(x)[a,b], the part of Delta([a,b]) outside
+delta([a,b]); the commutators of a primitive part with a delta give the
+first four terms above; and [delta(a), delta(b)] is the last.  So the
+two checks agree.
 """
 
 from __future__ import annotations
@@ -19,9 +25,9 @@ from typing import Optional, Sequence
 
 from .errors import InputError, StructuralError
 from .exactlin import (Matrix, Scalar, add_scaled, add_term, express, map_slot,
-                       reduce_to_basis, scalar, sparse)
-from .hopf import HopfPresentation, TensorElement, tensor_bracket, tensor_of
-from .ore import AlgebraElement, GeneratorInfo, OrePresentation
+                       reduce_to_basis, scalar)
+from .hopf import HopfPresentation
+from .ore import GeneratorInfo, OrePresentation
 from .reports import VerificationReport
 
 
@@ -93,6 +99,8 @@ class CLA(LieConstants):
 
     def __init__(self, basis: Sequence[str], brackets=None, delta=None):
         self.names = tuple(basis)
+        if not all(isinstance(name, str) for name in self.names):
+            raise InputError("basis names must be strings")
         if len(set(self.names)) != len(self.names):
             raise InputError("basis names must be unique")
         n = self.dim
@@ -198,12 +206,40 @@ class GradedLie(LieConstants):
                 f"{'; '.join(rels) or 'abelian'})")
 
 
-# -- verification ----------------------------------------------------------------
+# -- verification and the enveloping algebra ------------------------------------
 
 
 def verify_cla(L: CLA) -> VerificationReport:
     """Jacobi, coassociativity, the bracket/coproduct compatibility, and an
-    informational anti-cocommutativity flag."""
+    informational anti-cocommutativity flag.
+
+    The compatibility check builds U(L) once and runs its
+    ``verify_compatibility``; when U(L) cannot be built (L is not
+    conilpotent, or its basis is not adapted to the kernel filtration of
+    delta) the check fails with the reason as its detail.
+    """
+    return _checked_envelope(L)[0]
+
+
+def enveloping(L: CLA) -> HopfPresentation:
+    """The enveloping Hopf presentation U(L) of a CLA that passes ``verify_cla``.
+
+    The commutator table is the bracket and the reduced coproduct table is
+    delta.  Filtration weights are read off the kernel filtration of delta
+    (weight n for basis vectors first killed by the n-fold coproduct); for
+    anti-cocommutative CLAs this is weight 1 on ker delta and 2 elsewhere.
+    Raises StructuralError naming the first failed axiom otherwise.
+    """
+    report, env = _checked_envelope(L)
+    if env is None:
+        raise StructuralError(
+            f"CLA axioms fail, cannot envelope: {report.failures()[0].name}")
+    return env
+
+
+def _checked_envelope(L: CLA
+                      ) -> tuple[VerificationReport, Optional[HopfPresentation]]:
+    """The ``verify_cla`` report, and U(L) when the report passes (else None)."""
     report = VerificationReport(f"CLA axioms for {L!r}")
     n = L.dim
 
@@ -216,141 +252,41 @@ def verify_cla(L: CLA) -> VerificationReport:
                    None)
     report.add("coassociativity of delta", witness is None, witness=witness)
 
+    env = None
     try:
-        env = enveloping(L, check=False)
-        compat_ok = True
-        witness = None
-        for i in range(n):
-            for j in range(i + 1, n):
-                diff = _compatibility_defect(L, env, i, j)
-                if not diff.is_zero():
-                    compat_ok = False
-                    witness = witness or (L.names[i], L.names[j], diff)
-        report.add("bracket/coproduct compatibility in U(L)", compat_ok,
-                   witness=witness)
+        env = _envelope(L)
     except (StructuralError, InputError) as exc:
         report.add("bracket/coproduct compatibility in U(L)", False,
                    detail=f"enveloping presentation could not be built: {exc}")
+    else:
+        failures = env.verify_compatibility().failures()
+        report.add("bracket/coproduct compatibility in U(L)", not failures,
+                   witness=failures[0].witness if failures else None)
 
     report.add("anti-cocommutative", L.is_anti_cocommutative(),
                informational=True)
-    return report
+    return report, env if report.passed else None
 
 
-def _compatibility_defect(L: CLA, env: HopfPresentation, i: int, j: int
-                          ) -> TensorElement:
-    """LHS minus RHS of the compatibility condition for the pair (x_i, x_j)."""
-    p = env.algebra
-    gens = [p.monomial_tuple({name: 1}) for name in p.names]
-
-    def gen_elt(k: int) -> AlgebraElement:
-        return AlgebraElement(p, {gens[k]: 1})
-
-    def bracket_elt(a: int, b: int) -> AlgebraElement:
-        return AlgebraElement(p, {gens[k]: c for k, c in
-                                  L.bracket_constants(a, b).items()})
-
-    def delta_tensor(k: int) -> TensorElement:
-        return TensorElement(p, 2, {(gens[a], gens[b]): c for (a, b), c in
-                                    L.delta_constants(k).items()})
-
-    lhs: dict[tuple, Scalar] = {}
-    for k, c in L.bracket_constants(i, j).items():
-        add_scaled(lhs, delta_tensor(k).terms, c)
-
-    rhs: dict[tuple, Scalar] = {}
-    # b_1 (x) [a, b_2]  and  [a, b_1] (x) b_2
-    for (pp, qq), c in L.delta_constants(j).items():
-        add_scaled(rhs, tensor_of(gen_elt(pp), bracket_elt(i, qq)).terms, c)
-        add_scaled(rhs, tensor_of(bracket_elt(i, pp), gen_elt(qq)).terms, c)
-    # [a_1, b] (x) a_2  and  a_1 (x) [a_2, b]
-    for (pp, qq), c in L.delta_constants(i).items():
-        add_scaled(rhs, tensor_of(bracket_elt(pp, j), gen_elt(qq)).terms, c)
-        add_scaled(rhs, tensor_of(gen_elt(pp), bracket_elt(qq, j)).terms, c)
-    add_scaled(rhs, tensor_bracket(delta_tensor(i), delta_tensor(j)).terms)
-    return TensorElement(p, 2, add_scaled(lhs, rhs, -1))
-
-
-# -- kernel filtration -----------------------------------------------------------
-
-
-def _iterated_delta_kernel_dims(L: CLA):
-    """Dimensions of ker delta^n for n = 1, 2, ... until stabilization."""
-    n = L.dim
-    # state: per basis vector, the iterated coproduct as {index tuple: coeff}
-    tensors = [{(i,): 1} for i in range(n)]
-    dims = []
-    kernels = []
-    for _ in range(n + 1):
-        # apply delta to the first slot of each tensor
-        tensors = [map_slot(t, 0, L.delta_constants) for t in tensors]
-        kernel = Matrix.from_keyed_columns(tensors).kernel_basis()
-        dims.append(len(kernel))
-        kernels.append(kernel)
-        if len(kernel) == n:
-            break
-        if len(dims) >= 2 and dims[-1] == dims[-2]:
-            break
-    return dims, kernels
-
-
-def kernel_delta(L: CLA) -> list[list[Scalar]]:
-    """Canonical basis of ker delta (coefficient vectors over the CLA basis)."""
-    return Matrix.from_keyed_columns(
-        [L.delta_constants(i) for i in range(L.dim)]).kernel_basis()
-
-
-def conilpotency_index(L: CLA) -> Optional[int]:
-    """Smallest n with ker delta^n = L, or None when the chain stabilizes early."""
-    dims, _ = _iterated_delta_kernel_dims(L)
-    for step, d in enumerate(dims, start=1):
-        if d == L.dim:
-            return step
-    return None
-
-
-# -- enveloping algebra ----------------------------------------------------------
-
-
-def enveloping(L: CLA, check: bool = True) -> HopfPresentation:
-    """The enveloping Hopf presentation U(L).
-
-    The commutator table is the bracket and the reduced coproduct table is
-    delta.  Filtration weights are read off the kernel filtration of delta
-    (weight n for basis vectors first killed by the n-fold coproduct); for
-    anti-cocommutative CLAs this is weight 1 on ker delta and 2 elsewhere.
-    """
-    if check:
-        report = verify_cla(L)
-        if not report.passed:
-            raise StructuralError(
-                f"CLA axioms fail, cannot envelope: {report.failures()[0].name}")
-
-    dims, kernels = _iterated_delta_kernel_dims(L)
-    if not dims or dims[-1] != L.dim:
+def _envelope(L: CLA) -> HopfPresentation:
+    """U(L) built from the structure constants, without checking the axioms."""
+    steps = _delta_kernel_steps(L)
+    if steps[-1][0] != L.dim:
         raise StructuralError(
             "CLA is not (locally) conilpotent: the kernel filtration of delta "
             "stabilizes below L, so U(L) is a bialgebra but not a connected "
             "Hopf algebra")
 
     n = L.dim
-    weights: list[Optional[int]] = [None] * n
-    units = [{i: 1} for i in range(n)]
-    for step, kernel in enumerate(kernels, start=1):
-        basis_in = 0
-        coords = express([sparse(v) for v in kernel], units)
-        for i in range(n):
-            if coords[i] is not None:
-                basis_in += 1
-                if weights[i] is None:
-                    weights[i] = step
-        if basis_in != len(kernel):
+    weights = [0] * n
+    for step, (dim, killed) in enumerate(steps, start=1):
+        if len(killed) != dim:
             raise StructuralError(
                 "the standard basis is not adapted to the kernel filtration "
                 "of delta; change basis (cla_transform) so that each ker "
                 "delta^n is spanned by basis vectors")
-    if any(w is None for w in weights):
-        raise StructuralError("no valid weight assignment for the basis")
+        for i in killed:
+            weights[i] = weights[i] or step
 
     gens = [GeneratorInfo(L.names[i], weights[i]) for i in range(n)]
     commutators = {}
@@ -371,6 +307,45 @@ def enveloping(L: CLA, check: bool = True) -> HopfPresentation:
         return HopfPresentation(algebra, coproducts)
     except StructuralError as exc:
         raise StructuralError(f"no valid weight assignment: {exc}") from exc
+
+
+# -- kernel filtration -----------------------------------------------------------
+
+
+def _delta_kernel_steps(L: CLA) -> list[tuple[int, list[int]]]:
+    """(dim ker delta^n, basis indices i with delta^n(x_i) = 0) for n = 1, 2, ...
+
+    Stops once ker delta^n = L or the dimension repeats.  Basis vector i
+    lies in ker delta^n exactly when its column of iterated coproducts is
+    zero, so the basis is adapted to the filtration when the killed
+    indices number dim ker delta^n at every step.
+    """
+    n = L.dim
+    # per basis vector, the iterated coproduct as {index tuple: coeff}
+    tensors = [{(i,): 1} for i in range(n)]
+    steps: list[tuple[int, list[int]]] = []
+    for _ in range(n + 1):
+        # apply delta to the first slot of each tensor
+        tensors = [map_slot(t, 0, L.delta_constants) for t in tensors]
+        dim = n - Matrix.from_keyed_columns(tensors).rank()
+        steps.append((dim, [i for i, t in enumerate(tensors) if not t]))
+        if dim == n or (len(steps) >= 2 and dim == steps[-2][0]):
+            break
+    return steps
+
+
+def kernel_delta(L: CLA) -> list[list[Scalar]]:
+    """Canonical basis of ker delta (coefficient vectors over the CLA basis)."""
+    return Matrix.from_keyed_columns(
+        [L.delta_constants(i) for i in range(L.dim)]).kernel_basis()
+
+
+def conilpotency_index(L: CLA) -> Optional[int]:
+    """Smallest n with ker delta^n = L, or None when the chain stabilizes early."""
+    for step, (dim, _) in enumerate(_delta_kernel_steps(L), start=1):
+        if dim == L.dim:
+            return step
+    return None
 
 
 # -- lantern ------------------------------------------------------------------------

@@ -40,29 +40,25 @@ class CobarComplex:
         return sum(alg.monomial_degree(m) for m in t)
 
     def differential_one(self, t: tuple) -> dict[tuple, Scalar]:
-        return _d1_map(self.presentation)(t[0])
+        return self.presentation._reduced_monomial(t[0])
 
     def differential_two(self, t: tuple) -> dict[tuple, Scalar]:
-        return _apply_d2(_d1_map(self.presentation), {t: 1})
+        return _apply_d2(self.presentation, {t: 1})
 
     def verify_differential(self) -> VerificationReport:
         """d^2 = 0, composed symbolically on every rank-1 basis element."""
         report = VerificationReport("cobar differential squares to zero")
-        d1 = _d1_map(self.presentation)
-        witness = next((m for (m,) in self.bases[1] if _apply_d2(d1, d1(m))),
-                       None)
+        h = self.presentation
+        witness = next((m for (m,) in self.bases[1]
+                        if _apply_d2(h, h._reduced_monomial(m))), None)
         report.add("d2 after d1 vanishes", witness is None, witness=witness)
         return report
 
 
-def _d1_map(h: HopfPresentation):
-    """d^1 on monomials, m -> delta(m) as {pair: coefficient}, memoised."""
-    return functools.cache(lambda m: h.reduced_coproduct(
-        AlgebraElement(h.algebra, {m: 1})).terms)
-
-
-def _apply_d2(d1, w: dict[tuple, Scalar]) -> dict[tuple, Scalar]:
-    """d^2 of a rank-2 cochain {pair: coefficient}: d1 on each slot, signed."""
+def _apply_d2(h: HopfPresentation,
+              w: dict[tuple, Scalar]) -> dict[tuple, Scalar]:
+    """d^2 of a rank-2 cochain {pair: coefficient}: d^1 on each slot, signed."""
+    d1 = h._reduced_monomial
     return map_slot(w, 1, d1, -1, map_slot(w, 0, d1))
 
 
@@ -99,9 +95,9 @@ def build_complex(h: HopfPresentation, bound: int) -> CobarComplex:
     coords = {r: {t: i for i, t in enumerate(basis)}
               for r, basis in bases.items()}
 
-    d1 = _d1_map(h)
-    d1_cols = [{coords[2][t]: c for t, c in d1(m).items()} for m in monos]
-    d2_cols = [{coords[3][t]: c for t, c in _apply_d2(d1, {pair: 1}).items()}
+    d1_cols = [{coords[2][t]: c for t, c in h._reduced_monomial(m).items()}
+               for m in monos]
+    d2_cols = [{coords[3][t]: c for t, c in _apply_d2(h, {pair: 1}).items()}
                for pair in bases[2]]
     return CobarComplex(h, bound, bases, coords,
                         Matrix.from_columns(d1_cols, max(len(bases[2]), 1)),
@@ -265,15 +261,14 @@ def is_coboundary(h: HopfPresentation, w: TensorElement,
     if w.p is not h.algebra:
         raise InputError("tensor belongs to a different presentation")
     # cocycle precondition: the derivation differential must kill w
-    d1 = _d1_map(h)
-    if _apply_d2(d1, w.terms):
+    if _apply_d2(h, w.terms):
         raise InputError("input is not a 2-cocycle")
     deg = w.total_degree()
     level = max(deg if deg is not None else 1, 1)
     if level > bound:
         raise InputError(f"tensor degree {level} exceeds the bound {bound}")
     monos = h.algebra.monomials_up_to(level)
-    cols = [d1(m) for m in monos]
+    cols = [h._reduced_monomial(m) for m in monos]
     sol = express(cols, [w.terms])[0]
     rank = Matrix.from_keyed_columns(cols).rank()
     if sol is None:

@@ -122,6 +122,7 @@ class HopfPresentation:
             delta_gen[i] = MappingProxyType(terms)
         self.delta_gen = MappingProxyType(delta_gen)
         self._coproduct_cache: dict[Monomial, TensorElement] = {}
+        self._reduced_cache: dict[Monomial, dict[tuple, Scalar]] = {}
         self._antipode_cache: dict[Monomial, AlgebraElement] = {}
 
     def _validate_delta(self, i: int, terms: dict[tuple, Scalar]):
@@ -189,13 +190,21 @@ class HopfPresentation:
             raise InputError("element belongs to a different presentation")
         if a.counit() != 0:
             raise InputError("reduced coproduct requires counit(a) = 0")
-        t = self.coproduct(a)
-        unit = self.algebra.unit_monomial
-        terms = dict(t.terms)
+        out: dict[tuple, Scalar] = {}
         for m, c in a.terms.items():
-            add_term(terms, (m, unit), -c)
-            add_term(terms, (unit, m), -c)
-        return TensorElement(self.algebra, 2, terms)
+            add_scaled(out, self._reduced_monomial(m), c)
+        return TensorElement(self.algebra, 2, out)
+
+    def _reduced_monomial(self, m: Monomial) -> dict[tuple, Scalar]:
+        """Delta(m) - m(x)1 - 1(x)m as {pair: coeff}, cached; do not mutate it."""
+        cached = self._reduced_cache.get(m)
+        if cached is None:
+            unit = self.algebra.unit_monomial
+            cached = dict(self._coproduct_monomial(m).terms)
+            add_term(cached, (m, unit), -1)
+            add_term(cached, (unit, m), -1)
+            self._reduced_cache[m] = cached
+        return cached
 
     # -- antipode ----------------------------------------------------------------
 
@@ -208,9 +217,8 @@ class HopfPresentation:
             result = p.one()
         else:
             # S(m) = -m - sum S(m'_1) m'_2 over delta(m) = sum m'_1 (x) m'_2
-            mono = AlgebraElement(p, {m: 1})
             out = {m: -1}
-            for (l, r), c in self.reduced_coproduct(mono).terms.items():
+            for (l, r), c in self._reduced_monomial(m).items():
                 for ml, cl in self._antipode_monomial(l).terms.items():
                     add_scaled(out, p.mul_monomials(ml, r), -c * cl)
             result = AlgebraElement(p, out)

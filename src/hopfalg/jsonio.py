@@ -31,9 +31,7 @@ from .ore import AlgebraElement, GeneratorInfo, OrePresentation
 
 
 def element_to_terms(a: AlgebraElement) -> list[dict]:
-    names = a.p.names
-    return [{"coeff": str(c),
-             "monomial": {n: e for n, e in zip(names, m) if e}}
+    return [{"coeff": str(c), "monomial": a.p.monomial_dict(m)}
             for m, c in a.sorted_terms()]
 
 
@@ -49,16 +47,14 @@ def presentation_to_json(h: HopfPresentation) -> dict:
     for (j, i), terms in sorted(alg.kappa.items()):
         key = f"{alg.names[j]},{alg.names[i]}"
         commutators[key] = [
-            {"coeff": str(c),
-             "monomial": {n: e for n, e in zip(alg.names, m) if e}}
+            {"coeff": str(c), "monomial": alg.monomial_dict(m)}
             for m, c in sorted(terms.items(),
                                key=lambda kv: alg.monomial_key(kv[0]))]
     coproducts = {}
     for g, terms in sorted(h.delta_gen.items()):
         coproducts[alg.names[g]] = [
-            {"coeff": str(c),
-             "left": {n: e for n, e in zip(alg.names, l) if e},
-             "right": {n: e for n, e in zip(alg.names, r) if e}}
+            {"coeff": str(c), "left": alg.monomial_dict(l),
+             "right": alg.monomial_dict(r)}
             for (l, r), c in sorted(
                 terms.items(),
                 key=lambda kv: (alg.monomial_key(kv[0][0]),

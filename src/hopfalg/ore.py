@@ -25,6 +25,10 @@ from .reports import VerificationReport
 Monomial = tuple  # exponent vector, one entry per generator
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GeneratorInfo:
     """An ordered generator: name, filtration weight, optional bidegree."""
@@ -34,11 +38,15 @@ class GeneratorInfo:
     bidegree: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
-        if self.degree <= 0:
-            raise InputError(f"generator {self.name}: degree must be positive")
+        if not isinstance(self.name, str):
+            raise InputError(f"generator name {self.name!r} must be a string")
+        if not _is_int(self.degree) or self.degree <= 0:
+            raise InputError(
+                f"generator {self.name}: degree must be a positive integer")
         if self.bidegree is not None:
             bd = tuple(self.bidegree)
-            if len(bd) != 2 or any(c < 0 for c in bd) or sum(bd) != self.degree:
+            if (len(bd) != 2 or not all(_is_int(c) and c >= 0 for c in bd)
+                    or sum(bd) != self.degree):
                 raise InputError(
                     f"generator {self.name}: bidegree {bd} must be a pair of "
                     f"non-negative integers summing to degree {self.degree}")
@@ -138,6 +146,10 @@ class OrePresentation:
                     f"exponent of {name!r} must be a non-negative integer")
             exps[i] += e
         return tuple(exps)
+
+    def monomial_dict(self, m: Monomial) -> dict[str, int]:
+        """{name: exp} of an exponent tuple; the inverse of monomial_tuple."""
+        return {name: e for name, e in zip(self.names, m) if e}
 
     # -- degrees and orderings -----------------------------------------------
 

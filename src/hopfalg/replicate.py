@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import FamilySpec, build, list_catalog, make_lie
-from .cla import cla_transform, enveloping, lantern_of_cla, verify_cla
+from .cla import _checked_envelope, cla_transform, enveloping, lantern_of_cla
 from .cobar import h2_report
 from .errors import HopfAlgError
 from .exactlin import Matrix, quotient
@@ -55,9 +55,8 @@ def object_battery(obj, antipode_bound: int = 4) -> VerificationReport:
     """Battery appropriate to the object kind (Hopf presentation or CLA)."""
     if isinstance(obj, HopfPresentation):
         return hopf_battery(obj, antipode_bound)
-    report = verify_cla(obj)
-    if report.passed:
-        env = enveloping(obj, check=False)
+    report, env = _checked_envelope(obj)
+    if env is not None:
         report.extend(hopf_battery(env, antipode_bound))
     return report
 
@@ -132,7 +131,7 @@ def criterion_primitive_dimensions():
             failures.append(f"{spec.describe()}: dim P = {p5.dim} "
                             f"(bound 4: {p4.dim}), expected stable 2")
         if spec.tag in ("D", "E", "F", "K"):
-            q5 = p2_space(h, 5, primitives=p5)
+            q5 = p2_space(h, 5)
             if q5.dim != 3:
                 failures.append(f"{spec.describe()}: dim P2 = {q5.dim}, "
                                 "expected 3")

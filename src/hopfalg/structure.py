@@ -11,12 +11,13 @@ to certify statements about the full algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .cla import CLA, GradedLie
 from .errors import InputError, StructuralError
-from .exactlin import Matrix, Scalar, express, reduce_to_basis, sparse
+from .exactlin import (Matrix, Scalar, add_scaled, express, reduce_to_basis,
+                       sparse)
 from .hopf import HopfPresentation, tensor_of
+from .jsonio import element_to_terms
 from .ore import AlgebraElement, Monomial, OrePresentation
 
 
@@ -39,13 +40,7 @@ class FilteredSubspace:
         return {
             "degree_bound": self.degree_bound,
             "dimension": self.dim,
-            "basis": [
-                [{"coeff": str(c),
-                  "monomial": {name: e for name, e in
-                               zip(self.presentation.algebra.names, m) if e}}
-                 for m, c in b.sorted_terms()]
-                for b in self.basis
-            ],
+            "basis": [element_to_terms(b) for b in self.basis],
         }
 
     def __repr__(self):
@@ -63,16 +58,12 @@ def _elements_from_vectors(h: HopfPresentation, monos: list[Monomial],
     return out
 
 
-def _monomial_deltas(h: HopfPresentation, monos: list[Monomial]):
-    return [h.reduced_coproduct(h.algebra.monomial(m)) for m in monos]
-
-
 def primitive_space(h: HopfPresentation, d: int) -> FilteredSubspace:
     """Basis of {a : deg a <= d, counit(a) = 0, delta(a) = 0}."""
     if d < 1:
         raise InputError("degree bound must be >= 1")
     monos = h.algebra.monomials_up_to(d)
-    mat = Matrix.from_keyed_columns([t.terms for t in _monomial_deltas(h, monos)])
+    mat = Matrix.from_keyed_columns([h._reduced_monomial(m) for m in monos])
     return FilteredSubspace(h, d, _elements_from_vectors(h, monos,
                                                          mat.kernel_basis()))
 
@@ -96,18 +87,21 @@ def _coradical_kernel(h: HopfPresentation, monos: list[Monomial], columns,
     return _elements_from_vectors(h, monos, vectors)
 
 
-def p2_space(h: HopfPresentation, d: int,
-             primitives: Optional[FilteredSubspace] = None) -> FilteredSubspace:
-    """Basis of {a : deg a <= d, delta(a) skew-symmetric and in P(x)P}."""
-    if primitives is None:
-        primitives = primitive_space(h, d)
+def p2_space(h: HopfPresentation, d: int) -> FilteredSubspace:
+    """Basis of {a : deg a <= d, delta(a) skew-symmetric and in P(x)P}.
+
+    P is ``primitive_space(h, d)``, computed here on the same truncation.
+    """
+    primitives = primitive_space(h, d).basis
     monos = h.algebra.monomials_up_to(d)
-    # rows ("s", key) ask the symmetric part of delta(a) to vanish
-    columns = [{**t.terms, **{("s", key): c for key, c in
-                              (t + t.flip()).terms.items()}}
-               for t in _monomial_deltas(h, monos)]
+    columns = []
+    for m in monos:
+        t = h._reduced_monomial(m)
+        sym = add_scaled(dict(t), {(r, l): c for (l, r), c in t.items()})
+        # rows ("s", key) ask the symmetric part of delta(a) to vanish
+        columns.append({**t, **{("s", key): c for key, c in sym.items()}})
     return FilteredSubspace(h, d, _coradical_kernel(h, monos, columns,
-                                                    primitives.basis))
+                                                    primitives))
 
 
 def coradical_filtration(h: HopfPresentation, n: int, d: int) -> FilteredSubspace:
@@ -124,7 +118,7 @@ def coradical_filtration(h: HopfPresentation, n: int, d: int) -> FilteredSubspac
     if n == 0:
         return FilteredSubspace(h, d, [h.algebra.one()])
     monos = h.algebra.monomials_up_to(d)
-    columns = [t.terms for t in _monomial_deltas(h, monos)]
+    columns = [h._reduced_monomial(m) for m in monos]
     level_basis: list[AlgebraElement] = []
     for _ in range(1, n + 1):
         level_basis = _coradical_kernel(h, monos, columns, level_basis)
@@ -207,18 +201,12 @@ def associated_graded(h: HopfPresentation) -> HopfPresentation:
         want = p.degrees[i] + p.degrees[j]
         kept = [(c, m) for m, c in terms.items() if p.monomial_degree(m) == want]
         if kept:
-            commutators[(p.names[j], p.names[i])] = [
-                (c, {p.names[t]: e for t, e in enumerate(m) if e})
-                for c, m in kept]
+            commutators[(p.names[j], p.names[i])] = kept
     coproducts = {}
     for g, terms in h.delta_gen.items():
         want = p.degrees[g]
-        kept = []
-        for (l, r), c in terms.items():
-            if p.monomial_degree(l) + p.monomial_degree(r) == want:
-                kept.append((c,
-                             {p.names[t]: e for t, e in enumerate(l) if e},
-                             {p.names[t]: e for t, e in enumerate(r) if e}))
+        kept = [(c, l, r) for (l, r), c in terms.items()
+                if p.monomial_degree(l) + p.monomial_degree(r) == want]
         if kept:
             coproducts[p.names[g]] = kept
     return HopfPresentation(OrePresentation(list(p.generators), commutators),

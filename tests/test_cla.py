@@ -1,19 +1,73 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from hopfalg.catalog import (list_catalog, build, make_cla_35, make_cla_a,
-                             make_cla_b)
-from hopfalg.cla import (CLA, cla_transform, conilpotency_index, enveloping,
-                         kernel_delta, lantern_of_cla, verify_cla)
+                             make_cla_b, make_lie)
+from hopfalg.cla import (CLA, _envelope, cla_transform, conilpotency_index,
+                         enveloping, kernel_delta, lantern_of_cla, verify_cla)
 from hopfalg.errors import InputError, StructuralError
-from hopfalg.exactlin import Matrix
+from hopfalg.exactlin import Matrix, add_scaled
+from hopfalg.hopf import (HopfPresentation, TensorElement, tensor_bracket,
+                          tensor_of)
+from hopfalg.ore import AlgebraElement
+from hopfalg.replicate import object_battery
 
 F = Fraction
 
 
 def cla_catalog():
     return [build(s) for s in list_catalog() if s.tag.startswith("cla")]
+
+
+def reference_compatibility_defect(L, env, i, j):
+    """Oracle: LHS minus RHS of the compatibility identity in the module
+    docstring for the pair (x_i, x_j), term by term in Sweedler notation."""
+    p = env.algebra
+    gens = [p.monomial_tuple({name: 1}) for name in p.names]
+
+    def gen_elt(k):
+        return AlgebraElement(p, {gens[k]: 1})
+
+    def bracket_elt(a, b):
+        return AlgebraElement(p, {gens[k]: c for k, c in
+                                  L.bracket_constants(a, b).items()})
+
+    def delta_tensor(k):
+        return TensorElement(p, 2, {(gens[a], gens[b]): c for (a, b), c in
+                                    L.delta_constants(k).items()})
+
+    lhs = {}
+    for k, c in L.bracket_constants(i, j).items():
+        add_scaled(lhs, delta_tensor(k).terms, c)
+    rhs = {}
+    # b_1 (x) [a, b_2]  and  [a, b_1] (x) b_2
+    for (pp, qq), c in L.delta_constants(j).items():
+        add_scaled(rhs, tensor_of(gen_elt(pp), bracket_elt(i, qq)).terms, c)
+        add_scaled(rhs, tensor_of(bracket_elt(i, pp), gen_elt(qq)).terms, c)
+    # [a_1, b] (x) a_2  and  a_1 (x) [a_2, b]
+    for (pp, qq), c in L.delta_constants(i).items():
+        add_scaled(rhs, tensor_of(bracket_elt(pp, j), gen_elt(qq)).terms, c)
+        add_scaled(rhs, tensor_of(gen_elt(pp), bracket_elt(qq, j)).terms, c)
+    add_scaled(rhs, tensor_bracket(delta_tensor(i), delta_tensor(j)).terms)
+    return TensorElement(p, 2, add_scaled(lhs, rhs, -1))
+
+
+def random_cla(rng):
+    """Random brackets; delta(x_i) over pairs of earlier basis vectors, so
+    the kernel filtration of delta always reaches L."""
+    n = rng.choice([3, 4])
+    coeffs = [-2, -1, 1, 2]
+    brackets = {(i, j): {k: rng.choice(coeffs) for k in range(n)
+                         if rng.random() < 0.3}
+                for i, j in itertools.combinations(range(n), 2)
+                if rng.random() < 0.5}
+    delta = {i: {(a, b): rng.choice(coeffs) for a in range(i)
+                 for b in range(i) if rng.random() < 0.3}
+             for i in range(1, n) if rng.random() < 0.6}
+    return CLA([f"x{i}" for i in range(n)], brackets, delta)
 
 
 def test_antisymmetry_enforced():
@@ -106,7 +160,7 @@ def test_non_conilpotent_has_no_enveloping_hopf_structure():
     bad = CLA(["x1", "x2"], delta={1: {(1, 1): 1}})
     assert conilpotency_index(bad) is None
     with pytest.raises(StructuralError):
-        enveloping(bad, check=False)
+        _envelope(bad)
 
 
 def test_delta_lands_in_kernel_square():
@@ -180,7 +234,7 @@ def test_transform_rejects_singular_matrix():
 def test_verify_cla_iff_enveloping_checks_pass():
     good = make_cla_b(1)
     assert verify_cla(good).passed
-    env = enveloping(good, check=False)
+    env = enveloping(good)
     assert env.algebra.verify_pbw_consistency().passed
     assert env.verify_compatibility().passed
     # corrupt the bracket: the CLA check and the enveloped checks both fail
@@ -188,7 +242,7 @@ def test_verify_cla_iff_enveloping_checks_pass():
               brackets={(0, 1): {1: 1}, (2, 0): {2: 1, 1: 1}},
               delta={2: {(0, 1): 1, (1, 0): -1}})
     assert not verify_cla(bad).passed
-    env_bad = enveloping(bad, check=False)
+    env_bad = _envelope(bad)
     assert not (env_bad.algebra.verify_pbw_consistency().passed
                 and env_bad.verify_compatibility().passed)
 
@@ -199,3 +253,63 @@ def test_cla_equality_is_structure_constant_equality():
         brackets={(2, 0): {0: 1}, (2, 1): {1: 2}},
         delta={2: {(0, 1): 1, (1, 0): -1}})
     assert make_cla_a(1, 2, 0) != make_cla_a(1, 3, 0)
+
+
+def test_compatibility_check_matches_reference_defect():
+    # the catalog CLAs plus 400 seeded random tables (about a second)
+    rng = random.Random(2013)
+    enveloped = passed = 0
+    for L in cla_catalog() + [random_cla(rng) for _ in range(400)]:
+        try:
+            env = _envelope(L)
+        except StructuralError:
+            continue
+        enveloped += 1
+        checks = {c.name: c for c in env.verify_compatibility().checks}
+        vanishes = True
+        for i, j in itertools.combinations(range(L.dim), 2):
+            defect = reference_compatibility_defect(L, env, i, j)
+            witness = checks[f"Delta respects [{L.names[j]},{L.names[i]}]"
+                             ].witness
+            assert (witness.terms if witness is not None else {}) == \
+                (-defect).terms
+            vanishes = vanishes and defect.is_zero()
+        compat, = [c for c in verify_cla(L).checks
+                   if c.name == "bracket/coproduct compatibility in U(L)"]
+        assert compat.passed == vanishes
+        if not compat.passed:
+            first = env.verify_compatibility().failures()[0]
+            assert compat.witness.terms == first.witness.terms
+        passed += compat.passed
+    # both outcomes occur, so neither direction holds vacuously
+    assert 0 < passed < enveloped
+
+
+def test_one_presentation_per_enveloping_and_battery(monkeypatch):
+    built = []
+    init = HopfPresentation.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HopfPresentation, "__init__", spy)
+    L = make_cla_b(1)
+    for run in (lambda: enveloping(L),
+                lambda: make_lie(["a", "b"], {(0, 1): {1: 1}}),
+                lambda: object_battery(L)):
+        built.clear()
+        run()
+        assert len(built) == 1
+
+
+def test_basis_not_adapted_to_kernel_filtration():
+    # ker delta = span(y, x1 - x2), but of the basis vectors only y is in it
+    L = CLA(["x1", "x2", "y"], delta={0: {(2, 2): 1}, 1: {(2, 2): 1}})
+    compat, = [c for c in verify_cla(L).failures()
+               if c.name == "bracket/coproduct compatibility in U(L)"]
+    assert "not adapted" in compat.detail
+    with pytest.raises(StructuralError, match="not adapted"):
+        _envelope(L)
+    with pytest.raises(StructuralError):
+        enveloping(L)

@@ -156,15 +156,29 @@ def _malformed_morphism(edit):
     return data
 
 
+def _one_generator(**fields):
+    return {"generators": [dict({"name": "X", "degree": 1}, **fields)]}
+
+
 @pytest.mark.parametrize("command, data", [
     ("verify", _malformed_presentation(lambda t: t.pop("coeff"))),
     ("verify", _malformed_presentation(lambda t: t.update(coeff=1.5))),
     ("verify", _malformed_presentation(lambda t: t.update(monomial={"Z": "a"}))),
     ("morphism", _malformed_morphism(lambda t: t.pop("coeff"))),
     ("morphism", [_malformed_morphism(lambda t: None)]),
+    ("verify", _one_generator(degree=1.5)),
+    ("verify", _one_generator(degree=True)),
+    ("verify", _one_generator(bidegree=[0.5, 0.5])),
+    ("primitives", _one_generator(name=5)),
+    ("verify", {"basis": [0, 1, 2]}),
+    ("lantern", {"basis": [0, 1, 2]}),
+    ("primitives", {"basis": [0, 1, 2]}),
 ], ids=["presentation-no-coeff", "presentation-float-coeff",
         "presentation-string-exponent", "morphism-no-coeff",
-        "morphism-top-level-list"])
+        "morphism-top-level-list", "generator-float-degree",
+        "generator-bool-degree", "generator-float-bidegree",
+        "generator-int-name", "cla-int-names-verify", "cla-int-names-lantern",
+        "cla-int-names-primitives"])
 def test_malformed_file_is_input_error(tmp_path, capsys, command, data):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(data))

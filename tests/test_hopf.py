@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from hopfalg.catalog import make_lie, make_lie_preset
+from hopfalg.catalog import build, list_catalog, make_lie, make_lie_preset
+from hopfalg.cla import enveloping
 from hopfalg.errors import InputError, StructuralError
 from hopfalg.hopf import HopfPresentation, TensorElement, tensor_bracket, tensor_of
 from hopfalg.ore import OrePresentation
@@ -51,6 +52,20 @@ def test_reduced_coproduct_examples(D01):
     assert D01.reduced_coproduct(X).is_zero()
     assert D01.reduced_coproduct(Y * Y * Y) == D01.tensor(
         [(3, {"Y": 1}, {"Y": 2}), (3, {"Y": 2}, {"Y": 1})])
+
+
+def test_reduced_monomial_is_cached_coproduct_minus_unit_terms():
+    for spec in list_catalog():
+        h = build(spec)
+        if not isinstance(h, HopfPresentation):
+            h = enveloping(h)
+        unit = h.algebra.unit_monomial
+        for m in h.algebra.monomials_up_to(4):
+            got = h._reduced_monomial(m)
+            assert h._reduced_monomial(m) is got
+            want = h.coproduct(h.algebra.monomial(m)) - h.tensor(
+                [(1, m, unit), (1, unit, m)])
+            assert got == want.terms, (spec.describe(), m)
 
 
 def test_reduced_coproduct_needs_augmentation_ideal(A000):

@@ -72,7 +72,7 @@ def test_monotonicity_of_subspaces(E110):
 def test_p_inside_p2_and_quotient_bound():
     for spec, h in hopf_catalog():
         p = primitive_space(h, 4)
-        q = p2_space(h, 4, primitives=p)
+        q = p2_space(h, 4)
         assert all(q.contains(b) for b in p.basis)
         n = p.dim
         assert q.dim - p.dim <= n * (n - 1) // 2
