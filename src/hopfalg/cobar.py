@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InputError
-from .exactlin import Matrix, Scalar, express, map_slot
+from .exactlin import Matrix, Scalar, express_ranked, map_slot
 from .hopf import HopfPresentation, TensorElement
 from .ore import AlgebraElement
 from .reports import VerificationReport
@@ -269,8 +269,7 @@ def is_coboundary(h: HopfPresentation, w: TensorElement,
         raise InputError(f"tensor degree {level} exceeds the bound {bound}")
     monos = h.algebra.monomials_up_to(level)
     cols = [h._reduced_monomial(m) for m in monos]
-    sol = express(cols, [w.terms])[0]
-    rank = Matrix.from_keyed_columns(cols).rank()
+    (sol,), rank = express_ranked(cols, [w.terms])
     if sol is None:
         # w is outside the image of d^1, so appending it raises the rank
         return CoboundaryResult(False, None, rank, rank + 1)

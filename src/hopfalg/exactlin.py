@@ -463,6 +463,12 @@ def express(basis: Sequence[Mapping], targets: Sequence[Mapping]
     zero coefficients on the non-pivot ones.  Each target is judged
     against span(basis) alone, never against earlier targets.
     """
+    return express_ranked(basis, targets)[0]
+
+
+def express_ranked(basis: Sequence[Mapping], targets: Sequence[Mapping]
+                   ) -> tuple[list[Optional[list[Scalar]]], int]:
+    """`express`, and the dimension of span(basis), from one elimination."""
     n = len(basis)
     m = Matrix.from_keyed_columns(list(basis) + list(targets))
     reduced, pivots = m.row_echelon()
@@ -480,7 +486,7 @@ def express(basis: Sequence[Mapping], targets: Sequence[Mapping]
         for col, row in zip(pivots[:k], reduced):
             x[col] = row.get(t, 0)
         out.append(x)
-    return out
+    return out, k
 
 
 def sparse(vec: Sequence[Scalar]) -> dict[int, Scalar]:

@@ -98,9 +98,12 @@ def cla_to_json(L: CLA) -> dict:
 
 def cla_from_json(data: dict) -> CLA:
     try:
-        basis = list(data["basis"])
+        basis = data["basis"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed CLA data: {exc}") from exc
+    if not isinstance(basis, list):
+        raise InputError("malformed CLA data: basis must be a JSON array of "
+                         "names")
     if data.get("dim") is not None and data["dim"] != len(basis):
         raise InputError("dim does not match the basis length")
     brackets = {}

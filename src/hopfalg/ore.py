@@ -2,9 +2,10 @@
 
 An algebra is presented by ordered, weighted generators x_1 < ... < x_n
 and a commutator table [x_j, x_i] = kappa_ji (j > i) whose entries have
-weighted degree strictly below deg x_i + deg x_j.  Every product folds
-its letters, right to left, through one memoised recursion on a generator
-times a sorted monomial m = x_i m' (`_gen_times`, cached on (j, m)):
+weighted degree strictly below deg x_i + deg x_j.  A product a*b whose
+word is sorted already is the exponent sum; any other folds the letters
+of a, right to left, through one memoised recursion on a generator times
+a sorted monomial m = x_i m' (`_gen_times`, cached on (j, m)):
 x_j m = m x_j if j <= i, else x_j x_i m' = x_i (x_j m') + kappa_ji m'.
 Under the degree drop (weighted degree, inversion count) falls at every
 step, so it terminates.  The sorted monomials x_1^{e_1}...x_n^{e_n} span
@@ -285,12 +286,23 @@ class OrePresentation:
             letters, {self.unit_monomial: scalar(coeff)}))
 
     def mul_monomials(self, a: Monomial, b: Monomial) -> dict[Monomial, Scalar]:
-        """Normal form of the product of two PBW monomials (cached)."""
+        """Normal form of a*b for PBW monomials, cached; do not mutate it.
+
+        When no letter of b precedes the last letter of a, the word a*b is
+        sorted already and its normal form is the exponent sum; otherwise
+        the letters of a are folded into b right to left.
+        """
         key = (a, b)
         hit = self._mul_cache.get(key)
         if hit is None:
-            self._mul_cache[key] = hit = self._left_mul(self._letters(a),
-                                                        {b: 1})
+            last = len(a) - 1
+            while last > 0 and not a[last]:
+                last -= 1
+            if any(b[:last]):
+                hit = self._left_mul(self._letters(a), {b: 1})
+            else:
+                hit = {tuple(x + y for x, y in zip(a, b)): 1}
+            self._mul_cache[key] = hit
         return hit
 
     def mul(self, a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":

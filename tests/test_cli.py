@@ -173,12 +173,14 @@ def _one_generator(**fields):
     ("verify", {"basis": [0, 1, 2]}),
     ("lantern", {"basis": [0, 1, 2]}),
     ("primitives", {"basis": [0, 1, 2]}),
+    ("verify", {"basis": "xyz"}),
+    ("verify", {"basis": {"x": 0, "y": 1}}),
 ], ids=["presentation-no-coeff", "presentation-float-coeff",
         "presentation-string-exponent", "morphism-no-coeff",
         "morphism-top-level-list", "generator-float-degree",
         "generator-bool-degree", "generator-float-bidegree",
         "generator-int-name", "cla-int-names-verify", "cla-int-names-lantern",
-        "cla-int-names-primitives"])
+        "cla-int-names-primitives", "cla-string-basis", "cla-object-basis"])
 def test_malformed_file_is_input_error(tmp_path, capsys, command, data):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(data))

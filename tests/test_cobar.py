@@ -203,3 +203,24 @@ def test_h2_report_scales_to_bound_nine(K):
         signal.signal(signal.SIGALRM, previous)
     assert rep.total_h2 == 2
     assert rep.stable_from_previous_bound
+
+
+def test_is_coboundary_takes_one_elimination(A000, monkeypatch):
+    # rank and solution both come from the RREF of [d1 columns | w]
+    shapes = []
+    echelon = Matrix.row_echelon
+
+    def spy(self):
+        shapes.append((self.rows, self.cols))
+        return echelon(self)
+
+    monkeypatch.setattr(Matrix, "row_echelon", spy)
+    alg = A000.algebra
+    w = A000.reduced_coproduct(alg.monomial({"X": 2, "Y": 1}))
+    for cocycle, want in [(cocycle_u(A000), (False, 10, 11)),
+                          (w, (True, 10, 10))]:
+        shapes.clear()
+        res = is_coboundary(A000, cocycle, 6)
+        assert (res.is_coboundary, res.rank, res.rank_augmented) == want
+        assert len(shapes) == 1
+        assert shapes[0][1] == len(alg.monomials_up_to(cocycle.total_degree())) + 1

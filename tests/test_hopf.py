@@ -1,11 +1,14 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from hopfalg.catalog import build, list_catalog, make_lie, make_lie_preset
+from hopfalg.catalog import (build, list_catalog, make_D, make_K, make_lie,
+                             make_lie_preset)
 from hopfalg.cla import enveloping
 from hopfalg.errors import InputError, StructuralError
+from hopfalg.exactlin import add_scaled, add_term
 from hopfalg.hopf import HopfPresentation, TensorElement, tensor_bracket, tensor_of
 from hopfalg.ore import OrePresentation
 
@@ -267,3 +270,97 @@ def test_cached_tables_are_read_only(K):
         K.delta_gen[g] = {}
     with pytest.raises(TypeError):
         dterms[(alg.unit_monomial, alg.unit_monomial)] = 1
+
+
+def reference_tensor_mul(s, t):
+    """Oracle: the per-pair, per-slot product loop, every slot through the
+    full rewriting recursion (no unit or sorted shortcut)."""
+    p = s.p
+    out = {}
+    for t1, c1 in s.terms.items():
+        for t2, c2 in t.terms.items():
+            partial = {(): c1 * c2}
+            for slot in range(s.rank):
+                factor = p._left_mul(p._letters(t1[slot]), {t2[slot]: 1})
+                nxt = {}
+                for prefix, c in partial.items():
+                    for m, cm in factor.items():
+                        add_term(nxt, prefix + (m,), c * cm)
+                partial = nxt
+            add_scaled(out, partial)
+    return out
+
+
+def typed(terms):
+    return [(key, type(c), c) for key, c in terms.items()]
+
+
+def test_coproducts_match_reference_tensor_product():
+    # Delta(m) = Delta(m') * (x_g(x)1 + 1(x)x_g + delta(x_g)), rebuilt with
+    # the oracle product; keys, their order, values and scalar types agree
+    for spec in list_catalog():
+        h = build(spec)
+        if not isinstance(h, HopfPresentation):
+            h = enveloping(h)
+        p = h.algebra
+        unit = p.unit_monomial
+        want = {unit: h.unit_tensor()}
+        for m in p.monomials_up_to(4):
+            g = max(i for i, e in enumerate(m) if e)
+            xg = unit[:g] + (1,) + unit[g + 1:]
+            rest = m[:g] + (m[g] - 1,) + m[g + 1:]
+            factor = {(xg, unit): 1, (unit, xg): 1}
+            add_scaled(factor, h.delta_gen.get(g, {}))
+            want[m] = TensorElement(p, 2, reference_tensor_mul(
+                want[rest], TensorElement(p, 2, factor)))
+            got = h._coproduct_monomial(m).terms
+            assert typed(got) == typed(want[m].terms), (spec.describe(), m)
+
+
+def _random_tensor(p, rng, rank, monos, size):
+    # few coefficients of either sign over few monomials, so that the
+    # products of different pairs of terms meet and cancel
+    coeffs = [1, -1, 2, Fraction(1, 2), Fraction(-1, 2)]
+    terms = {}
+    for _ in range(size):
+        add_term(terms, tuple(rng.choice(monos) for _ in range(rank)),
+                 rng.choice(coeffs))
+    return TensorElement(p, rank, terms)
+
+
+def _cancelling_pair(p, rank):
+    """(x(x)1 - 1(x)1) * (1(x)y + x(x)y), padded with unit slots: the pairs
+    x(x)1 . 1(x)y and 1(x)1 . x(x)y meet on x(x)y and cancel there."""
+    unit = p.unit_monomial
+    x, y = p.monomials_up_to(1)[:2]
+    pad = (unit,) * (rank - 2)
+    half = Fraction(1, 2)
+    s = TensorElement(p, rank, {(x, unit) + pad: half, (unit, unit) + pad: -half})
+    t = TensorElement(p, rank, {(unit, y) + pad: 1, (x, y) + pad: 1})
+    return s, t
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_random_tensor_products_match_reference(rank):
+    rng = random.Random(20261018 + rank)
+    cancelled = 0
+    third = Fraction(1, 3)
+    for h in (make_K(), make_D(1, third, -2, third, 3, -third, 2, Fraction(5, 2))):
+        p = h.algebra
+        # the unit monomial in about a third of the slots
+        monos = [p.unit_monomial] * 3 + p.monomials_up_to(2)[:6]
+        cases = [_cancelling_pair(p, rank)] + [
+            (_random_tensor(p, rng, rank, monos, rng.randint(1, 6)),
+             _random_tensor(p, rng, rank, monos, rng.randint(1, 6)))
+            for _ in range(40)]
+        for s, t in cases:
+            got = (s * t).terms
+            assert typed(got) == typed(reference_tensor_mul(s, t)), (s, t)
+            touched = set()
+            for t1, c1 in s.terms.items():
+                for t2, c2 in t.terms.items():
+                    touched |= reference_tensor_mul(
+                        TensorElement(p, rank, {t1: c1}),
+                        TensorElement(p, rank, {t2: c2})).keys()
+            cancelled += len(touched - got.keys())
+    assert cancelled >= 2, "products with cancelling terms were not exercised"

@@ -314,3 +314,47 @@ def test_generator_products_are_cached_per_presentation():
     # products cache only the pair asked for, not intermediate pairs
     p.mul_monomials(p.monomial_tuple({"W": 2, "Z": 1}), xy)
     assert list(p._mul_cache) == [(p.monomial_tuple({"W": 2, "Z": 1}), xy)]
+
+
+def _sorted_pairs(p, bound):
+    """Pairs (a, b) of monomials whose word a*b is sorted: no letter of b
+    precedes the last letter of a."""
+    monos = p.monomials_up_to(bound, include_unit=True)
+    for a, b in itertools.product(monos, repeat=2):
+        last = max((i for i, e in enumerate(a) if e), default=0)
+        if not any(b[:last]):
+            yield a, b
+
+
+def test_sorted_products_match_word_rewriting_oracle():
+    for spec in list_catalog():
+        h = build(spec)
+        if not isinstance(h, HopfPresentation):
+            continue
+        p = h.algebra
+        for a, b in _sorted_pairs(p, 3):
+            got = p.mul_monomials(a, b)
+            assert got == reference_normal_form(p, word_of(a) + word_of(b))
+            assert [(m, type(c)) for m, c in got.items()] == [
+                (tuple(x + y for x, y in zip(a, b)), int)]
+
+
+def test_sorted_product_miss_skips_rewriting(monkeypatch):
+    p = make_K().algebra
+    calls = []
+    left_mul = p._left_mul
+
+    def spy(letters, terms):
+        calls.append(terms)
+        return left_mul(letters, terms)
+
+    monkeypatch.setattr(p, "_left_mul", spy)
+    pairs = list(_sorted_pairs(p, 3))
+    assert len(pairs) > 100
+    for a, b in pairs:
+        p.mul_monomials(a, b)
+    assert not calls and set(p._mul_cache) == set(pairs)
+    # an unsorted pair still folds the letters of a into b
+    x, w = p.monomial_tuple({"X": 1}), p.monomial_tuple({"W": 1})
+    p.mul_monomials(w, x)
+    assert calls[0] == {x: 1}
