@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import InputError, StructuralError
-from .exactlin import (Matrix, Scalar, add_scaled, add_term, express, map_slot,
-                       reduce_to_basis, scalar)
+from .exactlin import (Matrix, Scalar, add_scaled, express_pairs,
+                       express_ranked, map_slot, reduce_to_basis, scalar,
+                       sparse)
 from .hopf import HopfPresentation
-from .ore import GeneratorInfo, OrePresentation
+from .ore import GeneratorInfo, OrePresentation, _is_int
 from .reports import VerificationReport
 
 
@@ -52,20 +53,6 @@ class LieConstants:
         if i < j:
             return dict(self.brackets.get((i, j), {}))
         return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
-
-    def bracket_vectors(self, u: Sequence[Scalar], v: Sequence[Scalar]
-                        ) -> list[Scalar]:
-        """Bracket of two coefficient vectors."""
-        out = [0] * self.dim
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if not cj:
-                    continue
-                for k, c in self.bracket_constants(i, j).items():
-                    out[k] += ci * cj * c
-        return out
 
     def jacobi_witness(self, max_degree: Optional[int] = None):
         """Names of the first basis triple breaking the Jacobi identity, or None.
@@ -104,10 +91,15 @@ class CLA(LieConstants):
         if len(set(self.names)) != len(self.names):
             raise InputError("basis names must be unique")
         n = self.dim
+
+        def indices(*ks) -> bool:
+            return all(_is_int(k) and 0 <= k < n for k in ks)
+
         self.brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
         for (i, j), terms in (brackets or {}).items():
-            if not (0 <= i < n and 0 <= j < n):
-                raise InputError(f"bracket index ({i},{j}) out of range")
+            if not indices(i, j):
+                raise InputError(f"bracket index ({i!r},{j!r}) is not a "
+                                 f"pair of integers in range({n})")
             if i == j:
                 if any(scalar(c) for c in terms.values()):
                     raise InputError(f"[x_{i},x_{i}] must vanish")
@@ -115,8 +107,9 @@ class CLA(LieConstants):
             clean = {}
             for k, c in terms.items():
                 c = scalar(c)
-                if not (0 <= k < n):
-                    raise InputError(f"bracket target {k} out of range")
+                if not indices(k):
+                    raise InputError(f"bracket target {k!r} is not an "
+                                     f"integer in range({n})")
                 if c:
                     clean[k] = c
             key, sign = ((i, j), 1) if i < j else ((j, i), -1)
@@ -128,13 +121,15 @@ class CLA(LieConstants):
                 self.brackets[key] = stored
         self.delta: dict[int, dict[tuple[int, int], Scalar]] = {}
         for i, terms in (delta or {}).items():
-            if not (0 <= i < n):
-                raise InputError(f"delta index {i} out of range")
+            if not indices(i):
+                raise InputError(f"delta index {i!r} is not an integer in "
+                                 f"range({n})")
             clean = {}
             for (j, k), c in terms.items():
                 c = scalar(c)
-                if not (0 <= j < n and 0 <= k < n):
-                    raise InputError(f"delta target ({j},{k}) out of range")
+                if not indices(j, k):
+                    raise InputError(f"delta target ({j!r},{k!r}) is not a "
+                                     f"pair of integers in range({n})")
                 if c:
                     clean[(j, k)] = c
             if clean:
@@ -378,23 +373,16 @@ def lantern_of_cla(L: CLA) -> GradedLie:
     names = [vec_name(v) for v in kernel] + [L.names[i] + "*" for i in complement]
     degrees = [1] * kdim + [2] * len(complement)
 
-    # express delta of each complement vector over kernel-basis pairs
-    pair_cols = [{(i, j): ci * cj
-                  for i, ci in enumerate(kernel[a]) if ci
-                  for j, cj in enumerate(kernel[b]) if cj}
-                 for a in range(kdim) for b in range(kdim)]
     deltas = [L.delta_constants(c_idx) for c_idx in complement]
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for s, sol in enumerate(express(pair_cols, deltas)):
+    for s, sol in enumerate(express_pairs([sparse(v) for v in kernel], deltas)):
         if sol is None:
             raise StructuralError(
                 f"delta({L.names[complement[s]]}) does not lie in "
                 "(ker delta)(x)(ker delta)")
-        for a in range(kdim):
-            for b in range(a + 1, kdim):
-                coeff = sol[a * kdim + b]
-                if coeff:
-                    brackets.setdefault((a, b), {})[kdim + s] = 2 * coeff
+        for (a, b), coeff in sol.items():
+            if a < b:
+                brackets.setdefault((a, b), {})[kdim + s] = 2 * coeff
     return GradedLie(names, degrees, brackets)
 
 
@@ -402,45 +390,30 @@ def lantern_of_cla(L: CLA) -> GradedLie:
 
 
 def cla_transform(L: CLA, m: Matrix) -> CLA:
-    """Transport the structure constants to the basis x'_i = sum_j M_ij x_j."""
+    """Transport the structure constants to the basis x'_i = sum_j M_ij x_j.
+
+    [x'_i, x'_j] = sum M_ia M_jb [x_a, x_b] is expressed over the rows of
+    M, and delta(x'_i) = sum_j M_ij delta(x_j) over their pairs.
+    """
     n = L.dim
     if m.rows != n or m.cols != n:
         raise InputError(f"base-change matrix must be {n}x{n}")
-    try:
-        inv = m.inverse()
-    except ValueError as exc:
-        raise InputError("base-change matrix is singular") from exc
+    rows: list[dict[int, Scalar]] = [{} for _ in range(n)]
+    deltas: list[dict[tuple[int, int], Scalar]] = [{} for _ in range(n)]
+    for (i, j), v in m.entries.items():
+        rows[i][j] = v
+        add_scaled(deltas[i], L.delta_constants(j), v)
 
-    rows = [[m[i, j] for j in range(n)] for i in range(n)]
-    brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            out = L.bracket_vectors(rows[i], rows[j])
-            terms = {}
-            for d in range(n):
-                v = sum(out[c] * inv[c, d] for c in range(n))
-                if v:
-                    terms[d] = v
-            if terms:
-                brackets[(i, j)] = terms
-
-    delta: dict[int, dict[tuple[int, int], Scalar]] = {}
-    for i in range(n):
-        acc: dict[tuple[int, int], Scalar] = {}
-        for jj in range(n):
-            cj = m[i, jj]
-            if not cj:
-                continue
-            for (a, b), coeff in L.delta_constants(jj).items():
-                for p in range(n):
-                    ia = inv[a, p]
-                    if not ia:
-                        continue
-                    for q in range(n):
-                        ib = inv[b, q]
-                        if not ib:
-                            continue
-                        add_term(acc, (p, q), cj * coeff * ia * ib)
-        if acc:
-            delta[i] = acc
-    return CLA(L.names, brackets, delta)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    images = []
+    for i, j in pairs:
+        image: dict[int, Scalar] = {}
+        for a, ca in rows[i].items():
+            for b, cb in rows[j].items():
+                add_scaled(image, L.bracket_constants(a, b), ca * cb)
+        images.append(image)
+    sols, rank = express_ranked(rows, images)
+    if rank < n:
+        raise InputError("base-change matrix is singular")
+    brackets = {pair: sparse(sol) for pair, sol in zip(pairs, sols)}
+    return CLA(L.names, brackets, dict(enumerate(express_pairs(rows, deltas))))

@@ -489,6 +489,28 @@ def express_ranked(basis: Sequence[Mapping], targets: Sequence[Mapping]
     return out, k
 
 
+def pair_products(basis: Sequence[Mapping]) -> list[dict]:
+    """The columns basis[a] (x) basis[b], a-major, as sparse vectors over
+    pairs of keys."""
+    return [{(k, l): c * d for k, c in u.items() for l, d in v.items()}
+            for u in basis for v in basis]
+
+
+def express_pairs(basis: Sequence[Mapping], targets: Sequence[Mapping]
+                  ) -> list[Optional[dict[tuple[int, int], Scalar]]]:
+    """Coordinates of each rank-2 target over basis (x) basis.
+
+    Targets are sparse vectors over pairs of keys.  Returns per target the
+    nonzero coordinates {(a, b): c} over basis[a] (x) basis[b], a-major, or
+    None when the target is outside that span; as in `express`, dependent
+    pair columns get zero coefficients.
+    """
+    n = len(basis)
+    return [None if sol is None else
+            {divmod(ab, n): c for ab, c in enumerate(sol) if c}
+            for sol in express(pair_products(basis), targets)]
+
+
 def sparse(vec: Sequence[Scalar]) -> dict[int, Scalar]:
     """A dense coefficient list as a sparse vector over its positions."""
     return {i: c for i, c in enumerate(vec) if c}
@@ -499,7 +521,7 @@ def reduce_to_basis(vectors: list[list[Scalar]]) -> list[list[Scalar]]:
     if not vectors:
         return []
     m = Matrix.from_rows(vectors)
-    reduced, pivots = m.row_echelon()
+    reduced, _ = m.row_echelon()
     out = []
     for row in reduced:
         vec = [0] * m.cols

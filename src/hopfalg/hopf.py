@@ -107,11 +107,6 @@ class TensorElement(Combination):
                     add_term(out, key, v)
         return TensorElement(p, self.rank, out)
 
-    def flip(self) -> "TensorElement":
-        """Reverse the tensor factors (the flip map tau)."""
-        return TensorElement(self.p, self.rank,
-                             {t[::-1]: c for t, c in self.terms.items()})
-
     def sorted_terms(self):
         keyfn = self.p.monomial_key
         return sorted(self.terms.items(),
@@ -312,7 +307,7 @@ class HopfPresentation:
         """
         report = VerificationReport("coassociativity and counit axioms")
         p = self.algebra
-        for i, name in enumerate(p.names):
+        for name in p.names:
             g = p.gen(name)
             t = self.coproduct(g)
             left = self._expand_slot(t, 0)

@@ -137,6 +137,9 @@ class OrePresentation:
             if len(mono) != n or any(e < 0 for e in mono):
                 raise InputError(f"bad exponent vector {mono!r}")
             return mono
+        if not isinstance(mono, dict):
+            raise InputError(f"monomial {mono!r} is not a {{name: exponent}} "
+                             "object")
         exps = [0] * n
         for name, e in mono.items():
             i = self.index.get(name)

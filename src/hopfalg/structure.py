@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from .cla import CLA, GradedLie
 from .errors import InputError, StructuralError
-from .exactlin import (Matrix, Scalar, add_scaled, express, reduce_to_basis,
-                       sparse)
-from .hopf import HopfPresentation, tensor_of
+from .exactlin import (Matrix, Scalar, add_scaled, express, express_pairs,
+                       pair_products, reduce_to_basis, sparse)
+from .hopf import HopfPresentation
 from .jsonio import element_to_terms
 from .ore import AlgebraElement, Monomial, OrePresentation
 
@@ -75,13 +75,10 @@ def _coradical_kernel(h: HopfPresentation, monos: list[Monomial], columns,
     Solved as one kernel problem: unknowns are the coefficients of a over
     the monomials, whose reduced coproducts are ``columns`` (they may carry
     extra rows, conditions on a alone), plus auxiliary coefficients mu_fg
-    expressing delta(a) = sum mu_fg f (x) g.  The kernel is projected to
+    with delta(a) + sum mu_fg f (x) g = 0.  The kernel is projected to
     the coefficients of a.
     """
-    columns = list(columns)
-    for a in factors:
-        for b in factors:
-            columns.append({key: -c for key, c in tensor_of(a, b).terms.items()})
+    columns = list(columns) + pair_products([f.terms for f in factors])
     kernel = Matrix.from_keyed_columns(columns).kernel_basis()
     vectors = reduce_to_basis([vec[:len(monos)] for vec in kernel])
     return _elements_from_vectors(h, monos, vectors)
@@ -157,12 +154,12 @@ def extract_cla(h: HopfPresentation, d: int) -> CLA:
         names.append(f"p{i + 1}")
 
     nb = len(basis)
+    basis_terms = [b.terms for b in basis]
     pairs = [(i, j) for i in range(nb) for j in range(i + 1, nb)]
     commutators = [(basis[i] * basis[j] - basis[j] * basis[i]).terms
                    for i, j in pairs]
     brackets = {}
-    for (i, j), sol in zip(pairs, express([b.terms for b in basis],
-                                          commutators)):
+    for (i, j), sol in zip(pairs, express(basis_terms, commutators)):
         if sol is None:
             raise StructuralError(
                 f"[{names[i]},{names[j]}] does not lie in the p2 space")
@@ -170,15 +167,12 @@ def extract_cla(h: HopfPresentation, d: int) -> CLA:
         if terms:
             brackets[(i, j)] = terms
 
-    pair_cols = [tensor_of(a, b).terms for a in basis for b in basis]
     deltas = [h.reduced_coproduct(b).terms for b in basis]
     delta = {}
-    for i, sol in enumerate(express(pair_cols, deltas)):
-        if sol is None:
+    for i, terms in enumerate(express_pairs(basis_terms, deltas)):
+        if terms is None:
             raise StructuralError(
                 f"delta({names[i]}) does not lie in P2 (x) P2")
-        terms = {(a, b): sol[a * nb + b]
-                 for a in range(nb) for b in range(nb) if sol[a * nb + b]}
         if terms:
             delta[i] = terms
     return CLA(names, brackets, delta)

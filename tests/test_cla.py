@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfalg.catalog import (list_catalog, build, make_cla_35, make_cla_a,
                              make_cla_b, make_lie)
@@ -223,6 +224,53 @@ def test_transform_round_trip():
     m = Matrix.from_rows([[1, 2, 0, 0], [0, 1, 0, 0],
                           [0, 0, 1, 0], [0, 0, 1, 1]])
     assert cla_transform(cla_transform(L, m), m.inverse()) == L
+
+
+CLA_CATALOG = cla_catalog()
+
+
+@st.composite
+def adapted_base_changes(draw):
+    """A catalog CLA L and an invertible rational M adapted to its kernel
+    filtration: x'_i may use x_j only when (weight_j, j) <= (weight_i, i),
+    with M_ii nonzero, so each ker delta^n stays spanned by basis vectors."""
+    L = draw(st.sampled_from(CLA_CATALOG))
+    weights = enveloping(L).algebra.degrees
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    rows = []
+    for i in range(L.dim):
+        rows.append([draw(entries.filter(bool)) if j == i
+                     else draw(entries) if (weights[j], j) < (weights[i], i)
+                     else 0 for j in range(L.dim)])
+    return L, Matrix.from_rows(rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(adapted_base_changes())
+def test_transform_round_trip_on_catalog(case):
+    L, m = case
+    moved = cla_transform(L, m)
+    assert cla_transform(moved, m.inverse()) == L
+    assert verify_cla(moved).passed == verify_cla(L).passed
+    # the defining identities, expanded back over the old basis:
+    # [x'_i, x'_j] = sum M_ia M_jb [x_a, x_b], delta(x'_i) = sum M_ij delta(x_j)
+    rows = [{j: m[i, j] for j in range(L.dim) if m[i, j]} for i in range(L.dim)]
+    for i in range(L.dim):
+        for j in range(L.dim):
+            got, want = {}, {}
+            for d, c in moved.bracket_constants(i, j).items():
+                add_scaled(got, rows[d], c)
+            for a, ca in rows[i].items():
+                for b, cb in rows[j].items():
+                    add_scaled(want, L.bracket_constants(a, b), ca * cb)
+            assert got == want
+        got, want = {}, {}
+        for (a, b), c in moved.delta_constants(i).items():
+            for e, ce in rows[a].items():
+                add_scaled(got, {(e, f): ce * cf for f, cf in rows[b].items()}, c)
+        for j, c in rows[i].items():
+            add_scaled(want, L.delta_constants(j), c)
+        assert got == want
 
 
 def test_transform_rejects_singular_matrix():

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from hopfalg.catalog import make_B
+from hopfalg.catalog import make_B, make_cla_a
 from hopfalg.cli import main
-from hopfalg.jsonio import presentation_to_json
+from hopfalg.jsonio import cla_to_json, presentation_to_json
 
 
 def run(capsys, *argv):
@@ -142,9 +142,9 @@ def test_morphism_file(tmp_path, capsys):
     assert code == 0
 
 
-def _malformed_presentation(edit):
+def _malformed_presentation(edit, part="commutators", key="Z,X"):
     data = presentation_to_json(make_B(1))
-    edit(data["commutators"]["Z,X"][0])
+    edit(data[part][key][0])
     return data
 
 
@@ -158,6 +158,12 @@ def _malformed_morphism(edit):
 
 def _one_generator(**fields):
     return {"generators": [dict({"name": "X", "degree": 1}, **fields)]}
+
+
+def _malformed_cla(edit, part):
+    data = cla_to_json(make_cla_a(1, 2, 0))
+    edit(next(iter(data[part].values()))[0])
+    return data
 
 
 @pytest.mark.parametrize("command, data", [
@@ -175,12 +181,25 @@ def _one_generator(**fields):
     ("primitives", {"basis": [0, 1, 2]}),
     ("verify", {"basis": "xyz"}),
     ("verify", {"basis": {"x": 0, "y": 1}}),
+    ("verify", _malformed_presentation(lambda t: t.update(monomial=["X"]))),
+    ("verify", _malformed_presentation(lambda t: t.update(monomial="X"))),
+    ("verify", _malformed_presentation(lambda t: t.update(left=["X"]),
+                                       "coproducts", "Z")),
+    ("morphism", _malformed_morphism(lambda t: t.update(monomial=["X"]))),
+    ("verify", _malformed_cla(lambda t: t.update(basis="1"), "brackets")),
+    ("verify", _malformed_cla(lambda t: t.update(basis=1.5), "brackets")),
+    ("verify", _malformed_cla(lambda t: t.update(left="1"), "delta")),
+    ("verify", _malformed_cla(lambda t: t.update(right=1.5), "delta")),
 ], ids=["presentation-no-coeff", "presentation-float-coeff",
         "presentation-string-exponent", "morphism-no-coeff",
         "morphism-top-level-list", "generator-float-degree",
         "generator-bool-degree", "generator-float-bidegree",
         "generator-int-name", "cla-int-names-verify", "cla-int-names-lantern",
-        "cla-int-names-primitives", "cla-string-basis", "cla-object-basis"])
+        "cla-int-names-primitives", "cla-string-basis", "cla-object-basis",
+        "presentation-list-monomial", "presentation-string-monomial",
+        "coproduct-list-factor", "morphism-list-monomial",
+        "cla-string-bracket-index", "cla-float-bracket-index",
+        "cla-string-delta-index", "cla-float-delta-index"])
 def test_malformed_file_is_input_error(tmp_path, capsys, command, data):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(data))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -6,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from hopfalg.errors import InputError
 from hopfalg.exactlin import (P, Matrix, add_scaled, add_term, express,
-                              format_scalar, map_slot, reduce_to_basis,
-                              scalar, sparse)
+                              express_pairs, format_scalar, map_slot,
+                              reduce_to_basis, scalar, sparse)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
                          max_denominator=10**4)
@@ -190,6 +191,52 @@ def test_express_judges_each_target_against_the_basis_alone():
     # the second target lies in span(basis, first target), not in span(basis)
     got = express(basis, [{"y": p}, {"x": p, "y": q}, {"x": q}])
     assert got == [None, None, [q]]
+
+
+def test_express_pairs_agrees_with_express_on_explicit_pair_columns():
+    # seeded sparse bases over "pqrs", some with a dependent vector appended;
+    # targets are combinations of pair columns, random rank-2 vectors
+    # (mostly outside the span) and zero
+    rng = random.Random(11)
+    values = [1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]
+    seen = {"inside": 0, "outside": 0, "dependent": 0}
+    for _ in range(200):
+        basis = [{k: rng.choice(values)
+                  for k in rng.sample("pqrs", rng.randint(1, 3))}
+                 for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            combo = {}
+            for v in basis:
+                add_scaled(combo, v, rng.choice(values))
+            basis.append(combo or {"p": 1})
+            seen["dependent"] += 1
+        n = len(basis)
+        columns = []
+        for a in range(n):
+            for b in range(n):
+                col = {}
+                for k in "pqrs":
+                    for l in "pqrs":
+                        c = basis[a].get(k, 0) * basis[b].get(l, 0)
+                        if c:
+                            col[(k, l)] = c
+                columns.append(col)
+        targets = [{}]
+        for _ in range(2):
+            t = {}
+            for col in rng.sample(columns, min(2, len(columns))):
+                add_scaled(t, col, rng.choice(values))
+            targets.append(t)
+        targets.append({(rng.choice("pqrs"), rng.choice("pqrs")): 1
+                        for _ in range(rng.randint(1, 3))})
+        want = [None if sol is None else
+                {(i // n, i % n): c for i, c in enumerate(sol) if c}
+                for sol in express(columns, targets)]
+        got = express_pairs(basis, targets)
+        assert got == want
+        for coords in got:
+            seen["inside" if coords is not None else "outside"] += 1
+    assert all(seen.values())
 
 
 def test_express_edge_cases():
