@@ -14,7 +14,7 @@ from .catalog import (FamilySpec, build, family_parameter_names, list_catalog,
                       make_lie_preset)
 from .errors import HopfAlgError, InputError, ParameterError, StructuralError
 from .exactlin import Matrix, Scalar, format_scalar, scalar
-from .hopf import (HopfPresentation, TensorElement, tensor_bracket, tensor_of)
+from .hopf import HopfPresentation, TensorElement, tensor_of
 from .jsonio import (cla_from_json, cla_to_json, element_to_terms,
                      load_object, presentation_from_json, presentation_to_json)
 from .ore import AlgebraElement, GeneratorInfo, OrePresentation, bracket
@@ -37,5 +37,5 @@ __all__ = [
     "make_D", "make_E", "make_F", "make_K", "make_cla_35", "make_cla_a",
     "make_cla_b", "make_lie", "make_lie_preset", "p2_space",
     "presentation_from_json", "presentation_to_json", "primitive_space",
-    "scalar", "tensor_bracket", "tensor_of", "verify_cla",
+    "scalar", "tensor_of", "verify_cla",
 ]

@@ -25,8 +25,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError, StructuralError
 from .exactlin import (Matrix, Scalar, add_scaled, express_pairs,
-                       express_ranked, map_slot, reduce_to_basis, scalar,
-                       sparse)
+                       express_ranked, map_slot, reduce_to_basis, scalar)
 from .hopf import HopfPresentation
 from .ore import GeneratorInfo, OrePresentation, _is_int
 from .reports import VerificationReport
@@ -329,8 +328,9 @@ def _delta_kernel_steps(L: CLA) -> list[tuple[int, list[int]]]:
     return steps
 
 
-def kernel_delta(L: CLA) -> list[list[Scalar]]:
-    """Canonical basis of ker delta (coefficient vectors over the CLA basis)."""
+def kernel_delta(L: CLA) -> list[dict[int, Scalar]]:
+    """Canonical basis of ker delta (sparse coefficient vectors over the CLA
+    basis)."""
     return Matrix.from_keyed_columns(
         [L.delta_constants(i) for i in range(L.dim)]).kernel_basis()
 
@@ -361,11 +361,11 @@ def lantern_of_cla(L: CLA) -> GradedLie:
     n = L.dim
     kernel = reduce_to_basis(kernel_delta(L))
     kdim = len(kernel)
-    lead_idx = {next(i for i, c in enumerate(vec) if c) for vec in kernel}
+    lead_idx = {min(vec) for vec in kernel}
     complement = [i for i in range(n) if i not in lead_idx]
 
     def vec_name(vec) -> str:
-        support = [(i, c) for i, c in enumerate(vec) if c]
+        support = sorted(vec.items())
         if len(support) == 1 and support[0][1] == 1:
             return L.names[support[0][0]] + "*"
         return "(" + " + ".join(f"{c}*{L.names[i]}" for i, c in support) + ")*"
@@ -375,7 +375,7 @@ def lantern_of_cla(L: CLA) -> GradedLie:
 
     deltas = [L.delta_constants(c_idx) for c_idx in complement]
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for s, sol in enumerate(express_pairs([sparse(v) for v in kernel], deltas)):
+    for s, sol in enumerate(express_pairs(kernel, deltas)):
         if sol is None:
             raise StructuralError(
                 f"delta({L.names[complement[s]]}) does not lie in "
@@ -415,5 +415,5 @@ def cla_transform(L: CLA, m: Matrix) -> CLA:
     sols, rank = express_ranked(rows, images)
     if rank < n:
         raise InputError("base-change matrix is singular")
-    brackets = {pair: sparse(sol) for pair, sol in zip(pairs, sols)}
-    return CLA(L.names, brackets, dict(enumerate(express_pairs(rows, deltas))))
+    return CLA(L.names, dict(zip(pairs, sols)),
+               dict(enumerate(express_pairs(rows, deltas))))

@@ -14,8 +14,9 @@
 Objects come either from the built-in catalog (--family/--params) or from
 a JSON file (--file) in the schema documented in the README.  Exit codes:
 0 all checks pass, 1 a verification failed, 2 malformed input; any other
-exception is a defect and propagates.  The default degree bound is 5
-(lantern: 3); override with --max-degree or HOPF_MAX_DEGREE.
+exception is a defect and propagates.  The default degree bound is 5;
+override it with --max-degree or HOPF_MAX_DEGREE.  lantern defaults to 3
+and reads --max-degree only, never HOPF_MAX_DEGREE.
 """
 
 from __future__ import annotations
@@ -165,8 +166,11 @@ def _morphism_side(data, label):
     if not isinstance(data, dict):
         raise InputError(f"{label} must be an object")
     if "family" in data:
-        return build(from_cli_params(data["family"],
-                                     [str(p) for p in data.get("params", [])]))
+        family, params = data["family"], data.get("params", [])
+        if not isinstance(family, str) or not isinstance(params, list):
+            raise InputError(f"{label}: 'family' must be a string and "
+                             "'params' an array")
+        return build(from_cli_params(family, [str(p) for p in params]))
     if "generators" in data:
         return presentation_from_json(data)
     raise InputError(f"{label} needs either 'family' or 'generators'")

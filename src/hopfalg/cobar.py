@@ -273,5 +273,5 @@ def is_coboundary(h: HopfPresentation, w: TensorElement,
     if sol is None:
         # w is outside the image of d^1, so appending it raises the rank
         return CoboundaryResult(False, None, rank, rank + 1)
-    witness = AlgebraElement(h.algebra, {m: c for m, c in zip(monos, sol) if c})
+    witness = AlgebraElement(h.algebra, {monos[i]: c for i, c in sol.items()})
     return CoboundaryResult(True, witness, rank, rank)

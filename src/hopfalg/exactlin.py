@@ -1,7 +1,9 @@
 """Exact rational scalars and sparse rational linear algebra.
 
 Everything downstream (normal forms, subspace computations, cohomology)
-reduces to kernels, ranks and solves over the rationals.  A scalar is an
+reduces to kernels, ranks and solves over the rationals.  The solvers
+take and return sparse vectors: a kernel vector, a coordinate vector or
+a reduced basis row is a dict {index: nonzero scalar}.  A scalar is an
 ``int`` when it is integral and a ``fractions.Fraction`` (lowest terms,
 positive denominator) when it is a proper fraction; floating point is
 never used.  Integral presentations therefore run on Python ints
@@ -85,7 +87,8 @@ def format_scalar(q: Scalar) -> str:
 #
 # A sparse vector is a dict key -> nonzero scalar over any hashable keys
 # (monomials, tensor tuples, row indices); these helpers are the only
-# place that adds into one.
+# place that adds into one.  The solvers below answer in the same format,
+# over column indices: kernel vectors, coordinates and reduced rows.
 
 
 def add_term(acc: dict, key: Hashable, c: Scalar) -> None:
@@ -329,26 +332,28 @@ class Matrix:
     def rank(self) -> int:
         return len(self.row_echelon()[1])
 
-    def kernel_basis(self) -> list[list[Scalar]]:
-        """Basis of the right null space, one vector per free column.
+    def kernel_basis(self) -> list[dict[int, Scalar]]:
+        """Basis of the right null space, one sparse vector per free column.
 
-        The vector for free column f has 1 in position f, solved entries at
-        pivot columns, zeros elsewhere; vectors are listed by increasing f.
+        The vector for free column f is -rref[c][f] at each pivot column
+        c < f where that is nonzero, then 1 at f, its largest key; vectors
+        are listed by increasing f.
         """
         reduced, pivots = self.row_echelon()
         pivot_set = set(pivots)
-        basis = {f: [0] * self.cols for f in range(self.cols)
-                 if f not in pivot_set}
-        for f, vec in basis.items():
-            vec[f] = 1
+        basis: dict[int, dict[int, Scalar]] = {
+            f: {} for f in range(self.cols) if f not in pivot_set}
         for c, row in zip(pivots, reduced):
             for f, v in row.items():
                 if f != c:
                     basis[f][c] = -v
+        for f, vec in basis.items():
+            vec[f] = 1
         return list(basis.values())
 
-    def solve(self, rhs: Sequence[Scalar]):
-        """One solution of self * x = rhs, or None when inconsistent."""
+    def solve(self, rhs: Sequence[Scalar]) -> Optional[dict[int, Scalar]]:
+        """One solution of self * x = rhs as a sparse vector, or None when
+        inconsistent."""
         if len(rhs) != self.rows:
             raise ValueError("dimension mismatch")
         target = {i: scalar(v) for i, v in enumerate(rhs) if v}
@@ -362,10 +367,8 @@ class Matrix:
         if None in cols:
             raise ValueError("matrix is singular")
         inv = Matrix(n, n)
-        for j, col in enumerate(cols):
-            for i, v in enumerate(col):
-                if v:
-                    inv.entries[(i, j)] = v
+        inv.entries = {(i, j): v for j, col in enumerate(cols)
+                       for i, v in col.items()}
         return inv
 
 
@@ -454,20 +457,20 @@ def _reconstruct(x: int) -> Optional[Scalar]:
 
 
 def express(basis: Sequence[Mapping], targets: Sequence[Mapping]
-            ) -> list[Optional[list[Scalar]]]:
+            ) -> list[Optional[dict[int, Scalar]]]:
     """Coordinates of each target over the basis vectors.
 
-    Vectors are sparse dicts over any hashable keys.  Returns per target a
-    list of len(basis) coefficients, or None when the target is outside
-    span(basis); when the basis vectors are dependent, the solution has
-    zero coefficients on the non-pivot ones.  Each target is judged
-    against span(basis) alone, never against earlier targets.
+    Vectors are sparse dicts over any hashable keys.  Returns per target
+    the nonzero coordinates {basis index: coefficient}, or None when the
+    target is outside span(basis); when the basis vectors are dependent,
+    the non-pivot ones get no coefficient.  Each target is judged against
+    span(basis) alone, never against earlier targets.
     """
     return express_ranked(basis, targets)[0]
 
 
 def express_ranked(basis: Sequence[Mapping], targets: Sequence[Mapping]
-                   ) -> tuple[list[Optional[list[Scalar]]], int]:
+                   ) -> tuple[list[Optional[dict[int, Scalar]]], int]:
     """`express`, and the dimension of span(basis), from one elimination."""
     n = len(basis)
     m = Matrix.from_keyed_columns(list(basis) + list(targets))
@@ -477,15 +480,9 @@ def express_ranked(basis: Sequence[Mapping], targets: Sequence[Mapping]
     # combination uses a target pivot column
     k = sum(1 for c in pivots if c < n)
     outside = {c for row in reduced[k:] for c in row}
-    out: list[Optional[list[Scalar]]] = []
-    for t in range(n, m.cols):
-        if t in outside:
-            out.append(None)
-            continue
-        x = [0] * n
-        for col, row in zip(pivots[:k], reduced):
-            x[col] = row.get(t, 0)
-        out.append(x)
+    out = [None if t in outside else
+           {col: row[t] for col, row in zip(pivots[:k], reduced) if t in row}
+           for t in range(n, m.cols)]
     return out, k
 
 
@@ -503,29 +500,22 @@ def express_pairs(basis: Sequence[Mapping], targets: Sequence[Mapping]
     Targets are sparse vectors over pairs of keys.  Returns per target the
     nonzero coordinates {(a, b): c} over basis[a] (x) basis[b], a-major, or
     None when the target is outside that span; as in `express`, dependent
-    pair columns get zero coefficients.
+    pair columns get no coefficient.
     """
     n = len(basis)
     return [None if sol is None else
-            {divmod(ab, n): c for ab, c in enumerate(sol) if c}
+            {divmod(ab, n): c for ab, c in sol.items()}
             for sol in express(pair_products(basis), targets)]
 
 
-def sparse(vec: Sequence[Scalar]) -> dict[int, Scalar]:
-    """A dense coefficient list as a sparse vector over its positions."""
-    return {i: c for i, c in enumerate(vec) if c}
-
-
-def reduce_to_basis(vectors: list[list[Scalar]]) -> list[list[Scalar]]:
-    """Canonical (reduced-echelon) basis of the span of the given vectors."""
+def reduce_to_basis(vectors: Sequence[Mapping[int, Scalar]]
+                    ) -> list[dict[int, Scalar]]:
+    """Canonical basis of the span of sparse vectors over column indices:
+    the nonzero rows of their reduced echelon form, by increasing pivot
+    (each row's smallest key, where it is 1)."""
     if not vectors:
         return []
-    m = Matrix.from_rows(vectors)
-    reduced, _ = m.row_echelon()
-    out = []
-    for row in reduced:
-        vec = [0] * m.cols
-        for c, v in row.items():
-            vec[c] = v
-        out.append(vec)
-    return out
+    width = max((max(v) for v in vectors if v), default=-1) + 1
+    m = Matrix(len(vectors), width, {(i, j): c for i, v in enumerate(vectors)
+                                     for j, c in v.items()})
+    return m.row_echelon()[0]

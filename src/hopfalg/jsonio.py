@@ -106,16 +106,21 @@ def cla_from_json(data: dict) -> CLA:
                          "names")
     if data.get("dim") is not None and data["dim"] != len(basis):
         raise InputError("dim does not match the basis length")
+    bracket_data = data.get("brackets") or {}
+    delta_data = data.get("delta") or {}
+    if not (isinstance(bracket_data, dict) and isinstance(delta_data, dict)):
+        raise InputError("malformed CLA data: brackets and delta must be "
+                         "JSON objects")
     brackets = {}
     delta = {}
     try:
-        for key, terms in (data.get("brackets") or {}).items():
+        for key, terms in bracket_data.items():
             if isinstance(key, str):
                 i, j = (int(s) for s in key.split(","))
             else:
                 i, j = key
             brackets[(i, j)] = {t["basis"]: scalar(t["coeff"]) for t in terms}
-        for key, terms in (data.get("delta") or {}).items():
+        for key, terms in delta_data.items():
             delta[int(key)] = {(t["left"], t["right"]): scalar(t["coeff"])
                                for t in terms}
     except (KeyError, TypeError, ValueError) as exc:

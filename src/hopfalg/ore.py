@@ -483,6 +483,7 @@ class AlgebraElement(Combination):
         return self.render_monomial(m) if any(m) else None
 
 
-def bracket(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Commutator a*b - b*a in normal form."""
+def bracket(a: Combination, b: Combination) -> Combination:
+    """Commutator a*b - b*a in normal form: of algebra elements, or of
+    tensors with componentwise products (no sign rule)."""
     return a * b - b * a

@@ -18,7 +18,8 @@ from .cla import _checked_envelope, cla_transform, enveloping, lantern_of_cla
 from .cobar import h2_report
 from .errors import HopfAlgError
 from .exactlin import Matrix, quotient
-from .hopf import HopfPresentation, TensorElement, tensor_bracket
+from .hopf import HopfPresentation, TensorElement
+from .ore import bracket
 from .reports import VerificationReport
 from .structure import extract_cla, lantern_of_hopf, p2_space, primitive_space
 
@@ -217,7 +218,7 @@ def criterion_identity_ledger():
         h = build(spec)
         alg = h.algebra
         X, Y = alg.gen("X"), alg.gen("Y")
-        if not (X * Y - Y * X).is_zero():
+        if not bracket(X, Y).is_zero():
             failures.append(f"{spec.describe()}: [X,Y] != 0")
             continue
         got = h.reduced_coproduct(X * Y * Y)
@@ -249,10 +250,10 @@ def criterion_identity_ledger():
         yy = h.tensor([(1, {"Y": 1}, {}), (1, {}, {"Y": 1})])
         skew = h.tensor([(1, {"Y": 1}, {"X": 1}), (-1, {"X": 1}, {"Y": 1})])
         checks = [
-            ("[u, X(x)1+1(x)X]", tensor_bracket(u, xx), skew.scale(alpha)),
-            ("[t, X(x)1+1(x)X]", tensor_bracket(t, xx), skew.scale(l1)),
-            ("[u, Y(x)1+1(x)Y]", tensor_bracket(u, yy), skew.scale(l2)),
-            ("[t, Y(x)1+1(x)Y]", tensor_bracket(t, yy),
+            ("[u, X(x)1+1(x)X]", bracket(u, xx), skew.scale(alpha)),
+            ("[t, X(x)1+1(x)X]", bracket(t, xx), skew.scale(l1)),
+            ("[u, Y(x)1+1(x)Y]", bracket(u, yy), skew.scale(l2)),
+            ("[t, Y(x)1+1(x)Y]", bracket(t, yy),
              TensorElement(h.algebra, 2, {})),
         ]
         if l2 == 0:
@@ -268,14 +269,14 @@ def criterion_identity_ledger():
             y2_x = h.tensor([(1, {"Y": 2}, {"X": 1}),
                              (1, {"X": 1}, {"Y": 2})])
             checks += [
-                ("[u, Z(x)1+1(x)Z]", tensor_bracket(u, zz),
+                ("[u, Z(x)1+1(x)Z]", bracket(u, zz),
                  u.scale(-l1) + t.scale(alpha) + d_xy2.scale(-alpha)
                  + xy_x.scale(-l1)),
-                ("[t, Z(x)1+1(x)Z]", tensor_bracket(t, zz),
+                ("[t, Z(x)1+1(x)Z]", bracket(t, zz),
                  xy_y.scale(-l1) + y2_y.scale(-alpha)),
-                ("[u, delta(Z)]", tensor_bracket(u, dz(h)),
+                ("[u, delta(Z)]", bracket(u, dz(h)),
                  xy_x.scale(l1) + xy_y.scale(alpha)),
-                ("[t, delta(Z)]", tensor_bracket(t, dz(h)),
+                ("[t, delta(Z)]", bracket(t, dz(h)),
                  y2_x.scale(-l1) + y2_y.scale(-alpha)),
             ]
         for name, got, want in checks:
@@ -294,9 +295,9 @@ def criterion_identity_ledger():
         d_xy2 = h.reduced_coproduct(alg.monomial({"X": 1, "Y": 2}))
         d_y3 = h.reduced_coproduct(alg.monomial({"Y": 3}))
         pairs = [
-            ("delta([W,X])", W * X - X * W, dz(h).scale(-(t1 * alpha + t2 * l1))),
-            ("delta([W,Y])", W * Y - Y * W, dz(h).scale(-t1 * l2)),
-            ("delta([W,Z])", W * Z - Z * W,
+            ("delta([W,X])", bracket(W, X), dz(h).scale(-(t1 * alpha + t2 * l1))),
+            ("delta([W,Y])", bracket(W, Y), dz(h).scale(-t1 * l2)),
+            ("delta([W,Z])", bracket(W, Z),
              u.scale(-t1 * l1) + t.scale(2 * t1 * alpha + t2 * l1)
              + dz(h).scale(trace) + d_xy2.scale(-(t1 * alpha + t2 * l1))
              + d_y3.scale(F(-2, 3) * t2 * alpha)),

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from .cla import CLA, GradedLie
 from .errors import InputError, StructuralError
 from .exactlin import (Matrix, Scalar, add_scaled, express, express_pairs,
-                       pair_products, reduce_to_basis, sparse)
+                       pair_products, reduce_to_basis)
 from .hopf import HopfPresentation
 from .jsonio import element_to_terms
-from .ore import AlgebraElement, Monomial, OrePresentation
+from .ore import AlgebraElement, Monomial, OrePresentation, bracket
 
 
 @dataclass
@@ -50,12 +50,10 @@ class FilteredSubspace:
 
 
 def _elements_from_vectors(h: HopfPresentation, monos: list[Monomial],
-                           vectors: list[list[Scalar]]) -> list[AlgebraElement]:
-    out = []
-    for vec in vectors:
-        terms = {m: c for m, c in zip(monos, vec) if c}
-        out.append(AlgebraElement(h.algebra, terms))
-    return out
+                           vectors: list[dict[int, Scalar]]
+                           ) -> list[AlgebraElement]:
+    return [AlgebraElement(h.algebra, {monos[i]: c for i, c in vec.items()})
+            for vec in vectors]
 
 
 def primitive_space(h: HopfPresentation, d: int) -> FilteredSubspace:
@@ -80,7 +78,9 @@ def _coradical_kernel(h: HopfPresentation, monos: list[Monomial], columns,
     """
     columns = list(columns) + pair_products([f.terms for f in factors])
     kernel = Matrix.from_keyed_columns(columns).kernel_basis()
-    vectors = reduce_to_basis([vec[:len(monos)] for vec in kernel])
+    n = len(monos)
+    vectors = reduce_to_basis([{i: c for i, c in vec.items() if i < n}
+                               for vec in kernel])
     return _elements_from_vectors(h, monos, vectors)
 
 
@@ -156,14 +156,12 @@ def extract_cla(h: HopfPresentation, d: int) -> CLA:
     nb = len(basis)
     basis_terms = [b.terms for b in basis]
     pairs = [(i, j) for i in range(nb) for j in range(i + 1, nb)]
-    commutators = [(basis[i] * basis[j] - basis[j] * basis[i]).terms
-                   for i, j in pairs]
+    commutators = [bracket(basis[i], basis[j]).terms for i, j in pairs]
     brackets = {}
-    for (i, j), sol in zip(pairs, express(basis_terms, commutators)):
-        if sol is None:
+    for (i, j), terms in zip(pairs, express(basis_terms, commutators)):
+        if terms is None:
             raise StructuralError(
                 f"[{names[i]},{names[j]}] does not lie in the p2 space")
-        terms = sparse(sol)
         if terms:
             brackets[(i, j)] = terms
 
@@ -244,9 +242,8 @@ def lantern_of_hopf(h: HopfPresentation, d: int) -> GradedLie:
             (r, coords[m]): c for r, prod in enumerate(products)
             for m, c in prod.items()})
         for vec in matrix.kernel_basis():
-            terms = sparse(vec)
-            lantern.append((deg, monos[max(terms)],
-                            {monos[i]: c for i, c in terms.items()}))
+            lantern.append((deg, monos[max(vec)],
+                            {monos[i]: c for i, c in vec.items()}))
 
     names = []
     for _, m, _ in lantern:

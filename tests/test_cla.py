@@ -11,9 +11,8 @@ from hopfalg.cla import (CLA, _envelope, cla_transform, conilpotency_index,
                          enveloping, kernel_delta, lantern_of_cla, verify_cla)
 from hopfalg.errors import InputError, StructuralError
 from hopfalg.exactlin import Matrix, add_scaled
-from hopfalg.hopf import (HopfPresentation, TensorElement, tensor_bracket,
-                          tensor_of)
-from hopfalg.ore import AlgebraElement
+from hopfalg.hopf import HopfPresentation, TensorElement, tensor_of
+from hopfalg.ore import AlgebraElement, bracket
 from hopfalg.replicate import object_battery
 
 F = Fraction
@@ -52,7 +51,7 @@ def reference_compatibility_defect(L, env, i, j):
     for (pp, qq), c in L.delta_constants(i).items():
         add_scaled(rhs, tensor_of(bracket_elt(pp, j), gen_elt(qq)).terms, c)
         add_scaled(rhs, tensor_of(gen_elt(pp), bracket_elt(qq, j)).terms, c)
-    add_scaled(rhs, tensor_bracket(delta_tensor(i), delta_tensor(j)).terms)
+    add_scaled(rhs, bracket(delta_tensor(i), delta_tensor(j)).terms)
     return TensorElement(p, 2, add_scaled(lhs, rhs, -1))
 
 
@@ -171,7 +170,7 @@ def test_delta_lands_in_kernel_square():
         kernel_rows = kernel_delta(L)
         kernel_idx = set()
         for vec in kernel_rows:
-            kernel_idx |= {i for i, c in enumerate(vec) if c}
+            kernel_idx |= set(vec)
         for i, terms in L.delta.items():
             for (j, k) in terms:
                 assert j in kernel_idx and k in kernel_idx

@@ -156,6 +156,18 @@ def _malformed_morphism(edit):
     return data
 
 
+def _morphism_side(side, **fields):
+    data = _malformed_morphism(lambda t: None)
+    data[side].update(fields)
+    return data
+
+
+def _cla_array(part):
+    data = cla_to_json(make_cla_a(1, 2, 0))
+    data[part] = list(data[part].values())
+    return data
+
+
 def _one_generator(**fields):
     return {"generators": [dict({"name": "X", "degree": 1}, **fields)]}
 
@@ -190,6 +202,12 @@ def _malformed_cla(edit, part):
     ("verify", _malformed_cla(lambda t: t.update(basis=1.5), "brackets")),
     ("verify", _malformed_cla(lambda t: t.update(left="1"), "delta")),
     ("verify", _malformed_cla(lambda t: t.update(right=1.5), "delta")),
+    ("verify", _cla_array("brackets")),
+    ("verify", _cla_array("delta")),
+    ("morphism", _morphism_side("source", family=5)),
+    ("morphism", _morphism_side("target", family=5)),
+    ("morphism", _morphism_side("source", params=5)),
+    ("morphism", _morphism_side("target", params=5)),
 ], ids=["presentation-no-coeff", "presentation-float-coeff",
         "presentation-string-exponent", "morphism-no-coeff",
         "morphism-top-level-list", "generator-float-degree",
@@ -199,7 +217,10 @@ def _malformed_cla(edit, part):
         "presentation-list-monomial", "presentation-string-monomial",
         "coproduct-list-factor", "morphism-list-monomial",
         "cla-string-bracket-index", "cla-float-bracket-index",
-        "cla-string-delta-index", "cla-float-delta-index"])
+        "cla-string-delta-index", "cla-float-delta-index",
+        "cla-array-brackets", "cla-array-delta", "morphism-int-source-family",
+        "morphism-int-target-family", "morphism-int-source-params",
+        "morphism-int-target-params"])
 def test_malformed_file_is_input_error(tmp_path, capsys, command, data):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(data))

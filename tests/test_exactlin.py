@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from hopfalg.errors import InputError
 from hopfalg.exactlin import (P, Matrix, add_scaled, add_term, express,
-                              express_pairs, format_scalar, map_slot,
-                              reduce_to_basis, scalar, sparse)
+                              express_pairs, express_ranked, format_scalar,
+                              map_slot, reduce_to_basis, scalar)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
                          max_denominator=10**4)
@@ -58,16 +58,17 @@ def test_map_slot_splices_images_into_one_slot():
 
 
 def _apply(m, vec):
-    """A v as a dense list."""
-    out = [Fraction(0)] * m.rows
+    """A v for a sparse vector v, as a sparse vector."""
+    out = {}
     for (i, j), a in m.entries.items():
-        out[i] += a * vec[j]
+        if j in vec:
+            add_term(out, i, a * vec[j])
     return out
 
 
 def test_kernel_of_zero_map():
     m = Matrix.from_rows([[0]])
-    assert m.kernel_basis() == [[Fraction(1)]]
+    assert m.kernel_basis() == [{0: Fraction(1)}]
 
 
 def test_kernel_of_identity_is_empty():
@@ -78,7 +79,7 @@ def test_kernel_of_rank_one_matrix():
     # hand row-reduction: [[1,1],[2,2]] ~ [[1,1],[0,0]]; kernel (1,-1)/scale
     m = Matrix.from_rows([[1, 1], [2, 2]])
     (vec,) = m.kernel_basis()
-    assert vec[0] * (-1) == vec[1] and any(vec)
+    assert vec[0] * (-1) == vec[1] and any(vec.values())
 
 
 def test_rank_examples():
@@ -101,15 +102,15 @@ def test_rank_nullity_and_exact_kernel(rows, cols, data):
     kernel = m.kernel_basis()
     assert m.rank() + len(kernel) == cols
     for vec in kernel:
-        assert all(v == 0 for v in _apply(m, vec))
+        assert _apply(m, vec) == {}
 
 
 def test_solve_and_inverse():
     m = Matrix.from_rows([[1, 2], [3, 4]])
     x = m.solve([Fraction(5), Fraction(11)])
-    assert _apply(m, x) == [Fraction(5), Fraction(11)]
+    assert _apply(m, x) == {0: Fraction(5), 1: Fraction(11)}
     inv = m.inverse()
-    assert _apply(inv, [Fraction(5), Fraction(11)]) == x
+    assert _apply(inv, {0: Fraction(5), 1: Fraction(11)}) == x
     assert Matrix.from_rows([[1, 1], [1, 1]]).solve(
         [Fraction(0), Fraction(1)]) is None
     with pytest.raises(ValueError):
@@ -117,15 +118,15 @@ def test_solve_and_inverse():
 
 
 def test_reduce_to_basis_and_span():
-    basis = reduce_to_basis([[Fraction(1), Fraction(1), Fraction(0)],
-                             [Fraction(2), Fraction(2), Fraction(0)],
-                             [Fraction(0), Fraction(0), Fraction(3)]])
+    basis = reduce_to_basis([{0: Fraction(1), 1: Fraction(1)},
+                             {0: Fraction(2), 1: Fraction(2)},
+                             {2: Fraction(3)}])
     assert len(basis) == 2
     inside, outside = express(
-        [sparse(b) for b in basis],
-        [sparse([Fraction(3), Fraction(3), Fraction(-1)]),
-         sparse([Fraction(1), Fraction(0), Fraction(0)])])
-    assert inside == [Fraction(3), Fraction(-1)]
+        basis,
+        [{0: Fraction(3), 1: Fraction(3), 2: Fraction(-1)},
+         {0: Fraction(1)}])
+    assert inside == {0: Fraction(3), 1: Fraction(-1)}
     assert outside is None
 
 
@@ -180,8 +181,8 @@ def test_express_agrees_with_per_target_solve(basis, targets):
         if coords is not None:
             assert coords == want
             combo = {}
-            for v, c in zip(basis, coords):
-                add_scaled(combo, v, c)
+            for i, c in coords.items():
+                add_scaled(combo, basis[i], c)
             assert combo == target
 
 
@@ -190,7 +191,7 @@ def test_express_judges_each_target_against_the_basis_alone():
     basis = [{"x": p}]
     # the second target lies in span(basis, first target), not in span(basis)
     got = express(basis, [{"y": p}, {"x": p, "y": q}, {"x": q}])
-    assert got == [None, None, [q]]
+    assert got == [None, None, {0: q}]
 
 
 def test_express_pairs_agrees_with_express_on_explicit_pair_columns():
@@ -230,7 +231,7 @@ def test_express_pairs_agrees_with_express_on_explicit_pair_columns():
         targets.append({(rng.choice("pqrs"), rng.choice("pqrs")): 1
                         for _ in range(rng.randint(1, 3))})
         want = [None if sol is None else
-                {(i // n, i % n): c for i, c in enumerate(sol) if c}
+                {(i // n, i % n): c for i, c in sol.items()}
                 for sol in express(columns, targets)]
         got = express_pairs(basis, targets)
         assert got == want
@@ -240,9 +241,8 @@ def test_express_pairs_agrees_with_express_on_explicit_pair_columns():
 
 
 def test_express_edge_cases():
-    assert express([], [{}, {"x": Fraction(1)}]) == [[], None]
-    assert express([{"x": Fraction(1)}, {"x": Fraction(2)}], [{}]) == [
-        [Fraction(0), Fraction(0)]]
+    assert express([], [{}, {"x": Fraction(1)}]) == [{}, None]
+    assert express([{"x": Fraction(1)}, {"x": Fraction(2)}], [{}]) == [{}]
     assert express([{"x": Fraction(1)}], []) == []
 
 
@@ -290,10 +290,8 @@ def test_rank_profile_matches_fraction_rref_and_sympy(cols, height, inner,
     kernel = []
     for f in range(cols):
         if f not in pivots:
-            vec = [Fraction(0)] * cols
+            vec = {c: -row[f] for c, row in zip(pivots, oracle[0]) if f in row}
             vec[f] = Fraction(1)
-            for c, row in zip(pivots, oracle[0]):
-                vec[c] = -row.get(f, Fraction(0))
             kernel.append(vec)
     assert m.kernel_basis() == kernel
     # targets in span (a sum of columns) and most likely outside it
@@ -356,8 +354,8 @@ def test_fraction_rref_of_int_matrices_has_no_floats(rows, cols, data):
     # integral entries of the certified RREF and its kernel come back as ints
     assert all(type(v) is int for v in _rref_scalars(certified)
                if v.denominator == 1)
-    assert all(type(v) is int for vec in m.kernel_basis() for v in vec
-               if v.denominator == 1)
+    assert all(type(v) is int for vec in m.kernel_basis()
+               for v in vec.values() if v.denominator == 1)
     dense = sympy.Matrix(rows, cols, lambda i, j: int(m[i, j]))
     assert len(certified[1]) == dense.rank()
 
@@ -383,6 +381,48 @@ def test_integral_rref_entries_and_coordinates_are_ints():
     assert (reduced, pivots) == ([{0: 1, 1: 2}, {2: 1}], [0, 2])
     assert all(type(v) is int for row in reduced for v in row.values())
     (vec,) = m.kernel_basis()
-    assert vec == [-2, 1, 0] and all(type(v) is int for v in vec)
+    assert vec == {0: -2, 1: 1} and all(type(v) is int for v in vec.values())
     (coords,) = express(m.columns()[:1] + m.columns()[2:], [{0: 4, 1: 9}])
-    assert coords == [1, 1] and all(type(v) is int for v in coords)
+    assert coords == {0: 1, 1: 1} and all(
+        type(v) is int for v in coords.values())
+
+
+def _assert_sparse(vec, size):
+    """A sparse vector: in-range int keys, nonzero int or Fraction values."""
+    assert type(vec) is dict
+    for k, v in vec.items():
+        assert type(k) is int and 0 <= k < size, (k, vec)
+        assert type(v) in (int, Fraction) and v, (v, vec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_solvers_answer_in_sparse_vectors(rows, cols, data):
+    # kernel vectors, coordinates and reduced rows are {index: scalar}
+    values = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+    m = _sparse_matrix(rows, cols, data.draw(
+        _entries(rows, cols, values, 2 * rows * cols)))
+    pivots = m.rank_profile()
+    free = [f for f in range(cols) if f not in pivots]
+    kernel = m.kernel_basis()
+    assert len(kernel) == len(free)
+    for f, vec in zip(free, kernel):
+        _assert_sparse(vec, cols)
+        assert vec[f] == 1
+        assert [k for k in vec if k not in pivots] == [f]
+    columns = m.columns()
+    extra = _sparse_matrix(rows, 2, data.draw(_entries(rows, 2, values, 4)))
+    targets = [add_scaled(dict(columns[0]), columns[-1])] + extra.columns()
+    coords, rank = express_ranked(columns, targets)
+    assert rank == len(pivots) and coords[0] is not None
+    for vec in coords:
+        if vec is not None:
+            _assert_sparse(vec, cols)
+    by_row = [{} for _ in range(rows)]
+    for (i, j), v in m.entries.items():
+        by_row[i][j] = v
+    reduced = reduce_to_basis(by_row)
+    assert len(reduced) == len(pivots)
+    for vec in reduced:
+        _assert_sparse(vec, cols)
+        assert vec[min(vec)] == 1

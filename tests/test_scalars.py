@@ -3,6 +3,7 @@ a ``Fraction``, and no float (or bool) ever reaches a coefficient."""
 
 import io
 import tokenize
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -36,6 +37,10 @@ def test_no_division_outside_the_quotient_helper():
 
 
 def _assert_scalars(values, where):
+    # a sparse vector iterates over its int keys, which would pass
+    # unchecked: hand over its .values()
+    if isinstance(values, Mapping):
+        raise TypeError(f"{where}: pass the values of a sparse vector")
     # type(), not isinstance: a bool is an int but not a scalar
     bad = [(v, type(v).__name__) for v in values
            if type(v) not in (int, Fraction)]
@@ -46,9 +51,9 @@ def _walk_linear_algebra(h: HopfPresentation, cx, where):
     """kernel_basis, express, reduce_to_basis, extract_cla and the lantern."""
     kernel = cx.d1.kernel_basis()
     for vec in kernel:
-        _assert_scalars(vec, f"{where}: d1 kernel")
+        _assert_scalars(vec.values(), f"{where}: d1 kernel")
     for vec in reduce_to_basis(kernel):
-        _assert_scalars(vec, f"{where}: reduce_to_basis")
+        _assert_scalars(vec.values(), f"{where}: reduce_to_basis")
     reduced, _ = cx.d2.row_echelon()
     for row in reduced:
         _assert_scalars(row.values(), f"{where}: d2 RREF")
@@ -56,7 +61,7 @@ def _walk_linear_algebra(h: HopfPresentation, cx, where):
     columns = cx.d1.columns()
     for coords in express(columns, columns[:8] + [{0: 1}]):
         if coords is not None:
-            _assert_scalars(coords, f"{where}: express")
+            _assert_scalars(coords.values(), f"{where}: express")
     try:
         L = extract_cla(h, 4)
     except StructuralError:
@@ -110,7 +115,7 @@ def test_every_catalog_scalar_is_an_int_or_a_fraction():
             continue
         _assert_cla(obj, where)
         for vec in kernel_delta(obj):
-            _assert_scalars(vec, f"{where}: ker delta")
+            _assert_scalars(vec.values(), f"{where}: ker delta")
         if obj.is_anti_cocommutative():
             for terms in lantern_of_cla(obj).brackets.values():
                 _assert_scalars(terms.values(), f"{where}: lantern")
@@ -180,3 +185,11 @@ def test_format_scalar_prints_ints_and_fractions_alike():
     assert format_scalar(0) == format_scalar(Fraction(0)) == "0"
     assert format_scalar(Fraction(-3, 4)) == "-3/4"
     assert format_scalar(scalar("6/8")) == "3/4"
+
+
+def test_assert_scalars_refuses_a_whole_sparse_vector():
+    # iterating a sparse vector yields its int keys, not its scalars
+    with pytest.raises(TypeError):
+        _assert_scalars({0: 0.5}, "vector")
+    with pytest.raises(AssertionError):
+        _assert_scalars({0: 0.5}.values(), "values")

@@ -308,15 +308,12 @@ def test_graded_p2_complements_the_decomposables(D01, E110, F010, K):
         coords = {m: i for i, m in enumerate(monos)}
 
         def vec(elt):
-            out = [Fraction(0)] * len(monos)
-            for m, c in elt.terms.items():
-                out[coords[m]] = c
-            return out
+            return {coords[m]: c for m, c in elt.terms.items()}
 
         from hopfalg.exactlin import Matrix, reduce_to_basis
         prod_basis = reduce_to_basis([vec(e) for e in products])
         combined = reduce_to_basis([vec(b) for b in p2.basis]
-                                   + [list(v) for v in prod_basis])
+                                   + [dict(v) for v in prod_basis])
         assert len(combined) == p2.dim + len(prod_basis)
         assert len(combined) == len(ones) + len(twos)
 
