@@ -21,10 +21,11 @@ two checks agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import InputError, StructuralError
-from .exactlin import (Matrix, Scalar, add_scaled, express_pairs,
+from .exactlin import (Matrix, Scalar, add_scaled, add_term, express_pairs,
                        express_ranked, map_slot, reduce_to_basis, scalar)
 from .hopf import HopfPresentation
 from .ore import GeneratorInfo, OrePresentation, _is_int
@@ -159,18 +160,68 @@ class CLA(LieConstants):
 
 @dataclass
 class GradedLie(LieConstants):
-    """Graded Lie algebra by structure constants (brackets add degrees)."""
+    """Graded Lie algebra by structure constants (brackets add degrees).
+
+    ``lifts``, when the algebra was read off a presentation, holds per
+    basis vector the PBW monomial it is dual to.
+    """
 
     names: list[str]
     degrees: list[int]
     # brackets stored for i < j only: {(i, j): {k: coeff}}
     brackets: dict[tuple[int, int], dict[int, Scalar]] = field(default_factory=dict)
+    lifts: Optional[list[tuple[int, ...]]] = field(default=None, compare=False)
 
     def dims_by_degree(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for d in self.degrees:
             out[d] = out.get(d, 0) + 1
         return out
+
+    def ce_h2_dims(self, grades: Optional[Sequence] = None) -> dict:
+        """dim H^2 of the Chevalley-Eilenberg complex (trivial coefficients)
+        per grade, for the grades where it is nonzero.
+
+        The grade of basis vector i is its degree, or ``grades[i]`` (an int
+        or a tuple such as a bidegree) when given; brackets must add
+        grades.  The cochains Lambda^k L* split into grade blocks, xi^i ^
+        xi^j of grade g_i + g_j, and d preserves them, so each block of
+        d: Lambda^1 -> Lambda^2 and of d: Lambda^2 -> Lambda^3 takes one
+        rank, with
+            d xi^k = -sum_{i<j} c_ij^k xi^i ^ xi^j,
+            d w (x, y, z) = -w([x,y], z) + w([x,z], y) - w([y,z], x).
+        """
+        grades = list(self.degrees if grades is None else grades)
+        n = self.dim
+        d1: list[dict] = [{} for _ in range(n)]
+        for pair, terms in self.brackets.items():
+            for k, c in terms.items():
+                d1[k][pair] = -c
+        d2: dict[tuple[int, int], dict] = {
+            pair: {} for pair in combinations(range(n), 2)}
+        for triple in combinations(range(n), 3):
+            i, j, l = triple
+            for p, q, r, sign in ((i, j, l, -1), (i, l, j, 1), (j, l, i, -1)):
+                for k, c in self.bracket_constants(p, q).items():
+                    if k != r:
+                        pair, s = ((k, r), sign) if k < r else ((r, k), -sign)
+                        add_term(d2[pair], triple, s * c)
+
+        def grade_sum(a, b):
+            return a + b if isinstance(a, int) else tuple(map(sum, zip(a, b)))
+
+        blocks: dict = {}   # grade -> (d1 columns, d2 columns)
+        for k, col in enumerate(d1):
+            blocks.setdefault(grades[k], ([], []))[0].append(col)
+        for (i, j), col in d2.items():
+            blocks.setdefault(grade_sum(grades[i], grades[j]),
+                              ([], []))[1].append(col)
+        dims = {}
+        for g, (ones, twos) in blocks.items():
+            h2 = len(twos) - _rank(twos) - _rank(ones)
+            if h2:
+                dims[g] = h2
+        return dims
 
     def verify(self, max_total_degree: Optional[int] = None) -> VerificationReport:
         """Degree additivity and the Jacobi identity (within the stored range)."""
@@ -198,6 +249,10 @@ class GradedLie(LieConstants):
             rels.append(f"[{self.names[i]},{self.names[j]}]={rhs}")
         return (f"GradedLie(dims by degree {degs}; "
                 f"{'; '.join(rels) or 'abelian'})")
+
+
+def _rank(columns: list[dict]) -> int:
+    return Matrix.from_keyed_columns(columns).rank() if any(columns) else 0
 
 
 # -- verification and the enveloping algebra ------------------------------------

@@ -170,7 +170,12 @@ def _morphism_side(data, label):
         if not isinstance(family, str) or not isinstance(params, list):
             raise InputError(f"{label}: 'family' must be a string and "
                              "'params' an array")
-        return build(from_cli_params(family, [str(p) for p in params]))
+        try:
+            spec = from_cli_params(family, params)
+        except TypeError as exc:
+            raise InputError(f"{label}: 'params' must be integers or "
+                             f"rational strings: {exc}") from exc
+        return build(spec)
     if "generators" in data:
         return presentation_from_json(data)
     raise InputError(f"{label} needs either 'family' or 'generators'")

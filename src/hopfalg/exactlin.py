@@ -56,9 +56,10 @@ def scalar(value) -> Scalar:
     int when the value is integral, else a Fraction.
 
     A string that is not a rational (or has a zero denominator) is
-    malformed input and raises InputError.
+    malformed input and raises InputError; a float or a bool (an int
+    subclass, but not a number in a presentation) raises TypeError.
     """
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, Fraction):
         return _lowest(value)

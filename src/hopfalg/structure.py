@@ -270,4 +270,5 @@ def lantern_of_hopf(h: HopfPresentation, d: int) -> GradedLie:
                     consts[k] = val
             if consts:
                 brackets[(i, j)] = consts
-    return GradedLie(names, [deg for deg, _, _ in lantern], brackets)
+    return GradedLie(names, [deg for deg, _, _ in lantern], brackets,
+                     [m for _, m, _ in lantern])

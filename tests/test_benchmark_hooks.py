@@ -1,7 +1,7 @@
 """The benchmark's tracing (perfbench/tracing.py) wraps library methods by
-name and reads the ``(rows, pivots)`` shape of ``Matrix.row_echelon``; a
-rename or a changed result shape must fail here, not only under
-``perfbench/run.py --trace 1``."""
+name, reads the ``(rows, pivots)`` shape of ``Matrix.row_echelon`` and the
+bases and d2 of ``build_complex``; a rename or a changed result shape must
+fail here, not only under ``perfbench/run.py --trace 1``."""
 
 import json
 import os
@@ -19,7 +19,9 @@ tracer.instrument()
 from hopfalg import make_K
 from hopfalg.cobar import h2_report
 h2_report(make_K(), 3)
-print(json.dumps(tracer.take_counts()))
+full = tracer.take_counts()
+h2_report(make_K(), 6)
+print(json.dumps([full, tracer.take_counts()]))
 """
 
 
@@ -29,5 +31,9 @@ def test_tracer_instruments_the_library_and_counts_eliminations():
     run = subprocess.run([sys.executable, "-c", PROBE], env=env, cwd=ROOT,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    counts = json.loads(run.stdout)
-    assert counts["exactlin.row_echelon.calls"] > 0
+    # bound 3 is answered by the full elimination, bound 6 by the
+    # certificate, which builds the complex only up to degree 4
+    for counts in json.loads(run.stdout):
+        assert counts["exactlin.row_echelon.calls"] > 0
+        assert counts["cobar.build_complex.calls"] == 1
+        assert counts["cobar.d2_nnz"] > 0

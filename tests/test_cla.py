@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfalg.catalog import (list_catalog, build, make_cla_35, make_cla_a,
                              make_cla_b, make_lie)
-from hopfalg.cla import (CLA, _envelope, cla_transform, conilpotency_index,
+from hopfalg.cla import (CLA, GradedLie, _envelope, cla_transform, conilpotency_index,
                          enveloping, kernel_delta, lantern_of_cla, verify_cla)
 from hopfalg.errors import InputError, StructuralError
 from hopfalg.exactlin import Matrix, add_scaled
@@ -360,3 +360,20 @@ def test_basis_not_adapted_to_kernel_filtration():
         _envelope(L)
     with pytest.raises(StructuralError):
         enveloping(L)
+
+
+def test_ce_h2_of_the_heisenberg_algebra():
+    # [x, y] = z: xi^x ^ xi^y = -d xi^z is exact, and the two classes
+    # xi^x ^ xi^z, xi^y ^ xi^z sit in degree 3, bidegrees (2,1) and (1,2)
+    heis = GradedLie(["x", "y", "z"], [1, 1, 2], {(0, 1): {2: 1}})
+    assert heis.ce_h2_dims() == {3: 2}
+    assert heis.ce_h2_dims([(1, 0), (0, 1), (1, 1)]) == {(2, 1): 1, (1, 2): 1}
+
+
+def test_ce_h2_of_abelian_and_filiform_algebras():
+    assert GradedLie(["a", "b", "c", "d"], [1] * 4).ce_h2_dims() == {2: 6}
+    # the lantern of K: [X, Y] = 2Z, [Y, Z] = 2W; of the 6 two-cochains,
+    # d xi^Z and d xi^W are exact and d: Lambda^2 -> Lambda^3 has rank 2
+    filiform = GradedLie(["X", "Y", "Z", "W"], [1, 1, 2, 3],
+                         {(0, 1): {2: 2}, (1, 2): {3: 2}})
+    assert filiform.ce_h2_dims() == {3: 1, 4: 1}

@@ -162,6 +162,13 @@ def _morphism_side(side, **fields):
     return data
 
 
+def _family_morphism(params):
+    side = {"family": "B", "params": params}
+    return {"source": side, "target": side,
+            "images": {name: [{"coeff": "1", "monomial": {name: 1}}]
+                       for name in ("X", "Y", "Z")}}
+
+
 def _cla_array(part):
     data = cla_to_json(make_cla_a(1, 2, 0))
     data[part] = list(data[part].values())
@@ -208,6 +215,12 @@ def _malformed_cla(edit, part):
     ("morphism", _morphism_side("target", family=5)),
     ("morphism", _morphism_side("source", params=5)),
     ("morphism", _morphism_side("target", params=5)),
+    ("verify", _malformed_presentation(lambda t: t.update(coeff=True),
+                                       "coproducts", "Z")),
+    ("morphism", _malformed_morphism(lambda t: t.update(coeff=True))),
+    ("verify", _malformed_cla(lambda t: t.update(coeff=True), "delta")),
+    ("morphism", _family_morphism([0.5])),
+    ("morphism", _family_morphism([True])),
 ], ids=["presentation-no-coeff", "presentation-float-coeff",
         "presentation-string-exponent", "morphism-no-coeff",
         "morphism-top-level-list", "generator-float-degree",
@@ -220,7 +233,9 @@ def _malformed_cla(edit, part):
         "cla-string-delta-index", "cla-float-delta-index",
         "cla-array-brackets", "cla-array-delta", "morphism-int-source-family",
         "morphism-int-target-family", "morphism-int-source-params",
-        "morphism-int-target-params"])
+        "morphism-int-target-params", "presentation-bool-coeff",
+        "morphism-bool-coeff", "cla-bool-coeff", "morphism-float-params",
+        "morphism-bool-params"])
 def test_malformed_file_is_input_error(tmp_path, capsys, command, data):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(data))

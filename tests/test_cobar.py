@@ -1,13 +1,21 @@
+import functools
+import random
 import signal
+import warnings
+from fractions import Fraction
 
 import pytest
 
+from hopfalg import catalog
 from hopfalg.catalog import build, list_catalog, make_A
-from hopfalg.cobar import build_complex, h2_report, is_coboundary
+from hopfalg.cla import GradedLie
+from hopfalg.cobar import (_eliminated_report, build_complex, h2_report,
+                           is_coboundary)
 from hopfalg.errors import InputError
 from hopfalg.exactlin import Matrix
 from hopfalg.hopf import HopfPresentation
 from hopfalg.replicate import cocycle_t, cocycle_u
+from hopfalg.structure import lantern_of_hopf
 
 
 def test_rank_one_differential_examples(A000):
@@ -131,7 +139,7 @@ def test_total_mode_is_served_by_certified_rank_profiles(K, monkeypatch):
 
     monkeypatch.setattr(Matrix, "_fraction_rref", refuse)
     monkeypatch.setattr(Matrix, "rank_profile", spy)
-    rep = h2_report(K, 8)
+    rep = _eliminated_report(K, 8)
     assert rep.total_h2 == 2
     d2_pivots, _ = profiles
     assert len(d2_pivots) == 1257
@@ -181,7 +189,7 @@ def test_h2_report_takes_one_elimination_per_differential(A000, by_bidegree,
         return echelon(self)
 
     monkeypatch.setattr(Matrix, "row_echelon", spy)
-    rep = h2_report(A000, 6, by_bidegree=by_bidegree)
+    rep = _eliminated_report(A000, 6, by_bidegree=by_bidegree)
     assert rep.total_h2 == 2
     cx = build_complex(A000, 6)
     assert shapes == [(cx.d2.rows, cx.d2.cols), (cx.d1.rows, cx.d1.cols)]
@@ -203,6 +211,121 @@ def test_h2_report_scales_to_bound_nine(K):
         signal.signal(signal.SIGALRM, previous)
     assert rep.total_h2 == 2
     assert rep.stable_from_previous_bound
+
+
+def test_h2_report_scales_to_bound_twelve(K, monkeypatch):
+    # the certificate eliminates d2 only on C_<=4; the one elimination at
+    # the bound is d1 with the two witness cocycles appended
+    widths = []
+    echelon = Matrix.row_echelon
+
+    def spy(self):
+        widths.append(self.cols)
+        return echelon(self)
+
+    monkeypatch.setattr(Matrix, "row_echelon", spy)
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    try:
+        rep = h2_report(K, 12)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rep.total_h2 == 2
+    assert rep.stable_from_previous_bound
+    assert max(widths) == len(K.algebra.monomials_up_to(12)) + 2
+
+
+HOPF_CATALOG = [spec for spec in list_catalog()
+                if not spec.tag.startswith("cla")]
+
+
+@functools.cache
+def _oracle(index: int):
+    """The catalog presentation and its fully eliminated report at N = 8;
+    the level n rows of a total-mode report are the report at bound n."""
+    h = build(HOPF_CATALOG[index])
+    return h, _eliminated_report(h, 8)
+
+
+@pytest.mark.parametrize("index", range(len(HOPF_CATALOG)),
+                         ids=[s.describe() for s in HOPF_CATALOG])
+def test_lantern_prediction_equals_h2(index):
+    # cobar H^2 of C_<=n is the sum of H^2_CE(lantern) in degrees <= n
+    h, oracle = _oracle(index)
+    ce = lantern_of_hopf(h, max(h.algebra.degrees)).ce_h2_dims()
+    assert [r["h2"] for r in oracle.rows[:6]] == [
+        sum(dim for deg, dim in ce.items() if deg <= n) for n in range(1, 7)]
+
+
+def test_lantern_prediction_by_bidegree(A000):
+    L = lantern_of_hopf(A000, 2)
+    bidegrees = [A000.algebra.monomial_bidegree(m) for m in L.lifts]
+    assert L.ce_h2_dims(bidegrees) == {(2, 1): 1, (1, 2): 1}
+
+
+@pytest.mark.parametrize("index", range(len(HOPF_CATALOG)),
+                         ids=[s.describe() for s in HOPF_CATALOG])
+def test_certificate_matches_full_elimination(index):
+    h, oracle = _oracle(index)
+    for bound in range(1, 9):
+        assert h2_report(h, bound).rows == oracle.rows[:bound], bound
+
+
+@pytest.mark.parametrize("family", ["A000", "D01"])
+def test_bidegree_certificate_matches_full_elimination(family, request):
+    h = request.getfixturevalue(family)
+    for bound in range(1, 9):
+        assert (h2_report(h, bound, by_bidegree=True).rows
+                == _eliminated_report(h, bound, by_bidegree=True).rows), bound
+
+
+def _random_presentations(seed: int):
+    """One seeded draw from each deformed family A, B, D, E, F."""
+    rng = random.Random(seed)
+
+    def q():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # off-normalization parameters
+        return [catalog.make_A(q(), q(), q()), catalog.make_B(q()),
+                catalog.make_D(*[q() for _ in range(8)]),
+                catalog.make_E(q(), q(), q()), catalog.make_F(q(), q(), q())]
+
+
+@pytest.mark.parametrize("h", _random_presentations(13),
+                         ids=["A", "B", "D", "E", "F"])
+def test_certificate_matches_full_elimination_on_random_parameters(h):
+    oracle = _eliminated_report(h, 7)
+    for bound in range(1, 8):
+        assert h2_report(h, bound).rows == oracle.rows[:bound], bound
+
+
+def test_certificate_miss_falls_back_to_full_elimination(K, monkeypatch):
+    # one CE class too many: the witnesses of C_<=4 fall short of the
+    # prediction, so d2 is eliminated at the bound after all
+    predicted = GradedLie.ce_h2_dims
+
+    def inflated(self, grades=None):
+        dims = predicted(self, grades)
+        top = max(dims)
+        return {**dims, top: dims[top] + 1}
+
+    shapes = []
+    echelon = Matrix.row_echelon
+
+    def spy(self):
+        shapes.append((self.rows, self.cols))
+        return echelon(self)
+
+    monkeypatch.setattr(GradedLie, "ce_h2_dims", inflated)
+    monkeypatch.setattr(Matrix, "row_echelon", spy)
+    rep = h2_report(K, 6)
+    monkeypatch.undo()
+    d2 = build_complex(K, 6).d2
+    assert (d2.rows, d2.cols) in shapes
+    assert rep.rows == _eliminated_report(K, 6).rows
 
 
 def test_is_coboundary_takes_one_elimination(A000, monkeypatch):

@@ -145,11 +145,17 @@ def test_scalar_is_an_int_exactly_when_integral(value):
         assert type(s) is Fraction and s.denominator > 1
 
 
-def test_scalar_returns_ints_for_bools_and_integral_values():
-    assert type(scalar(True)) is int and scalar(True) == 1
+def test_scalar_returns_ints_for_integral_values():
     assert type(scalar(Fraction(6, 3))) is int
     assert type(scalar("-0")) is int
     assert isinstance(scalar(Fraction(-1, 2)), Scalar)
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5, 1.0])
+def test_scalar_refuses_bools_and_floats(value):
+    # a JSON true or 0.5 is not an exact rational, though bool is an int
+    with pytest.raises(TypeError):
+        scalar(value)
 
 
 @settings(max_examples=300)

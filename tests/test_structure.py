@@ -273,6 +273,15 @@ def test_lantern_generated_in_degree_one(K):
             assert idx in hit
 
 
+def test_lantern_records_the_lifted_indecomposables(K):
+    # one functional per generator, each dual to that generator's monomial
+    gl = lantern_of_hopf(K, 3)
+    alg = K.algebra
+    assert gl.lifts == [alg.monomial_tuple({name: 1})
+                        for name in ("X", "Y", "Z", "W")]
+    assert lantern_of_cla(make_cla_a(1, 2, 0)).lifts is None
+
+
 def test_subspace_json_shape(A000):
     data = primitive_space(A000, 3).to_json()
     assert data["dimension"] == 2
