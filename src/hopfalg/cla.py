@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError, StructuralError
 from .exactlin import (Matrix, Scalar, add_scaled, add_term, express_pairs,
-                       express_ranked, map_slot, reduce_to_basis, scalar)
+                       express_ranked, map_slot, scalar)
 from .hopf import HopfPresentation
 from .ore import GeneratorInfo, OrePresentation, _is_int
 from .reports import VerificationReport
@@ -414,9 +414,9 @@ def lantern_of_cla(L: CLA) -> GradedLie:
     if not L.is_anti_cocommutative():
         raise InputError("lantern of a CLA requires anti-cocommutativity")
     n = L.dim
-    kernel = reduce_to_basis(kernel_delta(L))
+    kernel = kernel_delta(L)
     kdim = len(kernel)
-    lead_idx = {min(vec) for vec in kernel}
+    lead_idx = {max(vec) for vec in kernel}
     complement = [i for i in range(n) if i not in lead_idx]
 
     def vec_name(vec) -> str:

@@ -101,8 +101,7 @@ def _space_command(args, compute, label: str = "", **extra) -> int:
         obj = enveloping(obj)
     bound = max_degree(args)
     space = compute(obj, bound)
-    prev = compute(obj, bound - 1) if bound > 1 else space
-    stable = prev.dim == space.dim
+    stable = space.stable_from_previous_bound
     human = [f"{label}dimension {space.dim} within degree bound {bound} "
              f"(stable from bound {bound - 1}: {stable})"]
     human += [f"  {b!r}" for b in space.basis]
@@ -195,9 +194,10 @@ def cmd_morphism(args) -> int:
     except (KeyError, TypeError, AttributeError) as exc:
         raise InputError(f"malformed morphism images: {exc!r}") from exc
     images = {name: dst.algebra.element(terms) for name, terms in parsed.items()}
-    report = src.verify_morphism(dst, images,
-                                 check_coalgebra=data.get("check_coalgebra",
-                                                          True))
+    check_coalgebra = data.get("check_coalgebra", True)
+    if not isinstance(check_coalgebra, bool):
+        raise InputError("'check_coalgebra' must be a boolean")
+    report = src.verify_morphism(dst, images, check_coalgebra=check_coalgebra)
     emit(args, str(report), report.to_json())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

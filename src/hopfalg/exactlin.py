@@ -3,7 +3,7 @@
 Everything downstream (normal forms, subspace computations, cohomology)
 reduces to kernels, ranks and solves over the rationals.  The solvers
 take and return sparse vectors: a kernel vector, a coordinate vector or
-a reduced basis row is a dict {index: nonzero scalar}.  A scalar is an
+a reduced echelon row is a dict {index: nonzero scalar}.  A scalar is an
 ``int`` when it is integral and a ``fractions.Fraction`` (lowest terms,
 positive denominator) when it is a proper fraction; floating point is
 never used.  Integral presentations therefore run on Python ints
@@ -508,15 +508,3 @@ def express_pairs(basis: Sequence[Mapping], targets: Sequence[Mapping]
             {divmod(ab, n): c for ab, c in sol.items()}
             for sol in express(pair_products(basis), targets)]
 
-
-def reduce_to_basis(vectors: Sequence[Mapping[int, Scalar]]
-                    ) -> list[dict[int, Scalar]]:
-    """Canonical basis of the span of sparse vectors over column indices:
-    the nonzero rows of their reduced echelon form, by increasing pivot
-    (each row's smallest key, where it is 1)."""
-    if not vectors:
-        return []
-    width = max((max(v) for v in vectors if v), default=-1) + 1
-    m = Matrix(len(vectors), width, {(i, j): c for i, v in enumerate(vectors)
-                                     for j, c in v.items()})
-    return m.row_echelon()[0]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .cla import CLA, GradedLie
 from .errors import InputError, StructuralError
 from .exactlin import (Matrix, Scalar, add_scaled, express, express_pairs,
-                       pair_products, reduce_to_basis)
+                       pair_products)
 from .hopf import HopfPresentation
 from .jsonio import element_to_terms
 from .ore import AlgebraElement, Monomial, OrePresentation, bracket
@@ -23,7 +23,9 @@ from .ore import AlgebraElement, Monomial, OrePresentation, bracket
 
 @dataclass
 class FilteredSubspace:
-    """A subspace of the degree <= d truncation with a canonical basis."""
+    """A subspace S_d of the degree <= d truncation, with one kernel's basis:
+    each vector reads 1 at its lead (its last monomial in canonical order,
+    degree first) and 0 at every other lead; leads increase."""
 
     presentation: HopfPresentation
     degree_bound: int
@@ -33,7 +35,23 @@ class FilteredSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def stable_from_previous_bound(self) -> bool:
+        """Whether S_{d-1} = S_d (True at d = 1), read off this one basis.
+
+        P, P2 and each coradical level satisfy S_{d-1} = S_d cap V_{<=d-1},
+        so S_{d-1} has the basis vectors whose lead has degree <= d-1.  For
+        P that is the definition.  For deg a <= d-1, delta(a) has both
+        factors of degree <= d-2, and (P_d (x) P_d) cap (V_{<=d-2} (x)
+        V_{<=d-2}) = P_{d-2} (x) P_{d-2}; induction on the level does the
+        coradical filtration.
+        """
+        d = self.degree_bound
+        return d == 1 or all(b.degree < d for b in self.basis)
+
     def contains(self, a: AlgebraElement) -> bool:
+        if a.p is not self.presentation.algebra:
+            raise InputError("element belongs to a different presentation")
         return express([b.terms for b in self.basis], [a.terms])[0] is not None
 
     def to_json(self) -> dict:
@@ -49,39 +67,31 @@ class FilteredSubspace:
                 f"{self.degree_bound}: {basis})")
 
 
-def _elements_from_vectors(h: HopfPresentation, monos: list[Monomial],
-                           vectors: list[dict[int, Scalar]]
-                           ) -> list[AlgebraElement]:
-    return [AlgebraElement(h.algebra, {monos[i]: c for i, c in vec.items()})
-            for vec in vectors]
-
-
 def primitive_space(h: HopfPresentation, d: int) -> FilteredSubspace:
     """Basis of {a : deg a <= d, counit(a) = 0, delta(a) = 0}."""
     if d < 1:
         raise InputError("degree bound must be >= 1")
     monos = h.algebra.monomials_up_to(d)
-    mat = Matrix.from_keyed_columns([h._reduced_monomial(m) for m in monos])
-    return FilteredSubspace(h, d, _elements_from_vectors(h, monos,
-                                                         mat.kernel_basis()))
+    return FilteredSubspace(h, d, _coradical_kernel(
+        h, monos, [h._reduced_monomial(m) for m in monos], []))
 
 
 def _coradical_kernel(h: HopfPresentation, monos: list[Monomial], columns,
                       factors: list[AlgebraElement]) -> list[AlgebraElement]:
     """Canonical basis of the a over monos with delta(a) in factors (x) factors.
 
-    Solved as one kernel problem: unknowns are the coefficients of a over
-    the monomials, whose reduced coproducts are ``columns`` (they may carry
-    extra rows, conditions on a alone), plus auxiliary coefficients mu_fg
-    with delta(a) + sum mu_fg f (x) g = 0.  The kernel is projected to
-    the coefficients of a.
+    Solved as one kernel problem: unknowns are coefficients mu_fg with
+    sum mu_fg f (x) g + delta(a) = 0, then those of a over the monomials,
+    whose reduced coproducts are ``columns`` (extra rows may put conditions
+    on a alone).  Kernel vectors with a monomial free column, less their mu
+    coordinates, are the canonical basis; the rest relate factor pairs.
     """
-    columns = list(columns) + pair_products([f.terms for f in factors])
-    kernel = Matrix.from_keyed_columns(columns).kernel_basis()
-    n = len(monos)
-    vectors = reduce_to_basis([{i: c for i, c in vec.items() if i < n}
-                               for vec in kernel])
-    return _elements_from_vectors(h, monos, vectors)
+    pairs = pair_products([f.terms for f in factors])
+    k = len(pairs)
+    kernel = Matrix.from_keyed_columns(pairs + columns).kernel_basis()
+    return [AlgebraElement(h.algebra, {monos[i - k]: c for i, c in vec.items()
+                                       if i >= k})
+            for vec in kernel if max(vec) >= k]
 
 
 def p2_space(h: HopfPresentation, d: int) -> FilteredSubspace:
@@ -136,13 +146,13 @@ def extract_cla(h: HopfPresentation, d: int) -> CLA:
     """
     if d < 2:
         raise InputError("degree bound must be >= 2")
-    prev = p2_space(h, d - 1)
     space = p2_space(h, d)
-    if prev.dim != space.dim:
+    basis = space.basis
+    if not space.stable_from_previous_bound:
         raise StructuralError(
             f"p2 space is not stable between bounds {d - 1} and {d} "
-            f"({prev.dim} vs {space.dim}); raise the bound")
-    basis = space.basis
+            f"({sum(b.degree < d for b in basis)} vs {space.dim}); "
+            "raise the bound")
     names = []
     for i, b in enumerate(basis):
         if len(b.terms) == 1:

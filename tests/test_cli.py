@@ -169,6 +169,12 @@ def _family_morphism(params):
                        for name in ("X", "Y", "Z")}}
 
 
+def _morphism_check(value):
+    data = _malformed_morphism(lambda t: None)
+    data["check_coalgebra"] = value
+    return data
+
+
 def _cla_array(part):
     data = cla_to_json(make_cla_a(1, 2, 0))
     data[part] = list(data[part].values())
@@ -221,6 +227,9 @@ def _malformed_cla(edit, part):
     ("verify", _malformed_cla(lambda t: t.update(coeff=True), "delta")),
     ("morphism", _family_morphism([0.5])),
     ("morphism", _family_morphism([True])),
+    ("morphism", _morphism_check("false")),
+    ("morphism", _morphism_check(0)),
+    ("morphism", _morphism_check(None)),
 ], ids=["presentation-no-coeff", "presentation-float-coeff",
         "presentation-string-exponent", "morphism-no-coeff",
         "morphism-top-level-list", "generator-float-degree",
@@ -235,7 +244,8 @@ def _malformed_cla(edit, part):
         "morphism-int-target-family", "morphism-int-source-params",
         "morphism-int-target-params", "presentation-bool-coeff",
         "morphism-bool-coeff", "cla-bool-coeff", "morphism-float-params",
-        "morphism-bool-params"])
+        "morphism-bool-params", "morphism-string-check-coalgebra",
+        "morphism-int-check-coalgebra", "morphism-null-check-coalgebra"])
 def test_malformed_file_is_input_error(tmp_path, capsys, command, data):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(data))
@@ -351,5 +361,15 @@ def test_cohomology_bidegree_mode_reports_stability(capsys):
         code, out, _ = run(capsys, "cohomology", "--family", "A",
                            "--params", "0,0,0", "--max-degree", bound,
                            "--bidegree", "--json")
+        assert code == 0
+        assert json.loads(out)["stable_from_previous_bound"] is stable
+
+
+def test_p2_reports_stability_read_off_the_basis(capsys):
+    # D01 gains Z in degree 2; at bound 1 the flag is True by convention
+    for bound, stable in (("2", False), ("1", True)):
+        code, out, _ = run(capsys, "p2", "--family", "D",
+                           "--params", "0,1,0,0,0,0,0,0", "--max-degree",
+                           bound, "--json")
         assert code == 0
         assert json.loads(out)["stable_from_previous_bound"] is stable

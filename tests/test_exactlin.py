@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hopfalg.errors import InputError
 from hopfalg.exactlin import (P, Matrix, add_scaled, add_term, express,
                               express_pairs, express_ranked, format_scalar,
-                              map_slot, reduce_to_basis, scalar)
+                              map_slot, scalar)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
                          max_denominator=10**4)
@@ -115,19 +115,6 @@ def test_solve_and_inverse():
         [Fraction(0), Fraction(1)]) is None
     with pytest.raises(ValueError):
         Matrix.from_rows([[1, 1], [2, 2]]).inverse()
-
-
-def test_reduce_to_basis_and_span():
-    basis = reduce_to_basis([{0: Fraction(1), 1: Fraction(1)},
-                             {0: Fraction(2), 1: Fraction(2)},
-                             {2: Fraction(3)}])
-    assert len(basis) == 2
-    inside, outside = express(
-        basis,
-        [{0: Fraction(3), 1: Fraction(3), 2: Fraction(-1)},
-         {0: Fraction(1)}])
-    assert inside == {0: Fraction(3), 1: Fraction(-1)}
-    assert outside is None
 
 
 def test_no_stored_zero_entries():
@@ -418,11 +405,8 @@ def test_solvers_answer_in_sparse_vectors(rows, cols, data):
     for vec in coords:
         if vec is not None:
             _assert_sparse(vec, cols)
-    by_row = [{} for _ in range(rows)]
-    for (i, j), v in m.entries.items():
-        by_row[i][j] = v
-    reduced = reduce_to_basis(by_row)
+    reduced, _ = m.row_echelon()
     assert len(reduced) == len(pivots)
-    for vec in reduced:
+    for vec, c in zip(reduced, pivots):
         _assert_sparse(vec, cols)
-        assert vec[min(vec)] == 1
+        assert min(vec) == c and vec[c] == 1

@@ -17,9 +17,10 @@ from hopfalg.cla import CLA, enveloping, kernel_delta, lantern_of_cla
 from hopfalg.cobar import build_complex
 from hopfalg.errors import StructuralError
 from hopfalg.exactlin import (P, Matrix, _reconstruct, express, format_scalar,
-                              quotient, reduce_to_basis, scalar)
+                              quotient, scalar)
 from hopfalg.hopf import HopfPresentation
-from hopfalg.structure import extract_cla, lantern_of_hopf
+from hopfalg.structure import (coradical_filtration, extract_cla,
+                               lantern_of_hopf, p2_space)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hopfalg"
 
@@ -48,12 +49,14 @@ def _assert_scalars(values, where):
 
 
 def _walk_linear_algebra(h: HopfPresentation, cx, where):
-    """kernel_basis, express, reduce_to_basis, extract_cla and the lantern."""
-    kernel = cx.d1.kernel_basis()
-    for vec in kernel:
+    """kernel_basis, express, the P2 and coradical bases, extract_cla and
+    the lantern."""
+    for vec in cx.d1.kernel_basis():
         _assert_scalars(vec.values(), f"{where}: d1 kernel")
-    for vec in reduce_to_basis(kernel):
-        _assert_scalars(vec.values(), f"{where}: reduce_to_basis")
+    for b in p2_space(h, 4).basis:
+        _assert_scalars(b.terms.values(), f"{where}: p2 basis")
+    for b in coradical_filtration(h, 2, 4).basis:
+        _assert_scalars(b.terms.values(), f"{where}: coradical basis")
     reduced, _ = cx.d2.row_echelon()
     for row in reduced:
         _assert_scalars(row.values(), f"{where}: d2 RREF")

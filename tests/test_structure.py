@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
+from hopfalg import structure
 from hopfalg.catalog import (build, list_catalog, make_cla_35, make_cla_a,
-                             make_lie_preset)
+                             make_D, make_lie_preset)
 from hopfalg.cla import enveloping, lantern_of_cla
-from hopfalg.errors import StructuralError
+from hopfalg.errors import InputError, StructuralError
 from hopfalg.exactlin import Matrix
-from hopfalg.ore import AlgebraElement, bracket
+from hopfalg.hopf import HopfPresentation
+from hopfalg.ore import AlgebraElement, OrePresentation, bracket
 from hopfalg.structure import (associated_graded, coradical_filtration,
                                extract_cla, lantern_of_hopf, p2_space,
                                primitive_space)
@@ -289,6 +291,84 @@ def test_subspace_json_shape(A000):
     assert data["basis"][0] == [{"coeff": "1", "monomial": {"X": 1}}]
 
 
+def test_contains_refuses_an_element_of_another_presentation():
+    space = p2_space(make_D(0, 1, 0, 0, 0, 0, 0, 0), 4)
+    with pytest.raises(InputError):
+        space.contains(make_lie_preset("abelian4").algebra.gen("c"))
+
+
+def test_primitives_are_coradical_level_one():
+    # X, Y primitive and delta(Z) = X (x) Y + Y (x) X, so XY - Z is
+    # primitive; both routes read it off one kernel with lead Z
+    h = HopfPresentation(OrePresentation([("X", 1), ("Y", 1), ("Z", 2)]),
+                         {"Z": [(1, {"X": 1}, {"Y": 1}),
+                                (1, {"Y": 1}, {"X": 1})]})
+    alg = h.algebra
+    primitives = primitive_space(h, 3).basis
+    assert primitives == coradical_filtration(h, 1, 3).basis[1:]
+    assert primitives[-1] == alg.gen("Z") - alg.gen("X") * alg.gen("Y")
+
+
+def _catalog_presentations():
+    return [(s.describe(), enveloping(o) if s.tag.startswith("cla") else o)
+            for s in list_catalog() for o in [build(s)]]
+
+
+@pytest.mark.parametrize("space", [
+    primitive_space, p2_space, lambda h, d: coradical_filtration(h, 2, d)],
+    ids=["P", "P2", "coradical-2"])
+def test_previous_bound_is_read_off_the_basis(space):
+    # oracle: the bound-(d-1) space computed on its own is the bound-d
+    # basis vectors whose lead has degree <= d-1, and the stability flag
+    # matches the two separate computations
+    for name, h in _catalog_presentations():
+        spaces = [space(h, d) for d in range(1, 6)]
+        assert spaces[0].stable_from_previous_bound, name
+        for prev, cur in zip(spaces, spaces[1:]):
+            d = cur.degree_bound
+            assert prev.basis == [b for b in cur.basis if b.degree < d], \
+                (name, d)
+            assert cur.stable_from_previous_bound == (prev.dim == cur.dim), \
+                (name, d)
+
+
+def test_subspaces_take_one_elimination_per_kernel(K, monkeypatch):
+    calls = []
+    echelon = Matrix.row_echelon
+
+    def spy(self):
+        calls.append(self.cols)
+        return echelon(self)
+
+    monkeypatch.setattr(Matrix, "row_echelon", spy)
+    monos = K.algebra.monomials_up_to(4)
+    primitives = primitive_space(K, 4).basis
+    assert len(calls) == 1
+    calls.clear()
+    structure._coradical_kernel(
+        K, monos, [K._reduced_monomial(m) for m in monos], primitives)
+    assert len(calls) == 1
+    calls.clear()
+    p2_space(K, 5)
+    assert len(calls) == 2
+    for n in range(1, 4):
+        calls.clear()
+        coradical_filtration(K, n, 5)
+        assert len(calls) == n
+    calls.clear()
+    lantern_of_cla(make_cla_35("f"))
+    assert len(calls) == 2
+    bounds = []
+
+    def p2_spy(h, d):
+        bounds.append(d)
+        return p2_space(h, d)
+
+    monkeypatch.setattr(structure, "p2_space", p2_spy)
+    extract_cla(K, 5)
+    assert bounds == [5]
+
+
 def test_primitive_and_p2_dimensions_survive_grading(E110, K, B1):
     # the filtration invariants of a presentation match those of its
     # associated graded presentation
@@ -319,12 +399,12 @@ def test_graded_p2_complements_the_decomposables(D01, E110, F010, K):
         def vec(elt):
             return {coords[m]: c for m, c in elt.terms.items()}
 
-        from hopfalg.exactlin import Matrix, reduce_to_basis
-        prod_basis = reduce_to_basis([vec(e) for e in products])
-        combined = reduce_to_basis([vec(b) for b in p2.basis]
-                                   + [dict(v) for v in prod_basis])
-        assert len(combined) == p2.dim + len(prod_basis)
-        assert len(combined) == len(ones) + len(twos)
+        products = [vec(e) for e in products]
+        rank = Matrix.from_keyed_columns(products).rank()
+        combined = Matrix.from_keyed_columns(
+            [vec(b) for b in p2.basis] + products).rank()
+        assert combined == p2.dim + rank
+        assert combined == len(ones) + len(twos)
 
 
 def test_lantern_degree_one_is_dual_to_primitives():
