@@ -137,6 +137,20 @@ def add_scaled(acc: dict, terms: Mapping, c: Scalar = 1) -> dict:
     return acc
 
 
+def integral_values(acc: dict) -> dict:
+    """Turn every integral Fraction value of acc into an int, in place;
+    returns acc.
+
+    A sum or product of Fractions can come out integral, and the
+    accumulators above do not check; a cache calls this once per stored
+    result, so the hot loops stay as they are.
+    """
+    for key, v in acc.items():
+        if type(v) is Fraction and v.denominator == 1:
+            acc[key] = v.numerator
+    return acc
+
+
 def map_slot(terms: Mapping, slot: int, image: Callable[..., Mapping],
              c: Scalar = 1, acc: Optional[dict] = None) -> dict:
     """acc += c * (image applied at tuple position slot); returns acc.

@@ -9,11 +9,13 @@ antipode recursion terminate.
 
 from __future__ import annotations
 
+from math import comb
 from types import MappingProxyType
 from typing import Optional
 
 from .errors import InputError, StructuralError
-from .exactlin import Scalar, add_scaled, add_term, map_slot, scalar
+from .exactlin import (Scalar, add_scaled, add_term, integral_values,
+                       map_slot, scalar)
 from .ore import (AlgebraElement, Combination, Monomial, OrePresentation,
                   bracket)
 from .reports import VerificationReport
@@ -60,6 +62,13 @@ class TensorElement(Combination):
         the result.  Every tensor product in the library has rank 2 (the
         coproduct recursion, brackets, `tensor_of`), so that loop is
         written out; higher ranks take the same steps slot by slot.
+
+        The coproduct recursion calls this as Delta(x_g^k) * Delta(m'),
+        x_g the first generator of m = x_g^k m' (k = 1 unless x_g is
+        primitive, when the left factor is the binomial block
+        sum_i C(k,i) x_g^i (x) x_g^{k-i}).  A slot product x_g^i * b is
+        then sorted, an exponent sum in `mul_monomials`, unless b carries
+        a letter before x_g from a delta term.
         """
         if not isinstance(other, TensorElement):
             return self.scale(other)
@@ -179,29 +188,41 @@ class HopfPresentation:
         return TensorElement(self.algebra, 2, {(u, u): 1})
 
     def _coproduct_monomial(self, m: Monomial) -> TensorElement:
+        """Delta(m), cached per monomial; do not mutate it.
+
+        Split off the first generator x_g of m (g the smallest index with
+        e_g > 0).  A primitive x_g leaves as its whole power, m = x_g^k m',
+        through the binomial block Delta(x_g^k) = sum_i C(k,i) x_g^i (x)
+        x_g^{k-i}: one tensor product instead of k.  Any other x_g leaves
+        one letter at a time, Delta(m) = Delta(x_g) * Delta(x_g^{-1} m).
+        The left factor holds the smallest letter, so a slot product
+        x_g^i * b is sorted (an exponent sum) unless b carries a letter
+        before x_g from a delta term.  Integral Fractions are stored as ints.
+        """
         cached = self._coproduct_cache.get(m)
         if cached is not None:
             return cached
         p = self.algebra
-        unit = p.unit_monomial
-        if m == unit:
+        if m == p.unit_monomial:
             result = self.unit_tensor()
         else:
-            # split off the last generator letter: m = m' * x_g
-            g = max(i for i, e in enumerate(m) if e)
-            factor_terms = self._primitive_terms(g)
-            add_scaled(factor_terms, self.delta_gen.get(g, {}))
-            factor = TensorElement(p, 2, factor_terms)
-            result = self._coproduct_monomial(
-                m[:g] + (m[g] - 1,) + m[g + 1:]) * factor
+            g = next(i for i, e in enumerate(m) if e)
+            delta = self.delta_gen.get(g, {})
+            k = 1 if delta else m[g]
+            factor = add_scaled(self._power_block(g, k), delta)
+            rest = self._coproduct_monomial(m[:g] + (m[g] - k,) + m[g + 1:])
+            result = TensorElement(p, 2, factor) * rest
+            integral_values(result.terms)
         self._coproduct_cache[m] = result
         return result
 
-    def _primitive_terms(self, g: int) -> dict[tuple, Scalar]:
-        """x_g(x)1 + 1(x)x_g as a new {pair: coeff} dict."""
+    def _power_block(self, g: int, k: int) -> dict[tuple, Scalar]:
+        """sum_i C(k,i) x_g^i (x) x_g^{k-i}, i = k..0, as a new {pair: coeff}
+        dict: Delta(x_g^k) for a primitive x_g (k = 1: x_g(x)1 + 1(x)x_g)."""
         unit = self.algebra.unit_monomial
-        xg = unit[:g] + (1,) + unit[g + 1:]
-        return {(xg, unit): 1, (unit, xg): 1}
+        head, tail = unit[:g], unit[g + 1:]
+        return {(head + (i,) + tail, head + (k - i,) + tail): comb(k, i)
+                for i in range(k, -1, -1)}
 
     def coproduct(self, a: AlgebraElement) -> TensorElement:
         """Delta(a), extended from the generators as an algebra map."""
@@ -254,7 +275,7 @@ class HopfPresentation:
             for (l, r), c in self._reduced_monomial(m).items():
                 for ml, cl in self._antipode_monomial(l).terms.items():
                     add_scaled(out, p.mul_monomials(ml, r), -c * cl)
-            result = AlgebraElement(p, out)
+            result = AlgebraElement(p, integral_values(out))
         self._antipode_cache[m] = result
         return result
 
@@ -336,7 +357,7 @@ class HopfPresentation:
         n = len(p.names)
         delta = {g: TensorElement(p, 2, terms)
                  for g, terms in self.delta_gen.items()}
-        prim = [TensorElement(p, 2, self._primitive_terms(g)) for g in range(n)]
+        prim = [TensorElement(p, 2, self._power_block(g, 1)) for g in range(n)]
         for j in range(1, n):
             dj = delta.get(j)
             for i in range(j):

@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .errors import InputError, StructuralError
-from .exactlin import Scalar, add_scaled, add_term, scalar
+from .exactlin import Scalar, add_scaled, add_term, integral_values, scalar
 from .reports import VerificationReport
 
 Monomial = tuple  # exponent vector, one entry per generator
@@ -262,7 +262,7 @@ class OrePresentation:
             for mono, kc in self._kappa.get((j, i), {}).items():
                 kappa_rest = self._left_mul(self._letters(mono), {rest: 1})
                 add_scaled(hit, kappa_rest, kc)
-            self._gen_cache[key] = hit
+            self._gen_cache[key] = integral_values(hit)
         return hit
 
     def _letters(self, m: Monomial):
@@ -302,7 +302,8 @@ class OrePresentation:
             while last > 0 and not a[last]:
                 last -= 1
             if any(b[:last]):
-                hit = self._left_mul(self._letters(a), {b: 1})
+                hit = integral_values(
+                    self._left_mul(self._letters(a), {b: 1}))
             else:
                 hit = {tuple(x + y for x, y in zip(a, b)): 1}
             self._mul_cache[key] = hit

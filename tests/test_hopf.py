@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hopfalg.cla import enveloping
 from hopfalg.errors import InputError, StructuralError
 from hopfalg.exactlin import add_scaled, add_term
 from hopfalg.hopf import HopfPresentation, TensorElement, tensor_of
-from hopfalg.ore import OrePresentation, bracket
+from hopfalg.ore import AlgebraElement, OrePresentation, bracket
 
 
 def monomials(h, bound, include_unit=False):
@@ -300,26 +301,120 @@ def typed(terms):
     return [(key, type(c), c) for key, c in terms.items()]
 
 
-def test_coproducts_match_reference_tensor_product():
-    # Delta(m) = Delta(m') * (x_g(x)1 + 1(x)x_g + delta(x_g)), rebuilt with
-    # the oracle product; keys, their order, values and scalar types agree
+def typed_dict(terms):
+    return {key: (type(c), c) for key, c in terms.items()}
+
+
+def catalog_hopf():
+    """(description, Hopf presentation): the catalog's, and U(L) of its CLAs."""
+    out = []
     for spec in list_catalog():
         h = build(spec)
         if not isinstance(h, HopfPresentation):
             h = enveloping(h)
-        p = h.algebra
-        unit = p.unit_monomial
-        want = {unit: h.unit_tensor()}
-        for m in p.monomials_up_to(4):
-            g = max(i for i, e in enumerate(m) if e)
-            xg = unit[:g] + (1,) + unit[g + 1:]
-            rest = m[:g] + (m[g] - 1,) + m[g + 1:]
-            factor = {(xg, unit): 1, (unit, xg): 1}
-            add_scaled(factor, h.delta_gen.get(g, {}))
-            want[m] = TensorElement(p, 2, reference_tensor_mul(
-                want[rest], TensorElement(p, 2, factor)))
+        out.append((spec.describe(), h))
+    return out
+
+
+def letter(p, g, k=1):
+    unit = p.unit_monomial
+    return unit[:g] + (k,) + unit[g + 1:]
+
+
+def rebuild_first_generator(h, bound):
+    """Delta(m) for m up to the bound, every product through the oracle:
+    with x_g the first generator of m, a primitive x_g leaves as x_g^k
+    through sum_i C(k,i) x_g^i (x) x_g^{k-i} (i = k..0), any other as one
+    letter through x_g(x)1 + 1(x)x_g + delta(x_g), and the factor of x_g
+    multiplies from the left."""
+    p = h.algebra
+    want = {p.unit_monomial: h.unit_tensor()}
+    for m in p.monomials_up_to(bound):
+        g = min(i for i, e in enumerate(m) if e)
+        k = 1 if g in h.delta_gen else m[g]
+        factor = {(letter(p, g, i), letter(p, g, k - i)): math.comb(k, i)
+                  for i in range(k, -1, -1)}
+        add_scaled(factor, h.delta_gen.get(g, {}))
+        rest = m[:g] + (m[g] - k,) + m[g + 1:]
+        want[m] = TensorElement(p, 2, reference_tensor_mul(
+            TensorElement(p, 2, factor), want[rest]))
+    return want
+
+
+def rebuild_last_letter(h, bound):
+    """Delta(m) = Delta(m') * (x_g(x)1 + 1(x)x_g + delta(x_g)) for the last
+    letter x_g of m = m' x_g, every product through the oracle."""
+    p = h.algebra
+    unit = p.unit_monomial
+    want = {unit: h.unit_tensor()}
+    for m in p.monomials_up_to(bound):
+        g = max(i for i, e in enumerate(m) if e)
+        xg = letter(p, g)
+        factor = {(xg, unit): 1, (unit, xg): 1}
+        add_scaled(factor, h.delta_gen.get(g, {}))
+        rest = m[:g] + (m[g] - 1,) + m[g + 1:]
+        want[m] = TensorElement(p, 2, reference_tensor_mul(
+            want[rest], TensorElement(p, 2, factor)))
+    return want
+
+
+def test_coproducts_match_reference_tensor_product():
+    # the first-generator rule rebuilt with the oracle product: keys, their
+    # order, values and scalar types agree; the last-letter rule is an
+    # independent rebuild of the same coproduct, compared as typed dicts;
+    # the two rules first give different dict orders at degree 5
+    for where, h in catalog_hopf():
+        first = rebuild_first_generator(h, 5)
+        last = rebuild_last_letter(h, 5)
+        for m in h.algebra.monomials_up_to(5):
             got = h._coproduct_monomial(m).terms
-            assert typed(got) == typed(want[m].terms), (spec.describe(), m)
+            assert typed(got) == typed(first[m].terms), (where, m)
+            assert typed_dict(got) == typed_dict(last[m].terms), (where, m)
+
+
+def test_coproduct_is_an_algebra_map_on_the_catalog():
+    # Delta(a b) = Delta(a) Delta(b), the right side through the oracle
+    for where, h in catalog_hopf():
+        p = h.algebra
+        monos = p.monomials_up_to(4, include_unit=True)
+        for a, b in itertools.product(monos, repeat=2):
+            if p.monomial_degree(a) + p.monomial_degree(b) > 4:
+                continue
+            ab = AlgebraElement(p, {a: 1}) * AlgebraElement(p, {b: 1})
+            want = reference_tensor_mul(h._coproduct_monomial(a),
+                                        h._coproduct_monomial(b))
+            assert typed_dict(h.coproduct(ab).terms) == typed_dict(want), (
+                where, a, b)
+
+
+def test_coproduct_does_not_depend_on_request_order():
+    # a cold presentation asked in reverse canonical order fills its
+    # coproduct and product caches differently, and answers the same
+    forward, backward = catalog_hopf(), catalog_hopf()
+    for (where, h), (_, cold) in zip(forward, backward):
+        monos = h.algebra.monomials_up_to(5, include_unit=True)
+        for m in reversed(monos):
+            cold._coproduct_monomial(m)
+        for m in monos:
+            assert (typed(h._coproduct_monomial(m).terms)
+                    == typed(cold._coproduct_monomial(m).terms)), (where, m)
+
+
+def test_cold_k_coproduct_takes_eight_tensor_products(monkeypatch):
+    # W^3 Z^3 X^3 Y^3: X^3 and Y^3 leave as binomial blocks, Z and W (not
+    # primitive) one letter at a time, and the last W meets Delta(1)
+    calls = []
+    product = TensorElement.__mul__
+
+    def spy(self, other):
+        calls.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(TensorElement, "__mul__", spy)
+    h = make_K()
+    d = h.coproduct(h.algebra.monomial({"W": 3, "Z": 3, "X": 3, "Y": 3}))
+    assert len(d.terms) == 9026
+    assert len(calls) == 8
 
 
 def _random_tensor(p, rng, rank, monos, size):

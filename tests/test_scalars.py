@@ -2,6 +2,7 @@
 a ``Fraction``, and no float (or bool) ever reaches a coefficient."""
 
 import io
+import itertools
 import tokenize
 from collections.abc import Mapping
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfalg import Scalar
-from hopfalg.catalog import build, list_catalog
+from hopfalg.catalog import build, list_catalog, make_D
 from hopfalg.cla import CLA, enveloping, kernel_delta, lantern_of_cla
 from hopfalg.cobar import build_complex
 from hopfalg.errors import StructuralError
@@ -127,6 +128,32 @@ def test_every_catalog_scalar_is_an_int_or_a_fraction():
         except StructuralError:
             continue
         _walk_hopf(env, f"U({where})")
+
+
+def test_no_cache_keeps_an_integral_fraction():
+    # a sum or product of Fractions can come out integral; every product,
+    # coproduct and antipode cache stores such a value as an int.  The
+    # parameters are the pbw benchmark's seed-11 D.
+    h = make_D(Fraction(3, 2), 1, Fraction(-1, 6), Fraction(-5, 2), -1, 1,
+               Fraction(-9, 2), Fraction(8, 9))
+    p = h.algebra
+    for a, b, c, d in itertools.product(range(1, 4), repeat=4):
+        p.monomial({"W": a, "Z": b}) * p.monomial({"X": c, "Y": d})
+    assert h.verify_antipode(6).passed
+    caches = {
+        "_gen_cache": p._gen_cache.values(),
+        "_mul_cache": p._mul_cache.values(),
+        "_coproduct_cache": [t.terms for t in h._coproduct_cache.values()],
+        "_reduced_cache": h._reduced_cache.values(),
+        "_antipode_cache": [e.terms for e in h._antipode_cache.values()],
+    }
+    for name, vectors in caches.items():
+        values = [v for vec in vectors for v in vec.values()]
+        _assert_scalars(values, name)
+        assert any(type(v) is Fraction for v in values), name
+        integral = [v for v in values
+                    if type(v) is Fraction and v.denominator == 1]
+        assert integral == [], (name, len(integral), len(values))
 
 
 integral = st.integers(-10**30, 10**30)
