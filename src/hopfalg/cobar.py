@@ -9,11 +9,12 @@ weighted degree, the tuples of total degree <= n form a subcomplex C_<=n.
 ``h2_report`` gives the rank-2 dimensions of C_<=n for every n up to a
 bound N.  It answers from a certificate: the Chevalley-Eilenberg
 cohomology of the lantern bounds H^2(C_<=n) from above at every level,
-cocycles of C_<=G (G the top degree of a CE class) bound it from below,
-and one elimination of d^1 at the bound with those cocycles appended
-shows the bounds meet.  Only C_<=G has d^2 eliminated.  Whenever a step
-of the certificate fails, the full elimination of d^2 at the bound
-answers instead, and the test-suite keeps it as the oracle.
+and cocycles of C_<=G (G the top degree of a CE class) bound it from
+below.  d^2 is eliminated on C_<=G only, and d^1 only up to G' =
+max(G, top generator degree): P(gr H) is zero above G', so d^1 is
+injective there and its rank on each grade is the monomial count.
+Whenever a step of the certificate fails, the full elimination of d^2
+at the bound answers instead, and the test-suite keeps it as the oracle.
 """
 
 from __future__ import annotations
@@ -159,8 +160,9 @@ def h2_report(h: HopfPresentation, bound: int,
     """Kernel/image dimensions of the truncated complex in rank 2.
 
     Answered from the lantern certificate (``_certified_report``), which
-    eliminates d^2 only up to the top degree of a Chevalley-Eilenberg
-    class; when the certificate cannot be made, the full elimination
+    eliminates d^2 up to the top degree G of a Chevalley-Eilenberg class
+    and d^1 up to G' = max(G, top generator degree) only; when the
+    certificate cannot be made, the full elimination
     ``_eliminated_report`` answers.  The rows are the same either way.
     """
     if bound < 1:
@@ -190,14 +192,13 @@ def _eliminated_report(h: HopfPresentation, bound: int,
     monos = _grade_counts(cx.bases[1], cx.d1.rank_profile(), grade)
     cocycles = {g: columns - rank for g, (columns, rank) in pairs.items()}
     coboundaries = {g: rank for g, (_, rank) in monos.items()}
-    if by_bidegree:
-        return _bidegree_report(bound, cocycles, coboundaries)
-    return _total_report(bound, cocycles, coboundaries)
+    return (_bidegree_report if by_bidegree else _total_report)(
+        bound, cocycles, coboundaries)
 
 
 def _certified_report(h: HopfPresentation, bound: int, grade,
                       by_bidegree: bool) -> Optional[CobarReport]:
-    """The rows with d^2 eliminated only on C_<=G, or None.
+    """Rows with d^2 eliminated on C_<=G and d^1 up to G' only, or None.
 
     Filter C_<=n by weighted degree.  d never raises it, and the
     associated graded complex is the truncated cobar complex of gr H,
@@ -207,14 +208,21 @@ def _certified_report(h: HopfPresentation, bound: int, grade,
     filtration therefore gives dim H^2(C_<=n) <= sum_{m<=n} H^2_CE(L)_m,
     and per bidegree block H^2 <= H^2_CE(L) of that bidegree.  Let G be
     the top degree of a nonzero CE class; no grade above G carries H^2,
-    so there the cocycles are the coboundaries.  Up to G the cocycles
-    come from d^2 of C_<=G, along with cocycles W independent modulo
-    im d^1_<=G, each checked with ``_apply_d2``; they must number the
-    whole CE sum.  One rank profile of [d^1_<=N | W] gives the
-    coboundaries of every grade (the d^1 columns come first, by degree,
-    and bidegree blocks have disjoint rows) and, when each W column is a
-    pivot, shows W independent modulo im d^1_<=n at every level n <= N,
-    so H^2(C_<=n) = |W| from both sides.
+    so there the cocycles are the coboundaries, and up to G they come
+    from d^2 of C_<=G.
+
+    With one lift per generator, each a generator, L lives in the
+    generator degrees, so P(gr H), dual to L/[L, L] (Milnor-Moore), is
+    zero above G' = max(G, top generator degree).  If d^1 y has lower
+    degree than y, the top part of y is primitive in gr H (its d^1 is the
+    top part of d^1 y).  So d^1 is injective on each grade above G',
+    whose coboundaries are its monomial count, and a cocycle of C_<=G
+    that bounds in C_<=N bounds in C_<=G'.  One rank profile of [d^1 up
+    to min(N, G') | kernel of d^2 on C_<=G] counts the coboundaries below
+    (d^1 columns come first, by degree; bidegree blocks have disjoint
+    rows); its kernel pivots are cocycles W independent modulo
+    im d^1_<=N, each checked with ``_apply_d2``.  When they number the
+    whole CE sum, H^2(C_<=n) = |W| from both sides at every level n > G.
 
     None when the lantern is not one functional per generator, when
     N <= G, or when W falls short.
@@ -232,35 +240,31 @@ def _certified_report(h: HopfPresentation, bound: int, grade,
         top = max(ce, default=0)
     if bound <= top:
         return None
-    cocycles, witnesses = _low_cocycles(h, top, grade) if top else ({}, [])
+    cocycles, kernel = _low_cocycles(h, top, grade) if top else ({}, [])
+    low = alg.monomials_up_to(min(bound, max([top, *alg.degrees])))
+    pivots = Matrix.from_keyed_columns(
+        [h._reduced_monomial(m) for m in low] + kernel).rank_profile()
+    witnesses = [kernel[p - len(low)] for p in pivots if p >= len(low)]
     if (len(witnesses) != sum(ce.values())
             or any(_apply_d2(h, w) for w in witnesses)):
         return None
 
+    # by degree, so past ``low`` every monomial is above G' and a d^1 pivot
     monos = alg.monomials_up_to(bound)
-    pivots = Matrix.from_keyed_columns(
-        [h._reduced_monomial(m) for m in monos] + witnesses).rank_profile()
-    d1_pivots = [p for p in pivots if p < len(monos)]
-    if len(pivots) - len(d1_pivots) != len(witnesses):
-        return None
     coboundaries = {g: rank for g, (_, rank) in _grade_counts(
-        [(m,) for m in monos], d1_pivots, grade).items()}
-    if by_bidegree:
-        single = {alg.monomial_bidegree(m) for m in monos}
-        above = {(a + c, b + d) for a, b in single for c, d in single
-                 if top < a + b + c + d <= bound}
-    else:
-        above = range(top + 1, bound + 1)
-    cocycles.update((g, coboundaries.get(g, 0)) for g in above)
-    if by_bidegree:
-        return _bidegree_report(bound, cocycles, coboundaries)
-    return _total_report(bound, cocycles, coboundaries)
+        [(m,) for m in monos], pivots[:len(pivots) - len(witnesses)]
+        + list(range(len(low), len(monos))), grade).items()}
+    # the grades above G that hold pairs are those d^1 maps into
+    cocycles.update({g: rank for g, rank in coboundaries.items()
+                     if rank and g not in cocycles})
+    return (_bidegree_report if by_bidegree else _total_report)(
+        bound, cocycles, coboundaries)
 
 
 def _low_cocycles(h: HopfPresentation, top: int, grade
                   ) -> tuple[dict, list[dict[tuple, Scalar]]]:
-    """From C_<=top: the number of 2-cocycles per grade, and cocycles
-    independent modulo im d^1 picked from the kernel basis of d^2.
+    """From C_<=top: the number of 2-cocycles per grade, and the kernel
+    basis of d^2 as {pair: coefficient} vectors.
 
     The kernel vector of free column f ends at f, so the pivot columns of
     d^2 are the columns that end none.
@@ -270,12 +274,8 @@ def _low_cocycles(h: HopfPresentation, top: int, grade
     free = {max(vec) for vec in kernel}
     counts = _grade_counts(low.bases[2], [c for c in range(low.d2.cols)
                                           if c not in free], grade)
-    d1 = low.d1.columns()
-    pivots = Matrix.from_columns(d1 + kernel, low.d1.rows).rank_profile()
-    witnesses = [{low.bases[2][i]: c for i, c in kernel[p - len(d1)].items()}
-                 for p in pivots if p >= len(d1)]
     return ({g: columns - rank for g, (columns, rank) in counts.items()},
-            witnesses)
+            [{low.bases[2][i]: c for i, c in vec.items()} for vec in kernel])
 
 
 def _total_report(bound: int, cocycles: dict,

@@ -7,13 +7,16 @@ from fractions import Fraction
 import pytest
 
 from hopfalg import catalog
-from hopfalg.catalog import build, list_catalog, make_A
+from hopfalg.catalog import build, list_catalog, make_A, make_lie
 from hopfalg.cla import GradedLie
-from hopfalg.cobar import (_eliminated_report, build_complex, h2_report,
-                           is_coboundary)
+from hopfalg.cobar import (_bidegree_report, _certified_report,
+                           _eliminated_report, _grade_counts, _grading,
+                           _low_cocycles, _total_report, build_complex,
+                           h2_report, is_coboundary)
 from hopfalg.errors import InputError
 from hopfalg.exactlin import Matrix
 from hopfalg.hopf import HopfPresentation
+from hopfalg.ore import OrePresentation
 from hopfalg.replicate import cocycle_t, cocycle_u
 from hopfalg.structure import lantern_of_hopf
 
@@ -86,7 +89,6 @@ def test_bidegree_report_locations(A000):
 def test_bidegree_mode_requires_bidegrees(K):
     # the four-generator families carry bidegrees but are not
     # bidegree-homogeneous; a bare presentation has none at all
-    from hopfalg.ore import OrePresentation
     bare = HopfPresentation(OrePresentation([("X", 1), ("Y", 1)]), {})
     with pytest.raises(InputError):
         h2_report(bare, 3, by_bidegree=True)
@@ -199,41 +201,63 @@ def _expire(signum, frame):
     raise TimeoutError("cobar report exceeded its time budget")
 
 
+def _within(seconds, fn, *args, **kwargs):
+    """fn(*args, **kwargs), or TimeoutError once ``seconds`` have passed."""
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_h2_report_scales_to_bound_nine(K):
     # the d2 matrix at N = 9 has 2290 pivots; a full Fraction RREF that
     # scanned every row per pivot spent about 7 s on it alone
-    previous = signal.signal(signal.SIGALRM, _expire)
-    signal.setitimer(signal.ITIMER_REAL, 60)
-    try:
-        rep = h2_report(K, 9)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    rep = _within(60, h2_report, K, 9)
     assert rep.total_h2 == 2
     assert rep.stable_from_previous_bound
 
 
-def test_h2_report_scales_to_bound_twelve(K, monkeypatch):
-    # the certificate eliminates d2 only on C_<=4; the one elimination at
-    # the bound is d1 with the two witness cocycles appended
-    widths = []
+def test_h2_report_scales_to_bound_twelve(monkeypatch):
+    # d1 is injective above G' = max(G, top generator degree), so the
+    # certificate asks for no delta(m) past G', and its widest elimination
+    # is as wide at N = 12 and N = 30 as at N = G' + 1
+    K = catalog.make_K()
+    top = max(lantern_of_hopf(K, 3).ce_h2_dims())
+    reach = max(top, *K.algebra.degrees)
+    widths, degrees = [], []
     echelon = Matrix.row_echelon
+    reduced = HopfPresentation._reduced_monomial
 
-    def spy(self):
+    def spy_echelon(self):
         widths.append(self.cols)
         return echelon(self)
 
-    monkeypatch.setattr(Matrix, "row_echelon", spy)
-    previous = signal.signal(signal.SIGALRM, _expire)
-    signal.setitimer(signal.ITIMER_REAL, 60)
-    try:
-        rep = h2_report(K, 12)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    assert rep.total_h2 == 2
+    def spy_reduced(self, m):
+        degrees.append(self.algebra.monomial_degree(m))
+        return reduced(self, m)
+
+    monkeypatch.setattr(Matrix, "row_echelon", spy_echelon)
+    monkeypatch.setattr(HopfPresentation, "_reduced_monomial", spy_reduced)
+    widest = {}
+    for bound, seconds in [(reach + 1, 60), (12, 60), (30, 1)]:
+        widths.clear()
+        degrees.clear()
+        rep = _within(seconds, h2_report, catalog.make_K(), bound)
+        assert rep.total_h2 == 2
+        assert rep.stable_from_previous_bound
+        assert max(degrees) == reach == 4
+        widest[bound] = max(widths)
+    assert widest[12] == widest[30] == widest[reach + 1]
+
+
+def test_bidegree_report_scales_to_bound_thirty():
+    rep = _within(1, h2_report, make_A(0, 0, 0), 30, by_bidegree=True)
+    assert {r["bidegree"]: r["h2"] for r in rep.rows if r["h2"]} == {
+        (2, 1): 1, (1, 2): 1}
     assert rep.stable_from_previous_bound
-    assert max(widths) == len(K.algebra.monomials_up_to(12)) + 2
 
 
 HOPF_CATALOG = [spec for spec in list_catalog()
@@ -264,12 +288,84 @@ def test_lantern_prediction_by_bidegree(A000):
     assert L.ce_h2_dims(bidegrees) == {(2, 1): 1, (1, 2): 1}
 
 
+# U of an abelian Lie algebra on the given (name, weight) generators.  One
+# generator leaves no CE class, so G = 0 < G' and the bounds N < G' run the
+# d1 elimination at N; with X, W of weights 1, 3 the class X*W* puts G at 4
+ABELIAN = {name: HopfPresentation(OrePresentation(generators), {})
+           for name, generators in [("X of weight 2", [("X", 2)]),
+                                    ("X of weight 3", [("X", 3)]),
+                                    ("X, W of weights 1, 3",
+                                     [("X", 1), ("W", 3)])]}
+
+
+@pytest.mark.parametrize("case", [*range(len(HOPF_CATALOG)), *ABELIAN],
+                         ids=[*(s.describe() for s in HOPF_CATALOG), *ABELIAN])
+def test_certificate_matches_full_elimination(case):
+    if case in ABELIAN:
+        h = ABELIAN[case]
+        oracle = _eliminated_report(h, 9)
+    else:
+        h, oracle = _oracle(case)
+    for bound in range(1, oracle.bound + 1):
+        assert h2_report(h, bound).rows == oracle.rows[:bound], bound
+
+
+def _bound_elimination_report(h, bound, by_bidegree=False):
+    """Reference rows with d1 eliminated at the bound: witnesses W picked
+    modulo im d1 of C_<=G, one rank profile of [d1 of every monomial up to
+    N | W] for the coboundaries, and the grades above G enumerated from
+    pairs of monomial grades."""
+    alg = h.algebra
+    grade = _grading(h, by_bidegree)
+    lantern = lantern_of_hopf(h, max(alg.degrees))
+    if by_bidegree:
+        ce = lantern.ce_h2_dims([alg.monomial_bidegree(m)
+                                 for m in lantern.lifts])
+        top = max(sum(g) for g in ce)
+    else:
+        ce = lantern.ce_h2_dims()
+        top = max(ce)
+    assert top < bound
+    cocycles, kernel = _low_cocycles(h, top, grade)
+    d1 = [h._reduced_monomial(m) for m in alg.monomials_up_to(top)]
+    witnesses = [kernel[p - len(d1)] for p in
+                 Matrix.from_keyed_columns(d1 + kernel).rank_profile()
+                 if p >= len(d1)]
+    assert len(witnesses) == sum(ce.values())
+
+    monos = alg.monomials_up_to(bound)
+    pivots = Matrix.from_keyed_columns(
+        [h._reduced_monomial(m) for m in monos] + witnesses).rank_profile()
+    d1_pivots = [p for p in pivots if p < len(monos)]
+    assert len(pivots) - len(d1_pivots) == len(witnesses)
+    coboundaries = {g: rank for g, (_, rank) in _grade_counts(
+        [(m,) for m in monos], d1_pivots, grade).items()}
+    if by_bidegree:
+        single = {alg.monomial_bidegree(m) for m in monos}
+        above = {(a + c, b + d) for a, b in single for c, d in single
+                 if top < a + b + c + d <= bound}
+    else:
+        above = range(top + 1, bound + 1)
+    cocycles.update((g, coboundaries.get(g, 0)) for g in above)
+    if by_bidegree:
+        return _bidegree_report(bound, cocycles, coboundaries)
+    return _total_report(bound, cocycles, coboundaries)
+
+
 @pytest.mark.parametrize("index", range(len(HOPF_CATALOG)),
                          ids=[s.describe() for s in HOPF_CATALOG])
-def test_certificate_matches_full_elimination(index):
-    h, oracle = _oracle(index)
-    for bound in range(1, 9):
-        assert h2_report(h, bound).rows == oracle.rows[:bound], bound
+def test_counted_rows_match_elimination_at_the_bound(index):
+    # the level n rows of a total-mode report are the report at bound n
+    h, _ = _oracle(index)
+    assert h2_report(h, 12).rows == _bound_elimination_report(h, 12).rows
+
+
+@pytest.mark.parametrize("family", ["A000", "D01"])
+def test_counted_bidegree_rows_match_elimination_at_the_bound(family,
+                                                              request):
+    h = request.getfixturevalue(family)
+    assert (h2_report(h, 12, by_bidegree=True).rows
+            == _bound_elimination_report(h, 12, by_bidegree=True).rows)
 
 
 @pytest.mark.parametrize("family", ["A000", "D01"])
@@ -294,12 +390,31 @@ def _random_presentations(seed: int):
                 catalog.make_E(q(), q(), q()), catalog.make_F(q(), q(), q())]
 
 
-@pytest.mark.parametrize("h", _random_presentations(13),
-                         ids=["A", "B", "D", "E", "F"])
-def test_certificate_matches_full_elimination_on_random_parameters(h):
-    oracle = _eliminated_report(h, 7)
-    for bound in range(1, 8):
-        assert h2_report(h, bound).rows == oracle.rows[:bound], bound
+def _random_semidirect_products(seed: int):
+    """U(k^n x| k) for n = 2, 3: [t, e_i] = sum_j a_ji e_j for a seeded
+    rational matrix a; Jacobi holds for any matrix."""
+    rng = random.Random(seed)
+    out = []
+    for n in (2, 3):
+        brackets = {(n, i): {j: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                             for j in range(n)} for i in range(n)}
+        out.append(make_lie([f"e{i}" for i in range(n)] + ["t"], brackets))
+    return out
+
+
+@pytest.mark.parametrize(
+    "h, bound",
+    [*((h, 7) for h in _random_presentations(13)),
+     *((h, 6) for seed in (16, 17) for h in _random_semidirect_products(seed))],
+    ids=["A", "B", "D", "E", "F", "k2xk-16", "k3xk-16", "k2xk-17", "k3xk-17"])
+def test_certificate_matches_full_elimination_on_random_parameters(h, bound):
+    oracle = _eliminated_report(h, bound)
+    top = max(lantern_of_hopf(h, max(h.algebra.degrees)).ce_h2_dims())
+    for n in range(1, bound + 1):
+        assert h2_report(h, n).rows == oracle.rows[:n], n
+        if n > top:   # answered by the certificate itself, not its fallback
+            assert (_certified_report(h, n, _grading(h, False), False).rows
+                    == oracle.rows[:n]), n
 
 
 def test_certificate_miss_falls_back_to_full_elimination(K, monkeypatch):
