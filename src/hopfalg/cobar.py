@@ -211,11 +211,11 @@ def _certified_report(h: HopfPresentation, bound: int, grade,
     so there the cocycles are the coboundaries, and up to G they come
     from d^2 of C_<=G.
 
-    With one lift per generator, each a generator, L lives in the
-    generator degrees, so P(gr H), dual to L/[L, L] (Milnor-Moore), is
-    zero above G' = max(G, top generator degree).  If d^1 y has lower
-    degree than y, the top part of y is primitive in gr H (its d^1 is the
-    top part of d^1 y).  So d^1 is injective on each grade above G',
+    gr H is the polynomial algebra on the generators, so L has one dual
+    per generator and lives in the generator degrees, and P(gr H), dual
+    to L/[L, L] (Milnor-Moore), is zero above G' = max(G, top generator
+    degree).  If d^1 y has lower degree than y, the top part of y is
+    primitive in gr H (its d^1 is the top part of d^1 y).  So d^1 is injective on each grade above G',
     whose coboundaries are its monomial count, and a cocycle of C_<=G
     that bounds in C_<=N bounds in C_<=G'.  One rank profile of [d^1 up
     to min(N, G') | kernel of d^2 on C_<=G] counts the coboundaries below
@@ -223,17 +223,16 @@ def _certified_report(h: HopfPresentation, bound: int, grade,
     rows); its kernel pivots are cocycles W independent modulo
     im d^1_<=N, each checked with ``_apply_d2``.  When they number the
     whole CE sum, H^2(C_<=n) = |W| from both sides at every level n > G.
+    Monomials are listed up to min(N, G') only; above G' their grades
+    are counted (``OrePresentation._monomial_counts``).
 
-    None when the lantern is not one functional per generator, when
-    N <= G, or when W falls short.
+    None when N <= G or when W falls short.
     """
     alg = h.algebra
     lantern = lantern_of_hopf(h, max(alg.degrees, default=1))
-    lifts = lantern.lifts
-    if len(lifts) != len(alg.names) or any(sum(m) != 1 for m in lifts):
-        return None
     if by_bidegree:
-        ce = lantern.ce_h2_dims([alg.monomial_bidegree(m) for m in lifts])
+        ce = lantern.ce_h2_dims([alg.monomial_bidegree(m)
+                                 for m in lantern.lifts])
         top = max((sum(g) for g in ce), default=0)
     else:
         ce = lantern.ce_h2_dims()
@@ -241,7 +240,8 @@ def _certified_report(h: HopfPresentation, bound: int, grade,
     if bound <= top:
         return None
     cocycles, kernel = _low_cocycles(h, top, grade) if top else ({}, [])
-    low = alg.monomials_up_to(min(bound, max([top, *alg.degrees])))
+    reach = min(bound, max([top, *alg.degrees]))
+    low = alg.monomials_up_to(reach)
     pivots = Matrix.from_keyed_columns(
         [h._reduced_monomial(m) for m in low] + kernel).rank_profile()
     witnesses = [kernel[p - len(low)] for p in pivots if p >= len(low)]
@@ -249,11 +249,14 @@ def _certified_report(h: HopfPresentation, bound: int, grade,
             or any(_apply_d2(h, w) for w in witnesses)):
         return None
 
-    # by degree, so past ``low`` every monomial is above G' and a d^1 pivot
-    monos = alg.monomials_up_to(bound)
     coboundaries = {g: rank for g, (_, rank) in _grade_counts(
-        [(m,) for m in monos], pivots[:len(pivots) - len(witnesses)]
-        + list(range(len(low), len(monos))), grade).items()}
+        [(m,) for m in low], pivots[:len(pivots) - len(witnesses)],
+        grade).items()}
+    # every monomial above G' is a d^1 pivot
+    coboundaries.update(
+        (g, count) for g, count in alg._monomial_counts(
+            bound, by_bidegree).items()
+        if (sum(g) if by_bidegree else g) > reach)
     # the grades above G that hold pairs are those d^1 maps into
     cocycles.update({g: rank for g, rank in coboundaries.items()
                      if rank and g not in cocycles})

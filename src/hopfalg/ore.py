@@ -203,17 +203,26 @@ class OrePresentation:
         """Number of PBW monomials of weighted degree <= bound."""
         if bound < 0:
             raise InputError("degree bound must be >= 0")
-        ways = [0] * (bound + 1)
-        ways[0] = 1
-        for d in self.degrees:
-            nxt = [0] * (bound + 1)
-            for t in range(bound + 1):
-                e = 0
-                while t - e * d >= 0:
-                    nxt[t] += ways[t - e * d]
-                    e += 1
-            ways = nxt
-        return sum(ways)
+        return sum(self._monomial_counts(bound).values())
+
+    def _monomial_counts(self, bound: int, by_bidegree: bool = False) -> dict:
+        """Number of PBW monomials (the unit included) of weighted degree
+        <= bound per degree, or per bidegree: counted generator by
+        generator, x_g^e times each grade counted so far, never listed."""
+        if by_bidegree:
+            steps, counts = self.bidegrees, {(0, 0): 1}
+        else:
+            steps, counts = self.degrees, {0: 1}
+        for d, step in zip(self.degrees, steps):
+            nxt: dict = {}
+            for grade, ways in counts.items():
+                room = bound - (sum(grade) if by_bidegree else grade)
+                for e in range(room // d + 1):
+                    key = ((grade[0] + e * step[0], grade[1] + e * step[1])
+                           if by_bidegree else grade + e * step)
+                    nxt[key] = nxt.get(key, 0) + ways
+            counts = nxt
+        return counts
 
     # -- element constructors ------------------------------------------------
 

@@ -10,6 +10,7 @@ to certify statements about the full algebra.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .cla import CLA, GradedLie
@@ -192,18 +193,12 @@ def extract_cla(h: HopfPresentation, d: int) -> CLA:
 def associated_graded(h: HopfPresentation) -> HopfPresentation:
     """Presentation-level associated graded algebra.
 
-    Each commutator is replaced by its homogeneous component in degree
-    deg x_i + deg x_j (empty under the validated strict degree drop, so
-    the graded algebra is commutative) and each reduced coproduct by its
+    Every commutator term has weighted degree below deg x_i + deg x_j
+    (``OrePresentation`` rejects the rest), so gr H is the polynomial
+    algebra on the generators; each reduced coproduct is replaced by its
     top homogeneous component in degree deg g.
     """
     p = h.algebra
-    commutators = {}
-    for (j, i), terms in p.kappa.items():
-        want = p.degrees[i] + p.degrees[j]
-        kept = [(c, m) for m, c in terms.items() if p.monomial_degree(m) == want]
-        if kept:
-            commutators[(p.names[j], p.names[i])] = kept
     coproducts = {}
     for g, terms in h.delta_gen.items():
         want = p.degrees[g]
@@ -211,8 +206,7 @@ def associated_graded(h: HopfPresentation) -> HopfPresentation:
                 if p.monomial_degree(l) + p.monomial_degree(r) == want]
         if kept:
             coproducts[p.names[g]] = kept
-    return HopfPresentation(OrePresentation(list(p.generators), commutators),
-                            coproducts)
+    return HopfPresentation(OrePresentation(p.generators), coproducts)
 
 
 # -- lantern -----------------------------------------------------------------------
@@ -221,64 +215,35 @@ def associated_graded(h: HopfPresentation) -> HopfPresentation:
 def lantern_of_hopf(h: HopfPresentation, d: int) -> GradedLie:
     """Graded Lie algebra dual to the associated graded algebra, degrees <= d.
 
-    In each degree m the functionals on gr H that kill every product of
-    lower-degree monomials are the kernel of the product matrix (one row
-    per product, one column per monomial of degree m).  Its canonical
-    kernel basis is dual to the free columns: the vector of free column f
-    reads 1 on monomial f, 0 on every other free monomial, and f is its
-    largest support index, the indecomposable it lifts.  Brackets of dual
-    functionals pair against the coproduct of lifted indecomposables:
-    [f, g](y) = (f (x) g - g (x) f)(Delta y), which is independent of the
-    lift because commutators of primitive functionals kill decomposables.
+    gr H is the polynomial algebra on the generators (see
+    ``associated_graded``), so its indecomposables are the generators:
+    one dual x_g* per generator of degree <= d, ordered by (degree,
+    index), each lifting to the monomial x_g.  Brackets pair against the
+    coproduct, [x_i*, x_j*](x_k) = (x_i* (x) x_j* - x_j* (x) x_i*)(Delta
+    x_k), which for deg x_k = deg x_i + deg x_j reads the two terms
+    x_i (x) x_j and x_j (x) x_i of delta(x_k); both lie in its top degree.
     """
     if d < 1:
         raise InputError("degree bound must be >= 1")
-    G = associated_graded(h)
-    alg = G.algebra
-
-    by_degree: dict[int, list[Monomial]] = {}
-    for m in alg.monomials_up_to(d):
-        by_degree.setdefault(alg.monomial_degree(m), []).append(m)
-
-    # (degree, lifted indecomposable, dual functional), by degree
-    lantern: list[tuple[int, Monomial, dict[Monomial, Scalar]]] = []
-    for deg in range(1, d + 1):
-        monos = by_degree.get(deg, [])
-        coords = {m: i for i, m in enumerate(monos)}
-        products = [alg.mul_monomials(u, v) for lower in range(1, deg)
-                    for u in by_degree.get(lower, [])
-                    for v in by_degree.get(deg - lower, [])]
-        matrix = Matrix(len(products), len(monos), {
-            (r, coords[m]): c for r, prod in enumerate(products)
-            for m, c in prod.items()})
-        for vec in matrix.kernel_basis():
-            lantern.append((deg, monos[max(vec)],
-                            {monos[i]: c for i, c in vec.items()}))
-
-    names = []
-    for _, m, _ in lantern:
-        if sum(m) == 1:
-            g = next(i for i, e in enumerate(m) if e)
-            names.append(alg.names[g] + "*")
-        else:
-            base = AlgebraElement(alg, {m: 1}).render_monomial(m)
-            names.append(f"({base})*")
+    alg = h.algebra
+    gens = sorted((g for g, deg in enumerate(alg.degrees) if deg <= d),
+                  key=lambda g: (alg.degrees[g], g))
+    degrees = [alg.degrees[g] for g in gens]
+    unit = alg.unit_monomial
+    lifts = [unit[:g] + (1,) + unit[g + 1:] for g in gens]
 
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for i, (p, _, f) in enumerate(lantern):
-        for j in range(i + 1, len(lantern)):
-            q, _, g = lantern[j]
-            consts = {}
-            for k, (r, y, _) in enumerate(lantern):
-                if r != p + q:
-                    continue
-                val = sum(c * (f.get(m1, 0) * g.get(m2, 0)
-                               - g.get(m1, 0) * f.get(m2, 0))
-                          for (m1, m2), c in
-                          G._coproduct_monomial(y).terms.items())
-                if val:
-                    consts[k] = val
-            if consts:
-                brackets[(i, j)] = consts
-    return GradedLie(names, [deg for deg, _, _ in lantern], brackets,
-                     [m for _, m, _ in lantern])
+    for i, j in itertools.combinations(range(len(gens)), 2):
+        consts = {}
+        for k, g in enumerate(gens):
+            if degrees[k] != degrees[i] + degrees[j]:
+                continue
+            delta = h.delta_gen.get(g, {})
+            val = (delta.get((lifts[i], lifts[j]), 0)
+                   - delta.get((lifts[j], lifts[i]), 0))
+            if val:
+                consts[k] = val
+        if consts:
+            brackets[(i, j)] = consts
+    return GradedLie([alg.names[g] + "*" for g in gens], degrees, brackets,
+                     lifts)

@@ -253,6 +253,31 @@ def test_h2_report_scales_to_bound_twelve(monkeypatch):
     assert widest[12] == widest[30] == widest[reach + 1]
 
 
+def test_certificate_lists_no_monomial_above_g_prime(monkeypatch):
+    # above G' the certificate counts monomials per grade, never lists them
+    bounds = []
+    listing = OrePresentation.monomials_up_to
+
+    def spy(self, bound, include_unit=False):
+        bounds.append(bound)
+        return listing(self, bound, include_unit)
+
+    monkeypatch.setattr(OrePresentation, "monomials_up_to", spy)
+    for h, by_bidegree in [(catalog.make_K(), False),
+                           (make_A(0, 0, 0), True)]:
+        alg = h.algebra
+        lantern = lantern_of_hopf(h, max(alg.degrees))
+        grades = ([alg.monomial_bidegree(m) for m in lantern.lifts]
+                  if by_bidegree else None)
+        top = max(sum(g) if by_bidegree else g
+                  for g in lantern.ce_h2_dims(grades))
+        reach = max(top, *alg.degrees)
+        bounds.clear()
+        rep = h2_report(h, 30, by_bidegree)
+        assert rep.total_h2 == 2 and rep.stable_from_previous_bound
+        assert bounds and max(bounds) <= reach < 30, (bounds, reach)
+
+
 def test_bidegree_report_scales_to_bound_thirty():
     rep = _within(1, h2_report, make_A(0, 0, 0), 30, by_bidegree=True)
     assert {r["bidegree"]: r["h2"] for r in rep.rows if r["h2"]} == {

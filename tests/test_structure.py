@@ -9,9 +9,12 @@ from hopfalg import structure
 from hopfalg.catalog import (build, list_catalog, make_cla_35, make_cla_a,
                              make_D, make_lie_preset)
 from hopfalg.cla import enveloping, lantern_of_cla
+from hopfalg.cli import main
+from hopfalg.cobar import _eliminated_report, h2_report
 from hopfalg.errors import InputError, StructuralError
 from hopfalg.exactlin import Matrix
 from hopfalg.hopf import HopfPresentation
+from hopfalg.jsonio import presentation_to_json
 from hopfalg.ore import AlgebraElement, OrePresentation, bracket
 from hopfalg.structure import (associated_graded, coradical_filtration,
                                extract_cla, lantern_of_hopf, p2_space,
@@ -246,9 +249,10 @@ def test_lanterns_match_golden_on_catalog():
     assert seen == golden
 
 
-def test_lantern_takes_one_elimination_per_degree(D01, monkeypatch):
-    # the dual functionals are the kernel basis of each degree's product
-    # matrix; no second elimination re-expresses the monomials
+def test_lantern_runs_no_elimination_and_builds_no_presentation(
+        D01, monkeypatch):
+    # gr H is polynomial on the generators, so the lantern is read off
+    # delta of the generators: no product matrix, no gr H presentation
     calls = []
     echelon = Matrix.row_echelon
 
@@ -256,12 +260,119 @@ def test_lantern_takes_one_elimination_per_degree(D01, monkeypatch):
         calls.append(self.cols)
         return echelon(self)
 
+    def graded_spy(h):
+        calls.append("associated_graded")
+        return associated_graded(h)
+
     monkeypatch.setattr(Matrix, "row_echelon", spy)
+    monkeypatch.setattr(structure, "associated_graded", graded_spy)
     for d in range(1, 6):
-        calls.clear()
         gl = lantern_of_hopf(D01, d)
-        assert len(calls) == d
+        assert calls == []
     assert gl.dims_by_degree() == {1: 2, 2: 1, 3: 1}
+
+
+def _product_matrix_lantern(h, d):
+    """Reference lantern: in each degree m of gr H, the functionals that
+    kill every product of lower-degree monomials are the kernel of the
+    product matrix; the kernel vector of free column f lifts to monomial
+    f, and brackets pair dual functionals against the coproduct of gr H."""
+    G = associated_graded(h)
+    alg = G.algebra
+    by_degree = {}
+    for m in alg.monomials_up_to(d):
+        by_degree.setdefault(alg.monomial_degree(m), []).append(m)
+    lantern = []   # (degree, lift, functional)
+    for deg in range(1, d + 1):
+        monos = by_degree.get(deg, [])
+        coords = {m: i for i, m in enumerate(monos)}
+        products = [alg.mul_monomials(u, v) for lower in range(1, deg)
+                    for u in by_degree.get(lower, [])
+                    for v in by_degree.get(deg - lower, [])]
+        matrix = Matrix(len(products), len(monos), {
+            (r, coords[m]): c for r, prod in enumerate(products)
+            for m, c in prod.items()})
+        for vec in matrix.kernel_basis():
+            lantern.append((deg, monos[max(vec)],
+                            {monos[i]: c for i, c in vec.items()}))
+    names = []
+    for _, m, _ in lantern:
+        assert sum(m) == 1
+        names.append(alg.names[m.index(1)] + "*")
+    brackets = {}
+    for i, (p, _, f) in enumerate(lantern):
+        for j in range(i + 1, len(lantern)):
+            q, _, g = lantern[j]
+            consts = {}
+            for k, (r, y, _) in enumerate(lantern):
+                if r != p + q:
+                    continue
+                val = sum(c * (f.get(m1, 0) * g.get(m2, 0)
+                               - g.get(m1, 0) * f.get(m2, 0))
+                          for (m1, m2), c in
+                          G._coproduct_monomial(y).terms.items())
+                if val:
+                    consts[k] = val
+            if consts:
+                brackets[(i, j)] = consts
+    return names, [deg for deg, _, _ in lantern], brackets, \
+        [m for _, m, _ in lantern]
+
+
+def _typed(brackets):
+    return {key: {k: (type(c), c) for k, c in terms.items()}
+            for key, terms in brackets.items()}
+
+
+def test_lantern_matches_product_matrix_oracle():
+    for name, h in _catalog_presentations():
+        for d in range(1, 7):
+            names, degrees, brackets, lifts = _product_matrix_lantern(h, d)
+            gl = lantern_of_hopf(h, d)
+            assert (gl.names, gl.degrees) == (names, degrees), (name, d)
+            assert (list(_typed(gl.brackets).items())
+                    == list(_typed(brackets).items())), (name, d)
+            assert gl.lifts == lifts, (name, d)
+
+
+def _reordered_generators():
+    # generators listed out of (degree, index) order; delta(Z) is not
+    # skew, so the bracket is the difference of its two coefficients
+    return HopfPresentation(
+        OrePresentation([("Z", 2, (1, 1)), ("X", 1, (1, 0)),
+                         ("Y", 1, (0, 1))]),
+        {"Z": [(F(3, 2), {"X": 1}, {"Y": 1}),
+               (F(-1, 3), {"Y": 1}, {"X": 1})]})
+
+
+def test_lantern_orders_duals_by_degree_then_index():
+    h = _reordered_generators()
+    gl = lantern_of_hopf(h, 2)
+    assert gl.names == ["X*", "Y*", "Z*"] and gl.degrees == [1, 1, 2]
+    assert gl.brackets == {(0, 1): {2: F(11, 6)}}
+    assert type(gl.brackets[(0, 1)][2]) is F
+    assert gl.lifts == [(0, 1, 0), (0, 0, 1), (1, 0, 0)]
+    assert lantern_of_hopf(h, 1).names == ["X*", "Y*"]
+    # the bidegrees handed to ce_h2_dims follow the lifts, not the table
+    bidegrees = [h.algebra.monomial_bidegree(m) for m in gl.lifts]
+    assert bidegrees == [(1, 0), (0, 1), (1, 1)]
+    assert gl.ce_h2_dims(bidegrees) == {(2, 1): 1, (1, 2): 1}
+    for bound in range(1, 9):
+        for by_bidegree in (False, True):
+            assert (h2_report(h, bound, by_bidegree).to_json()
+                    == _eliminated_report(h, bound, by_bidegree).to_json()), \
+                (bound, by_bidegree)
+
+
+def test_lantern_cli_on_reordered_generators(tmp_path, capsys):
+    path = tmp_path / "reordered.json"
+    path.write_text(json.dumps(presentation_to_json(_reordered_generators())))
+    assert main(["lantern", "--json", "--file", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"basis": ["X*", "Y*", "Z*"], "degrees": [1, 1, 2],
+                   "brackets": {"0,1": {"2": "11/6"}}}
+    assert main(["lantern", "--max-degree", "0", "--file", str(path)]) == 2
+    assert "degree bound" in capsys.readouterr().err
 
 
 def test_lantern_generated_in_degree_one(K):
