@@ -184,19 +184,27 @@ class GradedLie(LieConstants):
 
         The grade of basis vector i is its degree, or ``grades[i]`` (an int
         or a tuple such as a bidegree) when given; brackets must add
-        grades.  The cochains Lambda^k L* split into grade blocks, xi^i ^
-        xi^j of grade g_i + g_j, and d preserves them, so each block of
-        d: Lambda^1 -> Lambda^2 and of d: Lambda^2 -> Lambda^3 takes one
-        rank, with
+        grades, and InputError names the first bracket that does not.  The
+        cochains Lambda^k L* split into grade blocks, xi^i ^ xi^j of grade
+        g_i + g_j, and d preserves them, so each block of d: Lambda^1 ->
+        Lambda^2 and of d: Lambda^2 -> Lambda^3 takes one rank, with
             d xi^k = -sum_{i<j} c_ij^k xi^i ^ xi^j,
             d w (x, y, z) = -w([x,y], z) + w([x,z], y) - w([y,z], x).
         """
         grades = list(self.degrees if grades is None else grades)
-        n = self.dim
+
+        def grade_sum(a, b):
+            return a + b if isinstance(a, int) else tuple(map(sum, zip(a, b)))
+
+        n, names = self.dim, self.names
         d1: list[dict] = [{} for _ in range(n)]
-        for pair, terms in self.brackets.items():
+        for (i, j), terms in self.brackets.items():
             for k, c in terms.items():
-                d1[k][pair] = -c
+                if grades[k] != grade_sum(grades[i], grades[j]):
+                    raise InputError(
+                        f"grades do not add on [{names[i]},{names[j]}] -> "
+                        f"{names[k]}: {grades[k]} != {grades[i]} + {grades[j]}")
+                d1[k][(i, j)] = -c
         d2: dict[tuple[int, int], dict] = {
             pair: {} for pair in combinations(range(n), 2)}
         for triple in combinations(range(n), 3):
@@ -206,9 +214,6 @@ class GradedLie(LieConstants):
                     if k != r:
                         pair, s = ((k, r), sign) if k < r else ((r, k), -sign)
                         add_term(d2[pair], triple, s * c)
-
-        def grade_sum(a, b):
-            return a + b if isinstance(a, int) else tuple(map(sum, zip(a, b)))
 
         blocks: dict = {}   # grade -> (d1 columns, d2 columns)
         for k, col in enumerate(d1):

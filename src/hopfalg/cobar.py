@@ -9,12 +9,13 @@ weighted degree, the tuples of total degree <= n form a subcomplex C_<=n.
 ``h2_report`` gives the rank-2 dimensions of C_<=n for every n up to a
 bound N.  It answers from a certificate: the Chevalley-Eilenberg
 cohomology of the lantern bounds H^2(C_<=n) from above at every level,
-and cocycles of C_<=G (G the top degree of a CE class) bound it from
-below.  d^2 is eliminated on C_<=G only, and d^1 only up to G' =
-max(G, top generator degree): P(gr H) is zero above G', so d^1 is
-injective there and its rank on each grade is the monomial count.
-Whenever a step of the certificate fails, the full elimination of d^2
-at the bound answers instead, and the test-suite keeps it as the oracle.
+and H^2(C_<=G') bounds it from below for n >= G' = max(G, top generator
+degree), G the top degree of a CE class.  d^2 and d^1 are eliminated on
+C_<=G' only; P(gr H) is zero above G', so d^1 is injective there and
+each grade's cocycles and coboundaries are its monomial count.  When
+H^2(C_<=G') falls short of the CE sum, or N <= G', the same two
+eliminations at the bound answer instead, and the test-suite keeps them
+as the oracle.
 """
 
 from __future__ import annotations
@@ -160,45 +161,51 @@ def h2_report(h: HopfPresentation, bound: int,
     """Kernel/image dimensions of the truncated complex in rank 2.
 
     Answered from the lantern certificate (``_certified_report``), which
-    eliminates d^2 up to the top degree G of a Chevalley-Eilenberg class
-    and d^1 up to G' = max(G, top generator degree) only; when the
-    certificate cannot be made, the full elimination
-    ``_eliminated_report`` answers.  The rows are the same either way.
+    takes the rank profiles of d^2 and d^1 on C_<=G' only, G' = max(G,
+    top generator degree) for G the top degree of a Chevalley-Eilenberg
+    class, and counts the grades above G'; when the certificate cannot be
+    made, the same rank profiles at the bound (``_eliminated_report``)
+    answer.  The rows are the same either way.
     """
     if bound < 1:
         raise InputError("cobar bound must be >= 1")
-    grade = _grading(h, by_bidegree)
-    report = _certified_report(h, bound, grade, by_bidegree)
+    report = _certified_report(h, bound, by_bidegree)
     return report if report is not None else _eliminated_report(
         h, bound, by_bidegree)
 
 
 def _eliminated_report(h: HopfPresentation, bound: int,
                        by_bidegree: bool = False) -> CobarReport:
-    """The rows from one rank profile of d^2 and one of d^1 at the bound.
+    """The rows from one rank profile of d^2 and one of d^1 at the bound."""
+    return _report(bound, by_bidegree, *_eliminated_counts(h, bound,
+                                                           by_bidegree))
 
-    Each reads the columns and the pivot columns of every grade: the total
-    degree of a tuple, or its bidegree.  In total mode the bases are
-    sorted by degree, so the pivots up to a level are the rank of that
-    truncation.  In bidegree mode d maps each bidegree block into tuples
-    of the same bidegree (``_require_bihomogeneous``), so blocks have
-    disjoint rows: a column is independent of the columns before it
-    exactly when it is independent of the earlier columns of its own
-    block, and the pivots inside a block number its rank.
+
+def _eliminated_counts(h: HopfPresentation, bound: int,
+                       by_bidegree: bool) -> tuple[dict, dict]:
+    """Cocycles and coboundaries of C_<=bound per grade.
+
+    Each rank profile reads the columns and the pivot columns of every
+    grade: the total degree of a tuple, or its bidegree.  In total mode
+    the bases are sorted by degree, so the pivots up to a level are the
+    rank of that truncation.  In bidegree mode d maps each bidegree block
+    into tuples of the same bidegree (``_require_bihomogeneous``), so
+    blocks have disjoint rows: a column is independent of the columns
+    before it exactly when it is independent of the earlier columns of
+    its own block, and the pivots inside a block number its rank.
     """
-    cx = build_complex(h, bound)
     grade = _grading(h, by_bidegree)
+    cx = build_complex(h, bound)
     pairs = _grade_counts(cx.bases[2], cx.d2.rank_profile(), grade)
     monos = _grade_counts(cx.bases[1], cx.d1.rank_profile(), grade)
-    cocycles = {g: columns - rank for g, (columns, rank) in pairs.items()}
-    coboundaries = {g: rank for g, (_, rank) in monos.items()}
-    return (_bidegree_report if by_bidegree else _total_report)(
-        bound, cocycles, coboundaries)
+    return ({g: columns - rank for g, (columns, rank) in pairs.items()},
+            {g: rank for g, (_, rank) in monos.items()})
 
 
-def _certified_report(h: HopfPresentation, bound: int, grade,
-                      by_bidegree: bool) -> Optional[CobarReport]:
-    """Rows with d^2 eliminated on C_<=G and d^1 up to G' only, or None.
+def _certified_report(h: HopfPresentation, bound: int,
+                      by_bidegree: bool = False) -> Optional[CobarReport]:
+    """Rows from the rank profiles of C_<=G' and monomial counts above
+    G', or None.
 
     Filter C_<=n by weighted degree.  d never raises it, and the
     associated graded complex is the truncated cobar complex of gr H,
@@ -206,101 +213,56 @@ def _certified_report(h: HopfPresentation, bound: int, grade,
     computes Ext over its dual (Adams), and Ext over U(L) is H_CE(L)
     (Cartan-Eilenberg XIII).  The spectral sequence of this finite
     filtration therefore gives dim H^2(C_<=n) <= sum_{m<=n} H^2_CE(L)_m,
-    and per bidegree block H^2 <= H^2_CE(L) of that bidegree.  Let G be
-    the top degree of a nonzero CE class; no grade above G carries H^2,
-    so there the cocycles are the coboundaries, and up to G they come
-    from d^2 of C_<=G.
+    and per bidegree block H^2 <= H^2_CE(L) of that bidegree, which is
+    zero above G, the top degree of a nonzero CE class.
 
     gr H is the polynomial algebra on the generators, so L has one dual
     per generator and lives in the generator degrees, and P(gr H), dual
     to L/[L, L] (Milnor-Moore), is zero above G' = max(G, top generator
     degree).  If d^1 y has lower degree than y, the top part of y is
-    primitive in gr H (its d^1 is the top part of d^1 y).  So d^1 is injective on each grade above G',
-    whose coboundaries are its monomial count, and a cocycle of C_<=G
-    that bounds in C_<=N bounds in C_<=G'.  One rank profile of [d^1 up
-    to min(N, G') | kernel of d^2 on C_<=G] counts the coboundaries below
-    (d^1 columns come first, by degree; bidegree blocks have disjoint
-    rows); its kernel pivots are cocycles W independent modulo
-    im d^1_<=N, each checked with ``_apply_d2``.  When they number the
-    whole CE sum, H^2(C_<=n) = |W| from both sides at every level n > G.
-    Monomials are listed up to min(N, G') only; above G' their grades
-    are counted (``OrePresentation._monomial_counts``).
+    primitive in gr H (its d^1 is the top part of d^1 y).  So d^1 is
+    injective on each grade above G', whose coboundaries, and with no
+    H^2 there its cocycles too, are its monomial count
+    (``OrePresentation._monomial_counts``); and a cocycle of C_<=G' that
+    bounds in C_<=n bounds in C_<=G', so H^2(C_<=G') <= H^2(C_<=n).
+    When H^2(C_<=G') is the whole CE sum, H^2(C_<=n) equals it from both
+    sides at every level n > G'.  The bidegree blocks refine the degree
+    ones, so G and the sum are the same in both modes, and the blocks up
+    to G' are exact from C_<=G' alone.
 
-    None when N <= G or when W falls short.
+    None when N <= G' or when H^2(C_<=G') falls short of the CE sum.
     """
     alg = h.algebra
-    lantern = lantern_of_hopf(h, max(alg.degrees, default=1))
+    ce = lantern_of_hopf(h, max(alg.degrees, default=1)).ce_h2_dims()
+    reach = max([1, *ce, *alg.degrees])
+    if bound <= reach:
+        return None
+    cocycles, coboundaries = _eliminated_counts(h, reach, by_bidegree)
+    if sum(cocycles.values()) - sum(coboundaries.values()) != sum(ce.values()):
+        return None
+    for g, count in alg._monomial_counts(bound, by_bidegree).items():
+        if (sum(g) if by_bidegree else g) > reach:
+            cocycles[g] = coboundaries[g] = count
+    return _report(bound, by_bidegree, cocycles, coboundaries)
+
+
+def _report(bound: int, by_bidegree: bool, cocycles: dict,
+            coboundaries: dict) -> CobarReport:
+    """Rows from per-grade counts: one per bidegree of ``cocycles``, by
+    total degree then bidegree, or one per truncation level, cumulative."""
     if by_bidegree:
-        ce = lantern.ce_h2_dims([alg.monomial_bidegree(m)
-                                 for m in lantern.lifts])
-        top = max((sum(g) for g in ce), default=0)
-    else:
-        ce = lantern.ce_h2_dims()
-        top = max(ce, default=0)
-    if bound <= top:
-        return None
-    cocycles, kernel = _low_cocycles(h, top, grade) if top else ({}, [])
-    reach = min(bound, max([top, *alg.degrees]))
-    low = alg.monomials_up_to(reach)
-    pivots = Matrix.from_keyed_columns(
-        [h._reduced_monomial(m) for m in low] + kernel).rank_profile()
-    witnesses = [kernel[p - len(low)] for p in pivots if p >= len(low)]
-    if (len(witnesses) != sum(ce.values())
-            or any(_apply_d2(h, w) for w in witnesses)):
-        return None
-
-    coboundaries = {g: rank for g, (_, rank) in _grade_counts(
-        [(m,) for m in low], pivots[:len(pivots) - len(witnesses)],
-        grade).items()}
-    # every monomial above G' is a d^1 pivot
-    coboundaries.update(
-        (g, count) for g, count in alg._monomial_counts(
-            bound, by_bidegree).items()
-        if (sum(g) if by_bidegree else g) > reach)
-    # the grades above G that hold pairs are those d^1 maps into
-    cocycles.update({g: rank for g, rank in coboundaries.items()
-                     if rank and g not in cocycles})
-    return (_bidegree_report if by_bidegree else _total_report)(
-        bound, cocycles, coboundaries)
-
-
-def _low_cocycles(h: HopfPresentation, top: int, grade
-                  ) -> tuple[dict, list[dict[tuple, Scalar]]]:
-    """From C_<=top: the number of 2-cocycles per grade, and the kernel
-    basis of d^2 as {pair: coefficient} vectors.
-
-    The kernel vector of free column f ends at f, so the pivot columns of
-    d^2 are the columns that end none.
-    """
-    low = build_complex(h, top)
-    kernel = low.d2.kernel_basis()
-    free = {max(vec) for vec in kernel}
-    counts = _grade_counts(low.bases[2], [c for c in range(low.d2.cols)
-                                          if c not in free], grade)
-    return ({g: columns - rank for g, (columns, rank) in counts.items()},
-            [{low.bases[2][i]: c for i, c in vec.items()} for vec in kernel])
-
-
-def _total_report(bound: int, cocycles: dict,
-                  coboundaries: dict) -> CobarReport:
-    """Cumulative rows per truncation level from per-degree counts."""
+        report = CobarReport(bound, "bidegree")
+        for bd in sorted(cocycles, key=lambda b: (b[0] + b[1], b)):
+            z, b = cocycles[bd], coboundaries.get(bd, 0)
+            report.rows.append({"bidegree": bd, "cocycles": z,
+                                "coboundaries": b, "h2": z - b})
+        return report
     report = CobarReport(bound, "total")
     z = b = 0
     for level in range(1, bound + 1):
         z += cocycles.get(level, 0)
         b += coboundaries.get(level, 0)
         report.rows.append({"level": level, "cocycles": z,
-                            "coboundaries": b, "h2": z - b})
-    return report
-
-
-def _bidegree_report(bound: int, cocycles: dict,
-                     coboundaries: dict) -> CobarReport:
-    """One row per bidegree of ``cocycles``, by total degree then bidegree."""
-    report = CobarReport(bound, "bidegree")
-    for bd in sorted(cocycles, key=lambda b: (b[0] + b[1], b)):
-        z, b = cocycles[bd], coboundaries.get(bd, 0)
-        report.rows.append({"bidegree": bd, "cocycles": z,
                             "coboundaries": b, "h2": z - b})
     return report
 

@@ -108,6 +108,24 @@ def test_cohomology_bidegree_json(capsys):
     assert spots == {(1, 2), (2, 1)}
 
 
+def test_cohomology_file_takes_the_full_elimination(tmp_path, capsys,
+                                                    monkeypatch):
+    # k[X, Y, W] with delta(W) = X(x)Y: the lantern predicts H^2 = 3 but
+    # X(x)Y bounds once W enters, so the report at bound 5 reads 2
+    monkeypatch.delenv("HOPF_MAX_DEGREE", raising=False)
+    path = tmp_path / "delta_w.json"
+    path.write_text(json.dumps({
+        "generators": [{"name": "X", "degree": 1}, {"name": "Y", "degree": 1},
+                       {"name": "W", "degree": 3}],
+        "coproducts": {"W": [{"coeff": "1", "left": {"X": 1},
+                              "right": {"Y": 1}}]}}))
+    code, out, _ = run(capsys, "cohomology", "--json", "--file", str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["total_h2"] == 2
+    assert [r["h2"] for r in data["rows"]] == [0, 1, 0, 2, 2]
+
+
 def test_env_var_overrides_default_bound(capsys, monkeypatch):
     monkeypatch.setenv("HOPF_MAX_DEGREE", "3")
     code, out, _ = run(capsys, "primitives", "--family", "B", "--params", "0")

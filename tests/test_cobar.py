@@ -9,15 +9,14 @@ import pytest
 from hopfalg import catalog
 from hopfalg.catalog import build, list_catalog, make_A, make_lie
 from hopfalg.cla import GradedLie
-from hopfalg.cobar import (_bidegree_report, _certified_report,
-                           _eliminated_report, _grade_counts, _grading,
-                           _low_cocycles, _total_report, build_complex,
+from hopfalg.cobar import (_certified_report, _eliminated_report,
+                           _grade_counts, _grading, _report, build_complex,
                            h2_report, is_coboundary)
 from hopfalg.errors import InputError
 from hopfalg.exactlin import Matrix
 from hopfalg.hopf import HopfPresentation
 from hopfalg.ore import OrePresentation
-from hopfalg.replicate import cocycle_t, cocycle_u
+from hopfalg.replicate import cocycle_t, cocycle_u, object_battery
 from hopfalg.structure import lantern_of_hopf
 
 
@@ -197,6 +196,37 @@ def test_h2_report_takes_one_elimination_per_differential(A000, by_bidegree,
     assert shapes == [(cx.d2.rows, cx.d2.cols), (cx.d1.rows, cx.d1.cols)]
 
 
+@pytest.mark.parametrize("family, by_bidegree",
+                         [("K", False), ("A000", True)])
+def test_certified_report_takes_the_two_rank_profiles_at_g_prime(
+        family, by_bidegree, monkeypatch):
+    # past the lantern's CE ranks, the certificate eliminates d2 and d1 of
+    # C_<=G' once each, and takes no kernel basis
+    h = catalog.make_K() if family == "K" else make_A(0, 0, 0)
+    lantern = lantern_of_hopf(h, max(h.algebra.degrees))
+    shapes = []
+    echelon = Matrix.row_echelon
+
+    def spy(self):
+        shapes.append((self.rows, self.cols))
+        return echelon(self)
+
+    def refuse(self):
+        raise AssertionError("the certificate took a kernel basis")
+
+    monkeypatch.setattr(Matrix, "row_echelon", spy)
+    monkeypatch.setattr(Matrix, "kernel_basis", refuse)
+    top = max(lantern.ce_h2_dims())
+    ce_shapes = list(shapes)
+    shapes.clear()
+    rep = h2_report(h, 8, by_bidegree)
+    monkeypatch.undo()
+    assert rep.total_h2 == 2
+    cx = build_complex(h, max(top, *h.algebra.degrees))
+    assert shapes == ce_shapes + [(cx.d2.rows, cx.d2.cols),
+                                  (cx.d1.rows, cx.d1.cols)]
+
+
 def _expire(signum, frame):
     raise TimeoutError("cobar report exceeded its time budget")
 
@@ -314,20 +344,30 @@ def test_lantern_prediction_by_bidegree(A000):
 
 
 # U of an abelian Lie algebra on the given (name, weight) generators.  One
-# generator leaves no CE class, so G = 0 < G' and the bounds N < G' run the
-# d1 elimination at N; with X, W of weights 1, 3 the class X*W* puts G at 4
+# generator leaves no CE class, so G = 0 < G' and the bounds N <= G' are
+# eliminated at N; with X, W of weights 1, 3 the class X*W* puts G at 4
 ABELIAN = {name: HopfPresentation(OrePresentation(generators), {})
            for name, generators in [("X of weight 2", [("X", 2)]),
                                     ("X of weight 3", [("X", 3)]),
                                     ("X, W of weights 1, 3",
                                      [("X", 1), ("W", 3)])]}
 
+# k[X, Y, W] of weights 1, 1, 3 with delta(W) = X(x)Y.  Its lantern is
+# abelian, with CE H^2 {2: 1, 4: 2}, but X(x)Y bounds once W enters: H^2 of
+# C_<=n is 1, 0, 2, 2, ... from n = 2, so H^2(C_<=4) = 2 falls short of the
+# CE sum 3 and every bound takes the full elimination
+DELTA_W = "X, Y, W with delta(W) = X(x)Y"
+HAND_BUILT = {**ABELIAN, DELTA_W: HopfPresentation(
+    OrePresentation([("X", 1), ("Y", 1), ("W", 3)]),
+    {"W": [(1, {"X": 1}, {"Y": 1})]})}
 
-@pytest.mark.parametrize("case", [*range(len(HOPF_CATALOG)), *ABELIAN],
-                         ids=[*(s.describe() for s in HOPF_CATALOG), *ABELIAN])
+
+@pytest.mark.parametrize("case", [*range(len(HOPF_CATALOG)), *HAND_BUILT],
+                         ids=[*(s.describe() for s in HOPF_CATALOG),
+                              *HAND_BUILT])
 def test_certificate_matches_full_elimination(case):
-    if case in ABELIAN:
-        h = ABELIAN[case]
+    if case in HAND_BUILT:
+        h = HAND_BUILT[case]
         oracle = _eliminated_report(h, 9)
     else:
         h, oracle = _oracle(case)
@@ -335,11 +375,20 @@ def test_certificate_matches_full_elimination(case):
         assert h2_report(h, bound).rows == oracle.rows[:bound], bound
 
 
+def test_certificate_declines_when_a_ce_class_dies():
+    h = HAND_BUILT[DELTA_W]
+    assert object_battery(h, antipode_bound=5).passed
+    assert lantern_of_hopf(h, 3).ce_h2_dims() == {2: 1, 4: 2}
+    for bound in range(1, 9):
+        assert _certified_report(h, bound) is None, bound
+    assert [r["h2"] for r in h2_report(h, 8).rows] == [0, 1, 0, 2, 2, 2, 2, 2]
+
+
 def _bound_elimination_report(h, bound, by_bidegree=False):
-    """Reference rows with d1 eliminated at the bound: witnesses W picked
-    modulo im d1 of C_<=G, one rank profile of [d1 of every monomial up to
-    N | W] for the coboundaries, and the grades above G enumerated from
-    pairs of monomial grades."""
+    """Reference rows with d1 eliminated at the bound: the kernel of d2 on
+    C_<=G, witnesses W picked from it modulo im d1 of C_<=G, one rank
+    profile of [d1 of every monomial up to N | W] for the coboundaries,
+    and the grades above G enumerated from pairs of monomial grades."""
     alg = h.algebra
     grade = _grading(h, by_bidegree)
     lantern = lantern_of_hopf(h, max(alg.degrees))
@@ -351,7 +400,14 @@ def _bound_elimination_report(h, bound, by_bidegree=False):
         ce = lantern.ce_h2_dims()
         top = max(ce)
     assert top < bound
-    cocycles, kernel = _low_cocycles(h, top, grade)
+    low = build_complex(h, top)
+    kernel = low.d2.kernel_basis()
+    # the kernel vector of free column f ends at f
+    free = {max(vec) for vec in kernel}
+    cocycles = {g: columns - rank for g, (columns, rank) in _grade_counts(
+        low.bases[2], [c for c in range(low.d2.cols) if c not in free],
+        grade).items()}
+    kernel = [{low.bases[2][i]: c for i, c in vec.items()} for vec in kernel]
     d1 = [h._reduced_monomial(m) for m in alg.monomials_up_to(top)]
     witnesses = [kernel[p - len(d1)] for p in
                  Matrix.from_keyed_columns(d1 + kernel).rank_profile()
@@ -372,9 +428,7 @@ def _bound_elimination_report(h, bound, by_bidegree=False):
     else:
         above = range(top + 1, bound + 1)
     cocycles.update((g, coboundaries.get(g, 0)) for g in above)
-    if by_bidegree:
-        return _bidegree_report(bound, cocycles, coboundaries)
-    return _total_report(bound, cocycles, coboundaries)
+    return _report(bound, by_bidegree, cocycles, coboundaries)
 
 
 @pytest.mark.parametrize("index", range(len(HOPF_CATALOG)),
@@ -435,16 +489,19 @@ def _random_semidirect_products(seed: int):
 def test_certificate_matches_full_elimination_on_random_parameters(h, bound):
     oracle = _eliminated_report(h, bound)
     top = max(lantern_of_hopf(h, max(h.algebra.degrees)).ce_h2_dims())
+    reach = max(top, *h.algebra.degrees)
+    assert reach < bound
     for n in range(1, bound + 1):
         assert h2_report(h, n).rows == oracle.rows[:n], n
-        if n > top:   # answered by the certificate itself, not its fallback
-            assert (_certified_report(h, n, _grading(h, False), False).rows
-                    == oracle.rows[:n]), n
+        if n > reach:   # answered by the certificate itself, not its fallback
+            certified = _certified_report(h, n)
+            assert certified is not None, n
+            assert certified.rows == oracle.rows[:n], n
 
 
 def test_certificate_miss_falls_back_to_full_elimination(K, monkeypatch):
-    # one CE class too many: the witnesses of C_<=4 fall short of the
-    # prediction, so d2 is eliminated at the bound after all
+    # one CE class too many: H^2(C_<=4) falls short of the prediction, so
+    # d2 is eliminated at the bound after all
     predicted = GradedLie.ce_h2_dims
 
     def inflated(self, grades=None):

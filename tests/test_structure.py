@@ -357,6 +357,10 @@ def test_lantern_orders_duals_by_degree_then_index():
     bidegrees = [h.algebra.monomial_bidegree(m) for m in gl.lifts]
     assert bidegrees == [(1, 0), (0, 1), (1, 1)]
     assert gl.ce_h2_dims(bidegrees) == {(2, 1): 1, (1, 2): 1}
+    # in table order Z* would get X's bidegree, which [X*, Y*] does not add to
+    with pytest.raises(InputError, match=r"\[X\*,Y\*\] -> Z\*: \(0, 1\) "
+                                         r"!= \(1, 1\) \+ \(1, 0\)"):
+        gl.ce_h2_dims(list(h.algebra.bidegrees))
     for bound in range(1, 9):
         for by_bidegree in (False, True):
             assert (h2_report(h, bound, by_bidegree).to_json()
