@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError, StructuralError
 from .exactlin import (Matrix, Scalar, add_scaled, add_term, express_pairs,
-                       express_ranked, map_slot, scalar)
+                       express_ranked, graded_h2, map_slot, scalar)
 from .hopf import HopfPresentation
 from .ore import GeneratorInfo, OrePresentation, _is_int
 from .reports import VerificationReport
@@ -183,27 +183,24 @@ class GradedLie(LieConstants):
         per grade, for the grades where it is nonzero.
 
         The grade of basis vector i is its degree, or ``grades[i]`` (an int
-        or a tuple such as a bidegree) when given; brackets must add
-        grades, and InputError names the first bracket that does not.  The
-        cochains Lambda^k L* split into grade blocks, xi^i ^ xi^j of grade
-        g_i + g_j, and d preserves them, so each block of d: Lambda^1 ->
-        Lambda^2 and of d: Lambda^2 -> Lambda^3 takes one rank, with
+        or a tuple such as a bidegree) when given, one per basis vector;
+        brackets must add grades, and InputError names the first bracket
+        that does not.  The cochains Lambda^k L* split into grade blocks,
+        xi^i ^ xi^j of grade g_i + g_j, that d preserves, so ``graded_h2``
+        counts them all from one rank profile per differential, with
             d xi^k = -sum_{i<j} c_ij^k xi^i ^ xi^j,
             d w (x, y, z) = -w([x,y], z) + w([x,z], y) - w([y,z], x).
         """
+        n = self.dim
         grades = list(self.degrees if grades is None else grades)
-
-        def grade_sum(a, b):
-            return a + b if isinstance(a, int) else tuple(map(sum, zip(a, b)))
-
-        n, names = self.dim, self.names
+        if len(grades) != n:
+            raise InputError(f"{len(grades)} grades for {n} basis vectors")
+        bad = self._ungraded_bracket(grades)
+        if bad:
+            raise InputError(f"grades do not add on {bad}")
         d1: list[dict] = [{} for _ in range(n)]
         for (i, j), terms in self.brackets.items():
             for k, c in terms.items():
-                if grades[k] != grade_sum(grades[i], grades[j]):
-                    raise InputError(
-                        f"grades do not add on [{names[i]},{names[j]}] -> "
-                        f"{names[k]}: {grades[k]} != {grades[i]} + {grades[j]}")
                 d1[k][(i, j)] = -c
         d2: dict[tuple[int, int], dict] = {
             pair: {} for pair in combinations(range(n), 2)}
@@ -214,31 +211,30 @@ class GradedLie(LieConstants):
                     if k != r:
                         pair, s = ((k, r), sign) if k < r else ((r, k), -sign)
                         add_term(d2[pair], triple, s * c)
+        cocycles, coboundaries = graded_h2(
+            Matrix.from_keyed_columns(d1), grades,
+            Matrix.from_keyed_columns(list(d2.values())),
+            [_grade_sum(grades[i], grades[j]) for i, j in d2])
+        return {g: h2 for g, z in cocycles.items()
+                if (h2 := z - coboundaries.get(g, 0))}
 
-        blocks: dict = {}   # grade -> (d1 columns, d2 columns)
-        for k, col in enumerate(d1):
-            blocks.setdefault(grades[k], ([], []))[0].append(col)
-        for (i, j), col in d2.items():
-            blocks.setdefault(grade_sum(grades[i], grades[j]),
-                              ([], []))[1].append(col)
-        dims = {}
-        for g, (ones, twos) in blocks.items():
-            h2 = len(twos) - _rank(twos) - _rank(ones)
-            if h2:
-                dims[g] = h2
-        return dims
+    def _ungraded_bracket(self, grades: Sequence) -> Optional[str]:
+        """The first stored bracket [x_i, x_j] with a term x_k whose grade
+        is not g_i + g_j, as "[x_i,x_j] -> x_k: g_k != g_i + g_j", or None."""
+        names = self.names
+        for (i, j), terms in self.brackets.items():
+            for k in terms:
+                if grades[k] != _grade_sum(grades[i], grades[j]):
+                    return (f"[{names[i]},{names[j]}] -> {names[k]}: "
+                            f"{grades[k]} != {grades[i]} + {grades[j]}")
+        return None
 
     def verify(self, max_total_degree: Optional[int] = None) -> VerificationReport:
         """Degree additivity and the Jacobi identity (within the stored range)."""
         report = VerificationReport("graded Lie axioms")
         top = max(self.degrees, default=0)
-        graded_ok = True
-        for (i, j), terms in self.brackets.items():
-            want = self.degrees[i] + self.degrees[j]
-            for k in terms:
-                if self.degrees[k] != want:
-                    graded_ok = False
-        report.add("brackets add degrees", graded_ok)
+        witness = self._ungraded_bracket(self.degrees)
+        report.add("brackets add degrees", witness is None, witness=witness)
         bound = max_total_degree if max_total_degree is not None else top
         witness = self.jacobi_witness(bound)
         report.add(f"Jacobi identity (total degree <= {bound})",
@@ -256,8 +252,9 @@ class GradedLie(LieConstants):
                 f"{'; '.join(rels) or 'abelian'})")
 
 
-def _rank(columns: list[dict]) -> int:
-    return Matrix.from_keyed_columns(columns).rank() if any(columns) else 0
+def _grade_sum(a, b):
+    """g_a + g_b for int grades, entrywise for tuples."""
+    return a + b if isinstance(a, int) else tuple(map(sum, zip(a, b)))
 
 
 # -- verification and the enveloping algebra ------------------------------------

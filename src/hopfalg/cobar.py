@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InputError
-from .exactlin import Matrix, Scalar, express_ranked, map_slot
+from .exactlin import Matrix, Scalar, express_ranked, graded_h2, map_slot
 from .hopf import HopfPresentation, TensorElement
 from .ore import AlgebraElement
 from .reports import VerificationReport
@@ -183,23 +183,19 @@ def _eliminated_report(h: HopfPresentation, bound: int,
 
 def _eliminated_counts(h: HopfPresentation, bound: int,
                        by_bidegree: bool) -> tuple[dict, dict]:
-    """Cocycles and coboundaries of C_<=bound per grade.
+    """Cocycles and coboundaries of C_<=bound per grade (``graded_h2``).
 
-    Each rank profile reads the columns and the pivot columns of every
-    grade: the total degree of a tuple, or its bidegree.  In total mode
-    the bases are sorted by degree, so the pivots up to a level are the
-    rank of that truncation.  In bidegree mode d maps each bidegree block
-    into tuples of the same bidegree (``_require_bihomogeneous``), so
-    blocks have disjoint rows: a column is independent of the columns
-    before it exactly when it is independent of the earlier columns of
-    its own block, and the pivots inside a block number its rank.
+    The grade of a tuple is its total degree or its bidegree.  In total
+    mode the bases are sorted by degree, so the pivots up to a level
+    number the rank of that truncation.  In bidegree mode d maps each
+    bidegree block into tuples of the same bidegree
+    (``_require_bihomogeneous``), so the blocks share no rows and the
+    pivots of a block number its rank.
     """
     grade = _grading(h, by_bidegree)
     cx = build_complex(h, bound)
-    pairs = _grade_counts(cx.bases[2], cx.d2.rank_profile(), grade)
-    monos = _grade_counts(cx.bases[1], cx.d1.rank_profile(), grade)
-    return ({g: columns - rank for g, (columns, rank) in pairs.items()},
-            {g: rank for g, (_, rank) in monos.items()})
+    return graded_h2(cx.d1, [grade(t) for t in cx.bases[1]],
+                     cx.d2, [grade(t) for t in cx.bases[2]])
 
 
 def _certified_report(h: HopfPresentation, bound: int,
@@ -277,18 +273,6 @@ def _grading(h: HopfPresentation, by_bidegree: bool):
         raise InputError("bidegree mode requires bidegrees on all generators")
     _require_bihomogeneous(h)
     return functools.partial(_tuple_bidegree, alg)
-
-
-def _grade_counts(basis: list[tuple], pivots: list[int],
-                  grade) -> dict[object, list[int]]:
-    """grade -> [columns, pivot columns] over the tuples of a basis."""
-    grades = [grade(t) for t in basis]
-    counts: dict[object, list[int]] = {}
-    for g in grades:
-        counts.setdefault(g, [0, 0])[0] += 1
-    for p in pivots:
-        counts[grades[p]][1] += 1
-    return counts
 
 
 def _tuple_degree(alg, t: tuple) -> int:

@@ -27,12 +27,14 @@ is a pivot of [A | t] mod P, because
 rank_Q[A | t] >= rank_P[A | t] = rank_P(A) + 1 = rank_Q(A) + 1.
 Whenever a denominator vanishes mod P, a reconstruction fails or a
 product is nonzero, the exact elimination ``_fraction_rref`` answers
-instead.
+instead, and a matrix with no entries takes no elimination.  Cobar and
+Chevalley-Eilenberg H^2 are counted per grade by ``graded_h2``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
@@ -260,6 +262,8 @@ class Matrix:
         Q (see the module docstring); when the certificate cannot be made,
         the exact elimination ``_fraction_rref`` answers.
         """
+        if not self.entries:
+            return [], []
         certified = self._certified_rref()
         return self._fraction_rref() if certified is None else certified
 
@@ -499,6 +503,20 @@ def express_ranked(basis: Sequence[Mapping], targets: Sequence[Mapping]
            {col: row[t] for col, row in zip(pivots[:k], reduced) if t in row}
            for t in range(n, m.cols)]
     return out, k
+
+
+def graded_h2(d1: Matrix, grades1: Sequence, d2: Matrix, grades2: Sequence
+              ) -> tuple[Counter, Counter]:
+    """Cocycles and coboundaries in C^2 of C^1 -d1-> C^2 -d2-> C^3 per
+    grade (column j of d1 has grade grades1[j], of d2 grades2[j]): the d2
+    columns minus their pivots, and the d1 pivots.  The pivots of a grade
+    number the rank of its block when grade blocks share no rows; summed
+    up to a grade, the rank of that truncation when columns are sorted
+    by grade.
+    """
+    cocycles = Counter(grades2)
+    cocycles.subtract(grades2[p] for p in d2.rank_profile())
+    return cocycles, Counter(grades1[p] for p in d1.rank_profile())
 
 
 def pair_products(basis: Sequence[Mapping]) -> list[dict]:

@@ -14,6 +14,7 @@ from hopfalg.exactlin import Matrix, add_scaled
 from hopfalg.hopf import HopfPresentation, TensorElement, tensor_of
 from hopfalg.ore import AlgebraElement, bracket
 from hopfalg.replicate import object_battery
+from hopfalg.structure import lantern_of_hopf
 
 F = Fraction
 
@@ -377,3 +378,159 @@ def test_ce_h2_of_abelian_and_filiform_algebras():
     filiform = GradedLie(["X", "Y", "Z", "W"], [1, 1, 2, 3],
                          {(0, 1): {2: 2}, (1, 2): {3: 2}})
     assert filiform.ce_h2_dims() == {3: 1, 4: 1}
+
+
+def test_ce_h2_requires_one_grade_per_basis_vector():
+    heis = GradedLie(["x", "y", "z"], [1, 1, 2], {(0, 1): {2: 1}})
+    with pytest.raises(InputError, match="2 grades for 3 basis vectors"):
+        heis.ce_h2_dims([(1, 0), (0, 1)])
+    with pytest.raises(InputError, match="4 grades for 3 basis vectors"):
+        heis.ce_h2_dims([1, 1, 2, 3])
+
+
+def test_verify_names_the_bracket_that_does_not_add_degrees():
+    bad = GradedLie(["x", "y", "z"], [1, 1, 3], {(0, 1): {2: 1}})
+    check = bad.verify().checks[0]
+    assert check.name == "brackets add degrees" and not check.passed
+    assert check.witness == "[x,y] -> z: 3 != 1 + 1"
+    # ce_h2_dims rejects the same bracket
+    with pytest.raises(InputError, match=r"\[x,y\] -> z: 3 != 1 \+ 1"):
+        bad.ce_h2_dims()
+    heis = GradedLie(["x", "y", "z"], [1, 1, 2], {(0, 1): {2: 1}})
+    assert heis.verify().to_json()["checks"][0] == {
+        "name": "brackets add degrees", "passed": True, "detail": "",
+        "witness": None, "informational": False}
+
+
+def _blockwise_ce_h2(gl, grades=None):
+    """Reference CE H^2: one rank per grade block of d1 and of d2."""
+    grades = list(gl.degrees if grades is None else grades)
+
+    def grade_sum(a, b):
+        return a + b if isinstance(a, int) else tuple(map(sum, zip(a, b)))
+
+    def rank(columns):
+        return Matrix.from_keyed_columns(columns).rank() if any(columns) else 0
+
+    n = gl.dim
+    blocks = {}   # grade -> (d1 columns, d2 columns)
+    for k in range(n):
+        col = {}
+        for (i, j), terms in gl.brackets.items():
+            if terms.get(k):
+                if grades[k] != grade_sum(grades[i], grades[j]):
+                    raise InputError("grades do not add")
+                col[(i, j)] = -terms[k]
+        blocks.setdefault(grades[k], ([], []))[0].append(col)
+    for i, j in itertools.combinations(range(n), 2):
+        col = {}
+        for triple in itertools.combinations(range(n), 3):
+            # d w (x, y, z) = -w([x,y], z) + w([x,z], y) - w([y,z], x)
+            a, b, c = triple
+            v = 0
+            for p, q, r, sign in ((a, b, c, -1), (a, c, b, 1), (b, c, a, -1)):
+                for k, ck in gl.bracket_constants(p, q).items():
+                    if (k, r) == (i, j):
+                        v += sign * ck
+                    elif (r, k) == (i, j):
+                        v -= sign * ck
+            if v:
+                col[triple] = v
+        blocks.setdefault(grade_sum(grades[i], grades[j]),
+                          ([], []))[1].append(col)
+    dims = {}
+    for g, (ones, twos) in blocks.items():
+        h2 = len(twos) - rank(twos) - rank(ones)
+        if h2:
+            dims[g] = h2
+    return dims
+
+
+def _catalog_lanterns():
+    """(label, lantern, bidegrees or None) for every catalog lantern: of
+    each Hopf presentation and CLA envelope, and lantern_of_cla where the
+    CLA is anti-cocommutative."""
+    out = []
+    for spec in list_catalog():
+        obj = build(spec)
+        if isinstance(obj, CLA):
+            if obj.is_anti_cocommutative():
+                out.append((spec.describe(), lantern_of_cla(obj), None))
+            obj = enveloping(obj)
+        alg = obj.algebra
+        gl = lantern_of_hopf(obj, max(alg.degrees))
+        bidegrees = (None if alg.bidegrees is None else
+                     [alg.monomial_bidegree(m) for m in gl.lifts])
+        out.append((spec.describe() + " lantern", gl, bidegrees))
+    return out
+
+
+def _same_ce(gl, grades=None):
+    try:
+        want = _blockwise_ce_h2(gl, grades)
+    except InputError:
+        with pytest.raises(InputError):
+            gl.ce_h2_dims(grades)
+        return
+    assert gl.ce_h2_dims(grades) == want
+
+
+def test_ce_h2_matches_blockwise_ranks_on_catalog_lanterns():
+    lanterns = _catalog_lanterns()
+    assert len(lanterns) == len(list_catalog()) + sum(
+        L.is_anti_cocommutative() for L in cla_catalog())
+    for label, gl, bidegrees in lanterns:
+        _same_ce(gl)
+        if bidegrees is not None:
+            _same_ce(gl, bidegrees)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_ce_h2_matches_blockwise_ranks_on_random_tables(seed):
+    # two-step nilpotent: degree-1 vectors bracket into degree-2 ones, so
+    # the Jacobi identity holds for any coefficients; each vector gets a
+    # bidegree, and a bracket only reaches the vectors of the sum
+    rng = random.Random(seed)
+    ones = [rng.choice([(1, 0), (0, 1)]) for _ in range(rng.randint(2, 4))]
+    twos = [rng.choice([(2, 0), (1, 1), (0, 2)])
+            for _ in range(rng.randint(1, 3))]
+    bidegrees = ones + twos
+    brackets = {}
+    for i, j in itertools.combinations(range(len(ones)), 2):
+        target = (ones[i][0] + ones[j][0], ones[i][1] + ones[j][1])
+        brackets[(i, j)] = {
+            k: F(rng.randint(-3, 3), rng.randint(1, 3))
+            for k in range(len(ones), len(bidegrees))
+            if bidegrees[k] == target and rng.random() < 0.7}
+    gl = GradedLie([f"e{k}" for k in range(len(bidegrees))],
+                   [sum(b) for b in bidegrees], brackets)
+    assert gl.jacobi_witness() is None
+    _same_ce(gl)
+    _same_ce(gl, bidegrees)
+
+
+def test_ce_h2_of_the_k_lantern_takes_two_eliminations(K, monkeypatch):
+    # one rank profile of d1 and one of d2, not one per grade block
+    gl = lantern_of_hopf(K, 3)
+    calls = []
+    certified = Matrix._certified_rref
+
+    def spy(self):
+        calls.append((self.rows, self.cols))
+        return certified(self)
+
+    monkeypatch.setattr(Matrix, "_certified_rref", spy)
+    assert gl.ce_h2_dims() == {3: 1, 4: 1}
+    assert len(calls) == 2
+
+
+def test_enveloping_eliminates_no_zero_matrix(monkeypatch):
+    certified = Matrix._certified_rref
+
+    def spy(self):
+        assert self.entries, "an all-zero matrix was eliminated"
+        return certified(self)
+
+    monkeypatch.setattr(Matrix, "_certified_rref", spy)
+    for L in cla_catalog():
+        assert enveloping(L).verify_compatibility().passed

@@ -320,6 +320,20 @@ def test_rank_profile_certifies_rational_kernels():
     assert Matrix(3, 2)._certified_rref() == ([], [])
 
 
+@pytest.mark.parametrize("m", [Matrix(3, 2), Matrix(1, 0), Matrix(0, 4),
+                               Matrix.from_keyed_columns([{}, {"a": 0}]),
+                               Matrix.from_rows([[0, 0], [0, 0]])])
+def test_matrix_without_entries_takes_no_elimination(m, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a matrix with no entries was eliminated")
+
+    monkeypatch.setattr(Matrix, "_certified_rref", refuse)
+    monkeypatch.setattr(Matrix, "_fraction_rref", refuse)
+    assert m.row_echelon() == ([], [])
+    assert m.rank() == 0
+    assert m.kernel_basis() == [{f: 1} for f in range(m.cols)]
+
+
 def _rref_scalars(rref):
     reduced, pivots = rref
     return [v for row in reduced for v in row.values()]
