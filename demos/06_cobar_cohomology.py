@@ -11,7 +11,7 @@ the four-generator families on top of the three-generator ones.
 """
 
 from hopfalg import h2_report, is_coboundary, make_A
-from hopfalg.replicate import cocycle_u
+from hopfalg.ledger import cocycle_u
 
 graded = make_A(0, 0, 0)
 print("the graded model, by bidegree (note the two hits at (2,1), (1,2)):")

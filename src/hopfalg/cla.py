@@ -281,7 +281,13 @@ def enveloping(L: CLA) -> HopfPresentation:
     anti-cocommutative CLAs this is weight 1 on ker delta and 2 elsewhere.
     Raises StructuralError naming the first failed axiom otherwise.
     """
-    report, env = _checked_envelope(L)
+    return _require_envelope(*_checked_envelope(L))
+
+
+def _require_envelope(report: VerificationReport,
+                      env: Optional[HopfPresentation]) -> HopfPresentation:
+    """U(L) from a ``_checked_envelope`` pair, or the StructuralError naming
+    the first failed axiom."""
     if env is None:
         raise StructuralError(
             f"CLA axioms fail, cannot envelope: {report.failures()[0].name}")

@@ -179,22 +179,13 @@ class OrePresentation:
         """All PBW monomials of weighted degree <= bound, canonically ordered."""
         if bound < 0:
             raise InputError("degree bound must be >= 0")
-        out: list[Monomial] = []
-
-        def rec(pos: int, left: int, acc: list[int]):
-            if pos == len(self.names):
-                out.append(tuple(acc))
-                return
-            d = self.degrees[pos]
-            e = 0
-            while e * d <= left:
-                acc.append(e)
-                rec(pos + 1, left - e * d, acc)
-                acc.pop()
-                e += 1
-
-        rec(0, bound, [])
-        out.sort(key=self.monomial_key)
+        # (exponent prefix, its degree), one generator at a time; no
+        # recursive closure, whose reference cycle would keep self alive
+        prefixes: list[tuple[Monomial, int]] = [((), 0)]
+        for d in self.degrees:
+            prefixes = [(m + (e,), used + e * d) for m, used in prefixes
+                        for e in range((bound - used) // d + 1)]
+        out = sorted((m for m, _ in prefixes), key=self.monomial_key)
         if not include_unit:
             out = [m for m in out if any(m)]
         return out

@@ -14,8 +14,9 @@ from hopfalg.cobar import (_certified_report, _eliminated_report, _grading,
 from hopfalg.errors import InputError
 from hopfalg.exactlin import Matrix
 from hopfalg.hopf import HopfPresentation
+from hopfalg.ledger import cocycle_t, cocycle_u
 from hopfalg.ore import OrePresentation
-from hopfalg.replicate import cocycle_t, cocycle_u, object_battery
+from hopfalg.replicate import object_battery
 from hopfalg.structure import lantern_of_hopf
 
 
