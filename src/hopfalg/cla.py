@@ -134,6 +134,7 @@ class CLA(LieConstants):
                     clean[(j, k)] = c
             if clean:
                 self.delta[i] = clean
+        self._kernel: Optional[list[dict[int, Scalar]]] = None
 
     def delta_constants(self, i: int) -> dict[tuple[int, int], Scalar]:
         return dict(self.delta.get(i, {}))
@@ -171,6 +172,9 @@ class GradedLie(LieConstants):
     # brackets stored for i < j only: {(i, j): {k: coeff}}
     brackets: dict[tuple[int, int], dict[int, Scalar]] = field(default_factory=dict)
     lifts: Optional[list[tuple[int, ...]]] = field(default=None, compare=False)
+    # ce_h2_dims per grade list, computed once
+    _ce: dict = field(default_factory=dict, init=False, compare=False,
+                      repr=False)
 
     def dims_by_degree(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -190,11 +194,15 @@ class GradedLie(LieConstants):
         counts them all from one rank profile per differential, with
             d xi^k = -sum_{i<j} c_ij^k xi^i ^ xi^j,
             d w (x, y, z) = -w([x,y], z) + w([x,z], y) - w([y,z], x).
+        The answer is kept per grade list; the brackets must not change
+        after the first call.
         """
         n = self.dim
-        grades = list(self.degrees if grades is None else grades)
+        grades = tuple(self.degrees if grades is None else grades)
         if len(grades) != n:
             raise InputError(f"{len(grades)} grades for {n} basis vectors")
+        if grades in self._ce:
+            return dict(self._ce[grades])
         bad = self._ungraded_bracket(grades)
         if bad:
             raise InputError(f"grades do not add on {bad}")
@@ -215,8 +223,9 @@ class GradedLie(LieConstants):
             Matrix.from_keyed_columns(d1), grades,
             Matrix.from_keyed_columns(list(d2.values())),
             [_grade_sum(grades[i], grades[j]) for i, j in d2])
-        return {g: h2 for g, z in cocycles.items()
-                if (h2 := z - coboundaries.get(g, 0))}
+        self._ce[grades] = {g: h2 for g, z in cocycles.items()
+                            if (h2 := z - coboundaries.get(g, 0))}
+        return dict(self._ce[grades])
 
     def _ungraded_bracket(self, grades: Sequence) -> Optional[str]:
         """The first stored bracket [x_i, x_j] with a term x_k whose grade
@@ -384,7 +393,9 @@ def _delta_kernel_steps(L: CLA) -> list[tuple[int, list[int]]]:
     for _ in range(n + 1):
         # apply delta to the first slot of each tensor
         tensors = [map_slot(t, 0, L.delta_constants) for t in tensors]
-        dim = n - Matrix.from_keyed_columns(tensors).rank()
+        # the first step is the matrix of ker delta, kept by kernel_delta
+        dim = (n - Matrix.from_keyed_columns(tensors).rank() if steps
+               else len(kernel_delta(L)))
         steps.append((dim, [i for i, t in enumerate(tensors) if not t]))
         if dim == n or (len(steps) >= 2 and dim == steps[-2][0]):
             break
@@ -393,9 +404,11 @@ def _delta_kernel_steps(L: CLA) -> list[tuple[int, list[int]]]:
 
 def kernel_delta(L: CLA) -> list[dict[int, Scalar]]:
     """Canonical basis of ker delta (sparse coefficient vectors over the CLA
-    basis)."""
-    return Matrix.from_keyed_columns(
-        [L.delta_constants(i) for i in range(L.dim)]).kernel_basis()
+    basis), eliminated once per CLA and kept on it."""
+    if L._kernel is None:
+        L._kernel = Matrix.from_keyed_columns(
+            [L.delta_constants(i) for i in range(L.dim)]).kernel_basis()
+    return [dict(vec) for vec in L._kernel]
 
 
 def conilpotency_index(L: CLA) -> Optional[int]:

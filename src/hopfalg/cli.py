@@ -33,7 +33,6 @@ from .errors import HopfAlgError, InputError
 from .hopf import HopfPresentation
 from .jsonio import (cla_to_json, load_object, presentation_from_json,
                      read_json, terms_from_json)
-from .replicate import object_battery, run_replication
 from .structure import (coradical_filtration, extract_cla, lantern_of_hopf,
                         p2_space, primitive_space)
 
@@ -89,6 +88,9 @@ def emit(args, human: str, payload: dict) -> None:
 
 
 def cmd_verify(args) -> int:
+    # the battery module is imported by the commands that run it, so that
+    # importing the CLI does not compile it
+    from .replicate import object_battery
     obj = resolve_object(args)
     report = object_battery(obj, antipode_bound=max_degree(args))
     emit(args, str(report), report.to_json())
@@ -214,6 +216,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_replicate(args) -> int:
+    from .replicate import run_replication
     results = run_replication()
     ok = all(r.passed for r in results)
     if getattr(args, "json", False):

@@ -15,12 +15,15 @@ C_<=G' only; P(gr H) is zero above G', so d^1 is injective there and
 each grade's cocycles and coboundaries are its monomial count.  When
 H^2(C_<=G') falls short of the CE sum, or N <= G', the same two
 eliminations at the bound answer instead, and the test-suite keeps them
-as the oracle.
+as the oracle.  Neither the lantern's CE H^2 nor the counts of C_<=G'
+depend on N, so both are kept on the presentation and every report on
+it reads them.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -120,6 +123,35 @@ class CobarReport:
     bound: int
     mode: str                      # "bidegree" or "total"
     rows: list[dict] = field(default_factory=list)
+    # the presentation the rows describe; None for rows given by hand
+    presentation: Optional[HopfPresentation] = field(
+        default=None, repr=False, compare=False)
+
+    @property
+    def lantern_ce_h2(self) -> dict:
+        """The lantern's CE H^2 per grade of the mode, which bounds H^2 of
+        every truncation from above (kept on the presentation)."""
+        if self.presentation is None:
+            return {}
+        return _lantern_ce(self.presentation, self.mode == "bidegree")
+
+    @property
+    def complete(self) -> bool:
+        """Whether the certificate answers: N > G' and H^2(C_<=G'), read
+        off the rows, is the CE sum.  Then H^2 is the same at every bound
+        from G' + 1 on, so the rows above G' hold at any N."""
+        if self.presentation is None:
+            return False
+        ce = self.lantern_ce_h2
+        reach = _g_prime(self.presentation, ce)
+        if self.bound <= reach:
+            return False
+        if self.mode == "bidegree":
+            low = sum(r["h2"] for r in self.rows
+                      if sum(r["bidegree"]) <= reach)
+        else:
+            low = self.rows[reach - 1]["h2"]
+        return low == sum(ce.values())
 
     @property
     def total_h2(self) -> int:
@@ -140,9 +172,24 @@ class CobarReport:
                            if sum(r["bidegree"]) == self.bound)
         return len(self.rows) < 2 or self.rows[-2]["h2"] == self.rows[-1]["h2"]
 
+    @property
+    def matches_lantern(self) -> bool:
+        """Whether H^2 is the lantern's CE prediction: per bidegree in
+        bidegree mode, in total in total mode (the levels up to G' may
+        fall short of the running CE sum)."""
+        if self.mode == "bidegree":
+            return {r["bidegree"]: r["h2"] for r in self.rows
+                    if r["h2"]} == self.lantern_ce_h2
+        return self.total_h2 == sum(self.lantern_ce_h2.values())
+
     def to_json(self) -> dict:
+        grade = "bidegree" if self.mode == "bidegree" else "degree"
         return {"bound": self.bound, "mode": self.mode,
-                "total_h2": self.total_h2, "rows": self.rows}
+                "total_h2": self.total_h2, "rows": self.rows,
+                "lantern_ce_h2": [{grade: g, "h2": n} for g, n in
+                                  sorted(self.lantern_ce_h2.items())],
+                "matches_lantern": self.matches_lantern,
+                "complete": self.complete}
 
     def __str__(self):
         head = "bidegree" if self.mode == "bidegree" else "level <= n"
@@ -174,11 +221,29 @@ def h2_report(h: HopfPresentation, bound: int,
         h, bound, by_bidegree)
 
 
+def _lantern_ce(h: HopfPresentation, by_bidegree: bool) -> dict:
+    """The lantern's CE H^2 per degree, or per bidegree once the
+    presentation is checked to respect bidegrees (``_grading``).
+
+    The lantern on every generator is kept on h, and it keeps its CE H^2
+    per grading, so the eliminations run once per presentation.
+    """
+    lantern = h._answers.get(("lantern",))
+    if lantern is None:
+        lantern = h._answers[("lantern",)] = lantern_of_hopf(
+            h, h.complete_bound(1))
+    if not by_bidegree:
+        return lantern.ce_h2_dims()
+    _grading(h, by_bidegree)
+    return lantern.ce_h2_dims([h.algebra.monomial_bidegree(m)
+                               for m in lantern.lifts])
+
+
 def _eliminated_report(h: HopfPresentation, bound: int,
                        by_bidegree: bool = False) -> CobarReport:
     """The rows from one rank profile of d^2 and one of d^1 at the bound."""
-    return _report(bound, by_bidegree, *_eliminated_counts(h, bound,
-                                                           by_bidegree))
+    return _report(bound, by_bidegree,
+                   *_eliminated_counts(h, bound, by_bidegree), h)
 
 
 def _eliminated_counts(h: HopfPresentation, bound: int,
@@ -224,36 +289,47 @@ def _certified_report(h: HopfPresentation, bound: int,
     When H^2(C_<=G') is the whole CE sum, H^2(C_<=n) equals it from both
     sides at every level n > G'.  The bidegree blocks refine the degree
     ones, so G and the sum are the same in both modes, and the blocks up
-    to G' are exact from C_<=G' alone.
+    to G' are exact from C_<=G' alone.  The counts of C_<=G' are kept on
+    h per mode, so every bound N reads one pair of eliminations.
 
-    None when N <= G' or when H^2(C_<=G') falls short of the CE sum.
+    None when N <= G' or when H^2(C_<=G') falls short of the CE sum,
+    that is, when the report would not be ``complete``.
     """
     alg = h.algebra
-    ce = lantern_of_hopf(h, max(alg.degrees, default=1)).ce_h2_dims()
-    reach = max([1, *ce, *alg.degrees])
+    reach = _g_prime(h, _lantern_ce(h, by_bidegree))
     if bound <= reach:
         return None
-    cocycles, coboundaries = _eliminated_counts(h, reach, by_bidegree)
-    if sum(cocycles.values()) - sum(coboundaries.values()) != sum(ce.values()):
-        return None
+    key = ("cobar", reach, by_bidegree)
+    if key not in h._answers:
+        h._answers[key] = _eliminated_counts(h, reach, by_bidegree)
+    cocycles, coboundaries = map(Counter, h._answers[key])
     for g, count in alg._monomial_counts(bound, by_bidegree).items():
         if (sum(g) if by_bidegree else g) > reach:
             cocycles[g] = coboundaries[g] = count
-    return _report(bound, by_bidegree, cocycles, coboundaries)
+    report = _report(bound, by_bidegree, cocycles, coboundaries, h)
+    return report if report.complete else None
+
+
+def _g_prime(h: HopfPresentation, ce: dict) -> int:
+    """G' = max(G, top generator degree), G the top degree of a grade of
+    the CE H^2 ``ce`` (an int, or a bidegree)."""
+    return max([1, *((sum(g) if isinstance(g, tuple) else g) for g in ce),
+                h.complete_bound(1)])
 
 
 def _report(bound: int, by_bidegree: bool, cocycles: dict,
-            coboundaries: dict) -> CobarReport:
+            coboundaries: dict, h: Optional[HopfPresentation] = None
+            ) -> CobarReport:
     """Rows from per-grade counts: one per bidegree of ``cocycles``, by
     total degree then bidegree, or one per truncation level, cumulative."""
     if by_bidegree:
-        report = CobarReport(bound, "bidegree")
+        report = CobarReport(bound, "bidegree", presentation=h)
         for bd in sorted(cocycles, key=lambda b: (b[0] + b[1], b)):
             z, b = cocycles[bd], coboundaries.get(bd, 0)
             report.rows.append({"bidegree": bd, "cocycles": z,
                                 "coboundaries": b, "h2": z - b})
         return report
-    report = CobarReport(bound, "total")
+    report = CobarReport(bound, "total", presentation=h)
     z = b = 0
     for level in range(1, bound + 1):
         z += cocycles.get(level, 0)

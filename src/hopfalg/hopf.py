@@ -104,7 +104,7 @@ class TensorElement(Combination):
                                     out[key] = v
                                 else:
                                     del out[key]
-            return TensorElement(p, 2, out)
+            return TensorElement._trusted(p, 2, out)
         for t1, c1 in self.terms.items():
             for t2, c2 in other.terms.items():
                 partial = [((), c1 * c2)]
@@ -115,7 +115,17 @@ class TensorElement(Combination):
                                for prefix, c in partial for m, k in factor]
                 for key, v in partial:
                     add_term(out, key, v)
-        return TensorElement(p, self.rank, out)
+        return TensorElement._trusted(p, self.rank, out)
+
+    @classmethod
+    def _trusted(cls, p: OrePresentation, rank: int,
+                 terms: dict[tuple, Scalar]) -> "TensorElement":
+        """A tensor over ``terms`` as they are: the product kernel stores
+        no zero and only keys of its rank, so ``__init__``'s filter and
+        rank check are skipped."""
+        t = cls.__new__(cls)
+        t.p, t.rank, t.terms = p, rank, terms
+        return t
 
     def sorted_terms(self):
         keyfn = self.p.monomial_key
@@ -161,6 +171,10 @@ class HopfPresentation:
         self._coproduct_cache: dict[Monomial, TensorElement] = {}
         self._reduced_cache: dict[Monomial, dict[tuple, Scalar]] = {}
         self._antipode_cache: dict[Monomial, AlgebraElement] = {}
+        # per-presentation answers, keyed by kind and the degree they were
+        # taken at (subspace bases, the lantern, the cobar certificate's
+        # counts); past complete_bound one key serves every bound
+        self._answers: dict[tuple, object] = {}
 
     def _validate_delta(self, i: int, terms: dict[tuple, Scalar]):
         gname = self.algebra.names[i]
@@ -260,9 +274,46 @@ class HopfPresentation:
             self._reduced_cache[m] = cached
         return cached
 
+    def complete_bound(self, level: int) -> int:
+        """A degree from which C_level, the level-th piece of the coradical
+        filtration, lies in the degree <= d truncation: 2^(level-1) g for
+        g the top generator degree (g for P = C_1, 2g for C_2 and the
+        anti-cocommutative P2 inside it; 0 for C_0 = k1).  So C_level and
+        P2 computed at any d >= this degree are the same space, with the
+        same canonical basis.
+
+        No coassociativity is used, only what construction validates.  Top
+        parts: every commutator drops degree and every factor of
+        delta(x_i) is unit-free of lower degree, so gr H is the polynomial
+        algebra on the generators, and the degree-e part of delta(a), e =
+        deg a, is delta_gr(a_top), the reduced coproduct of gr H.
+        P: for delta(a) = 0, count letters in a_top.  delta_gr of a
+        product of k letters is its shuffle coproduct, which keeps k
+        letters in all, plus terms with more (each delta term of a letter
+        has a letter on either side).  So the lowest letter-count part of
+        a_top has zero shuffle coproduct and is linear in the generators
+        (characteristic 0): e <= g.  C_n, n >= 2: delta(a) lies in C_{n-1}
+        (x) C_{n-1}, of degree <= 2 * 2^(n-2) g by induction.  For deg a
+        above that, the degree-e part of delta(a) vanishes, so a_top is
+        primitive in gr H as above and e <= g, a contradiction.  The
+        sharper n g would need coassociativity, which construction does
+        not check.
+        """
+        if level < 1:
+            return 0
+        return max(self.algebra.degrees, default=1) << (level - 1)
+
     # -- antipode ----------------------------------------------------------------
 
     def _antipode_monomial(self, m: Monomial) -> AlgebraElement:
+        """S(m), cached per monomial; do not mutate it.
+
+        On a generator, S(x_g) = -x_g - sum S(l) r over delta(x_g) = sum
+        l (x) r.  Any other m = x_g m', x_g its first generator, is taken
+        as an anti-algebra map, S(m) = S(m') S(x_g), so the left antipode
+        identity m(S(x)id)Delta = unit.counit checks S instead of
+        repeating its defining sum.  Integral Fractions are stored as ints.
+        """
         cached = self._antipode_cache.get(m)
         if cached is not None:
             return cached
@@ -270,11 +321,20 @@ class HopfPresentation:
         if m == p.unit_monomial:
             result = p.one()
         else:
-            # S(m) = -m - sum S(m'_1) m'_2 over delta(m) = sum m'_1 (x) m'_2
-            out = {m: -1}
-            for (l, r), c in self._reduced_monomial(m).items():
-                for ml, cl in self._antipode_monomial(l).terms.items():
-                    add_scaled(out, p.mul_monomials(ml, r), -c * cl)
+            g = next(i for i, e in enumerate(m) if e)
+            letter = p.unit_monomial[:g] + (1,) + p.unit_monomial[g + 1:]
+            if m == letter:
+                out = {m: -1}
+                for (l, r), c in self._reduced_monomial(m).items():
+                    for ml, cl in self._antipode_monomial(l).terms.items():
+                        add_scaled(out, p.mul_monomials(ml, r), -c * cl)
+            else:
+                out = {}
+                rest = self._antipode_monomial(m[:g] + (m[g] - 1,) + m[g + 1:])
+                s_g = self._antipode_monomial(letter).terms.items()
+                for ma, ca in rest.terms.items():
+                    for mb, cb in s_g:
+                        add_scaled(out, p.mul_monomials(ma, mb), ca * cb)
             result = AlgebraElement(p, integral_values(out))
         self._antipode_cache[m] = result
         return result

@@ -3,9 +3,10 @@
 The reduced coproduct never raises weighted degree, so restricting to the
 span of monomials of degree <= d turns membership conditions like
 "delta(a) = 0" or "delta(a) is skew and lies in P(x)P" into exact finite
-linear algebra over the rationals.  Results are exact on the truncation;
-stability between consecutive bounds is what the callers (and tests) use
-to certify statements about the full algebra.
+linear algebra over the rationals.  Results are exact on the truncation.
+Past ``HopfPresentation.complete_bound`` they are the whole space, so each
+is computed at min(d, that bound), once per presentation: the kernel
+basis is kept on the presentation and read by every later call.
 """
 
 from __future__ import annotations
@@ -31,6 +32,13 @@ class FilteredSubspace:
     presentation: HopfPresentation
     degree_bound: int
     basis: list[AlgebraElement]
+    complete_bound: int   # from this degree on, S_d is the whole space
+
+    @property
+    def complete(self) -> bool:
+        """Whether S_d is the whole space: d is at least the proven
+        ``HopfPresentation.complete_bound`` of its coradical level."""
+        return self.degree_bound >= self.complete_bound
 
     @property
     def dim(self) -> int:
@@ -60,6 +68,7 @@ class FilteredSubspace:
             "degree_bound": self.degree_bound,
             "dimension": self.dim,
             "basis": [element_to_terms(b) for b in self.basis],
+            "complete": self.complete,
         }
 
     def __repr__(self):
@@ -72,9 +81,27 @@ def primitive_space(h: HopfPresentation, d: int) -> FilteredSubspace:
     """Basis of {a : deg a <= d, counit(a) = 0, delta(a) = 0}."""
     if d < 1:
         raise InputError("degree bound must be >= 1")
-    monos = h.algebra.monomials_up_to(d)
-    return FilteredSubspace(h, d, _coradical_kernel(
-        h, monos, [h._reduced_monomial(m) for m in monos], []))
+    return FilteredSubspace(h, d, _coradical_level(h, 1, d),
+                            h.complete_bound(1))
+
+
+def _coradical_level(h: HopfPresentation, n: int,
+                     d: int) -> list[AlgebraElement]:
+    """Canonical basis of the augmentation part of coradical level n >= 1
+    within degree <= d, taken at min(d, complete bound) and kept on h.
+
+    Level n-1 within that degree is the same space as at d, and level 1
+    is P, so P2 and every level read the one kept P.
+    """
+    top = min(d, h.complete_bound(n))
+    key = ("coradical", n, top)
+    basis = h._answers.get(key)
+    if basis is None:
+        monos = h.algebra.monomials_up_to(top)
+        factors = _coradical_level(h, n - 1, top) if n > 1 else []
+        basis = h._answers[key] = _coradical_kernel(
+            h, monos, [h._reduced_monomial(m) for m in monos], factors)
+    return list(basis)
 
 
 def _coradical_kernel(h: HopfPresentation, monos: list[Monomial], columns,
@@ -98,18 +125,25 @@ def _coradical_kernel(h: HopfPresentation, monos: list[Monomial], columns,
 def p2_space(h: HopfPresentation, d: int) -> FilteredSubspace:
     """Basis of {a : deg a <= d, delta(a) skew-symmetric and in P(x)P}.
 
-    P is ``primitive_space(h, d)``, computed here on the same truncation.
+    P2 lies in C_2, so it is taken at min(d, ``complete_bound(2)``) and
+    kept on h; P is the kept ``primitive_space`` basis.
     """
-    primitives = primitive_space(h, d).basis
-    monos = h.algebra.monomials_up_to(d)
-    columns = []
-    for m in monos:
-        t = h._reduced_monomial(m)
-        sym = add_scaled(dict(t), {(r, l): c for (l, r), c in t.items()})
-        # rows ("s", key) ask the symmetric part of delta(a) to vanish
-        columns.append({**t, **{("s", key): c for key, c in sym.items()}})
-    return FilteredSubspace(h, d, _coradical_kernel(h, monos, columns,
-                                                    primitives))
+    if d < 1:
+        raise InputError("degree bound must be >= 1")
+    bound = h.complete_bound(2)
+    top = min(d, bound)
+    basis = h._answers.get(("p2", top))
+    if basis is None:
+        monos = h.algebra.monomials_up_to(top)
+        columns = []
+        for m in monos:
+            t = h._reduced_monomial(m)
+            sym = add_scaled(dict(t), {(r, l): c for (l, r), c in t.items()})
+            # rows ("s", key) ask the symmetric part of delta(a) to vanish
+            columns.append({**t, **{("s", key): c for key, c in sym.items()}})
+        basis = h._answers[("p2", top)] = _coradical_kernel(
+            h, monos, columns, _coradical_level(h, 1, top))
+    return FilteredSubspace(h, d, list(basis), bound)
 
 
 def coradical_filtration(h: HopfPresentation, n: int, d: int) -> FilteredSubspace:
@@ -124,13 +158,9 @@ def coradical_filtration(h: HopfPresentation, n: int, d: int) -> FilteredSubspac
     if d < 1:
         raise InputError("degree bound must be >= 1")
     if n == 0:
-        return FilteredSubspace(h, d, [h.algebra.one()])
-    monos = h.algebra.monomials_up_to(d)
-    columns = [h._reduced_monomial(m) for m in monos]
-    level_basis: list[AlgebraElement] = []
-    for _ in range(1, n + 1):
-        level_basis = _coradical_kernel(h, monos, columns, level_basis)
-    return FilteredSubspace(h, d, [h.algebra.one()] + level_basis)
+        return FilteredSubspace(h, d, [h.algebra.one()], 0)
+    return FilteredSubspace(h, d, [h.algebra.one()]
+                            + _coradical_level(h, n, d), h.complete_bound(n))
 
 
 # -- CLA extraction ------------------------------------------------------------

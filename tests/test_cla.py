@@ -534,3 +534,23 @@ def test_enveloping_eliminates_no_zero_matrix(monkeypatch):
     monkeypatch.setattr(Matrix, "_certified_rref", spy)
     for L in cla_catalog():
         assert enveloping(L).verify_compatibility().passed
+
+
+def test_ker_delta_is_eliminated_once_per_cla(monkeypatch):
+    # the first step of the kernel filtration is the ker delta matrix:
+    # enveloping, kernel_delta and lantern_of_cla share one elimination
+    L = make_cla_35("f")
+    matrices = []
+    certified = Matrix._certified_rref
+
+    def spy(self):
+        matrices.append(frozenset(self.entries.items()))
+        return certified(self)
+
+    monkeypatch.setattr(Matrix, "_certified_rref", spy)
+    enveloping(L)
+    lantern_of_cla(L)
+    kernel = kernel_delta(L)
+    kernel[0].clear()
+    assert len(matrices) == len(set(matrices))
+    assert kernel_delta(L)[0] and len(kernel_delta(L)) == 3

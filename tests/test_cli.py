@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hopfalg.catalog import make_B, make_cla_a
 from hopfalg.cli import main
 from hopfalg.jsonio import cla_to_json, presentation_to_json
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -124,6 +130,48 @@ def test_cohomology_file_takes_the_full_elimination(tmp_path, capsys,
     data = json.loads(out)
     assert data["total_h2"] == 2
     assert [r["h2"] for r in data["rows"]] == [0, 1, 0, 2, 2]
+
+
+@pytest.mark.parametrize("argv, lantern, matches, complete", [
+    (["--family", "A", "--params", "0,0,0", "--max-degree", "6",
+      "--bidegree"], [{"bidegree": [1, 2], "h2": 1},
+                      {"bidegree": [2, 1], "h2": 1}], True, True),
+    (["--family", "K", "--max-degree", "4"],
+     [{"degree": 3, "h2": 1}, {"degree": 4, "h2": 1}], True, False),
+    (["--family", "K", "--max-degree", "5"],
+     [{"degree": 3, "h2": 1}, {"degree": 4, "h2": 1}], True, True),
+    # k[X, Y, W], delta(W) = X(x)Y: the CE sum 3 is not reached, so the
+    # full elimination answers and the report is not complete
+    (["--file", "delta_w.json", "--max-degree", "6"],
+     [{"degree": 2, "h2": 1}, {"degree": 4, "h2": 2}], False, False),
+])
+def test_cohomology_json_carries_the_lantern_prediction(
+        argv, lantern, matches, complete, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "delta_w.json").write_text(json.dumps({
+        "generators": [{"name": "X", "degree": 1}, {"name": "Y", "degree": 1},
+                       {"name": "W", "degree": 3}],
+        "coproducts": {"W": [{"coeff": "1", "left": {"X": 1},
+                              "right": {"Y": 1}}]}}))
+    code, out, _ = run(capsys, "cohomology", "--json", *argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data["lantern_ce_h2"] == lantern
+    assert data["matches_lantern"] is matches
+    assert data["complete"] is complete
+    code, text, _ = run(capsys, "cohomology", *argv)
+    assert "lantern" not in text and "complete" not in text
+
+
+def test_importing_the_cli_leaves_the_battery_unloaded():
+    # `replicate` and `ledger` are imported by the commands that run them
+    probe = ("import sys, hopfalg.cli; print(sorted(m for m in sys.modules "
+             "if m in ('hopfalg.replicate', 'hopfalg.ledger')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run_ = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert run_.returncode == 0, run_.stderr
+    assert run_.stdout.strip() == "[]"
 
 
 def test_env_var_overrides_default_bound(capsys, monkeypatch):

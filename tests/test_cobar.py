@@ -557,3 +557,52 @@ def test_is_coboundary_takes_one_elimination(A000, monkeypatch):
         assert (res.is_coboundary, res.rank, res.rank_augmented) == want
         assert len(shapes) == 1
         assert shapes[0][1] == len(alg.monomials_up_to(cocycle.total_degree())) + 1
+
+
+@pytest.mark.parametrize("case, by_bidegree", [
+    *((i, False) for i in range(len(HOPF_CATALOG))),
+    (DELTA_W, False), ("A000", True), ("D01", True)],
+    ids=[*(s.describe() for s in HOPF_CATALOG), DELTA_W, "A000-bidegree",
+         "D01-bidegree"])
+def test_complete_means_the_certificate_answered(case, by_bidegree, request):
+    # `complete` and `matches_lantern` are read off the rows and the
+    # lantern, not off the path that answered, so the full elimination at
+    # the bound gives the same JSON
+    if case == DELTA_W:
+        h = HAND_BUILT[case]
+        oracle = _eliminated_report(h, 8)
+    elif by_bidegree:
+        h = request.getfixturevalue(case)
+        oracle = _eliminated_report(h, 8, by_bidegree)
+    else:
+        h, oracle = _oracle(case)
+    for bound in range(1, 9):
+        rep = h2_report(h, bound, by_bidegree)
+        assert rep.complete == (
+            _certified_report(h, bound, by_bidegree) is not None), bound
+        assert rep.matches_lantern or not rep.complete, bound
+    assert rep.to_json() == oracle.to_json()
+    assert rep.complete == (case != DELTA_W)
+
+
+@pytest.mark.parametrize("by_bidegree", [False, True])
+def test_every_bound_reads_the_kept_certificate(by_bidegree, monkeypatch):
+    # the lantern's CE H^2 and the profiles of C_<=G' are eliminated once
+    # per presentation; later bounds only count monomials
+    h = make_A(0, 0, 0)
+    calls = []
+    echelon = Matrix.row_echelon
+
+    def spy(self):
+        calls.append((self.rows, self.cols))
+        return echelon(self)
+
+    monkeypatch.setattr(Matrix, "row_echelon", spy)
+    first = h2_report(h, 5, by_bidegree)
+    assert first.complete and calls
+    calls.clear()
+    for bound in (6, 12, 30):
+        rep = h2_report(h, bound, by_bidegree)
+        assert rep.complete and rep.matches_lantern and rep.total_h2 == 2
+        assert rep.lantern_ce_h2 == first.lantern_ce_h2
+    assert calls == []

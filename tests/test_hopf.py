@@ -11,7 +11,8 @@ from hopfalg.cla import enveloping
 from hopfalg.errors import InputError, StructuralError
 from hopfalg.exactlin import add_scaled, add_term
 from hopfalg.hopf import HopfPresentation, TensorElement, tensor_of
-from hopfalg.ore import AlgebraElement, OrePresentation, bracket
+from hopfalg.ore import (AlgebraElement, GeneratorInfo, OrePresentation,
+                          bracket)
 
 
 def monomials(h, bound, include_unit=False):
@@ -464,3 +465,61 @@ def test_random_tensor_products_match_reference(rank):
                         TensorElement(p, rank, {t2: c2})).keys()
             cancelled += len(touched - got.keys())
     assert cancelled >= 2, "products with cancelling terms were not exercised"
+
+
+def _catalog_hopf():
+    for spec in list_catalog():
+        obj = build(spec)
+        yield spec.describe(), (obj if isinstance(obj, HopfPresentation)
+                                else enveloping(obj))
+
+
+def test_antipode_matches_its_defining_recursion_on_the_catalog():
+    # S is an anti-algebra map from its values on the generators; on a
+    # Hopf algebra that is the S of S(m) = -m - sum S(m'_1) m'_2
+    for label, h in _catalog_hopf():
+        p = h.algebra
+        want = {p.unit_monomial: {p.unit_monomial: 1}}
+        for m in p.monomials_up_to(4):
+            out = {m: -1}
+            for (l, r), c in h._reduced_monomial(m).items():
+                for ml, cl in want[l].items():
+                    add_scaled(out, p.mul_monomials(ml, r), -c * cl)
+            want[m] = out
+            assert h._antipode_monomial(m).terms == out, (label, m)
+
+
+def test_left_antipode_row_fails_without_compatibility():
+    # Delta does not respect [Z, X] = Z when delta(Z) = X (x) Y; S taken
+    # as an anti-algebra map then fails m(S(x)id)Delta = unit.counit,
+    # which the defining recursion of S would satisfy by construction
+    alg = OrePresentation(
+        [GeneratorInfo("X", 1), GeneratorInfo("Y", 1), GeneratorInfo("Z", 2)],
+        {("Z", "X"): [(1, {"Z": 1})]})
+    h = HopfPresentation(alg, {"Z": [(1, {"X": 1}, {"Y": 1})]})
+    assert not h.verify_compatibility().passed
+    left, right = h.verify_antipode(4).checks
+    assert left.name == "m(S(x)id)Delta = unit.counit" and not left.passed
+    assert right.passed
+
+
+def test_product_kernel_stores_no_zero_and_no_stray_rank(monkeypatch):
+    # the kernel's result skips TensorElement.__init__'s filter and rank
+    # check, so it must hold neither a zero nor a key of another rank
+    product = TensorElement.__mul__
+    seen = []
+
+    def spy(self, other):
+        result = product(self, other)
+        assert all(result.terms.values())
+        assert all(len(key) == result.rank == self.rank
+                   and all(len(m) == len(self.p.names) for m in key)
+                   for key in result.terms)
+        seen.append(len(result.terms))
+        return result
+
+    monkeypatch.setattr(TensorElement, "__mul__", spy)
+    for _, h in _catalog_hopf():
+        for m in h.algebra.monomials_up_to(5):
+            h._coproduct_monomial(m)
+    assert len(seen) > 1000

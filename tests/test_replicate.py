@@ -15,6 +15,7 @@ from hopfalg import cla, replicate
 from hopfalg.catalog import FamilySpec, list_catalog
 from hopfalg.cla import CLA, GradedLie
 from hopfalg.errors import InputError
+from hopfalg.exactlin import Matrix
 from hopfalg.hopf import HopfPresentation
 
 
@@ -81,6 +82,33 @@ def test_each_entry_is_dropped_before_the_next_is_built(monkeypatch):
         gc.enable()
     assert len(alive) > 2 * len(list_catalog())
     assert [label for label, ref in alive if ref() is not None] == []
+
+
+def test_no_elimination_repeats_within_an_entry(monkeypatch):
+    # every answer that does not depend on the bound is kept on the
+    # entry's object: P and P2, the C_<=G' profiles of the cobar
+    # certificate, the lantern's CE H^2 and a CLA's ker delta
+    current = []
+    eliminated = []
+
+    def build(spec):
+        current.append(spec.describe())
+        return _real_build(spec)
+
+    certified = Matrix._certified_rref
+
+    def spy(self):
+        eliminated.append((current[-1], self.rows, self.cols,
+                           frozenset(self.entries.items())))
+        return certified(self)
+
+    monkeypatch.setattr(replicate, "build", build)
+    monkeypatch.setattr(Matrix, "_certified_rref", spy)
+    assert all(r.passed for r in replicate.run_replication())
+    repeated = sorted({key[:3] for key in eliminated
+                       if eliminated.count(key) > 1})
+    assert repeated == []
+    assert len(eliminated) <= 138
 
 
 def _corrupted_catalog():
