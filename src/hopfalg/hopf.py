@@ -276,14 +276,15 @@ class HopfPresentation:
 
     def complete_bound(self, level: int) -> int:
         """A degree from which C_level, the level-th piece of the coradical
-        filtration, lies in the degree <= d truncation: 2^(level-1) g for
-        g the top generator degree (g for P = C_1, 2g for C_2 and the
-        anti-cocommutative P2 inside it; 0 for C_0 = k1).  So C_level and
-        P2 computed at any d >= this degree are the same space, with the
-        same canonical basis.
+        filtration, lies in the degree <= d truncation, g the top generator
+        degree: g for P = C_1, 2g for C_2 and the anti-cocommutative P2
+        inside it, level * g for a higher level once
+        ``verify_coassociativity`` passes (its verdict is kept on the
+        presentation) and 2^(level-1) g otherwise; 0 for C_0 = k1.  So
+        C_level and P2 computed at any d >= this degree are the same space,
+        with the same canonical basis.
 
-        No coassociativity is used, only what construction validates.  Top
-        parts: every commutator drops degree and every factor of
+        Top parts: every commutator drops degree and every factor of
         delta(x_i) is unit-free of lower degree, so gr H is the polynomial
         algebra on the generators, and the degree-e part of delta(a), e =
         deg a, is delta_gr(a_top), the reduced coproduct of gr H.
@@ -292,16 +293,33 @@ class HopfPresentation:
         letters in all, plus terms with more (each delta term of a letter
         has a letter on either side).  So the lowest letter-count part of
         a_top has zero shuffle coproduct and is linear in the generators
-        (characteristic 0): e <= g.  C_n, n >= 2: delta(a) lies in C_{n-1}
-        (x) C_{n-1}, of degree <= 2 * 2^(n-2) g by induction.  For deg a
-        above that, the degree-e part of delta(a) vanishes, so a_top is
-        primitive in gr H as above and e <= g, a contradiction.  The
-        sharper n g would need coassociativity, which construction does
-        not check.
+        (characteristic 0): e <= g.  C_n, n >= 2, with no coassociativity:
+        delta(a) lies in C_{n-1} (x) C_{n-1}, of degree <= 2 * 2^(n-2) g
+        by induction.  For deg a above that, the degree-e part of delta(a)
+        vanishes, so a_top is primitive in gr H as above and e <= g, a
+        contradiction.
+        C_n with coassociativity: write delta(a) over a basis of C_{n-1}
+        whose top parts are independent; its degree-e part lies in
+        C_{n-1}(gr H) (x) C_{n-1}(gr H) by induction, so a_top lies in
+        C_n(gr H).  The degree-deg x_g part of the coassociativity check on
+        x_g is that of gr H, so gr H is a coassociative, commutative,
+        connected graded Hopf algebra, gr H = U(L)* for L the lantern,
+        which lives in the generator degrees (Milnor-Moore).  By
+        coassociativity C_n(gr H) lies in the kernel of the iterated
+        reduced coproduct into n+1 factors, the annihilator of I^{n+1} for
+        I the augmentation ideal of U(L), that is (U(L) / I^{n+1})*.
+        U(L) / I^{n+1} is spanned by products of at most n elements of L,
+        each of degree <= g, so a_top, of degree e, has e <= n g.
         """
         if level < 1:
             return 0
-        return max(self.algebra.degrees, default=1) << (level - 1)
+        g = max(self.algebra.degrees, default=1)
+        key = ("coassociative",)
+        if level > 2 and key not in self._answers:
+            self._answers[key] = self.verify_coassociativity().passed
+        if level <= 2 or self._answers[key]:
+            return level * g
+        return g << (level - 1)
 
     # -- antipode ----------------------------------------------------------------
 
@@ -440,19 +458,26 @@ class HopfPresentation:
         return report
 
     def verify_antipode(self, degree_bound: int) -> VerificationReport:
-        """m(S(x)id)Delta = unit*counit = m(id(x)S)Delta on monomials up to the bound."""
-        report = VerificationReport(f"antipode axiom through degree {degree_bound}")
+        """m(S(x)id)Delta = unit*counit = m(id(x)S)Delta on monomials up to the bound.
+
+        When ``_antipode_certified`` holds, both rows hold in every degree
+        and no monomial is checked; otherwise every monomial up to the
+        bound is checked (``_antipode_loop``), and a failure carries a
+        witness.
+        """
+        if degree_bound < 0:
+            raise InputError("degree bound must be >= 0")
+        if self._antipode_certified():
+            return _antipode_report(degree_bound, True, True, None)
+        return self._antipode_loop(degree_bound)
+
+    def _antipode_loop(self, degree_bound: int) -> VerificationReport:
+        """Both antipode rows on every monomial of degree <= the bound."""
         p = self.algebra
         ok_left = ok_right = True
         witness = None
         for m in p.monomials_up_to(degree_bound, include_unit=True):
-            left: dict[Monomial, Scalar] = {}
-            right: dict[Monomial, Scalar] = {}
-            for (l, r), c in self._coproduct_monomial(m).terms.items():
-                for ml, cl in self._antipode_monomial(l).terms.items():
-                    add_scaled(left, p.mul_monomials(ml, r), c * cl)
-                for mr, cr in self._antipode_monomial(r).terms.items():
-                    add_scaled(right, p.mul_monomials(l, mr), c * cr)
+            left, right = self._antipode_rows(m)
             want = {m: 1} if m == p.unit_monomial else {}
             if left != want:
                 ok_left = False
@@ -460,9 +485,57 @@ class HopfPresentation:
             if right != want:
                 ok_right = False
                 witness = witness or (m, AlgebraElement(p, right))
-        report.add("m(S(x)id)Delta = unit.counit", ok_left, witness=witness)
-        report.add("m(id(x)S)Delta = unit.counit", ok_right)
-        return report
+        return _antipode_report(degree_bound, ok_left, ok_right, witness)
+
+    def _antipode_rows(self, m: Monomial) -> tuple[dict, dict]:
+        """m(S(x)id)Delta(m) and m(id(x)S)Delta(m), each as {monomial: coeff}."""
+        p = self.algebra
+        left: dict[Monomial, Scalar] = {}
+        right: dict[Monomial, Scalar] = {}
+        for (l, r), c in self._coproduct_monomial(m).terms.items():
+            for ml, cl in self._antipode_monomial(l).terms.items():
+                add_scaled(left, p.mul_monomials(ml, r), c * cl)
+            for mr, cr in self._antipode_monomial(r).terms.items():
+                add_scaled(right, p.mul_monomials(l, mr), c * cr)
+        return left, right
+
+    def _antipode_certified(self) -> bool:
+        """Whether both antipode rows vanish on every monomial but 1, in
+        every degree, read off the generators; the verdict is kept on the
+        presentation.
+
+        It holds when (a) the overlaps resolve (``verify_pbw_consistency``),
+        so the normal-form product is associative; (b) Delta respects every
+        relation (``verify_compatibility``, counit rows included), so the
+        monomial-wise Delta(x_g m') = Delta(x_g) Delta(m') is the algebra
+        map H -> H (x) H; (c) S(kappa_ji) = [S x_i, S x_j] for j > i, so the
+        anti-homomorphism of the free algebra with the values S(x_i) kills
+        every relation x_j x_i - x_i x_j - kappa_ji and is an anti-algebra
+        map of H, which on a sorted word is the monomial-wise S(x_g m') =
+        S(m') S(x_g); and both rows vanish on each generator.  Write L =
+        m(S(x)id)Delta and R = m(id(x)S)Delta.  By (a)-(c),
+        Delta(uv) = Delta(u) Delta(v) and S(u1 v1) = S(v1) S(u1), so
+
+            L(uv) = sum S(v1) L(u) v2,    R(uv) = sum u1 R(v) S(u2).
+
+        For m = x_g m' != 1, the first gives L(m) = 0 from L(x_g) = 0, and
+        the second R(m) = 0 from R(m') = 0, by induction on the letters
+        down to R(x_g) = 0.  L(1) = R(1) = 1.
+        """
+        key = ("antipode",)
+        if key not in self._answers:
+            p = self.algebra
+            unit = p.unit_monomial
+            letters = [unit[:g] + (1,) + unit[g + 1:] for g in range(len(unit))]
+            s = [self._antipode_monomial(x) for x in letters]
+            self._answers[key] = (
+                all(self._antipode_rows(x) == ({}, {}) for x in letters)
+                and all(bracket(s[i], s[j]) == self.antipode(
+                            AlgebraElement(p, p.kappa.get((j, i), {})))
+                        for j in range(len(letters)) for i in range(j))
+                and p.verify_pbw_consistency().passed
+                and self.verify_compatibility().passed)
+        return self._answers[key]
 
     # -- morphisms -------------------------------------------------------------------
 
@@ -536,3 +609,12 @@ class HopfPresentation:
                 if i not in self.delta_gen]
         return (f"HopfPresentation({self.algebra!r}, "
                 f"primitive={{{', '.join(prim)}}})")
+
+
+def _antipode_report(degree_bound: int, ok_left: bool, ok_right: bool,
+                     witness) -> VerificationReport:
+    """The two rows of the antipode check; the witness sits on the first."""
+    report = VerificationReport(f"antipode axiom through degree {degree_bound}")
+    report.add("m(S(x)id)Delta = unit.counit", ok_left, witness=witness)
+    report.add("m(id(x)S)Delta = unit.counit", ok_right)
+    return report

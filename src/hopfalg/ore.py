@@ -198,22 +198,25 @@ class OrePresentation:
 
     def _monomial_counts(self, bound: int, by_bidegree: bool = False) -> dict:
         """Number of PBW monomials (the unit included) of weighted degree
-        <= bound per degree, or per bidegree: counted generator by
-        generator, x_g^e times each grade counted so far, never listed."""
-        if by_bidegree:
-            steps, counts = self.bidegrees, {(0, 0): 1}
-        else:
-            steps, counts = self.degrees, {0: 1}
-        for d, step in zip(self.degrees, steps):
-            nxt: dict = {}
-            for grade, ways in counts.items():
-                room = bound - (sum(grade) if by_bidegree else grade)
-                for e in range(room // d + 1):
-                    key = ((grade[0] + e * step[0], grade[1] + e * step[1])
-                           if by_bidegree else grade + e * step)
-                    nxt[key] = nxt.get(key, 0) + ways
-            counts = nxt
-        return counts
+        <= bound per degree, or per bidegree, by degree then bidegree:
+        counted, never listed, by one recurrence per generator of degree
+        d, c[k] += c[k - d] in increasing k (multiplying the counts so far
+        by 1 + x_g + x_g^2 + ...), on the bidegree grid in increasing
+        total degree."""
+        if not by_bidegree:
+            counts = [1] + [0] * bound
+            for d in self.degrees:
+                for k in range(d, bound + 1):
+                    counts[k] += counts[k - d]
+            return {k: c for k, c in enumerate(counts) if c}
+        grid = [(a, t - a) for t in range(bound + 1) for a in range(t + 1)]
+        counts = dict.fromkeys(grid, 0)
+        counts[(0, 0)] = 1
+        for s0, s1 in self.bidegrees:
+            for a, b in grid:
+                if a >= s0 and b >= s1:
+                    counts[(a, b)] += counts[(a - s0, b - s1)]
+        return {g: c for g, c in counts.items() if c}
 
     # -- element constructors ------------------------------------------------
 

@@ -228,7 +228,7 @@ def test_certified_report_takes_the_two_rank_profiles_at_g_prime(
 
 
 def _expire(signum, frame):
-    raise TimeoutError("cobar report exceeded its time budget")
+    raise TimeoutError("call exceeded its time budget")
 
 
 def _within(seconds, fn, *args, **kwargs):

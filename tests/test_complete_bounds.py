@@ -1,11 +1,12 @@
 """Answers that stop depending on the degree bound.
 
 P lies in degrees <= g, the top generator degree, and the coradical level
-C_n in degrees <= 2^(n-1) g (``HopfPresentation.complete_bound``), so the
-subspaces are computed at min(d, that bound) and kept on the
-presentation.  The oracle here takes no such shortcut: one direct
-kernel (``structure._coradical_kernel``) at the bound d itself, with every
-lower level also taken at d, and no kept answer read.
+C_n in degrees <= n g on a coassociative presentation, 2^(n-1) g on any
+(``HopfPresentation.complete_bound``), so the subspaces are computed at
+min(d, that bound) and kept on the presentation.  The oracle here takes
+no such shortcut: one direct kernel (``structure._coradical_kernel``) at
+the bound d itself, with every lower level also taken at d, and no kept
+answer read.
 """
 
 import json
@@ -20,6 +21,7 @@ from hopfalg.cla import CLA, enveloping
 from hopfalg.cli import main
 from hopfalg.exactlin import add_scaled
 from hopfalg.hopf import HopfPresentation
+from hopfalg.ore import OrePresentation
 from hopfalg.structure import coradical_filtration, p2_space, primitive_space
 
 CATALOG = list_catalog()
@@ -54,7 +56,7 @@ def _check_against_direct(h):
     """P at d = 1..12, P2 and C_2 at d = 1..2g + 2, C_3 at d = 1..4g + 2,
     each while d is within the monomial budget."""
     g = h.complete_bound(1)
-    assert (h.complete_bound(2), h.complete_bound(3)) == (2 * g, 4 * g)
+    assert (h.complete_bound(2), h.complete_bound(3)) == (2 * g, 3 * g)
     for d in range(1, max(12, 4 * g + 2) + 1):
         count = h.algebra.pbw_count(d)
         n = (3 if d <= 4 * g + 2 and count <= C3_MONOMIALS else
@@ -75,7 +77,7 @@ def _check_against_direct(h):
         if n > 2:
             level = coradical_filtration(h, 3, d)
             assert level.basis[1:] == direct[2], ("C_3", d)
-            assert level.complete == (d >= 4 * g)
+            assert level.complete == (d >= 3 * g)
 
 
 def _hopf(spec):
@@ -88,8 +90,35 @@ def test_catalog_subspaces_match_a_direct_kernel_at_the_bound(spec):
     _check_against_direct(_hopf(spec))
 
 
+@pytest.mark.parametrize("spec", CATALOG, ids=[s.describe() for s in CATALOG])
+def test_catalog_c3_matches_a_direct_chain_past_three_g(spec):
+    # C_3 at d = 1..4g + 1, past the monomial budget: one direct chain at
+    # 4g + 1, whose basis vectors of degree <= d are the direct basis at d
+    # (``FilteredSubspace.stable_from_previous_bound``)
+    h = _hopf(spec)
+    g = h.complete_bound(1)
+    direct = _direct(h, 4 * g + 1, 3, False)[2]
+    for d in range(1, 4 * g + 2):
+        level = coradical_filtration(h, 3, d)
+        assert level.basis[1:] == [b for b in direct if b.degree <= d], d
+        assert level.complete == (d >= 3 * g)
+
+
+def test_c3_bound_without_coassociativity_stays_four_g():
+    # delta(W) = X (x) Z with delta(Z) = X (x) Y - Y (x) X fails
+    # coassociativity, so C_3 keeps the bound 2^2 g
+    h = HopfPresentation(OrePresentation([("X", 1), ("Y", 1), ("Z", 2),
+                                          ("W", 3)]), {
+        "Z": [(1, {"X": 1}, {"Y": 1}), (-1, {"Y": 1}, {"X": 1})],
+        "W": [(1, {"X": 1}, {"Z": 1})]})
+    assert [h.complete_bound(n) for n in range(5)] == [0, 3, 6, 12, 24]
+    assert h._answers[("coassociative",)] is False
+    assert make_K().complete_bound(4) == 12
+
+
 def test_c3_of_k_is_complete_past_four_g():
-    # past the budget and the C_3 bound 4g = 12 of K: computed at 12
+    # past the budget and the bound 4g = 12 that C_3 of K would have
+    # without coassociativity: computed at 3g = 9
     K = make_K()
     level = coradical_filtration(K, 3, 13)
     assert level.complete and level.basis[1:] == _direct(K, 13, 3, False)[2]
@@ -149,8 +178,8 @@ def test_kept_bases_are_copies():
     (["p2", "--max-degree", "5"], False),
     (["p2", "--max-degree", "6"], True),
     (["coradical", "--level", "0", "--max-degree", "1"], True),
-    (["coradical", "--level", "3", "--max-degree", "11"], False),
-    (["coradical", "--level", "3", "--max-degree", "12"], True),
+    (["coradical", "--level", "3", "--max-degree", "8"], False),
+    (["coradical", "--level", "3", "--max-degree", "9"], True),
 ])
 def test_space_commands_report_completeness(argv, complete, capsys):
     assert main(argv + ["--family", "K", "--json"]) == 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfalg.catalog import build, list_catalog, make_D, make_F, make_K
+from hopfalg.cla import enveloping
 from hopfalg.errors import InputError, StructuralError
 from hopfalg.exactlin import add_scaled, add_term
 from hopfalg.hopf import HopfPresentation
@@ -162,6 +163,45 @@ def test_pbw_count_examples(K, A000, D01):
                                                     repeat=len(degs))
                     if sum(e * d for e, d in zip(exps, degs)) <= bound)
         assert D01.algebra.pbw_count(bound) == brute
+
+
+def _monomial_counts_by_exponent(p, bound, by_bidegree=False):
+    """The reference count: x_g^e times each grade counted so far, for
+    every exponent e that fits under the bound."""
+    if by_bidegree:
+        steps, counts = p.bidegrees, {(0, 0): 1}
+    else:
+        steps, counts = p.degrees, {0: 1}
+    for d, step in zip(p.degrees, steps):
+        nxt = {}
+        for grade, ways in counts.items():
+            room = bound - (sum(grade) if by_bidegree else grade)
+            for e in range(room // d + 1):
+                key = ((grade[0] + e * step[0], grade[1] + e * step[1])
+                       if by_bidegree else grade + e * step)
+                nxt[key] = nxt.get(key, 0) + ways
+        counts = nxt
+    return counts
+
+
+def test_monomial_counts_match_the_count_by_exponent():
+    # the per-generator recurrence c[k] += c[k - d] against the loop over
+    # every exponent, by degree and (where given) by bidegree, on every
+    # catalog algebra; the counts depend on the grading alone, so each
+    # grading is checked once
+    gradings = {}
+    for spec in list_catalog():
+        obj = build(spec)
+        p = (obj if isinstance(obj, HopfPresentation) else
+             enveloping(obj)).algebra
+        gradings.setdefault((p.degrees, p.bidegrees), (spec.describe(), p))
+    for label, p in gradings.values():
+        modes = (False, True) if p.bidegrees else (False,)
+        for bound in range(61):
+            for by_bidegree in modes:
+                assert (p._monomial_counts(bound, by_bidegree)
+                        == _monomial_counts_by_exponent(p, bound, by_bidegree)
+                        ), (label, bound, by_bidegree)
 
 
 def test_normal_form_idempotence(K):

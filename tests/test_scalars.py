@@ -139,7 +139,13 @@ def test_no_cache_keeps_an_integral_fraction():
     p = h.algebra
     for a, b, c, d in itertools.product(range(1, 4), repeat=4):
         p.monomial({"W": a, "Z": b}) * p.monomial({"X": c, "Y": d})
+    # the certified antipode check takes S on few monomials, so S is taken
+    # on every one of degree <= 6, and the degree loop fills Delta and the
+    # row products as the check did before it was certified
+    for m in p.monomials_up_to(6, include_unit=True):
+        h.antipode(p.monomial(m))
     assert h.verify_antipode(6).passed
+    assert h._antipode_loop(6).passed
     caches = {
         "_gen_cache": p._gen_cache.values(),
         "_mul_cache": p._mul_cache.values(),
