@@ -29,7 +29,7 @@ from .exactlin import (Matrix, Scalar, add_scaled, add_term, express_pairs,
                        express_ranked, graded_h2, map_slot, scalar)
 from .hopf import HopfPresentation
 from .ore import GeneratorInfo, OrePresentation, _is_int
-from .reports import VerificationReport
+from .reports import AnswerStore, VerificationReport
 
 
 class LieConstants:
@@ -76,7 +76,7 @@ class LieConstants:
         return None
 
 
-class CLA(LieConstants):
+class CLA(LieConstants, AnswerStore):
     """Finite-dimensional bracket + coproduct structure constants.
 
     brackets: {(i, j): {k: b_ijk}} meaning [x_i, x_j] = sum_k b_ijk x_k;
@@ -134,10 +134,14 @@ class CLA(LieConstants):
                     clean[(j, k)] = c
             if clean:
                 self.delta[i] = clean
-        self._kernel: Optional[list[dict[int, Scalar]]] = None
 
     def delta_constants(self, i: int) -> dict[tuple[int, int], Scalar]:
         return dict(self.delta.get(i, {}))
+
+    def _checked(self) -> tuple[VerificationReport, Optional[HopfPresentation]]:
+        """The kept ``_checked_envelope`` pair: the ``verify_cla`` report
+        and U(L), None unless the report passes."""
+        return self._kept(("envelope",), lambda: _checked_envelope(self))
 
     def is_anti_cocommutative(self) -> bool:
         for terms in self.delta.values():
@@ -160,7 +164,7 @@ class CLA(LieConstants):
 
 
 @dataclass
-class GradedLie(LieConstants):
+class GradedLie(LieConstants, AnswerStore):
     """Graded Lie algebra by structure constants (brackets add degrees).
 
     ``lifts``, when the algebra was read off a presentation, holds per
@@ -172,9 +176,6 @@ class GradedLie(LieConstants):
     # brackets stored for i < j only: {(i, j): {k: coeff}}
     brackets: dict[tuple[int, int], dict[int, Scalar]] = field(default_factory=dict)
     lifts: Optional[list[tuple[int, ...]]] = field(default=None, compare=False)
-    # ce_h2_dims per grade list, computed once
-    _ce: dict = field(default_factory=dict, init=False, compare=False,
-                      repr=False)
 
     def dims_by_degree(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -201,8 +202,11 @@ class GradedLie(LieConstants):
         grades = tuple(self.degrees if grades is None else grades)
         if len(grades) != n:
             raise InputError(f"{len(grades)} grades for {n} basis vectors")
-        if grades in self._ce:
-            return dict(self._ce[grades])
+        return dict(self._kept(("ce h2", grades), lambda: self._ce_h2(grades)))
+
+    def _ce_h2(self, grades: tuple) -> dict:
+        """The elimination behind ``ce_h2_dims`` for one grade list."""
+        n = self.dim
         bad = self._ungraded_bracket(grades)
         if bad:
             raise InputError(f"grades do not add on {bad}")
@@ -223,9 +227,8 @@ class GradedLie(LieConstants):
             Matrix.from_keyed_columns(d1), grades,
             Matrix.from_keyed_columns(list(d2.values())),
             [_grade_sum(grades[i], grades[j]) for i, j in d2])
-        self._ce[grades] = {g: h2 for g, z in cocycles.items()
-                            if (h2 := z - coboundaries.get(g, 0))}
-        return dict(self._ce[grades])
+        return {g: h2 for g, z in cocycles.items()
+                if (h2 := z - coboundaries.get(g, 0))}
 
     def _ungraded_bracket(self, grades: Sequence) -> Optional[str]:
         """The first stored bracket [x_i, x_j] with a term x_k whose grade
@@ -276,9 +279,10 @@ def verify_cla(L: CLA) -> VerificationReport:
     The compatibility check builds U(L) once and runs its
     ``verify_compatibility``; when U(L) cannot be built (L is not
     conilpotent, or its basis is not adapted to the kernel filtration of
-    delta) the check fails with the reason as its detail.
+    delta) the check fails with the reason as its detail.  The report is
+    kept on L with U(L); each call returns a copy.
     """
-    return _checked_envelope(L)[0]
+    return L._checked()[0].copy()
 
 
 def enveloping(L: CLA) -> HopfPresentation:
@@ -290,13 +294,7 @@ def enveloping(L: CLA) -> HopfPresentation:
     anti-cocommutative CLAs this is weight 1 on ker delta and 2 elsewhere.
     Raises StructuralError naming the first failed axiom otherwise.
     """
-    return _require_envelope(*_checked_envelope(L))
-
-
-def _require_envelope(report: VerificationReport,
-                      env: Optional[HopfPresentation]) -> HopfPresentation:
-    """U(L) from a ``_checked_envelope`` pair, or the StructuralError naming
-    the first failed axiom."""
+    report, env = L._checked()
     if env is None:
         raise StructuralError(
             f"CLA axioms fail, cannot envelope: {report.failures()[0].name}")
@@ -405,10 +403,9 @@ def _delta_kernel_steps(L: CLA) -> list[tuple[int, list[int]]]:
 def kernel_delta(L: CLA) -> list[dict[int, Scalar]]:
     """Canonical basis of ker delta (sparse coefficient vectors over the CLA
     basis), eliminated once per CLA and kept on it."""
-    if L._kernel is None:
-        L._kernel = Matrix.from_keyed_columns(
-            [L.delta_constants(i) for i in range(L.dim)]).kernel_basis()
-    return [dict(vec) for vec in L._kernel]
+    kernel = L._kept(("ker delta",), lambda: Matrix.from_keyed_columns(
+        [L.delta_constants(i) for i in range(L.dim)]).kernel_basis())
+    return [dict(vec) for vec in kernel]
 
 
 def conilpotency_index(L: CLA) -> Optional[int]:

@@ -228,10 +228,8 @@ def _lantern_ce(h: HopfPresentation, by_bidegree: bool) -> dict:
     The lantern on every generator is kept on h, and it keeps its CE H^2
     per grading, so the eliminations run once per presentation.
     """
-    lantern = h._answers.get(("lantern",))
-    if lantern is None:
-        lantern = h._answers[("lantern",)] = lantern_of_hopf(
-            h, h.complete_bound(1))
+    lantern = h._kept(("lantern",),
+                      lambda: lantern_of_hopf(h, h.complete_bound(1)))
     if not by_bidegree:
         return lantern.ce_h2_dims()
     _grading(h, by_bidegree)
@@ -299,10 +297,9 @@ def _certified_report(h: HopfPresentation, bound: int,
     reach = _g_prime(h, _lantern_ce(h, by_bidegree))
     if bound <= reach:
         return None
-    key = ("cobar", reach, by_bidegree)
-    if key not in h._answers:
-        h._answers[key] = _eliminated_counts(h, reach, by_bidegree)
-    cocycles, coboundaries = map(Counter, h._answers[key])
+    cocycles, coboundaries = map(Counter, h._kept(
+        ("cobar", reach, by_bidegree),
+        lambda: _eliminated_counts(h, reach, by_bidegree)))
     for g, count in alg._monomial_counts(bound, by_bidegree).items():
         if (sum(g) if by_bidegree else g) > reach:
             cocycles[g] = coboundaries[g] = count

@@ -18,7 +18,7 @@ from .exactlin import (Scalar, add_scaled, add_term, integral_values,
                        map_slot, scalar)
 from .ore import (AlgebraElement, Combination, Monomial, OrePresentation,
                   bracket)
-from .reports import VerificationReport
+from .reports import AnswerStore, VerificationReport
 
 
 class TensorElement(Combination):
@@ -148,8 +148,9 @@ def tensor_of(a: AlgebraElement, b: AlgebraElement) -> TensorElement:
     return TensorElement(a.p, 2, terms)
 
 
-class HopfPresentation:
-    """Algebra presentation plus reduced coproducts of the generators."""
+class HopfPresentation(AnswerStore):
+    """Algebra presentation plus reduced coproducts of the generators;
+    every answer that takes no bound is kept on it (``AnswerStore``)."""
 
     def __init__(self, algebra: OrePresentation, coproducts=None):
         self.algebra = algebra
@@ -171,10 +172,6 @@ class HopfPresentation:
         self._coproduct_cache: dict[Monomial, TensorElement] = {}
         self._reduced_cache: dict[Monomial, dict[tuple, Scalar]] = {}
         self._antipode_cache: dict[Monomial, AlgebraElement] = {}
-        # per-presentation answers, keyed by kind and the degree they were
-        # taken at (subspace bases, the lantern, the cobar certificate's
-        # counts); past complete_bound one key serves every bound
-        self._answers: dict[tuple, object] = {}
 
     def _validate_delta(self, i: int, terms: dict[tuple, Scalar]):
         gname = self.algebra.names[i]
@@ -278,11 +275,10 @@ class HopfPresentation:
         """A degree from which C_level, the level-th piece of the coradical
         filtration, lies in the degree <= d truncation, g the top generator
         degree: g for P = C_1, 2g for C_2 and the anti-cocommutative P2
-        inside it, level * g for a higher level once
-        ``verify_coassociativity`` passes (its verdict is kept on the
-        presentation) and 2^(level-1) g otherwise; 0 for C_0 = k1.  So
-        C_level and P2 computed at any d >= this degree are the same space,
-        with the same canonical basis.
+        inside it, level * g for a higher level once the kept
+        ``verify_coassociativity`` report passes, and 2^(level-1) g
+        otherwise; 0 for C_0 = k1.  So C_level and P2 computed at any d >=
+        this degree are the same space, with the same canonical basis.
 
         Top parts: every commutator drops degree and every factor of
         delta(x_i) is unit-free of lower degree, so gr H is the polynomial
@@ -314,10 +310,7 @@ class HopfPresentation:
         if level < 1:
             return 0
         g = max(self.algebra.degrees, default=1)
-        key = ("coassociative",)
-        if level > 2 and key not in self._answers:
-            self._answers[key] = self.verify_coassociativity().passed
-        if level <= 2 or self._answers[key]:
+        if level <= 2 or self.verify_coassociativity().passed:
             return level * g
         return g << (level - 1)
 
@@ -340,7 +333,7 @@ class HopfPresentation:
             result = p.one()
         else:
             g = next(i for i, e in enumerate(m) if e)
-            letter = p.unit_monomial[:g] + (1,) + p.unit_monomial[g + 1:]
+            letter = p.letter(g)
             if m == letter:
                 out = {m: -1}
                 for (l, r), c in self._reduced_monomial(m).items():
@@ -392,12 +385,22 @@ class HopfPresentation:
 
     # -- verifications ----------------------------------------------------------------
 
+    def verify_pbw_consistency(self) -> VerificationReport:
+        """The algebra's ``verify_pbw_consistency``, run once and kept on
+        the presentation, not on the algebra: a failing overlap's witness
+        is an element of the algebra, which would then refer back to it."""
+        return self._kept(("pbw",), self.algebra.verify_pbw_consistency).copy()
+
     def verify_coassociativity(self) -> VerificationReport:
         """(Delta(x)id)Delta = (id(x)Delta)Delta and the counit axioms.
 
         Checking the generators suffices: both sides are algebra maps, so
         agreement on generators forces agreement everywhere.
         """
+        return self._kept(("coassociativity",), self._coassociativity).copy()
+
+    def _coassociativity(self) -> VerificationReport:
+        """The generator loop of ``verify_coassociativity``, run once."""
         report = VerificationReport("coassociativity and counit axioms")
         p = self.algebra
         for name in p.names:
@@ -430,6 +433,10 @@ class HopfPresentation:
         need no tensor product.  The witness is still the full difference
         Delta(kappa_ji) - [Delta x_j, Delta x_i].
         """
+        return self._kept(("compatibility",), self._compatibility).copy()
+
+    def _compatibility(self) -> VerificationReport:
+        """The relation loop of ``verify_compatibility``, run once."""
         report = VerificationReport("bialgebra compatibility with the relations")
         p = self.algebra
         n = len(p.names)
@@ -460,14 +467,14 @@ class HopfPresentation:
     def verify_antipode(self, degree_bound: int) -> VerificationReport:
         """m(S(x)id)Delta = unit*counit = m(id(x)S)Delta on monomials up to the bound.
 
-        When ``_antipode_certified`` holds, both rows hold in every degree
-        and no monomial is checked; otherwise every monomial up to the
-        bound is checked (``_antipode_loop``), and a failure carries a
-        witness.
+        When ``_antipode_certified`` holds (its verdict is kept), both rows
+        hold in every degree and no monomial is checked; otherwise every
+        monomial up to the bound is checked (``_antipode_loop``), and a
+        failure carries a witness.
         """
         if degree_bound < 0:
             raise InputError("degree bound must be >= 0")
-        if self._antipode_certified():
+        if self._kept(("antipode",), self._antipode_certified):
             return _antipode_report(degree_bound, True, True, None)
         return self._antipode_loop(degree_bound)
 
@@ -501,12 +508,13 @@ class HopfPresentation:
 
     def _antipode_certified(self) -> bool:
         """Whether both antipode rows vanish on every monomial but 1, in
-        every degree, read off the generators; the verdict is kept on the
-        presentation.
+        every degree, read off the generators; ``verify_antipode`` keeps
+        the verdict on the presentation.
 
-        It holds when (a) the overlaps resolve (``verify_pbw_consistency``),
-        so the normal-form product is associative; (b) Delta respects every
-        relation (``verify_compatibility``, counit rows included), so the
+        It holds when (a) the overlaps resolve (the kept
+        ``verify_pbw_consistency``), so the normal-form product is
+        associative; (b) Delta respects every relation (the kept
+        ``verify_compatibility``, counit rows included), so the
         monomial-wise Delta(x_g m') = Delta(x_g) Delta(m') is the algebra
         map H -> H (x) H; (c) S(kappa_ji) = [S x_i, S x_j] for j > i, so the
         anti-homomorphism of the free algebra with the values S(x_i) kills
@@ -522,20 +530,15 @@ class HopfPresentation:
         the second R(m) = 0 from R(m') = 0, by induction on the letters
         down to R(x_g) = 0.  L(1) = R(1) = 1.
         """
-        key = ("antipode",)
-        if key not in self._answers:
-            p = self.algebra
-            unit = p.unit_monomial
-            letters = [unit[:g] + (1,) + unit[g + 1:] for g in range(len(unit))]
-            s = [self._antipode_monomial(x) for x in letters]
-            self._answers[key] = (
-                all(self._antipode_rows(x) == ({}, {}) for x in letters)
+        p = self.algebra
+        letters = [p.letter(g) for g in range(len(p.names))]
+        s = [self._antipode_monomial(x) for x in letters]
+        return (all(self._antipode_rows(x) == ({}, {}) for x in letters)
                 and all(bracket(s[i], s[j]) == self.antipode(
                             AlgebraElement(p, p.kappa.get((j, i), {})))
                         for j in range(len(letters)) for i in range(j))
-                and p.verify_pbw_consistency().passed
+                and self.verify_pbw_consistency().passed
                 and self.verify_compatibility().passed)
-        return self._answers[key]
 
     # -- morphisms -------------------------------------------------------------------
 

@@ -226,13 +226,16 @@ class OrePresentation:
     def one(self) -> "AlgebraElement":
         return AlgebraElement(self, {self.unit_monomial: 1})
 
+    def letter(self, g: int) -> Monomial:
+        """The monomial x_g of the generator with index g."""
+        unit = self.unit_monomial
+        return unit[:g] + (1,) + unit[g + 1:]
+
     def gen(self, name: str) -> "AlgebraElement":
         i = self.index.get(name)
         if i is None:
             raise InputError(f"unknown generator {name!r}")
-        exps = [0] * len(self.names)
-        exps[i] = 1
-        return AlgebraElement(self, {tuple(exps): 1})
+        return AlgebraElement(self, {self.letter(i): 1})
 
     def monomial(self, mono) -> "AlgebraElement":
         return AlgebraElement(self, {self.monomial_tuple(mono): 1})

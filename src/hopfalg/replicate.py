@@ -3,9 +3,9 @@
 Each criterion is a list of checks on catalog entries, one per loop it
 makes over the catalog, and a part that reads no catalog entry.
 `run_replication` walks `list_catalog()` once: each entry is built on
-first use, a CLA is checked and enveloped at most once, every criterion
-runs its checks on that one object, and the object is dropped before the
-next entry is built, so one entry and its caches are alive at a time.  A
+first use, every criterion runs its checks on that one object and the
+answers it keeps, and the object is dropped before the next entry is
+built, so one entry and its caches are alive at a time.  A
 criterion called alone runs the same walk with only itself.  The same
 criteria back the acceptance test-suite and the `hopf replicate`
 subcommand, so a green table here is exactly a green acceptance run.
@@ -22,8 +22,7 @@ from fractions import Fraction
 
 from .catalog import (FamilySpec, build, list_catalog, make_cla_35,
                       make_cla_a, make_lie)
-from .cla import (_checked_envelope, _require_envelope, cla_transform,
-                  lantern_of_cla)
+from .cla import cla_transform, enveloping, lantern_of_cla, verify_cla
 from .cobar import h2_report
 from .errors import HopfAlgError
 from .exactlin import Matrix, quotient
@@ -52,7 +51,7 @@ class CriterionResult:
 def hopf_battery(h: HopfPresentation, antipode_bound: int = 4) -> VerificationReport:
     """The standard verification battery for a Hopf presentation."""
     report = VerificationReport("verification battery")
-    report.extend(h.algebra.verify_pbw_consistency())
+    report.extend(h.verify_pbw_consistency())
     report.extend(h.verify_coassociativity())
     report.extend(h.verify_compatibility())
     antipode = h.verify_antipode(antipode_bound)
@@ -63,20 +62,13 @@ def hopf_battery(h: HopfPresentation, antipode_bound: int = 4) -> VerificationRe
 
 
 def object_battery(obj, antipode_bound: int = 4) -> VerificationReport:
-    """Battery appropriate to the object kind (Hopf presentation or CLA)."""
+    """Battery appropriate to the object kind: of a Hopf presentation, or
+    the CLA axioms and then the battery on U(L) when they pass."""
     if isinstance(obj, HopfPresentation):
         return hopf_battery(obj, antipode_bound)
-    return _cla_battery(*_checked_envelope(obj), antipode_bound)
-
-
-def _cla_battery(axioms: VerificationReport, env, antipode_bound: int = 4
-                 ) -> VerificationReport:
-    """The CLA axioms report, then the battery on U(L) when they pass;
-    ``axioms`` itself is left as it is."""
-    report = VerificationReport(axioms.title)
-    report.extend(axioms)
-    if env is not None:
-        report.extend(hopf_battery(env, antipode_bound))
+    report = verify_cla(obj)
+    if report.passed:
+        report.extend(hopf_battery(enveloping(obj), antipode_bound))
     return report
 
 
@@ -84,9 +76,9 @@ def _cla_battery(axioms: VerificationReport, env, antipode_bound: int = 4
 
 
 class _Entry:
-    """One catalog entry during the walk: built on first use, a CLA checked
-    and enveloped at most once.  A HopfAlgError is not kept, so every
-    reader raises it afresh, as a criterion building the entry would."""
+    """One catalog entry during the walk, built on first use.  A
+    HopfAlgError is not kept, so every reader raises it afresh, as a
+    criterion building the entry would."""
 
     def __init__(self, spec: FamilySpec):
         self.spec = spec
@@ -94,15 +86,6 @@ class _Entry:
     @functools.cached_property
     def obj(self):
         return build(self.spec)
-
-    @functools.cached_property
-    def checked_envelope(self):
-        return _checked_envelope(self.obj)
-
-    @property
-    def envelope(self) -> HopfPresentation:
-        """U(L), or the StructuralError ``enveloping`` raises."""
-        return _require_envelope(*self.checked_envelope)
 
 
 class _Tally:
@@ -183,9 +166,7 @@ def _same(spec: FamilySpec, want: FamilySpec) -> bool:
 
 def _validity(entry: _Entry) -> list[str]:
     try:
-        obj = entry.obj
-        report = (hopf_battery(obj) if isinstance(obj, HopfPresentation)
-                  else _cla_battery(*entry.checked_envelope))
+        report = object_battery(entry.obj)
     except HopfAlgError as exc:
         return [f"{entry.spec.describe()}: {exc}"]
     if not report.passed:
@@ -227,7 +208,7 @@ def _round_trip(entry: _Entry) -> list[str]:
     if not _is_cla(entry.spec):
         return []
     try:
-        if extract_cla(entry.envelope, 4) != entry.obj:
+        if extract_cla(enveloping(entry.obj), 4) != entry.obj:
             return [entry.spec.describe()]
     except HopfAlgError as exc:
         return [f"{entry.spec.describe()}: {exc}"]
@@ -396,7 +377,7 @@ def _cla_lantern(entry: _Entry) -> list[str]:
         return []
     try:
         L = entry.obj
-        env_lantern = lantern_of_hopf(entry.envelope, 3)
+        env_lantern = lantern_of_hopf(enveloping(L), 3)
         cla_lantern = lantern_of_cla(L)
     except HopfAlgError as exc:
         return [f"{spec.describe()}: {exc}"]

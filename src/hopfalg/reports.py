@@ -1,8 +1,23 @@
-"""Verification reports: named pass/fail checks with optional witnesses."""
+"""Verification reports: named pass/fail checks with optional witnesses,
+and the one store of answers computed once per object."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+
+class AnswerStore:
+    """An object that keeps each answer about itself alone (a verdict, a
+    basis, a count) once computed, under a key naming its kind and what
+    it depends on.  The object must not change after the first read, and
+    no kept answer may refer back to it (reference counting frees it)."""
+
+    def _kept(self, key: tuple, compute):
+        """The answer under ``key``, computed on the first read; read-only."""
+        store = vars(self).setdefault("_answers", {})
+        if key not in store:
+            store[key] = compute()
+        return store[key]
 
 
 @dataclass
@@ -24,6 +39,10 @@ class VerificationReport:
 
     def extend(self, other: "VerificationReport"):
         self.checks.extend(other.checks)
+
+    def copy(self) -> "VerificationReport":
+        """A new report over copies of the checks (witnesses shared)."""
+        return VerificationReport(self.title, [replace(c) for c in self.checks])
 
     @property
     def passed(self) -> bool:

@@ -94,14 +94,13 @@ def _coradical_level(h: HopfPresentation, n: int,
     is P, so P2 and every level read the one kept P.
     """
     top = min(d, h.complete_bound(n))
-    key = ("coradical", n, top)
-    basis = h._answers.get(key)
-    if basis is None:
+
+    def compute():
         monos = h.algebra.monomials_up_to(top)
         factors = _coradical_level(h, n - 1, top) if n > 1 else []
-        basis = h._answers[key] = _coradical_kernel(
+        return _coradical_kernel(
             h, monos, [h._reduced_monomial(m) for m in monos], factors)
-    return list(basis)
+    return list(h._kept(("coradical", n, top), compute))
 
 
 def _coradical_kernel(h: HopfPresentation, monos: list[Monomial], columns,
@@ -132,8 +131,8 @@ def p2_space(h: HopfPresentation, d: int) -> FilteredSubspace:
         raise InputError("degree bound must be >= 1")
     bound = h.complete_bound(2)
     top = min(d, bound)
-    basis = h._answers.get(("p2", top))
-    if basis is None:
+
+    def compute():
         monos = h.algebra.monomials_up_to(top)
         columns = []
         for m in monos:
@@ -141,9 +140,9 @@ def p2_space(h: HopfPresentation, d: int) -> FilteredSubspace:
             sym = add_scaled(dict(t), {(r, l): c for (l, r), c in t.items()})
             # rows ("s", key) ask the symmetric part of delta(a) to vanish
             columns.append({**t, **{("s", key): c for key, c in sym.items()}})
-        basis = h._answers[("p2", top)] = _coradical_kernel(
-            h, monos, columns, _coradical_level(h, 1, top))
-    return FilteredSubspace(h, d, list(basis), bound)
+        return _coradical_kernel(h, monos, columns,
+                                 _coradical_level(h, 1, top))
+    return FilteredSubspace(h, d, list(h._kept(("p2", top), compute)), bound)
 
 
 def coradical_filtration(h: HopfPresentation, n: int, d: int) -> FilteredSubspace:
@@ -259,8 +258,7 @@ def lantern_of_hopf(h: HopfPresentation, d: int) -> GradedLie:
     gens = sorted((g for g, deg in enumerate(alg.degrees) if deg <= d),
                   key=lambda g: (alg.degrees[g], g))
     degrees = [alg.degrees[g] for g in gens]
-    unit = alg.unit_monomial
-    lifts = [unit[:g] + (1,) + unit[g + 1:] for g in gens]
+    lifts = [alg.letter(g) for g in gens]
 
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
     for i, j in itertools.combinations(range(len(gens)), 2):

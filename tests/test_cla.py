@@ -342,13 +342,18 @@ def test_one_presentation_per_enveloping_and_battery(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(HopfPresentation, "__init__", spy)
-    L = make_cla_b(1)
-    for run in (lambda: enveloping(L),
+    for run in (lambda: enveloping(make_cla_b(1)),
                 lambda: make_lie(["a", "b"], {(0, 1): {1: 1}}),
-                lambda: object_battery(L)):
+                lambda: object_battery(make_cla_b(1))):
         built.clear()
         run()
         assert len(built) == 1
+    # U(L) is kept on L, so a second reader builds none
+    L = make_cla_b(1)
+    env = enveloping(L)
+    built.clear()
+    assert object_battery(L).passed and enveloping(L) is env
+    assert verify_cla(L).passed and built == []
 
 
 def test_basis_not_adapted_to_kernel_filtration():

@@ -112,7 +112,8 @@ def test_c3_bound_without_coassociativity_stays_four_g():
         "Z": [(1, {"X": 1}, {"Y": 1}), (-1, {"Y": 1}, {"X": 1})],
         "W": [(1, {"X": 1}, {"Z": 1})]})
     assert [h.complete_bound(n) for n in range(5)] == [0, 3, 6, 12, 24]
-    assert h._answers[("coassociative",)] is False
+    assert [c.name for c in h.verify_coassociativity().failures()] == [
+        "coassociativity on W"]
     assert make_K().complete_bound(4) == 12
 
 

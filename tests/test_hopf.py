@@ -1,7 +1,9 @@
+import gc
 import itertools
 import math
 import random
 import warnings
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from hopfalg.exactlin import add_scaled, add_term
 from hopfalg.hopf import HopfPresentation, TensorElement, tensor_of
 from hopfalg.ore import (AlgebraElement, GeneratorInfo, OrePresentation,
                           bracket)
+from hopfalg.replicate import object_battery
 from test_cobar import _within
 
 
@@ -493,14 +496,19 @@ def test_antipode_matches_its_defining_recursion_on_the_catalog():
             assert h._antipode_monomial(m).terms == out, (label, m)
 
 
+def _z_x_is_z():
+    """[Z, X] = Z with delta(Z) = X (x) Y, which Delta does not respect."""
+    alg = OrePresentation(
+        [GeneratorInfo("X", 1), GeneratorInfo("Y", 1), GeneratorInfo("Z", 2)],
+        {("Z", "X"): [(1, {"Z": 1})]})
+    return HopfPresentation(alg, {"Z": [(1, {"X": 1}, {"Y": 1})]})
+
+
 def test_left_antipode_row_fails_without_compatibility():
     # Delta does not respect [Z, X] = Z when delta(Z) = X (x) Y; S taken
     # as an anti-algebra map then fails m(S(x)id)Delta = unit.counit,
     # which the defining recursion of S would satisfy by construction
-    alg = OrePresentation(
-        [GeneratorInfo("X", 1), GeneratorInfo("Y", 1), GeneratorInfo("Z", 2)],
-        {("Z", "X"): [(1, {"Z": 1})]})
-    h = HopfPresentation(alg, {"Z": [(1, {"X": 1}, {"Y": 1})]})
+    h = _z_x_is_z()
     assert not h.verify_compatibility().passed
     left, right = h.verify_antipode(4).checks
     assert left.name == "m(S(x)id)Delta = unit.counit" and not left.passed
@@ -607,6 +615,45 @@ def test_antipode_certificate_declines_a_wrong_sign_in_s(monkeypatch):
     h = make_B(1)   # S(Z) = -Z + Y, taken as -Z - Y
     assert not h._antipode_certified()
     assert not _same_as_loop(h, 4).passed
+
+
+# an overlap fails in the first, compatibility in the second
+_FAILING = [lambda: _perturbed_K("kappa", (3, 2), (0, 0, 0, 1)), _z_x_is_z]
+
+
+def test_kept_reports_of_a_failing_presentation_stay_as_computed():
+    for make in _FAILING:
+        h = make()
+        first = _same_as_loop(h, 6)
+        assert not first.passed and first.checks[0].witness is not None
+        reports = [h.verify_pbw_consistency(), h.verify_coassociativity(),
+                   h.verify_compatibility()]
+        assert not all(r.passed for r in reports)
+        before = [(str(r), r.to_json()) for r in [first] + reports]
+        for r in [first] + reports:
+            r.checks[0].passed = not r.checks[0].passed
+            r.checks[0].witness = None
+            r.add("added by the caller", False)
+        again = [h.verify_antipode(6), h.verify_pbw_consistency(),
+                 h.verify_coassociativity(), h.verify_compatibility()]
+        assert [(str(r), r.to_json()) for r in again] == before
+        assert _same_as_loop(h, 6) == again[0]
+
+
+def test_a_failing_presentation_is_freed_once_dropped():
+    # a kept failing report holds a witness over the algebra; with gc
+    # off, only reference counting frees the presentation and its algebra
+    gc.collect()
+    gc.disable()
+    try:
+        for make in _FAILING:
+            h = make()
+            assert not object_battery(h, 6).passed
+            refs = [weakref.ref(h), weakref.ref(h.algebra)]
+            del h
+            assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_certified_antipode_takes_s_only_on_generators_and_relations(

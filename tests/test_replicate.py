@@ -1,9 +1,10 @@
 """The replication battery walks the catalog once, one entry at a time.
 
 `run_replication` builds each catalog entry once and envelopes each CLA
-once, drops an entry before it builds the next, and gives every
-criterion the same row whether it runs in the full walk or alone, on
-the real catalog and on catalogs with injected faults.
+once, runs each generator-level check once per presentation, drops an
+entry before it builds the next, and gives every criterion the same row
+whether it runs in the full walk or alone, on the real catalog and on
+catalogs with injected faults.
 """
 
 import gc
@@ -17,6 +18,7 @@ from hopfalg.cla import CLA, GradedLie
 from hopfalg.errors import InputError
 from hopfalg.exactlin import Matrix
 from hopfalg.hopf import HopfPresentation
+from hopfalg.ore import OrePresentation
 
 
 _real_build = replicate.build
@@ -40,9 +42,8 @@ def test_one_build_per_entry_and_one_envelope_per_cla(monkeypatch):
     builds, envelopes = [], []
     _spy(monkeypatch, replicate, "build",
          lambda args, obj: builds.append(args[0].describe()))
-    for module in (replicate, cla):
-        _spy(monkeypatch, module, "_checked_envelope",
-             lambda args, pair: envelopes.append(args[0]))
+    _spy(monkeypatch, cla, "_checked_envelope",
+         lambda args, pair: envelopes.append(args[0]))
     assert all(r.passed for r in replicate.run_replication())
     catalog = list_catalog()
     assert builds == [spec.describe() for spec in catalog]
@@ -73,7 +74,7 @@ def test_each_entry_is_dropped_before_the_next_is_built(monkeypatch):
             watch(pair[1], f"U({args[0]!r})")
 
     monkeypatch.setattr(replicate, "build", build)
-    _spy(monkeypatch, replicate, "_checked_envelope", on_envelope)
+    _spy(monkeypatch, cla, "_checked_envelope", on_envelope)
     gc.collect()
     gc.disable()
     try:
@@ -109,6 +110,40 @@ def test_no_elimination_repeats_within_an_entry(monkeypatch):
                        if eliminated.count(key) > 1})
     assert repeated == []
     assert len(eliminated) <= 138
+
+
+def test_each_generator_level_check_runs_once_per_presentation(
+        monkeypatch):
+    # the overlap loop of PBW consistency, the relation loop of
+    # compatibility and the generator loop of coassociativity; their
+    # reports are kept on the presentation, so the battery, the antipode
+    # certificate, the C_n bound and the CLA check read one run
+    current = []
+    runs = {}     # loop -> [(entry, object id)]
+    objects = []  # keeps every checked object, so no id is reused
+
+    def build(spec):
+        current.append(spec.describe())
+        return _real_build(spec)
+
+    def spy(cls, name):
+        loop = getattr(cls, name)
+
+        def run(self):
+            objects.append(self)
+            runs.setdefault(name, []).append((current[-1], id(self)))
+            return loop(self)
+        monkeypatch.setattr(cls, name, run)
+
+    monkeypatch.setattr(replicate, "build", build)
+    spy(OrePresentation, "verify_pbw_consistency")
+    spy(HopfPresentation, "_compatibility")
+    spy(HopfPresentation, "_coassociativity")
+    assert all(r.passed for r in replicate.run_replication())
+    counts = {name: (len(keys), len(set(keys))) for name, keys in runs.items()}
+    assert counts == {"verify_pbw_consistency": (34, 34),
+                      "_compatibility": (38, 38),
+                      "_coassociativity": (34, 34)}
 
 
 def _corrupted_catalog():
