@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cla import CLA, _checked_envelope
+from .cla import CLA, _envelope
 from .errors import InputError, ParameterError
 from .exactlin import scalar
 from .hopf import HopfPresentation
@@ -168,14 +168,14 @@ def make_lie(basis, brackets) -> HopfPresentation:
 
     brackets: {(i, j): {k: coeff}} structure constants over the given
     basis; all generators are primitive with weight 1.  The constants must
-    satisfy Jacobi (checked via the CLA machinery with delta = 0).
+    satisfy Jacobi, the one CLA axiom that can fail when delta = 0, since
+    Delta(kappa_ji) = kappa_ji (x) 1 + 1 (x) kappa_ji = [Delta x_j, Delta x_i].
     """
-    report, env = _checked_envelope(CLA(basis, brackets))
-    if env is None:
+    lie = CLA(basis, brackets)
+    if lie.jacobi_witness() is not None:
         raise InputError(
-            f"structure constants are not a Lie algebra: "
-            f"{report.failures()[0].name}")
-    return env
+            "structure constants are not a Lie algebra: Jacobi identity")
+    return _envelope(lie)
 
 
 def make_cla_a(l1, l2, alpha) -> CLA:

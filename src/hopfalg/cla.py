@@ -21,12 +21,13 @@ two checks agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .errors import InputError, StructuralError
-from .exactlin import (Matrix, Scalar, add_scaled, add_term, express_pairs,
-                       express_ranked, graded_h2, map_slot, scalar)
+from .exactlin import (Matrix, Scalar, add_scaled, add_term, express_ranked,
+                       graded_h2, lead_coordinates, map_slot, pair_products,
+                       scalar)
 from .hopf import HopfPresentation
 from .ore import GeneratorInfo, OrePresentation, _is_int
 from .reports import AnswerStore, VerificationReport
@@ -427,15 +428,16 @@ def lantern_of_cla(L: CLA) -> GradedLie:
     with delta(y_s) = sum C^s_{ab} k_a (x) k_b one gets
     [k_a*, k_b*] = sum_s 2 C^s_{ab} y_s*.  The factor 2 is fixed by the
     dual-basis pairing and is cross-checked against the presentation-level
-    lantern computation in the test-suite.
+    lantern computation in the test-suite.  C^s is read at the leads of the
+    kept ker delta (``lead_coordinates``), with no elimination.
     """
     if not L.is_anti_cocommutative():
         raise InputError("lantern of a CLA requires anti-cocommutativity")
     n = L.dim
     kernel = kernel_delta(L)
     kdim = len(kernel)
-    lead_idx = {max(vec) for vec in kernel}
-    complement = [i for i in range(n) if i not in lead_idx]
+    leads = [max(vec) for vec in kernel]
+    complement = [i for i in range(n) if i not in leads]
 
     def vec_name(vec) -> str:
         support = sorted(vec.items())
@@ -446,14 +448,18 @@ def lantern_of_cla(L: CLA) -> GradedLie:
     names = [vec_name(v) for v in kernel] + [L.names[i] + "*" for i in complement]
     degrees = [1] * kdim + [2] * len(complement)
 
-    deltas = [L.delta_constants(c_idx) for c_idx in complement]
+    pairs = pair_products(kernel)
+    pair_leads = list(product(leads, repeat=2))
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for s, sol in enumerate(express_pairs(kernel, deltas)):
-        if sol is None:
+    for s, c_idx in enumerate(complement):
+        sol, rest = lead_coordinates(pairs, pair_leads,
+                                     L.delta_constants(c_idx))
+        if rest:
             raise StructuralError(
-                f"delta({L.names[complement[s]]}) does not lie in "
+                f"delta({L.names[c_idx]}) does not lie in "
                 "(ker delta)(x)(ker delta)")
-        for (a, b), coeff in sol.items():
+        for ab, coeff in sol.items():
+            a, b = divmod(ab, kdim)
             if a < b:
                 brackets.setdefault((a, b), {})[kdim + s] = 2 * coeff
     return GradedLie(names, degrees, brackets)
@@ -465,8 +471,9 @@ def lantern_of_cla(L: CLA) -> GradedLie:
 def cla_transform(L: CLA, m: Matrix) -> CLA:
     """Transport the structure constants to the basis x'_i = sum_j M_ij x_j.
 
-    [x'_i, x'_j] = sum M_ia M_jb [x_a, x_b] is expressed over the rows of
-    M, and delta(x'_i) = sum_j M_ij delta(x_j) over their pairs.
+    [x'_i, x'_j] = sum M_ia M_jb [x_a, x_b] and the x_a are expressed over
+    the rows of M in one elimination; delta(x'_i) = sum_j M_ij delta(x_j)
+    goes to the new basis slot by slot through those x_a coordinates.
     """
     n = L.dim
     if m.rows != n or m.cols != n:
@@ -485,8 +492,10 @@ def cla_transform(L: CLA, m: Matrix) -> CLA:
             for b, cb in rows[j].items():
                 add_scaled(image, L.bracket_constants(a, b), ca * cb)
         images.append(image)
-    sols, rank = express_ranked(rows, images)
+    sols, rank = express_ranked(rows, images + [{a: 1} for a in range(n)])
     if rank < n:
         raise InputError("base-change matrix is singular")
-    return CLA(L.names, dict(zip(pairs, sols)),
-               dict(enumerate(express_pairs(rows, deltas))))
+    new = [{(c,): v for c, v in x.items()} for x in sols[len(pairs):]]
+    return CLA(L.names, dict(zip(pairs, sols)), {
+        i: map_slot(map_slot(t, 0, new.__getitem__), 1, new.__getitem__)
+        for i, t in enumerate(deltas)})

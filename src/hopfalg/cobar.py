@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
@@ -118,40 +118,16 @@ class CobarReport:
 
     In total-degree mode the rows are cumulative over the truncations
     (<= n for each level n); the last row is the whole bounded complex.
+    ``lantern_ce_h2``, the lantern's CE H^2 per grade, bounds H^2 of every
+    truncation from above; ``complete`` (N > G' and H^2(C_<=G') is the CE
+    sum) says the certificate answers and the rows above G' hold at any N.
     """
 
     bound: int
     mode: str                      # "bidegree" or "total"
-    rows: list[dict] = field(default_factory=list)
-    # the presentation the rows describe; None for rows given by hand
-    presentation: Optional[HopfPresentation] = field(
-        default=None, repr=False, compare=False)
-
-    @property
-    def lantern_ce_h2(self) -> dict:
-        """The lantern's CE H^2 per grade of the mode, which bounds H^2 of
-        every truncation from above (kept on the presentation)."""
-        if self.presentation is None:
-            return {}
-        return _lantern_ce(self.presentation, self.mode == "bidegree")
-
-    @property
-    def complete(self) -> bool:
-        """Whether the certificate answers: N > G' and H^2(C_<=G'), read
-        off the rows, is the CE sum.  Then H^2 is the same at every bound
-        from G' + 1 on, so the rows above G' hold at any N."""
-        if self.presentation is None:
-            return False
-        ce = self.lantern_ce_h2
-        reach = _g_prime(self.presentation, ce)
-        if self.bound <= reach:
-            return False
-        if self.mode == "bidegree":
-            low = sum(r["h2"] for r in self.rows
-                      if sum(r["bidegree"]) <= reach)
-        else:
-            low = self.rows[reach - 1]["h2"]
-        return low == sum(ce.values())
+    rows: list[dict]
+    lantern_ce_h2: dict
+    complete: bool
 
     @property
     def total_h2(self) -> int:
@@ -240,8 +216,9 @@ def _lantern_ce(h: HopfPresentation, by_bidegree: bool) -> dict:
 def _eliminated_report(h: HopfPresentation, bound: int,
                        by_bidegree: bool = False) -> CobarReport:
     """The rows from one rank profile of d^2 and one of d^1 at the bound."""
-    return _report(bound, by_bidegree,
-                   *_eliminated_counts(h, bound, by_bidegree), h)
+    ce = _lantern_ce(h, by_bidegree)
+    counts = _eliminated_counts(h, bound, by_bidegree)
+    return _report(bound, by_bidegree, *counts, ce, _g_prime(h, ce))
 
 
 def _eliminated_counts(h: HopfPresentation, bound: int,
@@ -294,7 +271,8 @@ def _certified_report(h: HopfPresentation, bound: int,
     that is, when the report would not be ``complete``.
     """
     alg = h.algebra
-    reach = _g_prime(h, _lantern_ce(h, by_bidegree))
+    ce = _lantern_ce(h, by_bidegree)
+    reach = _g_prime(h, ce)
     if bound <= reach:
         return None
     cocycles, coboundaries = map(Counter, h._kept(
@@ -303,7 +281,7 @@ def _certified_report(h: HopfPresentation, bound: int,
     for g, count in alg._monomial_counts(bound, by_bidegree).items():
         if (sum(g) if by_bidegree else g) > reach:
             cocycles[g] = coboundaries[g] = count
-    report = _report(bound, by_bidegree, cocycles, coboundaries, h)
+    report = _report(bound, by_bidegree, cocycles, coboundaries, ce, reach)
     return report if report.complete else None
 
 
@@ -315,25 +293,27 @@ def _g_prime(h: HopfPresentation, ce: dict) -> int:
 
 
 def _report(bound: int, by_bidegree: bool, cocycles: dict,
-            coboundaries: dict, h: Optional[HopfPresentation] = None
-            ) -> CobarReport:
+            coboundaries: dict, ce: dict, reach: int) -> CobarReport:
     """Rows from per-grade counts: one per bidegree of ``cocycles``, by
-    total degree then bidegree, or one per truncation level, cumulative."""
+    total degree then bidegree, or one per truncation level, cumulative;
+    with the CE H^2 ``ce`` and whether rows to G' = ``reach`` certify it."""
+    rows = []
     if by_bidegree:
-        report = CobarReport(bound, "bidegree", presentation=h)
         for bd in sorted(cocycles, key=lambda b: (b[0] + b[1], b)):
             z, b = cocycles[bd], coboundaries.get(bd, 0)
-            report.rows.append({"bidegree": bd, "cocycles": z,
-                                "coboundaries": b, "h2": z - b})
-        return report
-    report = CobarReport(bound, "total", presentation=h)
-    z = b = 0
-    for level in range(1, bound + 1):
-        z += cocycles.get(level, 0)
-        b += coboundaries.get(level, 0)
-        report.rows.append({"level": level, "cocycles": z,
-                            "coboundaries": b, "h2": z - b})
-    return report
+            rows.append({"bidegree": bd, "cocycles": z,
+                         "coboundaries": b, "h2": z - b})
+        low = sum(r["h2"] for r in rows if sum(r["bidegree"]) <= reach)
+    else:
+        z = b = 0
+        for level in range(1, bound + 1):
+            z += cocycles.get(level, 0)
+            b += coboundaries.get(level, 0)
+            rows.append({"level": level, "cocycles": z,
+                         "coboundaries": b, "h2": z - b})
+        low = rows[min(reach, bound) - 1]["h2"]
+    return CobarReport(bound, "bidegree" if by_bidegree else "total", rows,
+                       ce, bound > reach and low == sum(ce.values()))
 
 
 def _grading(h: HopfPresentation, by_bidegree: bool):

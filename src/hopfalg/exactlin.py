@@ -526,17 +526,17 @@ def pair_products(basis: Sequence[Mapping]) -> list[dict]:
             for u in basis for v in basis]
 
 
-def express_pairs(basis: Sequence[Mapping], targets: Sequence[Mapping]
-                  ) -> list[Optional[dict[tuple[int, int], Scalar]]]:
-    """Coordinates of each rank-2 target over basis (x) basis.
+def lead_coordinates(basis: Sequence[Mapping], leads: Sequence[Hashable],
+                     target: Mapping) -> tuple[dict[int, Scalar], dict]:
+    """Coordinates of target over a reduced basis, read at its leads, and
+    what is left of target after subtracting them; no elimination.
 
-    Targets are sparse vectors over pairs of keys.  Returns per target the
-    nonzero coordinates {(a, b): c} over basis[a] (x) basis[b], a-major, or
-    None when the target is outside that span; as in `express`, dependent
-    pair columns get no coefficient.
+    basis[i] reads 1 at leads[i] and 0 at every other lead (a
+    ``kernel_basis``, or its ``pair_products`` at the lead pairs), so
+    target lies in the span exactly when the remainder is empty.
     """
-    n = len(basis)
-    return [None if sol is None else
-            {divmod(ab, n): c for ab, c in sol.items()}
-            for sol in express(pair_products(basis), targets)]
-
+    coords = {i: c for i, lead in enumerate(leads) if (c := target.get(lead))}
+    remainder = dict(target)
+    for i, c in coords.items():
+        add_scaled(remainder, basis[i], -c)
+    return coords, remainder

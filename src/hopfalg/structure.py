@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .cla import CLA, GradedLie
 from .errors import InputError, StructuralError
-from .exactlin import (Matrix, Scalar, add_scaled, express, express_pairs,
+from .exactlin import (Matrix, Scalar, add_scaled, lead_coordinates,
                        pair_products)
 from .hopf import HopfPresentation
 from .jsonio import element_to_terms
@@ -61,7 +61,8 @@ class FilteredSubspace:
     def contains(self, a: AlgebraElement) -> bool:
         if a.p is not self.presentation.algebra:
             raise InputError("element belongs to a different presentation")
-        return express([b.terms for b in self.basis], [a.terms])[0] is not None
+        return not lead_coordinates([b.terms for b in self.basis],
+                                    _leads(self.basis), a.terms)[1]
 
     def to_json(self) -> dict:
         return {
@@ -107,18 +108,23 @@ def _coradical_kernel(h: HopfPresentation, monos: list[Monomial], columns,
                       factors: list[AlgebraElement]) -> list[AlgebraElement]:
     """Canonical basis of the a over monos with delta(a) in factors (x) factors.
 
-    Solved as one kernel problem: unknowns are coefficients mu_fg with
-    sum mu_fg f (x) g + delta(a) = 0, then those of a over the monomials,
-    whose reduced coproducts are ``columns`` (extra rows may put conditions
-    on a alone).  Kernel vectors with a monomial free column, less their mu
-    coordinates, are the canonical basis; the rest relate factor pairs.
+    ``columns`` are the reduced coproducts of monos (extra rows may put
+    conditions on a alone).  factors (x) factors is reduced at the lead
+    pairs of the kept basis factors, so delta(a) lies in it exactly when
+    ``lead_coordinates`` leaves no remainder; that remainder is linear in
+    a, so the canonical basis is the kernel of the columns' remainders.
     """
     pairs = pair_products([f.terms for f in factors])
-    k = len(pairs)
-    kernel = Matrix.from_keyed_columns(pairs + columns).kernel_basis()
-    return [AlgebraElement(h.algebra, {monos[i - k]: c for i, c in vec.items()
-                                       if i >= k})
-            for vec in kernel if max(vec) >= k]
+    leads = list(itertools.product(_leads(factors), repeat=2))
+    rests = [lead_coordinates(pairs, leads, col)[1] for col in columns]
+    kernel = Matrix.from_keyed_columns(rests).kernel_basis()
+    return [AlgebraElement(h.algebra, {monos[i]: c for i, c in vec.items()})
+            for vec in kernel]
+
+
+def _leads(basis: list[AlgebraElement]) -> list[Monomial]:
+    """Each kept basis vector's lead: its last monomial in canonical order."""
+    return [max(b.terms, key=b.p.monomial_key) for b in basis]
 
 
 def p2_space(h: HopfPresentation, d: int) -> FilteredSubspace:
@@ -168,11 +174,11 @@ def coradical_filtration(h: HopfPresentation, n: int, d: int) -> FilteredSubspac
 def extract_cla(h: HopfPresentation, d: int) -> CLA:
     """Read a CLA off the anti-cocommutative space of the presentation.
 
-    The basis is the canonical p2 basis; bracket constants come from
-    commutators of basis elements re-expressed in the basis, coproduct
-    constants from reduced coproducts re-expressed in basis (x) basis
-    coordinates.  Fails when the space is not closed or not stable
-    between bounds d-1 and d.
+    The basis is the kept canonical p2 basis; bracket constants are the
+    coordinates of commutators of basis elements, coproduct constants
+    those of reduced coproducts over basis (x) basis, each read at the
+    leads (``lead_coordinates``) with no elimination.  Fails when the
+    space is not closed or not stable between bounds d-1 and d.
     """
     if d < 2:
         raise InputError("degree bound must be >= 2")
@@ -195,24 +201,28 @@ def extract_cla(h: HopfPresentation, d: int) -> CLA:
 
     nb = len(basis)
     basis_terms = [b.terms for b in basis]
-    pairs = [(i, j) for i in range(nb) for j in range(i + 1, nb)]
-    commutators = [bracket(basis[i], basis[j]).terms for i, j in pairs]
+    leads = _leads(basis)
     brackets = {}
-    for (i, j), terms in zip(pairs, express(basis_terms, commutators)):
-        if terms is None:
+    for i, j in itertools.combinations(range(nb), 2):
+        terms, rest = lead_coordinates(basis_terms, leads,
+                                       bracket(basis[i], basis[j]).terms)
+        if rest:
             raise StructuralError(
                 f"[{names[i]},{names[j]}] does not lie in the p2 space")
         if terms:
             brackets[(i, j)] = terms
 
-    deltas = [h.reduced_coproduct(b).terms for b in basis]
+    pairs = pair_products(basis_terms)
+    pair_leads = list(itertools.product(leads, repeat=2))
     delta = {}
-    for i, terms in enumerate(express_pairs(basis_terms, deltas)):
-        if terms is None:
+    for i, b in enumerate(basis):
+        terms, rest = lead_coordinates(pairs, pair_leads,
+                                       h.reduced_coproduct(b).terms)
+        if rest:
             raise StructuralError(
                 f"delta({names[i]}) does not lie in P2 (x) P2")
         if terms:
-            delta[i] = terms
+            delta[i] = {divmod(ab, nb): c for ab, c in terms.items()}
     return CLA(names, brackets, delta)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from hopfalg import catalog
+from hopfalg.cla import CLA
 
 
 @pytest.fixture(scope="session")
@@ -51,3 +52,14 @@ def F010():
 @pytest.fixture(scope="session")
 def K():
     return catalog.make_K()
+
+
+@pytest.fixture(scope="session")
+def several_term_clas():
+    """CLAs whose kept bases have vectors of several terms, which no
+    catalog entry has: delta(z) = x (x) y + y (x) x with [z, x] = x and
+    [z, y] = -y, whose U(L) has the primitive z - xy, and a CLA (with
+    no U(L)) whose ker delta is span(y, x1 - x2)."""
+    return [CLA(["x", "y", "z"], brackets={(2, 0): {0: 1}, (2, 1): {1: -1}},
+                delta={2: {(0, 1): 1, (1, 0): 1}}),
+            CLA(["x1", "x2", "y"], delta={0: {(2, 2): 1}, 1: {(2, 2): 1}})]

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfalg.catalog import (FamilySpec, build, family_parameter_names,
                              from_cli_params, list_catalog, make_A, make_B,
                              make_D, make_E, make_F, make_cla_35,
-                             make_cla_a, make_cla_b, make_lie)
+                             make_cla_a, make_cla_b, make_lie,
+                             make_lie_preset)
 from hopfalg.cla import CLA, verify_cla
 from hopfalg.errors import InputError, ParameterError
 from hopfalg.hopf import HopfPresentation
@@ -72,6 +74,36 @@ def test_make_lie_checks_jacobi():
         # [x,[y,z]] + cyclic != 0 for this table
         make_lie(["x", "y", "z"], {(0, 1): {2: 1}, (1, 2): {1: 1},
                                    (0, 2): {0: 1}})
+
+
+def _assert_hopf_axioms(h):
+    assert h.verify_compatibility().passed
+    assert h.verify_coassociativity().passed
+
+
+@pytest.mark.parametrize("name", ["abelian4", "heis3", "solv2"])
+def test_make_lie_presets_pass_the_checks_it_skips(name):
+    # make_lie checks Jacobi only: with delta = 0 compatibility and
+    # coassociativity cannot fail, and the full checks agree
+    _assert_hopf_axioms(make_lie_preset(name))
+
+
+_entries = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4),
+                    min_size=9, max_size=9)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.booleans(), _entries)
+def test_make_lie_envelopes_pass_the_checks_it_skips(semidirect, entries):
+    # Jacobi-valid for any entries: k^3 x| k with [t, e_i] = sum_j a_ji e_j,
+    # or the 2-step nilpotent [e_i, e_j] = c_ij z, [e_i, z] = 0
+    if semidirect:
+        brackets = {(3, i): {j: entries[3 * i + j] for j in range(3)}
+                    for i in range(3)}
+    else:
+        brackets = {(i, j): {3: c} for (i, j), c in
+                    zip([(0, 1), (0, 2), (1, 2)], entries)}
+    _assert_hopf_axioms(make_lie(["e0", "e1", "e2", "t"], brackets))
 
 
 def test_cla_constructors_match_expected_structure():

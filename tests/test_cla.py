@@ -10,8 +10,9 @@ from hopfalg.catalog import (list_catalog, build, make_cla_35, make_cla_a,
 from hopfalg.cla import (CLA, GradedLie, _envelope, cla_transform, conilpotency_index,
                          enveloping, kernel_delta, lantern_of_cla, verify_cla)
 from hopfalg.errors import InputError, StructuralError
-from hopfalg.exactlin import Matrix, add_scaled
+from hopfalg.exactlin import Matrix, add_scaled, express, pair_products
 from hopfalg.hopf import HopfPresentation, TensorElement, tensor_of
+from hopfalg.jsonio import cla_to_json
 from hopfalg.ore import AlgebraElement, bracket
 from hopfalg.replicate import object_battery
 from hopfalg.structure import lantern_of_hopf
@@ -271,6 +272,61 @@ def test_transform_round_trip_on_catalog(case):
         for j, c in rows[i].items():
             add_scaled(want, L.delta_constants(j), c)
         assert got == want
+
+
+def _transform_by_pair_elimination(L, m):
+    """cla_transform with delta solved over the rows' pair products: the
+    brackets over the rows of M, then delta(x'_i) = sum_j M_ij delta(x_j)
+    over their n^2 pairs by a second elimination."""
+    n = L.dim
+    rows = [{j: m[i, j] for j in range(n) if m[i, j]} for i in range(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    images, deltas = [], []
+    for i, j in pairs:
+        image = {}
+        for a, ca in rows[i].items():
+            for b, cb in rows[j].items():
+                add_scaled(image, L.bracket_constants(a, b), ca * cb)
+        images.append(image)
+    for row in rows:
+        deltas.append({})
+        for j, c in row.items():
+            add_scaled(deltas[-1], L.delta_constants(j), c)
+    coords = express(pair_products(rows), deltas)
+    return CLA(L.names, dict(zip(pairs, express(rows, images))),
+               {i: {divmod(ab, n): c for ab, c in sol.items()}
+                for i, sol in enumerate(coords)})
+
+
+def _base_change_inputs():
+    """Criterion 8's lam <-> 1/lam base changes, then seeded invertible
+    rational matrices on every catalog CLA."""
+    cases = []
+    for lam in (2, 3):
+        inv = F(1, lam)
+        cases.append((make_cla_a(1, lam, 0), Matrix.from_rows(
+            [[0, 1, 0], [-inv, 0, 0], [0, 0, inv]])))
+        cases.append((make_cla_35("h", lam=lam, a=0), Matrix.from_rows(
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, inv, 0], [0, 0, 0, -1]])))
+    rng = random.Random(24)
+    for L in CLA_CATALOG:
+        for _ in range(3):
+            m = Matrix.from_rows([[F(rng.randint(-3, 3), rng.randint(1, 3))
+                                   for _ in range(L.dim)]
+                                  for _ in range(L.dim)])
+            if m.rank() == L.dim:
+                cases.append((L, m))
+    return cases
+
+
+def test_transform_matches_a_pair_elimination():
+    cases = _base_change_inputs()
+    assert len(cases) > 40
+    for L, m in cases:
+        moved = cla_transform(L, m)
+        assert moved == _transform_by_pair_elimination(L, m)
+        assert cla_to_json(moved) == cla_to_json(
+            _transform_by_pair_elimination(L, m))
 
 
 def test_transform_rejects_singular_matrix():

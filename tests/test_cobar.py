@@ -9,8 +9,9 @@ import pytest
 from hopfalg import catalog
 from hopfalg.catalog import build, list_catalog, make_A, make_lie
 from hopfalg.cla import GradedLie
-from hopfalg.cobar import (_certified_report, _eliminated_report, _grading,
-                           _report, build_complex, h2_report, is_coboundary)
+from hopfalg.cobar import (_certified_report, _eliminated_report, _g_prime,
+                           _grading, _lantern_ce, _report, build_complex,
+                           h2_report, is_coboundary)
 from hopfalg.errors import InputError
 from hopfalg.exactlin import Matrix
 from hopfalg.hopf import HopfPresentation
@@ -138,6 +139,7 @@ def test_total_mode_is_served_by_certified_rank_profiles(K, monkeypatch):
         profiles.append(certified(self))
         return profiles[-1]
 
+    _lantern_ce(K, False)  # kept on K, so the spy sees d2 and d1 alone
     monkeypatch.setattr(Matrix, "_fraction_rref", refuse)
     monkeypatch.setattr(Matrix, "rank_profile", spy)
     rep = _eliminated_report(K, 8)
@@ -180,8 +182,12 @@ def test_bidegree_rows_match_block_ranks(family, bound, request):
 
 
 @pytest.mark.parametrize("by_bidegree", [False, True])
-def test_h2_report_takes_one_elimination_per_differential(A000, by_bidegree,
+def test_h2_report_takes_one_elimination_per_differential(by_bidegree,
                                                           monkeypatch):
+    # on a cold presentation the report also takes the lantern's CE H^2,
+    # one elimination per CE differential, kept for every later report
+    A000 = make_A(0, 0, 0)
+    cx = build_complex(A000, 6)
     shapes = []
     echelon = Matrix.row_echelon
 
@@ -192,8 +198,11 @@ def test_h2_report_takes_one_elimination_per_differential(A000, by_bidegree,
     monkeypatch.setattr(Matrix, "row_echelon", spy)
     rep = _eliminated_report(A000, 6, by_bidegree=by_bidegree)
     assert rep.total_h2 == 2
-    cx = build_complex(A000, 6)
-    assert shapes == [(cx.d2.rows, cx.d2.cols), (cx.d1.rows, cx.d1.cols)]
+    d2_d1 = [(cx.d2.rows, cx.d2.cols), (cx.d1.rows, cx.d1.cols)]
+    assert shapes[2:] == d2_d1 and len(shapes) == 4
+    shapes.clear()
+    _eliminated_report(A000, 6, by_bidegree=by_bidegree)
+    assert shapes == d2_d1
 
 
 @pytest.mark.parametrize("family, by_bidegree",
@@ -441,7 +450,8 @@ def _bound_elimination_report(h, bound, by_bidegree=False):
     else:
         above = range(top + 1, bound + 1)
     cocycles.update((g, coboundaries.get(g, 0)) for g in above)
-    return _report(bound, by_bidegree, cocycles, coboundaries)
+    return _report(bound, by_bidegree, cocycles, coboundaries, ce,
+                   _g_prime(h, ce))
 
 
 @pytest.mark.parametrize("index", range(len(HOPF_CATALOG)),

@@ -19,30 +19,63 @@ from hopfalg.catalog import (build, list_catalog, make_cla_a, make_cla_b,
                              make_K, make_lie)
 from hopfalg.cla import CLA, enveloping
 from hopfalg.cli import main
-from hopfalg.exactlin import add_scaled
+from hopfalg.exactlin import Matrix, add_scaled, pair_products
 from hopfalg.hopf import HopfPresentation
-from hopfalg.ore import OrePresentation
+from hopfalg.ore import AlgebraElement, OrePresentation
 from hopfalg.structure import coradical_filtration, p2_space, primitive_space
 
 CATALOG = list_catalog()
 
 
-def _direct(h, d, n, p2):
+def _direct(h, d, n, p2, kernel=structure._coradical_kernel):
     """[C_1, ..., C_n] within degree <= d, each level a direct kernel at
     d over the level below it at d, then P2 at d when ``p2``."""
     monos = h.algebra.monomials_up_to(d)
     columns = [h._reduced_monomial(m) for m in monos]
     levels = [[]]
     for _ in range(n):
-        levels.append(structure._coradical_kernel(h, monos, columns,
-                                                  levels[-1]))
+        levels.append(kernel(h, monos, columns, levels[-1]))
     if p2:
         skew = []
         for t in columns:
             sym = add_scaled(dict(t), {(r, l): c for (l, r), c in t.items()})
             skew.append({**t, **{("s", key): c for key, c in sym.items()}})
-        levels.append(structure._coradical_kernel(h, monos, skew, levels[1]))
+        levels.append(kernel(h, monos, skew, levels[1]))
     return levels[1:]
+
+
+def _mu_kernel(h, monos, columns, factors):
+    """The coradical kernel solved for factor-pair unknowns too: the
+    kernel of [f (x) g for f, g in factors | columns] has, per monomial
+    free column, a vector whose monomial coordinates are a basis vector;
+    the rest relate factor pairs."""
+    pairs = pair_products([f.terms for f in factors])
+    k = len(pairs)
+    kernel = Matrix.from_keyed_columns(pairs + columns).kernel_basis()
+    return [AlgebraElement(h.algebra, {monos[i - k]: c for i, c in vec.items()
+                                       if i >= k})
+            for vec in kernel if max(vec) >= k]
+
+
+@pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.describe())
+def test_lead_read_kernel_matches_the_factor_pair_unknowns(spec):
+    # C_1..C_3 and P2 at d = 1..2g + 1, each level over the level below
+    # taken the same way, within the monomial budget
+    h = build(spec)
+    if isinstance(h, CLA):
+        h = enveloping(h)
+    for d in range(1, 2 * h.complete_bound(1) + 2):
+        if len(h.algebra.monomials_up_to(d)) > C3_MONOMIALS:
+            break
+        assert _direct(h, d, 3, True) == _direct(h, d, 3, True, _mu_kernel), d
+
+
+def test_lead_read_kernel_matches_on_factors_of_several_terms(
+        several_term_clas):
+    # no catalog basis vector has two terms; U(L) with z - xy primitive does
+    h = enveloping(several_term_clas[0])
+    for d in range(1, 8):
+        assert _direct(h, d, 3, True) == _direct(h, d, 3, True, _mu_kernel), d
 
 
 # the test budget: a truncation is checked directly only while it has at

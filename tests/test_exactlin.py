@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from unittest import mock
@@ -5,10 +6,15 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfalg import structure
+from hopfalg.catalog import build, list_catalog
+from hopfalg.cla import (CLA, cla_transform, enveloping, kernel_delta,
+                         verify_cla)
 from hopfalg.errors import InputError
 from hopfalg.exactlin import (P, Matrix, add_scaled, add_term, express,
-                              express_pairs, express_ranked, format_scalar,
-                              map_slot, scalar)
+                              express_ranked, format_scalar, lead_coordinates,
+                              map_slot, pair_products, scalar)
+from hopfalg.structure import coradical_filtration, p2_space, primitive_space
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
                          max_denominator=10**4)
@@ -181,49 +187,92 @@ def test_express_judges_each_target_against_the_basis_alone():
     assert got == [None, None, {0: q}]
 
 
-def test_express_pairs_agrees_with_express_on_explicit_pair_columns():
-    # seeded sparse bases over "pqrs", some with a dependent vector appended;
-    # targets are combinations of pair columns, random rank-2 vectors
-    # (mostly outside the span) and zero
-    rng = random.Random(11)
+@pytest.fixture(scope="module")
+def kept_bases(several_term_clas):
+    """(name, basis, leads, order) of every kept basis: P, P2, C_2 and C_3
+    of each catalog presentation at its complete bound (U(L) for a CLA),
+    and ker delta of each CLA, with the leads the library reads them at
+    and the sort key of their keys.  Every such catalog vector is one
+    monomial, so the CLAs with vectors of several terms follow, and each
+    catalog CLA moved to a seeded random basis, for its ker delta."""
+    rng = random.Random(24)
+    catalog = [(spec.describe(), build(spec)) for spec in list_catalog()]
+    moved = []
+    for name, L in catalog:
+        if isinstance(L, CLA):
+            m = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(L.dim)]
+                                  for _ in range(L.dim)])
+            if m.rank() == L.dim:
+                moved.append((f"{name} moved", cla_transform(L, m)))
+    objects = (catalog + [(repr(L), L) for L in several_term_clas]
+               + moved)
+    out = []
+    for name, h in objects:
+        if isinstance(h, CLA):
+            kernel = kernel_delta(h)
+            out.append((f"{name} ker delta", kernel,
+                        [max(vec) for vec in kernel], None))
+            if not verify_cla(h).passed:
+                continue
+            h = enveloping(h)
+        bound = h.complete_bound
+        for label, space in [
+                ("P", primitive_space(h, bound(1))),
+                ("P2", p2_space(h, bound(2))),
+                ("C_2", coradical_filtration(h, 2, bound(2))),
+                ("C_3", coradical_filtration(h, 3, bound(3)))]:
+            out.append((f"{name} {label}",
+                        [b.terms for b in space.basis],
+                        structure._leads(space.basis),
+                        h.algebra.monomial_key))
+    return out
+
+
+def _targets(rng, columns, keys):
+    """Zero, a random combination of the columns, and that combination
+    plus a unit at a random key of their support (outside the span unless
+    the key is a lead), then a unit at a key no column has."""
     values = [1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]
-    seen = {"inside": 0, "outside": 0, "dependent": 0}
-    for _ in range(200):
-        basis = [{k: rng.choice(values)
-                  for k in rng.sample("pqrs", rng.randint(1, 3))}
-                 for _ in range(rng.randint(1, 3))]
-        if rng.random() < 0.3:
-            combo = {}
-            for v in basis:
-                add_scaled(combo, v, rng.choice(values))
-            basis.append(combo or {"p": 1})
-            seen["dependent"] += 1
-        n = len(basis)
-        columns = []
-        for a in range(n):
-            for b in range(n):
-                col = {}
-                for k in "pqrs":
-                    for l in "pqrs":
-                        c = basis[a].get(k, 0) * basis[b].get(l, 0)
-                        if c:
-                            col[(k, l)] = c
-                columns.append(col)
-        targets = [{}]
-        for _ in range(2):
-            t = {}
-            for col in rng.sample(columns, min(2, len(columns))):
-                add_scaled(t, col, rng.choice(values))
-            targets.append(t)
-        targets.append({(rng.choice("pqrs"), rng.choice("pqrs")): 1
-                        for _ in range(rng.randint(1, 3))})
-        want = [None if sol is None else
-                {(i // n, i % n): c for i, c in sol.items()}
-                for sol in express(columns, targets)]
-        got = express_pairs(basis, targets)
-        assert got == want
-        for coords in got:
-            seen["inside" if coords is not None else "outside"] += 1
+    combo = {}
+    for col in rng.sample(columns, min(3, len(columns))):
+        add_scaled(combo, col, rng.choice(values))
+    off = dict(combo)
+    if keys:
+        add_scaled(off, {rng.choice(keys): 1}, rng.choice(values))
+    return [{}, combo, off, {"nowhere": 1}]
+
+
+def test_kept_bases_are_reduced_at_increasing_leads(kept_bases):
+    # the invariant lead_coordinates relies on: 1 at its own lead and 0 at
+    # every other lead, for every kept basis and its pair products
+    assert sum(len(vec) > 1 for _, basis, _, _ in kept_bases
+               for vec in basis) > 20
+    for name, basis, leads, order in kept_bases:
+        assert leads == sorted(leads, key=order), name
+        pairs = pair_products(basis)
+        pair_leads = list(itertools.product(leads, repeat=2))
+        for vectors, at in ((basis, leads), (pairs, pair_leads)):
+            assert len(set(at)) == len(at) == len(vectors), name
+            for i, vec in enumerate(vectors):
+                assert {l: vec[l] for l in at if l in vec} == {at[i]: 1}, name
+
+
+def test_lead_coordinates_agree_with_express_on_kept_bases(kept_bases):
+    # random targets inside and outside the span of every kept basis and
+    # of its pair products, each against one elimination
+    rng = random.Random(24)
+    seen = {"inside": 0, "outside": 0}
+    for name, basis, leads, _ in kept_bases:
+        pairs = pair_products(basis)
+        pair_leads = list(itertools.product(leads, repeat=2))
+        for vectors, at in ((basis, leads), (pairs, pair_leads)):
+            keys = sorted({k for vec in vectors for k in vec}, key=repr)
+            targets = _targets(rng, vectors, keys)
+            for target, want in zip(targets, express(vectors, targets)):
+                coords, rest = lead_coordinates(vectors, at, target)
+                assert (None if rest else coords) == want, name
+                assert not any(l in rest for l in at), name
+                seen["outside" if rest else "inside"] += 1
     assert all(seen.values())
 
 

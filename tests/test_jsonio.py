@@ -2,8 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hopfalg.catalog import make_cla_b, make_F
+from hopfalg.catalog import (build, list_catalog, make_cla_a, make_cla_b,
+                             make_F, make_lie)
+from hopfalg.cla import CLA, enveloping
 from hopfalg.errors import InputError
 from hopfalg.jsonio import (cla_from_json, cla_to_json, element_to_terms,
                             load_object, presentation_from_json,
@@ -42,6 +45,53 @@ def test_cla_round_trip():
     assert data["dim"] == 3
     assert cla_from_json(data) == L
     assert cla_from_json(json.loads(json.dumps(data))) == L
+
+
+def _typed(table):
+    """A nested coefficient table with each scalar paired with its type."""
+    return {key: {k: (c, type(c)) for k, c in terms.items()}
+            for key, terms in table.items()}
+
+
+def _assert_presentation_round_trip(h):
+    back = presentation_from_json(
+        json.loads(json.dumps(presentation_to_json(h))))
+    assert back.algebra.generators == h.algebra.generators
+    assert back.algebra.names == h.algebra.names
+    assert _typed(back.algebra.kappa) == _typed(h.algebra.kappa)
+    assert _typed(back.delta_gen) == _typed(h.delta_gen)
+
+
+CATALOG = [(s.describe(), build(s)) for s in list_catalog()]
+
+
+@pytest.mark.parametrize("obj", [o for _, o in CATALOG],
+                         ids=[name for name, _ in CATALOG])
+def test_catalog_round_trips(obj):
+    # every Hopf entry and the envelope of every CLA; every CLA itself
+    if isinstance(obj, CLA):
+        back = cla_from_json(json.loads(json.dumps(cla_to_json(obj))))
+        assert back.names == obj.names
+        assert _typed(back.brackets) == _typed(obj.brackets)
+        assert _typed(back.delta) == _typed(obj.delta)
+        obj = enveloping(obj)
+    _assert_presentation_round_trip(obj)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(0, 2), st.lists(st.fractions(
+    min_value=-4, max_value=4, max_denominator=4), min_size=9, max_size=9))
+def test_random_envelopes_round_trip(kind, entries):
+    # U(k^3 x| k) with [t, e_i] = sum_j a_ji e_j, or U(L) of a CLA of
+    # family a or b
+    if kind == 0:
+        h = make_lie(["e0", "e1", "e2", "t"],
+                     {(3, i): {j: entries[3 * i + j] for j in range(3)}
+                      for i in range(3)})
+    else:
+        h = enveloping(make_cla_a(*entries[:3]) if kind == 1
+                       else make_cla_b(entries[0]))
+    _assert_presentation_round_trip(h)
 
 
 def test_cla_schema_shape():

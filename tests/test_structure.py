@@ -8,7 +8,7 @@ import pytest
 from hopfalg import structure
 from hopfalg.catalog import (build, list_catalog, make_cla_35, make_cla_a,
                              make_D, make_K, make_lie_preset)
-from hopfalg.cla import enveloping, lantern_of_cla
+from hopfalg.cla import cla_transform, enveloping, lantern_of_cla
 from hopfalg.cli import main
 from hopfalg.cobar import _eliminated_report, h2_report
 from hopfalg.errors import InputError, StructuralError
@@ -448,8 +448,11 @@ def test_previous_bound_is_read_off_the_basis(space):
 
 
 def test_subspaces_take_one_elimination_per_kernel(monkeypatch):
-    # on a cold presentation: each kernel is eliminated once, and every
-    # later call reads the kept basis (P2 and level 1 read the kept P)
+    # on a cold presentation: each kernel is eliminated once, with one
+    # column per monomial, and every later call reads the kept basis (P2
+    # and level 1 read the kept P); coordinates over a kept basis are
+    # read at its leads, so membership, extract_cla and the CLA lantern
+    # over a kept ker delta take no elimination
     K = make_K()
     calls = []
     echelon = Matrix.row_echelon
@@ -459,16 +462,16 @@ def test_subspaces_take_one_elimination_per_kernel(monkeypatch):
         return echelon(self)
 
     monkeypatch.setattr(Matrix, "row_echelon", spy)
-    monos = K.algebra.monomials_up_to(4)
-    primitives = primitive_space(K, 4).basis
-    assert len(calls) == 1
+    primitives = primitive_space(K, 4).basis   # taken at g = 3
+    assert calls == [len(K.algebra.monomials_up_to(3))]
     calls.clear()
+    monos = K.algebra.monomials_up_to(4)
     structure._coradical_kernel(
         K, monos, [K._reduced_monomial(m) for m in monos], primitives)
-    assert len(calls) == 1
+    assert calls == [len(monos)]
     calls.clear()
-    p2_space(K, 5)
-    assert len(calls) == 1
+    p2 = p2_space(K, 5)
+    assert calls == [len(K.algebra.monomials_up_to(5))]
     for n, new in [(1, 0), (2, 1), (3, 1)]:
         calls.clear()
         coradical_filtration(K, n, 5)
@@ -477,9 +480,17 @@ def test_subspaces_take_one_elimination_per_kernel(monkeypatch):
     primitive_space(K, 12)
     p2_space(K, 5)
     coradical_filtration(K, 3, 5)
+    assert p2.contains(p2.basis[-1]) and not p2.contains(K.algebra.one())
     assert calls == []
-    lantern_of_cla(make_cla_35("f"))
-    assert len(calls) == 2
+    L = make_cla_35("f")
+    lantern_of_cla(L)
+    assert len(calls) == 1
+    calls.clear()
+    lantern_of_cla(L)
+    assert calls == []
+    cla_transform(L, Matrix.identity(4))
+    assert len(calls) == 1
+    calls.clear()
     bounds = []
 
     def p2_spy(h, d):
@@ -488,7 +499,32 @@ def test_subspaces_take_one_elimination_per_kernel(monkeypatch):
 
     monkeypatch.setattr(structure, "p2_space", p2_spy)
     extract_cla(K, 5)
-    assert bounds == [5]
+    assert bounds == [5] and calls == []
+
+
+def test_every_coradical_kernel_has_one_column_per_monomial(monkeypatch):
+    # the factor pairs are read at their leads, not solved for, so the
+    # only columns of the matrix are the monomials'
+    presentations = _catalog_presentations()
+    columns = []
+    echelon = Matrix.row_echelon
+    kernel = structure._coradical_kernel
+
+    def echelon_spy(self):
+        columns[-1].append(self.cols)
+        return echelon(self)
+
+    def kernel_spy(h, monos, cols, factors):
+        columns.append([len(monos)])
+        return kernel(h, monos, cols, factors)
+
+    monkeypatch.setattr(Matrix, "row_echelon", echelon_spy)
+    monkeypatch.setattr(structure, "_coradical_kernel", kernel_spy)
+    for _, h in presentations:
+        p2_space(h, 5)
+        coradical_filtration(h, 3, 5)
+    assert len(columns) == 4 * 34
+    assert all(cols[1:] == cols[:1] for cols in columns)
 
 
 def test_primitive_and_p2_dimensions_survive_grading(E110, K, B1):
