@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
-from .exactlin import Matrix, Scalar, express_ranked, graded_h2, map_slot
+from .exactlin import Matrix, Scalar, coassociator, express_ranked, graded_h2
 from .hopf import HopfPresentation, TensorElement
 from .ore import AlgebraElement
 from .reports import VerificationReport
@@ -51,23 +51,16 @@ class CobarComplex:
         return self.presentation._reduced_monomial(t[0])
 
     def differential_two(self, t: tuple) -> dict[tuple, Scalar]:
-        return _apply_d2(self.presentation, {t: 1})
+        return coassociator({t: 1}, self.presentation._reduced_monomial)
 
     def verify_differential(self) -> VerificationReport:
         """d^2 = 0, composed symbolically on every rank-1 basis element."""
         report = VerificationReport("cobar differential squares to zero")
-        h = self.presentation
+        d1 = self.presentation._reduced_monomial
         witness = next((m for (m,) in self.bases[1]
-                        if _apply_d2(h, h._reduced_monomial(m))), None)
+                        if coassociator(d1(m), d1)), None)
         report.add("d2 after d1 vanishes", witness is None, witness=witness)
         return report
-
-
-def _apply_d2(h: HopfPresentation,
-              w: dict[tuple, Scalar]) -> dict[tuple, Scalar]:
-    """d^2 of a rank-2 cochain {pair: coefficient}: d^1 on each slot, signed."""
-    d1 = h._reduced_monomial
-    return map_slot(w, 1, d1, -1, map_slot(w, 0, d1))
 
 
 def build_complex(h: HopfPresentation, bound: int) -> CobarComplex:
@@ -105,7 +98,8 @@ def build_complex(h: HopfPresentation, bound: int) -> CobarComplex:
 
     d1_cols = [{coords[2][t]: c for t, c in h._reduced_monomial(m).items()}
                for m in monos]
-    d2_cols = [{coords[3][t]: c for t, c in _apply_d2(h, {pair: 1}).items()}
+    d2_cols = [{coords[3][t]: c for t, c in
+                coassociator({pair: 1}, h._reduced_monomial).items()}
                for pair in bases[2]]
     return CobarComplex(h, bound, bases, coords,
                         Matrix.from_columns(d1_cols, max(len(bases[2]), 1)),
@@ -377,19 +371,28 @@ class CoboundaryResult:
 
 def is_coboundary(h: HopfPresentation, w: TensorElement,
                   bound: int) -> CoboundaryResult:
-    """Solve d^1(c) = w within degree <= max(deg w, 1), or certify failure."""
+    """Solve d^1(c) = w over the monomials of degree <= min(bound, max(deg
+    w, g)), g = ``complete_bound(1)``, or certify that no c of degree <=
+    bound solves it.
+
+    No solution has degree e > max(deg w, g): d^1 never raises degree,
+    so the degree-e part of d^1(c) = w, which is delta_gr(c_top) in gr
+    H, vanishes, and the P-argument of ``complete_bound`` puts the
+    nonzero c_top in degree <= g.
+    """
     if w.rank != 2:
         raise InputError("coboundary test expects a rank-2 tensor")
     if w.p is not h.algebra:
         raise InputError("tensor belongs to a different presentation")
     # cocycle precondition: the derivation differential must kill w
-    if _apply_d2(h, w.terms):
+    if coassociator(w.terms, h._reduced_monomial):
         raise InputError("input is not a 2-cocycle")
     deg = w.total_degree()
     level = max(deg if deg is not None else 1, 1)
     if level > bound:
         raise InputError(f"tensor degree {level} exceeds the bound {bound}")
-    monos = h.algebra.monomials_up_to(level)
+    monos = h.algebra.monomials_up_to(
+        min(bound, max(level, h.complete_bound(1))))
     cols = [h._reduced_monomial(m) for m in monos]
     (sol,), rank = express_ranked(cols, [w.terms])
     if sol is None:

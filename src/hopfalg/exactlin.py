@@ -171,6 +171,13 @@ def map_slot(terms: Mapping, slot: int, image: Callable[..., Mapping],
     return acc
 
 
+def coassociator(w: Mapping, delta: Callable[..., Mapping]) -> dict:
+    """(delta(x)id)w - (id(x)delta)w for a sparse vector ``w`` over pairs,
+    ``delta(key)`` a sparse vector over pairs: the cobar d^2 of a rank-2
+    cochain, and on w = delta(x) the failure of coassociativity on x."""
+    return map_slot(w, 1, delta, -1, map_slot(w, 0, delta))
+
+
 class Matrix:
     """Sparse rational matrix; entries stored as (row, col) -> nonzero scalar."""
 

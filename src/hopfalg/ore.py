@@ -285,14 +285,14 @@ class OrePresentation:
             terms = nxt
         return terms
 
-    def normal_form(self, word: Sequence[str], coeff=1) -> "AlgebraElement":
+    def normal_form(self, word: Sequence[str]) -> "AlgebraElement":
         """Normal form of a single word (sequence of generator names)."""
         for name in word:
             if name not in self.index:
                 raise InputError(f"unknown generator {name!r} in word")
         letters = [self.index[name] for name in reversed(word)]
         return AlgebraElement(self, self._left_mul(
-            letters, {self.unit_monomial: scalar(coeff)}))
+            letters, {self.unit_monomial: 1}))
 
     def mul_monomials(self, a: Monomial, b: Monomial) -> dict[Monomial, Scalar]:
         """Normal form of a*b for PBW monomials, cached; do not mutate it.

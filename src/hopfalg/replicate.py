@@ -366,7 +366,7 @@ def _hopf_lantern(entry: _Entry) -> list[str]:
     elif spec.tag in ("D", "E", "F", "K"):
         if not _two_step_chain_shape(gl):
             failures.append(f"{spec.describe()}: lantern shape {gl!r}")
-    if not gl.verify(3).passed:
+    if not gl.verify().passed:
         failures.append(f"{spec.describe()}: lantern axioms")
     return failures
 

@@ -10,7 +10,8 @@ from hopfalg.catalog import (list_catalog, build, make_cla_35, make_cla_a,
 from hopfalg.cla import (CLA, GradedLie, _envelope, cla_transform, conilpotency_index,
                          enveloping, kernel_delta, lantern_of_cla, verify_cla)
 from hopfalg.errors import InputError, StructuralError
-from hopfalg.exactlin import Matrix, add_scaled, express, pair_products
+from hopfalg.exactlin import (Matrix, add_scaled, express, map_slot,
+                              pair_products)
 from hopfalg.hopf import HopfPresentation, TensorElement, tensor_of
 from hopfalg.jsonio import cla_to_json
 from hopfalg.ore import AlgebraElement, bracket
@@ -615,3 +616,54 @@ def test_ker_delta_is_eliminated_once_per_cla(monkeypatch):
     kernel[0].clear()
     assert len(matrices) == len(set(matrices))
     assert kernel_delta(L)[0] and len(kernel_delta(L)) == 3
+
+
+def _two_dict_coassociativity(L):
+    """Reference: the first basis name on which (delta(x)id)delta and
+    (id(x)delta)delta differ as two separately built dicts, or None."""
+    return next((L.names[i] for i in range(L.dim)
+                 if map_slot(L.delta_constants(i), 0, L.delta_constants)
+                 != map_slot(L.delta_constants(i), 1, L.delta_constants)),
+                None)
+
+
+def test_coassociativity_row_matches_the_two_dict_check(several_term_clas):
+    # delta(z) = x(x)y - y(x)x, delta(w) = x(x)z is not coassociative on w
+    bad = CLA(["x", "y", "z", "w"],
+              delta={2: {(0, 1): 1, (1, 0): -1}, 3: {(0, 2): 1}})
+    for L in [*cla_catalog(), *several_term_clas, bad]:
+        row = next(c for c in verify_cla(L).checks
+                   if c.name == "coassociativity of delta")
+        want = _two_dict_coassociativity(L)
+        assert (row.passed, row.witness) == (want is None, want), L
+    assert _two_dict_coassociativity(bad) == "w"
+
+
+def _filtered_jacobi_witness(gl, max_degree):
+    """Reference: the first basis triple breaking the Jacobi identity
+    among those whose degrees sum to at most max_degree, or None."""
+    n = gl.dim
+    for i, j, k in itertools.combinations(range(n), 3):
+        if gl.degrees[i] + gl.degrees[j] + gl.degrees[k] > max_degree:
+            continue
+        total = {}
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            for t, ct in gl.bracket_constants(a, b).items():
+                add_scaled(total, gl.bracket_constants(t, c), ct)
+        if total:
+            return (gl.names[i], gl.names[j], gl.names[k])
+    return None
+
+
+def test_jacobi_on_every_triple_matches_the_degree_filtered_check():
+    # [a,b] = d, [d,c] = e breaks Jacobi on (a, b, c), of degree 3 = top
+    broken = GradedLie(["a", "b", "c", "d", "e"], [1, 1, 1, 2, 3],
+                       {(0, 1): {3: 1}, (2, 3): {4: -1}})
+    lanterns = [gl for _, gl, _ in _catalog_lanterns()]
+    for gl in [*lanterns, broken]:
+        want = _filtered_jacobi_witness(gl, max(gl.degrees, default=0))
+        assert gl.jacobi_witness() == want, gl
+        row = gl.verify().checks[1]
+        assert (row.name, row.passed, row.witness) == (
+            "Jacobi identity", want is None, want)
+    assert broken.jacobi_witness() == ("a", "b", "c")

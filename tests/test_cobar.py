@@ -8,12 +8,12 @@ import pytest
 
 from hopfalg import catalog
 from hopfalg.catalog import build, list_catalog, make_A, make_lie
-from hopfalg.cla import GradedLie
+from hopfalg.cla import GradedLie, enveloping
 from hopfalg.cobar import (_certified_report, _eliminated_report, _g_prime,
                            _grading, _lantern_ce, _report, build_complex,
                            h2_report, is_coboundary)
 from hopfalg.errors import InputError
-from hopfalg.exactlin import Matrix
+from hopfalg.exactlin import Matrix, add_term, coassociator, express_ranked
 from hopfalg.hopf import HopfPresentation
 from hopfalg.ledger import cocycle_t, cocycle_u
 from hopfalg.ore import OrePresentation
@@ -616,3 +616,73 @@ def test_every_bound_reads_the_kept_certificate(by_bidegree, monkeypatch):
         assert rep.complete and rep.matches_lantern and rep.total_h2 == 2
         assert rep.lantern_ce_h2 == first.lantern_ce_h2
     assert calls == []
+
+
+def _reference_d2_column(h, pair):
+    """d^2(a (x) b) = delta(a) (x) b - a (x) delta(b), written out."""
+    a, b = pair
+    out = {}
+    for (u, v), c in h._reduced_monomial(a).items():
+        add_term(out, (u, v, b), c)
+    for (u, v), c in h._reduced_monomial(b).items():
+        add_term(out, (a, u, v), -c)
+    return out
+
+
+@pytest.mark.parametrize("index", range(len(HOPF_CATALOG)),
+                         ids=[s.describe() for s in HOPF_CATALOG])
+def test_d2_matrix_is_the_signed_slot_differential(index):
+    h = build(HOPF_CATALOG[index])
+    cx = build_complex(h, 6)
+    want = {(cx.coords[3][t], j): c for j, pair in enumerate(cx.bases[2])
+            for t, c in _reference_d2_column(h, pair).items()}
+    assert cx.d2.entries == want
+
+
+def _search_every_degree(h, w, bound):
+    """Oracle: whether d^1 c = w has a solution over every monomial of
+    degree <= bound."""
+    monos = h.algebra.monomials_up_to(bound)
+    (sol,), _ = express_ranked([h._reduced_monomial(m) for m in monos],
+                               [w.terms])
+    return sol is not None
+
+
+def test_is_coboundary_searches_above_the_tensor_degree():
+    # delta(W) = X(x)Y bounds through W, of degree 3 > deg X(x)Y = 2
+    h = HAND_BUILT[DELTA_W]
+    w = h.tensor([(1, {"X": 1}, {"Y": 1})])
+    for bound in range(2, 7):
+        res = is_coboundary(h, w, bound)
+        assert res.is_coboundary == (bound >= 3) == _search_every_degree(
+            h, w, bound), bound
+        if res.is_coboundary:
+            assert h.reduced_coproduct(res.witness) == w
+            assert res.witness == h.algebra.gen("W")
+
+
+def test_is_coboundary_matches_a_search_over_every_degree():
+    # every cocycle that is one monomial pair of degree <= 4, on every
+    # catalog entry and CLA envelope, at two bounds
+    cases = 0
+    for spec in list_catalog():
+        h = build(spec)
+        if not isinstance(h, HopfPresentation):
+            h = enveloping(h)
+        alg = h.algebra
+        monos = alg.monomials_up_to(4)
+        for a in monos:
+            for b in monos:
+                if alg.monomial_degree(a) + alg.monomial_degree(b) > 4:
+                    continue
+                if coassociator({(a, b): 1}, h._reduced_monomial):
+                    continue
+                w = h.tensor([(1, a, b)])
+                for bound in (4, 6):
+                    res = is_coboundary(h, w, bound)
+                    assert res.is_coboundary == _search_every_degree(
+                        h, w, bound), (spec.describe(), a, b, bound)
+                    if res.is_coboundary:
+                        assert h.reduced_coproduct(res.witness) == w
+                    cases += 1
+    assert cases == 396

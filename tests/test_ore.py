@@ -213,7 +213,7 @@ def test_normal_form_idempotence(K):
         out = p.zero()
         for m, c in a.terms.items():
             word = [p.names[i] for i, e in enumerate(m) for _ in range(e)]
-            out = out + p.normal_form(word, c)
+            out = out + p.normal_form(word).scale(c)
         assert out == a
 
 

@@ -211,7 +211,7 @@ def test_lantern_of_d_family_two_step_chain(D01):
     # theta = (0, 1): the chain continues through the second primitive dual
     assert (1, 2) in gl.brackets and set(gl.brackets[(1, 2)]) == {3}
     assert (0, 2) not in gl.brackets
-    assert gl.verify(3).passed
+    assert gl.verify().passed
 
 
 def test_lantern_brackets_scale_with_theta():
