@@ -28,7 +28,7 @@ import sys
 
 from .catalog import build, family_parameter_names, from_cli_params, list_catalog
 from .cla import CLA, enveloping, lantern_of_cla
-from .cobar import h2_report
+from .cobar import h2_report, require_hopf_algebra
 from .errors import HopfAlgError, InputError
 from .hopf import HopfPresentation
 from .jsonio import (cla_to_json, load_object, presentation_from_json,
@@ -154,6 +154,9 @@ def cmd_lantern(args) -> int:
 
 def cmd_cohomology(args) -> int:
     obj = require_hopf(resolve_object(args))
+    require_hopf_algebra(obj.verify_pbw_consistency(),
+                         obj.verify_coassociativity(),
+                         obj.verify_compatibility())
     bound = max_degree(args)
     report = h2_report(obj, bound, by_bidegree=args.bidegree)
     stable = report.stable_from_previous_bound

@@ -7,17 +7,16 @@ a(x)delta(b).  Coassociativity makes d^2 = 0.  Since delta never raises
 weighted degree, the tuples of total degree <= n form a subcomplex C_<=n.
 
 ``h2_report`` gives the rank-2 dimensions of C_<=n for every n up to a
-bound N.  It answers from a certificate: the Chevalley-Eilenberg
-cohomology of the lantern bounds H^2(C_<=n) from above at every level,
-and H^2(C_<=G') bounds it from below for n >= G' = max(G, top generator
-degree), G the top degree of a CE class.  d^2 and d^1 are eliminated on
-C_<=G' only; P(gr H) is zero above G', so d^1 is injective there and
-each grade's cocycles and coboundaries are its monomial count.  When
-H^2(C_<=G') falls short of the CE sum, or N <= G', the same two
-eliminations at the bound answer instead, and the test-suite keeps them
-as the oracle.  Neither the lantern's CE H^2 nor the counts of C_<=G'
-depend on N, so both are kept on the presentation and every report on
-it reads them.
+bound N.  The Chevalley-Eilenberg cohomology of the lantern is the E_1
+page of the degree filtration and bounds H^2(C_<=n) from above; above
+G' = max(G, top generator degree), G the top degree of a CE class, no
+grade carries H^2 and P(gr H) is zero, so H^2(C_<=n) = H^2(C_<=G').
+d^2 and d^1 are eliminated on C_<=min(N, G') only, and each grade above
+G' has its monomial count as both cocycles and coboundaries.  Neither
+the lantern's CE H^2 nor the counts of C_<=G' depend on N, so both are
+kept on the presentation, and every bound past G' reads them.  Both
+arguments need a Hopf algebra; ``require_hopf_algebra`` refuses a
+presentation whose kept verdicts fail.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InputError
+from .errors import InputError, StructuralError
 from .exactlin import Matrix, Scalar, coassociator, express_ranked, graded_h2
 from .hopf import HopfPresentation, TensorElement
 from .ore import AlgebraElement
@@ -113,8 +112,8 @@ class CobarReport:
     In total-degree mode the rows are cumulative over the truncations
     (<= n for each level n); the last row is the whole bounded complex.
     ``lantern_ce_h2``, the lantern's CE H^2 per grade, bounds H^2 of every
-    truncation from above; ``complete`` (N > G' and H^2(C_<=G') is the CE
-    sum) says the certificate answers and the rows above G' hold at any N.
+    truncation from above; ``complete`` (N > G') says no higher bound
+    changes H^2: every row above G' repeats row G'.
     """
 
     bound: int
@@ -177,18 +176,66 @@ def h2_report(h: HopfPresentation, bound: int,
               by_bidegree: bool = False) -> CobarReport:
     """Kernel/image dimensions of the truncated complex in rank 2.
 
-    Answered from the lantern certificate (``_certified_report``), which
-    takes the rank profiles of d^2 and d^1 on C_<=G' only, G' = max(G,
-    top generator degree) for G the top degree of a Chevalley-Eilenberg
-    class, and counts the grades above G'; when the certificate cannot be
-    made, the same rank profiles at the bound (``_eliminated_report``)
-    answer.  The rows are the same either way.
+    Filter C_<=n by weighted degree.  d never raises it, and the
+    associated graded complex is the truncated cobar complex of gr H,
+    whose graded dual is U(L) for the lantern L; cobar of a coalgebra
+    computes Ext over its dual (Adams), and Ext over U(L) is H_CE(L)
+    (Cartan-Eilenberg XIII).  This is the E_1 page of the spectral
+    sequence of the degree filtration (May, 1966), so dim H^2(C_<=n) <=
+    sum_{m<=n} H^2_CE(L)_m, and per bidegree block H^2 <= H^2_CE(L) of
+    that bidegree, which is zero above G, the top degree of a CE class.
+
+    gr H is the polynomial algebra on the generators, so L has one dual
+    per generator and lives in the generator degrees, and P(gr H), dual
+    to L/[L, L] (Milnor-Moore), is zero above G' = max(G, top generator
+    degree).  Take n > G'.  A cocycle z of C_<=n has a top part z_n that
+    is a cocycle of gr, with no CE class in grade n, so z_n = d_gr(y)
+    for some y of degree n and z - d^1 y lies in C_<=n-1.  A cocycle
+    d^1 y of C_<=n-1 with deg y = n has a top part of y primitive in gr
+    H, so zero.  So H^2(C_<=n) = H^2(C_<=n-1), whether or not every CE
+    class survives; d^1 is injective on grade n, whose coboundaries, and
+    cocycles too, are its monomial count
+    (``OrePresentation._monomial_counts``).  The bidegree blocks refine
+    the degree ones, so G' is the same in both modes.
+
+    The rank profiles of d^2 and d^1 (``_eliminated_counts``) are taken
+    on C_<=min(N, G') and kept on h per level and mode, so every bound
+    past G' reads the same pair.  Both arguments need a Hopf algebra.  A
+    failed coassociativity verdict is refused; PBW consistency and
+    compatibility (a fifth of a cold catalog report) are the caller's,
+    as in ``hopf cohomology`` and ``object_battery``.  An E_1 breach
+    reads all three, and is a library defect only on a Hopf algebra.
     """
     if bound < 1:
         raise InputError("cobar bound must be >= 1")
-    report = _certified_report(h, bound, by_bidegree)
-    return report if report is not None else _eliminated_report(
-        h, bound, by_bidegree)
+    require_hopf_algebra(h.verify_coassociativity())
+    ce = _lantern_ce(h, by_bidegree)
+    reach = _g_prime(h, ce)
+    level = min(bound, reach)
+    cocycles, coboundaries = map(Counter, h._kept(
+        ("cobar", level, by_bidegree),
+        lambda: _eliminated_counts(h, level, by_bidegree)))
+    low = sum(cocycles.values()) - sum(coboundaries.values())
+    predicted = sum(n for g, n in ce.items() if _total_degree(g) <= level)
+    if low > predicted:
+        require_hopf_algebra(h.verify_pbw_consistency(),
+                             h.verify_compatibility())
+        raise RuntimeError(f"H^2(C_<={level}) = {low} exceeds the lantern's "
+                           f"CE sum {predicted} there, against the E_1 bound")
+    for g, count in h.algebra._monomial_counts(bound, by_bidegree).items():
+        if _total_degree(g) > reach:
+            cocycles[g] = coboundaries[g] = count
+    return _report(bound, by_bidegree, cocycles, coboundaries, ce, reach)
+
+
+def require_hopf_algebra(*reports: VerificationReport) -> None:
+    """Refuse a presentation with a failed row in ``reports`` (kept PBW,
+    coassociativity or compatibility verdicts), naming each."""
+    failed = [c.name for report in reports for c in report.failures()]
+    if failed:
+        raise StructuralError(
+            "cobar H^2 needs a Hopf algebra (PBW basis, d^2 = 0, Delta an "
+            "algebra map): " + "; ".join(failed) + " fails")
 
 
 def _lantern_ce(h: HopfPresentation, by_bidegree: bool) -> dict:
@@ -205,14 +252,6 @@ def _lantern_ce(h: HopfPresentation, by_bidegree: bool) -> dict:
     _grading(h, by_bidegree)
     return lantern.ce_h2_dims([h.algebra.monomial_bidegree(m)
                                for m in lantern.lifts])
-
-
-def _eliminated_report(h: HopfPresentation, bound: int,
-                       by_bidegree: bool = False) -> CobarReport:
-    """The rows from one rank profile of d^2 and one of d^1 at the bound."""
-    ce = _lantern_ce(h, by_bidegree)
-    counts = _eliminated_counts(h, bound, by_bidegree)
-    return _report(bound, by_bidegree, *counts, ce, _g_prime(h, ce))
 
 
 def _eliminated_counts(h: HopfPresentation, bound: int,
@@ -232,72 +271,28 @@ def _eliminated_counts(h: HopfPresentation, bound: int,
                      cx.d2, [grade(t) for t in cx.bases[2]])
 
 
-def _certified_report(h: HopfPresentation, bound: int,
-                      by_bidegree: bool = False) -> Optional[CobarReport]:
-    """Rows from the rank profiles of C_<=G' and monomial counts above
-    G', or None.
-
-    Filter C_<=n by weighted degree.  d never raises it, and the
-    associated graded complex is the truncated cobar complex of gr H,
-    whose graded dual is U(L) for the lantern L; cobar of a coalgebra
-    computes Ext over its dual (Adams), and Ext over U(L) is H_CE(L)
-    (Cartan-Eilenberg XIII).  The spectral sequence of this finite
-    filtration therefore gives dim H^2(C_<=n) <= sum_{m<=n} H^2_CE(L)_m,
-    and per bidegree block H^2 <= H^2_CE(L) of that bidegree, which is
-    zero above G, the top degree of a nonzero CE class.
-
-    gr H is the polynomial algebra on the generators, so L has one dual
-    per generator and lives in the generator degrees, and P(gr H), dual
-    to L/[L, L] (Milnor-Moore), is zero above G' = max(G, top generator
-    degree).  If d^1 y has lower degree than y, the top part of y is
-    primitive in gr H (its d^1 is the top part of d^1 y).  So d^1 is
-    injective on each grade above G', whose coboundaries, and with no
-    H^2 there its cocycles too, are its monomial count
-    (``OrePresentation._monomial_counts``); and a cocycle of C_<=G' that
-    bounds in C_<=n bounds in C_<=G', so H^2(C_<=G') <= H^2(C_<=n).
-    When H^2(C_<=G') is the whole CE sum, H^2(C_<=n) equals it from both
-    sides at every level n > G'.  The bidegree blocks refine the degree
-    ones, so G and the sum are the same in both modes, and the blocks up
-    to G' are exact from C_<=G' alone.  The counts of C_<=G' are kept on
-    h per mode, so every bound N reads one pair of eliminations.
-
-    None when N <= G' or when H^2(C_<=G') falls short of the CE sum,
-    that is, when the report would not be ``complete``.
-    """
-    alg = h.algebra
-    ce = _lantern_ce(h, by_bidegree)
-    reach = _g_prime(h, ce)
-    if bound <= reach:
-        return None
-    cocycles, coboundaries = map(Counter, h._kept(
-        ("cobar", reach, by_bidegree),
-        lambda: _eliminated_counts(h, reach, by_bidegree)))
-    for g, count in alg._monomial_counts(bound, by_bidegree).items():
-        if (sum(g) if by_bidegree else g) > reach:
-            cocycles[g] = coboundaries[g] = count
-    report = _report(bound, by_bidegree, cocycles, coboundaries, ce, reach)
-    return report if report.complete else None
-
-
 def _g_prime(h: HopfPresentation, ce: dict) -> int:
     """G' = max(G, top generator degree), G the top degree of a grade of
     the CE H^2 ``ce`` (an int, or a bidegree)."""
-    return max([1, *((sum(g) if isinstance(g, tuple) else g) for g in ce),
-                h.complete_bound(1)])
+    return max([1, *map(_total_degree, ce), h.complete_bound(1)])
+
+
+def _total_degree(grade) -> int:
+    """The total degree of a grade: a degree, or a bidegree's sum."""
+    return sum(grade) if isinstance(grade, tuple) else grade
 
 
 def _report(bound: int, by_bidegree: bool, cocycles: dict,
             coboundaries: dict, ce: dict, reach: int) -> CobarReport:
     """Rows from per-grade counts: one per bidegree of ``cocycles``, by
     total degree then bidegree, or one per truncation level, cumulative;
-    with the CE H^2 ``ce`` and whether rows to G' = ``reach`` certify it."""
+    with the CE H^2 ``ce``, and complete past G' = ``reach``."""
     rows = []
     if by_bidegree:
         for bd in sorted(cocycles, key=lambda b: (b[0] + b[1], b)):
             z, b = cocycles[bd], coboundaries.get(bd, 0)
             rows.append({"bidegree": bd, "cocycles": z,
                          "coboundaries": b, "h2": z - b})
-        low = sum(r["h2"] for r in rows if sum(r["bidegree"]) <= reach)
     else:
         z = b = 0
         for level in range(1, bound + 1):
@@ -305,9 +300,8 @@ def _report(bound: int, by_bidegree: bool, cocycles: dict,
             b += coboundaries.get(level, 0)
             rows.append({"level": level, "cocycles": z,
                          "coboundaries": b, "h2": z - b})
-        low = rows[min(reach, bound) - 1]["h2"]
     return CobarReport(bound, "bidegree" if by_bidegree else "total", rows,
-                       ce, bound > reach and low == sum(ce.values()))
+                       ce, bound > reach)
 
 
 def _grading(h: HopfPresentation, by_bidegree: bool):

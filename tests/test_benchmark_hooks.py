@@ -19,9 +19,9 @@ tracer.instrument()
 from hopfalg import make_K
 from hopfalg.cobar import h2_report
 h2_report(make_K(), 3)
-full = tracer.take_counts()
+first = tracer.take_counts()
 h2_report(make_K(), 6)
-print(json.dumps([full, tracer.take_counts()]))
+print(json.dumps([first, tracer.take_counts()]))
 """
 
 
@@ -31,8 +31,8 @@ def test_tracer_instruments_the_library_and_counts_eliminations():
     run = subprocess.run([sys.executable, "-c", PROBE], env=env, cwd=ROOT,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    # bound 3 is answered by the full elimination, bound 6 by the
-    # certificate, which builds the complex only up to degree 4
+    # each bound reads a new K, so each builds the complex once: up to
+    # the bound 3 below G' = 4, and up to G' for the bound 6
     for counts in json.loads(run.stdout):
         assert counts["exactlin.row_echelon.calls"] > 0
         assert counts["cobar.build_complex.calls"] == 1

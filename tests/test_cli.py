@@ -114,10 +114,11 @@ def test_cohomology_bidegree_json(capsys):
     assert spots == {(1, 2), (2, 1)}
 
 
-def test_cohomology_file_takes_the_full_elimination(tmp_path, capsys,
-                                                    monkeypatch):
+def test_cohomology_file_reads_the_rows_at_g_prime(tmp_path, capsys,
+                                                   monkeypatch):
     # k[X, Y, W] with delta(W) = X(x)Y: the lantern predicts H^2 = 3 but
-    # X(x)Y bounds once W enters, so the report at bound 5 reads 2
+    # X(x)Y bounds once W enters, so the report at bound 5 reads 2, the
+    # H^2 of C_<=4
     monkeypatch.delenv("HOPF_MAX_DEGREE", raising=False)
     path = tmp_path / "delta_w.json"
     path.write_text(json.dumps({
@@ -132,6 +133,43 @@ def test_cohomology_file_takes_the_full_elimination(tmp_path, capsys,
     assert [r["h2"] for r in data["rows"]] == [0, 1, 0, 2, 2]
 
 
+def test_cohomology_refuses_a_non_coassociative_file(tmp_path, capsys):
+    # delta(Z) = X(x)Y and delta(W) = X(x)Z is not coassociative on W, so
+    # d^2 != 0 and the rows (once 0, 0, 1, -1, -5, ...) would mean nothing
+    path = tmp_path / "not_coassociative.json"
+    path.write_text(json.dumps({
+        "generators": [{"name": "X", "degree": 1}, {"name": "Y", "degree": 1},
+                       {"name": "Z", "degree": 2}, {"name": "W", "degree": 3}],
+        "coproducts": {
+            "Z": [{"coeff": "1", "left": {"X": 1}, "right": {"Y": 1}}],
+            "W": [{"coeff": "1", "left": {"X": 1}, "right": {"Z": 1}}]}}))
+    for argv in (["--json"], ["--max-degree", "8"]):
+        code, out, err = run(capsys, "cohomology", "--file", str(path), *argv)
+        assert code == 2 and out == ""
+        assert err == ("error: cobar H^2 needs a Hopf algebra (PBW basis, "
+                       "d^2 = 0, Delta an algebra map): coassociativity on W "
+                       "fails\n")
+
+
+def test_cohomology_refuses_a_file_that_is_no_bialgebra(tmp_path, capsys):
+    # [Y,X] = Z for primitive X, Y while delta(Z) = A(x)B: coassociative
+    # and PBW-consistent, but Delta is no algebra map
+    path = tmp_path / "not_compatible.json"
+    path.write_text(json.dumps({
+        "generators": [{"name": "A", "degree": 1}, {"name": "B", "degree": 1},
+                       {"name": "X", "degree": 2}, {"name": "Y", "degree": 2},
+                       {"name": "Z", "degree": 3}],
+        "commutators": {"Y,X": [{"coeff": "1", "monomial": {"Z": 1}}]},
+        "coproducts": {
+            "Z": [{"coeff": "1", "left": {"A": 1}, "right": {"B": 1}}]}}))
+    for argv in (["--json"], ["--max-degree", "8"]):
+        code, out, err = run(capsys, "cohomology", "--file", str(path), *argv)
+        assert code == 2 and out == ""
+        assert err == ("error: cobar H^2 needs a Hopf algebra (PBW basis, "
+                       "d^2 = 0, Delta an algebra map): Delta respects [Y,X] "
+                       "fails\n")
+
+
 @pytest.mark.parametrize("argv, lantern, matches, complete", [
     (["--family", "A", "--params", "0,0,0", "--max-degree", "6",
       "--bidegree"], [{"bidegree": [1, 2], "h2": 1},
@@ -140,10 +178,10 @@ def test_cohomology_file_takes_the_full_elimination(tmp_path, capsys,
      [{"degree": 3, "h2": 1}, {"degree": 4, "h2": 1}], True, False),
     (["--family", "K", "--max-degree", "5"],
      [{"degree": 3, "h2": 1}, {"degree": 4, "h2": 1}], True, True),
-    # k[X, Y, W], delta(W) = X(x)Y: the CE sum 3 is not reached, so the
-    # full elimination answers and the report is not complete
+    # k[X, Y, W], delta(W) = X(x)Y: the CE sum 3 is not reached, yet the
+    # rows past G' = 4 repeat H^2(C_<=4), so the report is complete
     (["--file", "delta_w.json", "--max-degree", "6"],
-     [{"degree": 2, "h2": 1}, {"degree": 4, "h2": 2}], False, False),
+     [{"degree": 2, "h2": 1}, {"degree": 4, "h2": 2}], False, True),
 ])
 def test_cohomology_json_carries_the_lantern_prediction(
         argv, lantern, matches, complete, tmp_path, capsys, monkeypatch):

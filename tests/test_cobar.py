@@ -5,20 +5,28 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfalg import catalog
 from hopfalg.catalog import build, list_catalog, make_A, make_lie
 from hopfalg.cla import GradedLie, enveloping
-from hopfalg.cobar import (_certified_report, _eliminated_report, _g_prime,
-                           _grading, _lantern_ce, _report, build_complex,
-                           h2_report, is_coboundary)
-from hopfalg.errors import InputError
+from hopfalg.cobar import (_eliminated_counts, _g_prime, _grading, _lantern_ce,
+                           _report, build_complex, h2_report, is_coboundary)
+from hopfalg.errors import InputError, StructuralError
 from hopfalg.exactlin import Matrix, add_term, coassociator, express_ranked
 from hopfalg.hopf import HopfPresentation
 from hopfalg.ledger import cocycle_t, cocycle_u
 from hopfalg.ore import OrePresentation
 from hopfalg.replicate import object_battery
 from hopfalg.structure import lantern_of_hopf
+
+
+def _eliminated_report(h, bound, by_bidegree=False):
+    """Oracle: the rows from one rank profile of d^2 and one of d^1 of
+    C_<=bound, with no reading of C_<=G' or of monomial counts."""
+    ce = _lantern_ce(h, by_bidegree)
+    counts = _eliminated_counts(h, bound, by_bidegree)
+    return _report(bound, by_bidegree, *counts, ce, _g_prime(h, ce))
 
 
 def test_rank_one_differential_examples(A000):
@@ -207,9 +215,9 @@ def test_h2_report_takes_one_elimination_per_differential(by_bidegree,
 
 @pytest.mark.parametrize("family, by_bidegree",
                          [("K", False), ("A000", True)])
-def test_certified_report_takes_the_two_rank_profiles_at_g_prime(
+def test_h2_report_takes_the_two_rank_profiles_at_g_prime(
         family, by_bidegree, monkeypatch):
-    # past the lantern's CE ranks, the certificate eliminates d2 and d1 of
+    # past the lantern's CE ranks, the report eliminates d2 and d1 of
     # C_<=G' once each, and takes no kernel basis
     h = catalog.make_K() if family == "K" else make_A(0, 0, 0)
     lantern = lantern_of_hopf(h, max(h.algebra.degrees))
@@ -221,7 +229,7 @@ def test_certified_report_takes_the_two_rank_profiles_at_g_prime(
         return echelon(self)
 
     def refuse(self):
-        raise AssertionError("the certificate took a kernel basis")
+        raise AssertionError("the report took a kernel basis")
 
     monkeypatch.setattr(Matrix, "row_echelon", spy)
     monkeypatch.setattr(Matrix, "kernel_basis", refuse)
@@ -261,7 +269,7 @@ def test_h2_report_scales_to_bound_nine(K):
 
 def test_h2_report_scales_to_bound_twelve(monkeypatch):
     # d1 is injective above G' = max(G, top generator degree), so the
-    # certificate asks for no delta(m) past G', and its widest elimination
+    # report asks for no delta(m) past G', and its widest elimination
     # is as wide at N = 12 and N = 30 as at N = G' + 1
     K = catalog.make_K()
     top = max(lantern_of_hopf(K, 3).ce_h2_dims())
@@ -292,8 +300,8 @@ def test_h2_report_scales_to_bound_twelve(monkeypatch):
     assert widest[12] == widest[30] == widest[reach + 1]
 
 
-def test_certificate_lists_no_monomial_above_g_prime(monkeypatch):
-    # above G' the certificate counts monomials per grade, never lists them
+def test_h2_report_lists_no_monomial_above_g_prime(monkeypatch):
+    # above G' the report counts monomials per grade, never lists them
     bounds = []
     listing = OrePresentation.monomials_up_to
 
@@ -329,10 +337,13 @@ HOPF_CATALOG = [spec for spec in list_catalog()
 
 
 @functools.cache
-def _oracle(index: int):
-    """The catalog presentation and its fully eliminated report at N = 8;
-    the level n rows of a total-mode report are the report at bound n."""
-    h = build(HOPF_CATALOG[index])
+def _oracle(case):
+    """A presentation and its fully eliminated report: a catalog entry (by
+    index) at N = 8, a hand-built one (by name) at N = 9.  The level n
+    rows of a total-mode report are the report at bound n."""
+    if case in HAND_BUILT:
+        return HAND_BUILT[case], _eliminated_report(HAND_BUILT[case], 9)
+    h = build(HOPF_CATALOG[case])
     return h, _eliminated_report(h, 8)
 
 
@@ -352,45 +363,126 @@ def test_lantern_prediction_by_bidegree(A000):
     assert L.ce_h2_dims(bidegrees) == {(2, 1): 1, (1, 2): 1}
 
 
+# Hand-built presentations: (generators, commutators, coproducts).
 # U of an abelian Lie algebra on the given (name, weight) generators.  One
 # generator leaves no CE class, so G = 0 < G' and the bounds N <= G' are
 # eliminated at N; with X, W of weights 1, 3 the class X*W* puts G at 4
-ABELIAN = {name: HopfPresentation(OrePresentation(generators), {})
-           for name, generators in [("X of weight 2", [("X", 2)]),
-                                    ("X of weight 3", [("X", 3)]),
-                                    ("X, W of weights 1, 3",
-                                     [("X", 1), ("W", 3)])]}
+ABELIAN = {"X of weight 2": ([("X", 2)], {}, {}),
+           "X of weight 3": ([("X", 3)], {}, {}),
+           "X, W of weights 1, 3": ([("X", 1), ("W", 3)], {}, {})}
 
 # k[X, Y, W] of weights 1, 1, 3 with delta(W) = X(x)Y.  Its lantern is
 # abelian, with CE H^2 {2: 1, 4: 2}, but X(x)Y bounds once W enters: H^2 of
 # C_<=n is 1, 0, 2, 2, ... from n = 2, so H^2(C_<=4) = 2 falls short of the
-# CE sum 3 and every bound takes the full elimination
+# CE sum 3, and every row past G' = 4 repeats it
 DELTA_W = "X, Y, W with delta(W) = X(x)Y"
-HAND_BUILT = {**ABELIAN, DELTA_W: HopfPresentation(
-    OrePresentation([("X", 1), ("Y", 1), ("W", 3)]),
-    {"W": [(1, {"X": 1}, {"Y": 1})]})}
+# Two noncommutative presentations where a lower-degree delta(W) kills a CE
+# class the same way, with G' = 4: W of weight 3 over the Heisenberg
+# algebra on P, Q, E, and over U(k^2 x| k) on X, Y
+HEISENBERG_W = "P, Q, E, W with [Q,P] = E, delta(W) = P(x)E"
+SEMIDIRECT_W = "X, Y, W with [Y,X] = X, delta(W) = X(x)Y"
+HAND_BUILT_DATA = {
+    **ABELIAN,
+    DELTA_W: ([("X", 1), ("Y", 1), ("W", 3)], {},
+              {"W": [(1, {"X": 1}, {"Y": 1})]}),
+    HEISENBERG_W: ([("P", 1), ("Q", 1), ("E", 1), ("W", 3)],
+                   {"Q,P": [(1, {"E": 1})],
+                    "W,Q": [(Fraction(-1, 2), {"E": 2})]},
+                   {"W": [(1, {"P": 1}, {"E": 1})]}),
+    SEMIDIRECT_W: ([("X", 1), ("Y", 1), ("W", 3)],
+                   {"Y,X": [(1, {"X": 1})],
+                    "W,X": [(Fraction(1, 2), {"X": 2})],
+                    "W,Y": [(-1, {"W": 1})]},
+                   {"W": [(1, {"X": 1}, {"Y": 1})]})}
+
+
+def _hand_built(case):
+    """A new presentation, with nothing kept yet, of a hand-built case."""
+    generators, commutators, coproducts = HAND_BUILT_DATA[case]
+    return HopfPresentation(OrePresentation(generators, commutators),
+                            coproducts)
+
+
+HAND_BUILT = {case: _hand_built(case) for case in HAND_BUILT_DATA}
+# the CE classes that die, and the H^2 rows to N = 8
+DYING = {DELTA_W: ({2: 1, 4: 2}, [0, 1, 0, 2, 2, 2, 2, 2]),
+         HEISENBERG_W: ({2: 3, 4: 3}, [0, 3, 2, 4, 4, 4, 4, 4]),
+         SEMIDIRECT_W: ({2: 1, 4: 2}, [0, 1, 0, 2, 2, 2, 2, 2])}
 
 
 @pytest.mark.parametrize("case", [*range(len(HOPF_CATALOG)), *HAND_BUILT],
                          ids=[*(s.describe() for s in HOPF_CATALOG),
                               *HAND_BUILT])
-def test_certificate_matches_full_elimination(case):
-    if case in HAND_BUILT:
-        h = HAND_BUILT[case]
-        oracle = _eliminated_report(h, 9)
-    else:
-        h, oracle = _oracle(case)
+def test_rows_match_full_elimination(case):
+    h, oracle = _oracle(case)
     for bound in range(1, oracle.bound + 1):
         assert h2_report(h, bound).rows == oracle.rows[:bound], bound
 
 
-def test_certificate_declines_when_a_ce_class_dies():
-    h = HAND_BUILT[DELTA_W]
+def _modes(h):
+    """Total mode, and bidegree mode where the presentation respects
+    bidegrees."""
+    try:
+        _grading(h, True)
+    except InputError:
+        return [False]
+    return [False, True]
+
+
+def _grade(row):
+    return row["level"] if "level" in row else sum(row["bidegree"])
+
+
+@pytest.mark.parametrize("case", [*range(len(HOPF_CATALOG)), *DYING],
+                         ids=[*(s.describe() for s in HOPF_CATALOG), *DYING])
+def test_no_report_eliminates_past_g_prime(case, monkeypatch):
+    # at every N up to 3G', in each mode, the only eliminations besides
+    # the lantern's CE differentials are d2 and d1 of C_<=min(N, G'), each
+    # once per mode; the rows are the full elimination's up to the
+    # oracle's bound
+    h = _hand_built(case) if case in DYING else build(HOPF_CATALOG[case])
+    modes = _modes(h)
+    reach = _g_prime(h, _lantern_ce(h, False))
+    for by_bidegree in modes:
+        _lantern_ce(h, by_bidegree)     # kept, so the spy sees the rest
+    shapes = []
+    echelon = Matrix.row_echelon
+
+    def spy(self):
+        shapes.append((self.rows, self.cols))
+        return echelon(self)
+
+    monkeypatch.setattr(Matrix, "row_echelon", spy)
+    reports = {(by_bidegree, n): h2_report(h, n, by_bidegree)
+               for by_bidegree in modes for n in range(1, 3 * reach + 1)}
+    monkeypatch.undo()
+    expected = []
+    for level in range(1, reach + 1):
+        cx = build_complex(h, level)
+        expected += [(cx.d2.rows, cx.d2.cols), (cx.d1.rows, cx.d1.cols)]
+    assert shapes == expected * len(modes)
+    oracles = {by_bidegree: (_eliminated_report(h, 8, True) if by_bidegree
+                             else _oracle(case)[1]) for by_bidegree in modes}
+    for (by_bidegree, n), rep in reports.items():
+        oracle = oracles[by_bidegree]
+        assert ([r for r in rep.rows if _grade(r) <= oracle.bound]
+                == [r for r in oracle.rows if _grade(r) <= n]), (by_bidegree, n)
+
+
+@pytest.mark.parametrize("case", DYING)
+def test_rows_past_g_prime_repeat_g_prime_when_a_ce_class_dies(case):
+    # H^2(C_<=4) falls short of the CE sum, yet every bound past G' = 4
+    # reads the same two rank profiles of C_<=4 and is complete
+    h = HAND_BUILT[case]
+    ce, rows = DYING[case]
     assert object_battery(h, antipode_bound=5).passed
-    assert lantern_of_hopf(h, 3).ce_h2_dims() == {2: 1, 4: 2}
+    assert lantern_of_hopf(h, 3).ce_h2_dims() == ce
+    assert _g_prime(h, ce) == 4
     for bound in range(1, 9):
-        assert _certified_report(h, bound) is None, bound
-    assert [r["h2"] for r in h2_report(h, 8).rows] == [0, 1, 0, 2, 2, 2, 2, 2]
+        rep = h2_report(h, bound)
+        assert [r["h2"] for r in rep.rows] == rows[:bound], bound
+        assert rep.complete == (bound > 4), bound
+        assert not rep.matches_lantern, bound
 
 
 def _grade_counts(basis, pivots, grade):
@@ -471,11 +563,60 @@ def test_counted_bidegree_rows_match_elimination_at_the_bound(family,
 
 
 @pytest.mark.parametrize("family", ["A000", "D01"])
-def test_bidegree_certificate_matches_full_elimination(family, request):
+def test_bidegree_rows_match_full_elimination(family, request):
     h = request.getfixturevalue(family)
     for bound in range(1, 9):
         assert (h2_report(h, bound, by_bidegree=True).rows
                 == _eliminated_report(h, bound, by_bidegree=True).rows), bound
+
+
+def _random_commutative(seed: int) -> HopfPresentation:
+    """k[x_1 .. x_r] with delta(x_k) = delta(f) for a random f in the
+    earlier generators plus random a(x)b over earlier primitive ones.
+
+    delta(f) is a coboundary and a(x)b with a, b primitive a cocycle, so
+    each delta(x_k) is a cocycle and the presentation is coassociative.
+    When a(x)b has degree below x_k, the class it carries in the lantern's
+    CE H^2 dies, as on DELTA_W.
+    """
+    rng = random.Random(seed)
+    weights = [1, 1, *sorted(rng.choice((1, 2, 3)) for _ in range(
+        rng.randint(1, 2)))]
+    generators, coproducts = [], {}
+    for k, w in enumerate(weights):
+        if k >= 2:
+            earlier = HopfPresentation(OrePresentation(generators),
+                                       coproducts)
+            alg = earlier.algebra
+            f = alg.element({m: rng.randint(-2, 2)
+                             for m in rng.sample(alg.monomials_up_to(w), 2)})
+            terms = [(c, alg.monomial_dict(a), alg.monomial_dict(b)) for
+                     (a, b), c in earlier.reduced_coproduct(f).terms.items()]
+            primitive = [(name, d) for name, d in generators
+                         if name not in coproducts]
+            for _ in range(rng.randint(0, 2)):
+                (a, da), (b, db) = rng.sample(primitive, 2)
+                if da + db <= w and max(da, db) < w:
+                    terms.append((rng.choice((-2, -1, 1, 2)), {a: 1}, {b: 1}))
+            if any(c for c, _, _ in terms):
+                coproducts[f"x{k}"] = terms
+        generators.append((f"x{k}", w))
+    return HopfPresentation(OrePresentation(generators), coproducts)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_rows_match_full_elimination_on_random_commutative(seed):
+    # the rows read off C_<=G' are the full elimination's at every N up to
+    # G' + 2, and H^2(C_<=G') never exceeds the CE sum (the E_1 bound)
+    h = _random_commutative(seed)
+    assert h.verify_coassociativity().passed
+    ce = _lantern_ce(h, False)
+    reach = _g_prime(h, ce)
+    oracle = _eliminated_report(h, reach + 2)
+    for n in range(1, reach + 3):
+        assert h2_report(h, n).rows == oracle.rows[:n], (seed, n)
+    assert oracle.rows[reach - 1]["h2"] <= sum(ce.values()), seed
 
 
 def _random_presentations(seed: int):
@@ -509,29 +650,36 @@ def _random_semidirect_products(seed: int):
     [*((h, 7) for h in _random_presentations(13)),
      *((h, 6) for seed in (16, 17) for h in _random_semidirect_products(seed))],
     ids=["A", "B", "D", "E", "F", "k2xk-16", "k3xk-16", "k2xk-17", "k3xk-17"])
-def test_certificate_matches_full_elimination_on_random_parameters(h, bound):
+def test_rows_match_full_elimination_on_random_parameters(h, bound):
     oracle = _eliminated_report(h, bound)
     top = max(lantern_of_hopf(h, max(h.algebra.degrees)).ce_h2_dims())
     reach = max(top, *h.algebra.degrees)
     assert reach < bound
     for n in range(1, bound + 1):
-        assert h2_report(h, n).rows == oracle.rows[:n], n
-        if n > reach:   # answered by the certificate itself, not its fallback
-            certified = _certified_report(h, n)
-            assert certified is not None, n
-            assert certified.rows == oracle.rows[:n], n
+        rep = h2_report(h, n)
+        assert rep.rows == oracle.rows[:n], n
+        assert rep.complete == (n > reach), n
+        if n > reach:   # past G', no CE class dies on these inputs
+            assert rep.matches_lantern, n
 
 
-def test_certificate_miss_falls_back_to_full_elimination(K, monkeypatch):
-    # one CE class too many: H^2(C_<=4) falls short of the prediction, so
-    # d2 is eliminated at the bound after all
+def _misprediction(monkeypatch, step):
+    """K, cold, with the lantern's top CE class count moved by ``step``."""
     predicted = GradedLie.ce_h2_dims
 
-    def inflated(self, grades=None):
+    def moved(self, grades=None):
         dims = predicted(self, grades)
         top = max(dims)
-        return {**dims, top: dims[top] + 1}
+        return {**dims, top: dims[top] + step}
 
+    monkeypatch.setattr(GradedLie, "ce_h2_dims", moved)
+    return catalog.make_K()
+
+
+def test_inflated_ce_prediction_takes_no_elimination_past_g_prime(
+        monkeypatch):
+    # one CE class too many: H^2(C_<=4) falls short of the prediction, and
+    # the rows past G' = 4 still read the two rank profiles of C_<=4
     shapes = []
     echelon = Matrix.row_echelon
 
@@ -539,13 +687,26 @@ def test_certificate_miss_falls_back_to_full_elimination(K, monkeypatch):
         shapes.append((self.rows, self.cols))
         return echelon(self)
 
-    monkeypatch.setattr(GradedLie, "ce_h2_dims", inflated)
+    h = _misprediction(monkeypatch, 1)
     monkeypatch.setattr(Matrix, "row_echelon", spy)
-    rep = h2_report(K, 6)
+    rep = h2_report(h, 6)
     monkeypatch.undo()
-    d2 = build_complex(K, 6).d2
-    assert (d2.rows, d2.cols) in shapes
-    assert rep.rows == _eliminated_report(K, 6).rows
+    low = build_complex(h, 4)
+    assert shapes[-2:] == [(low.d2.rows, low.d2.cols),
+                           (low.d1.rows, low.d1.cols)]
+    assert max(cols for _, cols in shapes) == low.d2.cols
+    assert rep.complete and not rep.matches_lantern
+    assert rep.rows == _eliminated_report(catalog.make_K(), 6).rows
+
+
+def test_deflated_ce_prediction_breaks_the_e1_bound(monkeypatch):
+    # one CE class too few: H^2(C_<=4) = 2 exceeds the CE sum, which the
+    # E_1 page forbids, so the report raises with both numbers
+    h = _misprediction(monkeypatch, -1)
+    with pytest.raises(RuntimeError,
+                       match=r"H\^2\(C_<=4\) = 2 exceeds the lantern's CE "
+                             r"sum 1"):
+        h2_report(h, 6)
 
 
 def test_is_coboundary_takes_one_elimination(A000, monkeypatch):
@@ -574,10 +735,10 @@ def test_is_coboundary_takes_one_elimination(A000, monkeypatch):
     (DELTA_W, False), ("A000", True), ("D01", True)],
     ids=[*(s.describe() for s in HOPF_CATALOG), DELTA_W, "A000-bidegree",
          "D01-bidegree"])
-def test_complete_means_the_certificate_answered(case, by_bidegree, request):
-    # `complete` and `matches_lantern` are read off the rows and the
-    # lantern, not off the path that answered, so the full elimination at
-    # the bound gives the same JSON
+def test_complete_means_past_g_prime(case, by_bidegree, request):
+    # `complete` is N > G' and `matches_lantern` is read off the rows and
+    # the lantern, so the full elimination at the bound gives the same
+    # JSON; past G' only a CE class that dies leaves the lantern unmatched
     if case == DELTA_W:
         h = HAND_BUILT[case]
         oracle = _eliminated_report(h, 8)
@@ -586,17 +747,18 @@ def test_complete_means_the_certificate_answered(case, by_bidegree, request):
         oracle = _eliminated_report(h, 8, by_bidegree)
     else:
         h, oracle = _oracle(case)
+    reach = _g_prime(h, _lantern_ce(h, by_bidegree))
     for bound in range(1, 9):
         rep = h2_report(h, bound, by_bidegree)
-        assert rep.complete == (
-            _certified_report(h, bound, by_bidegree) is not None), bound
-        assert rep.matches_lantern or not rep.complete, bound
+        assert rep.complete == (bound > reach), bound
+        assert rep.matches_lantern == (case != DELTA_W) or not rep.complete, \
+            bound
     assert rep.to_json() == oracle.to_json()
-    assert rep.complete == (case != DELTA_W)
+    assert rep.complete
 
 
 @pytest.mark.parametrize("by_bidegree", [False, True])
-def test_every_bound_reads_the_kept_certificate(by_bidegree, monkeypatch):
+def test_every_bound_reads_the_kept_counts(by_bidegree, monkeypatch):
     # the lantern's CE H^2 and the profiles of C_<=G' are eliminated once
     # per presentation; later bounds only count monomials
     h = make_A(0, 0, 0)
@@ -610,12 +772,56 @@ def test_every_bound_reads_the_kept_certificate(by_bidegree, monkeypatch):
     monkeypatch.setattr(Matrix, "row_echelon", spy)
     first = h2_report(h, 5, by_bidegree)
     assert first.complete and calls
+    assert not any(h2_report(h, n, by_bidegree).complete for n in (1, 2, 3))
     calls.clear()
     for bound in (6, 12, 30):
         rep = h2_report(h, bound, by_bidegree)
         assert rep.complete and rep.matches_lantern and rep.total_h2 == 2
         assert rep.lantern_ce_h2 == first.lantern_ce_h2
     assert calls == []
+
+
+def test_h2_report_refuses_a_non_coassociative_presentation():
+    # d^2 = 0 underlies every row, so no report is read off a complex
+    # where it fails
+    h = HopfPresentation(
+        OrePresentation([("X", 1), ("Y", 1), ("Z", 2), ("W", 3)]),
+        {"Z": [(1, {"X": 1}, {"Y": 1})], "W": [(1, {"X": 1}, {"Z": 1})]})
+    assert not build_complex(h, 3).verify_differential().passed
+    for bound in (1, 3, 6):
+        with pytest.raises(StructuralError,
+                           match=r"needs a Hopf algebra \(PBW basis, d\^2 = 0, "
+                                 r"Delta an algebra map\): coassociativity "
+                                 r"on W fails$"):
+            h2_report(h, bound)
+
+
+def _not_compatible():
+    """Coassociative, PBW-consistent, but Delta is no algebra map:
+    [Y,X] = Z for primitive X, Y while delta(Z) = A(x)B."""
+    return HopfPresentation(
+        OrePresentation([("A", 1), ("B", 1), ("X", 2), ("Y", 2), ("Z", 3)],
+                        {"Y,X": [(1, {"Z": 1})]}),
+        {"Z": [(1, {"A": 1}, {"B": 1})]})
+
+
+def test_e1_breach_on_a_presentation_that_is_no_hopf_algebra_is_refused(
+        monkeypatch):
+    # a breach of the E_1 bound reads the PBW and compatibility verdicts
+    # too, and names the failed row rather than a library defect
+    h = _not_compatible()
+    assert h.verify_coassociativity().passed
+    assert h.verify_pbw_consistency().passed
+    assert not h.verify_compatibility().passed
+    predicted = GradedLie.ce_h2_dims
+
+    def deflated(self, grades=None):
+        return {g: n - 1 for g, n in predicted(self, grades).items() if n > 1}
+
+    monkeypatch.setattr(GradedLie, "ce_h2_dims", deflated)
+    with pytest.raises(StructuralError,
+                       match=r"algebra map\): Delta respects \[Y,X\] fails$"):
+        h2_report(h, 6)
 
 
 def _reference_d2_column(h, pair):

@@ -170,20 +170,15 @@ def _contract_counit(h, t, slot):
 
 
 def _full_coproduct_coassociativity(h):
-    """Reference report: (Delta(x)id)Delta - (id(x)Delta)Delta and both
-    counit contractions of the full coproduct on every generator."""
-    report = VerificationReport("coassociativity and counit axioms")
+    """Reference report: (Delta(x)id)Delta - (id(x)Delta)Delta of the
+    full coproduct on every generator."""
+    report = VerificationReport("coassociativity")
     p = h.algebra
     for name in p.names:
-        g = p.gen(name)
-        t = h.coproduct(g)
+        t = h.coproduct(p.gen(name))
         diff = _expand_slot(h, t, 0) - _expand_slot(h, t, 1)
         report.add(f"coassociativity on {name}", diff.is_zero(),
                    witness=None if diff.is_zero() else diff)
-        want = TensorElement(p, 1, {(m,): c for m, c in g.terms.items()})
-        report.add(f"counit axiom on {name}",
-                   _contract_counit(h, t, 0) == want
-                   and _contract_counit(h, t, 1) == want)
     report.add(
         "generator check suffices", True, informational=True,
         detail="both sides of coassociativity are algebra maps, so "

@@ -10,7 +10,7 @@ from hopfalg.catalog import (build, list_catalog, make_cla_35, make_cla_a,
                              make_D, make_K, make_lie_preset)
 from hopfalg.cla import cla_transform, enveloping, lantern_of_cla
 from hopfalg.cli import main
-from hopfalg.cobar import _eliminated_report, h2_report
+from hopfalg.cobar import h2_report
 from hopfalg.errors import InputError, StructuralError
 from hopfalg.exactlin import Matrix
 from hopfalg.hopf import HopfPresentation
@@ -19,6 +19,7 @@ from hopfalg.ore import AlgebraElement, OrePresentation, bracket
 from hopfalg.structure import (associated_graded, coradical_filtration,
                                extract_cla, lantern_of_hopf, p2_space,
                                primitive_space)
+from test_cobar import _eliminated_report
 
 F = Fraction
 
