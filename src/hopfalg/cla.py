@@ -21,13 +21,13 @@ two checks agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import InputError, StructuralError
 from .exactlin import (Matrix, Scalar, add_scaled, add_term, coassociator,
-                       express_ranked, graded_h2, lead_coordinates, map_slot,
-                       pair_products, scalar)
+                       express, graded_h2, lead_pair_coordinates, map_slot,
+                       scalar)
 from .hopf import HopfPresentation
 from .ore import GeneratorInfo, OrePresentation, _is_int
 from .reports import AnswerStore, VerificationReport
@@ -297,6 +297,27 @@ def enveloping(L: CLA) -> HopfPresentation:
     return env
 
 
+def object_battery(obj, antipode_bound: int = 4) -> VerificationReport:
+    """The verification battery of a Hopf presentation (PBW consistency,
+    coassociativity, compatibility, the antipode up to ``antipode_bound``);
+    of a CLA, the ``verify_cla`` rows and, when they pass, those of U(L)."""
+    if isinstance(obj, HopfPresentation):
+        h, report = obj, VerificationReport("verification battery")
+    else:
+        report = verify_cla(obj)
+        if not report.passed:
+            return report
+        h = enveloping(obj)
+    for part in (h.verify_pbw_consistency(), h.verify_coassociativity(),
+                 h.verify_compatibility()):
+        report.extend(part)
+    antipode = h.verify_antipode(antipode_bound)
+    report.extend(antipode)
+    # the battery keeps no sub-report titles; this one carries the bound
+    report.add(antipode.title, antipode.passed, informational=True)
+    return report
+
+
 def _checked_envelope(L: CLA
                       ) -> tuple[VerificationReport, Optional[HopfPresentation]]:
     """The ``verify_cla`` report, and U(L) when the report passes (else None)."""
@@ -421,8 +442,8 @@ def lantern_of_cla(L: CLA) -> GradedLie:
     with delta(y_s) = sum C^s_{ab} k_a (x) k_b one gets
     [k_a*, k_b*] = sum_s 2 C^s_{ab} y_s*.  The factor 2 is fixed by the
     dual-basis pairing and is cross-checked against the presentation-level
-    lantern computation in the test-suite.  C^s is read at the leads of the
-    kept ker delta (``lead_coordinates``), with no elimination.
+    lantern computation in the test-suite.  C^s is read at the lead pairs
+    of the kept ker delta (``lead_pair_coordinates``), with no elimination.
     """
     if not L.is_anti_cocommutative():
         raise InputError("lantern of a CLA requires anti-cocommutativity")
@@ -441,18 +462,15 @@ def lantern_of_cla(L: CLA) -> GradedLie:
     names = [vec_name(v) for v in kernel] + [L.names[i] + "*" for i in complement]
     degrees = [1] * kdim + [2] * len(complement)
 
-    pairs = pair_products(kernel)
-    pair_leads = list(product(leads, repeat=2))
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
     for s, c_idx in enumerate(complement):
-        sol, rest = lead_coordinates(pairs, pair_leads,
-                                     L.delta_constants(c_idx))
+        sol, rest = lead_pair_coordinates(kernel, leads,
+                                          L.delta_constants(c_idx))
         if rest:
             raise StructuralError(
                 f"delta({L.names[c_idx]}) does not lie in "
                 "(ker delta)(x)(ker delta)")
-        for ab, coeff in sol.items():
-            a, b = divmod(ab, kdim)
+        for (a, b), coeff in sol.items():
             if a < b:
                 brackets.setdefault((a, b), {})[kdim + s] = 2 * coeff
     return GradedLie(names, degrees, brackets)
@@ -485,7 +503,7 @@ def cla_transform(L: CLA, m: Matrix) -> CLA:
             for b, cb in rows[j].items():
                 add_scaled(image, L.bracket_constants(a, b), ca * cb)
         images.append(image)
-    sols, rank = express_ranked(rows, images + [{a: 1} for a in range(n)])
+    sols, rank = express(rows, images + [{a: 1} for a in range(n)])
     if rank < n:
         raise InputError("base-change matrix is singular")
     new = [{(c,): v for c, v in x.items()} for x in sols[len(pairs):]]

@@ -27,7 +27,7 @@ import os
 import sys
 
 from .catalog import build, family_parameter_names, from_cli_params, list_catalog
-from .cla import CLA, enveloping, lantern_of_cla
+from .cla import CLA, enveloping, lantern_of_cla, object_battery
 from .cobar import h2_report, require_hopf_algebra
 from .errors import HopfAlgError, InputError
 from .hopf import HopfPresentation
@@ -88,9 +88,6 @@ def emit(args, human: str, payload: dict) -> None:
 
 
 def cmd_verify(args) -> int:
-    # the battery module is imported by the commands that run it, so that
-    # importing the CLI does not compile it
-    from .replicate import object_battery
     obj = resolve_object(args)
     report = object_battery(obj, antipode_bound=max_degree(args))
     emit(args, str(report), report.to_json())

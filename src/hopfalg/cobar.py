@@ -5,6 +5,9 @@ extends the reduced coproduct as a derivation with alternating signs:
 on rank 1, d(c) = delta(c); on rank 2, d(a(x)b) = delta(a)(x)b -
 a(x)delta(b).  Coassociativity makes d^2 = 0.  Since delta never raises
 weighted degree, the tuples of total degree <= n form a subcomplex C_<=n.
+``build_complex`` keeps the bases of ranks 1..3, d^1 with a column
+``_reduced_monomial(m)`` per monomial and d^2 with a ``coassociator``
+column per pair, each over the tuples its columns reach.
 
 ``h2_report`` gives the rank-2 dimensions of C_<=n for every n up to a
 bound N.  The Chevalley-Eilenberg cohomology of the lantern is the E_1
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError, StructuralError
-from .exactlin import Matrix, Scalar, coassociator, express_ranked, graded_h2
+from .exactlin import Matrix, coassociator, express, graded_h2
 from .hopf import HopfPresentation, TensorElement
 from .ore import AlgebraElement
 from .reports import VerificationReport
@@ -36,34 +39,14 @@ from .structure import lantern_of_hopf
 
 @dataclass
 class CobarComplex:
-    presentation: HopfPresentation
-    bound: int
-    bases: dict[int, list[tuple]]          # rank -> ordered tuple basis
-    coords: dict[int, dict[tuple, int]]    # rank -> tuple -> column index
-    d1: Matrix                             # rank 1 -> rank 2
-    d2: Matrix                             # rank 2 -> rank 3
-
-    def tuple_degree(self, t: tuple) -> int:
-        return _tuple_degree(self.presentation.algebra, t)
-
-    def differential_one(self, t: tuple) -> dict[tuple, Scalar]:
-        return self.presentation._reduced_monomial(t[0])
-
-    def differential_two(self, t: tuple) -> dict[tuple, Scalar]:
-        return coassociator({t: 1}, self.presentation._reduced_monomial)
-
-    def verify_differential(self) -> VerificationReport:
-        """d^2 = 0, composed symbolically on every rank-1 basis element."""
-        report = VerificationReport("cobar differential squares to zero")
-        d1 = self.presentation._reduced_monomial
-        witness = next((m for (m,) in self.bases[1]
-                        if coassociator(d1(m), d1)), None)
-        report.add("d2 after d1 vanishes", witness is None, witness=witness)
-        return report
+    bases: dict[int, list[tuple]]  # rank -> tuple basis, by degree
+    d1: Matrix  # columns: d^1 of bases[1]; rows: the pairs they reach
+    d2: Matrix  # columns: d^2 of bases[2]; rows: the triples they reach
 
 
 def build_complex(h: HopfPresentation, bound: int) -> CobarComplex:
-    """Bases and differential matrices for ranks 1..3, total degree <= bound."""
+    """Bases for ranks 1..3, total degree <= bound, and the matrices of d^1
+    and d^2 on the bases of ranks 1 and 2."""
     if bound < 1:
         raise InputError("cobar bound must be >= 1")
     alg = h.algebra
@@ -75,7 +58,6 @@ def build_complex(h: HopfPresentation, bound: int) -> CobarComplex:
     def tuple_key(t):
         return (sum(degree[m] for m in t), tuple(key[m] for m in t))
 
-    bases: dict[int, list[tuple]] = {1: [(m,) for m in monos]}
     pairs = []
     triples = []
     for a in monos:
@@ -90,19 +72,13 @@ def build_complex(h: HopfPresentation, bound: int) -> CobarComplex:
                     triples.append((a, b, c))
     pairs.sort(key=tuple_key)
     triples.sort(key=tuple_key)
-    bases[2] = pairs
-    bases[3] = triples
-    coords = {r: {t: i for i, t in enumerate(basis)}
-              for r, basis in bases.items()}
-
-    d1_cols = [{coords[2][t]: c for t, c in h._reduced_monomial(m).items()}
-               for m in monos]
-    d2_cols = [{coords[3][t]: c for t, c in
-                coassociator({pair: 1}, h._reduced_monomial).items()}
-               for pair in bases[2]]
-    return CobarComplex(h, bound, bases, coords,
-                        Matrix.from_columns(d1_cols, max(len(bases[2]), 1)),
-                        Matrix.from_columns(d2_cols, max(len(bases[3]), 1)))
+    # the reduced echelon form depends on the row space alone, so the row
+    # numbers from_keyed_columns gives the reached tuples move no pivot
+    d1 = Matrix.from_keyed_columns([h._reduced_monomial(m) for m in monos])
+    d2 = Matrix.from_keyed_columns(
+        [coassociator({pair: 1}, h._reduced_monomial) for pair in pairs])
+    return CobarComplex({1: [(m,) for m in monos], 2: pairs, 3: triples},
+                        d1, d2)
 
 
 @dataclass
@@ -143,13 +119,14 @@ class CobarReport:
 
     @property
     def matches_lantern(self) -> bool:
-        """Whether H^2 is the lantern's CE prediction: per bidegree in
-        bidegree mode, in total in total mode (the levels up to G' may
-        fall short of the running CE sum)."""
+        """Whether H^2 is the lantern's CE prediction for the CE classes of
+        total degree <= N: per bidegree in bidegree mode, in total in total
+        mode.  It is False exactly where a class of degree <= N dies."""
+        ce = {g: n for g, n in self.lantern_ce_h2.items()
+              if _total_degree(g) <= self.bound}
         if self.mode == "bidegree":
-            return {r["bidegree"]: r["h2"] for r in self.rows
-                    if r["h2"]} == self.lantern_ce_h2
-        return self.total_h2 == sum(self.lantern_ce_h2.values())
+            return {r["bidegree"]: r["h2"] for r in self.rows if r["h2"]} == ce
+        return self.total_h2 == sum(ce.values())
 
     def to_json(self) -> dict:
         grade = "bidegree" if self.mode == "bidegree" else "degree"
@@ -388,7 +365,7 @@ def is_coboundary(h: HopfPresentation, w: TensorElement,
     monos = h.algebra.monomials_up_to(
         min(bound, max(level, h.complete_bound(1))))
     cols = [h._reduced_monomial(m) for m in monos]
-    (sol,), rank = express_ranked(cols, [w.terms])
+    (sol,), rank = express(cols, [w.terms])
     if sol is None:
         # w is outside the image of d^1, so appending it raises the rank
         return CoboundaryResult(False, None, rank, rank + 1)

@@ -27,8 +27,12 @@ is a pivot of [A | t] mod P, because
 rank_Q[A | t] >= rank_P[A | t] = rank_P(A) + 1 = rank_Q(A) + 1.
 Whenever a denominator vanishes mod P, a reconstruction fails or a
 product is nonzero, the exact elimination ``_fraction_rref`` answers
-instead, and a matrix with no entries takes no elimination.  Cobar and
-Chevalley-Eilenberg H^2 are counted per grade by ``graded_h2``.
+instead, and a matrix with no entries takes no elimination.  Each matrix
+the library eliminates is built by ``from_keyed_columns``; ``express`` is
+the one solver, ``graded_h2`` counts cobar and Chevalley-Eilenberg H^2
+per grade, and coordinates over a kept reduced basis or its pair products
+are read at the leads with no elimination (``lead_coordinates``,
+``lead_pair_coordinates``).
 """
 
 from __future__ import annotations
@@ -199,15 +203,6 @@ class Matrix:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
                 m[i, j] = scalar(v)
-        return m
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[dict[int, Scalar]], rows: int) -> "Matrix":
-        """Build from sparse columns (dicts row -> scalar, each row below
-        ``rows``)."""
-        m = cls(rows, len(columns))
-        m.entries = {(i, j): v for j, col in enumerate(columns)
-                     for i, v in col.items() if v}
         return m
 
     @classmethod
@@ -383,14 +378,14 @@ class Matrix:
         if len(rhs) != self.rows:
             raise ValueError("dimension mismatch")
         target = {i: scalar(v) for i, v in enumerate(rhs) if v}
-        return express(self.columns(), [target])[0]
+        return express(self.columns(), [target])[0][0]
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("not square")
         n = self.rows
-        cols = express(self.columns(), [{i: 1} for i in range(n)])
-        if None in cols:
+        cols, rank = express(self.columns(), [{i: 1} for i in range(n)])
+        if rank < n:
             raise ValueError("matrix is singular")
         inv = Matrix(n, n)
         inv.entries = {(i, j): v for j, col in enumerate(cols)
@@ -483,8 +478,9 @@ def _reconstruct(x: int) -> Optional[Scalar]:
 
 
 def express(basis: Sequence[Mapping], targets: Sequence[Mapping]
-            ) -> list[Optional[dict[int, Scalar]]]:
-    """Coordinates of each target over the basis vectors.
+            ) -> tuple[list[Optional[dict[int, Scalar]]], int]:
+    """Coordinates of each target over the basis vectors, and the
+    dimension of span(basis), from one elimination.
 
     Vectors are sparse dicts over any hashable keys.  Returns per target
     the nonzero coordinates {basis index: coefficient}, or None when the
@@ -492,12 +488,6 @@ def express(basis: Sequence[Mapping], targets: Sequence[Mapping]
     the non-pivot ones get no coefficient.  Each target is judged against
     span(basis) alone, never against earlier targets.
     """
-    return express_ranked(basis, targets)[0]
-
-
-def express_ranked(basis: Sequence[Mapping], targets: Sequence[Mapping]
-                   ) -> tuple[list[Optional[dict[int, Scalar]]], int]:
-    """`express`, and the dimension of span(basis), from one elimination."""
     n = len(basis)
     m = Matrix.from_keyed_columns(list(basis) + list(targets))
     reduced, pivots = m.row_echelon()
@@ -526,24 +516,38 @@ def graded_h2(d1: Matrix, grades1: Sequence, d2: Matrix, grades2: Sequence
     return cocycles, Counter(grades1[p] for p in d1.rank_profile())
 
 
-def pair_products(basis: Sequence[Mapping]) -> list[dict]:
-    """The columns basis[a] (x) basis[b], a-major, as sparse vectors over
-    pairs of keys."""
-    return [{(k, l): c * d for k, c in u.items() for l, d in v.items()}
-            for u in basis for v in basis]
-
-
 def lead_coordinates(basis: Sequence[Mapping], leads: Sequence[Hashable],
                      target: Mapping) -> tuple[dict[int, Scalar], dict]:
     """Coordinates of target over a reduced basis, read at its leads, and
     what is left of target after subtracting them; no elimination.
 
     basis[i] reads 1 at leads[i] and 0 at every other lead (a
-    ``kernel_basis``, or its ``pair_products`` at the lead pairs), so
-    target lies in the span exactly when the remainder is empty.
+    ``kernel_basis``), so target lies in the span exactly when the
+    remainder is empty.
     """
-    coords = {i: c for i, lead in enumerate(leads) if (c := target.get(lead))}
+    coeffs = {i: c for i, lead in enumerate(leads) if (c := target.get(lead))}
     remainder = dict(target)
-    for i, c in coords.items():
+    for i, c in coeffs.items():
         add_scaled(remainder, basis[i], -c)
-    return coords, remainder
+    return coeffs, remainder
+
+
+def lead_pair_coordinates(basis: Sequence[Mapping], leads: Sequence[Hashable],
+                          target: Mapping
+                          ) -> tuple[dict[tuple[int, int], Scalar], dict]:
+    """Coordinates of target over the products basis[a] (x) basis[b],
+    keyed (a, b) in increasing order and read at the lead pairs, and what
+    is left of target after subtracting them; no elimination.
+
+    With basis as in ``lead_coordinates``, basis[a] (x) basis[b] reads 1
+    at (leads[a], leads[b]) and 0 at every other lead pair, so target lies
+    in the span exactly when the remainder is empty.  A pair product is
+    formed only for a nonzero coordinate.
+    """
+    coeffs = {(a, b): c for a, k in enumerate(leads)
+              for b, l in enumerate(leads) if (c := target.get((k, l)))}
+    remainder = dict(target)
+    for (a, b), c in coeffs.items():
+        add_scaled(remainder, {(k, l): x * y for k, x in basis[a].items()
+                               for l, y in basis[b].items()}, -c)
+    return coeffs, remainder

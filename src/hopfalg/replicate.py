@@ -22,13 +22,12 @@ from fractions import Fraction
 
 from .catalog import (FamilySpec, build, list_catalog, make_cla_35,
                       make_cla_a, make_lie)
-from .cla import cla_transform, enveloping, lantern_of_cla, verify_cla
+from .cla import cla_transform, enveloping, lantern_of_cla, object_battery
 from .cobar import h2_report
 from .errors import HopfAlgError
 from .exactlin import Matrix, quotient
 from .hopf import HopfPresentation
 from .ledger import cocycle_commutators, primitive_products, w_brackets
-from .reports import VerificationReport
 from .structure import extract_cla, lantern_of_hopf, p2_space, primitive_space
 
 F = Fraction
@@ -46,30 +45,6 @@ class CriterionResult:
         mark = "PASS" if self.passed else "FAIL"
         return (f"[{mark}] criterion {self.number}: {self.title} "
                 f"({self.seconds:.1f}s){'' if self.passed else ' -- ' + self.detail}")
-
-
-def hopf_battery(h: HopfPresentation, antipode_bound: int = 4) -> VerificationReport:
-    """The standard verification battery for a Hopf presentation."""
-    report = VerificationReport("verification battery")
-    report.extend(h.verify_pbw_consistency())
-    report.extend(h.verify_coassociativity())
-    report.extend(h.verify_compatibility())
-    antipode = h.verify_antipode(antipode_bound)
-    report.extend(antipode)
-    # the battery keeps no sub-report titles; this one carries the bound
-    report.add(antipode.title, antipode.passed, informational=True)
-    return report
-
-
-def object_battery(obj, antipode_bound: int = 4) -> VerificationReport:
-    """Battery appropriate to the object kind: of a Hopf presentation, or
-    the CLA axioms and then the battery on U(L) when they pass."""
-    if isinstance(obj, HopfPresentation):
-        return hopf_battery(obj, antipode_bound)
-    report = verify_cla(obj)
-    if report.passed:
-        report.extend(hopf_battery(enveloping(obj), antipode_bound))
-    return report
 
 
 # -- the walk -------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .cla import CLA, GradedLie
 from .errors import InputError, StructuralError
 from .exactlin import (Matrix, Scalar, add_scaled, lead_coordinates,
-                       pair_products)
+                       lead_pair_coordinates)
 from .hopf import HopfPresentation
 from .jsonio import element_to_terms
 from .ore import AlgebraElement, Monomial, OrePresentation, bracket
@@ -111,12 +111,12 @@ def _coradical_kernel(h: HopfPresentation, monos: list[Monomial], columns,
     ``columns`` are the reduced coproducts of monos (extra rows may put
     conditions on a alone).  factors (x) factors is reduced at the lead
     pairs of the kept basis factors, so delta(a) lies in it exactly when
-    ``lead_coordinates`` leaves no remainder; that remainder is linear in
-    a, so the canonical basis is the kernel of the columns' remainders.
+    ``lead_pair_coordinates`` leaves no remainder; that remainder is
+    linear in a, so the canonical basis is the kernel of the columns'
+    remainders.
     """
-    pairs = pair_products([f.terms for f in factors])
-    leads = list(itertools.product(_leads(factors), repeat=2))
-    rests = [lead_coordinates(pairs, leads, col)[1] for col in columns]
+    terms, leads = [f.terms for f in factors], _leads(factors)
+    rests = [lead_pair_coordinates(terms, leads, col)[1] for col in columns]
     kernel = Matrix.from_keyed_columns(rests).kernel_basis()
     return [AlgebraElement(h.algebra, {monos[i]: c for i, c in vec.items()})
             for vec in kernel]
@@ -177,8 +177,9 @@ def extract_cla(h: HopfPresentation, d: int) -> CLA:
     The basis is the kept canonical p2 basis; bracket constants are the
     coordinates of commutators of basis elements, coproduct constants
     those of reduced coproducts over basis (x) basis, each read at the
-    leads (``lead_coordinates``) with no elimination.  Fails when the
-    space is not closed or not stable between bounds d-1 and d.
+    leads (``lead_coordinates``, ``lead_pair_coordinates``) with no
+    elimination.  Fails when the space is not closed or not stable
+    between bounds d-1 and d.
     """
     if d < 2:
         raise InputError("degree bound must be >= 2")
@@ -199,11 +200,10 @@ def extract_cla(h: HopfPresentation, d: int) -> CLA:
                 continue
         names.append(f"p{i + 1}")
 
-    nb = len(basis)
     basis_terms = [b.terms for b in basis]
     leads = _leads(basis)
     brackets = {}
-    for i, j in itertools.combinations(range(nb), 2):
+    for i, j in itertools.combinations(range(len(basis)), 2):
         terms, rest = lead_coordinates(basis_terms, leads,
                                        bracket(basis[i], basis[j]).terms)
         if rest:
@@ -212,17 +212,15 @@ def extract_cla(h: HopfPresentation, d: int) -> CLA:
         if terms:
             brackets[(i, j)] = terms
 
-    pairs = pair_products(basis_terms)
-    pair_leads = list(itertools.product(leads, repeat=2))
     delta = {}
     for i, b in enumerate(basis):
-        terms, rest = lead_coordinates(pairs, pair_leads,
-                                       h.reduced_coproduct(b).terms)
+        terms, rest = lead_pair_coordinates(basis_terms, leads,
+                                            h.reduced_coproduct(b).terms)
         if rest:
             raise StructuralError(
                 f"delta({names[i]}) does not lie in P2 (x) P2")
         if terms:
-            delta[i] = {divmod(ab, nb): c for ab, c in terms.items()}
+            delta[i] = terms
     return CLA(names, brackets, delta)
 
 

@@ -8,10 +8,9 @@ from hopfalg.catalog import (FamilySpec, build, family_parameter_names,
                              make_D, make_E, make_F, make_cla_35,
                              make_cla_a, make_cla_b, make_lie,
                              make_lie_preset)
-from hopfalg.cla import CLA, verify_cla
+from hopfalg.cla import CLA, object_battery, verify_cla
 from hopfalg.errors import InputError, ParameterError
 from hopfalg.hopf import HopfPresentation
-from hopfalg.replicate import object_battery
 
 F = Fraction
 

@@ -5,18 +5,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfalg.catalog import (list_catalog, build, make_cla_35, make_cla_a,
-                             make_cla_b, make_lie)
+from hopfalg.catalog import (list_catalog, build, family_parameter_names,
+                             make_cla_35, make_cla_a, make_cla_b, make_lie)
+from hopfalg.cobar import _g_prime, _lantern_ce, h2_report
 from hopfalg.cla import (CLA, GradedLie, _envelope, cla_transform, conilpotency_index,
-                         enveloping, kernel_delta, lantern_of_cla, verify_cla)
+                         enveloping, kernel_delta, lantern_of_cla,
+                         object_battery, verify_cla)
 from hopfalg.errors import InputError, StructuralError
-from hopfalg.exactlin import (Matrix, add_scaled, express, map_slot,
-                              pair_products)
+from hopfalg.exactlin import Matrix, add_scaled, express, map_slot
 from hopfalg.hopf import HopfPresentation, TensorElement, tensor_of
 from hopfalg.jsonio import cla_to_json
 from hopfalg.ore import AlgebraElement, bracket
-from hopfalg.replicate import object_battery
-from hopfalg.structure import lantern_of_hopf
+from hopfalg.structure import (coradical_filtration, lantern_of_hopf,
+                               p2_space, primitive_space)
+
+from test_cobar import _d2_after_d1, _eliminated_report
+from test_complete_bounds import _direct
+from test_hopf import _same_as_loop
 
 F = Fraction
 
@@ -293,8 +298,10 @@ def _transform_by_pair_elimination(L, m):
         deltas.append({})
         for j, c in row.items():
             add_scaled(deltas[-1], L.delta_constants(j), c)
-    coords = express(pair_products(rows), deltas)
-    return CLA(L.names, dict(zip(pairs, express(rows, images))),
+    products = [{(k, l): c * d for k, c in u.items() for l, d in v.items()}
+                for u in rows for v in rows]
+    coords, _ = express(products, deltas)
+    return CLA(L.names, dict(zip(pairs, express(rows, images)[0])),
                {i: {divmod(ab, n): c for ab, c in sol.items()}
                 for i, sol in enumerate(coords)})
 
@@ -667,3 +674,56 @@ def test_jacobi_on_every_triple_matches_the_degree_filtered_check():
         assert (row.name, row.passed, row.witness) == (
             "Jacobi identity", want is None, want)
     assert broken.jacobi_witness() == ("a", "b", "c")
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _valid_clas(draw):
+    """A random valid point of cla_a, cla_b or cla35a..cla35h: variant g
+    with b = c = 0 and h with a = 0, the members that satisfy Jacobi
+    (``make_cla_35``), and (a, b) in the domain of variants a, e and g."""
+    tag = draw(st.sampled_from(["cla_a", "cla_b",
+                                *(f"cla35{v}" for v in "abcdefgh")]))
+    names = family_parameter_names(tag)
+    params = dict(zip(names, draw(st.lists(_small, min_size=len(names),
+                                           max_size=len(names)))))
+    if tag == "cla_a":
+        return make_cla_a(**params)
+    if tag == "cla_b":
+        return make_cla_b(**params)
+    variant = tag[-1]
+    if variant in "aeg":
+        params["a"], params["b"] = draw(st.sampled_from(
+            [(0, 0), (0, 1), (1, 0), (1, 1)]))
+    if variant == "g":
+        params["b"] = params["c"] = 0
+    if variant == "h":
+        params["a"] = 0
+        params["lam"] = draw(_small.filter(lambda lam: lam not in (0, -1)))
+    return make_cla_35(variant, **params)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(_valid_clas())
+def test_random_clas_agree_with_every_oracle(L):
+    # U(L) passes the battery, with the antipode certificate equal to the
+    # degree loop; d^2 d^1 = 0 and H^2 <= the CE sum on C_<=G'; the report
+    # rows are one elimination's to G' + 2; and P, P2 and C_3 at their
+    # complete bounds are a direct kernel two degrees higher
+    assert object_battery(L, antipode_bound=5).passed
+    h = enveloping(L)
+    assert _same_as_loop(h, 5).passed
+    ce = _lantern_ce(h, False)
+    reach = _g_prime(h, ce)
+    assert _d2_after_d1(h, reach) is None
+    oracle = _eliminated_report(h, reach + 2)
+    assert oracle.rows[reach - 1]["h2"] <= sum(ce.values())
+    for n in range(1, reach + 3):
+        assert h2_report(h, n).rows == oracle.rows[:n], n
+    g = h.complete_bound(1)
+    assert primitive_space(h, g).basis == _direct(h, g + 2, 1, False)[0]
+    assert p2_space(h, 2 * g).basis == _direct(h, 2 * g + 2, 1, True)[-1]
+    assert (coradical_filtration(h, 3, 3 * g).basis[1:]
+            == _direct(h, 3 * g + 2, 3, False)[2])

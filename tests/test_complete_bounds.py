@@ -19,7 +19,7 @@ from hopfalg.catalog import (build, list_catalog, make_cla_a, make_cla_b,
                              make_K, make_lie)
 from hopfalg.cla import CLA, enveloping
 from hopfalg.cli import main
-from hopfalg.exactlin import Matrix, add_scaled, pair_products
+from hopfalg.exactlin import Matrix, add_scaled
 from hopfalg.hopf import HopfPresentation
 from hopfalg.ore import AlgebraElement, OrePresentation
 from hopfalg.structure import coradical_filtration, p2_space, primitive_space
@@ -49,7 +49,8 @@ def _mu_kernel(h, monos, columns, factors):
     kernel of [f (x) g for f, g in factors | columns] has, per monomial
     free column, a vector whose monomial coordinates are a basis vector;
     the rest relate factor pairs."""
-    pairs = pair_products([f.terms for f in factors])
+    pairs = [{(k, l): c * d for k, c in f.terms.items()
+              for l, d in g.terms.items()} for f in factors for g in factors]
     k = len(pairs)
     kernel = Matrix.from_keyed_columns(pairs + columns).kernel_basis()
     return [AlgebraElement(h.algebra, {monos[i - k]: c for i, c in vec.items()

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 from unittest import mock
@@ -12,8 +11,8 @@ from hopfalg.cla import (CLA, cla_transform, enveloping, kernel_delta,
                          verify_cla)
 from hopfalg.errors import InputError
 from hopfalg.exactlin import (P, Matrix, add_scaled, add_term, express,
-                              express_ranked, format_scalar, lead_coordinates,
-                              map_slot, pair_products, scalar)
+                              format_scalar, lead_coordinates,
+                              lead_pair_coordinates, map_slot, scalar)
 from hopfalg.structure import coradical_filtration, p2_space, primitive_space
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
@@ -152,24 +151,30 @@ small_vectors = st.dictionaries(
 
 
 def _solve_one(basis, target):
-    """Per-target oracles over sorted keys: Matrix.solve, and membership by
-    comparing the rank of the basis with and without the target."""
+    """Per-target oracles over sorted keys: Matrix.solve, membership by
+    comparing the rank of the basis with and without the target, and the
+    rank of the basis."""
     keys = sorted({k for v in basis for k in v} | set(target)) or ["p"]
     rows = {k: i for i, k in enumerate(keys)}
-    cols = [{rows[k]: c for k, c in v.items()} for v in basis]
-    m = Matrix.from_columns(cols, len(keys))
-    grown = Matrix.from_columns(cols + [{rows[k]: c for k, c in target.items()}],
-                                len(keys))
+
+    def matrix(columns):
+        return Matrix(len(keys), len(columns), {
+            (rows[k], j): c for j, v in enumerate(columns)
+            for k, c in v.items()})
+    m = matrix(basis)
+    grown = matrix(basis + [target])
     inside = grown.rank() == m.rank()
-    return m.solve([target.get(k, Fraction(0)) for k in keys]), inside
+    return (m.solve([target.get(k, Fraction(0)) for k in keys]), inside,
+            m.rank())
 
 
 @given(st.lists(small_vectors, max_size=4), st.lists(small_vectors, max_size=3))
 def test_express_agrees_with_per_target_solve(basis, targets):
-    got = express(basis, targets)
+    got, rank = express(basis, targets)
     assert len(got) == len(targets)
     for target, coords in zip(targets, got):
-        want, inside = _solve_one(basis, target)
+        want, inside, basis_rank = _solve_one(basis, target)
+        assert rank == basis_rank
         assert (coords is None) == (want is None) == (not inside)
         if coords is not None:
             assert coords == want
@@ -184,7 +189,7 @@ def test_express_judges_each_target_against_the_basis_alone():
     basis = [{"x": p}]
     # the second target lies in span(basis, first target), not in span(basis)
     got = express(basis, [{"y": p}, {"x": p, "y": q}, {"x": q}])
-    assert got == [None, None, {0: q}]
+    assert got == ([None, None, {0: q}], 1)
 
 
 @pytest.fixture(scope="module")
@@ -242,19 +247,26 @@ def _targets(rng, columns, keys):
     return [{}, combo, off, {"nowhere": 1}]
 
 
+def _pair_products(basis):
+    """Oracle: basis[a] (x) basis[b] over pairs of keys, keyed (a, b)."""
+    return {(a, b): {(k, l): c * d for k, c in u.items() for l, d in v.items()}
+            for a, u in enumerate(basis) for b, v in enumerate(basis)}
+
+
 def test_kept_bases_are_reduced_at_increasing_leads(kept_bases):
-    # the invariant lead_coordinates relies on: 1 at its own lead and 0 at
+    # the invariant the lead readers rely on: 1 at its own lead and 0 at
     # every other lead, for every kept basis and its pair products
     assert sum(len(vec) > 1 for _, basis, _, _ in kept_bases
                for vec in basis) > 20
     for name, basis, leads, order in kept_bases:
         assert leads == sorted(leads, key=order), name
-        pairs = pair_products(basis)
-        pair_leads = list(itertools.product(leads, repeat=2))
-        for vectors, at in ((basis, leads), (pairs, pair_leads)):
-            assert len(set(at)) == len(at) == len(vectors), name
-            for i, vec in enumerate(vectors):
-                assert {l: vec[l] for l in at if l in vec} == {at[i]: 1}, name
+        assert len(set(leads)) == len(leads) == len(basis), name
+        for i, vec in enumerate(basis):
+            assert {l: vec[l] for l in leads if l in vec} == {leads[i]: 1}, name
+        for (a, b), vec in _pair_products(basis).items():
+            assert {(k, l): c for (k, l), c in vec.items()
+                    if k in leads and l in leads} == {
+                        (leads[a], leads[b]): 1}, name
 
 
 def test_lead_coordinates_agree_with_express_on_kept_bases(kept_bases):
@@ -263,23 +275,28 @@ def test_lead_coordinates_agree_with_express_on_kept_bases(kept_bases):
     rng = random.Random(24)
     seen = {"inside": 0, "outside": 0}
     for name, basis, leads, _ in kept_bases:
-        pairs = pair_products(basis)
-        pair_leads = list(itertools.product(leads, repeat=2))
-        for vectors, at in ((basis, leads), (pairs, pair_leads)):
+        pairs = _pair_products(basis)
+        pair_leads = [(k, l) for k in leads for l in leads]
+        for vectors, at, read, keyed in (
+                (basis, leads, lead_coordinates, range(len(basis))),
+                (list(pairs.values()), pair_leads, lead_pair_coordinates,
+                 list(pairs))):
             keys = sorted({k for vec in vectors for k in vec}, key=repr)
             targets = _targets(rng, vectors, keys)
-            for target, want in zip(targets, express(vectors, targets)):
-                coords, rest = lead_coordinates(vectors, at, target)
-                assert (None if rest else coords) == want, name
+            for target, want in zip(targets, express(vectors, targets)[0]):
+                coords, rest = read(basis, leads, target)
+                assert (None if rest else coords) == (None if want is None else
+                    {keyed[i]: c for i, c in want.items()}), name
+                assert list(coords) == sorted(coords), name
                 assert not any(l in rest for l in at), name
                 seen["outside" if rest else "inside"] += 1
     assert all(seen.values())
 
 
 def test_express_edge_cases():
-    assert express([], [{}, {"x": Fraction(1)}]) == [{}, None]
-    assert express([{"x": Fraction(1)}, {"x": Fraction(2)}], [{}]) == [{}]
-    assert express([{"x": Fraction(1)}], []) == []
+    assert express([], [{}, {"x": Fraction(1)}]) == ([{}, None], 0)
+    assert express([{"x": Fraction(1)}, {"x": Fraction(2)}], [{}]) == ([{}], 1)
+    assert express([{"x": Fraction(1)}], []) == ([], 1)
 
 
 def _sparse_matrix(rows, cols, entries):
@@ -432,7 +449,7 @@ def test_integral_rref_entries_and_coordinates_are_ints():
     assert all(type(v) is int for row in reduced for v in row.values())
     (vec,) = m.kernel_basis()
     assert vec == {0: -2, 1: 1} and all(type(v) is int for v in vec.values())
-    (coords,) = express(m.columns()[:1] + m.columns()[2:], [{0: 4, 1: 9}])
+    (coords,), _ = express(m.columns()[:1] + m.columns()[2:], [{0: 4, 1: 9}])
     assert coords == {0: 1, 1: 1} and all(
         type(v) is int for v in coords.values())
 
@@ -463,7 +480,7 @@ def test_solvers_answer_in_sparse_vectors(rows, cols, data):
     columns = m.columns()
     extra = _sparse_matrix(rows, 2, data.draw(_entries(rows, 2, values, 4)))
     targets = [add_scaled(dict(columns[0]), columns[-1])] + extra.columns()
-    coords, rank = express_ranked(columns, targets)
+    coords, rank = express(columns, targets)
     assert rank == len(pivots) and coords[0] is not None
     for vec in coords:
         if vec is not None:

@@ -12,13 +12,12 @@ from hypothesis import assume, given, settings, strategies as st
 from hopfalg.catalog import (build, list_catalog, make_B, make_cla_a,
                              make_cla_b, make_D, make_E, make_F, make_K,
                              make_lie, make_lie_preset)
-from hopfalg.cla import enveloping
+from hopfalg.cla import enveloping, object_battery
 from hopfalg.errors import InputError, ParameterError, StructuralError
 from hopfalg.exactlin import add_scaled, add_term, map_slot
 from hopfalg.hopf import HopfPresentation, TensorElement, tensor_of
 from hopfalg.ore import (AlgebraElement, GeneratorInfo, OrePresentation,
                           bracket)
-from hopfalg.replicate import object_battery
 from hopfalg.reports import VerificationReport
 from test_cobar import _within
 

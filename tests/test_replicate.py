@@ -222,10 +222,12 @@ def test_a_criterion_alone_builds_only_the_entries_it_reads(
 
 
 def test_cobar_criterion_checks_the_lantern_prediction(monkeypatch):
+    # a planted CE class of degree 4, within the bounds 5 and 6 that the
+    # criterion reads, which no report reaches
     ce_h2_dims = GradedLie.ce_h2_dims
     monkeypatch.setattr(GradedLie, "ce_h2_dims",
                         lambda self, grades=None: {**ce_h2_dims(self, grades),
-                                                   99: 1})
+                                                   4: 1})
     result = replicate.criterion_cobar_cohomology()
     failures = result.detail.split("; ")
     assert not result.passed

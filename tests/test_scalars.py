@@ -63,7 +63,7 @@ def _walk_linear_algebra(h: HopfPresentation, cx, where):
         _assert_scalars(row.values(), f"{where}: d2 RREF")
     # some d1 columns over all of them, and a target outside them
     columns = cx.d1.columns()
-    for coords in express(columns, columns[:8] + [{0: 1}]):
+    for coords in express(columns, columns[:8] + [{0: 1}])[0]:
         if coords is not None:
             _assert_scalars(coords.values(), f"{where}: express")
     try:
