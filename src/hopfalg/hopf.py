@@ -274,11 +274,12 @@ class HopfPresentation(AnswerStore):
     def complete_bound(self, level: int) -> int:
         """A degree from which C_level, the level-th piece of the coradical
         filtration, lies in the degree <= d truncation, g the top generator
-        degree: g for P = C_1, 2g for C_2 and the anti-cocommutative P2
-        inside it, level * g for a higher level once the kept
-        ``verify_coassociativity`` report passes, and 2^(level-1) g
-        otherwise; 0 for C_0 = k1.  So C_level and P2 computed at any d >=
-        this degree are the same space, with the same canonical basis.
+        degree: g for P = C_1, 2g for C_2, level * g for a higher level
+        once the kept ``verify_coassociativity`` report passes, and
+        2^(level-1) g otherwise; 0 for C_0 = k1.  So C_level computed at
+        any d >= this degree is the same space, with the same canonical
+        basis.  The anti-cocommutative P2 inside C_2 lies in degrees <= g
+        by the P argument below (``structure.p2_space``).
 
         Top parts: every commutator drops degree and every factor of
         delta(x_i) is unit-free of lower degree, so gr H is the polynomial

@@ -130,12 +130,22 @@ def _leads(basis: list[AlgebraElement]) -> list[Monomial]:
 def p2_space(h: HopfPresentation, d: int) -> FilteredSubspace:
     """Basis of {a : deg a <= d, delta(a) skew-symmetric and in P(x)P}.
 
-    P2 lies in C_2, so it is taken at min(d, ``complete_bound(2)``) and
-    kept on h; P is the kept ``primitive_space`` basis.
+    P2 lies in degrees <= g = ``complete_bound(1)``, the top generator
+    degree, so it is taken at min(d, g) and kept on h; P is the kept
+    ``primitive_space`` basis.  Let a lie in P2, e = deg a >= 1.  delta(a)
+    is skew, so its degree-e part delta_gr(a_top) is skew too (see
+    ``complete_bound``).  Let k0 be the lowest letter count in a_top: the
+    count-k0 part of delta_gr(a_top) is the shuffle coproduct of a_top's
+    count-k0 part, as for P.  The shuffle coproduct of a polynomial
+    algebra is symmetric, and a symmetric skew tensor is 0 in
+    characteristic 0, so that part is linear in the generators: a_top
+    has a generator of degree e, and e <= g.  Only the degree drop, the
+    unit-free delta(x_g) and Delta extended as an algebra map are used,
+    so this holds with no PBW, coassociativity or compatibility verdict.
     """
     if d < 1:
         raise InputError("degree bound must be >= 1")
-    bound = h.complete_bound(2)
+    bound = h.complete_bound(1)
     top = min(d, bound)
 
     def compute():
@@ -178,17 +188,19 @@ def extract_cla(h: HopfPresentation, d: int) -> CLA:
     coordinates of commutators of basis elements, coproduct constants
     those of reduced coproducts over basis (x) basis, each read at the
     leads (``lead_coordinates``, ``lead_pair_coordinates``) with no
-    elimination.  Fails when the space is not closed or not stable
+    elimination.  Fails when the space is not closed, or when it is
+    neither complete (d >= g, the top generator degree) nor stable
     between bounds d-1 and d.
     """
     if d < 2:
         raise InputError("degree bound must be >= 2")
     space = p2_space(h, d)
     basis = space.basis
-    if not space.stable_from_previous_bound:
+    if not (space.complete or space.stable_from_previous_bound):
         raise StructuralError(
             f"p2 space is not stable between bounds {d - 1} and {d} "
-            f"({sum(b.degree < d for b in basis)} vs {space.dim}); "
+            f"({sum(b.degree < d for b in basis)} vs {space.dim}) and "
+            f"not complete below g = {space.complete_bound}; "
             "raise the bound")
     names = []
     for i, b in enumerate(basis):

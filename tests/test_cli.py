@@ -96,6 +96,19 @@ def test_extract_cla_json(capsys):
                                   {"coeff": "-1", "left": 1, "right": 0}]
 
 
+def test_extract_cla_answers_at_the_top_generator_degree(capsys):
+    # P2 of A(0,0,0) is complete at g = 2, so bound 2 reads the CLA that
+    # bound 3 reads
+    outputs = []
+    for bound in ("2", "3"):
+        code, out, _ = run(capsys, "extract-cla", "--family", "A",
+                           "--params", "0,0,0", "--max-degree", bound,
+                           "--json")
+        assert code == 0
+        outputs.append(json.loads(out))
+    assert outputs[0] == outputs[1]
+
+
 def test_lantern_output(capsys):
     code, out, _ = run(capsys, "lantern", "--family", "K", "--json")
     assert code == 0

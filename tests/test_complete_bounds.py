@@ -1,9 +1,10 @@
 """Answers that stop depending on the degree bound.
 
-P lies in degrees <= g, the top generator degree, and the coradical level
-C_n in degrees <= n g on a coassociative presentation, 2^(n-1) g on any
-(``HopfPresentation.complete_bound``), so the subspaces are computed at
-min(d, that bound) and kept on the presentation.  The oracle here takes
+P and P2 lie in degrees <= g, the top generator degree, and the coradical
+level C_n in degrees <= n g on a coassociative presentation, 2^(n-1) g on
+any (``HopfPresentation.complete_bound``, ``structure.p2_space``), so the
+subspaces are computed at min(d, that bound) and kept on the
+presentation.  The oracle here takes
 no such shortcut: one direct kernel (``structure._coradical_kernel``) at
 the bound d itself, with every lower level also taken at d, and no kept
 answer read.
@@ -22,7 +23,10 @@ from hopfalg.cli import main
 from hopfalg.exactlin import Matrix, add_scaled
 from hopfalg.hopf import HopfPresentation
 from hopfalg.ore import AlgebraElement, OrePresentation
-from hopfalg.structure import coradical_filtration, p2_space, primitive_space
+from hopfalg.structure import (coradical_filtration, extract_cla, p2_space,
+                               primitive_space)
+from test_cobar import _random_commutative
+from test_hopf import _FAILING
 
 CATALOG = list_catalog()
 
@@ -107,7 +111,9 @@ def _check_against_direct(h):
             assert level.basis[1:] == direct[1], ("C_2", d)
             assert level.complete == (d >= 2 * g)
         if d <= 2 * g + 2 and n > 1:
-            assert p2_space(h, d).basis == direct[-1], ("P2", d)
+            space = p2_space(h, d)
+            assert space.basis == direct[-1], ("P2", d)
+            assert space.complete == (d >= g)
         if n > 2:
             level = coradical_filtration(h, 3, d)
             assert level.basis[1:] == direct[2], ("C_3", d)
@@ -138,13 +144,18 @@ def test_catalog_c3_matches_a_direct_chain_past_three_g(spec):
         assert level.complete == (d >= 3 * g)
 
 
-def test_c3_bound_without_coassociativity_stays_four_g():
-    # delta(W) = X (x) Z with delta(Z) = X (x) Y - Y (x) X fails
-    # coassociativity, so C_3 keeps the bound 2^2 g
-    h = HopfPresentation(OrePresentation([("X", 1), ("Y", 1), ("Z", 2),
-                                          ("W", 3)]), {
+def _not_coassociative():
+    """delta(W) = X (x) Z with delta(Z) = X (x) Y - Y (x) X."""
+    return HopfPresentation(OrePresentation([("X", 1), ("Y", 1), ("Z", 2),
+                                             ("W", 3)]), {
         "Z": [(1, {"X": 1}, {"Y": 1}), (-1, {"Y": 1}, {"X": 1})],
         "W": [(1, {"X": 1}, {"Z": 1})]})
+
+
+def test_c3_bound_without_coassociativity_stays_four_g():
+    # _not_coassociative() fails coassociativity, so C_3 keeps the bound
+    # 2^2 g
+    h = _not_coassociative()
     assert [h.complete_bound(n) for n in range(5)] == [0, 3, 6, 12, 24]
     assert [c.name for c in h.verify_coassociativity().failures()] == [
         "coassociativity on W"]
@@ -179,9 +190,8 @@ def test_random_cla_envelopes_match_a_direct_kernel(family_a, params):
     _check_against_direct(enveloping(L))
 
 
-def test_primitive_space_at_twelve_asks_for_no_coproduct_above_g(
-        monkeypatch):
-    K = make_K()
+def _degrees_asked(monkeypatch, compute):
+    """compute() and the degrees of the monomials it asked delta of."""
     asked = []
     reduced = HopfPresentation._reduced_monomial
 
@@ -190,11 +200,62 @@ def test_primitive_space_at_twelve_asks_for_no_coproduct_above_g(
         return reduced(self, m)
 
     monkeypatch.setattr(HopfPresentation, "_reduced_monomial", spy)
-    space = primitive_space(K, 12)
+    result = compute()
     monkeypatch.undo()
+    return result, asked
+
+
+def test_primitive_space_at_twelve_asks_for_no_coproduct_above_g(
+        monkeypatch):
+    K = make_K()
+    space, asked = _degrees_asked(monkeypatch, lambda: primitive_space(K, 12))
     assert space.degree_bound == 12 and space.complete and space.dim == 2
     assert max(asked) == K.complete_bound(1) == 3
     assert max(K.algebra.monomial_degree(m) for m in K._coproduct_cache) == 3
+
+
+def _check_p2_against_direct(h):
+    """P2 at d = 1..2g + 1 is the direct kernel at d, and the direct basis
+    at 2g + 1 lies in degrees <= g."""
+    g = h.complete_bound(1)
+    for d in range(1, 2 * g + 2):
+        direct = _direct(h, d, 1, True)[-1]
+        assert p2_space(h, d).basis == direct, d
+    assert all(b.degree <= g for b in direct)
+
+
+@pytest.mark.parametrize("make", [*_FAILING, _not_coassociative],
+                         ids=["K-kappa-raised", "z-x-is-z",
+                              "not-coassociative"])
+def test_p2_bound_needs_no_hopf_axiom(make):
+    # PBW consistency, compatibility or coassociativity fails; the bound
+    # g uses none of them
+    h = make()
+    assert not all(r.passed for r in (h.verify_pbw_consistency(),
+                                      h.verify_coassociativity(),
+                                      h.verify_compatibility()))
+    _check_p2_against_direct(h)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_p2_of_random_commutative_matches_a_direct_kernel(seed):
+    _check_p2_against_direct(_random_commutative(seed))
+
+
+def test_p2_space_at_twelve_asks_for_no_coproduct_above_g(monkeypatch):
+    K = make_K()
+    space, asked = _degrees_asked(monkeypatch, lambda: p2_space(K, 12))
+    assert space.degree_bound == 12 and space.complete and space.dim == 3
+    assert max(asked) == K.complete_bound(1) == 3
+
+
+@pytest.mark.parametrize("spec", CATALOG, ids=[s.describe() for s in CATALOG])
+def test_extract_cla_at_g_is_extract_cla_past_g(spec):
+    # extract_cla takes bounds >= 2, so g = 1 is read at 2
+    h = _hopf(spec)
+    g = max(h.complete_bound(1), 2)
+    assert extract_cla(h, g) == extract_cla(h, g + 1)
 
 
 def test_kept_bases_are_copies():
@@ -210,7 +271,8 @@ def test_kept_bases_are_copies():
 @pytest.mark.parametrize("argv, complete", [
     (["primitives", "--max-degree", "2"], False),
     (["primitives", "--max-degree", "3"], True),
-    (["p2", "--max-degree", "5"], False),
+    (["p2", "--max-degree", "2"], False),
+    (["p2", "--max-degree", "3"], True),
     (["p2", "--max-degree", "6"], True),
     (["coradical", "--level", "0", "--max-degree", "1"], True),
     (["coradical", "--level", "3", "--max-degree", "8"], False),
