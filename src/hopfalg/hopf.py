@@ -67,8 +67,10 @@ class TensorElement(Combination):
         x_g the first generator of m = x_g^k m' (k = 1 unless x_g is
         primitive, when the left factor is the binomial block
         sum_i C(k,i) x_g^i (x) x_g^{k-i}).  A slot product x_g^i * b is
-        then sorted, an exponent sum in `mul_monomials`, unless b carries
-        a letter before x_g from a delta term.
+        then an exponent sum in `mul_monomials` unless b carries a blocker
+        of x_g from a delta term; a primitive block none of whose slot
+        products meets one is shifted without this kernel
+        (`HopfPresentation._shifted_block`).
         """
         if not isinstance(other, TensorElement):
             return self.scale(other)
@@ -207,8 +209,11 @@ class HopfPresentation(AnswerStore):
         x_g^{k-i}: one tensor product instead of k.  Any other x_g leaves
         one letter at a time, Delta(m) = Delta(x_g) * Delta(x_g^{-1} m).
         The left factor holds the smallest letter, so a slot product
-        x_g^i * b is sorted (an exponent sum) unless b carries a letter
-        before x_g from a delta term.  Integral Fractions are stored as ints.
+        x_g^i * b is an exponent sum unless b carries a blocker of x_g
+        (`OrePresentation._blockers`) from a delta term.  When no slot of
+        Delta(m') carries one, the primitive block is a shift
+        (`_shifted_block`) with no product at all.  Integral Fractions are
+        stored as ints.
         """
         cached = self._coproduct_cache.get(m)
         if cached is not None:
@@ -220,12 +225,54 @@ class HopfPresentation(AnswerStore):
             g = next(i for i, e in enumerate(m) if e)
             delta = self.delta_gen.get(g, {})
             k = 1 if delta else m[g]
-            factor = add_scaled(self._power_block(g, k), delta)
             rest = self._coproduct_monomial(m[:g] + (m[g] - k,) + m[g + 1:])
-            result = TensorElement(p, 2, factor) * rest
+            blockers = p._blockers[g]
+            if not delta and not (blockers and any(
+                    b[i] for key in rest.terms for b in key for i in blockers)):
+                result = self._shifted_block(g, k, rest.terms)
+            else:
+                factor = add_scaled(self._power_block(g, k), delta)
+                result = TensorElement(p, 2, factor) * rest
             integral_values(result.terms)
         self._coproduct_cache[m] = result
         return result
+
+    def _shifted_block(self, g: int, k: int, rest: dict[tuple, Scalar]
+                       ) -> TensorElement:
+        """Delta(x_g^k) * rest for a primitive x_g that commutes with every
+        letter in the slots of rest: sum_i C(k,i) (b1 + i e_g) (x) (b2 +
+        (k-i) e_g) over the terms b1 (x) b2 of rest.
+
+        The keys come in the product kernel's order (i = k..0 outside, the
+        terms of rest inside) and merge the same way, so the result equals
+        `TensorElement.__mul__`'s.  Each distinct slot monomial is shifted
+        once per exponent, and the keys share those tuples.
+        """
+        lefts = {b1 for b1, _ in rest}
+        rights = {b2 for _, b2 in rest}
+
+        def shifted(monos, i):
+            return {b: b[:g] + (b[g] + i,) + b[g + 1:] if i else b
+                    for b in monos}
+
+        out: dict[tuple, Scalar] = {}
+        get = out.get
+        for i in range(k, -1, -1):
+            left, right = shifted(lefts, i), shifted(rights, k - i)
+            c1 = comb(k, i)
+            for (b1, b2), c2 in rest.items():
+                key = (left[b1], right[b2])
+                v = c1 * c2
+                old = get(key)
+                if old is None:
+                    out[key] = v
+                else:
+                    v = old + v
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
+        return TensorElement._trusted(self.algebra, 2, out)
 
     def _power_block(self, g: int, k: int) -> dict[tuple, Scalar]:
         """sum_i C(k,i) x_g^i (x) x_g^{k-i}, i = k..0, as a new {pair: coeff}

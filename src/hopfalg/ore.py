@@ -2,13 +2,16 @@
 
 An algebra is presented by ordered, weighted generators x_1 < ... < x_n
 and a commutator table [x_j, x_i] = kappa_ji (j > i) whose entries have
-weighted degree strictly below deg x_i + deg x_j.  A product a*b whose
-word is sorted already is the exponent sum; any other folds the letters
-of a, right to left, through one memoised recursion on a generator times
-a sorted monomial m = x_i m' (`_gen_times`, cached on (j, m)):
-x_j m = m x_j if j <= i, else x_j x_i m' = x_i (x_j m') + kappa_ji m'.
-Under the degree drop (weighted degree, inversion count) falls at every
-step, so it terminates.  The sorted monomials x_1^{e_1}...x_n^{e_n} span
+weighted degree strictly below deg x_i + deg x_j.  The blockers of x_j
+are the x_i, i < j, with kappa_ji != 0 (`_blockers`); a letter slides
+past every other generator for free.  So a product a*b in which no
+letter x_j of a meets one of its blockers in b is the exponent sum; any
+other folds the letters of a, right to left, through one memoised
+recursion on a generator times a sorted monomial m = x_i m'
+(`_gen_times`, cached on (j, m)): x_j m = m + e_j if m has no blocker of
+x_j, else x_j x_i m' = x_i (x_j m') + kappa_ji m'.  Under the degree
+drop (weighted degree, inversion count) falls at every step, so it
+terminates.  The sorted monomials x_1^{e_1}...x_n^{e_n} span
 the algebra; whether they are a *basis* is certified by the overlap check
 (`verify_pbw_consistency`), never assumed.
 """
@@ -92,6 +95,10 @@ class OrePresentation:
             self._kappa[(j, i)] = terms
         self.kappa = MappingProxyType(
             {key: MappingProxyType(terms) for key, terms in self._kappa.items()})
+        # _blockers[j]: the i < j with kappa_ji != 0, read off the fixed table
+        self._blockers = tuple(
+            tuple(i for i in range(j) if (j, i) in self._kappa)
+            for j in range(len(gens)))
 
         self._mul_cache: dict[tuple[Monomial, Monomial], dict[Monomial, Scalar]] = {}
         self._gen_cache: dict[tuple[int, Monomial], dict[Monomial, Scalar]] = {}
@@ -248,12 +255,19 @@ class OrePresentation:
     def _gen_times(self, j: int, m: Monomial) -> dict[Monomial, Scalar]:
         """x_j * m for a sorted monomial m, cached on (j, m); do not mutate it.
 
-        With x_i the first generator of m = x_i m': m x_j if j <= i, else
-        x_i (x_j m') + kappa_ji m'.  (Weighted degree, inversion count) drops
-        in every recursive call: x_j m' and kappa_ji m' lose degree, and x_i
-        times a term of x_j m' either loses degree or is sorted already.
+        When m has no letter among the blockers of x_j (`_blockers[j]`,
+        the i < j with kappa_ji != 0), x_j m = m + e_j, returned uncached.
+        Otherwise, with x_i the first generator of m = x_i m' (i < j), it
+        is x_i (x_j m') + kappa_ji m'.  (Weighted degree, inversion count)
+        drops in every recursive call: x_j m' and kappa_ji m' lose degree,
+        and x_i times a term of x_j m' either loses degree or is sorted
+        already.  The shortcut returns what that recursion returns, on
+        every table, PBW-consistent or not: if kappa_ji = 0 for every
+        earlier letter x_i of m, the recursion gives x_i (x_j m') + 0, by
+        induction x_j m' = m' + e_j, and x_i times that is sorted, so
+        x_j m = m + e_j.
         """
-        for i in range(j):
+        for i in self._blockers[j]:
             if m[i]:
                 break
         else:
@@ -261,6 +275,7 @@ class OrePresentation:
         key = (j, m)
         hit = self._gen_cache.get(key)
         if hit is None:
+            i = next(i for i, e in enumerate(m) if e)
             rest = m[:i] + (m[i] - 1,) + m[i + 1:]
             hit = {}
             for t, c in self._gen_times(j, rest).items():
@@ -297,17 +312,18 @@ class OrePresentation:
     def mul_monomials(self, a: Monomial, b: Monomial) -> dict[Monomial, Scalar]:
         """Normal form of a*b for PBW monomials, cached; do not mutate it.
 
-        When no letter of b precedes the last letter of a, the word a*b is
-        sorted already and its normal form is the exponent sum; otherwise
-        the letters of a are folded into b right to left.
+        When no letter x_j of a meets a letter of b among its blockers
+        (`_blockers[j]`), every letter of a slides into b for free
+        (`_gen_times`), so the normal form is the exponent sum; otherwise
+        the letters of a are folded into b right to left.  Both results
+        are cached: the exponent sums are cheaper to keep than to rebuild.
         """
         key = (a, b)
         hit = self._mul_cache.get(key)
         if hit is None:
-            last = len(a) - 1
-            while last > 0 and not a[last]:
-                last -= 1
-            if any(b[:last]):
+            blockers = self._blockers
+            if any(e and any(b[i] for i in blockers[j])
+                   for j, e in enumerate(a)):
                 hit = integral_values(
                     self._left_mul(self._letters(a), {b: 1}))
             else:

@@ -368,23 +368,32 @@ def letter(p, g, k=1):
     return unit[:g] + (k,) + unit[g + 1:]
 
 
-def rebuild_first_generator(h, bound):
-    """Delta(m) for m up to the bound, every product through the oracle:
-    with x_g the first generator of m, a primitive x_g leaves as x_g^k
-    through sum_i C(k,i) x_g^i (x) x_g^{k-i} (i = k..0), any other as one
-    letter through x_g(x)1 + 1(x)x_g + delta(x_g), and the factor of x_g
+def first_generator_oracle(h, m, want):
+    """Delta(m), every product through the oracle, memoised in want: with
+    x_g the first generator of m, a primitive x_g leaves as x_g^k through
+    sum_i C(k,i) x_g^i (x) x_g^{k-i} (i = k..0), any other as one letter
+    through x_g(x)1 + 1(x)x_g + delta(x_g), and the factor of x_g
     multiplies from the left."""
     p = h.algebra
-    want = {p.unit_monomial: h.unit_tensor()}
-    for m in p.monomials_up_to(bound):
+    if m == p.unit_monomial:
+        return h.unit_tensor()
+    if m not in want:
         g = min(i for i, e in enumerate(m) if e)
         k = 1 if g in h.delta_gen else m[g]
         factor = {(letter(p, g, i), letter(p, g, k - i)): math.comb(k, i)
                   for i in range(k, -1, -1)}
         add_scaled(factor, h.delta_gen.get(g, {}))
-        rest = m[:g] + (m[g] - k,) + m[g + 1:]
+        rest = first_generator_oracle(h, m[:g] + (m[g] - k,) + m[g + 1:], want)
         want[m] = TensorElement(p, 2, reference_tensor_mul(
-            TensorElement(p, 2, factor), want[rest]))
+            TensorElement(p, 2, factor), rest))
+    return want[m]
+
+
+def rebuild_first_generator(h, bound):
+    """Delta(m) for every m up to the bound by `first_generator_oracle`."""
+    want = {h.algebra.unit_monomial: h.unit_tensor()}
+    for m in h.algebra.monomials_up_to(bound):
+        first_generator_oracle(h, m, want)
     return want
 
 
@@ -447,21 +456,61 @@ def test_coproduct_does_not_depend_on_request_order():
                     == typed(cold._coproduct_monomial(m).terms)), (where, m)
 
 
-def test_cold_k_coproduct_takes_eight_tensor_products(monkeypatch):
-    # W^3 Z^3 X^3 Y^3: X^3 and Y^3 leave as binomial blocks, Z and W (not
-    # primitive) one letter at a time, and the last W meets Delta(1)
-    calls = []
+def _spy_block_routes(monkeypatch):
+    """Record the operands of every kernel product and the (g, k) of every
+    shifted primitive block, in call order."""
+    calls, shifts = [], []
     product = TensorElement.__mul__
+    shift = HopfPresentation._shifted_block
 
-    def spy(self, other):
-        calls.append(other)
+    def spy_product(self, other):
+        calls.append((self, other))
         return product(self, other)
 
-    monkeypatch.setattr(TensorElement, "__mul__", spy)
+    def spy_shift(self, g, k, rest):
+        shifts.append((g, k))
+        return shift(self, g, k, rest)
+
+    monkeypatch.setattr(TensorElement, "__mul__", spy_product)
+    monkeypatch.setattr(HopfPresentation, "_shifted_block", spy_shift)
+    return calls, shifts
+
+
+def test_cold_k_coproduct_takes_six_tensor_products_and_two_shifts(
+        monkeypatch):
+    # W^3 Z^3 X^3 Y^3: X^3 and Y^3 commute with every slot below them, so
+    # their binomial blocks are shifts; Z and W (not primitive) leave one
+    # letter at a time through the kernel, and the last W meets Delta(1)
+    calls, shifts = _spy_block_routes(monkeypatch)
     h = make_K()
     d = h.coproduct(h.algebra.monomial({"W": 3, "Z": 3, "X": 3, "Y": 3}))
     assert len(d.terms) == 9026
-    assert len(calls) == 8
+    x, y = h.algebra.index["X"], h.algebra.index["Y"]
+    assert shifts == [(y, 3), (x, 3)]
+    assert len(calls) == 6
+
+
+def test_primitive_block_shift_and_kernel_fallback_match_the_oracle(
+        monkeypatch):
+    # in K the X^3 and Y^3 blocks of W^3 Z^3 X^3 Y^3 meet no blocker and
+    # shift; in B(1) X is a blocker of Y and delta(Z) carries X, so the
+    # Y^2 block of Y^2 Z goes through the kernel
+    calls, shifts = _spy_block_routes(monkeypatch)
+    k = make_K()
+    kx, ky = k.algebra.index["X"], k.algebra.index["Y"]
+    mono = k.algebra.monomial_tuple({"W": 3, "Z": 3, "X": 3, "Y": 3})
+    got = k._coproduct_monomial(mono)
+    assert shifts == [(ky, 3), (kx, 3)]
+    assert typed(got.terms) == typed(first_generator_oracle(k, mono, {}).terms)
+
+    b = make_B(1)
+    by = b.algebra.index["Y"]
+    mono = b.algebra.monomial_tuple({"Y": 2, "Z": 1})
+    del calls[:], shifts[:]
+    got = b._coproduct_monomial(mono)
+    assert not shifts
+    assert [s.terms for s, _ in calls][-1] == b._power_block(by, 2)
+    assert typed(got.terms) == typed(first_generator_oracle(b, mono, {}).terms)
 
 
 def _random_tensor(p, rng, rank, monos, size):
@@ -737,25 +786,38 @@ def test_verify_antipode_rejects_a_negative_bound(K):
 
 
 def test_product_kernel_stores_no_zero_and_no_stray_rank(monkeypatch):
-    # the kernel's result skips TensorElement.__init__'s filter and rank
-    # check, so it must hold neither a zero nor a key of another rank
+    # the results of the kernel and of the shifted primitive block skip
+    # TensorElement.__init__'s filter and rank check, so they must hold
+    # neither a zero nor a key of another rank
     product = TensorElement.__mul__
-    seen = []
+    shift = HopfPresentation._shifted_block
+    seen, shifted = [], []
+
+    def check(result, rank):
+        assert all(result.terms.values())
+        assert all(len(key) == result.rank == rank
+                   and all(len(m) == len(result.p.names) for m in key)
+                   for key in result.terms)
 
     def spy(self, other):
         result = product(self, other)
-        assert all(result.terms.values())
-        assert all(len(key) == result.rank == self.rank
-                   and all(len(m) == len(self.p.names) for m in key)
-                   for key in result.terms)
+        check(result, self.rank)
         seen.append(len(result.terms))
         return result
 
+    def spy_shift(self, g, k, rest):
+        result = shift(self, g, k, rest)
+        check(result, 2)
+        shifted.append(len(result.terms))
+        return result
+
     monkeypatch.setattr(TensorElement, "__mul__", spy)
+    monkeypatch.setattr(HopfPresentation, "_shifted_block", spy_shift)
     for _, h in _catalog_hopf():
         for m in h.algebra.monomials_up_to(5):
             h._coproduct_monomial(m)
-    assert len(seen) > 1000
+    # 1778 coproducts in all: 205 through the kernel, the rest shifts
+    assert len(seen) >= 205 and len(shifted) >= 1573
 
 
 def test_coassociativity_matches_the_full_coproduct_on_the_catalog():

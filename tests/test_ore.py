@@ -138,14 +138,19 @@ def test_overlap_check_passes_for_polynomial_ring():
     assert p.verify_pbw_consistency().passed
 
 
-def test_overlap_check_detects_corrupted_relations():
-    # F-family tables with [W,Y] replaced by X break the overlap W*Z*Y
-    p = OrePresentation(
+def _corrupted_f():
+    """F-family tables with [W,Y] replaced by X: not PBW-consistent."""
+    return OrePresentation(
         [("X", 1), ("Y", 1), ("Z", 2), ("W", 3)],
         {"Z,X": [(1, {"Y": 1})],
          "W,X": [(0, {"Y": 1})],
          "W,Y": [(1, {"X": 1})],
          "W,Z": [(1, {"Z": 1}), ("-2/3", {"Y": 3})]})
+
+
+def test_overlap_check_detects_corrupted_relations():
+    # the corrupted F-family tables break the overlap W*Z*Y
+    p = _corrupted_f()
     report = p.verify_pbw_consistency()
     assert not report.passed
     failing = {c.name for c in report.failures()}
@@ -341,6 +346,25 @@ def test_d_product_scales_polynomially(k):
     assert product[p.monomial_tuple({"X": k, "Y": k, "Z": k, "W": k})] == 1
 
 
+def test_k_coproduct_at_four_stays_within_budget():
+    # Delta(W^4 Z^4 X^4 Y^4) in K: X^4 and Y^4 leave as shifted binomial
+    # blocks; about 0.3 s on a 2-core machine
+    h = make_K()
+    mono = h.algebra.monomial({"W": 4, "Z": 4, "X": 4, "Y": 4})
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, 30)
+    try:
+        tensor = h.coproduct(mono)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(tensor.terms) == 43186
+    unit = h.algebra.unit_monomial
+    for side in (0, 1):
+        assert {t[1 - side]: c for t, c in tensor.terms.items()
+                if t[side] == unit} == mono.terms
+
+
 def test_generator_products_are_cached_per_presentation():
     p, q = make_K().algebra, make_K().algebra
     w, x = p.index["W"], p.index["X"]
@@ -351,28 +375,33 @@ def test_generator_products_are_cached_per_presentation():
     assert q._gen_times(w, xy) == first and q._gen_times(w, xy) is not first
     # a generator that precedes every letter of m needs no rewriting
     assert p._gen_times(x, xy) == {p.monomial_tuple({"X": 2, "Y": 1}): 1}
+    # nor one that commutes with every earlier letter of m: Z (X Y) in D
+    r = make_D(*[1] * 8).algebra
+    z, rxy = r.index["Z"], r.monomial_tuple({"X": 1, "Y": 1})
+    assert r._gen_times(z, rxy) == {r.monomial_tuple({"X": 1, "Y": 1, "Z": 1}): 1}
+    assert not r._gen_cache
     # products cache only the pair asked for, not intermediate pairs
     p.mul_monomials(p.monomial_tuple({"W": 2, "Z": 1}), xy)
     assert list(p._mul_cache) == [(p.monomial_tuple({"W": 2, "Z": 1}), xy)]
 
 
-def _sorted_pairs(p, bound):
-    """Pairs (a, b) of monomials whose word a*b is sorted: no letter of b
-    precedes the last letter of a."""
+def _commuting_pairs(p, bound):
+    """Pairs (a, b) of monomials in which no letter x_j of a meets a letter
+    x_i of b, i < j, with [x_j, x_i] != 0 in the public table; the sorted
+    pairs, where no letter of b precedes the last letter of a, are among
+    them."""
     monos = p.monomials_up_to(bound, include_unit=True)
     for a, b in itertools.product(monos, repeat=2):
-        last = max((i for i, e in enumerate(a) if e), default=0)
-        if not any(b[:last]):
+        if not any(a[j] and b[i] and p.kappa.get((j, i))
+                   for j in range(len(a)) for i in range(j)):
             yield a, b
 
 
-def test_sorted_products_match_word_rewriting_oracle():
-    for spec in list_catalog():
-        h = build(spec)
-        if not isinstance(h, HopfPresentation):
-            continue
-        p = h.algebra
-        for a, b in _sorted_pairs(p, 3):
+def test_commuting_products_match_word_rewriting_oracle():
+    algebras = [h.algebra for h in map(build, list_catalog())
+                if isinstance(h, HopfPresentation)] + [_corrupted_f()]
+    for p in algebras:
+        for a, b in _commuting_pairs(p, 3):
             got = p.mul_monomials(a, b)
             assert got == reference_normal_form(p, word_of(a) + word_of(b))
             assert [(m, type(c)) for m, c in got.items()] == [
@@ -389,12 +418,15 @@ def test_sorted_product_miss_skips_rewriting(monkeypatch):
         return left_mul(letters, terms)
 
     monkeypatch.setattr(p, "_left_mul", spy)
-    pairs = list(_sorted_pairs(p, 3))
+    pairs = list(_commuting_pairs(p, 3))
     assert len(pairs) > 100
+    # Y X is not sorted, but [Y, X] = 0 in K
+    y_x = (p.monomial_tuple({"Y": 1}), p.monomial_tuple({"X": 1}))
+    assert y_x in pairs
     for a, b in pairs:
         p.mul_monomials(a, b)
     assert not calls and set(p._mul_cache) == set(pairs)
-    # an unsorted pair still folds the letters of a into b
+    # a pair that meets a blocker (X of W) still folds the letters of a into b
     x, w = p.monomial_tuple({"X": 1}), p.monomial_tuple({"W": 1})
     p.mul_monomials(w, x)
     assert calls[0] == {x: 1}
