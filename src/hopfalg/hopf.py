@@ -245,23 +245,28 @@ class HopfPresentation(AnswerStore):
 
         The keys come in the product kernel's order (i = k..0 outside, the
         terms of rest inside) and merge the same way, so the result equals
-        `TensorElement.__mul__`'s.  Each distinct slot monomial is shifted
-        once per exponent, and the keys share those tuples.
+        `TensorElement.__mul__`'s.  Each distinct slot monomial b is
+        resolved once, to the list of its shifts b + i e_g, i = 0..k (b
+        itself at 0), and each term of rest once, to the shift lists of
+        its slots; the key loop indexes them, with no lookup but the merge.
         """
-        lefts = {b1 for b1, _ in rest}
-        rights = {b2 for _, b2 in rest}
+        shifts: dict[Monomial, list[Monomial]] = {}
 
-        def shifted(monos, i):
-            return {b: b[:g] + (b[g] + i,) + b[g + 1:] if i else b
-                    for b in monos}
+        def shifted(b):
+            s = shifts.get(b)
+            if s is None:
+                head, e, tail = b[:g], b[g], b[g + 1:]
+                s = shifts[b] = [b] + [head + (e + i,) + tail
+                                       for i in range(1, k + 1)]
+            return s
 
+        terms = [(shifted(b1), shifted(b2), c2) for (b1, b2), c2 in rest.items()]
         out: dict[tuple, Scalar] = {}
         get = out.get
         for i in range(k, -1, -1):
-            left, right = shifted(lefts, i), shifted(rights, k - i)
             c1 = comb(k, i)
-            for (b1, b2), c2 in rest.items():
-                key = (left[b1], right[b2])
+            for s1, s2, c2 in terms:
+                key = (s1[i], s2[k - i])
                 v = c1 * c2
                 old = get(key)
                 if old is None:
@@ -283,13 +288,11 @@ class HopfPresentation(AnswerStore):
                 for i in range(k, -1, -1)}
 
     def coproduct(self, a: AlgebraElement) -> TensorElement:
-        """Delta(a), extended from the generators as an algebra map."""
+        """Delta(a), extended from the generators as an algebra map: the
+        sum of the kept Delta(m) over the terms c m of a (`_linear`)."""
         if a.p is not self.algebra:
             raise InputError("element belongs to a different presentation")
-        out: dict[tuple, Scalar] = {}
-        for m, c in a.terms.items():
-            add_scaled(out, self._coproduct_monomial(m).terms, c)
-        return TensorElement(self.algebra, 2, out)
+        return self._linear(a, lambda m: self._coproduct_monomial(m).terms)
 
     def counit(self, a: AlgebraElement) -> Scalar:
         if a.p is not self.algebra:
@@ -302,10 +305,25 @@ class HopfPresentation(AnswerStore):
             raise InputError("element belongs to a different presentation")
         if a.counit() != 0:
             raise InputError("reduced coproduct requires counit(a) = 0")
+        return self._linear(a, self._reduced_monomial)
+
+    def _linear(self, a: AlgebraElement, image) -> TensorElement:
+        """sum c * image(m) over the terms c m of a, image(m) a kept {pair:
+        coeff} dict, as a new rank-2 tensor that shares no dict with a cache.
+
+        While the sum is empty, a coefficient 1 copies image(m) in one
+        step: ``add_scaled`` would store the same values in the same
+        order.  ``add_scaled`` stores no zero and every key is a pair of a
+        kept rank-2 tensor, so the result skips ``TensorElement``'s filter
+        and rank check (``_trusted``).
+        """
         out: dict[tuple, Scalar] = {}
         for m, c in a.terms.items():
-            add_scaled(out, self._reduced_monomial(m), c)
-        return TensorElement(self.algebra, 2, out)
+            if out or c != 1:
+                add_scaled(out, image(m), c)
+            else:
+                out = dict(image(m))
+        return TensorElement._trusted(self.algebra, 2, out)
 
     def _reduced_monomial(self, m: Monomial) -> dict[tuple, Scalar]:
         """Delta(m) - m(x)1 - 1(x)m as {pair: coeff}, cached; do not mutate it."""

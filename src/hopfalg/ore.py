@@ -9,11 +9,17 @@ letter x_j of a meets one of its blockers in b is the exponent sum; any
 other folds the letters of a, right to left, through one memoised
 recursion on a generator times a sorted monomial m = x_i m'
 (`_gen_times`, cached on (j, m)): x_j m = m + e_j if m has no blocker of
-x_j, else x_j x_i m' = x_i (x_j m') + kappa_ji m'.  Under the degree
-drop (weighted degree, inversion count) falls at every step, so it
-terminates.  The sorted monomials x_1^{e_1}...x_n^{e_n} span
-the algebra; whether they are a *basis* is certified by the overlap check
-(`verify_pbw_consistency`), never assumed.
+x_j, else x_j x_i m' = x_i (x_j m') + kappa_ji m'.  The fold and the
+recursion add each c x_j m to their accumulator through one rule
+(`_add_gen_times`): a free slide writes its one term m + e_j with
+coefficient c straight in, and the kappa term is folded from kappa_ji m'
+itself, not from m' scaled afterwards.  Every key gets the value, in the
+order, that adding c times the whole product x_j m gives, and since
+c != 0 the same sums cancel.  Under the degree drop (weighted degree,
+inversion count) falls at every step, so it terminates.  The sorted
+monomials x_1^{e_1}...x_n^{e_n} span the algebra; whether they are a
+*basis* is certified by the overlap check (`verify_pbw_consistency`),
+never assumed.
 """
 
 from __future__ import annotations
@@ -138,10 +144,11 @@ class OrePresentation:
         return out
 
     def monomial_tuple(self, mono) -> Monomial:
-        """Coerce {name: exp} (or an exponent tuple) to an exponent tuple."""
+        """Coerce {name: exp} (or an exponent tuple) to an exponent tuple;
+        every exponent must be a non-negative int (not a bool)."""
         n = len(self.names)
         if isinstance(mono, tuple):
-            if len(mono) != n or any(e < 0 for e in mono):
+            if len(mono) != n or not all(_is_int(e) and e >= 0 for e in mono):
                 raise InputError(f"bad exponent vector {mono!r}")
             return mono
         if not isinstance(mono, dict):
@@ -152,7 +159,7 @@ class OrePresentation:
             i = self.index.get(name)
             if i is None:
                 raise InputError(f"unknown generator {name!r}")
-            if not isinstance(e, int) or e < 0:
+            if not _is_int(e) or e < 0:
                 raise InputError(
                     f"exponent of {name!r} must be a non-negative integer")
             exps[i] += e
@@ -265,7 +272,13 @@ class OrePresentation:
         every table, PBW-consistent or not: if kappa_ji = 0 for every
         earlier letter x_i of m, the recursion gives x_i (x_j m') + 0, by
         induction x_j m' = m' + e_j, and x_i times that is sorted, so
-        x_j m = m + e_j.
+        x_j m = m + e_j.  Both sums go into the cached dict through
+        `_add_gen_times`, the kappa term seeded with its coefficient
+        kappa_ji m' rather than scaled after its fold: c v = 0 exactly
+        when v = 0 for c != 0, so the same keys are written and deleted in
+        the same order, and `integral_values` normalises what is kept.
+        A direct caller (`_resolve_overlap`) gets a free slide from the
+        early return.
         """
         for i in self._blockers[j]:
             if m[i]:
@@ -279,12 +292,29 @@ class OrePresentation:
             rest = m[:i] + (m[i] - 1,) + m[i + 1:]
             hit = {}
             for t, c in self._gen_times(j, rest).items():
-                add_scaled(hit, self._gen_times(i, t), c)
+                self._add_gen_times(hit, i, t, c)
             for mono, kc in self._kappa.get((j, i), {}).items():
-                kappa_rest = self._left_mul(self._letters(mono), {rest: 1})
-                add_scaled(hit, kappa_rest, kc)
+                add_scaled(hit, self._left_mul(self._letters(mono),
+                                               {rest: kc}))
             self._gen_cache[key] = integral_values(hit)
         return hit
+
+    def _add_gen_times(self, acc: dict[Monomial, Scalar], j: int,
+                       m: Monomial, c: Scalar) -> None:
+        """acc += c * x_j m, for a sorted monomial m and c != 0.
+
+        A free slide (m has no letter among the blockers of x_j) adds the
+        one term m + e_j with coefficient c: no dict, no `_gen_times`
+        call and no product c * 1.  What is added is what
+        ``add_scaled(acc, {m + e_j: 1}, c)`` adds, the int 1 when c == 1
+        (so also for an integral Fraction 1) and c otherwise.  Any other
+        m adds c * `_gen_times(j, m)`.
+        """
+        for i in self._blockers[j]:
+            if m[i]:
+                add_scaled(acc, self._gen_times(j, m), c)
+                return
+        add_term(acc, m[:j] + (m[j] + 1,) + m[j + 1:], 1 if c == 1 else c)
 
     def _letters(self, m: Monomial):
         """The letters of a sorted monomial, right to left."""
@@ -293,10 +323,11 @@ class OrePresentation:
     def _left_mul(self, letters, terms: dict[Monomial, Scalar]
                   ) -> dict[Monomial, Scalar]:
         """x_{l_k} ... x_{l_1} * terms: a new dict, or terms if no letters."""
+        add_gen_times = self._add_gen_times
         for j in letters:
             nxt: dict[Monomial, Scalar] = {}
             for m, c in terms.items():
-                add_scaled(nxt, self._gen_times(j, m), c)
+                add_gen_times(nxt, j, m, c)
             terms = nxt
         return terms
 

@@ -347,6 +347,12 @@ def _malformed_cla(edit, part):
     ("morphism", _morphism_check("false")),
     ("morphism", _morphism_check(0)),
     ("morphism", _morphism_check(None)),
+    ("verify", _malformed_presentation(
+        lambda t: t.update(monomial={"X": True}))),
+    ("verify", _malformed_presentation(
+        lambda t: t.update(monomial={"X": 1.5}))),
+    ("verify", _malformed_presentation(lambda t: t.update(left={"X": True}),
+                                       "coproducts", "Z")),
 ], ids=["presentation-no-coeff", "presentation-float-coeff",
         "presentation-string-exponent", "morphism-no-coeff",
         "morphism-top-level-list", "generator-float-degree",
@@ -362,7 +368,9 @@ def _malformed_cla(edit, part):
         "morphism-int-target-params", "presentation-bool-coeff",
         "morphism-bool-coeff", "cla-bool-coeff", "morphism-float-params",
         "morphism-bool-params", "morphism-string-check-coalgebra",
-        "morphism-int-check-coalgebra", "morphism-null-check-coalgebra"])
+        "morphism-int-check-coalgebra", "morphism-null-check-coalgebra",
+        "presentation-bool-exponent", "presentation-float-exponent",
+        "coproduct-bool-exponent"])
 def test_malformed_file_is_input_error(tmp_path, capsys, command, data):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(data))

@@ -80,6 +80,30 @@ def test_reduced_monomial_is_cached_coproduct_minus_unit_terms():
             assert got == want.terms, (spec.describe(), m)
 
 
+@pytest.mark.parametrize("which", ["coproduct", "reduced_coproduct"])
+def test_coproduct_sums_cancel_and_never_alias_the_cache(which):
+    h = make_K()
+    p = h.algebra
+    f = getattr(h, which)
+    X, Y, Z = (p.gen(name) for name in "XYZ")
+    x, y = p.monomial_tuple({"X": 1}), p.monomial_tuple({"Y": 1})
+    # delta(Z) = X(x)Y - Y(x)X, and X Y has X(x)Y + Y(x)X: X(x)Y cancels
+    got = f(Z - X * Y)
+    assert (x, y) not in got.terms and got.terms[(y, x)] == -2
+    assert all(got.terms.values()) and all(
+        isinstance(t, tuple) and len(t) == 2 for t in got.terms)
+    assert got == f(Z) - f(X * Y) and got.rank == 2
+    kept = {"coproduct": lambda m: h._coproduct_monomial(m).terms,
+            "reduced_coproduct": h._reduced_monomial}[which]
+    for m in p.monomials_up_to(4):
+        e = p.monomial(m)
+        first = f(e)
+        want = typed(first.terms)
+        assert first.terms is not kept(m) and want == typed(kept(m))
+        first.terms.clear()
+        assert typed(kept(m)) == want and typed(f(e).terms) == want
+
+
 def test_reduced_coproduct_needs_augmentation_ideal(A000):
     with pytest.raises(InputError):
         A000.reduced_coproduct(A000.algebra.one())

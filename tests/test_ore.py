@@ -67,6 +67,26 @@ def test_commutator_degree_invariant_enforced():
         OrePresentation([("X", 1), ("Y", 1)], {"X,Y": [(1, {"X": 1})]})
 
 
+@pytest.mark.parametrize("mono", [
+    (Fraction(3, 2), 0, 0, 0), (1.5, 0, 0, 0), ("a", 0, 0, 0),
+    (True, 0, 0, 0), (-1, 0, 0, 0), (1, 0, 0),
+    {"X": Fraction(3, 2)}, {"X": 1.5}, {"X": "a"}, {"X": True},
+    {"X": False}, {"X": -1}],
+    ids=["tuple-fraction", "tuple-float", "tuple-string", "tuple-bool",
+         "tuple-negative", "tuple-short", "dict-fraction", "dict-float",
+         "dict-string", "dict-true", "dict-false", "dict-negative"])
+def test_exponents_must_be_non_negative_ints(K, mono):
+    # on both paths of monomial_tuple: 1.5 would build X^1.5 of degree 1.5,
+    # a string would raise TypeError and True would be taken as 1
+    p = K.algebra
+    with pytest.raises(InputError):
+        p.monomial_tuple(mono)
+    with pytest.raises(InputError):
+        p.monomial(mono)
+    with pytest.raises(InputError):
+        p.element([(1, mono)])
+
+
 def test_normal_form_in_deformed_family(A100):
     p = A100.algebra
     assert p.normal_form(["Z", "X"]) == p.gen("X") * p.gen("Z") + p.gen("X")
@@ -383,6 +403,49 @@ def test_generator_products_are_cached_per_presentation():
     # products cache only the pair asked for, not intermediate pairs
     p.mul_monomials(p.monomial_tuple({"W": 2, "Z": 1}), xy)
     assert list(p._mul_cache) == [(p.monomial_tuple({"W": 2, "Z": 1}), xy)]
+
+
+def _spy_gen_times(monkeypatch, p):
+    """Record the generator index j of every `_gen_times(j, m)` call on p,
+    the recursion's own calls included."""
+    calls = []
+    gen_times = p._gen_times
+
+    def spy(j, m):
+        calls.append(j)
+        return gen_times(j, m)
+
+    monkeypatch.setattr(p, "_gen_times", spy)
+    return calls
+
+
+def test_a_letter_with_no_blockers_never_reaches_gen_times(monkeypatch):
+    # in D every commutator is [W, .], so W is the only letter with
+    # blockers: X, Y and Z slide into the accumulator with no call
+    p = make_D(*[1] * 8).algebra
+    w = p.index["W"]
+    assert {j for j, _ in p.kappa} == {w}
+    calls = _spy_gen_times(monkeypatch, p)
+    for a, b, c, d in itertools.product(range(3), repeat=4):
+        left = p.monomial_tuple({"W": a, "Z": b})
+        right = p.monomial_tuple({"X": c, "Y": d})
+        got = p.mul_monomials(left, right)
+        assert got == reference_normal_form(p, word_of(left) + word_of(right))
+    assert calls and set(calls) == {w}
+
+
+def test_polynomial_algebra_words_never_reach_gen_times(monkeypatch):
+    # k[X, Y, Z]: no commutator, so every letter of every word is a free
+    # slide, and the generator cache stays empty
+    p = OrePresentation([("X", 1), ("Y", 1), ("Z", 1)])
+    calls = _spy_gen_times(monkeypatch, p)
+    for length in range(5):
+        for word in itertools.product(p.names, repeat=length):
+            got = p.normal_form(word)
+            want = tuple(word.count(name) for name in p.names)
+            assert [(m, type(c), c) for m, c in got.terms.items()] == [
+                (want, int, 1)]
+    assert not calls and not p._gen_cache
 
 
 def _commuting_pairs(p, bound):
