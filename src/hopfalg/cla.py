@@ -338,7 +338,7 @@ def _checked_envelope(L: CLA
         report.add("bracket/coproduct compatibility in U(L)", False,
                    detail=f"enveloping presentation could not be built: {exc}")
     else:
-        failures = env.verify_compatibility().failures()
+        failures = env._compatibility_report().failures()
         report.add("bracket/coproduct compatibility in U(L)", not failures,
                    witness=failures[0].witness if failures else None)
 

@@ -185,7 +185,7 @@ def h2_report(h: HopfPresentation, bound: int,
     """
     if bound < 1:
         raise InputError("cobar bound must be >= 1")
-    require_hopf_algebra(h.verify_coassociativity())
+    require_hopf_algebra(h._coassociativity_report())
     ce = _lantern_ce(h, by_bidegree)
     reach = _g_prime(h, ce)
     level = min(bound, reach)
@@ -195,8 +195,7 @@ def h2_report(h: HopfPresentation, bound: int,
     low = sum(cocycles.values()) - sum(coboundaries.values())
     predicted = sum(n for g, n in ce.items() if _total_degree(g) <= level)
     if low > predicted:
-        require_hopf_algebra(h.verify_pbw_consistency(),
-                             h.verify_compatibility())
+        require_hopf_algebra(h._pbw_report(), h._compatibility_report())
         raise RuntimeError(f"H^2(C_<={level}) = {low} exceeds the lantern's "
                            f"CE sum {predicted} there, against the E_1 bound")
     for g, count in h.algebra._monomial_counts(bound, by_bidegree).items():

@@ -108,6 +108,7 @@ class OrePresentation:
 
         self._mul_cache: dict[tuple[Monomial, Monomial], dict[Monomial, Scalar]] = {}
         self._gen_cache: dict[tuple[int, Monomial], dict[Monomial, Scalar]] = {}
+        self._mask_cache: dict[Monomial, tuple[int, int]] = {}
 
     # -- construction helpers ----------------------------------------------
 
@@ -337,39 +338,61 @@ class OrePresentation:
             if name not in self.index:
                 raise InputError(f"unknown generator {name!r} in word")
         letters = [self.index[name] for name in reversed(word)]
-        return AlgebraElement(self, self._left_mul(
-            letters, {self.unit_monomial: 1}))
+        return AlgebraElement(self, integral_values(self._left_mul(
+            letters, {self.unit_monomial: 1})))
 
     def mul_monomials(self, a: Monomial, b: Monomial) -> dict[Monomial, Scalar]:
         """Normal form of a*b for PBW monomials, cached; do not mutate it.
 
-        When no letter x_j of a meets a letter of b among its blockers
-        (`_blockers[j]`), every letter of a slides into b for free
-        (`_gen_times`), so the normal form is the exponent sum; otherwise
-        the letters of a are folded into b right to left.  Both results
-        are cached: the exponent sums are cheaper to keep than to rebuild.
+        When a slides into b (`_slides`), the normal form is the exponent
+        sum; otherwise the letters of a are folded into b right to left.
+        Both results are cached: the exponent sums are cheaper to keep
+        than to rebuild.
         """
         key = (a, b)
         hit = self._mul_cache.get(key)
         if hit is None:
-            blockers = self._blockers
-            if any(e and any(b[i] for i in blockers[j])
-                   for j, e in enumerate(a)):
+            if self._slides(a, b):
+                hit = {tuple(x + y for x, y in zip(a, b)): 1}
+            else:
                 hit = integral_values(
                     self._left_mul(self._letters(a), {b: 1}))
-            else:
-                hit = {tuple(x + y for x, y in zip(a, b)): 1}
             self._mul_cache[key] = hit
         return hit
+
+    def _masks(self, m: Monomial) -> tuple[int, int]:
+        """The letters of m and the blockers of its letters (`_blockers`),
+        as bit masks over the generator indices; cached."""
+        hit = self._mask_cache.get(m)
+        if hit is None:
+            letters = blocked = 0
+            for j, e in enumerate(m):
+                if e:
+                    letters |= 1 << j
+                    for i in self._blockers[j]:
+                        blocked |= 1 << i
+            hit = self._mask_cache[m] = (letters, blocked)
+        return hit
+
+    def _slides(self, a: Monomial, b: Monomial) -> bool:
+        """Whether every letter of a slides into b for free: no letter
+        x_j of a meets a letter of b among its blockers, so a*b is the
+        exponent sum a + b (`_gen_times`)."""
+        return not self._masks(a)[1] & self._masks(b)[0]
+
+    def _commute(self, a: Monomial, b: Monomial) -> bool:
+        """Whether a*b = b*a = a + b by the blocker rule: a slides into b
+        and b into a (`_slides`), so no letter of a and letter of b form a
+        pair with kappa != 0.  It reads the table alone, so it holds on
+        every table, PBW-consistent or not."""
+        letters_a, blocked_a = self._masks(a)
+        letters_b, blocked_b = self._masks(b)
+        return not (blocked_a & letters_b or blocked_b & letters_a)
 
     def mul(self, a: "AlgebraElement", b: "AlgebraElement") -> "AlgebraElement":
         if a.p is not self or b.p is not self:
             raise InputError("elements belong to a different presentation")
-        terms: dict[Monomial, Scalar] = {}
-        for ma, ca in a.terms.items():
-            for mb, cb in b.terms.items():
-                add_scaled(terms, self.mul_monomials(ma, mb), ca * cb)
-        return AlgebraElement(self, terms)
+        return AlgebraElement(self, integral_values(a._products_into(b, {})))
 
     # -- confluence --------------------------------------------------------------
 
@@ -420,9 +443,10 @@ class Combination:
     """A sparse linear combination over one presentation: shared arithmetic.
 
     Subclasses add construction (``_new`` builds one of the same kind and
-    shape), the operand check (``_check``), the product, the term order
-    (``sorted_terms``) and key rendering (``_render_key``, None for a key
-    that prints as its bare coefficient).
+    shape), the operand check (``_check``), the product kernel
+    (``_products_into``, which ``*`` and ``bracket`` share), the term
+    order (``sorted_terms``) and key rendering (``_render_key``, None for
+    a key that prints as its bare coefficient).
     """
 
     __slots__ = ("p", "terms")
@@ -519,6 +543,22 @@ class AlgebraElement(Combination):
             return self.p.mul(self, other)
         return self.scale(other)
 
+    def _products_into(self, other: "AlgebraElement", out: dict,
+                       negate: bool = False,
+                       skip_commuting: bool = False) -> dict:
+        """out += self*other (or -self*other), term pair by term pair,
+        leaving out the pairs that commute (`OrePresentation._commute`)
+        when asked; returns out.  No zero is stored."""
+        p = self.p
+        mul, commute = p.mul_monomials, p._commute
+        for x, ca in self.terms.items():
+            if negate:
+                ca = -ca
+            for y, cb in other.terms.items():
+                if not (skip_commuting and commute(x, y)):
+                    add_scaled(out, mul(x, y), ca * cb)
+        return out
+
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: self.p.monomial_key(kv[0]))
 
@@ -539,5 +579,20 @@ class AlgebraElement(Combination):
 
 def bracket(a: Combination, b: Combination) -> Combination:
     """Commutator a*b - b*a in normal form: of algebra elements, or of
-    tensors with componentwise products (no sign rule)."""
-    return a * b - b * a
+    tensors with componentwise products (no sign rule).
+
+    Only the term pairs that do not commute take products.  Monomials x,
+    y that commute by the blocker rule (`OrePresentation._commute`) have
+    x*y = y*x = x + y, so the pair's share c (x*y - y*x) of the sum is
+    exactly zero; a pair of tensors whose slots all commute has equal
+    slot products both ways, so its share is zero too.  The rule reads
+    the table alone, so the skip holds on every table, PBW-consistent or
+    not.  The other pairs go through the product kernel of ``*``
+    (``_products_into``), once each way, into one sum whose keys and
+    values are those of a*b - b*a; integral Fractions are stored as ints
+    (`integral_values`).
+    """
+    a._check(b)
+    out = a._products_into(b, {}, skip_commuting=True)
+    b._products_into(a, out, negate=True, skip_commuting=True)
+    return a._new(integral_values(out))

@@ -3,7 +3,7 @@ and the one store of answers computed once per object."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 class AnswerStore:
@@ -42,7 +42,9 @@ class VerificationReport:
 
     def copy(self) -> "VerificationReport":
         """A new report over copies of the checks (witnesses shared)."""
-        return VerificationReport(self.title, [replace(c) for c in self.checks])
+        return VerificationReport(self.title, [
+            Check(c.name, c.passed, c.detail, c.witness, c.informational)
+            for c in self.checks])
 
     @property
     def passed(self) -> bool:

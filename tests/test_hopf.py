@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -14,12 +15,13 @@ from hopfalg.catalog import (build, list_catalog, make_B, make_cla_a,
                              make_lie, make_lie_preset)
 from hopfalg.cla import enveloping, object_battery
 from hopfalg.errors import InputError, ParameterError, StructuralError
-from hopfalg.exactlin import add_scaled, add_term, map_slot
+from hopfalg.exactlin import add_scaled, add_term, integral_values, map_slot
 from hopfalg.hopf import HopfPresentation, TensorElement, tensor_of
 from hopfalg.ore import (AlgebraElement, GeneratorInfo, OrePresentation,
                           bracket)
 from hopfalg.reports import VerificationReport
 from test_cobar import _within
+from test_ore import _corrupted_f
 
 
 def monomials(h, bound, include_unit=False):
@@ -729,6 +731,61 @@ def test_antipode_certificate_declines_a_wrong_sign_in_s(monkeypatch):
     assert not _same_as_loop(h, 4).passed
 
 
+def _not_coassociative(delta_w):
+    """k[X, Y, W], W of degree 3, with delta(W) = delta_w: no relation, so
+    PBW-consistent and compatible."""
+    alg = OrePresentation(
+        [GeneratorInfo("X", 1), GeneratorInfo("Y", 1), GeneratorInfo("W", 3)])
+    return HopfPresentation(alg, {"W": delta_w})
+
+
+@pytest.mark.parametrize("delta_w, rows_vanish", [
+    # (delta(x)id - id(x)delta) delta(W) = -X (x) delta(XY)
+    ([(1, {"X": 1}, {"X": 1, "Y": 1})], False),
+    # the same coassociator less Y (x) delta(X^2); both rows vanish on
+    # each generator, so only the coassociativity verdict declines
+    ([(1, {"X": 1}, {"X": 1, "Y": 1}), (-1, {"Y": 1}, {"X": 2})], True),
+])
+def test_antipode_certificate_declines_without_coassociativity(
+        delta_w, rows_vanish):
+    h = _not_coassociative(delta_w)
+    p = h.algebra
+    assert h.verify_pbw_consistency().passed
+    assert h.verify_compatibility().passed
+    assert not h.verify_coassociativity().passed
+    assert rows_vanish == all(h._antipode_rows(p.letter(g)) == ({}, {})
+                              for g in range(len(p.names)))
+    assert not h._antipode_certified()
+    assert h.verify_antipode(6) == h._antipode_loop(6)
+    _same_as_loop(h, 6)
+
+
+def test_antipode_certificate_takes_no_bracket_and_no_s_of_a_relation(
+        monkeypatch):
+    # with the kept verdicts read, the certificate is the two rows on
+    # each generator: no commutator, and no S of a relation; X Y^2 of
+    # [W, Z] = W - X Y^2 in K is neither a delta factor nor reached from
+    # one by S(x_g m') = S(m') S(x_g)
+    h = make_K()
+    p = h.algebra
+    for report in (h.verify_pbw_consistency(), h.verify_compatibility(),
+                   h.verify_coassociativity()):
+        assert report.passed
+    asked, brackets = set(), []
+    antipode = HopfPresentation._antipode_monomial
+
+    def spy(self, m):
+        asked.add(m)
+        return antipode(self, m)
+
+    monkeypatch.setattr(HopfPresentation, "_antipode_monomial", spy)
+    monkeypatch.setattr("hopfalg.hopf.bracket",
+                        lambda a, b: brackets.append((a, b)))
+    assert h._antipode_certified()
+    assert asked and not brackets
+    assert p.monomial_tuple({"X": 1, "Y": 2}) not in asked
+
+
 # an overlap fails in the first, compatibility in the second
 _FAILING = [lambda: _perturbed_K("kappa", (3, 2), (0, 0, 0, 1)), _z_x_is_z]
 
@@ -812,7 +869,8 @@ def test_verify_antipode_rejects_a_negative_bound(K):
 def test_product_kernel_stores_no_zero_and_no_stray_rank(monkeypatch):
     # the results of the kernel and of the shifted primitive block skip
     # TensorElement.__init__'s filter and rank check, so they must hold
-    # neither a zero nor a key of another rank
+    # neither a zero nor a key of another rank; nor may a commutator of
+    # tensors
     product = TensorElement.__mul__
     shift = HopfPresentation._shifted_block
     seen, shifted = [], []
@@ -835,13 +893,57 @@ def test_product_kernel_stores_no_zero_and_no_stray_rank(monkeypatch):
         shifted.append(len(result.terms))
         return result
 
+    # the envelopes are built, and their compatibility checked, first
+    hopfs = [h for _, h in _catalog_hopf()]
     monkeypatch.setattr(TensorElement, "__mul__", spy)
     monkeypatch.setattr(HopfPresentation, "_shifted_block", spy_shift)
-    for _, h in _catalog_hopf():
+    for h in hopfs:
         for m in h.algebra.monomials_up_to(5):
             h._coproduct_monomial(m)
-    # 1778 coproducts in all: 205 through the kernel, the rest shifts
-    assert len(seen) >= 205 and len(shifted) >= 1573
+    # 1668 coproducts made here (the envelopes' checks made the others):
+    # 121 through the kernel, the rest shifts
+    assert len(seen) >= 121 and len(shifted) >= 1547
+    for h in hopfs:
+        p = h.algebra
+        full = [h.coproduct(p.gen(name)) for name in p.names]
+        for a, b in itertools.product(full, repeat=2):
+            check(bracket(a, b), 2)
+
+
+@functools.cache
+def _bracket_algebras():
+    """Every catalog entry (a CLA by its envelope), the PBW-inconsistent
+    F table and the incompatible [Z, X] = Z: (algebra, monomials of
+    degree <= 3)."""
+    algebras = [h.algebra for _, h in _catalog_hopf()]
+    algebras += [_corrupted_f(), _z_x_is_z().algebra]
+    return [(p, p.monomials_up_to(3, include_unit=True)) for p in algebras]
+
+
+def _typed(terms):
+    return {key: (type(c), c) for key, c in terms.items()}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6), st.integers(1, 2), st.data())
+def test_bracket_is_the_commutator_term_for_term(which, rank, data):
+    # only the pairs that do not commute take products, on every table;
+    # the sum is a*b - b*a with integral Fractions stored as ints
+    entries = _bracket_algebras()
+    p, monos = entries[which % len(entries)]
+    key = st.tuples(*[st.sampled_from(monos)] * rank)
+    coeff = st.one_of(st.integers(-3, 3), _rationals)
+
+    def combination():
+        terms = data.draw(st.dictionaries(key, coeff, max_size=4))
+        if rank == 1:
+            return AlgebraElement(p, {t[0]: c for t, c in terms.items()})
+        return TensorElement(p, 2, terms)
+
+    a, b = combination(), combination()
+    got, want = bracket(a, b), a * b - b * a
+    assert type(got) is type(want) and got == want
+    assert _typed(got.terms) == _typed(integral_values(dict(want.terms)))
 
 
 def test_coassociativity_matches_the_full_coproduct_on_the_catalog():

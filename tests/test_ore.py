@@ -1,6 +1,7 @@
 import itertools
 import random
 import signal
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hopfalg.catalog import build, list_catalog, make_D, make_F, make_K
 from hopfalg.cla import enveloping
 from hopfalg.errors import InputError, StructuralError
 from hopfalg.exactlin import add_scaled, add_term
-from hopfalg.hopf import HopfPresentation
+from hopfalg.hopf import HopfPresentation, TensorElement
 from hopfalg.ore import GeneratorInfo, OrePresentation, bracket
 
 
@@ -493,3 +494,61 @@ def test_sorted_product_miss_skips_rewriting(monkeypatch):
     x, w = p.monomial_tuple({"X": 1}), p.monomial_tuple({"W": 1})
     p.mul_monomials(w, x)
     assert calls[0] == {x: 1}
+
+
+def test_a_commuting_pair_never_reaches_mul_monomials_in_bracket(
+        monkeypatch):
+    # in D every commutator is [W, .]: a pair of terms with no W meeting
+    # a letter it does not commute with has a zero share of a*b - b*a and
+    # takes no product, in either slot of a tensor
+    p = make_D(*[1] * 8).algebra
+    x, y, z, w = (p.monomial_tuple({name: 1}) for name in "XYZW")
+    xz, y2 = p.monomial_tuple({"X": 1, "Z": 1}), p.monomial_tuple({"Y": 2})
+    assert p.kappa.get((3, 0))
+    calls = []
+    mul = p.mul_monomials
+
+    def spy(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(p, "mul_monomials", spy)
+    a = p.element({xz: 2, y2: Fraction(1, 2), w: 1})
+    b = p.element({y: 3, z: -1, x: 1})
+    assert bracket(a, b) == a * b - b * a
+    pairs = {(m, n) for m in a.terms for n in b.terms
+             if any(m[j] and n[i] or n[j] and m[i]
+                    for (j, i) in p.kappa)}
+    assert pairs and pairs <= {(w, x), (w, y), (w, z)}
+    calls.clear()
+    bracket(a, b)
+    assert set(calls) == pairs | {(n, m) for m, n in pairs}
+    s = TensorElement(p, 2, {(x, w): 1, (y, y): 1})
+    t = TensorElement(p, 2, {(z, x): 1})
+    calls.clear()
+    assert bracket(s, t) == s * t - t * s
+    calls.clear()
+    bracket(s, t)
+    assert set(calls) == {(x, z), (z, x), (w, x), (x, w)}
+    calls.clear()
+    assert bracket(TensorElement(p, 2, {(xz, y2): 1}), t).is_zero()
+    assert not calls
+
+
+def test_normal_form_and_products_store_integral_sums_as_ints():
+    # in F(0, 1, 5) the X Y^5 coefficient of this word sums Fractions to
+    # -14; normal_form, mul and the kept products all store it as an int
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # off-normalization parameters
+        p = make_F(0, 1, 5).algebra
+    word = ["W", "Y", "Y", "W", "W", "X", "Z"]
+    got = p.normal_form(word)
+    assert [(type(c), c) for m, c in got.terms.items()
+            if m == p.monomial_tuple({"X": 1, "Y": 5})] == [(int, -14)]
+    product = p.one()
+    for name in word:
+        product = product * p.gen(name)
+    for element in (got, product):
+        assert not [c for c in element.terms.values()
+                    if type(c) is Fraction and c.denominator == 1]
+    assert product == got
