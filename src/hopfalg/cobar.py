@@ -222,7 +222,7 @@ def _lantern_ce(h: HopfPresentation, by_bidegree: bool) -> dict:
     per grading, so the eliminations run once per presentation.
     """
     lantern = h._kept(("lantern",),
-                      lambda: lantern_of_hopf(h, h.complete_bound(1)))
+                      lambda: lantern_of_hopf(h, h.top_degree))
     if not by_bidegree:
         return lantern.ce_h2_dims()
     _grading(h, by_bidegree)
@@ -250,7 +250,7 @@ def _eliminated_counts(h: HopfPresentation, bound: int,
 def _g_prime(h: HopfPresentation, ce: dict) -> int:
     """G' = max(G, top generator degree), G the top degree of a grade of
     the CE H^2 ``ce`` (an int, or a bidegree)."""
-    return max([1, *map(_total_degree, ce), h.complete_bound(1)])
+    return max([1, *map(_total_degree, ce), h.top_degree])
 
 
 def _total_degree(grade) -> int:
@@ -342,7 +342,7 @@ class CoboundaryResult:
 def is_coboundary(h: HopfPresentation, w: TensorElement,
                   bound: int) -> CoboundaryResult:
     """Solve d^1(c) = w over the monomials of degree <= min(bound, max(deg
-    w, g)), g = ``complete_bound(1)``, or certify that no c of degree <=
+    w, g)), g = ``top_degree``, or certify that no c of degree <=
     bound solves it.
 
     No solution has degree e > max(deg w, g): d^1 never raises degree,
@@ -362,7 +362,7 @@ def is_coboundary(h: HopfPresentation, w: TensorElement,
     if level > bound:
         raise InputError(f"tensor degree {level} exceeds the bound {bound}")
     monos = h.algebra.monomials_up_to(
-        min(bound, max(level, h.complete_bound(1))))
+        min(bound, max(level, h.top_degree)))
     cols = [h._reduced_monomial(m) for m in monos]
     (sol,), rank = express(cols, [w.terms])
     if sol is None:

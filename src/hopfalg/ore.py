@@ -465,12 +465,15 @@ class Combination:
         return not self.terms
 
     def __add__(self, other):
+        """The sum; integral Fractions are stored as ints, as by ``-``."""
         self._check(other)
-        return self._new(add_scaled(dict(self.terms), other.terms))
+        return self._new(integral_values(add_scaled(dict(self.terms),
+                                                    other.terms)))
 
     def __sub__(self, other):
         self._check(other)
-        return self._new(add_scaled(dict(self.terms), other.terms, -1))
+        return self._new(integral_values(add_scaled(dict(self.terms),
+                                                    other.terms, -1)))
 
     def __neg__(self):
         return self._new({k: -c for k, c in self.terms.items()})

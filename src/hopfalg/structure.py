@@ -70,6 +70,7 @@ class FilteredSubspace:
             "dimension": self.dim,
             "basis": [element_to_terms(b) for b in self.basis],
             "complete": self.complete,
+            "complete_bound": self.complete_bound,
         }
 
     def __repr__(self):
@@ -130,22 +131,24 @@ def _leads(basis: list[AlgebraElement]) -> list[Monomial]:
 def p2_space(h: HopfPresentation, d: int) -> FilteredSubspace:
     """Basis of {a : deg a <= d, delta(a) skew-symmetric and in P(x)P}.
 
-    P2 lies in degrees <= g = ``complete_bound(1)``, the top generator
-    degree, so it is taken at min(d, g) and kept on h; P is the kept
-    ``primitive_space`` basis.  Let a lie in P2, e = deg a >= 1.  delta(a)
-    is skew, so its degree-e part delta_gr(a_top) is skew too (see
-    ``complete_bound``).  Let k0 be the lowest letter count in a_top: the
-    count-k0 part of delta_gr(a_top) is the shuffle coproduct of a_top's
-    count-k0 part, as for P.  The shuffle coproduct of a polynomial
-    algebra is symmetric, and a symmetric skew tensor is 0 in
-    characteristic 0, so that part is linear in the generators: a_top
-    has a generator of degree e, and e <= g.  Only the degree drop, the
+    P2 lies in degrees <= g, the top generator degree, and inside C_2, so
+    it is taken at min(d, g, ``complete_bound(2)``) and kept on h; P is
+    the kept ``primitive_space`` basis.  Let a lie in P2, e = deg a >= 1.
+    delta(a) is skew, so its degree-e part delta_gr(a_top) is skew too
+    (see ``complete_bound``).  Let k0 be the lowest letter count in a_top:
+    the count-k0 part of delta_gr(a_top) is the shuffle coproduct of
+    a_top's count-k0 part, as for P.  The shuffle coproduct of a
+    polynomial algebra is symmetric, and a symmetric skew tensor is 0 in
+    characteristic 0, so that part is linear in the generators: a_top has
+    a generator of degree e, and e <= g.  Only the degree drop, the
     unit-free delta(x_g) and Delta extended as an algebra map are used,
-    so this holds with no PBW, coassociativity or compatibility verdict.
+    so this holds with no PBW, coassociativity or compatibility verdict;
+    so does ``complete_bound(2)``, which is 2 once P(gr H) lies in degree
+    1 (delta(a) then lies in P (x) P, of degree <= 2).
     """
     if d < 1:
         raise InputError("degree bound must be >= 1")
-    bound = h.complete_bound(1)
+    bound = min(h.top_degree, h.complete_bound(2))
     top = min(d, bound)
 
     def compute():
@@ -189,8 +192,10 @@ def extract_cla(h: HopfPresentation, d: int) -> CLA:
     those of reduced coproducts over basis (x) basis, each read at the
     leads (``lead_coordinates``, ``lead_pair_coordinates``) with no
     elimination.  Fails when the space is not closed, or when it is
-    neither complete (d >= g, the top generator degree) nor stable
-    between bounds d-1 and d.
+    neither complete nor stable between bounds d-1 and d.  It is complete
+    at d >= 2 once P(gr H) lies in degree 1 and at d >= g, the top
+    generator degree, otherwise (``p2_space``), so only the second case
+    can fail for want of stability.
     """
     if d < 2:
         raise InputError("degree bound must be >= 2")

@@ -711,7 +711,7 @@ def test_random_clas_agree_with_every_oracle(L):
     # U(L) passes the battery, with the antipode certificate equal to the
     # degree loop; d^2 d^1 = 0 and H^2 <= the CE sum on C_<=G'; the report
     # rows are one elimination's to G' + 2; and P, P2 and C_3 at their
-    # complete bounds are a direct kernel two degrees higher
+    # complete bounds are a direct kernel two degrees past 1, 2 and 3 g
     assert object_battery(L, antipode_bound=5).passed
     h = enveloping(L)
     assert _same_as_loop(h, 5).passed
@@ -722,8 +722,10 @@ def test_random_clas_agree_with_every_oracle(L):
     assert oracle.rows[reach - 1]["h2"] <= sum(ce.values())
     for n in range(1, reach + 3):
         assert h2_report(h, n).rows == oracle.rows[:n], n
-    g = h.complete_bound(1)
-    assert primitive_space(h, g).basis == _direct(h, g + 2, 1, False)[0]
-    assert p2_space(h, 2 * g).basis == _direct(h, 2 * g + 2, 1, True)[-1]
-    assert (coradical_filtration(h, 3, 3 * g).basis[1:]
+    g = h.top_degree
+    assert (primitive_space(h, h.complete_bound(1)).basis
+            == _direct(h, g + 2, 1, False)[0])
+    assert (p2_space(h, h.complete_bound(2)).basis
+            == _direct(h, 2 * g + 2, 1, True)[-1])
+    assert (coradical_filtration(h, 3, h.complete_bound(3)).basis[1:]
             == _direct(h, 3 * g + 2, 3, False)[2])

@@ -17,7 +17,7 @@ from hopfalg.exactlin import Matrix, add_term, coassociator, express
 from hopfalg.hopf import HopfPresentation
 from hopfalg.ledger import cocycle_t, cocycle_u
 from hopfalg.ore import OrePresentation
-from hopfalg.structure import lantern_of_hopf
+from hopfalg.structure import coradical_filtration, lantern_of_hopf
 
 
 def _eliminated_report(h, bound, by_bidegree=False):
@@ -416,6 +416,29 @@ HAND_BUILT = {case: _hand_built(case) for case in HAND_BUILT_DATA}
 DYING = {DELTA_W: ({2: 1, 4: 2}, [0, 1, 0, 2, 2, 2, 2, 2]),
          HEISENBERG_W: ({2: 3, 4: 3}, [0, 3, 2, 4, 4, 4, 4, 4]),
          SEMIDIRECT_W: ({2: 1, 4: 2}, [0, 1, 0, 2, 2, 2, 2, 2])}
+
+
+def test_degree_filtration_certificate_declines_delta_w():
+    # W* has degree 3 and no bracket reaches it, so W is primitive in gr H
+    # and the complete bounds stay n g; W lies in C_2, which is then not
+    # the span of the six monomials of degree <= 2
+    h = _hand_built(DELTA_W)
+    assert not h._primitives_in_degree_one()
+    assert [h.complete_bound(n) for n in range(4)] == [0, 3, 6, 9]
+    level = coradical_filtration(h, 2, 6)
+    monomials = h.algebra.monomials_up_to(2, include_unit=True)
+    assert level.complete and level.dim == 7 and len(monomials) == 6
+    assert level.contains(h.algebra.gen("W"))
+    assert coradical_filtration(h, 2, 2).dim == 6
+
+
+def test_cobar_reads_the_top_degree_not_the_complete_bound(K):
+    # on K, P is complete at 1, but the lantern, G' and the coboundary
+    # search stay at the top generator degree g = 3
+    assert K.complete_bound(1) == 1 and K.top_degree == 3
+    assert _g_prime(K, {}) == 3
+    _lantern_ce(K, False)
+    assert K._kept(("lantern",), None).names == ["X*", "Y*", "Z*", "W*"]
 
 
 @pytest.mark.parametrize("case", [*range(len(HOPF_CATALOG)), *HAND_BUILT],

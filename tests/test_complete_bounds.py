@@ -2,12 +2,15 @@
 
 P and P2 lie in degrees <= g, the top generator degree, and the coradical
 level C_n in degrees <= n g on a coassociative presentation, 2^(n-1) g on
-any (``HopfPresentation.complete_bound``, ``structure.p2_space``), so the
-subspaces are computed at min(d, that bound) and kept on the
-presentation.  The oracle here takes
-no such shortcut: one direct kernel (``structure._coradical_kernel``) at
-the bound d itself, with every lower level also taken at d, and no kept
-answer read.
+any (``HopfPresentation.complete_bound``, ``structure.p2_space``).  When
+P(gr H) lies in degree 1 (``HopfPresentation._primitives_in_degree_one``)
+the unit g drops to 1: P is complete at 1, P2 and C_2 at 2 and C_n at n,
+and C_n is the span of the monomials of degree <= n.  The subspaces are
+computed at min(d, that bound) and kept on the presentation.  The oracle
+here takes no such shortcut: one direct kernel
+(``structure._coradical_kernel``) at the bound d itself, with every lower
+level also taken at d, and no kept answer read.  The presentations the
+certificate declines keep the old bounds; ``_central_w`` is one.
 """
 
 import json
@@ -23,9 +26,10 @@ from hopfalg.cli import main
 from hopfalg.exactlin import Matrix, add_scaled
 from hopfalg.hopf import HopfPresentation
 from hopfalg.ore import AlgebraElement, OrePresentation
-from hopfalg.structure import (coradical_filtration, extract_cla, p2_space,
-                               primitive_space)
-from test_cobar import _random_commutative
+from hopfalg.jsonio import presentation_to_json
+from hopfalg.structure import (associated_graded, coradical_filtration,
+                               extract_cla, p2_space, primitive_space)
+from test_cobar import DELTA_W, HAND_BUILT, _random_commutative
 from test_hopf import _FAILING
 
 CATALOG = list_catalog()
@@ -62,6 +66,32 @@ def _mu_kernel(h, monos, columns, factors):
             for vec in kernel if max(vec) >= k]
 
 
+def _central_w():
+    """A(0,0,0), k[X, Y, Z] with delta(Z) = X (x) Y - Y (x) X, plus a
+    central primitive W of degree 3: a Hopf algebra whose P(gr H) has W,
+    so the degree-one certificate declines and the bounds stay g = 3."""
+    return HopfPresentation(OrePresentation([("X", 1), ("Y", 1), ("Z", 2),
+                                             ("W", 3)]), {
+        "Z": [(1, {"X": 1}, {"Y": 1}), (-1, {"Y": 1}, {"X": 1})]})
+
+
+def _degree_one_by_kernel(h):
+    """Whether P(gr H) lies in degree 1, read off a direct kernel of gr H
+    at g: P(gr H) lies in degrees <= g whatever the certificate says."""
+    gr = associated_graded(h)
+    return all(b.degree == 1 for b in _direct(gr, gr.top_degree, 1, False)[0])
+
+
+def _unit(h):
+    """The degree unit of the complete bounds: 1 when the degree-one
+    certificate passes, which the direct kernel of gr H must confirm,
+    else g."""
+    if h._primitives_in_degree_one():
+        assert _degree_one_by_kernel(h)
+        return 1
+    return h.top_degree
+
+
 @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.describe())
 def test_lead_read_kernel_matches_the_factor_pair_unknowns(spec):
     # C_1..C_3 and P2 at d = 1..2g + 1, each level over the level below
@@ -69,7 +99,7 @@ def test_lead_read_kernel_matches_the_factor_pair_unknowns(spec):
     h = build(spec)
     if isinstance(h, CLA):
         h = enveloping(h)
-    for d in range(1, 2 * h.complete_bound(1) + 2):
+    for d in range(1, 2 * h.top_degree + 2):
         if len(h.algebra.monomials_up_to(d)) > C3_MONOMIALS:
             break
         assert _direct(h, d, 3, True) == _direct(h, d, 3, True, _mu_kernel), d
@@ -92,9 +122,10 @@ C3_MONOMIALS = 200
 
 def _check_against_direct(h):
     """P at d = 1..12, P2 and C_2 at d = 1..2g + 2, C_3 at d = 1..4g + 2,
-    each while d is within the monomial budget."""
-    g = h.complete_bound(1)
-    assert (h.complete_bound(2), h.complete_bound(3)) == (2 * g, 3 * g)
+    each while d is within the monomial budget; each complete from its
+    bound in the unit u (1 or g, ``_unit``)."""
+    g, u = h.top_degree, _unit(h)
+    assert [h.complete_bound(n) for n in (1, 2, 3)] == [u, 2 * u, 3 * u]
     for d in range(1, max(12, 4 * g + 2) + 1):
         count = h.algebra.pbw_count(d)
         n = (3 if d <= 4 * g + 2 and count <= C3_MONOMIALS else
@@ -105,19 +136,19 @@ def _check_against_direct(h):
         direct = _direct(h, d, n, n > 1 and d <= 2 * g + 2)
         space = primitive_space(h, d)
         assert space.basis == direct[0], ("P", d)
-        assert space.complete == (d >= g)
+        assert space.complete == (d >= u)
         if n > 1:
             level = coradical_filtration(h, 2, d)
             assert level.basis[1:] == direct[1], ("C_2", d)
-            assert level.complete == (d >= 2 * g)
+            assert level.complete == (d >= 2 * u)
         if d <= 2 * g + 2 and n > 1:
             space = p2_space(h, d)
             assert space.basis == direct[-1], ("P2", d)
-            assert space.complete == (d >= g)
+            assert space.complete == (d >= min(g, 2 * u))
         if n > 2:
             level = coradical_filtration(h, 3, d)
             assert level.basis[1:] == direct[2], ("C_3", d)
-            assert level.complete == (d >= 3 * g)
+            assert level.complete == (d >= 3 * u)
 
 
 def _hopf(spec):
@@ -130,44 +161,140 @@ def test_catalog_subspaces_match_a_direct_kernel_at_the_bound(spec):
     _check_against_direct(_hopf(spec))
 
 
+def test_declined_subspaces_match_a_direct_kernel_at_the_bound():
+    # the old bounds g, 2g and 3g, where W of degree 3 is primitive
+    h = _central_w()
+    assert _unit(h) == h.top_degree == 3
+    _check_against_direct(h)
+
+
+def _degree_one_cases():
+    return ([(s.describe(), _hopf(s)) for s in CATALOG]
+            + [(name, HAND_BUILT[name]) for name in HAND_BUILT]
+            + [("central W", _central_w()),
+               ("not coassociative", _not_coassociative()),
+               ("not coassociative, declined", _declined_not_coassociative())]
+            + [(f"failing {i}", make()) for i, make in enumerate(_FAILING)])
+
+
+def test_degree_one_certificate_matches_the_primitives_of_gr_h():
+    # the rank test on the lantern's brackets against a direct kernel of
+    # gr H at g; every catalog entry passes, and the certificate reads
+    # no Hopf axiom.  It is exact on a coassociative presentation, where
+    # P(gr H) = (L / [L, L])*, and only sufficient on any other: with
+    # delta(W) = X (x) XY no bracket reaches W*, yet P(gr H) = span(X, Y)
+    verdicts = {name: h._primitives_in_degree_one()
+                for name, h in _degree_one_cases()}
+    for name, h in _degree_one_cases():
+        by_kernel = _degree_one_by_kernel(h)
+        if h.verify_coassociativity().passed:
+            assert verdicts[name] == by_kernel, name
+        else:
+            assert by_kernel or not verdicts[name], name
+    assert all(verdicts[s.describe()] for s in CATALOG)
+    assert verdicts["not coassociative"] and verdicts["failing 0"]
+    assert not any(verdicts[name] for name in (
+        DELTA_W, "central W", "not coassociative, declined"))
+    assert _degree_one_by_kernel(_declined_not_coassociative())
+
+
+def _check_levels_against_direct(h):
+    """C_n at its complete bound, n = 1..3, is the direct kernel at n g +
+    1, and so is P2 at min(g, complete_bound(2)); when the certificate
+    passes, the bound is n and C_n is the monomials of degree <= n."""
+    g = h.top_degree
+    certified = h._primitives_in_degree_one()
+    for n in (1, 2, 3):
+        bound = h.complete_bound(n)
+        level = coradical_filtration(h, n, bound)
+        assert level.complete
+        assert level.basis[1:] == _direct(h, n * g + 1, n, False)[n - 1], n
+        if certified:
+            assert bound == n
+            assert level.basis == [h.algebra.element({m: 1}) for m in
+                                   h.algebra.monomials_up_to(
+                                       n, include_unit=True)], n
+    space = p2_space(h, min(g, h.complete_bound(2)))
+    assert space.complete
+    assert space.basis == _direct(h, 2 * g + 1, 1, True)[-1]
+
+
+@pytest.mark.parametrize("spec", CATALOG, ids=[s.describe() for s in CATALOG])
+def test_certified_levels_match_a_direct_kernel_past_n_g(spec):
+    h = _hopf(spec)
+    assert h._primitives_in_degree_one()
+    _check_levels_against_direct(h)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_random_commutative_levels_match_a_direct_kernel_past_n_g(seed):
+    # coassociative, so the certificate is exact; some draws pass it with
+    # g > 1 and some decline
+    h = _random_commutative(seed)
+    assert h._primitives_in_degree_one() == _degree_one_by_kernel(h)
+    _check_levels_against_direct(h)
+
+
 @pytest.mark.parametrize("spec", CATALOG, ids=[s.describe() for s in CATALOG])
 def test_catalog_c3_matches_a_direct_chain_past_three_g(spec):
     # C_3 at d = 1..4g + 1, past the monomial budget: one direct chain at
     # 4g + 1, whose basis vectors of degree <= d are the direct basis at d
     # (``FilteredSubspace.stable_from_previous_bound``)
     h = _hopf(spec)
-    g = h.complete_bound(1)
+    g = h.top_degree
+    assert h.complete_bound(3) == 3
     direct = _direct(h, 4 * g + 1, 3, False)[2]
     for d in range(1, 4 * g + 2):
         level = coradical_filtration(h, 3, d)
         assert level.basis[1:] == [b for b in direct if b.degree <= d], d
-        assert level.complete == (d >= 3 * g)
+        assert level.complete == (d >= 3)
 
 
-def _not_coassociative():
-    """delta(W) = X (x) Z with delta(Z) = X (x) Y - Y (x) X."""
+def _not_coassociative(right=None):
+    """delta(W) = X (x) right, right = Z unless given, with delta(Z) = X (x)
+    Y - Y (x) X.  With right = Z the bracket [X*, Z*] reaches W* and the
+    degree-one certificate passes."""
     return HopfPresentation(OrePresentation([("X", 1), ("Y", 1), ("Z", 2),
                                              ("W", 3)]), {
         "Z": [(1, {"X": 1}, {"Y": 1}), (-1, {"Y": 1}, {"X": 1})],
-        "W": [(1, {"X": 1}, {"Z": 1})]})
+        "W": [(1, {"X": 1}, right or {"Z": 1})]})
 
 
-def test_c3_bound_without_coassociativity_stays_four_g():
-    # _not_coassociative() fails coassociativity, so C_3 keeps the bound
-    # 2^2 g
-    h = _not_coassociative()
-    assert [h.complete_bound(n) for n in range(5)] == [0, 3, 6, 12, 24]
+def _declined_not_coassociative():
+    """delta(W) = X (x) XY: no bracket reaches W*, so the certificate
+    declines."""
+    return _not_coassociative({"X": 1, "Y": 1})
+
+
+@pytest.mark.parametrize("make, bounds", [
+    (_declined_not_coassociative, [0, 3, 6, 12, 24]),
+    (_not_coassociative, [0, 1, 2, 4, 8])], ids=["declined", "certified"])
+def test_c3_bound_without_coassociativity_stays_four_g(make, bounds):
+    # both fail coassociativity, so C_3 keeps the bound 2^2 u, u = g = 3
+    # when the degree-one certificate declines and u = 1 when it passes
+    h = make()
+    assert [h.complete_bound(n) for n in range(5)] == bounds
     assert [c.name for c in h.verify_coassociativity().failures()] == [
         "coassociativity on W"]
-    assert make_K().complete_bound(4) == 12
 
 
-def test_c3_of_k_is_complete_past_four_g():
-    # past the budget and the bound 4g = 12 that C_3 of K would have
-    # without coassociativity: computed at 3g = 9
-    K = make_K()
-    level = coradical_filtration(K, 3, 13)
-    assert level.complete and level.basis[1:] == _direct(K, 13, 3, False)[2]
+def test_coassociative_bounds_are_n_g_or_n():
+    assert [_central_w().complete_bound(n) for n in range(5)] == [
+        0, 3, 6, 9, 12]
+    assert [make_K().complete_bound(n) for n in range(5)] == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("make, bound", [(make_K, 3), (_central_w, 9)],
+                         ids=["K", "central W"])
+def test_c3_is_complete_past_four_g(make, bound):
+    # past the budget and the bound 4g = 12 that C_3 would have without
+    # coassociativity: computed at 3 on K, and at 3g = 9 where the
+    # certificate declines
+    h = make()
+    level = coradical_filtration(h, 3, 13)
+    assert h.complete_bound(3) == bound
+    assert level.complete and level.basis[1:] == _direct(h, 13, 3, False)[2]
 
 
 _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -205,31 +332,41 @@ def _degrees_asked(monkeypatch, compute):
     return result, asked
 
 
+@pytest.mark.parametrize("make, bound, dim", [(make_K, 1, 2),
+                                              (_central_w, 3, 3)],
+                         ids=["K", "central W"])
 def test_primitive_space_at_twelve_asks_for_no_coproduct_above_g(
-        monkeypatch):
-    K = make_K()
-    space, asked = _degrees_asked(monkeypatch, lambda: primitive_space(K, 12))
-    assert space.degree_bound == 12 and space.complete and space.dim == 2
-    assert max(asked) == K.complete_bound(1) == 3
-    assert max(K.algebra.monomial_degree(m) for m in K._coproduct_cache) == 3
+        monkeypatch, make, bound, dim):
+    # K: P(gr H) lies in degree 1, so P is taken at 1; the central W is
+    # primitive of degree g = 3
+    h = make()
+    space, asked = _degrees_asked(monkeypatch, lambda: primitive_space(h, 12))
+    assert space.degree_bound == 12 and space.complete and space.dim == dim
+    assert max(asked) == h.complete_bound(1) == bound
+    assert max(h.algebra.monomial_degree(m)
+               for m in h._coproduct_cache) == bound
 
 
 def _check_p2_against_direct(h):
-    """P2 at d = 1..2g + 1 is the direct kernel at d, and the direct basis
-    at 2g + 1 lies in degrees <= g."""
-    g = h.complete_bound(1)
+    """P2 at d = 1..2g + 1 is the direct kernel at d, complete from min(g,
+    2u), and the direct basis at 2g + 1 lies in degrees <= g."""
+    g, u = h.top_degree, _unit(h)
     for d in range(1, 2 * g + 2):
         direct = _direct(h, d, 1, True)[-1]
-        assert p2_space(h, d).basis == direct, d
+        space = p2_space(h, d)
+        assert space.basis == direct, d
+        assert space.complete == (d >= min(g, 2 * u)), d
     assert all(b.degree <= g for b in direct)
 
 
-@pytest.mark.parametrize("make", [*_FAILING, _not_coassociative],
+@pytest.mark.parametrize("make", [*_FAILING, _not_coassociative,
+                                  _declined_not_coassociative],
                          ids=["K-kappa-raised", "z-x-is-z",
-                              "not-coassociative"])
+                              "not-coassociative",
+                              "not-coassociative-declined"])
 def test_p2_bound_needs_no_hopf_axiom(make):
     # PBW consistency, compatibility or coassociativity fails; the bound
-    # g uses none of them
+    # min(g, 2u) uses none of them
     h = make()
     assert not all(r.passed for r in (h.verify_pbw_consistency(),
                                       h.verify_coassociativity(),
@@ -243,19 +380,28 @@ def test_p2_of_random_commutative_matches_a_direct_kernel(seed):
     _check_p2_against_direct(_random_commutative(seed))
 
 
-def test_p2_space_at_twelve_asks_for_no_coproduct_above_g(monkeypatch):
-    K = make_K()
-    space, asked = _degrees_asked(monkeypatch, lambda: p2_space(K, 12))
-    assert space.degree_bound == 12 and space.complete and space.dim == 3
-    assert max(asked) == K.complete_bound(1) == 3
+@pytest.mark.parametrize("make, bound, dim", [(make_K, 2, 3),
+                                              (_central_w, 3, 4)],
+                         ids=["K", "central W"])
+def test_p2_space_at_twelve_asks_for_no_coproduct_above_g(
+        monkeypatch, make, bound, dim):
+    # K: P2 lies in C_2, the monomials of degree <= 2; the central W is
+    # in P2 at degree g = 3
+    h = make()
+    space, asked = _degrees_asked(monkeypatch, lambda: p2_space(h, 12))
+    assert space.degree_bound == 12 and space.complete and space.dim == dim
+    assert max(asked) == space.complete_bound == bound
 
 
 @pytest.mark.parametrize("spec", CATALOG, ids=[s.describe() for s in CATALOG])
 def test_extract_cla_at_g_is_extract_cla_past_g(spec):
-    # extract_cla takes bounds >= 2, so g = 1 is read at 2
+    # extract_cla takes bounds >= 2; P2 is complete at 2 on every catalog
+    # entry, so the bounds 2 <= d < g answer too, with the same CLA
     h = _hopf(spec)
-    g = max(h.complete_bound(1), 2)
-    assert extract_cla(h, g) == extract_cla(h, g + 1)
+    g = max(h.top_degree, 2)
+    past = extract_cla(h, g + 1)
+    for d in range(2, g + 1):
+        assert extract_cla(h, d) == past, d
 
 
 def test_kept_bases_are_copies():
@@ -268,18 +414,35 @@ def test_kept_bases_are_copies():
     assert p2_space(K, 9).dim == 3
 
 
-@pytest.mark.parametrize("argv, complete", [
-    (["primitives", "--max-degree", "2"], False),
-    (["primitives", "--max-degree", "3"], True),
-    (["p2", "--max-degree", "2"], False),
-    (["p2", "--max-degree", "3"], True),
-    (["p2", "--max-degree", "6"], True),
-    (["coradical", "--level", "0", "--max-degree", "1"], True),
-    (["coradical", "--level", "3", "--max-degree", "8"], False),
-    (["coradical", "--level", "3", "--max-degree", "9"], True),
+@pytest.mark.parametrize("source, argv, complete, bound", [
+    # K: P(gr H) lies in degree 1, so the bounds are 1, 2 and n
+    ("K", ["primitives", "--max-degree", "1"], True, 1),
+    ("K", ["primitives", "--max-degree", "3"], True, 1),
+    ("K", ["p2", "--max-degree", "1"], False, 2),
+    ("K", ["p2", "--max-degree", "2"], True, 2),
+    ("K", ["p2", "--max-degree", "6"], True, 2),
+    ("K", ["coradical", "--level", "0", "--max-degree", "1"], True, 0),
+    ("K", ["coradical", "--level", "3", "--max-degree", "2"], False, 3),
+    ("K", ["coradical", "--level", "3", "--max-degree", "3"], True, 3),
+    # the central W of degree 3 is primitive: the bounds g, g and n g
+    ("central W", ["primitives", "--max-degree", "2"], False, 3),
+    ("central W", ["primitives", "--max-degree", "3"], True, 3),
+    ("central W", ["p2", "--max-degree", "2"], False, 3),
+    ("central W", ["p2", "--max-degree", "3"], True, 3),
+    ("central W", ["p2", "--max-degree", "6"], True, 3),
+    ("central W", ["coradical", "--level", "3", "--max-degree", "8"], False, 9),
+    ("central W", ["coradical", "--level", "3", "--max-degree", "9"], True, 9),
 ])
-def test_space_commands_report_completeness(argv, complete, capsys):
-    assert main(argv + ["--family", "K", "--json"]) == 0
+def test_space_commands_report_completeness(source, argv, complete, bound,
+                                            tmp_path, capsys):
+    if source == "K":
+        argv = argv + ["--family", "K"]
+    else:
+        path = tmp_path / "central_w.json"
+        path.write_text(json.dumps(presentation_to_json(_central_w())))
+        argv = argv + ["--file", str(path)]
+    assert main(argv + ["--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["complete"] is complete
-    assert payload["degree_bound"] == int(argv[-1])
+    assert payload["complete_bound"] == bound
+    assert payload["degree_bound"] == int(argv[argv.index("--max-degree") + 1])

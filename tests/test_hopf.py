@@ -577,7 +577,9 @@ def test_random_tensor_products_match_reference(rank):
             for _ in range(40)]
         for s, t in cases:
             got = (s * t).terms
-            assert typed(got) == typed(reference_tensor_mul(s, t)), (s, t)
+            # the product stores integral Fractions as ints
+            want = integral_values(reference_tensor_mul(s, t))
+            assert typed(got) == typed(want), (s, t)
             touched = set()
             for t1, c1 in s.terms.items():
                 for t2, c2 in t.terms.items():
@@ -928,7 +930,7 @@ def _typed(terms):
 @given(st.integers(0, 10 ** 6), st.integers(1, 2), st.data())
 def test_bracket_is_the_commutator_term_for_term(which, rank, data):
     # only the pairs that do not commute take products, on every table;
-    # the sum is a*b - b*a with integral Fractions stored as ints
+    # the sum is a*b - b*a, both storing integral Fractions as ints
     entries = _bracket_algebras()
     p, monos = entries[which % len(entries)]
     key = st.tuples(*[st.sampled_from(monos)] * rank)
@@ -943,7 +945,22 @@ def test_bracket_is_the_commutator_term_for_term(which, rank, data):
     a, b = combination(), combination()
     got, want = bracket(a, b), a * b - b * a
     assert type(got) is type(want) and got == want
-    assert _typed(got.terms) == _typed(integral_values(dict(want.terms)))
+    assert _typed(got.terms) == _typed(want.terms)
+
+
+def test_sums_and_tensor_products_store_integral_sums_as_ints():
+    # halves that add up to whole numbers: +, - and the public tensor *
+    # store them as ints, like mul, normal_form and bracket
+    p = make_K().algebra
+    x, y = p.monomials_up_to(1)[:2]
+    half = Fraction(1, 2)
+    a = AlgebraElement(p, {x: half, y: half})
+    b = AlgebraElement(p, {x: half, y: -half})
+    s = TensorElement(p, 2, {(x, y): half})
+    t = TensorElement(p, 2, {(y, x): 2})
+    for got in (a + b, a - b, s + s, s - (-s), s * t):
+        assert got.terms and all(type(c) is int for c in got.terms.values())
+    assert (a + b).terms == {x: 1} and list((s * t).terms.values()) == [1]
 
 
 def test_coassociativity_matches_the_full_coproduct_on_the_catalog():

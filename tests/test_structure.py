@@ -20,6 +20,7 @@ from hopfalg.structure import (associated_graded, coradical_filtration,
                                extract_cla, lantern_of_hopf, p2_space,
                                primitive_space)
 from test_cobar import _eliminated_report
+from test_complete_bounds import _central_w
 
 F = Fraction
 
@@ -158,9 +159,14 @@ def test_extract_cla_from_d_family(D01):
 
 
 def test_extract_cla_requires_stability(D01):
+    # A(0,0,0) with a central primitive W of degree 3: P2 is complete only
+    # at g = 3, and within degree 1 it misses Z, so bounds 1 and 2 disagree
     with pytest.raises(StructuralError):
-        # P2 within degree 1 misses Z, so bounds 1 and 2 disagree
-        extract_cla(D01, 2)
+        extract_cla(_central_w(), 2)
+    # on D, P(gr H) lies in degree 1, so P2 lies in C_2 and is complete at
+    # 2: the bound 2 reads the CLA that g = 3 does
+    assert p2_space(D01, 2).complete
+    assert extract_cla(D01, 2) == extract_cla(D01, 3)
 
 
 def test_associated_graded_drops_low_order_terms(A100, A000):
@@ -455,6 +461,8 @@ def test_subspaces_take_one_elimination_per_kernel(monkeypatch):
     # read at its leads, so membership, extract_cla and the CLA lantern
     # over a kept ker delta take no elimination
     K = make_K()
+    # the degree-one certificate is one rank, kept; read it first
+    assert K.complete_bound(1) == 1
     calls = []
     echelon = Matrix.row_echelon
 
@@ -463,16 +471,16 @@ def test_subspaces_take_one_elimination_per_kernel(monkeypatch):
         return echelon(self)
 
     monkeypatch.setattr(Matrix, "row_echelon", spy)
-    primitives = primitive_space(K, 4).basis   # taken at g = 3
-    assert calls == [len(K.algebra.monomials_up_to(3))]
+    primitives = primitive_space(K, 4).basis   # taken at 1
+    assert calls == [len(K.algebra.monomials_up_to(1))]
     calls.clear()
     monos = K.algebra.monomials_up_to(4)
     structure._coradical_kernel(
         K, monos, [K._reduced_monomial(m) for m in monos], primitives)
     assert calls == [len(monos)]
     calls.clear()
-    p2 = p2_space(K, 5)   # taken at g = 3
-    assert calls == [len(K.algebra.monomials_up_to(3))]
+    p2 = p2_space(K, 5)   # taken at 2
+    assert calls == [len(K.algebra.monomials_up_to(2))]
     for n, new in [(1, 0), (2, 1), (3, 1)]:
         calls.clear()
         coradical_filtration(K, n, 5)
@@ -519,6 +527,8 @@ def test_every_coradical_kernel_has_one_column_per_monomial(monkeypatch):
         columns.append([len(monos)])
         return kernel(h, monos, cols, factors)
 
+    for _, h in presentations:
+        h.complete_bound(1)   # the kept degree-one certificate, one rank
     monkeypatch.setattr(Matrix, "row_echelon", echelon_spy)
     monkeypatch.setattr(structure, "_coradical_kernel", kernel_spy)
     for _, h in presentations:
