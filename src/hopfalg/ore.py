@@ -12,12 +12,15 @@ recursion on a generator times a sorted monomial m = x_i m'
 x_j, else x_j x_i m' = x_i (x_j m') + kappa_ji m'.  The fold and the
 recursion add each c x_j m to their accumulator through one rule
 (`_add_gen_times`): a free slide writes its one term m + e_j with
-coefficient c straight in, and the kappa term is folded from kappa_ji m'
-itself, not from m' scaled afterwards.  Every key gets the value, in the
-order, that adding c times the whole product x_j m gives, and since
-c != 0 the same sums cancel.  Under the degree drop (weighted degree,
-inversion count) falls at every step, so it terminates.  The sorted
-monomials x_1^{e_1}...x_n^{e_n} span the algebra; whether they are a
+coefficient c straight in.  The kappa term is folded term by term by a
+plan compiled once per presentation (`_kappa_folds`): a one-letter term
+kc x_l (83 of the catalog's 87 terms) is the one rule step that adds
+kc x_l m'; any other term folds its letters, right to left, into m'
+seeded with kc.  Every key gets the value, in the order, that adding c
+times the whole product x_j m gives, and since c != 0 the same sums
+cancel.  Under the degree drop (weighted degree, inversion count) falls
+at every step, so it terminates.  The sorted monomials
+x_1^{e_1}...x_n^{e_n} span the algebra; whether they are a
 *basis* is certified by the overlap check (`verify_pbw_consistency`),
 never assumed.
 """
@@ -87,8 +90,19 @@ class OrePresentation:
         # The public table is a read-only view because _mul_cache is only
         # valid for one table; rewriting reads the faster plain dicts behind it.
         self._kappa: dict[tuple[int, int], dict[Monomial, Scalar]] = {}
+        # _kappa_folds[(j, i)]: the fold plan of kappa_ji (`_add_kappa_times`),
+        # one (word, coefficient) per term in table order; the word of a
+        # one-letter term is its generator index, of any other its letters
+        # right to left
+        self._kappa_folds: dict[tuple[int, int], tuple] = {}
+        given: dict[tuple[int, int], object] = {}
         for key, value in (commutators or {}).items():
             j, i = self._pair_indices(key)
+            if (j, i) in given:
+                raise InputError(
+                    f"commutator [{self.names[j]},{self.names[i]}] is given "
+                    f"twice, as {given[(j, i)]!r} and {key!r}")
+            given[(j, i)] = key
             terms = self._terms_from(value)
             if not terms:
                 continue
@@ -99,6 +113,10 @@ class OrePresentation:
                     f"[{self.names[j]},{self.names[i]}] has weighted degree "
                     f"{worst} >= {bound}; rewriting would not terminate")
             self._kappa[(j, i)] = terms
+            self._kappa_folds[(j, i)] = tuple(
+                (mono.index(1) if sum(mono) == 1
+                 else tuple(self._letters(mono)), kc)
+                for mono, kc in terms.items())
         self.kappa = MappingProxyType(
             {key: MappingProxyType(terms) for key, terms in self._kappa.items()})
         # _blockers[j]: the i < j with kappa_ji != 0, read off the fixed table
@@ -273,13 +291,17 @@ class OrePresentation:
         every table, PBW-consistent or not: if kappa_ji = 0 for every
         earlier letter x_i of m, the recursion gives x_i (x_j m') + 0, by
         induction x_j m' = m' + e_j, and x_i times that is sorted, so
-        x_j m = m + e_j.  Both sums go into the cached dict through
-        `_add_gen_times`, the kappa term seeded with its coefficient
-        kappa_ji m' rather than scaled after its fold: c v = 0 exactly
-        when v = 0 for c != 0, so the same keys are written and deleted in
-        the same order, and `integral_values` normalises what is kept.
-        A direct caller (`_resolve_overlap`) gets a free slide from the
-        early return.
+        x_j m = m + e_j.  Both sums go into the cached dict, the first
+        through `_add_gen_times`, the second by the fold plan of kappa_ji
+        (`_add_kappa_times`): a one-letter term kc x_l is the one step
+        ``_add_gen_times(hit, l, m', kc)``, with no letter generator, seed
+        dict or second merge, and any other term is folded from kc m'
+        rather than scaled after its fold.  That adds, key by key, the
+        value ``add_scaled(hit, _left_mul(letters, {m': kc}))`` would:
+        c v = 0 exactly when v = 0 for c != 0, so the same keys are
+        written and deleted in the same order, and `integral_values`
+        normalises what is kept.  A direct caller (`_resolve_overlap`)
+        gets a free slide from the early return.
         """
         for i in self._blockers[j]:
             if m[i]:
@@ -294,11 +316,25 @@ class OrePresentation:
             hit = {}
             for t, c in self._gen_times(j, rest).items():
                 self._add_gen_times(hit, i, t, c)
-            for mono, kc in self._kappa.get((j, i), {}).items():
-                add_scaled(hit, self._left_mul(self._letters(mono),
-                                               {rest: kc}))
+            self._add_kappa_times(hit, j, i, rest)
             self._gen_cache[key] = integral_values(hit)
         return hit
+
+    def _add_kappa_times(self, acc: dict[Monomial, Scalar], j: int, i: int,
+                         m: Monomial) -> None:
+        """acc += kappa_ji * m, for a sorted monomial m, term by term in
+        table order through the fold plan `_kappa_folds[(j, i)]`.
+
+        A one-letter term kc x_l adds kc * x_l m by one `_add_gen_times`
+        step; any other term folds its letters into m seeded with kc
+        (`_left_mul`).  Either way acc receives what
+        ``add_scaled(acc, _left_mul(letters, {m: kc}))`` gives it.
+        """
+        for word, kc in self._kappa_folds.get((j, i), ()):
+            if type(word) is int:
+                self._add_gen_times(acc, word, m, kc)
+            else:
+                add_scaled(acc, self._left_mul(word, {m: kc}))
 
     def _add_gen_times(self, acc: dict[Monomial, Scalar], j: int,
                        m: Monomial, c: Scalar) -> None:
@@ -428,10 +464,9 @@ class OrePresentation:
                 add_scaled(acc, self._gen_times(k, mono), c)
         else:
             # (x_k x_j) x_i -> x_j x_k x_i + kappa_kj x_i
-            x_i = self._gen_times(i, self.unit_monomial)
-            acc = self._left_mul((k, j), x_i)
-            for mono, c in self._kappa.get((k, j), {}).items():
-                add_scaled(acc, self._left_mul(self._letters(mono), x_i), c)
+            x_i = self.letter(i)
+            acc = self._left_mul((k, j), {x_i: 1})
+            self._add_kappa_times(acc, k, j, x_i)
         return AlgebraElement(self, acc)
 
     def __repr__(self):

@@ -37,6 +37,17 @@ def test_verify_corrupted_file_fails(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_verify_file_with_a_commutator_pair_given_twice_is_input_error(
+        tmp_path, capsys):
+    data = presentation_to_json(make_B(1))
+    data["commutators"]["Z, X"] = data["commutators"]["Z,X"]
+    path = tmp_path / "twice_b.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--file", str(path))
+    assert code == 2 and not out
+    assert "[Z,X] is given twice" in err
+
+
 def test_bad_parameter_arity_is_input_error(capsys):
     code, _, err = run(capsys, "verify", "--family", "A", "--params", "1")
     assert code == 2

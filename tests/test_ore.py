@@ -5,12 +5,12 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hopfalg.catalog import build, list_catalog, make_D, make_F, make_K
 from hopfalg.cla import enveloping
 from hopfalg.errors import InputError, StructuralError
-from hopfalg.exactlin import add_scaled, add_term
+from hopfalg.exactlin import add_scaled, add_term, integral_values
 from hopfalg.hopf import HopfPresentation, TensorElement
 from hopfalg.ore import GeneratorInfo, OrePresentation, bracket
 
@@ -66,6 +66,19 @@ def test_commutator_degree_invariant_enforced():
                         {"Y,X": [(1, {"X": 1, "Y": 1})]})
     with pytest.raises(InputError):
         OrePresentation([("X", 1), ("Y", 1)], {"X,Y": [(1, {"X": 1})]})
+
+
+@pytest.mark.parametrize("table", [
+    {"Z,X": [(1, {"Y": 1})], "Z, X": [(2, {"Y": 1})]},
+    {"Z,X": [(1, {"Y": 1})], (2, 0): [(1, {"Y": 1})]},
+    {"Z,X": [(1, {"Y": 1})], "Z, X": []},
+    {"Z,X": [(0, {"Y": 1})], ("Z", "X"): [(1, {"Y": 1})]}],
+    ids=["two-strings", "string-and-indices", "zero-after-nonzero",
+         "zero-before-nonzero"])
+def test_a_commutator_pair_given_twice_is_rejected(table):
+    # each spelling names [Z, X]; keeping either one would drop the other
+    with pytest.raises(InputError, match=r"\[Z,X\] is given twice"):
+        OrePresentation([("X", 1), ("Y", 1), ("Z", 1)], table)
 
 
 @pytest.mark.parametrize("mono", [
@@ -552,3 +565,93 @@ def test_normal_form_and_products_store_integral_sums_as_ints():
         assert not [c for c in element.terms.values()
                     if type(c) is Fraction and c.denominator == 1]
     assert product == got
+
+
+def _typed_items(terms):
+    return [(m, type(c), c) for m, c in terms.items()]
+
+
+def _fresh(p):
+    """A new presentation on the table of p, with empty caches."""
+    return OrePresentation(p.generators,
+                           {pair: dict(t) for pair, t in p.kappa.items()})
+
+
+@st.composite
+def small_tables(draw):
+    """Three or four generators of degree 1 or 2 and a random commutator
+    table whose terms mix single letters, longer words and constants."""
+    degrees = sorted(draw(st.lists(st.sampled_from([1, 1, 2]),
+                                   min_size=3, max_size=4)))
+    gens = [(f"G{g}", d) for g, d in enumerate(degrees)]
+    base = OrePresentation(gens)
+    coeff = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+    table = {}
+    for j in range(len(gens)):
+        for i in range(j):
+            below = base.monomials_up_to(degrees[i] + degrees[j] - 1,
+                                         include_unit=True)
+            terms = draw(st.dictionaries(st.sampled_from(below), coeff,
+                                         max_size=3))
+            if terms:
+                table[(j, i)] = terms
+    return OrePresentation(gens, table)
+
+
+_RECURSION_TABLES = [p for _, p in CATALOG] + [_corrupted_f()]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from(_RECURSION_TABLES), small_tables()),
+       st.data())
+def test_gen_times_is_its_defining_expansion(table, data):
+    # x_j x_i m' = x_i (x_j m') + kappa_ji m', every kappa term folded by
+    # _left_mul on its own: the fold plan writes the same keys, in the
+    # same order, with the same scalar types, on every table
+    p = _fresh(table)
+    blocked = [j for j in range(len(p.names)) if p._blockers[j]]
+    assume(blocked)
+    j = data.draw(st.sampled_from(blocked))
+    m = data.draw(st.sampled_from([
+        m for m in p.monomials_up_to(4) if any(m[i] for i in p._blockers[j])]))
+    i = next(i for i, e in enumerate(m) if e)
+    rest = m[:i] + (m[i] - 1,) + m[i + 1:]
+    want = p._left_mul((i,), p._gen_times(j, rest))
+    for mono, kc in p.kappa.get((j, i), {}).items():
+        add_scaled(want, p._left_mul(p._letters(mono), {rest: kc}))
+    assert _typed_items(p._gen_times(j, m)) == _typed_items(
+        integral_values(want))
+
+
+def _spy_left_mul(monkeypatch, p):
+    """Record (letters, terms) of every `_left_mul` call on p."""
+    calls = []
+    left_mul = p._left_mul
+
+    def spy(letters, terms):
+        letters = tuple(letters)
+        calls.append((letters, dict(terms)))
+        return left_mul(letters, terms)
+
+    monkeypatch.setattr(p, "_left_mul", spy)
+    return calls
+
+
+def test_a_one_letter_kappa_term_is_one_generator_step(monkeypatch):
+    # every commutator of D is linear, so a cold product folds the
+    # letters of a into b once and no kappa term reaches _left_mul
+    p = make_D(*[1] * 8).algebra
+    assert all(sum(mono) == 1 for terms in p.kappa.values() for mono in terms)
+    calls = _spy_left_mul(monkeypatch, p)
+    a = p.monomial_tuple({"W": 3, "Z": 3})
+    b = p.monomial_tuple({"X": 3, "Y": 3})
+    got = p.mul_monomials(a, b)
+    assert calls == [(tuple(p._letters(a)), {b: 1})]
+    assert got == reference_normal_form(p, word_of(a) + word_of(b))
+    # K's [W, Z] = W - X Y^2: the X Y^2 term still folds its letters
+    q = make_K().algebra
+    w, z = q.index["W"], q.index["Z"]
+    xy2 = q.monomial_tuple({"X": 1, "Y": 2})
+    calls = _spy_left_mul(monkeypatch, q)
+    q._gen_times(w, q.letter(z))
+    assert calls == [(tuple(q._letters(xy2)), {q.unit_monomial: -1})]
