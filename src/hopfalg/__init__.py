@@ -20,8 +20,8 @@ from .jsonio import (cla_from_json, cla_to_json, element_to_terms,
 from .ore import AlgebraElement, GeneratorInfo, OrePresentation, bracket
 from .reports import Check, VerificationReport
 from .structure import (FilteredSubspace, associated_graded,
-                        coradical_filtration, extract_cla, lantern_of_hopf,
-                        p2_space, primitive_space)
+                        complete_bound, coradical_filtration, extract_cla,
+                        lantern_of_hopf, p2_space, primitive_space)
 
 __all__ = [
     "AlgebraElement", "CLA", "Check", "CobarComplex", "CobarReport",
@@ -30,12 +30,12 @@ __all__ = [
     "OrePresentation", "ParameterError", "Scalar", "StructuralError",
     "TensorElement", "VerificationReport", "associated_graded", "bracket",
     "build", "build_complex", "cla_from_json", "cla_to_json", "cla_transform",
-    "conilpotency_index", "coradical_filtration", "element_to_terms",
-    "enveloping", "extract_cla", "family_parameter_names", "format_scalar",
-    "h2_report", "is_coboundary", "kernel_delta", "lantern_of_cla",
-    "lantern_of_hopf", "list_catalog", "load_object", "make_A", "make_B",
-    "make_D", "make_E", "make_F", "make_K", "make_cla_35", "make_cla_a",
-    "make_cla_b", "make_lie", "make_lie_preset", "p2_space",
+    "complete_bound", "conilpotency_index", "coradical_filtration",
+    "element_to_terms", "enveloping", "extract_cla", "family_parameter_names",
+    "format_scalar", "h2_report", "is_coboundary", "kernel_delta",
+    "lantern_of_cla", "lantern_of_hopf", "list_catalog", "load_object",
+    "make_A", "make_B", "make_D", "make_E", "make_F", "make_K", "make_cla_35",
+    "make_cla_a", "make_cla_b", "make_lie", "make_lie_preset", "p2_space",
     "presentation_from_json", "presentation_to_json", "primitive_space",
     "scalar", "tensor_of", "verify_cla",
 ]

@@ -224,6 +224,15 @@ class GradedLie(LieConstants, AnswerStore):
         return {g: h2 for g, z in cocycles.items()
                 if (h2 := z - coboundaries.get(g, 0))}
 
+    def generated_in_degree_one(self) -> bool:
+        """Whether L(1) generates L, that is L = L(1) + [L, L], kept: one
+        rank of the bracket constants, which span [L, L], against the
+        number of basis vectors of degree >= 2."""
+        def compute():
+            constants = Matrix.from_keyed_columns(list(self.brackets.values()))
+            return constants.rank() == sum(d > 1 for d in self.degrees)
+        return self._kept(("degree one",), compute)
+
     def _ungraded_bracket(self, grades: Sequence) -> Optional[str]:
         """The first stored bracket [x_i, x_j] with a term x_k whose grade
         is not g_i + g_j, as "[x_i,x_j] -> x_k: g_k != g_i + g_j", or None."""

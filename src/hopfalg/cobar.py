@@ -29,12 +29,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InputError, StructuralError
+from .errors import InputError
 from .exactlin import Matrix, coassociator, express, graded_h2
 from .hopf import HopfPresentation, TensorElement
 from .ore import AlgebraElement
-from .reports import VerificationReport
-from .structure import lantern_of_hopf
+from .reports import VerificationReport, require_passed
+from .structure import kept_lantern
 
 
 @dataclass
@@ -207,22 +207,18 @@ def h2_report(h: HopfPresentation, bound: int,
 def require_hopf_algebra(*reports: VerificationReport) -> None:
     """Refuse a presentation with a failed row in ``reports`` (kept PBW,
     coassociativity or compatibility verdicts), naming each."""
-    failed = [c.name for report in reports for c in report.failures()]
-    if failed:
-        raise StructuralError(
-            "cobar H^2 needs a Hopf algebra (PBW basis, d^2 = 0, Delta an "
-            "algebra map): " + "; ".join(failed) + " fails")
+    require_passed("cobar H^2 needs a Hopf algebra (PBW basis, d^2 = 0, "
+                   "Delta an algebra map)", *reports)
 
 
 def _lantern_ce(h: HopfPresentation, by_bidegree: bool) -> dict:
     """The lantern's CE H^2 per degree, or per bidegree once the
     presentation is checked to respect bidegrees (``_grading``).
 
-    The lantern on every generator is kept on h, and it keeps its CE H^2
-    per grading, so the eliminations run once per presentation.
+    The lantern on every generator, kept on h (``kept_lantern``), keeps
+    its CE H^2 per grading, so the eliminations run once per presentation.
     """
-    lantern = h._kept(("lantern",),
-                      lambda: lantern_of_hopf(h, h.top_degree))
+    lantern = kept_lantern(h)
     if not by_bidegree:
         return lantern.ce_h2_dims()
     _grading(h, by_bidegree)
@@ -347,8 +343,8 @@ def is_coboundary(h: HopfPresentation, w: TensorElement,
 
     No solution has degree e > max(deg w, g): d^1 never raises degree,
     so the degree-e part of d^1(c) = w, which is delta_gr(c_top) in gr
-    H, vanishes, and the P-argument of ``complete_bound`` puts the
-    nonzero c_top in degree <= g.
+    H, vanishes, and the P argument of ``structure.complete_bound`` puts
+    the nonzero c_top in degree <= g.
     """
     if w.rank != 2:
         raise InputError("coboundary test expects a rank-2 tensor")

@@ -14,7 +14,7 @@ from types import MappingProxyType
 from typing import Optional
 
 from .errors import InputError, StructuralError
-from .exactlin import (Matrix, Scalar, add_scaled, add_term, coassociator,
+from .exactlin import (Scalar, add_scaled, add_term, coassociator,
                        integral_values, scalar)
 from .ore import (AlgebraElement, Combination, Monomial, OrePresentation,
                   bracket)
@@ -358,99 +358,6 @@ class HopfPresentation(AnswerStore):
         """g, the top generator degree (1 with no generator): the lantern
         lives in degrees <= g, and so do the indecomposables of gr H."""
         return max(self.algebra.degrees, default=1)
-
-    def _primitives_in_degree_one(self) -> bool:
-        """Whether P(gr H) lies in degree 1, kept on the presentation.
-
-        For each generator degree e >= 2, M_e has a row per generator x_g
-        of degree e and a column per pair i < j with deg x_i + deg x_j =
-        e, entry delta(x_g)[x_i (x) x_j] - delta(x_g)[x_j (x) x_i]: the
-        lantern's bracket constants (``structure.lantern_of_hopf``).  The
-        test passes when every M_e has full row rank, that is L = L(1) +
-        [L, L] for L the lantern.  The blocks share no row, so one rank of
-        the block-diagonal matrix decides them all.
-
-        Proof.  Take a in P(gr H) of degree e > 1.  By the P argument of
-        ``complete_bound`` the lowest letter-count part of a is linear,
-        c.x over the generators of degree e.  Letter (x) letter terms of
-        delta_gr(a) come from that part through delta_gr(x_g) and from
-        the two-letter part of a through its shuffle coproduct, which is
-        symmetric; so the skew letter (x) letter part of delta_gr(a) = 0
-        is c^T M_e, and c = 0, a contradiction.  Only the degree drop, the
-        unit-free delta(x_g) and Delta extended as an algebra map are
-        used: no PBW, coassociativity or compatibility verdict.  On a
-        coassociative presentation the converse holds too, as P(gr H) =
-        (L / [L, L])*; on any other the test is only sufficient.
-        """
-        def compute():
-            p = self.algebra
-            index = {p.letter(g): g for g in range(len(p.degrees))}
-            columns: dict[tuple[int, int], dict[int, Scalar]] = {}
-            for g, delta in self.delta_gen.items():
-                for (l, r), c in delta.items():
-                    i, j = index.get(l), index.get(r)
-                    if (i is None or j is None or i == j
-                            or p.degrees[i] + p.degrees[j] < p.degrees[g]):
-                        continue
-                    add_term(columns.setdefault((min(i, j), max(i, j)), {}),
-                             g, c if i < j else -c)
-            matrix = Matrix.from_keyed_columns(list(columns.values()))
-            return matrix.rank() == sum(e > 1 for e in p.degrees)
-        return self._kept(("degree one",), compute)
-
-    def complete_bound(self, level: int) -> int:
-        """A degree from which C_level, the level-th piece of the coradical
-        filtration, lies in the degree <= d truncation, so C_level computed
-        at any d >= it is the same space, with the same canonical basis;
-        0 for C_0 = k1.  With u = 1 when P(gr H) lies in degree 1
-        (``_primitives_in_degree_one``, kept) and u = g, the top generator
-        degree, otherwise: u for P = C_1, 2u for C_2, level * u for a
-        higher level once the kept ``verify_coassociativity`` report
-        passes, and 2^(level-1) u otherwise.  The anti-cocommutative P2
-        inside C_2 lies in degrees <= g by the P argument below, so it is
-        complete at min(g, ``complete_bound(2)``) (``structure.p2_space``).
-
-        Top parts: every commutator drops degree and every factor of
-        delta(x_i) is unit-free of lower degree, so gr H is the polynomial
-        algebra on the generators, and the degree-e part of delta(a), e =
-        deg a, is delta_gr(a_top), the reduced coproduct of gr H.
-        P: for delta(a) = 0, a_top is primitive in gr H.  Count letters in
-        it.  delta_gr of a product of k letters is its shuffle coproduct,
-        which keeps k letters in all, plus terms with more (each delta
-        term of a letter has a letter on either side).  So the lowest
-        letter-count part of a_top has zero shuffle coproduct and is
-        linear in the generators (characteristic 0): e <= g, and e = 1
-        when P(gr H) lies in degree 1.  So P(gr H) lies in degrees <= u.
-        C_n, n >= 2, with no coassociativity: delta(a) lies in C_{n-1}
-        (x) C_{n-1}, of degree <= 2 * 2^(n-2) u by induction.  For deg a
-        above that, the degree-e part of delta(a) vanishes, so a_top is
-        primitive in gr H and e <= u, a contradiction.  At n = 2 this is
-        the bound 2u, with no Hopf axiom.
-        C_n with coassociativity: write delta(a) over a basis of C_{n-1}
-        whose top parts are independent; its degree-e part lies in
-        C_{n-1}(gr H) (x) C_{n-1}(gr H) by induction, so a_top lies in
-        C_n(gr H).  The degree-deg x_g part of the coassociativity check on
-        x_g is that of gr H, so gr H is a coassociative, commutative,
-        connected graded Hopf algebra, gr H = U(L)* for L the lantern,
-        which lives in the generator degrees (Milnor-Moore).  By
-        coassociativity C_n(gr H) lies in the kernel of the iterated
-        reduced coproduct into n+1 factors, the annihilator of I^{n+1} for
-        I the augmentation ideal of U(L), that is (U(L) / I^{n+1})*.
-        U(L) / I^{n+1} is spanned by products of at most n elements of L,
-        each of degree <= g, so a_top, of degree e, has e <= n g.  When
-        P(gr H) = (L / [L, L])* lies in degree 1, L is generated by L(1),
-        so U(L) is generated in degree 1 and I^{n+1} holds every degree
-        above n: e <= n.  Then C_n is the span of the monomials of degree
-        <= n (Sweedler, Hopf Algebras, 1969, section 11.2, on strictly
-        graded coalgebras; Montgomery, Hopf Algebras and Their Actions on
-        Rings, 1993, sections 5.2-5.3).
-        """
-        if level < 1:
-            return 0
-        unit = 1 if self._primitives_in_degree_one() else self.top_degree
-        if level <= 2 or self._coassociativity_report().passed:
-            return level * unit
-        return unit << (level - 1)
 
     # -- antipode ----------------------------------------------------------------
 

@@ -131,15 +131,17 @@ class OrePresentation:
     # -- construction helpers ----------------------------------------------
 
     def _pair_indices(self, key) -> tuple[int, int]:
+        """(j, i) of "HIGHER,LOWER" or a pair of names or ints (not bools)."""
         if isinstance(key, str):
             parts = [s.strip() for s in key.split(",")]
         else:
-            parts = list(key)
+            parts = list(key) if isinstance(key, tuple) else [key]
         if len(parts) != 2:
             raise InputError(f"commutator key {key!r} must name two generators")
         idx = []
         for p in parts:
-            p = p if isinstance(p, int) else self.index.get(p)
+            p = (p if _is_int(p) else
+                 self.index.get(p) if isinstance(p, str) else None)
             if p is None or not (0 <= p < len(self.names)):
                 raise InputError(f"unknown generator in commutator key {key!r}")
             idx.append(p)

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import StructuralError
+
 
 class AnswerStore:
     """An object that keeps each answer about itself alone (a verdict, a
@@ -81,3 +83,10 @@ class VerificationReport:
                 line += f"  witness: {c.witness}"
             lines.append(line)
         return "\n".join(lines)
+
+
+def require_passed(need: str, *reports: VerificationReport) -> None:
+    """StructuralError after ``need`` naming each failed row of ``reports``."""
+    failed = [c.name for report in reports for c in report.failures()]
+    if failed:
+        raise StructuralError(f"{need}: {'; '.join(failed)} fails")

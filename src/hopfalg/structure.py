@@ -4,7 +4,8 @@ The reduced coproduct never raises weighted degree, so restricting to the
 span of monomials of degree <= d turns membership conditions like
 "delta(a) = 0" or "delta(a) is skew and lies in P(x)P" into exact finite
 linear algebra over the rationals.  Results are exact on the truncation.
-Past ``HopfPresentation.complete_bound`` they are the whole space, so each
+Past ``complete_bound``, read off the kept lantern's
+``GradedLie.generated_in_degree_one``, they are the whole space, so each
 is computed at min(d, that bound), once per presentation: the kernel
 basis is kept on the presentation and read by every later call.
 """
@@ -21,6 +22,7 @@ from .exactlin import (Matrix, Scalar, add_scaled, lead_coordinates,
 from .hopf import HopfPresentation
 from .jsonio import element_to_terms
 from .ore import AlgebraElement, Monomial, OrePresentation, bracket
+from .reports import require_passed
 
 
 @dataclass
@@ -37,7 +39,7 @@ class FilteredSubspace:
     @property
     def complete(self) -> bool:
         """Whether S_d is the whole space: d is at least the proven
-        ``HopfPresentation.complete_bound`` of its coradical level."""
+        ``complete_bound`` of its coradical level."""
         return self.degree_bound >= self.complete_bound
 
     @property
@@ -79,12 +81,82 @@ class FilteredSubspace:
                 f"{self.degree_bound}: {basis})")
 
 
+def complete_bound(h: HopfPresentation, level: int) -> int:
+    """A degree from which C_level, the level-th piece of the coradical
+    filtration, lies in the degree <= d truncation, so C_level computed at
+    any d >= it is the same space, with the same canonical basis; 0 for
+    C_0 = k1.  With u = 1 when P(gr H) lies in degree 1 and u = g, the top
+    generator degree, otherwise: u for P = C_1, 2u for C_2, and level * u
+    for a higher level, which needs a coalgebra: StructuralError names the
+    failed rows of the kept ``verify_coassociativity`` report.  The
+    anti-cocommutative P2 inside C_2 lies in degrees <= g by the P
+    argument below, so it is complete at min(g, ``complete_bound(h, 2)``)
+    (``p2_space``).
+
+    Top parts: every commutator drops degree and every factor of
+    delta(x_i) is unit-free of lower degree, so gr H is the polynomial
+    algebra on the generators, and the degree-e part of delta(a), e =
+    deg a, is delta_gr(a_top), the reduced coproduct of gr H.
+    P: for delta(a) = 0, a_top is primitive in gr H.  Count letters in
+    it.  delta_gr of a product of k letters is its shuffle coproduct,
+    which keeps k letters in all, plus terms with more (each delta
+    term of a letter has a letter on either side).  So the lowest
+    letter-count part of a_top has zero shuffle coproduct and is
+    linear in the generators (characteristic 0): e <= g.
+    Degree one: M_e, for a generator degree e >= 2, has a row per
+    generator x_g of degree e, a column per pair i < j with deg x_i + deg
+    x_j = e and entry delta(x_g)[x_i (x) x_j] - delta(x_g)[x_j (x) x_i]:
+    the bracket constants of the lantern L (``lantern_of_hopf``).  The
+    blocks share no row, so one rank of them all tells whether each M_e
+    has full row rank, L = L(1) + [L, L]
+    (``GradedLie.generated_in_degree_one``).  Then P(gr H) lies in degree
+    1: by the P argument, a in P(gr H) of degree e > 1 has a linear lowest
+    letter-count part, c.x over the generators of degree e.  Letter (x)
+    letter terms of delta_gr(a) come from that part through delta_gr(x_g)
+    and from the two-letter part of a through its shuffle coproduct, which
+    is symmetric; so the skew letter (x) letter part of delta_gr(a) = 0 is
+    c^T M_e, and c = 0, a contradiction.  Only the degree drop, the
+    unit-free delta(x_g) and Delta extended as an algebra map are used: no
+    PBW, coassociativity or compatibility verdict.  On a coassociative
+    presentation the converse holds too, as P(gr H) = (L / [L, L])*; on
+    any other it is only sufficient.  So P(gr H) lies in degrees <= u.
+    C_2: delta(a) lies in P (x) P, of degree <= 2u.  For deg a above
+    that, the degree-e part of delta(a) vanishes, so a_top is primitive
+    in gr H and e <= u, a contradiction.  No Hopf axiom is used.
+    C_n, n >= 3, with coassociativity: write delta(a) over a basis of
+    C_{n-1} whose top parts are independent; its degree-e part lies in
+    C_{n-1}(gr H) (x) C_{n-1}(gr H) by induction, so a_top lies in
+    C_n(gr H).  The degree-deg x_g part of the coassociativity check on
+    x_g is that of gr H, so gr H is a coassociative, commutative,
+    connected graded Hopf algebra, gr H = U(L)* for L the lantern,
+    which lives in the generator degrees (Milnor-Moore).  By
+    coassociativity C_n(gr H) lies in the kernel of the iterated
+    reduced coproduct into n+1 factors, the annihilator of I^{n+1} for
+    I the augmentation ideal of U(L), that is (U(L) / I^{n+1})*.
+    U(L) / I^{n+1} is spanned by products of at most n elements of L,
+    each of degree <= g, so a_top, of degree e, has e <= n g.  When
+    P(gr H) = (L / [L, L])* lies in degree 1, L is generated by L(1),
+    so U(L) is generated in degree 1 and I^{n+1} holds every degree
+    above n: e <= n.  Then C_n is the span of the monomials of degree
+    <= n (Sweedler, Hopf Algebras, 1969, section 11.2, on strictly
+    graded coalgebras; Montgomery, Hopf Algebras and Their Actions on
+    Rings, 1993, sections 5.2-5.3).
+    """
+    if level < 1:
+        return 0
+    if level > 2:
+        require_passed(f"C_{level} needs a coalgebra (coassociative Delta)",
+                       h._coassociativity_report())
+    unit = 1 if kept_lantern(h).generated_in_degree_one() else h.top_degree
+    return level * unit
+
+
 def primitive_space(h: HopfPresentation, d: int) -> FilteredSubspace:
     """Basis of {a : deg a <= d, counit(a) = 0, delta(a) = 0}."""
     if d < 1:
         raise InputError("degree bound must be >= 1")
     return FilteredSubspace(h, d, _coradical_level(h, 1, d),
-                            h.complete_bound(1))
+                            complete_bound(h, 1))
 
 
 def _coradical_level(h: HopfPresentation, n: int,
@@ -95,7 +167,7 @@ def _coradical_level(h: HopfPresentation, n: int,
     Level n-1 within that degree is the same space as at d, and level 1
     is P, so P2 and every level read the one kept P.
     """
-    top = min(d, h.complete_bound(n))
+    top = min(d, complete_bound(h, n))
 
     def compute():
         monos = h.algebra.monomials_up_to(top)
@@ -132,7 +204,7 @@ def p2_space(h: HopfPresentation, d: int) -> FilteredSubspace:
     """Basis of {a : deg a <= d, delta(a) skew-symmetric and in P(x)P}.
 
     P2 lies in degrees <= g, the top generator degree, and inside C_2, so
-    it is taken at min(d, g, ``complete_bound(2)``) and kept on h; P is
+    it is taken at min(d, g, ``complete_bound(h, 2)``) and kept on h; P is
     the kept ``primitive_space`` basis.  Let a lie in P2, e = deg a >= 1.
     delta(a) is skew, so its degree-e part delta_gr(a_top) is skew too
     (see ``complete_bound``).  Let k0 be the lowest letter count in a_top:
@@ -143,12 +215,12 @@ def p2_space(h: HopfPresentation, d: int) -> FilteredSubspace:
     a generator of degree e, and e <= g.  Only the degree drop, the
     unit-free delta(x_g) and Delta extended as an algebra map are used,
     so this holds with no PBW, coassociativity or compatibility verdict;
-    so does ``complete_bound(2)``, which is 2 once P(gr H) lies in degree
-    1 (delta(a) then lies in P (x) P, of degree <= 2).
+    so does ``complete_bound(h, 2)``, which is 2 once P(gr H) lies in
+    degree 1 (delta(a) then lies in P (x) P, of degree <= 2).
     """
     if d < 1:
         raise InputError("degree bound must be >= 1")
-    bound = min(h.top_degree, h.complete_bound(2))
+    bound = min(h.top_degree, complete_bound(h, 2))
     top = min(d, bound)
 
     def compute():
@@ -175,10 +247,9 @@ def coradical_filtration(h: HopfPresentation, n: int, d: int) -> FilteredSubspac
         raise InputError("filtration level must be >= 0")
     if d < 1:
         raise InputError("degree bound must be >= 1")
-    if n == 0:
-        return FilteredSubspace(h, d, [h.algebra.one()], 0)
-    return FilteredSubspace(h, d, [h.algebra.one()]
-                            + _coradical_level(h, n, d), h.complete_bound(n))
+    level = _coradical_level(h, n, d) if n else []
+    return FilteredSubspace(h, d, [h.algebra.one()] + level,
+                            complete_bound(h, n))
 
 
 # -- CLA extraction ------------------------------------------------------------
@@ -300,3 +371,8 @@ def lantern_of_hopf(h: HopfPresentation, d: int) -> GradedLie:
             brackets[(i, j)] = consts
     return GradedLie([alg.names[g] + "*" for g in gens], degrees, brackets,
                      lifts)
+
+
+def kept_lantern(h: HopfPresentation) -> GradedLie:
+    """The lantern on every generator, kept on h for every reader."""
+    return h._kept(("lantern",), lambda: lantern_of_hopf(h, h.top_degree))

@@ -17,7 +17,8 @@ from hopfalg.exactlin import Matrix, add_term, coassociator, express
 from hopfalg.hopf import HopfPresentation
 from hopfalg.ledger import cocycle_t, cocycle_u
 from hopfalg.ore import OrePresentation
-from hopfalg.structure import coradical_filtration, lantern_of_hopf
+from hopfalg.structure import (complete_bound, coradical_filtration,
+                               kept_lantern, lantern_of_hopf)
 
 
 def _eliminated_report(h, bound, by_bidegree=False):
@@ -423,8 +424,8 @@ def test_degree_filtration_certificate_declines_delta_w():
     # and the complete bounds stay n g; W lies in C_2, which is then not
     # the span of the six monomials of degree <= 2
     h = _hand_built(DELTA_W)
-    assert not h._primitives_in_degree_one()
-    assert [h.complete_bound(n) for n in range(4)] == [0, 3, 6, 9]
+    assert not kept_lantern(h).generated_in_degree_one()
+    assert [complete_bound(h, n) for n in range(4)] == [0, 3, 6, 9]
     level = coradical_filtration(h, 2, 6)
     monomials = h.algebra.monomials_up_to(2, include_unit=True)
     assert level.complete and level.dim == 7 and len(monomials) == 6
@@ -435,7 +436,7 @@ def test_degree_filtration_certificate_declines_delta_w():
 def test_cobar_reads_the_top_degree_not_the_complete_bound(K):
     # on K, P is complete at 1, but the lantern, G' and the coboundary
     # search stay at the top generator degree g = 3
-    assert K.complete_bound(1) == 1 and K.top_degree == 3
+    assert complete_bound(K, 1) == 1 and K.top_degree == 3
     assert _g_prime(K, {}) == 3
     _lantern_ce(K, False)
     assert K._kept(("lantern",), None).names == ["X*", "Y*", "Z*", "W*"]

@@ -1,11 +1,12 @@
 """Answers that stop depending on the degree bound.
 
-P and P2 lie in degrees <= g, the top generator degree, and the coradical
-level C_n in degrees <= n g on a coassociative presentation, 2^(n-1) g on
-any (``HopfPresentation.complete_bound``, ``structure.p2_space``).  When
-P(gr H) lies in degree 1 (``HopfPresentation._primitives_in_degree_one``)
-the unit g drops to 1: P is complete at 1, P2 and C_2 at 2 and C_n at n,
-and C_n is the span of the monomials of degree <= n.  The subspaces are
+P and P2 lie in degrees <= g, the top generator degree, C_2 in degrees <=
+2g, and the coradical level C_n, n >= 3, in degrees <= n g on a
+coassociative presentation; on any other C_n, n >= 3, is refused
+(``structure.complete_bound``, ``structure.p2_space``).  When P(gr H) lies
+in degree 1 (the kept lantern's ``GradedLie.generated_in_degree_one``) the
+unit g drops to 1: P is complete at 1, P2 and C_2 at 2 and C_n at n, and
+C_n is the span of the monomials of degree <= n.  The subspaces are
 computed at min(d, that bound) and kept on the presentation.  The oracle
 here takes no such shortcut: one direct kernel
 (``structure._coradical_kernel``) at the bound d itself, with every lower
@@ -23,12 +24,15 @@ from hopfalg.catalog import (build, list_catalog, make_cla_a, make_cla_b,
                              make_K, make_lie)
 from hopfalg.cla import CLA, enveloping
 from hopfalg.cli import main
+from hopfalg.cobar import h2_report
+from hopfalg.errors import StructuralError
 from hopfalg.exactlin import Matrix, add_scaled
 from hopfalg.hopf import HopfPresentation
 from hopfalg.ore import AlgebraElement, OrePresentation
 from hopfalg.jsonio import presentation_to_json
-from hopfalg.structure import (associated_graded, coradical_filtration,
-                               extract_cla, p2_space, primitive_space)
+from hopfalg.structure import (associated_graded, complete_bound,
+                               coradical_filtration, extract_cla, kept_lantern,
+                               p2_space, primitive_space)
 from test_cobar import DELTA_W, HAND_BUILT, _random_commutative
 from test_hopf import _FAILING
 
@@ -86,7 +90,7 @@ def _unit(h):
     """The degree unit of the complete bounds: 1 when the degree-one
     certificate passes, which the direct kernel of gr H must confirm,
     else g."""
-    if h._primitives_in_degree_one():
+    if kept_lantern(h).generated_in_degree_one():
         assert _degree_one_by_kernel(h)
         return 1
     return h.top_degree
@@ -125,7 +129,7 @@ def _check_against_direct(h):
     each while d is within the monomial budget; each complete from its
     bound in the unit u (1 or g, ``_unit``)."""
     g, u = h.top_degree, _unit(h)
-    assert [h.complete_bound(n) for n in (1, 2, 3)] == [u, 2 * u, 3 * u]
+    assert [complete_bound(h, n) for n in (1, 2, 3)] == [u, 2 * u, 3 * u]
     for d in range(1, max(12, 4 * g + 2) + 1):
         count = h.algebra.pbw_count(d)
         n = (3 if d <= 4 * g + 2 and count <= C3_MONOMIALS else
@@ -183,7 +187,7 @@ def test_degree_one_certificate_matches_the_primitives_of_gr_h():
     # no Hopf axiom.  It is exact on a coassociative presentation, where
     # P(gr H) = (L / [L, L])*, and only sufficient on any other: with
     # delta(W) = X (x) XY no bracket reaches W*, yet P(gr H) = span(X, Y)
-    verdicts = {name: h._primitives_in_degree_one()
+    verdicts = {name: kept_lantern(h).generated_in_degree_one()
                 for name, h in _degree_one_cases()}
     for name, h in _degree_one_cases():
         by_kernel = _degree_one_by_kernel(h)
@@ -198,14 +202,33 @@ def test_degree_one_certificate_matches_the_primitives_of_gr_h():
     assert _degree_one_by_kernel(_declined_not_coassociative())
 
 
+def test_the_lantern_is_built_once_per_presentation(monkeypatch):
+    # the degree-one certificate of primitive_space and the CE H^2 of
+    # h2_report read the one lantern kept on the presentation
+    built = []
+    lantern = structure.lantern_of_hopf
+
+    def spy(h, d):
+        built.append(d)
+        return lantern(h, d)
+
+    monkeypatch.setattr(structure, "lantern_of_hopf", spy)
+    h = make_K()
+    primitive_space(h, 4)
+    assert built == [h.top_degree]
+    built.clear()
+    h2_report(h, 4)
+    assert built == []
+
+
 def _check_levels_against_direct(h):
     """C_n at its complete bound, n = 1..3, is the direct kernel at n g +
-    1, and so is P2 at min(g, complete_bound(2)); when the certificate
+    1, and so is P2 at min(g, complete_bound(h, 2)); when the certificate
     passes, the bound is n and C_n is the monomials of degree <= n."""
     g = h.top_degree
-    certified = h._primitives_in_degree_one()
+    certified = kept_lantern(h).generated_in_degree_one()
     for n in (1, 2, 3):
-        bound = h.complete_bound(n)
+        bound = complete_bound(h, n)
         level = coradical_filtration(h, n, bound)
         assert level.complete
         assert level.basis[1:] == _direct(h, n * g + 1, n, False)[n - 1], n
@@ -214,7 +237,7 @@ def _check_levels_against_direct(h):
             assert level.basis == [h.algebra.element({m: 1}) for m in
                                    h.algebra.monomials_up_to(
                                        n, include_unit=True)], n
-    space = p2_space(h, min(g, h.complete_bound(2)))
+    space = p2_space(h, min(g, complete_bound(h, 2)))
     assert space.complete
     assert space.basis == _direct(h, 2 * g + 1, 1, True)[-1]
 
@@ -222,7 +245,7 @@ def _check_levels_against_direct(h):
 @pytest.mark.parametrize("spec", CATALOG, ids=[s.describe() for s in CATALOG])
 def test_certified_levels_match_a_direct_kernel_past_n_g(spec):
     h = _hopf(spec)
-    assert h._primitives_in_degree_one()
+    assert kept_lantern(h).generated_in_degree_one()
     _check_levels_against_direct(h)
 
 
@@ -232,7 +255,8 @@ def test_random_commutative_levels_match_a_direct_kernel_past_n_g(seed):
     # coassociative, so the certificate is exact; some draws pass it with
     # g > 1 and some decline
     h = _random_commutative(seed)
-    assert h._primitives_in_degree_one() == _degree_one_by_kernel(h)
+    assert (kept_lantern(h).generated_in_degree_one()
+            == _degree_one_by_kernel(h))
     _check_levels_against_direct(h)
 
 
@@ -243,7 +267,7 @@ def test_catalog_c3_matches_a_direct_chain_past_three_g(spec):
     # (``FilteredSubspace.stable_from_previous_bound``)
     h = _hopf(spec)
     g = h.top_degree
-    assert h.complete_bound(3) == 3
+    assert complete_bound(h, 3) == 3
     direct = _direct(h, 4 * g + 1, 3, False)[2]
     for d in range(1, 4 * g + 2):
         level = coradical_filtration(h, 3, d)
@@ -267,33 +291,54 @@ def _declined_not_coassociative():
     return _not_coassociative({"X": 1, "Y": 1})
 
 
-@pytest.mark.parametrize("make, bounds", [
-    (_declined_not_coassociative, [0, 3, 6, 12, 24]),
-    (_not_coassociative, [0, 1, 2, 4, 8])], ids=["declined", "certified"])
-def test_c3_bound_without_coassociativity_stays_four_g(make, bounds):
-    # both fail coassociativity, so C_3 keeps the bound 2^2 u, u = g = 3
-    # when the degree-one certificate declines and u = 1 when it passes
+NOT_COASSOCIATIVE = [_declined_not_coassociative, _not_coassociative]
+
+
+@pytest.mark.parametrize("make, bounds", zip(NOT_COASSOCIATIVE,
+                                             [[0, 3, 6], [0, 1, 2]]),
+                         ids=["declined", "certified"])
+def test_c3_of_a_non_coassociative_presentation_is_refused(make, bounds):
+    # both fail coassociativity: P and C_2 keep the bounds u and 2u, u = g
+    # = 3 when the degree-one certificate declines and u = 1 when it
+    # passes; C_n for n >= 3 is a coalgebra notion, and is refused
     h = make()
-    assert [h.complete_bound(n) for n in range(5)] == bounds
+    assert [complete_bound(h, n) for n in range(3)] == bounds
     assert [c.name for c in h.verify_coassociativity().failures()] == [
         "coassociativity on W"]
+    for refused in (lambda: complete_bound(h, 3),
+                    lambda: coradical_filtration(h, 3, 4)):
+        with pytest.raises(StructuralError,
+                           match="C_3 needs a coalgebra .*: coassociativity "
+                                 "on W fails"):
+            refused()
+
+
+@pytest.mark.parametrize("make", NOT_COASSOCIATIVE,
+                         ids=["declined", "certified"])
+def test_coradical_command_refuses_level_three_without_coassociativity(
+        make, tmp_path, capsys):
+    path = tmp_path / "not_coassociative.json"
+    path.write_text(json.dumps(presentation_to_json(make())))
+    argv = ["coradical", "--file", str(path), "--max-degree", "4"]
+    assert main(argv + ["--level", "3"]) == 2
+    assert "coassociativity on W fails" in capsys.readouterr().err
+    assert main(argv + ["--level", "2"]) == 0
 
 
 def test_coassociative_bounds_are_n_g_or_n():
-    assert [_central_w().complete_bound(n) for n in range(5)] == [
+    assert [complete_bound(_central_w(), n) for n in range(5)] == [
         0, 3, 6, 9, 12]
-    assert [make_K().complete_bound(n) for n in range(5)] == [0, 1, 2, 3, 4]
+    assert [complete_bound(make_K(), n) for n in range(5)] == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("make, bound", [(make_K, 3), (_central_w, 9)],
                          ids=["K", "central W"])
 def test_c3_is_complete_past_four_g(make, bound):
-    # past the budget and the bound 4g = 12 that C_3 would have without
-    # coassociativity: computed at 3 on K, and at 3g = 9 where the
-    # certificate declines
+    # past the monomial budget: computed at 3 on K, and at 3g = 9 where
+    # the certificate declines
     h = make()
     level = coradical_filtration(h, 3, 13)
-    assert h.complete_bound(3) == bound
+    assert complete_bound(h, 3) == bound
     assert level.complete and level.basis[1:] == _direct(h, 13, 3, False)[2]
 
 
@@ -342,7 +387,7 @@ def test_primitive_space_at_twelve_asks_for_no_coproduct_above_g(
     h = make()
     space, asked = _degrees_asked(monkeypatch, lambda: primitive_space(h, 12))
     assert space.degree_bound == 12 and space.complete and space.dim == dim
-    assert max(asked) == h.complete_bound(1) == bound
+    assert max(asked) == complete_bound(h, 1) == bound
     assert max(h.algebra.monomial_degree(m)
                for m in h._coproduct_cache) == bound
 

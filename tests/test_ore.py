@@ -81,6 +81,26 @@ def test_a_commutator_pair_given_twice_is_rejected(table):
         OrePresentation([("X", 1), ("Y", 1), ("Z", 1)], table)
 
 
+class _Pairs(list):
+    """A commutator table as (key, terms) pairs, so a key may be unhashable."""
+
+    def items(self):
+        return iter(self)
+
+
+@pytest.mark.parametrize("key", [
+    (True, False), (1, False), ("Y", ["X"]), (1.0, 0), ("Y", None), 1,
+    ("Y", "X", "Z")],
+    ids=["bools", "int-and-bool", "unhashable", "float", "none", "int",
+         "three-parts"])
+def test_a_commutator_key_names_two_generators_or_int_indices(key):
+    # a bool is not an index: (True, False) would store [Y, X] under a
+    # key that is neither a name nor an index
+    with pytest.raises(InputError, match="commutator key"):
+        OrePresentation([("X", 1), ("Y", 1), ("Z", 1)],
+                        _Pairs([(key, [(1, {"Z": 1})])]))
+
+
 @pytest.mark.parametrize("mono", [
     (Fraction(3, 2), 0, 0, 0), (1.5, 0, 0, 0), ("a", 0, 0, 0),
     (True, 0, 0, 0), (-1, 0, 0, 0), (1, 0, 0),

@@ -8,7 +8,7 @@ import pytest
 from hopfalg import structure
 from hopfalg.catalog import (build, list_catalog, make_cla_35, make_cla_a,
                              make_D, make_K, make_lie_preset)
-from hopfalg.cla import cla_transform, enveloping, lantern_of_cla
+from hopfalg.cla import GradedLie, cla_transform, enveloping, lantern_of_cla
 from hopfalg.cli import main
 from hopfalg.cobar import h2_report
 from hopfalg.errors import InputError, StructuralError
@@ -16,9 +16,9 @@ from hopfalg.exactlin import Matrix
 from hopfalg.hopf import HopfPresentation
 from hopfalg.jsonio import presentation_to_json
 from hopfalg.ore import AlgebraElement, OrePresentation, bracket
-from hopfalg.structure import (associated_graded, coradical_filtration,
-                               extract_cla, lantern_of_hopf, p2_space,
-                               primitive_space)
+from hopfalg.structure import (associated_graded, complete_bound,
+                               coradical_filtration, extract_cla,
+                               lantern_of_hopf, p2_space, primitive_space)
 from test_cobar import _eliminated_report
 from test_complete_bounds import _central_w
 
@@ -395,6 +395,20 @@ def test_lantern_generated_in_degree_one(K):
     for idx, deg in enumerate(gl.degrees):
         if deg > 1:
             assert idx in hit
+    assert gl.generated_in_degree_one()
+
+
+@pytest.mark.parametrize("degrees, brackets, generated", [
+    ([1, 1, 2], {(0, 1): {2: 1}}, True),
+    ([1, 2], {}, False),
+    ([1, 1, 2, 2], {(0, 1): {2: 1}}, False),
+    ([1, 1, 2, 3], {(0, 1): {2: 1}, (0, 2): {3: 1}}, True)],
+    ids=["heisenberg", "abelian-degree-2", "one-of-two-degree-2",
+         "degree-3-from-1-and-2"])
+def test_generated_in_degree_one_ranks_the_brackets(degrees, brackets,
+                                                    generated):
+    gl = GradedLie([f"e{i}" for i in range(len(degrees))], degrees, brackets)
+    assert gl.generated_in_degree_one() is generated
 
 
 def test_lantern_records_the_lifted_indecomposables(K):
@@ -462,7 +476,7 @@ def test_subspaces_take_one_elimination_per_kernel(monkeypatch):
     # over a kept ker delta take no elimination
     K = make_K()
     # the degree-one certificate is one rank, kept; read it first
-    assert K.complete_bound(1) == 1
+    assert complete_bound(K, 1) == 1
     calls = []
     echelon = Matrix.row_echelon
 
@@ -528,7 +542,7 @@ def test_every_coradical_kernel_has_one_column_per_monomial(monkeypatch):
         return kernel(h, monos, cols, factors)
 
     for _, h in presentations:
-        h.complete_bound(1)   # the kept degree-one certificate, one rank
+        complete_bound(h, 1)   # the kept degree-one certificate, one rank
     monkeypatch.setattr(Matrix, "row_echelon", echelon_spy)
     monkeypatch.setattr(structure, "_coradical_kernel", kernel_spy)
     for _, h in presentations:
