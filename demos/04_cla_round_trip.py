@@ -21,7 +21,7 @@ print("ker delta has dimension", len(kernel_delta(L)),
 
 U = enveloping(L)
 print("\nits enveloping Hopf presentation:", U)
-back = extract_cla(U, 4)
+back = extract_cla(U)
 print("extracting the anti-cocommutative space recovers the CLA:",
       back == L)
 
@@ -35,4 +35,4 @@ print("   transformed == a(1, 1/2, 0):",
 H = make_cla_35("h", lam=3, a=0)
 print("\na four-dimensional entry (variant h, lam = 3):")
 print(verify_cla(H))
-print("round trip:", extract_cla(enveloping(H), 4) == H)
+print("round trip:", extract_cla(enveloping(H)) == H)

@@ -12,15 +12,15 @@ from hopfalg import (associated_graded, enveloping, lantern_of_cla,
                      make_lie_preset)
 
 print("U(g) for the 4-dim abelian Lie algebra:")
-print("  ", lantern_of_hopf(make_lie_preset("abelian4"), 2))
+print("  ", lantern_of_hopf(make_lie_preset("abelian4")))
 
 print("U(g) for the Heisenberg Lie algebra (still abelian -- the lantern")
 print("forgets the bracket of a cocommutative Hopf algebra):")
-print("  ", lantern_of_hopf(make_lie_preset("heis3"), 3))
+print("  ", lantern_of_hopf(make_lie_preset("heis3")))
 
 L = make_cla_35("f")
 print("\nU(L) for a 4-dimensional anti-cocommutative CLA:")
-print("  ", lantern_of_hopf(enveloping(L), 3))
+print("  ", lantern_of_hopf(enveloping(L)))
 print("computed directly from the CLA coproduct:")
 print("  ", lantern_of_cla(L))
 
@@ -29,7 +29,7 @@ print("\na deformed D-family member: the commutators die in gr,")
 gr = associated_graded(d)
 print("   gr has commutator table", dict(gr.algebra.kappa), "(commutative)")
 print("but the lantern keeps the two-step chain:")
-print("  ", lantern_of_hopf(d, 3))
+print("  ", lantern_of_hopf(d))
 
 print("\nthe K family gives the same chain:")
-print("  ", lantern_of_hopf(make_K(), 3))
+print("  ", lantern_of_hopf(make_K()))

@@ -15,8 +15,8 @@ Objects come either from the built-in catalog (--family/--params) or from
 a JSON file (--file) in the schema documented in the README.  Exit codes:
 0 all checks pass, 1 a verification failed, 2 malformed input; any other
 exception is a defect and propagates.  The default degree bound is 5;
-override it with --max-degree or HOPF_MAX_DEGREE.  lantern defaults to 3
-and reads --max-degree only, never HOPF_MAX_DEGREE.
+override it with --max-degree or HOPF_MAX_DEGREE.  extract-cla and
+lantern take no bound: both read invariants of H at their complete bound.
 """
 
 from __future__ import annotations
@@ -127,18 +127,14 @@ def cmd_extract_cla(args) -> int:
     obj = resolve_object(args)
     if isinstance(obj, CLA):
         raise InputError("extract-cla expects a Hopf presentation")
-    L = extract_cla(obj, max_degree(args))
+    L = extract_cla(obj)
     emit(args, repr(L), cla_to_json(L))
     return EXIT_OK
 
 
 def cmd_lantern(args) -> int:
     obj = resolve_object(args)
-    bound = args.max_degree if args.max_degree is not None else 3
-    if isinstance(obj, CLA):
-        gl = lantern_of_cla(obj)
-    else:
-        gl = lantern_of_hopf(obj, bound)
+    gl = lantern_of_cla(obj) if isinstance(obj, CLA) else lantern_of_hopf(obj)
     payload = {
         "basis": gl.names,
         "degrees": gl.degrees,
@@ -265,11 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub("extract-cla", cmd_extract_cla,
             help="read the CLA off the anti-cocommutative space")
     add_object_args(s)
-    s.add_argument("--max-degree", type=int, default=None)
 
     s = sub("lantern", cmd_lantern, help="graded Lie algebra invariant")
     add_object_args(s)
-    s.add_argument("--max-degree", type=int, default=None)
 
     s = sub("cohomology", cmd_cohomology, help="bounded cobar H^2 report")
     add_object_args(s)

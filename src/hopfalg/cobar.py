@@ -34,7 +34,7 @@ from .exactlin import Matrix, coassociator, express, graded_h2
 from .hopf import HopfPresentation, TensorElement
 from .ore import AlgebraElement
 from .reports import VerificationReport, require_passed
-from .structure import kept_lantern
+from .structure import lantern_of_hopf
 
 
 @dataclass
@@ -215,10 +215,10 @@ def _lantern_ce(h: HopfPresentation, by_bidegree: bool) -> dict:
     """The lantern's CE H^2 per degree, or per bidegree once the
     presentation is checked to respect bidegrees (``_grading``).
 
-    The lantern on every generator, kept on h (``kept_lantern``), keeps
-    its CE H^2 per grading, so the eliminations run once per presentation.
+    The lantern kept on h (``lantern_of_hopf``) keeps its CE H^2 per
+    grading, so the eliminations run once per presentation.
     """
-    lantern = kept_lantern(h)
+    lantern = lantern_of_hopf(h)
     if not by_bidegree:
         return lantern.ce_h2_dims()
     _grading(h, by_bidegree)

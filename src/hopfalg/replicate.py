@@ -183,7 +183,7 @@ def _round_trip(entry: _Entry) -> list[str]:
     if not _is_cla(entry.spec):
         return []
     try:
-        if extract_cla(enveloping(entry.obj), 4) != entry.obj:
+        if extract_cla(enveloping(entry.obj)) != entry.obj:
             return [entry.spec.describe()]
     except HopfAlgError as exc:
         return [f"{entry.spec.describe()}: {exc}"]
@@ -332,7 +332,7 @@ def _hopf_lantern(entry: _Entry) -> list[str]:
         return []
     failures = []
     h = entry.obj
-    gl = lantern_of_hopf(h, 3)
+    gl = lantern_of_hopf(h)
     if spec.tag.startswith("lie_"):
         n = len(h.algebra.names)
         if gl.dims_by_degree() != {1: n} or gl.brackets:
@@ -352,7 +352,7 @@ def _cla_lantern(entry: _Entry) -> list[str]:
         return []
     try:
         L = entry.obj
-        env_lantern = lantern_of_hopf(enveloping(L), 3)
+        env_lantern = lantern_of_hopf(enveloping(L))
         cla_lantern = lantern_of_cla(L)
     except HopfAlgError as exc:
         return [f"{spec.describe()}: {exc}"]

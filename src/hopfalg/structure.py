@@ -4,10 +4,12 @@ The reduced coproduct never raises weighted degree, so restricting to the
 span of monomials of degree <= d turns membership conditions like
 "delta(a) = 0" or "delta(a) is skew and lies in P(x)P" into exact finite
 linear algebra over the rationals.  Results are exact on the truncation.
-Past ``complete_bound``, read off the kept lantern's
+Past ``complete_bound``, read off the lantern's
 ``GradedLie.generated_in_degree_one``, they are the whole space, so each
 is computed at min(d, that bound), once per presentation: the kernel
-basis is kept on the presentation and read by every later call.
+basis is kept on the presentation and read by every later call.  The
+lantern and the CLA read off P2 are invariants of H, not of a
+truncation, and take no bound: each is read at the complete bound.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ def complete_bound(h: HopfPresentation, level: int) -> int:
     if level > 2:
         require_passed(f"C_{level} needs a coalgebra (coassociative Delta)",
                        h._coassociativity_report())
-    unit = 1 if kept_lantern(h).generated_in_degree_one() else h.top_degree
+    unit = 1 if lantern_of_hopf(h).generated_in_degree_one() else h.top_degree
     return level * unit
 
 
@@ -255,29 +257,20 @@ def coradical_filtration(h: HopfPresentation, n: int, d: int) -> FilteredSubspac
 # -- CLA extraction ------------------------------------------------------------
 
 
-def extract_cla(h: HopfPresentation, d: int) -> CLA:
+def extract_cla(h: HopfPresentation) -> CLA:
     """Read a CLA off the anti-cocommutative space of the presentation.
 
-    The basis is the kept canonical p2 basis; bracket constants are the
-    coordinates of commutators of basis elements, coproduct constants
-    those of reduced coproducts over basis (x) basis, each read at the
-    leads (``lead_coordinates``, ``lead_pair_coordinates``) with no
-    elimination.  Fails when the space is not closed, or when it is
-    neither complete nor stable between bounds d-1 and d.  It is complete
-    at d >= 2 once P(gr H) lies in degree 1 and at d >= g, the top
-    generator degree, otherwise (``p2_space``), so only the second case
-    can fail for want of stability.
+    The basis is the kept canonical P2 basis, read at its complete bound
+    min(g, ``complete_bound(h, 2)``) (``p2_space``): P2 lies in degrees
+    <= g, the top generator degree.  A basis vector that is a generator
+    keeps its name; any other is p<i> for its place i, primed until no
+    generator has that name.  Bracket constants are the coordinates of
+    commutators of basis elements, coproduct constants those of reduced
+    coproducts over basis (x) basis, each read at the leads
+    (``lead_coordinates``, ``lead_pair_coordinates``) with no
+    elimination.  Fails when the space is not closed.
     """
-    if d < 2:
-        raise InputError("degree bound must be >= 2")
-    space = p2_space(h, d)
-    basis = space.basis
-    if not (space.complete or space.stable_from_previous_bound):
-        raise StructuralError(
-            f"p2 space is not stable between bounds {d - 1} and {d} "
-            f"({sum(b.degree < d for b in basis)} vs {space.dim}) and "
-            f"not complete below g = {space.complete_bound}; "
-            "raise the bound")
+    basis = p2_space(h, h.top_degree).basis
     names = []
     for i, b in enumerate(basis):
         if len(b.terms) == 1:
@@ -286,7 +279,10 @@ def extract_cla(h: HopfPresentation, d: int) -> CLA:
                 g = next(idx for idx, e in enumerate(mono) if e)
                 names.append(h.algebra.names[g])
                 continue
-        names.append(f"p{i + 1}")
+        name = f"p{i + 1}"
+        while name in h.algebra.names:
+            name += "'"
+        names.append(name)
 
     basis_terms = [b.terms for b in basis]
     leads = _leads(basis)
@@ -337,22 +333,25 @@ def associated_graded(h: HopfPresentation) -> HopfPresentation:
 # -- lantern -----------------------------------------------------------------------
 
 
-def lantern_of_hopf(h: HopfPresentation, d: int) -> GradedLie:
-    """Graded Lie algebra dual to the associated graded algebra, degrees <= d.
+def lantern_of_hopf(h: HopfPresentation) -> GradedLie:
+    """Graded Lie algebra dual to the associated graded algebra, built once
+    (``_build_lantern``) and kept on h: every reader gets the kept one."""
+    return h._kept(("lantern",), lambda: _build_lantern(h))
+
+
+def _build_lantern(h: HopfPresentation) -> GradedLie:
+    """The lantern on every generator.
 
     gr H is the polynomial algebra on the generators (see
     ``associated_graded``), so its indecomposables are the generators:
-    one dual x_g* per generator of degree <= d, ordered by (degree,
-    index), each lifting to the monomial x_g.  Brackets pair against the
-    coproduct, [x_i*, x_j*](x_k) = (x_i* (x) x_j* - x_j* (x) x_i*)(Delta
-    x_k), which for deg x_k = deg x_i + deg x_j reads the two terms
-    x_i (x) x_j and x_j (x) x_i of delta(x_k); both lie in its top degree.
+    one dual x_g* per generator, ordered by (degree, index), each lifting
+    to the monomial x_g.  Brackets pair against the coproduct, [x_i*,
+    x_j*](x_k) = (x_i* (x) x_j* - x_j* (x) x_i*)(Delta x_k), which for
+    deg x_k = deg x_i + deg x_j reads the two terms x_i (x) x_j and x_j
+    (x) x_i of delta(x_k); both lie in its top degree.
     """
-    if d < 1:
-        raise InputError("degree bound must be >= 1")
     alg = h.algebra
-    gens = sorted((g for g, deg in enumerate(alg.degrees) if deg <= d),
-                  key=lambda g: (alg.degrees[g], g))
+    gens = sorted(range(len(alg.degrees)), key=lambda g: (alg.degrees[g], g))
     degrees = [alg.degrees[g] for g in gens]
     lifts = [alg.letter(g) for g in gens]
 
@@ -371,8 +370,3 @@ def lantern_of_hopf(h: HopfPresentation, d: int) -> GradedLie:
             brackets[(i, j)] = consts
     return GradedLie([alg.names[g] + "*" for g in gens], degrees, brackets,
                      lifts)
-
-
-def kept_lantern(h: HopfPresentation) -> GradedLie:
-    """The lantern on every generator, kept on h for every reader."""
-    return h._kept(("lantern",), lambda: lantern_of_hopf(h, h.top_degree))

@@ -527,7 +527,7 @@ def _catalog_lanterns():
                 out.append((spec.describe(), lantern_of_cla(obj), None))
             obj = enveloping(obj)
         alg = obj.algebra
-        gl = lantern_of_hopf(obj, max(alg.degrees))
+        gl = lantern_of_hopf(obj)
         bidegrees = (None if alg.bidegrees is None else
                      [alg.monomial_bidegree(m) for m in gl.lifts])
         out.append((spec.describe() + " lantern", gl, bidegrees))
@@ -580,7 +580,7 @@ def test_ce_h2_matches_blockwise_ranks_on_random_tables(seed):
 
 def test_ce_h2_of_the_k_lantern_takes_two_eliminations(K, monkeypatch):
     # one rank profile of d1 and one of d2, not one per grade block
-    gl = lantern_of_hopf(K, 3)
+    gl = lantern_of_hopf(K)
     calls = []
     certified = Matrix._certified_rref
 

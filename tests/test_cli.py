@@ -8,7 +8,8 @@ import pytest
 
 from hopfalg.catalog import make_B, make_cla_a
 from hopfalg.cli import main
-from hopfalg.jsonio import cla_to_json, presentation_to_json
+from hopfalg.cobar import h2_report
+from hopfalg.jsonio import cla_to_json, load_object, presentation_to_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -98,8 +99,7 @@ def test_coradical_level(capsys):
 
 def test_extract_cla_json(capsys):
     code, out, _ = run(capsys, "extract-cla", "--family", "D",
-                       "--params", "0,1,0,0,0,0,0,0", "--max-degree", "4",
-                       "--json")
+                       "--params", "0,1,0,0,0,0,0,0", "--json")
     assert code == 0
     data = json.loads(out)
     assert data["basis"] == ["X", "Y", "Z"]
@@ -107,17 +107,32 @@ def test_extract_cla_json(capsys):
                                   {"coeff": "-1", "left": 1, "right": 0}]
 
 
-def test_extract_cla_answers_at_the_top_generator_degree(capsys):
-    # P2 of A(0,0,0) is complete at g = 2, so bound 2 reads the CLA that
-    # bound 3 reads
-    outputs = []
-    for bound in ("2", "3"):
-        code, out, _ = run(capsys, "extract-cla", "--family", "A",
-                           "--params", "0,0,0", "--max-degree", bound,
-                           "--json")
-        assert code == 0
-        outputs.append(json.loads(out))
-    assert outputs[0] == outputs[1]
+def _generators_file(tmp_path, generators, coproducts):
+    """A presentation file: generators as (name, degree), each coproduct
+    as name -> [(coeff, left name, right name)]."""
+    path = tmp_path / "presentation.json"
+    path.write_text(json.dumps({
+        "generators": [{"name": n, "degree": d} for n, d in generators],
+        "coproducts": {name: [{"coeff": str(c), "left": {a: 1},
+                               "right": {b: 1}} for c, a, b in terms]
+                       for name, terms in coproducts.items()}}))
+    return str(path)
+
+
+def test_extract_cla_reads_p2_at_its_complete_bound(tmp_path, capsys,
+                                                     monkeypatch):
+    # k[X, Y, W], delta(W) = X(x)Y: P2 holds W - XY/2 of degree 3 = g;
+    # the bound of the other subcommands does not truncate it
+    path = _generators_file(tmp_path, [("X", 1), ("Y", 1), ("W", 3)],
+                            {"W": [(1, "X", "Y")]})
+    monkeypatch.setenv("HOPF_MAX_DEGREE", "2")
+    code, out, _ = run(capsys, "extract-cla", "--file", path)
+    assert code == 0 and out == "CLA(X, Y, p3; abelian)\n"
+    code, out, _ = run(capsys, "extract-cla", "--file", path, "--json")
+    assert code == 0 and json.loads(out)["basis"] == ["X", "Y", "p3"]
+    with pytest.raises(SystemExit):
+        main(["extract-cla", "--file", path, "--max-degree", "3"])
+    assert "--max-degree" in capsys.readouterr().err
 
 
 def test_lantern_output(capsys):
@@ -125,6 +140,22 @@ def test_lantern_output(capsys):
     assert code == 0
     data = json.loads(out)
     assert sorted(data["degrees"]) == [1, 1, 2, 3]
+
+
+def test_lantern_of_a_file_reads_every_generator(tmp_path, capsys):
+    # k[X, Y, Z], delta(Z) = X(x)Y - Y(x)X, with a primitive V of degree
+    # 4: the lantern holds V*, as does the one h2_report reads
+    generators = [("X", 1), ("Y", 1), ("Z", 2), ("V", 4)]
+    coproducts = {"Z": [(1, "X", "Y"), (-1, "Y", "X")]}
+    path = _generators_file(tmp_path, generators, coproducts)
+    code, out, _ = run(capsys, "lantern", "--json", "--file", path)
+    assert code == 0
+    data = json.loads(out)
+    assert data["basis"] == ["X*", "Y*", "Z*", "V*"]
+    h = load_object(path)
+    h2_report(h, 5)
+    assert data["degrees"] == h._kept(("lantern",), None).degrees == [
+        1, 1, 2, 4]
 
 
 def test_cohomology_bidegree_json(capsys):

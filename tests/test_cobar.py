@@ -18,7 +18,7 @@ from hopfalg.hopf import HopfPresentation
 from hopfalg.ledger import cocycle_t, cocycle_u
 from hopfalg.ore import OrePresentation
 from hopfalg.structure import (complete_bound, coradical_filtration,
-                               kept_lantern, lantern_of_hopf)
+                               lantern_of_hopf)
 
 
 def _eliminated_report(h, bound, by_bidegree=False):
@@ -227,9 +227,11 @@ def test_h2_report_takes_one_elimination_per_differential(by_bidegree,
 def test_h2_report_takes_the_two_rank_profiles_at_g_prime(
         family, by_bidegree, monkeypatch):
     # past the lantern's CE ranks, the report eliminates d2 and d1 of
-    # C_<=G' once each, and takes no kernel basis
+    # C_<=G' once each, and takes no kernel basis; it reads the kept
+    # lantern, so its CE H^2 by degree is not taken again, while that by
+    # bidegree is a second grading of the same lantern
     h = catalog.make_K() if family == "K" else make_A(0, 0, 0)
-    lantern = lantern_of_hopf(h, max(h.algebra.degrees))
+    lantern = lantern_of_hopf(h)
     shapes = []
     echelon = Matrix.row_echelon
 
@@ -249,8 +251,8 @@ def test_h2_report_takes_the_two_rank_profiles_at_g_prime(
     monkeypatch.undo()
     assert rep.total_h2 == 2
     cx = build_complex(h, max(top, *h.algebra.degrees))
-    assert shapes == ce_shapes + [(cx.d2.rows, cx.d2.cols),
-                                  (cx.d1.rows, cx.d1.cols)]
+    assert shapes == (ce_shapes if by_bidegree else []) + [
+        (cx.d2.rows, cx.d2.cols), (cx.d1.rows, cx.d1.cols)]
 
 
 def _expire(signum, frame):
@@ -281,7 +283,7 @@ def test_h2_report_scales_to_bound_twelve(monkeypatch):
     # report asks for no delta(m) past G', and its widest elimination
     # is as wide at N = 12 and N = 30 as at N = G' + 1
     K = catalog.make_K()
-    top = max(lantern_of_hopf(K, 3).ce_h2_dims())
+    top = max(lantern_of_hopf(K).ce_h2_dims())
     reach = max(top, *K.algebra.degrees)
     widths, degrees = [], []
     echelon = Matrix.row_echelon
@@ -322,7 +324,7 @@ def test_h2_report_lists_no_monomial_above_g_prime(monkeypatch):
     for h, by_bidegree in [(catalog.make_K(), False),
                            (make_A(0, 0, 0), True)]:
         alg = h.algebra
-        lantern = lantern_of_hopf(h, max(alg.degrees))
+        lantern = lantern_of_hopf(h)
         grades = ([alg.monomial_bidegree(m) for m in lantern.lifts]
                   if by_bidegree else None)
         top = max(sum(g) if by_bidegree else g
@@ -361,13 +363,13 @@ def _oracle(case):
 def test_lantern_prediction_equals_h2(index):
     # cobar H^2 of C_<=n is the sum of H^2_CE(lantern) in degrees <= n
     h, oracle = _oracle(index)
-    ce = lantern_of_hopf(h, max(h.algebra.degrees)).ce_h2_dims()
+    ce = lantern_of_hopf(h).ce_h2_dims()
     assert [r["h2"] for r in oracle.rows[:6]] == [
         sum(dim for deg, dim in ce.items() if deg <= n) for n in range(1, 7)]
 
 
 def test_lantern_prediction_by_bidegree(A000):
-    L = lantern_of_hopf(A000, 2)
+    L = lantern_of_hopf(A000)
     bidegrees = [A000.algebra.monomial_bidegree(m) for m in L.lifts]
     assert L.ce_h2_dims(bidegrees) == {(2, 1): 1, (1, 2): 1}
 
@@ -424,7 +426,7 @@ def test_degree_filtration_certificate_declines_delta_w():
     # and the complete bounds stay n g; W lies in C_2, which is then not
     # the span of the six monomials of degree <= 2
     h = _hand_built(DELTA_W)
-    assert not kept_lantern(h).generated_in_degree_one()
+    assert not lantern_of_hopf(h).generated_in_degree_one()
     assert [complete_bound(h, n) for n in range(4)] == [0, 3, 6, 9]
     level = coradical_filtration(h, 2, 6)
     monomials = h.algebra.monomials_up_to(2, include_unit=True)
@@ -508,7 +510,7 @@ def test_rows_past_g_prime_repeat_g_prime_when_a_ce_class_dies(case):
     h = HAND_BUILT[case]
     ce, rows = DYING[case]
     assert object_battery(h, antipode_bound=5).passed
-    assert lantern_of_hopf(h, 3).ce_h2_dims() == ce
+    assert lantern_of_hopf(h).ce_h2_dims() == ce
     assert _g_prime(h, ce) == 4
     for bound in range(1, 9):
         rep = h2_report(h, bound)
@@ -539,7 +541,7 @@ def _bound_elimination_report(h, bound, by_bidegree=False):
     and the grades above G enumerated from pairs of monomial grades."""
     alg = h.algebra
     grade = _grading(h, by_bidegree)
-    lantern = lantern_of_hopf(h, max(alg.degrees))
+    lantern = lantern_of_hopf(h)
     if by_bidegree:
         ce = lantern.ce_h2_dims([alg.monomial_bidegree(m)
                                  for m in lantern.lifts])
@@ -686,7 +688,7 @@ def _random_semidirect_products(seed: int):
     ids=["A", "B", "D", "E", "F", "k2xk-16", "k3xk-16", "k2xk-17", "k3xk-17"])
 def test_rows_match_full_elimination_on_random_parameters(h, bound):
     oracle = _eliminated_report(h, bound)
-    top = max(lantern_of_hopf(h, max(h.algebra.degrees)).ce_h2_dims())
+    top = max(lantern_of_hopf(h).ce_h2_dims())
     reach = max(top, *h.algebra.degrees)
     assert reach < bound
     for n in range(1, bound + 1):

@@ -31,8 +31,8 @@ from hopfalg.hopf import HopfPresentation
 from hopfalg.ore import AlgebraElement, OrePresentation
 from hopfalg.jsonio import presentation_to_json
 from hopfalg.structure import (associated_graded, complete_bound,
-                               coradical_filtration, extract_cla, kept_lantern,
-                               p2_space, primitive_space)
+                               coradical_filtration, extract_cla,
+                               lantern_of_hopf, p2_space, primitive_space)
 from test_cobar import DELTA_W, HAND_BUILT, _random_commutative
 from test_hopf import _FAILING
 
@@ -90,7 +90,7 @@ def _unit(h):
     """The degree unit of the complete bounds: 1 when the degree-one
     certificate passes, which the direct kernel of gr H must confirm,
     else g."""
-    if kept_lantern(h).generated_in_degree_one():
+    if lantern_of_hopf(h).generated_in_degree_one():
         assert _degree_one_by_kernel(h)
         return 1
     return h.top_degree
@@ -187,7 +187,7 @@ def test_degree_one_certificate_matches_the_primitives_of_gr_h():
     # no Hopf axiom.  It is exact on a coassociative presentation, where
     # P(gr H) = (L / [L, L])*, and only sufficient on any other: with
     # delta(W) = X (x) XY no bracket reaches W*, yet P(gr H) = span(X, Y)
-    verdicts = {name: kept_lantern(h).generated_in_degree_one()
+    verdicts = {name: lantern_of_hopf(h).generated_in_degree_one()
                 for name, h in _degree_one_cases()}
     for name, h in _degree_one_cases():
         by_kernel = _degree_one_by_kernel(h)
@@ -206,19 +206,19 @@ def test_the_lantern_is_built_once_per_presentation(monkeypatch):
     # the degree-one certificate of primitive_space and the CE H^2 of
     # h2_report read the one lantern kept on the presentation
     built = []
-    lantern = structure.lantern_of_hopf
+    build = structure._build_lantern
 
-    def spy(h, d):
-        built.append(d)
-        return lantern(h, d)
+    def spy(h):
+        built.append(h)
+        return build(h)
 
-    monkeypatch.setattr(structure, "lantern_of_hopf", spy)
+    monkeypatch.setattr(structure, "_build_lantern", spy)
     h = make_K()
     primitive_space(h, 4)
-    assert built == [h.top_degree]
-    built.clear()
+    assert built == [h]
     h2_report(h, 4)
-    assert built == []
+    assert lantern_of_hopf(h) is h._kept(("lantern",), None)
+    assert built == [h]
 
 
 def _check_levels_against_direct(h):
@@ -226,7 +226,7 @@ def _check_levels_against_direct(h):
     1, and so is P2 at min(g, complete_bound(h, 2)); when the certificate
     passes, the bound is n and C_n is the monomials of degree <= n."""
     g = h.top_degree
-    certified = kept_lantern(h).generated_in_degree_one()
+    certified = lantern_of_hopf(h).generated_in_degree_one()
     for n in (1, 2, 3):
         bound = complete_bound(h, n)
         level = coradical_filtration(h, n, bound)
@@ -245,7 +245,7 @@ def _check_levels_against_direct(h):
 @pytest.mark.parametrize("spec", CATALOG, ids=[s.describe() for s in CATALOG])
 def test_certified_levels_match_a_direct_kernel_past_n_g(spec):
     h = _hopf(spec)
-    assert kept_lantern(h).generated_in_degree_one()
+    assert lantern_of_hopf(h).generated_in_degree_one()
     _check_levels_against_direct(h)
 
 
@@ -255,7 +255,7 @@ def test_random_commutative_levels_match_a_direct_kernel_past_n_g(seed):
     # coassociative, so the certificate is exact; some draws pass it with
     # g > 1 and some decline
     h = _random_commutative(seed)
-    assert (kept_lantern(h).generated_in_degree_one()
+    assert (lantern_of_hopf(h).generated_in_degree_one()
             == _degree_one_by_kernel(h))
     _check_levels_against_direct(h)
 
@@ -438,15 +438,34 @@ def test_p2_space_at_twelve_asks_for_no_coproduct_above_g(
     assert max(asked) == space.complete_bound == bound
 
 
-@pytest.mark.parametrize("spec", CATALOG, ids=[s.describe() for s in CATALOG])
-def test_extract_cla_at_g_is_extract_cla_past_g(spec):
-    # extract_cla takes bounds >= 2; P2 is complete at 2 on every catalog
-    # entry, so the bounds 2 <= d < g answer too, with the same CLA
-    h = _hopf(spec)
-    g = max(h.top_degree, 2)
-    past = extract_cla(h, g + 1)
-    for d in range(2, g + 1):
-        assert extract_cla(h, d) == past, d
+def _check_extract_cla_against_direct(h):
+    """extract_cla(h), with no degree bound of its own, reads the basis of
+    the direct P2 kernel at 2g + 1."""
+    spaces = []
+
+    def spy(h, d):
+        spaces.append(p2_space(h, d))
+        return spaces[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(structure, "p2_space", spy)
+        L = extract_cla(h)
+    space, = spaces
+    assert space.complete and L.dim == space.dim
+    assert space.basis == _direct(h, 2 * h.top_degree + 1, 1, True)[-1]
+
+
+@pytest.mark.parametrize("case", [*CATALOG, *HAND_BUILT],
+                         ids=[*(s.describe() for s in CATALOG), *HAND_BUILT])
+def test_extract_cla_reads_the_direct_p2_kernel_past_2g(case):
+    _check_extract_cla_against_direct(
+        HAND_BUILT[case] if isinstance(case, str) else _hopf(case))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_extract_cla_of_random_commutative_reads_the_direct_p2_kernel(seed):
+    _check_extract_cla_against_direct(_random_commutative(seed))
 
 
 def test_kept_bases_are_copies():

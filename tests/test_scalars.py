@@ -67,12 +67,12 @@ def _walk_linear_algebra(h: HopfPresentation, cx, where):
         if coords is not None:
             _assert_scalars(coords.values(), f"{where}: express")
     try:
-        L = extract_cla(h, 4)
+        L = extract_cla(h)
     except StructuralError:
         L = None
     if L is not None:
         _assert_cla(L, f"{where}: extract_cla")
-    lantern = lantern_of_hopf(h, 4)
+    lantern = lantern_of_hopf(h)
     for terms in lantern.brackets.values():
         _assert_scalars(terms.values(), f"{where}: lantern")
 

@@ -18,7 +18,9 @@ print("\\n".join(sorted(tops - set(sys.stdlib_module_names) - {"hopfalg"})))
 
 def test_import_loads_only_stdlib_modules():
     # -I -S: no environment variables and no site-packages, so importing an
-    # installed package fails and a non-stdlib module shows up in the list
-    out = subprocess.run([sys.executable, "-I", "-S", "-c", PROBE, str(SRC)],
+    # installed package fails and a non-stdlib module shows up in the list;
+    # -B: -I ignores PYTHONDONTWRITEBYTECODE, so ask for no bytecode here
+    out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", PROBE,
+                          str(SRC)],
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == []

@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfalg import structure
 from hopfalg.catalog import (build, list_catalog, make_cla_35, make_cla_a,
@@ -11,7 +12,7 @@ from hopfalg.catalog import (build, list_catalog, make_cla_35, make_cla_a,
 from hopfalg.cla import GradedLie, cla_transform, enveloping, lantern_of_cla
 from hopfalg.cli import main
 from hopfalg.cobar import h2_report
-from hopfalg.errors import InputError, StructuralError
+from hopfalg.errors import InputError
 from hopfalg.exactlin import Matrix
 from hopfalg.hopf import HopfPresentation
 from hopfalg.jsonio import presentation_to_json
@@ -19,7 +20,7 @@ from hopfalg.ore import AlgebraElement, OrePresentation, bracket
 from hopfalg.structure import (associated_graded, complete_bound,
                                coradical_filtration, extract_cla,
                                lantern_of_hopf, p2_space, primitive_space)
-from test_cobar import _eliminated_report
+from test_cobar import HAND_BUILT, _eliminated_report, _random_commutative
 from test_complete_bounds import _central_w
 
 F = Fraction
@@ -136,7 +137,7 @@ def test_extract_cla_round_trip_all_catalog_entries():
             continue
         L = build(spec)
         env = enveloping(L)
-        back = extract_cla(env, 4)
+        back = extract_cla(env)
         assert back == L, spec.describe()
         env2 = enveloping(back)
         assert env2.algebra.kappa == env.algebra.kappa
@@ -145,28 +146,38 @@ def test_extract_cla_round_trip_all_catalog_entries():
 
 def test_extract_cla_from_heisenberg_enveloping():
     h = make_lie_preset("heis3")
-    L = extract_cla(h, 4)
+    L = extract_cla(h)
     assert L.dim == 3
     assert L.delta == {}
     assert L.bracket_constants(0, 1) == {2: 1}
 
 
 def test_extract_cla_from_d_family(D01):
-    L = extract_cla(D01, 4)
+    L = extract_cla(D01)
     assert L.names == ("X", "Y", "Z")
     assert L.brackets == {}
     assert L.delta == {2: {(0, 1): 1, (1, 0): -1}}
 
 
-def test_extract_cla_requires_stability(D01):
+def test_extract_cla_reads_p2_at_its_complete_bound(D01):
     # A(0,0,0) with a central primitive W of degree 3: P2 is complete only
-    # at g = 3, and within degree 1 it misses Z, so bounds 1 and 2 disagree
-    with pytest.raises(StructuralError):
-        extract_cla(_central_w(), 2)
-    # on D, P(gr H) lies in degree 1, so P2 lies in C_2 and is complete at
-    # 2: the bound 2 reads the CLA that g = 3 does
+    # at g = 3, where it holds W; within degree 2 it would miss W
+    assert extract_cla(_central_w()).names == ("X", "Y", "Z", "W")
+    # on D, P(gr H) lies in degree 1, so P2 lies in C_2 and is complete at 2
     assert p2_space(D01, 2).complete
-    assert extract_cla(D01, 2) == extract_cla(D01, 3)
+    assert extract_cla(D01).names == ("X", "Y", "Z")
+
+
+def test_extract_cla_names_avoid_the_generator_names():
+    # X and p3 primitive, delta(W) = X (x) p3: P2 holds W - X p3 / 2, the
+    # third basis vector, whose p3 a generator already has
+    h = HopfPresentation(
+        OrePresentation([("X", 1), ("p3", 1), ("W", 3)]),
+        {"W": [(1, {"X": 1}, {"p3": 1})]})
+    L = extract_cla(h)
+    assert L.names == ("X", "p3", "p3'")
+    assert L.brackets == {}
+    assert L.delta == {2: {(0, 1): F(1, 2), (1, 0): F(-1, 2)}}
 
 
 def test_associated_graded_drops_low_order_terms(A100, A000):
@@ -191,20 +202,20 @@ def test_associated_graded_fixes_graded_presentations(A000, D01):
 
 
 def test_lantern_of_abelian_enveloping_algebra():
-    gl = lantern_of_hopf(make_lie_preset("abelian4"), 2)
+    gl = lantern_of_hopf(make_lie_preset("abelian4"))
     assert gl.dims_by_degree() == {1: 4}
     assert gl.brackets == {}
 
 
 def test_lantern_of_nonabelian_enveloping_algebra_is_abelian():
-    gl = lantern_of_hopf(make_lie_preset("heis3"), 3)
+    gl = lantern_of_hopf(make_lie_preset("heis3"))
     assert gl.dims_by_degree() == {1: 3}
     assert gl.brackets == {}
 
 
 def test_lantern_of_heisenberg_type_cla():
     h = enveloping(make_cla_a(0, 0, 0))
-    gl = lantern_of_hopf(h, 3)
+    gl = lantern_of_hopf(h)
     assert gl.dims_by_degree() == {1: 2, 2: 1}
     assert list(gl.brackets) == [(0, 1)]
     ((target, coeff),) = gl.brackets[(0, 1)].items()
@@ -212,7 +223,7 @@ def test_lantern_of_heisenberg_type_cla():
 
 
 def test_lantern_of_d_family_two_step_chain(D01):
-    gl = lantern_of_hopf(D01, 3)
+    gl = lantern_of_hopf(D01)
     assert gl.dims_by_degree() == {1: 2, 2: 1, 3: 1}
     assert set(gl.brackets[(0, 1)]) == {2}
     # theta = (0, 1): the chain continues through the second primitive dual
@@ -223,7 +234,7 @@ def test_lantern_of_d_family_two_step_chain(D01):
 
 def test_lantern_brackets_scale_with_theta():
     from hopfalg.catalog import make_D
-    gl = lantern_of_hopf(make_D(1, 0, 0, 0, 0, 0, 0, 0), 3)
+    gl = lantern_of_hopf(make_D(1, 0, 0, 0, 0, 0, 0, 0))
     assert (0, 2) in gl.brackets and set(gl.brackets[(0, 2)]) == {3}
     assert (1, 2) not in gl.brackets
 
@@ -232,7 +243,7 @@ def test_lantern_agrees_with_cla_computation():
     for variant, params in [("a", dict(a=1, b=1, c=0)), ("f", {}),
                             ("h", dict(lam=2, a=0))]:
         L = make_cla_35(variant, **params)
-        lh = lantern_of_hopf(enveloping(L), 3)
+        lh = lantern_of_hopf(enveloping(L))
         lc = lantern_of_cla(L)
         assert lh.degrees == lc.degrees
         assert lh.brackets == lc.brackets
@@ -240,14 +251,15 @@ def test_lantern_agrees_with_cla_computation():
 
 
 def test_lanterns_match_golden_on_catalog():
-    # tests/golden/lanterns_d4.json holds lantern_of_hopf(h, 4) of every
-    # Hopf presentation of the catalog: integral constants as JSON ints,
-    # Fractions as "p/q" strings, so a change of scalar type shows too
+    # tests/golden/lanterns_d4.json holds lantern_of_hopf(h) of every Hopf
+    # presentation of the catalog, all of whose generators lie in degrees
+    # <= 4: integral constants as JSON ints, Fractions as "p/q" strings,
+    # so a change of scalar type shows too
     golden = json.loads((Path(__file__).parent / "golden" /
                          "lanterns_d4.json").read_text())
     seen = {}
     for spec, h in hopf_catalog():
-        gl = lantern_of_hopf(h, 4)
+        gl = lantern_of_hopf(h)
         seen[spec.describe()] = {
             "names": gl.names, "degrees": gl.degrees,
             "brackets": {f"{i},{j}": {str(k): c if isinstance(c, int) else str(c)
@@ -273,9 +285,8 @@ def test_lantern_runs_no_elimination_and_builds_no_presentation(
 
     monkeypatch.setattr(Matrix, "row_echelon", spy)
     monkeypatch.setattr(structure, "associated_graded", graded_spy)
-    for d in range(1, 6):
-        gl = lantern_of_hopf(D01, d)
-        assert calls == []
+    gl = lantern_of_hopf(D01)
+    assert calls == []
     assert gl.dims_by_degree() == {1: 2, 2: 1, 3: 1}
 
 
@@ -331,15 +342,26 @@ def _typed(brackets):
             for key, terms in brackets.items()}
 
 
+def _check_lantern_against_product_matrix(h, name):
+    """The lantern is the product-matrix oracle's at g: past the top
+    generator degree no functional is indecomposable."""
+    names, degrees, brackets, lifts = _product_matrix_lantern(h, h.top_degree)
+    gl = lantern_of_hopf(h)
+    assert (gl.names, gl.degrees) == (names, degrees), name
+    assert (list(_typed(gl.brackets).items())
+            == list(_typed(brackets).items())), name
+    assert gl.lifts == lifts, name
+
+
 def test_lantern_matches_product_matrix_oracle():
-    for name, h in _catalog_presentations():
-        for d in range(1, 7):
-            names, degrees, brackets, lifts = _product_matrix_lantern(h, d)
-            gl = lantern_of_hopf(h, d)
-            assert (gl.names, gl.degrees) == (names, degrees), (name, d)
-            assert (list(_typed(gl.brackets).items())
-                    == list(_typed(brackets).items())), (name, d)
-            assert gl.lifts == lifts, (name, d)
+    for name, h in _catalog_presentations() + list(HAND_BUILT.items()):
+        _check_lantern_against_product_matrix(h, name)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_lantern_of_random_commutative_matches_product_matrix_oracle(seed):
+    _check_lantern_against_product_matrix(_random_commutative(seed), seed)
 
 
 def _reordered_generators():
@@ -354,12 +376,11 @@ def _reordered_generators():
 
 def test_lantern_orders_duals_by_degree_then_index():
     h = _reordered_generators()
-    gl = lantern_of_hopf(h, 2)
+    gl = lantern_of_hopf(h)
     assert gl.names == ["X*", "Y*", "Z*"] and gl.degrees == [1, 1, 2]
     assert gl.brackets == {(0, 1): {2: F(11, 6)}}
     assert type(gl.brackets[(0, 1)][2]) is F
     assert gl.lifts == [(0, 1, 0), (0, 0, 1), (1, 0, 0)]
-    assert lantern_of_hopf(h, 1).names == ["X*", "Y*"]
     # the bidegrees handed to ce_h2_dims follow the lifts, not the table
     bidegrees = [h.algebra.monomial_bidegree(m) for m in gl.lifts]
     assert bidegrees == [(1, 0), (0, 1), (1, 1)]
@@ -382,13 +403,15 @@ def test_lantern_cli_on_reordered_generators(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out == {"basis": ["X*", "Y*", "Z*"], "degrees": [1, 1, 2],
                    "brackets": {"0,1": {"2": "11/6"}}}
-    assert main(["lantern", "--max-degree", "0", "--file", str(path)]) == 2
-    assert "degree bound" in capsys.readouterr().err
+    # the lantern is an invariant of H and takes no degree bound
+    with pytest.raises(SystemExit):
+        main(["lantern", "--max-degree", "3", "--file", str(path)])
+    assert "--max-degree" in capsys.readouterr().err
 
 
 def test_lantern_generated_in_degree_one(K):
     # every degree-2 and degree-3 dual is hit by brackets of lower duals
-    gl = lantern_of_hopf(K, 3)
+    gl = lantern_of_hopf(K)
     hit = set()
     for (i, j), terms in gl.brackets.items():
         hit |= set(terms)
@@ -413,7 +436,7 @@ def test_generated_in_degree_one_ranks_the_brackets(degrees, brackets,
 
 def test_lantern_records_the_lifted_indecomposables(K):
     # one functional per generator, each dual to that generator's monomial
-    gl = lantern_of_hopf(K, 3)
+    gl = lantern_of_hopf(K)
     alg = K.algebra
     assert gl.lifts == [alg.monomial_tuple({name: 1})
                         for name in ("X", "Y", "Z", "W")]
@@ -521,8 +544,8 @@ def test_subspaces_take_one_elimination_per_kernel(monkeypatch):
         return p2_space(h, d)
 
     monkeypatch.setattr(structure, "p2_space", p2_spy)
-    extract_cla(K, 5)
-    assert bounds == [5] and calls == []
+    extract_cla(K)   # P2 lies in degrees <= g; the kept P2, taken at 2
+    assert bounds == [K.top_degree] and calls == []
 
 
 def test_every_coradical_kernel_has_one_column_per_monomial(monkeypatch):
@@ -592,5 +615,5 @@ def test_graded_p2_complements_the_decomposables(D01, E110, F010, K):
 
 def test_lantern_degree_one_is_dual_to_primitives():
     for spec, h in hopf_catalog():
-        gl = lantern_of_hopf(h, 2)
+        gl = lantern_of_hopf(h)
         assert gl.dims_by_degree().get(1, 0) == primitive_space(h, 3).dim
