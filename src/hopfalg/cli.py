@@ -1,7 +1,7 @@
 """Command-line front end.
 
     hopf verify      --family K
-    hopf primitives  --family D --params 0,1,0,0,0,0,0,0 --max-degree 5
+    hopf primitives  --family D --params 0,1,0,0,0,0,0,0
     hopf p2          --family E --params 1,1,0
     hopf coradical   --family A --params 0,0,0 --level 2
     hopf extract-cla --family D --params 0,1,0,0,0,0,0,0
@@ -14,9 +14,10 @@
 Objects come either from the built-in catalog (--family/--params) or from
 a JSON file (--file) in the schema documented in the README.  Exit codes:
 0 all checks pass, 1 a verification failed, 2 malformed input; any other
-exception is a defect and propagates.  The default degree bound is 5;
-override it with --max-degree or HOPF_MAX_DEGREE.  extract-cla and
-lantern take no bound: both read invariants of H at their complete bound.
+exception is a defect and propagates.  verify and cohomology take a
+degree bound, 5 by default; override it with --max-degree or
+HOPF_MAX_DEGREE.  primitives, p2, coradical, extract-cla and lantern take
+none: each reads an invariant of H whole, at its complete bound.
 """
 
 from __future__ import annotations
@@ -98,14 +99,11 @@ def _space_command(args, compute, label: str = "", **extra) -> int:
     obj = resolve_object(args)
     if isinstance(obj, CLA):
         obj = enveloping(obj)
-    bound = max_degree(args)
-    space = compute(obj, bound)
-    stable = space.stable_from_previous_bound
-    human = [f"{label}dimension {space.dim} within degree bound {bound} "
-             f"(stable from bound {bound - 1}: {stable})"]
+    space = compute(obj)
+    human = [f"{label}dimension {space.dim}, in degrees <= "
+             f"{space.complete_bound}"]
     human += [f"  {b!r}" for b in space.basis]
-    emit(args, "\n".join(human),
-         dict(space.to_json(), stable_from_previous_bound=stable, **extra))
+    emit(args, "\n".join(human), dict(space.to_json(), **extra))
     return EXIT_OK
 
 
@@ -119,7 +117,7 @@ def cmd_p2(args) -> int:
 
 def cmd_coradical(args) -> int:
     return _space_command(
-        args, lambda h, d: coradical_filtration(h, args.level, d),
+        args, lambda h: coradical_filtration(h, args.level),
         f"coradical piece {args.level}: ", level=args.level)
 
 
@@ -251,12 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("primitives", cmd_primitives), ("p2", cmd_p2)):
         s = sub(name, fn, help=f"compute the {name} space")
         add_object_args(s)
-        s.add_argument("--max-degree", type=int, default=None)
 
     s = sub("coradical", cmd_coradical, help="coradical filtration piece")
     add_object_args(s)
     s.add_argument("--level", type=int, required=True)
-    s.add_argument("--max-degree", type=int, default=None)
 
     s = sub("extract-cla", cmd_extract_cla,
             help="read the CLA off the anti-cocommutative space")

@@ -1,15 +1,15 @@
-"""Filtration-bounded structure of a Hopf presentation.
+"""Structure of a Hopf presentation: its primitive, anti-cocommutative
+and coradical spaces, its lantern and the CLA read off P2.
 
 The reduced coproduct never raises weighted degree, so restricting to the
 span of monomials of degree <= d turns membership conditions like
 "delta(a) = 0" or "delta(a) is skew and lies in P(x)P" into exact finite
-linear algebra over the rationals.  Results are exact on the truncation.
-Past ``complete_bound``, read off the lantern's
-``GradedLie.generated_in_degree_one``, they are the whole space, so each
-is computed at min(d, that bound), once per presentation: the kernel
-basis is kept on the presentation and read by every later call.  The
-lantern and the CLA read off P2 are invariants of H, not of a
-truncation, and take no bound: each is read at the complete bound.
+linear algebra over the rationals.  Each space lies in degrees <=
+``complete_bound``, read off the lantern's
+``GradedLie.generated_in_degree_one``, so it is computed there, whole,
+once per presentation: the kernel basis is kept on the presentation and
+read by every later call.  None of these invariants of H takes a degree
+bound.
 """
 
 from __future__ import annotations
@@ -29,38 +29,24 @@ from .reports import require_passed
 
 @dataclass
 class FilteredSubspace:
-    """A subspace S_d of the degree <= d truncation, with one kernel's basis:
-    each vector reads 1 at its lead (its last monomial in canonical order,
-    degree first) and 0 at every other lead; leads increase."""
+    """A whole subspace S of H with one kernel's basis: each vector reads 1
+    at its lead (its last monomial in canonical order, degree first) and 0
+    at every other lead; leads increase.  S lies in degrees <=
+    ``complete_bound``, and its part S_d in degrees <= d, the space the
+    same conditions cut out of the degree <= d truncation, is spanned by
+    the basis vectors of degree <= d.  For P that is the definition.  For
+    deg a <= d, delta(a) has both factors of degree <= d-1, and the
+    factor space T (the level below, or P for P2) has (T (x) T) cap
+    (V_{<=d-1} (x) V_{<=d-1}) = T_{d-1} (x) T_{d-1}; induction on the
+    level does P2 and the coradical filtration."""
 
     presentation: HopfPresentation
-    degree_bound: int
     basis: list[AlgebraElement]
-    complete_bound: int   # from this degree on, S_d is the whole space
-
-    @property
-    def complete(self) -> bool:
-        """Whether S_d is the whole space: d is at least the proven
-        ``complete_bound`` of its coradical level."""
-        return self.degree_bound >= self.complete_bound
+    complete_bound: int   # S lies in degrees <= this
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def stable_from_previous_bound(self) -> bool:
-        """Whether S_{d-1} = S_d (True at d = 1), read off this one basis.
-
-        P, P2 and each coradical level satisfy S_{d-1} = S_d cap V_{<=d-1},
-        so S_{d-1} has the basis vectors whose lead has degree <= d-1.  For
-        P that is the definition.  For deg a <= d-1, delta(a) has both
-        factors of degree <= d-2, and (P_d (x) P_d) cap (V_{<=d-2} (x)
-        V_{<=d-2}) = P_{d-2} (x) P_{d-2}; induction on the level does the
-        coradical filtration.
-        """
-        d = self.degree_bound
-        return d == 1 or all(b.degree < d for b in self.basis)
 
     def contains(self, a: AlgebraElement) -> bool:
         if a.p is not self.presentation.algebra:
@@ -70,17 +56,14 @@ class FilteredSubspace:
 
     def to_json(self) -> dict:
         return {
-            "degree_bound": self.degree_bound,
             "dimension": self.dim,
             "basis": [element_to_terms(b) for b in self.basis],
-            "complete": self.complete,
             "complete_bound": self.complete_bound,
         }
 
     def __repr__(self):
         basis = ", ".join(repr(b) for b in self.basis)
-        return (f"FilteredSubspace(dim {self.dim} within degree "
-                f"{self.degree_bound}: {basis})")
+        return f"FilteredSubspace(dim {self.dim}: {basis})"
 
 
 def complete_bound(h: HopfPresentation, level: int) -> int:
@@ -153,30 +136,25 @@ def complete_bound(h: HopfPresentation, level: int) -> int:
     return level * unit
 
 
-def primitive_space(h: HopfPresentation, d: int) -> FilteredSubspace:
-    """Basis of {a : deg a <= d, counit(a) = 0, delta(a) = 0}."""
-    if d < 1:
-        raise InputError("degree bound must be >= 1")
-    return FilteredSubspace(h, d, _coradical_level(h, 1, d),
-                            complete_bound(h, 1))
+def primitive_space(h: HopfPresentation) -> FilteredSubspace:
+    """Basis of P = {a : counit(a) = 0, delta(a) = 0}, taken at
+    ``complete_bound(h, 1)``."""
+    return FilteredSubspace(h, _coradical_level(h, 1), complete_bound(h, 1))
 
 
-def _coradical_level(h: HopfPresentation, n: int,
-                     d: int) -> list[AlgebraElement]:
-    """Canonical basis of the augmentation part of coradical level n >= 1
-    within degree <= d, taken at min(d, complete bound) and kept on h.
+def _coradical_level(h: HopfPresentation, n: int) -> list[AlgebraElement]:
+    """Canonical basis of the augmentation part of coradical level n >= 1,
+    taken at its complete bound and kept on h under ("coradical", n).
 
-    Level n-1 within that degree is the same space as at d, and level 1
-    is P, so P2 and every level read the one kept P.
+    Level n-1 is read at its own complete bound, which is at most level
+    n's, and level 1 is P, so P2 and every level read the one kept P.
     """
-    top = min(d, complete_bound(h, n))
-
     def compute():
-        monos = h.algebra.monomials_up_to(top)
-        factors = _coradical_level(h, n - 1, top) if n > 1 else []
+        monos = h.algebra.monomials_up_to(complete_bound(h, n))
+        factors = _coradical_level(h, n - 1) if n > 1 else []
         return _coradical_kernel(
             h, monos, [h._reduced_monomial(m) for m in monos], factors)
-    return list(h._kept(("coradical", n, top), compute))
+    return list(h._kept(("coradical", n), compute))
 
 
 def _coradical_kernel(h: HopfPresentation, monos: list[Monomial], columns,
@@ -202,44 +180,41 @@ def _leads(basis: list[AlgebraElement]) -> list[Monomial]:
     return [max(b.terms, key=b.p.monomial_key) for b in basis]
 
 
-def p2_space(h: HopfPresentation, d: int) -> FilteredSubspace:
-    """Basis of {a : deg a <= d, delta(a) skew-symmetric and in P(x)P}.
+def p2_space(h: HopfPresentation) -> FilteredSubspace:
+    """Basis of P2 = {a : delta(a) skew-symmetric and in P(x)P}.
 
     P2 lies in degrees <= g, the top generator degree, and inside C_2, so
-    it is taken at min(d, g, ``complete_bound(h, 2)``) and kept on h; P is
-    the kept ``primitive_space`` basis.  Let a lie in P2, e = deg a >= 1.
-    delta(a) is skew, so its degree-e part delta_gr(a_top) is skew too
-    (see ``complete_bound``).  Let k0 be the lowest letter count in a_top:
-    the count-k0 part of delta_gr(a_top) is the shuffle coproduct of
-    a_top's count-k0 part, as for P.  The shuffle coproduct of a
-    polynomial algebra is symmetric, and a symmetric skew tensor is 0 in
-    characteristic 0, so that part is linear in the generators: a_top has
-    a generator of degree e, and e <= g.  Only the degree drop, the
-    unit-free delta(x_g) and Delta extended as an algebra map are used,
-    so this holds with no PBW, coassociativity or compatibility verdict;
-    so does ``complete_bound(h, 2)``, which is 2 once P(gr H) lies in
-    degree 1 (delta(a) then lies in P (x) P, of degree <= 2).
+    it is taken at min(g, ``complete_bound(h, 2)``) and kept on h under
+    ("p2",); P is the kept ``primitive_space`` basis.  Let a lie in P2,
+    e = deg a >= 1.  delta(a) is skew, so its degree-e part
+    delta_gr(a_top) is skew too (see ``complete_bound``).  Let k0 be the
+    lowest letter count in a_top: the count-k0 part of delta_gr(a_top) is
+    the shuffle coproduct of a_top's count-k0 part, as for P.  The shuffle
+    coproduct of a polynomial algebra is symmetric, and a symmetric skew
+    tensor is 0 in characteristic 0, so that part is linear in the
+    generators: a_top has a generator of degree e, and e <= g.  Only the
+    degree drop, the unit-free delta(x_g) and Delta extended as an algebra
+    map are used, so this holds with no PBW, coassociativity or
+    compatibility verdict; so does ``complete_bound(h, 2)``, which is 2
+    once P(gr H) lies in degree 1 (delta(a) then lies in P (x) P, of
+    degree <= 2).
     """
-    if d < 1:
-        raise InputError("degree bound must be >= 1")
     bound = min(h.top_degree, complete_bound(h, 2))
-    top = min(d, bound)
 
     def compute():
-        monos = h.algebra.monomials_up_to(top)
+        monos = h.algebra.monomials_up_to(bound)
         columns = []
         for m in monos:
             t = h._reduced_monomial(m)
             sym = add_scaled(dict(t), {(r, l): c for (l, r), c in t.items()})
             # rows ("s", key) ask the symmetric part of delta(a) to vanish
             columns.append({**t, **{("s", key): c for key, c in sym.items()}})
-        return _coradical_kernel(h, monos, columns,
-                                 _coradical_level(h, 1, top))
-    return FilteredSubspace(h, d, list(h._kept(("p2", top), compute)), bound)
+        return _coradical_kernel(h, monos, columns, _coradical_level(h, 1))
+    return FilteredSubspace(h, list(h._kept(("p2",), compute)), bound)
 
 
-def coradical_filtration(h: HopfPresentation, n: int, d: int) -> FilteredSubspace:
-    """Basis of the n-th coradical piece within the degree <= d truncation.
+def coradical_filtration(h: HopfPresentation, n: int) -> FilteredSubspace:
+    """Basis of the n-th coradical piece, taken at ``complete_bound(h, n)``.
 
     level 0 is spanned by 1; for n >= 1 an augmentation-ideal element lies
     in level n exactly when its reduced coproduct lands in
@@ -247,10 +222,8 @@ def coradical_filtration(h: HopfPresentation, n: int, d: int) -> FilteredSubspac
     """
     if n < 0:
         raise InputError("filtration level must be >= 0")
-    if d < 1:
-        raise InputError("degree bound must be >= 1")
-    level = _coradical_level(h, n, d) if n else []
-    return FilteredSubspace(h, d, [h.algebra.one()] + level,
+    level = _coradical_level(h, n) if n else []
+    return FilteredSubspace(h, [h.algebra.one()] + level,
                             complete_bound(h, n))
 
 
@@ -270,7 +243,7 @@ def extract_cla(h: HopfPresentation) -> CLA:
     (``lead_coordinates``, ``lead_pair_coordinates``) with no
     elimination.  Fails when the space is not closed.
     """
-    basis = p2_space(h, h.top_degree).basis
+    basis = p2_space(h).basis
     names = []
     for i, b in enumerate(basis):
         if len(b.terms) == 1:

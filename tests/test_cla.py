@@ -16,8 +16,8 @@ from hopfalg.exactlin import Matrix, add_scaled, express, map_slot
 from hopfalg.hopf import HopfPresentation, TensorElement, tensor_of
 from hopfalg.jsonio import cla_to_json
 from hopfalg.ore import AlgebraElement, bracket
-from hopfalg.structure import (complete_bound, coradical_filtration,
-                               lantern_of_hopf, p2_space, primitive_space)
+from hopfalg.structure import (coradical_filtration, lantern_of_hopf,
+                               p2_space, primitive_space)
 
 from test_cobar import _d2_after_d1, _eliminated_report
 from test_complete_bounds import _direct
@@ -723,9 +723,7 @@ def test_random_clas_agree_with_every_oracle(L):
     for n in range(1, reach + 3):
         assert h2_report(h, n).rows == oracle.rows[:n], n
     g = h.top_degree
-    assert (primitive_space(h, complete_bound(h, 1)).basis
-            == _direct(h, g + 2, 1, False)[0])
-    assert (p2_space(h, complete_bound(h, 2)).basis
-            == _direct(h, 2 * g + 2, 1, True)[-1])
-    assert (coradical_filtration(h, 3, complete_bound(h, 3)).basis[1:]
+    assert primitive_space(h).basis == _direct(h, g + 2, 1, False)[0]
+    assert p2_space(h).basis == _direct(h, 2 * g + 2, 1, True)[-1]
+    assert (coradical_filtration(h, 3).basis[1:]
             == _direct(h, 3 * g + 2, 3, False)[2])

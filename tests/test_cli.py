@@ -67,16 +67,16 @@ def test_missing_object_is_input_error(capsys):
 
 def test_primitives_and_p2_dimensions(capsys):
     code, out, _ = run(capsys, "primitives", "--family", "D",
-                       "--params", "0,1,0,0,0,0,0,0", "--max-degree", "5")
+                       "--params", "0,1,0,0,0,0,0,0")
     assert code == 0 and "dimension 2" in out
     code, out, _ = run(capsys, "p2", "--family", "E", "--params", "1,1,0",
-                       "--max-degree", "5", "--json")
+                       "--json")
     assert code == 0
     assert json.loads(out)["dimension"] == 3
 
 
 def test_p2_of_cla_envelopes_first(capsys):
-    code, out, _ = run(capsys, "p2", "--family", "cla35f", "--max-degree", "4")
+    code, out, _ = run(capsys, "p2", "--family", "cla35f")
     assert code == 0 and "dimension 4" in out
 
 
@@ -84,17 +84,26 @@ def test_p2_of_file_based_enveloping_algebra(tmp_path, capsys):
     from hopfalg.catalog import make_lie_preset
     path = tmp_path / "heis3.json"
     path.write_text(json.dumps(presentation_to_json(make_lie_preset("heis3"))))
-    code, out, _ = run(capsys, "p2", "--file", str(path),
-                       "--max-degree", "4", "--json")
+    code, out, _ = run(capsys, "p2", "--file", str(path), "--json")
     assert code == 0
     assert json.loads(out)["dimension"] == 3
 
 
 def test_coradical_level(capsys):
     code, out, _ = run(capsys, "coradical", "--family", "A",
-                       "--params", "0,0,0", "--level", "1",
-                       "--max-degree", "3")
+                       "--params", "0,0,0", "--level", "1")
     assert code == 0 and "dimension 3" in out
+
+
+@pytest.mark.parametrize("argv", [["primitives"], ["p2"],
+                                  ["coradical", "--level", "2"]],
+                         ids=["primitives", "p2", "coradical"])
+def test_space_commands_take_no_degree_bound(argv, capsys):
+    # each space is answered whole, so a bound is refused, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--family", "K", "--max-degree", "5"])
+    assert exc.value.code == 2
+    assert "--max-degree" in capsys.readouterr().err
 
 
 def test_extract_cla_json(capsys):
@@ -269,8 +278,11 @@ def test_importing_the_cli_leaves_the_battery_unloaded():
 
 def test_env_var_overrides_default_bound(capsys, monkeypatch):
     monkeypatch.setenv("HOPF_MAX_DEGREE", "3")
-    code, out, _ = run(capsys, "primitives", "--family", "B", "--params", "0")
-    assert code == 0 and "degree bound 3" in out
+    code, out, _ = run(capsys, "verify", "--family", "B", "--params", "0",
+                       "--json")
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert "antipode axiom through degree 3" in names
 
 
 def test_morphism_file(tmp_path, capsys):
@@ -484,9 +496,10 @@ def test_malformed_json_file_is_input_error(tmp_path, capsys):
     assert code == 2 and "JSON" in err
 
 
-def test_bad_env_bound_is_input_error(capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["verify", "cohomology"])
+def test_bad_env_bound_is_input_error(command, capsys, monkeypatch):
     monkeypatch.setenv("HOPF_MAX_DEGREE", "five")
-    code, _, err = run(capsys, "primitives", "--family", "B", "--params", "0")
+    code, _, err = run(capsys, command, "--family", "B", "--params", "0")
     assert code == 2 and "HOPF_MAX_DEGREE" in err
 
 
@@ -528,15 +541,5 @@ def test_cohomology_bidegree_mode_reports_stability(capsys):
         code, out, _ = run(capsys, "cohomology", "--family", "A",
                            "--params", "0,0,0", "--max-degree", bound,
                            "--bidegree", "--json")
-        assert code == 0
-        assert json.loads(out)["stable_from_previous_bound"] is stable
-
-
-def test_p2_reports_stability_read_off_the_basis(capsys):
-    # D01 gains Z in degree 2; at bound 1 the flag is True by convention
-    for bound, stable in (("2", False), ("1", True)):
-        code, out, _ = run(capsys, "p2", "--family", "D",
-                           "--params", "0,1,0,0,0,0,0,0", "--max-degree",
-                           bound, "--json")
         assert code == 0
         assert json.loads(out)["stable_from_previous_bound"] is stable

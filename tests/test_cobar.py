@@ -428,11 +428,12 @@ def test_degree_filtration_certificate_declines_delta_w():
     h = _hand_built(DELTA_W)
     assert not lantern_of_hopf(h).generated_in_degree_one()
     assert [complete_bound(h, n) for n in range(4)] == [0, 3, 6, 9]
-    level = coradical_filtration(h, 2, 6)
+    level = coradical_filtration(h, 2)
     monomials = h.algebra.monomials_up_to(2, include_unit=True)
-    assert level.complete and level.dim == 7 and len(monomials) == 6
+    assert level.complete_bound == 6
+    assert level.dim == 7 and len(monomials) == 6
     assert level.contains(h.algebra.gen("W"))
-    assert coradical_filtration(h, 2, 2).dim == 6
+    assert sum(b.degree <= 2 for b in level.basis) == 6
 
 
 def test_cobar_reads_the_top_degree_not_the_complete_bound(K):

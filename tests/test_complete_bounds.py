@@ -1,4 +1,4 @@
-"""Answers that stop depending on the degree bound.
+"""Whole answers, each computed at its complete bound.
 
 P and P2 lie in degrees <= g, the top generator degree, C_2 in degrees <=
 2g, and the coradical level C_n, n >= 3, in degrees <= n g on a
@@ -6,12 +6,14 @@ coassociative presentation; on any other C_n, n >= 3, is refused
 (``structure.complete_bound``, ``structure.p2_space``).  When P(gr H) lies
 in degree 1 (the kept lantern's ``GradedLie.generated_in_degree_one``) the
 unit g drops to 1: P is complete at 1, P2 and C_2 at 2 and C_n at n, and
-C_n is the span of the monomials of degree <= n.  The subspaces are
-computed at min(d, that bound) and kept on the presentation.  The oracle
-here takes no such shortcut: one direct kernel
-(``structure._coradical_kernel``) at the bound d itself, with every lower
-level also taken at d, and no kept answer read.  The presentations the
-certificate declines keep the old bounds; ``_central_w`` is one.
+C_n is the span of the monomials of degree <= n.  The subspaces take no
+degree bound: each is computed at that bound and kept on the presentation.
+The oracle here takes no such shortcut: one direct kernel
+(``structure._coradical_kernel``) at a bound d, with every lower level
+also taken at d, and no kept answer read.  Its basis is the whole space's
+basis vectors of degree <= d, and all of them from the complete bound on.
+The presentations the certificate declines keep the old bounds;
+``_central_w`` is one.
 """
 
 import json
@@ -124,12 +126,23 @@ MONOMIALS = 260
 C3_MONOMIALS = 200
 
 
+def _upto(basis, d):
+    """The basis vectors of degree <= d: a basis of the space's part in
+    degrees <= d, as each vector's degree is its lead's."""
+    return [b for b in basis if b.degree <= d]
+
+
 def _check_against_direct(h):
-    """P at d = 1..12, P2 and C_2 at d = 1..2g + 2, C_3 at d = 1..4g + 2,
-    each while d is within the monomial budget; each complete from its
-    bound in the unit u (1 or g, ``_unit``)."""
+    """P against the direct kernel at d = 1..12, P2 and C_2 at d = 1..2g +
+    2, C_3 at d = 1..4g + 2, each while d is within the monomial budget;
+    the complete bounds are u, min(g, 2u), 2u and 3u in the unit u (1 or
+    g, ``_unit``)."""
     g, u = h.top_degree, _unit(h)
     assert [complete_bound(h, n) for n in (1, 2, 3)] == [u, 2 * u, 3 * u]
+    P, P2 = primitive_space(h), p2_space(h)
+    C2, C3 = coradical_filtration(h, 2), coradical_filtration(h, 3)
+    assert [P.complete_bound, P2.complete_bound, C2.complete_bound,
+            C3.complete_bound] == [u, min(g, 2 * u), 2 * u, 3 * u]
     for d in range(1, max(12, 4 * g + 2) + 1):
         count = h.algebra.pbw_count(d)
         n = (3 if d <= 4 * g + 2 and count <= C3_MONOMIALS else
@@ -138,21 +151,13 @@ def _check_against_direct(h):
         if n == 0:
             continue
         direct = _direct(h, d, n, n > 1 and d <= 2 * g + 2)
-        space = primitive_space(h, d)
-        assert space.basis == direct[0], ("P", d)
-        assert space.complete == (d >= u)
+        assert _upto(P.basis, d) == direct[0], ("P", d)
         if n > 1:
-            level = coradical_filtration(h, 2, d)
-            assert level.basis[1:] == direct[1], ("C_2", d)
-            assert level.complete == (d >= 2 * u)
+            assert _upto(C2.basis[1:], d) == direct[1], ("C_2", d)
         if d <= 2 * g + 2 and n > 1:
-            space = p2_space(h, d)
-            assert space.basis == direct[-1], ("P2", d)
-            assert space.complete == (d >= min(g, 2 * u))
+            assert _upto(P2.basis, d) == direct[-1], ("P2", d)
         if n > 2:
-            level = coradical_filtration(h, 3, d)
-            assert level.basis[1:] == direct[2], ("C_3", d)
-            assert level.complete == (d >= 3 * u)
+            assert _upto(C3.basis[1:], d) == direct[2], ("C_3", d)
 
 
 def _hopf(spec):
@@ -214,7 +219,7 @@ def test_the_lantern_is_built_once_per_presentation(monkeypatch):
 
     monkeypatch.setattr(structure, "_build_lantern", spy)
     h = make_K()
-    primitive_space(h, 4)
+    primitive_space(h)
     assert built == [h]
     h2_report(h, 4)
     assert lantern_of_hopf(h) is h._kept(("lantern",), None)
@@ -229,16 +234,16 @@ def _check_levels_against_direct(h):
     certified = lantern_of_hopf(h).generated_in_degree_one()
     for n in (1, 2, 3):
         bound = complete_bound(h, n)
-        level = coradical_filtration(h, n, bound)
-        assert level.complete
+        level = coradical_filtration(h, n)
+        assert level.complete_bound == bound
         assert level.basis[1:] == _direct(h, n * g + 1, n, False)[n - 1], n
         if certified:
             assert bound == n
             assert level.basis == [h.algebra.element({m: 1}) for m in
                                    h.algebra.monomials_up_to(
                                        n, include_unit=True)], n
-    space = p2_space(h, min(g, complete_bound(h, 2)))
-    assert space.complete
+    space = p2_space(h)
+    assert space.complete_bound == min(g, complete_bound(h, 2))
     assert space.basis == _direct(h, 2 * g + 1, 1, True)[-1]
 
 
@@ -262,17 +267,13 @@ def test_random_commutative_levels_match_a_direct_kernel_past_n_g(seed):
 
 @pytest.mark.parametrize("spec", CATALOG, ids=[s.describe() for s in CATALOG])
 def test_catalog_c3_matches_a_direct_chain_past_three_g(spec):
-    # C_3 at d = 1..4g + 1, past the monomial budget: one direct chain at
-    # 4g + 1, whose basis vectors of degree <= d are the direct basis at d
-    # (``FilteredSubspace.stable_from_previous_bound``)
+    # C_3 against one direct chain at 4g + 1, past the monomial budget;
+    # its part in degrees <= d is the direct basis at d (``_upto``)
     h = _hopf(spec)
     g = h.top_degree
-    assert complete_bound(h, 3) == 3
-    direct = _direct(h, 4 * g + 1, 3, False)[2]
-    for d in range(1, 4 * g + 2):
-        level = coradical_filtration(h, 3, d)
-        assert level.basis[1:] == [b for b in direct if b.degree <= d], d
-        assert level.complete == (d >= 3)
+    level = coradical_filtration(h, 3)
+    assert level.complete_bound == complete_bound(h, 3) == 3
+    assert level.basis[1:] == _direct(h, 4 * g + 1, 3, False)[2]
 
 
 def _not_coassociative(right=None):
@@ -306,7 +307,7 @@ def test_c3_of_a_non_coassociative_presentation_is_refused(make, bounds):
     assert [c.name for c in h.verify_coassociativity().failures()] == [
         "coassociativity on W"]
     for refused in (lambda: complete_bound(h, 3),
-                    lambda: coradical_filtration(h, 3, 4)):
+                    lambda: coradical_filtration(h, 3)):
         with pytest.raises(StructuralError,
                            match="C_3 needs a coalgebra .*: coassociativity "
                                  "on W fails"):
@@ -319,7 +320,7 @@ def test_coradical_command_refuses_level_three_without_coassociativity(
         make, tmp_path, capsys):
     path = tmp_path / "not_coassociative.json"
     path.write_text(json.dumps(presentation_to_json(make())))
-    argv = ["coradical", "--file", str(path), "--max-degree", "4"]
+    argv = ["coradical", "--file", str(path)]
     assert main(argv + ["--level", "3"]) == 2
     assert "coassociativity on W fails" in capsys.readouterr().err
     assert main(argv + ["--level", "2"]) == 0
@@ -337,9 +338,9 @@ def test_c3_is_complete_past_four_g(make, bound):
     # past the monomial budget: computed at 3 on K, and at 3g = 9 where
     # the certificate declines
     h = make()
-    level = coradical_filtration(h, 3, 13)
-    assert complete_bound(h, 3) == bound
-    assert level.complete and level.basis[1:] == _direct(h, 13, 3, False)[2]
+    level = coradical_filtration(h, 3)
+    assert level.complete_bound == complete_bound(h, 3) == bound
+    assert level.basis[1:] == _direct(h, 13, 3, False)[2]
 
 
 _rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -380,27 +381,27 @@ def _degrees_asked(monkeypatch, compute):
 @pytest.mark.parametrize("make, bound, dim", [(make_K, 1, 2),
                                               (_central_w, 3, 3)],
                          ids=["K", "central W"])
-def test_primitive_space_at_twelve_asks_for_no_coproduct_above_g(
+def test_primitive_space_asks_for_no_coproduct_above_g(
         monkeypatch, make, bound, dim):
     # K: P(gr H) lies in degree 1, so P is taken at 1; the central W is
     # primitive of degree g = 3
     h = make()
-    space, asked = _degrees_asked(monkeypatch, lambda: primitive_space(h, 12))
-    assert space.degree_bound == 12 and space.complete and space.dim == dim
+    space, asked = _degrees_asked(monkeypatch, lambda: primitive_space(h))
+    assert space.complete_bound == bound and space.dim == dim
     assert max(asked) == complete_bound(h, 1) == bound
     assert max(h.algebra.monomial_degree(m)
                for m in h._coproduct_cache) == bound
 
 
 def _check_p2_against_direct(h):
-    """P2 at d = 1..2g + 1 is the direct kernel at d, complete from min(g,
-    2u), and the direct basis at 2g + 1 lies in degrees <= g."""
+    """P2, complete at min(g, 2u), in degrees <= d is the direct kernel at
+    d = 1..2g + 1, and the direct basis at 2g + 1 lies in degrees <= g."""
     g, u = h.top_degree, _unit(h)
+    space = p2_space(h)
+    assert space.complete_bound == min(g, 2 * u)
     for d in range(1, 2 * g + 2):
         direct = _direct(h, d, 1, True)[-1]
-        space = p2_space(h, d)
-        assert space.basis == direct, d
-        assert space.complete == (d >= min(g, 2 * u)), d
+        assert _upto(space.basis, d) == direct, d
     assert all(b.degree <= g for b in direct)
 
 
@@ -428,30 +429,29 @@ def test_p2_of_random_commutative_matches_a_direct_kernel(seed):
 @pytest.mark.parametrize("make, bound, dim", [(make_K, 2, 3),
                                               (_central_w, 3, 4)],
                          ids=["K", "central W"])
-def test_p2_space_at_twelve_asks_for_no_coproduct_above_g(
+def test_p2_space_asks_for_no_coproduct_above_g(
         monkeypatch, make, bound, dim):
     # K: P2 lies in C_2, the monomials of degree <= 2; the central W is
     # in P2 at degree g = 3
     h = make()
-    space, asked = _degrees_asked(monkeypatch, lambda: p2_space(h, 12))
-    assert space.degree_bound == 12 and space.complete and space.dim == dim
+    space, asked = _degrees_asked(monkeypatch, lambda: p2_space(h))
+    assert space.dim == dim
     assert max(asked) == space.complete_bound == bound
 
 
 def _check_extract_cla_against_direct(h):
-    """extract_cla(h), with no degree bound of its own, reads the basis of
-    the direct P2 kernel at 2g + 1."""
+    """extract_cla(h) reads the basis of the direct P2 kernel at 2g + 1."""
     spaces = []
 
-    def spy(h, d):
-        spaces.append(p2_space(h, d))
+    def spy(h):
+        spaces.append(p2_space(h))
         return spaces[-1]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(structure, "p2_space", spy)
         L = extract_cla(h)
     space, = spaces
-    assert space.complete and L.dim == space.dim
+    assert L.dim == space.dim
     assert space.basis == _direct(h, 2 * h.top_degree + 1, 1, True)[-1]
 
 
@@ -470,35 +470,67 @@ def test_extract_cla_of_random_commutative_reads_the_direct_p2_kernel(seed):
 
 def test_kept_bases_are_copies():
     K = make_K()
-    primitive_space(K, 5).basis.clear()
-    coradical_filtration(K, 2, 7).basis.clear()
-    p2_space(K, 7).basis.clear()
-    assert primitive_space(K, 4).dim == 2
-    assert coradical_filtration(K, 2, 8).dim == 1 + 6
-    assert p2_space(K, 9).dim == 3
+    primitive_space(K).basis.clear()
+    coradical_filtration(K, 2).basis.clear()
+    p2_space(K).basis.clear()
+    assert primitive_space(K).dim == 2
+    assert coradical_filtration(K, 2).dim == 1 + 6
+    assert p2_space(K).dim == 3
 
 
-@pytest.mark.parametrize("source, argv, complete, bound", [
+@pytest.mark.parametrize("make", [make_K, _central_w], ids=["K", "central W"])
+def test_repeated_calls_keep_one_answer_per_space(make):
+    # one kept basis per coradical level and one P2, whichever space or
+    # reader asks, and however often
+    h = make()
+    for _ in range(2):
+        for n in range(4):
+            coradical_filtration(h, n)
+        primitive_space(h)
+        p2_space(h)
+        extract_cla(h)
+    kept = [key for key in vars(h)["_answers"]
+            if key[0] in ("coradical", "p2")]
+    assert sorted(kept) == [("coradical", 1), ("coradical", 2),
+                            ("coradical", 3), ("p2",)]
+
+
+def test_contains_decides_membership_in_the_whole_p_and_p2():
+    # the central primitive W has degree g = 3: a truncation at 2 misses it
+    h = _central_w()
+    W = h.algebra.gen("W")
+    assert primitive_space(h).contains(W) and p2_space(h).contains(W)
+
+
+def test_contains_decides_membership_in_the_whole_coradical_level():
+    # W^2, of degree 6, and XW lie in C_2 (delta lands in P (x) P); XYW
+    # is in C_3, not in C_2
+    h = _central_w()
+    X, Y, W = (h.algebra.gen(name) for name in ("X", "Y", "W"))
+    level = coradical_filtration(h, 2)
+    assert level.contains(W * W) and level.contains(X * W)
+    assert not level.contains(X * Y * W)
+    assert coradical_filtration(h, 3).contains(X * Y * W)
+
+
+@pytest.mark.parametrize("source, argv, bound", [
     # K: P(gr H) lies in degree 1, so the bounds are 1, 2 and n
-    ("K", ["primitives", "--max-degree", "1"], True, 1),
-    ("K", ["primitives", "--max-degree", "3"], True, 1),
-    ("K", ["p2", "--max-degree", "1"], False, 2),
-    ("K", ["p2", "--max-degree", "2"], True, 2),
-    ("K", ["p2", "--max-degree", "6"], True, 2),
-    ("K", ["coradical", "--level", "0", "--max-degree", "1"], True, 0),
-    ("K", ["coradical", "--level", "3", "--max-degree", "2"], False, 3),
-    ("K", ["coradical", "--level", "3", "--max-degree", "3"], True, 3),
+    ("K", ["primitives"], 1),
+    ("K", ["p2"], 2),
+    ("K", ["coradical", "--level", "0"], 0),
+    ("K", ["coradical", "--level", "1"], 1),
+    ("K", ["coradical", "--level", "2"], 2),
+    ("K", ["coradical", "--level", "3"], 3),
     # the central W of degree 3 is primitive: the bounds g, g and n g
-    ("central W", ["primitives", "--max-degree", "2"], False, 3),
-    ("central W", ["primitives", "--max-degree", "3"], True, 3),
-    ("central W", ["p2", "--max-degree", "2"], False, 3),
-    ("central W", ["p2", "--max-degree", "3"], True, 3),
-    ("central W", ["p2", "--max-degree", "6"], True, 3),
-    ("central W", ["coradical", "--level", "3", "--max-degree", "8"], False, 9),
-    ("central W", ["coradical", "--level", "3", "--max-degree", "9"], True, 9),
+    ("central W", ["primitives"], 3),
+    ("central W", ["p2"], 3),
+    ("central W", ["coradical", "--level", "0"], 0),
+    ("central W", ["coradical", "--level", "1"], 3),
+    ("central W", ["coradical", "--level", "2"], 6),
+    ("central W", ["coradical", "--level", "3"], 9),
 ])
-def test_space_commands_report_completeness(source, argv, complete, bound,
-                                            tmp_path, capsys):
+def test_space_commands_report_the_complete_bound(source, argv, bound,
+                                                  tmp_path, capsys):
     if source == "K":
         argv = argv + ["--family", "K"]
     else:
@@ -507,6 +539,5 @@ def test_space_commands_report_completeness(source, argv, complete, bound,
         argv = argv + ["--file", str(path)]
     assert main(argv + ["--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["complete"] is complete
     assert payload["complete_bound"] == bound
-    assert payload["degree_bound"] == int(argv[argv.index("--max-degree") + 1])
+    assert set(payload) - {"level"} == {"dimension", "basis", "complete_bound"}

@@ -13,8 +13,7 @@ from hopfalg.errors import InputError
 from hopfalg.exactlin import (P, Matrix, add_scaled, add_term, express,
                               format_scalar, lead_coordinates,
                               lead_pair_coordinates, map_slot, scalar)
-from hopfalg.structure import (complete_bound, coradical_filtration, p2_space,
-                               primitive_space)
+from hopfalg.structure import coradical_filtration, p2_space, primitive_space
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
                          max_denominator=10**4)
@@ -222,10 +221,10 @@ def kept_bases(several_term_clas):
                 continue
             h = enveloping(h)
         for label, space in [
-                ("P", primitive_space(h, complete_bound(h, 1))),
-                ("P2", p2_space(h, complete_bound(h, 2))),
-                ("C_2", coradical_filtration(h, 2, complete_bound(h, 2))),
-                ("C_3", coradical_filtration(h, 3, complete_bound(h, 3)))]:
+                ("P", primitive_space(h)),
+                ("P2", p2_space(h)),
+                ("C_2", coradical_filtration(h, 2)),
+                ("C_3", coradical_filtration(h, 3))]:
             out.append((f"{name} {label}",
                         [b.terms for b in space.basis],
                         structure._leads(space.basis),

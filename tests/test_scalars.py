@@ -54,9 +54,9 @@ def _walk_linear_algebra(h: HopfPresentation, cx, where):
     the lantern."""
     for vec in cx.d1.kernel_basis():
         _assert_scalars(vec.values(), f"{where}: d1 kernel")
-    for b in p2_space(h, 4).basis:
+    for b in p2_space(h).basis:
         _assert_scalars(b.terms.values(), f"{where}: p2 basis")
-    for b in coradical_filtration(h, 2, 4).basis:
+    for b in coradical_filtration(h, 2).basis:
         _assert_scalars(b.terms.values(), f"{where}: coradical basis")
     reduced, _ = cx.d2.row_echelon()
     for row in reduced:

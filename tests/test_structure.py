@@ -33,54 +33,44 @@ def hopf_catalog():
 
 def test_primitive_space_of_four_generator_families(D01, E110, F010, K):
     for h in (D01, E110, F010, K):
-        space = primitive_space(h, 5)
+        space = primitive_space(h)
         assert space.dim == 2
         assert space.basis == [h.algebra.gen("X"), h.algebra.gen("Y")]
 
 
 def test_primitive_space_of_abelian_enveloping_algebra():
     h = make_lie_preset("abelian4")
-    assert primitive_space(h, 1).dim == 4
+    assert primitive_space(h).dim == 4
 
 
 def test_primitive_space_of_thin_gk3_families(A000, A100, A001, A111, B0):
     for h in (A000, A100, A001, A111, B0):
-        assert primitive_space(h, 5).dim == 2
+        assert primitive_space(h).dim == 2
 
 
 def test_p2_space_examples(D01, K):
-    space = p2_space(D01, 5)
+    space = p2_space(D01)
     assert space.dim == 3
     assert space.basis == [D01.algebra.gen(n) for n in ("X", "Y", "Z")]
-    assert p2_space(K, 5).dim == 3
+    assert p2_space(K).dim == 3
 
 
 def test_p2_of_enveloping_lie_algebra_is_the_lie_algebra():
     h = make_lie_preset("heis3")
-    p = primitive_space(h, 4)
-    q = p2_space(h, 4)
+    p = primitive_space(h)
+    q = p2_space(h)
     assert p.dim == q.dim == 3
 
 
 def test_p2_of_enveloping_cla_is_the_cla():
     h = enveloping(make_cla_a(0, 0, 0))
-    assert p2_space(h, 4).dim == 3
-
-
-def test_monotonicity_of_subspaces(E110):
-    for d in (2, 3, 4):
-        small = primitive_space(E110, d)
-        large = primitive_space(E110, d + 1)
-        assert all(large.contains(b) for b in small.basis)
-        small2 = p2_space(E110, d)
-        large2 = p2_space(E110, d + 1)
-        assert all(large2.contains(b) for b in small2.basis)
+    assert p2_space(h).dim == 3
 
 
 def test_p_inside_p2_and_quotient_bound():
     for spec, h in hopf_catalog():
-        p = primitive_space(h, 4)
-        q = p2_space(h, 4)
+        p = primitive_space(h)
+        q = p2_space(h)
         assert all(q.contains(b) for b in p.basis)
         n = p.dim
         assert q.dim - p.dim <= n * (n - 1) // 2
@@ -89,8 +79,8 @@ def test_p_inside_p2_and_quotient_bound():
 
 def test_p2_bracket_closures(D01, K):
     for h in (D01, K):
-        p = primitive_space(h, 5)
-        q = p2_space(h, 5)
+        p = primitive_space(h)
+        q = p2_space(h)
         primitives_abelian = all(
             bracket(a, b).is_zero() for a, b in
             itertools.combinations(p.basis, 2))
@@ -110,24 +100,24 @@ def test_kernels_and_solves_are_served_by_the_certified_rref(K, monkeypatch):
         raise AssertionError("elimination fell back to Fraction arithmetic")
 
     monkeypatch.setattr(Matrix, "_fraction_rref", refuse)
-    assert coradical_filtration(K, 3, 10).dim == 14
-    assert p2_space(K, 10).dim == 3
+    assert coradical_filtration(K, 3).dim == 14
+    assert p2_space(K).dim == 3
 
 
 def test_coradical_filtration_levels():
     h = enveloping(make_cla_a(0, 0, 0))
     alg = h.algebra
-    level0 = coradical_filtration(h, 0, 3)
+    level0 = coradical_filtration(h, 0)
     assert level0.basis == [alg.one()]
-    level1 = coradical_filtration(h, 1, 3)
+    level1 = coradical_filtration(h, 1)
     assert level1.dim == 3  # unit and the two primitives
-    level2 = coradical_filtration(h, 2, 3)
+    level2 = coradical_filtration(h, 2)
     assert level2.dim == 7  # 1, x, y, x^2, xy, y^2, z
     assert level2.contains(alg.gen("z"))
     assert level2.contains(alg.monomial({"x": 1, "y": 1}))
     assert not level2.contains(alg.monomial({"x": 3}))
     assert not level2.contains(alg.monomial({"x": 1, "z": 1}))
-    level3 = coradical_filtration(h, 3, 3)
+    level3 = coradical_filtration(h, 3)
     assert all(level3.contains(b) for b in level2.basis)
 
 
@@ -164,7 +154,7 @@ def test_extract_cla_reads_p2_at_its_complete_bound(D01):
     # at g = 3, where it holds W; within degree 2 it would miss W
     assert extract_cla(_central_w()).names == ("X", "Y", "Z", "W")
     # on D, P(gr H) lies in degree 1, so P2 lies in C_2 and is complete at 2
-    assert p2_space(D01, 2).complete
+    assert p2_space(D01).complete_bound == 2
     assert extract_cla(D01).names == ("X", "Y", "Z")
 
 
@@ -444,14 +434,14 @@ def test_lantern_records_the_lifted_indecomposables(K):
 
 
 def test_subspace_json_shape(A000):
-    data = primitive_space(A000, 3).to_json()
-    assert data["dimension"] == 2
-    assert data["degree_bound"] == 3
+    data = primitive_space(A000).to_json()
+    assert list(data) == ["dimension", "basis", "complete_bound"]
+    assert data["dimension"] == 2 and data["complete_bound"] == 1
     assert data["basis"][0] == [{"coeff": "1", "monomial": {"X": 1}}]
 
 
 def test_contains_refuses_an_element_of_another_presentation():
-    space = p2_space(make_D(0, 1, 0, 0, 0, 0, 0, 0), 4)
+    space = p2_space(make_D(0, 1, 0, 0, 0, 0, 0, 0))
     with pytest.raises(InputError):
         space.contains(make_lie_preset("abelian4").algebra.gen("c"))
 
@@ -463,32 +453,14 @@ def test_primitives_are_coradical_level_one():
                          {"Z": [(1, {"X": 1}, {"Y": 1}),
                                 (1, {"Y": 1}, {"X": 1})]})
     alg = h.algebra
-    primitives = primitive_space(h, 3).basis
-    assert primitives == coradical_filtration(h, 1, 3).basis[1:]
+    primitives = primitive_space(h).basis
+    assert primitives == coradical_filtration(h, 1).basis[1:]
     assert primitives[-1] == alg.gen("Z") - alg.gen("X") * alg.gen("Y")
 
 
 def _catalog_presentations():
     return [(s.describe(), enveloping(o) if s.tag.startswith("cla") else o)
             for s in list_catalog() for o in [build(s)]]
-
-
-@pytest.mark.parametrize("space", [
-    primitive_space, p2_space, lambda h, d: coradical_filtration(h, 2, d)],
-    ids=["P", "P2", "coradical-2"])
-def test_previous_bound_is_read_off_the_basis(space):
-    # oracle: the bound-(d-1) space computed on its own is the bound-d
-    # basis vectors whose lead has degree <= d-1, and the stability flag
-    # matches the two separate computations
-    for name, h in _catalog_presentations():
-        spaces = [space(h, d) for d in range(1, 6)]
-        assert spaces[0].stable_from_previous_bound, name
-        for prev, cur in zip(spaces, spaces[1:]):
-            d = cur.degree_bound
-            assert prev.basis == [b for b in cur.basis if b.degree < d], \
-                (name, d)
-            assert cur.stable_from_previous_bound == (prev.dim == cur.dim), \
-                (name, d)
 
 
 def test_subspaces_take_one_elimination_per_kernel(monkeypatch):
@@ -508,7 +480,7 @@ def test_subspaces_take_one_elimination_per_kernel(monkeypatch):
         return echelon(self)
 
     monkeypatch.setattr(Matrix, "row_echelon", spy)
-    primitives = primitive_space(K, 4).basis   # taken at 1
+    primitives = primitive_space(K).basis   # taken at 1
     assert calls == [len(K.algebra.monomials_up_to(1))]
     calls.clear()
     monos = K.algebra.monomials_up_to(4)
@@ -516,16 +488,16 @@ def test_subspaces_take_one_elimination_per_kernel(monkeypatch):
         K, monos, [K._reduced_monomial(m) for m in monos], primitives)
     assert calls == [len(monos)]
     calls.clear()
-    p2 = p2_space(K, 5)   # taken at 2
+    p2 = p2_space(K)   # taken at 2
     assert calls == [len(K.algebra.monomials_up_to(2))]
     for n, new in [(1, 0), (2, 1), (3, 1)]:
         calls.clear()
-        coradical_filtration(K, n, 5)
+        coradical_filtration(K, n)
         assert len(calls) == new
     calls.clear()
-    primitive_space(K, 12)
-    p2_space(K, 5)
-    coradical_filtration(K, 3, 5)
+    primitive_space(K)
+    p2_space(K)
+    coradical_filtration(K, 3)
     assert p2.contains(p2.basis[-1]) and not p2.contains(K.algebra.one())
     assert calls == []
     L = make_cla_35("f")
@@ -537,15 +509,15 @@ def test_subspaces_take_one_elimination_per_kernel(monkeypatch):
     cla_transform(L, Matrix.identity(4))
     assert len(calls) == 1
     calls.clear()
-    bounds = []
+    asked = []
 
-    def p2_spy(h, d):
-        bounds.append(d)
-        return p2_space(h, d)
+    def p2_spy(h):
+        asked.append(h)
+        return p2_space(h)
 
     monkeypatch.setattr(structure, "p2_space", p2_spy)
-    extract_cla(K)   # P2 lies in degrees <= g; the kept P2, taken at 2
-    assert bounds == [K.top_degree] and calls == []
+    extract_cla(K)   # the kept P2, taken at 2
+    assert asked == [K] and calls == []
 
 
 def test_every_coradical_kernel_has_one_column_per_monomial(monkeypatch):
@@ -569,8 +541,8 @@ def test_every_coradical_kernel_has_one_column_per_monomial(monkeypatch):
     monkeypatch.setattr(Matrix, "row_echelon", echelon_spy)
     monkeypatch.setattr(structure, "_coradical_kernel", kernel_spy)
     for _, h in presentations:
-        p2_space(h, 5)
-        coradical_filtration(h, 3, 5)
+        p2_space(h)
+        coradical_filtration(h, 3)
     assert len(columns) == 4 * 34
     assert all(cols[1:] == cols[:1] for cols in columns)
 
@@ -580,8 +552,8 @@ def test_primitive_and_p2_dimensions_survive_grading(E110, K, B1):
     # associated graded presentation
     for h in (E110, K, B1):
         gr = associated_graded(h)
-        assert primitive_space(h, 4).dim == primitive_space(gr, 4).dim
-        assert p2_space(h, 4).dim == p2_space(gr, 4).dim
+        assert primitive_space(h).dim == primitive_space(gr).dim
+        assert p2_space(h).dim == p2_space(gr).dim
 
 
 def test_graded_p2_complements_the_decomposables(D01, E110, F010, K):
@@ -590,7 +562,7 @@ def test_graded_p2_complements_the_decomposables(D01, E110, F010, K):
     for h in (D01, E110, F010, K):
         gr = associated_graded(h)
         alg = gr.algebra
-        p2 = p2_space(gr, 2)
+        p2 = p2_space(gr)
         ones = [m for m in alg.monomials_up_to(1)]
         twos = [m for m in alg.monomials_up_to(2)
                 if alg.monomial_degree(m) == 2]
@@ -616,4 +588,4 @@ def test_graded_p2_complements_the_decomposables(D01, E110, F010, K):
 def test_lantern_degree_one_is_dual_to_primitives():
     for spec, h in hopf_catalog():
         gl = lantern_of_hopf(h)
-        assert gl.dims_by_degree().get(1, 0) == primitive_space(h, 3).dim
+        assert gl.dims_by_degree().get(1, 0) == primitive_space(h).dim
