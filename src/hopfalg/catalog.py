@@ -16,6 +16,14 @@ with kernel basis x1, x2, x3 and delta(z) = x1(x)x2 - x2(x)x1.
 Normalization constraints coming from isomorphism classifications are
 warnings for Hopf families (any rational parameters give a valid Hopf
 algebra) and hard errors for CLA variants with restricted domains.
+
+The generators are module constants, and each Hopf family's term shapes
+(delta(Z), the cocycles u and t, the monomials of its [Z, -] and
+[W, -]) are compiled at import from {name: exponent} tables to exponent
+tuples, over three generators and over four.  A build coerces each
+parameter once, in its constructor (``build`` passes them as given), and
+hands the presentation its coefficients on those tuples; the
+presentation still checks every term, as it does any input.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from .cla import CLA, _envelope
 from .errors import InputError, ParameterError
 from .exactlin import scalar
 from .hopf import HopfPresentation
-from .ore import OrePresentation
+from .ore import GeneratorInfo, OrePresentation
 
 __all__ = [
     "FamilySpec", "make_A", "make_B", "make_D", "make_E", "make_F", "make_K",
@@ -54,29 +62,72 @@ class FamilySpec:
         return f"{self.tag}({inner})"
 
 
-def _delta_z():
-    return [(1, {"X": 1}, {"Y": 1}), (-1, {"Y": 1}, {"X": 1})]
+# -- generators and term shapes, compiled at import ----------------------------------
+
+_GENS3 = (GeneratorInfo("X", 1, (1, 0)), GeneratorInfo("Y", 1, (0, 1)),
+          GeneratorInfo("Z", 2, (1, 1)))
+_GENS4 = (*_GENS3, GeneratorInfo("W", 3, (1, 2)))
+# the generators alone, with no commutators: they compile the shapes
+_ALG3, _ALG4 = OrePresentation(_GENS3), OrePresentation(_GENS4)
+
+# delta(Z) and the degree-3 cocycles u and t as (sign, left, right)
+_DELTA_Z = [(1, {"X": 1}, {"Y": 1}), (-1, {"Y": 1}, {"X": 1})]
+_COCYCLE_U = [(1, {"Z": 1}, {"X": 1}), (-1, {"X": 1}, {"Z": 1}),
+              (1, {"X": 1}, {"X": 1, "Y": 1}), (1, {"X": 1, "Y": 1}, {"X": 1})]
+_COCYCLE_T = [(1, {"Y": 1}, {"Z": 1}), (-1, {"Z": 1}, {"Y": 1}),
+              (1, {"X": 1, "Y": 1}, {"Y": 1}), (1, {"Y": 1}, {"X": 1, "Y": 1})]
 
 
-def _cocycle_u(theta):
-    return [(theta, {"Z": 1}, {"X": 1}), (-theta, {"X": 1}, {"Z": 1}),
-            (theta, {"X": 1}, {"X": 1, "Y": 1}),
-            (theta, {"X": 1, "Y": 1}, {"X": 1})]
+def _compiled_terms(p: OrePresentation, terms) -> list[tuple]:
+    """(sign, left, right) shapes with the exponent tuples of p."""
+    return [(sign, p.monomial_tuple(left), p.monomial_tuple(right))
+            for sign, left, right in terms]
 
 
-def _cocycle_t(theta):
-    return [(theta, {"Y": 1}, {"Z": 1}), (-theta, {"Z": 1}, {"Y": 1}),
-            (theta, {"X": 1, "Y": 1}, {"Y": 1}),
-            (theta, {"Y": 1}, {"X": 1, "Y": 1})]
+def _compiled_kappa(p: OrePresentation, table) -> list[tuple]:
+    """A commutator table {"HIGHER,LOWER": [monomial, ...]} as ((j, i),
+    exponent tuples) pairs over the generators of p, in table order."""
+    return [(p._pair_indices(key), tuple(map(p.monomial_tuple, monos)))
+            for key, monos in table.items()]
 
 
-def _gens3():
-    return [("X", 1, (1, 0)), ("Y", 1, (0, 1)), ("Z", 2, (1, 1))]
+def _kappa(shape, *coeffs) -> dict:
+    """The commutator table of a compiled shape, its coefficients in the
+    shape's term order."""
+    it = iter(coeffs)
+    return {key: [(next(it), mono) for mono in monos] for key, monos in shape}
 
 
-def _gens4():
-    return [("X", 1, (1, 0)), ("Y", 1, (0, 1)), ("Z", 2, (1, 1)),
-            ("W", 3, (1, 2))]
+def _scaled(cocycle, theta) -> list[tuple]:
+    """theta times a compiled cocycle, as (coeff, left, right) term data."""
+    minus = -theta
+    return [(theta if sign > 0 else minus, left, right)
+            for sign, left, right in cocycle]
+
+
+_DELTA_Z3 = _compiled_terms(_ALG3, _DELTA_Z)
+_DELTA_Z4 = _compiled_terms(_ALG4, _DELTA_Z)
+_U4 = _compiled_terms(_ALG4, _COCYCLE_U)
+_T4 = _compiled_terms(_ALG4, _COCYCLE_T)
+
+_A_KAPPA = _compiled_kappa(_ALG3, {"Z,X": [{"X": 1}, {"Y": 1}],
+                                   "Z,Y": [{"Y": 1}]})
+_B_KAPPA = _compiled_kappa(_ALG3, {"Y,X": [{"Y": 1}],
+                                   "Z,X": [{"Z": 1}, {"Y": 1}]})
+_D_KAPPA = _compiled_kappa(_ALG4, {"W,X": [{"X": 1}, {"Y": 1}],
+                                   "W,Y": [{"X": 1}, {"Y": 1}],
+                                   "W,Z": [{"Z": 1}, {"X": 1}, {"Y": 1}]})
+_E_KAPPA = _compiled_kappa(_ALG4, {"Z,X": [{"X": 1}],
+                                   "W,X": [{"X": 1}],
+                                   "W,Y": [{"X": 1}],
+                                   "W,Z": [{"Z": 1}, {"W": 1}, {"X": 1}]})
+_F_KAPPA = _compiled_kappa(_ALG4, {"Z,X": [{"Y": 1}],
+                                   "W,X": [{"Y": 1}],
+                                   "W,Y": [{"Y": 1}],
+                                   "W,Z": [{"Z": 1}, {"Y": 3}, {"X": 1}]})
+_K_KAPPA = _compiled_kappa(_ALG4, {"Z,X": [{"X": 1}],
+                                   "W,X": [{"Z": 1}],
+                                   "W,Z": [{"W": 1}, {"X": 1, "Y": 2}]})
 
 
 def make_A(l1, l2, alpha) -> HopfPresentation:
@@ -87,51 +138,35 @@ def make_A(l1, l2, alpha) -> HopfPresentation:
             "A-family parameters outside the normalized classes "
             "(alpha = 0 unless l1 = l2, then alpha in {0, 1}); the result "
             "is still a valid Hopf algebra", stacklevel=2)
-    algebra = OrePresentation(_gens3(), {
-        "Z,X": [(l1, {"X": 1}), (alpha, {"Y": 1})],
-        "Z,Y": [(l2, {"Y": 1})],
-    })
-    return HopfPresentation(algebra, {"Z": _delta_z()})
+    algebra = OrePresentation(_GENS3, _kappa(_A_KAPPA, l1, alpha, l2))
+    return HopfPresentation(algebra, {"Z": _DELTA_Z3})
 
 
 def make_B(lam) -> HopfPresentation:
     """[X,Y] = Y, [Z,X] = -Z + lam*Y, [Z,Y] = 0."""
-    lam = scalar(lam)
-    algebra = OrePresentation(_gens3(), {
-        "Y,X": [(-1, {"Y": 1})],
-        "Z,X": [(-1, {"Z": 1}), (lam, {"Y": 1})],
-    })
-    return HopfPresentation(algebra, {"Z": _delta_z()})
+    algebra = OrePresentation(_GENS3, _kappa(_B_KAPPA, -1, -1, scalar(lam)))
+    return HopfPresentation(algebra, {"Z": _DELTA_Z3})
 
 
 def make_D(t1, t2, a11, a12, a21, a22, x1, x2) -> HopfPresentation:
     """Commutative-in-XYZ family: [W,X], [W,Y] in span(X,Y) and
     [W,Z] = (a11+a22) Z + x1 X + x2 Y; delta(W) = t1*u + t2*t."""
-    t1, t2 = scalar(t1), scalar(t2)
+    t1, t2, a11, a12, a21, a22, x1, x2 = map(
+        scalar, (t1, t2, a11, a12, a21, a22, x1, x2))
     if t1 == 0 and t2 == 0:
         raise ParameterError("D family requires at least one theta nonzero")
-    a11, a12, a21, a22 = (scalar(a11), scalar(a12), scalar(a21), scalar(a22))
-    x1, x2 = scalar(x1), scalar(x2)
-    algebra = OrePresentation(_gens4(), {
-        "W,X": [(a11, {"X": 1}), (a12, {"Y": 1})],
-        "W,Y": [(a21, {"X": 1}), (a22, {"Y": 1})],
-        "W,Z": [(a11 + a22, {"Z": 1}), (x1, {"X": 1}), (x2, {"Y": 1})],
-    })
-    return HopfPresentation(algebra, {"Z": _delta_z(),
-                                      "W": _cocycle_u(t1) + _cocycle_t(t2)})
+    algebra = OrePresentation(_GENS4, _kappa(
+        _D_KAPPA, a11, a12, a21, a22, a11 + a22, x1, x2))
+    return HopfPresentation(algebra, {
+        "Z": _DELTA_Z4, "W": _scaled(_U4, t1) + _scaled(_T4, t2)})
 
 
 def make_E(a, b, xi) -> HopfPresentation:
     """[Z,X] = X; [W,X] = a X, [W,Y] = b X, [W,Z] = a Z - W + xi X;
     delta(W) = u."""
     a, b, xi = scalar(a), scalar(b), scalar(xi)
-    algebra = OrePresentation(_gens4(), {
-        "Z,X": [(1, {"X": 1})],
-        "W,X": [(a, {"X": 1})],
-        "W,Y": [(b, {"X": 1})],
-        "W,Z": [(a, {"Z": 1}), (-1, {"W": 1}), (xi, {"X": 1})],
-    })
-    return HopfPresentation(algebra, {"Z": _delta_z(), "W": _cocycle_u(1)})
+    algebra = OrePresentation(_GENS4, _kappa(_E_KAPPA, 1, a, b, a, -1, xi))
+    return HopfPresentation(algebra, {"Z": _DELTA_Z4, "W": _U4})
 
 
 def make_F(beta, gamma, xi) -> HopfPresentation:
@@ -143,24 +178,15 @@ def make_F(beta, gamma, xi) -> HopfPresentation:
             "F-family parameters outside the normalized classes "
             "({beta, gamma} = {0, 1}); the result is still a valid Hopf "
             "algebra", stacklevel=2)
-    algebra = OrePresentation(_gens4(), {
-        "Z,X": [(1, {"Y": 1})],
-        "W,X": [(beta, {"Y": 1})],
-        "W,Y": [(gamma, {"Y": 1})],
-        "W,Z": [(gamma, {"Z": 1}), (Fraction(-2, 3), {"Y": 3}),
-                (xi, {"X": 1})],
-    })
-    return HopfPresentation(algebra, {"Z": _delta_z(), "W": _cocycle_t(1)})
+    algebra = OrePresentation(_GENS4, _kappa(
+        _F_KAPPA, 1, beta, gamma, gamma, Fraction(-2, 3), xi))
+    return HopfPresentation(algebra, {"Z": _DELTA_Z4, "W": _T4})
 
 
 def make_K() -> HopfPresentation:
     """[Z,X] = X; [W,X] = -Z, [W,Y] = 0, [W,Z] = W - X Y^2; delta(W) = t."""
-    algebra = OrePresentation(_gens4(), {
-        "Z,X": [(1, {"X": 1})],
-        "W,X": [(-1, {"Z": 1})],
-        "W,Z": [(1, {"W": 1}), (-1, {"X": 1, "Y": 2})],
-    })
-    return HopfPresentation(algebra, {"Z": _delta_z(), "W": _cocycle_t(1)})
+    algebra = OrePresentation(_GENS4, _kappa(_K_KAPPA, 1, -1, 1, -1))
+    return HopfPresentation(algebra, {"Z": _DELTA_Z4, "W": _T4})
 
 
 def make_lie(basis, brackets) -> HopfPresentation:
@@ -181,9 +207,9 @@ def make_lie(basis, brackets) -> HopfPresentation:
 def make_cla_a(l1, l2, alpha) -> CLA:
     """3-dim CLA: [x,y] = 0, [z,x] = l1 x + alpha y, [z,y] = l2 y,
     delta(z) = x(x)y - y(x)x."""
+    l1, l2, alpha = scalar(l1), scalar(l2), scalar(alpha)
     return CLA(["x", "y", "z"],
-               brackets={(2, 0): {0: scalar(l1), 1: scalar(alpha)},
-                         (2, 1): {1: scalar(l2)}},
+               brackets={(2, 0): {0: l1, 1: alpha}, (2, 1): {1: l2}},
                delta={2: {(0, 1): 1, (1, 0): -1}})
 
 
@@ -212,9 +238,9 @@ def make_cla_35(variant: str, **params) -> CLA:
     g with b = c = 0 and h with a = 0.
     """
     variant = variant.lower().removeprefix("35")
-    if "cla35" + variant not in _FAMILIES:
+    if variant not in _CLA35:
         raise ParameterError(f"unknown 4-dim CLA variant {variant!r}")
-    constructor, keys = _FAMILIES["cla35" + variant]
+    constructor, keys = _CLA35[variant]
     missing = [k for k in keys if k not in params]
     extra = [k for k in params if k not in keys]
     if missing or extra:
@@ -316,18 +342,28 @@ def make_lie_preset(name: str) -> HopfPresentation:
 
 # -- dispatch ------------------------------------------------------------------------
 
-# family tag -> (constructor, parameter names); the names are read off the
-# constructor's signature, which is where each family declares them
+def _parameter_names(fn) -> tuple:
+    """The parameter names a constructor declares in its signature."""
+    return tuple(inspect.signature(fn).parameters)
+
+
+# variant -> (table constructor, parameter names) of the 4-dim CLAs; the
+# table constructors take scalars, which make_cla_35 coerces
+_CLA35 = {v: (fn, _parameter_names(fn)) for v, fn in {
+    "a": _cla35_a, "b": _cla35_b, "c": _cla35_c, "d": _cla35_d,
+    "e": _cla35_e, "f": _cla35_f, "g": _cla35_g, "h": _cla35_h}.items()}
+
+# family tag -> (constructor, parameter names); every constructor coerces
+# its own parameters, so build passes them as given
 _FAMILIES = {
-    tag: (fn, tuple(inspect.signature(fn).parameters)) for tag, fn in {
+    **{tag: (fn, _parameter_names(fn)) for tag, fn in {
         "A": make_A, "B": make_B, "D": make_D, "E": make_E, "F": make_F,
-        "K": make_K, "cla_a": make_cla_a, "cla_b": make_cla_b,
-        "cla35a": _cla35_a, "cla35b": _cla35_b, "cla35c": _cla35_c,
-        "cla35d": _cla35_d, "cla35e": _cla35_e, "cla35f": _cla35_f,
-        "cla35g": _cla35_g, "cla35h": _cla35_h,
-        **{"lie_" + name: functools.partial(make_lie_preset, name)
-           for name in _LIE_PRESETS},
-    }.items()}
+        "K": make_K, "cla_a": make_cla_a, "cla_b": make_cla_b}.items()},
+    **{"cla35" + v: (functools.partial(make_cla_35, v), names)
+       for v, (_, names) in _CLA35.items()},
+    **{"lie_" + name: (functools.partial(make_lie_preset, name), ())
+       for name in _LIE_PRESETS},
+}
 
 _TAG_ALIASES = {"cla-a": "cla_a", "claa": "cla_a",
                 "cla-b": "cla_b", "clab": "cla_b"}
@@ -360,7 +396,7 @@ def build(spec: FamilySpec):
     if missing or extra:
         raise InputError(f"family {tag} takes parameters {list(names)}; "
                          f"missing {missing}, unexpected {extra}")
-    return constructor(**{n: scalar(spec.params[n]) for n in names})
+    return constructor(**{n: spec.params[n] for n in names})
 
 
 def from_cli_params(tag: str, params: list) -> FamilySpec:

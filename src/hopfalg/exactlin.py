@@ -65,6 +65,8 @@ def scalar(value) -> Scalar:
     malformed input and raises InputError; a float or a bool (an int
     subclass, but not a number in a presentation) raises TypeError.
     """
+    if type(value) is int:
+        return value
     if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, Fraction):
@@ -542,10 +544,19 @@ def lead_pair_coordinates(basis: Sequence[Mapping], leads: Sequence[Hashable],
     With basis as in ``lead_coordinates``, basis[a] (x) basis[b] reads 1
     at (leads[a], leads[b]) and 0 at every other lead pair, so target lies
     in the span exactly when the remainder is empty.  A pair product is
-    formed only for a nonzero coordinate.
+    formed only for a nonzero coordinate.  The coordinates are found
+    through a lead -> position index from target's own keys, so the read
+    costs O(len(leads) + len(target)), not O(len(leads)^2); a key that is
+    not a pair of leads (a row of another kind) is passed over.
     """
-    coeffs = {(a, b): c for a, k in enumerate(leads)
-              for b, l in enumerate(leads) if (c := target.get((k, l)))}
+    position = {lead: a for a, lead in enumerate(leads)}
+    found = []
+    for key, c in target.items():
+        if c and isinstance(key, tuple) and len(key) == 2:
+            a, b = position.get(key[0]), position.get(key[1])
+            if a is not None and b is not None:
+                found.append(((a, b), c))
+    coeffs = dict(sorted(found))
     remainder = dict(target)
     for (a, b), c in coeffs.items():
         add_scaled(remainder, {(k, l): x * y for k, x in basis[a].items()

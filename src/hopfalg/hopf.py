@@ -194,16 +194,15 @@ class HopfPresentation(AnswerStore):
         self._antipode_cache: dict[Monomial, AlgebraElement] = {}
 
     def _validate_delta(self, i: int, terms: dict[tuple, Scalar]):
-        gname = self.algebra.names[i]
-        gdeg = self.algebra.degrees[i]
-        unit = self.algebra.unit_monomial
+        p = self.algebra
+        gname, gdeg = p.names[i], p.degrees[i]
+        unit, degree = p.unit_monomial, p.monomial_degree
         for (l, r) in terms:
             if l == unit or r == unit:
                 raise StructuralError(
                     f"delta({gname}) has a unit tensor factor; factors must lie "
                     "in the augmentation ideal")
-            dl = self.algebra.monomial_degree(l)
-            dr = self.algebra.monomial_degree(r)
+            dl, dr = degree(l), degree(r)
             if dl >= gdeg or dr >= gdeg:
                 raise StructuralError(
                     f"delta({gname}) has a factor of weighted degree >= "
@@ -407,15 +406,20 @@ class HopfPresentation(AnswerStore):
     # -- tensor utilities ----------------------------------------------------------
 
     def tensor(self, terms) -> TensorElement:
-        """Build a rank-2 tensor from [(coeff, mono, mono), ...] term data."""
+        """Build a rank-2 tensor from [(coeff, mono, mono), ...] term data.
+
+        Each term's coefficient is coerced and its arity checked before
+        its two monomials are converted; the sum stores no zero and only
+        pairs, so it is the tensor's terms as they are (``_trusted``).
+        """
+        monomial_tuple = self.algebra.monomial_tuple
         out: dict[tuple, Scalar] = {}
         for item in terms:
             c = scalar(item[0])
-            key = tuple(self.algebra.monomial_tuple(m) for m in item[1:])
-            if len(key) != 2:
+            if len(item) != 3:
                 raise InputError("term arity does not match rank")
-            add_term(out, key, c)
-        return TensorElement(self.algebra, 2, out)
+            add_term(out, (monomial_tuple(item[1]), monomial_tuple(item[2])), c)
+        return TensorElement._trusted(self.algebra, 2, out)
 
     # -- verifications ----------------------------------------------------------------
 

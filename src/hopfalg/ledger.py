@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .catalog import FamilySpec, _cocycle_t, _cocycle_u
+from .catalog import _COCYCLE_T, _COCYCLE_U, FamilySpec
 from .hopf import HopfPresentation, TensorElement
 from .ore import bracket
 
@@ -22,11 +22,11 @@ F = Fraction
 
 
 def cocycle_u(h: HopfPresentation) -> TensorElement:
-    return h.tensor(_cocycle_u(1))
+    return h.tensor(_COCYCLE_U)
 
 
 def cocycle_t(h: HopfPresentation) -> TensorElement:
-    return h.tensor(_cocycle_t(1))
+    return h.tensor(_COCYCLE_T)
 
 
 def _family_invariants(spec: FamilySpec):

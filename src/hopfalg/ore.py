@@ -28,6 +28,7 @@ never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from types import MappingProxyType
 from typing import Optional, Sequence
 
@@ -107,7 +108,7 @@ class OrePresentation:
             if not terms:
                 continue
             bound = self.degrees[i] + self.degrees[j]
-            worst = max(self.monomial_degree(m) for m in terms)
+            worst = max(map(self.monomial_degree, terms))
             if worst >= bound:
                 raise StructuralError(
                     f"[{self.names[j]},{self.names[i]}] has weighted degree "
@@ -154,33 +155,42 @@ class OrePresentation:
 
     def _terms_from(self, value) -> dict[Monomial, Scalar]:
         """Accept [(coeff, {name: exp}), ...] or {Monomial: coeff} term data."""
-        out: dict[Monomial, Scalar] = {}
         if isinstance(value, dict):
-            items = [(c, m) for m, c in value.items()]
-        else:
-            items = list(value)
-        for coeff, mono in items:
+            value = [(c, m) for m, c in value.items()]
+        out: dict[Monomial, Scalar] = {}
+        monomial_tuple = self.monomial_tuple
+        for coeff, mono in value:
             c = scalar(coeff)
-            add_term(out, self.monomial_tuple(mono), c)
+            add_term(out, monomial_tuple(mono), c)
         return out
 
     def monomial_tuple(self, mono) -> Monomial:
         """Coerce {name: exp} (or an exponent tuple) to an exponent tuple;
-        every exponent must be a non-negative int (not a bool)."""
-        n = len(self.names)
+        every exponent must be a non-negative int (not a bool).
+
+        An exponent of type int passes on its type alone; any other is
+        an int subclass that is not a bool (`_is_int`) or is rejected.
+        Each call checks every exponent: no monomial is trusted for having
+        passed before, since (True, 0) == (1, 0) and 1.0 == 1.
+        """
         if isinstance(mono, tuple):
-            if len(mono) != n or not all(_is_int(e) and e >= 0 for e in mono):
-                raise InputError(f"bad exponent vector {mono!r}")
-            return mono
+            if len(mono) == len(self.degrees):
+                for e in mono:
+                    if type(e) is not int and not _is_int(e) or e < 0:
+                        break
+                else:
+                    return mono
+            raise InputError(f"bad exponent vector {mono!r}")
         if not isinstance(mono, dict):
             raise InputError(f"monomial {mono!r} is not a {{name: exponent}} "
                              "object")
-        exps = [0] * n
+        exps = [0] * len(self.degrees)
+        index = self.index
         for name, e in mono.items():
-            i = self.index.get(name)
+            i = index.get(name)
             if i is None:
                 raise InputError(f"unknown generator {name!r}")
-            if not _is_int(e) or e < 0:
+            if type(e) is not int and not _is_int(e) or e < 0:
                 raise InputError(
                     f"exponent of {name!r} must be a non-negative integer")
             exps[i] += e
@@ -197,7 +207,7 @@ class OrePresentation:
         return (0,) * len(self.names)
 
     def monomial_degree(self, m: Monomial) -> int:
-        return sum(e * d for e, d in zip(m, self.degrees))
+        return sum(map(mul, m, self.degrees))
 
     def monomial_bidegree(self, m: Monomial) -> tuple[int, int]:
         if self.bidegrees is None:

@@ -1,4 +1,6 @@
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from hopfalg.catalog import (FamilySpec, build, family_parameter_names,
                              make_D, make_E, make_F, make_cla_35,
                              make_cla_a, make_cla_b, make_lie,
                              make_lie_preset)
-from hopfalg.cla import CLA, object_battery, verify_cla
+from hopfalg.cla import CLA, enveloping, object_battery, verify_cla
 from hopfalg.errors import InputError, ParameterError
 from hopfalg.hopf import HopfPresentation
 
@@ -191,3 +193,46 @@ def test_cli_parameter_parsing():
         from_cli_params("nosuch", [])
     spec = from_cli_params("cla35h", ["2", "1"])
     assert spec.params == {"lam": 2, "a": 1}
+
+
+# every coefficient nonzero, so every term of each family's table is kept
+_FULL_TABLES = [
+    FamilySpec("A", {"l1": 2, "l2": 3, "alpha": "1/2"}),
+    FamilySpec("B", {"lam": "5/3"}),
+    FamilySpec("D", dict(zip(family_parameter_names("D"),
+                             [1, "1/2", 2, 3, -1, "4/3", 5, -2]))),
+    FamilySpec("E", {"a": 2, "b": "-1/3", "xi": 3}),
+    FamilySpec("F", {"beta": 2, "gamma": "2/3", "xi": -1}),
+]
+
+
+def _render_tables(label, h):
+    """The lines of the catalog_tables golden for h: kappa, its fold plans,
+    the blockers and delta_gen, each in key order and with each scalar as
+    its repr, so an int and an integral Fraction print apart."""
+    a = h.algebra
+    lines = [label]
+    for pair, terms in a.kappa.items():
+        lines.append(f"  kappa {pair}: {list(terms.items())!r}")
+        lines.append(f"  folds {pair}: {a._kappa_folds[pair]!r}")
+    lines.append(f"  blockers {a._blockers!r}")
+    for g, terms in h.delta_gen.items():
+        lines.append(f"  delta {g}: {list(terms.items())!r}")
+    return lines
+
+
+def test_catalog_tables_match_their_golden():
+    # tests/golden/catalog_tables.txt pins the tables of every catalog
+    # entry (the envelope of a CLA), and of each family with every
+    # coefficient nonzero, byte for byte: values, value types and key
+    # order.  It was written from the catalog's {name: exponent} tables
+    # before their term shapes were compiled to exponent tuples.
+    lines = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for spec in list_catalog() + _FULL_TABLES:
+            obj = build(spec)
+            lines += _render_tables(spec.describe(), enveloping(obj)
+                                    if isinstance(obj, CLA) else obj)
+    golden = Path(__file__).parent / "golden" / "catalog_tables.txt"
+    assert "\n".join(lines) + "\n" == golden.read_text()

@@ -292,6 +292,58 @@ def test_lead_coordinates_agree_with_express_on_kept_bases(kept_bases):
     assert all(seen.values())
 
 
+def _all_pairs_read(basis, leads, target):
+    """Oracle: lead_pair_coordinates probing target at every pair of
+    leads, in increasing (a, b) order."""
+    coeffs = {(a, b): c for a, k in enumerate(leads)
+              for b, l in enumerate(leads) if (c := target.get((k, l)))}
+    remainder = dict(target)
+    for (a, b), c in coeffs.items():
+        add_scaled(remainder, {(k, l): x * y for k, x in basis[a].items()
+                               for l, y in basis[b].items()}, -c)
+    return coeffs, remainder
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_lead_pair_coordinates_match_the_all_pairs_read(data):
+    # random reduced bases (1 at the own lead, 0 at every other lead)
+    # over int or monomial keys, and targets mixing pair products, pairs
+    # off the leads, zero entries and rows that are no pair of leads
+    # (P2's ("s", key) rows, a bare key, a triple): the index read gives
+    # the all-pairs read's coordinates, in its increasing (a, b) order,
+    # and its remainder, in its key order
+    n = data.draw(st.integers(1, 6))
+    keys = (list(range(n)) if data.draw(st.booleans())
+            else [(i, n - i) for i in range(n)])
+    leads = data.draw(st.lists(st.sampled_from(keys), min_size=1,
+                               unique=True))
+    others = [k for k in keys if k not in leads]
+    basis = [{lead: 1, **{k: c for k in others if (c := data.draw(_small))}}
+             for lead in leads]
+    pairs = [(k, l) for k in keys for l in keys]
+    target = {}
+    for (a, b), c in data.draw(st.dictionaries(
+            st.tuples(st.integers(0, len(leads) - 1),
+                      st.integers(0, len(leads) - 1)), _small,
+            max_size=8)).items():
+        add_scaled(target, {(k, l): x * y for k, x in basis[a].items()
+                            for l, y in basis[b].items()}, c)
+    rows = st.one_of(st.sampled_from(pairs),
+                     st.sampled_from(pairs).map(lambda t: ("s", t)),
+                     st.just("nowhere"), st.sampled_from(keys),
+                     st.sampled_from(pairs).map(lambda t: t + t[:1]))
+    target.update(data.draw(st.dictionaries(rows, _small, max_size=6)))
+    got = lead_pair_coordinates(basis, leads, target)
+    want = _all_pairs_read(basis, leads, target)
+    assert got == want
+    assert list(got[0]) == list(want[0]) == sorted(got[0])
+    assert list(got[1].items()) == list(want[1].items())
+
+
 def test_express_edge_cases():
     assert express([], [{}, {"x": Fraction(1)}]) == ([{}, None], 0)
     assert express([{"x": Fraction(1)}, {"x": Fraction(2)}], [{}]) == ([{}], 1)

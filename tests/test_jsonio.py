@@ -1,11 +1,13 @@
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from hopfalg.catalog import (build, list_catalog, make_cla_a, make_cla_b,
-                             make_F, make_lie)
+from hopfalg.catalog import (FamilySpec, build, family_parameter_names,
+                             list_catalog, make_cla_a, make_cla_b, make_F,
+                             make_lie)
 from hopfalg.cla import CLA, enveloping
 from hopfalg.errors import InputError
 from hopfalg.jsonio import (cla_from_json, cla_to_json, element_to_terms,
@@ -53,13 +55,43 @@ def _typed(table):
             for key, terms in table.items()}
 
 
+def _tables(h):
+    """kappa term by term with its fold plan, the blockers and delta_gen of
+    h, each value with its type, in key order."""
+    a = h.algebra
+    kappa = [(pair, [(m, c, type(c), word, kc, type(kc)) for (m, c), (word, kc)
+                     in zip(terms.items(), a._kappa_folds[pair], strict=True)])
+             for pair, terms in a.kappa.items()]
+    delta = [(g, [(t, c, type(c)) for t, c in terms.items()])
+             for g, terms in h.delta_gen.items()]
+    return kappa, a._blockers, delta
+
+
+def _in_json_order(h, tables):
+    """``tables`` of h in the order presentation_to_json writes them:
+    pairs and generators by index, terms by canonical monomial order."""
+    key = h.algebra.monomial_key
+    kappa, blockers, delta = tables
+    return (sorted((pair, sorted(terms, key=lambda t: key(t[0])))
+                   for pair, terms in kappa),
+            blockers,
+            sorted((g, sorted(terms, key=lambda t: (key(t[0][0]),
+                                                    key(t[0][1]))))
+                   for g, terms in delta))
+
+
 def _assert_presentation_round_trip(h):
+    """h equals its rebuild from JSON, which takes the {name: exp} path:
+    generators, kappa, fold plans, blockers and delta_gen in values, value
+    types and key order.  presentation_to_json writes its terms in
+    canonical order, so the rebuild's key order is compared with h's in
+    that order; h's own table order is pinned by the catalog_tables
+    golden (tests/test_catalog.py)."""
     back = presentation_from_json(
         json.loads(json.dumps(presentation_to_json(h))))
     assert back.algebra.generators == h.algebra.generators
     assert back.algebra.names == h.algebra.names
-    assert _typed(back.algebra.kappa) == _typed(h.algebra.kappa)
-    assert _typed(back.delta_gen) == _typed(h.delta_gen)
+    assert _tables(back) == _in_json_order(h, _tables(h))
 
 
 CATALOG = [(s.describe(), build(s)) for s in list_catalog()]
@@ -76,6 +108,20 @@ def test_catalog_round_trips(obj):
         assert _typed(back.delta) == _typed(obj.delta)
         obj = enveloping(obj)
     _assert_presentation_round_trip(obj)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from("DEF"), st.lists(st.fractions(
+    min_value=-4, max_value=4, max_denominator=4), min_size=8, max_size=8))
+def test_seeded_families_equal_their_name_exponent_rebuild(tag, values):
+    # D, E and F at seeded rational parameters: the compiled term shapes
+    # against the {name: exp} path of the JSON reader
+    names = family_parameter_names(tag)
+    assume(tag != "D" or values[0] or values[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # F outside its normalized classes
+        h = build(FamilySpec(tag, dict(zip(names, values))))
+    _assert_presentation_round_trip(h)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)

@@ -103,22 +103,59 @@ def test_a_commutator_key_names_two_generators_or_int_indices(key):
 
 @pytest.mark.parametrize("mono", [
     (Fraction(3, 2), 0, 0, 0), (1.5, 0, 0, 0), ("a", 0, 0, 0),
-    (True, 0, 0, 0), (-1, 0, 0, 0), (1, 0, 0),
+    (True, 0, 0, 0), (1.0, 0, 0, 0), (Fraction(1), 0, 0, 0),
+    (-1, 0, 0, 0), (1, 0, 0),
     {"X": Fraction(3, 2)}, {"X": 1.5}, {"X": "a"}, {"X": True},
     {"X": False}, {"X": -1}],
     ids=["tuple-fraction", "tuple-float", "tuple-string", "tuple-bool",
+         "tuple-integral-float", "tuple-integral-fraction",
          "tuple-negative", "tuple-short", "dict-fraction", "dict-float",
          "dict-string", "dict-true", "dict-false", "dict-negative"])
 def test_exponents_must_be_non_negative_ints(K, mono):
-    # on both paths of monomial_tuple: 1.5 would build X^1.5 of degree 1.5,
-    # a string would raise TypeError and True would be taken as 1
-    p = K.algebra
+    # on both paths of monomial_tuple, and through element, kappa term
+    # data and delta term data: 1.5 would build X^1.5 of degree 1.5, a
+    # string would raise TypeError and True would be taken as 1.  Each
+    # call checks every exponent, after X has been accepted on both
+    # paths: a memo of accepted monomials would be keyed by equality, and
+    # (True, 0, 0, 0) == (1.0, 0, 0, 0) == (Fraction(1), 0, 0, 0) ==
+    # (1, 0, 0, 0), so it would let those through
+    gens = K.algebra.generators  # X, Y of degree 1, Z of 2, W of 3
+    x = (1, 0, 0, 0)
+    p = OrePresentation(gens)
+    for seen in (x, {"X": 1}):
+        assert p.monomial_tuple(seen) == x
+        assert p.element([(1, seen)]).terms == {x: 1}
+        assert OrePresentation(gens, {"W,Z": [(1, seen)]}).kappa == {
+            (3, 2): {x: 1}}
+        assert HopfPresentation(p, {"W": [(1, seen, seen)]}).delta_gen == {
+            3: {(x, x): 1}}
     with pytest.raises(InputError):
         p.monomial_tuple(mono)
     with pytest.raises(InputError):
         p.monomial(mono)
     with pytest.raises(InputError):
         p.element([(1, mono)])
+    with pytest.raises(InputError):
+        OrePresentation(gens, {"W,Z": [(1, mono)]})
+    for left, right in ((x, mono), (mono, x)):
+        with pytest.raises(InputError):
+            HopfPresentation(p, {"W": [(1, left, right)]})
+
+
+def test_structural_checks_follow_the_exponent_checks(K):
+    # valid monomials that break the degree drop or carry a unit factor
+    # are StructuralErrors, also after a valid term
+    gens = K.algebra.generators
+    x = (1, 0, 0, 0)
+    p = OrePresentation(gens)
+    with pytest.raises(StructuralError, match="weighted degree 6 >= 5"):
+        OrePresentation(gens, {"W,Z": [(1, x), (1, {"W": 2})]})
+    with pytest.raises(StructuralError, match="unit tensor factor"):
+        HopfPresentation(p, {"W": [(1, x, x), (1, (0, 0, 0, 0), x)]})
+    with pytest.raises(StructuralError, match="strict degree drop"):
+        HopfPresentation(p, {"W": [(1, x, {"W": 1})]})
+    with pytest.raises(StructuralError, match="total degree 4 > 3"):
+        HopfPresentation(p, {"W": [(1, {"Z": 1}, {"Z": 1})]})
 
 
 def test_normal_form_in_deformed_family(A100):
