@@ -472,12 +472,12 @@ def lantern_of_cla(L: CLA) -> GradedLie:
     degrees = [1] * kdim + [2] * len(complement)
 
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for s, c_idx in enumerate(complement):
-        sol, rest = lead_pair_coordinates(kernel, leads,
-                                          L.delta_constants(c_idx))
+    coproducts = lead_pair_coordinates(
+        kernel, leads, [L.delta_constants(c) for c in complement])
+    for s, (sol, rest) in enumerate(coproducts):
         if rest:
             raise StructuralError(
-                f"delta({L.names[c_idx]}) does not lie in "
+                f"delta({L.names[complement[s]]}) does not lie in "
                 "(ker delta)(x)(ker delta)")
         for (a, b), coeff in sol.items():
             if a < b:

@@ -12,13 +12,31 @@ is a float, so every division goes through ``quotient``.  A product
 involving a Fraction may come out integral yet still be a Fraction;
 equality, hashing and printing do not tell the two apart.
 
-Every elimination (rank, kernel, solve) is one reduced row echelon form,
-computed mod the prime P = 2^61 - 1 and certified exactly over Q.
-Reduction mod P cannot raise the rank of any column prefix, so the
-pivots found mod P bound the rational rank profile from below.  Each
-entry of the RREF mod P is lifted to a rational by reconstruction; for
-each free column f the kernel vector v_f (1 at f, -rref[c][f] at each
-pivot c) is checked to satisfy A v_f = 0 in exact integer arithmetic.
+Every elimination (rank, kernel, solve) is one forward pass of the rows
+reduced mod the Mersenne prime P = 2^127 - 1.  Reduction mod P cannot
+raise the rank of any column prefix, so the pivots found mod P bound the
+rational rank profile from below.
+
+A rank profile is certified by Hadamard's bound, with no lifting.  Scale
+each column by the lcm of its denominators, which changes no prefix rank
+over Q and, the lcm being a unit mod P, none mod P either; let R be the
+rank mod P.  Take a column prefix of rank r mod P.  Each of its
+(r+1)-minors vanishes mod P, and by Hadamard's inequality its absolute
+value is at most the product of the norms of its r + 1 columns, so at most
+the square root of the product of the R + 1 largest squared column norms
+(nonzero integer columns have norm >= 1; with fewer than R + 1 of them
+every one is a pivot mod P and there is nothing to show).  When that
+product is below P^2 each such minor is a multiple of P of absolute value
+below P, so it is 0: the prefix has rank r over Q as well.  Every prefix
+rank agrees, so the pivots agree.  The total ranks agreeing would not be
+enough: [[P, 1]] has rank 1 both ways, pivots [1] mod P and [0] over Q,
+and the bound refuses it (P^2 is not below P^2).
+
+An echelon form, and a rank profile the bound refuses, are lifted from
+the same reduced rows: back substitution gives the RREF mod P, each of
+its entries is lifted to a rational by reconstruction, and for each free
+column f the kernel vector v_f (1 at f, -rref[c][f] at each pivot c) is
+checked to satisfy A v_f = 0 in exact integer arithmetic.
 That shows column f is not a pivot over Q either, so the pivot sets are
 equal.  The pivot columns are then independent over Q, so column f has
 one set of coefficients over them: the RREF entries over Q are the
@@ -46,9 +64,9 @@ from .errors import InputError
 
 Scalar = int | Fraction
 
-# the prime of the modular rank profile, and Wang's bound sqrt(P/2) on the
-# numerator and denominator of a reconstructed rational
-P = 2**61 - 1
+# the prime of the modular elimination (a Mersenne prime), and Wang's bound
+# sqrt(P/2) on the numerator and denominator of a reconstructed rational
+P = 2**127 - 1
 _WANG_BOUND = math.isqrt(P // 2)
 
 
@@ -282,13 +300,33 @@ class Matrix:
 
     def _certified_rref(self):
         """The reduced echelon form mod P with every entry reconstructed as
-        a rational, or None unless each free column is shown to be that
-        combination of the pivot columns by an exact kernel vector."""
-        rows = self._rows_mod_p()
-        if rows is None:
-            return None
-        reduced, pivots = _forward(rows, _normalise_mod, _reduce_mod)
-        del rows
+        a rational, or None unless it is certified (``_lift``)."""
+        forward = self._forward_mod_p()
+        return None if forward is None else self._lift(*forward)
+
+    def _forward_mod_p(self):
+        """The forward pass of the rows reduced mod P, (pivot rows,
+        pivots), or None when a denominator is 0 mod P: the one modular
+        elimination of a matrix."""
+        inverse: dict[int, int] = {}
+        rows: list[dict[int, int]] = [dict() for _ in range(self.rows)]
+        for (i, j), v in self.entries.items():
+            d = v.denominator
+            inv = inverse.get(d)
+            if inv is None:
+                if d % P == 0:
+                    return None
+                inv = inverse[d] = pow(d, -1, P)
+            x = v.numerator * inv % P
+            if x:
+                rows[i][j] = x
+        return _forward(rows, _normalise_mod, _reduce_mod)
+
+    def _lift(self, reduced: list[dict], pivots: list[int]):
+        """The RREF from a forward pass mod P: back substituted, every
+        entry reconstructed as a rational, and returned only when each free
+        column is shown to be that combination of the pivot columns by an
+        exact kernel vector; else None."""
         _back_substitute(reduced, pivots, _reduce_mod)
         # minus the kernel vector of free column f: -1 at f, rref[c][f] at
         # each pivot c < f
@@ -306,37 +344,26 @@ class Matrix:
                     kernel[f][c] = q
         return (reduced, pivots) if self._annihilates(kernel.values()) else None
 
-    def _rows_mod_p(self) -> Optional[list[dict[int, int]]]:
-        """The rows reduced mod P, or None when a denominator is 0 mod P."""
-        inverse: dict[int, int] = {}
-        rows: list[dict[int, int]] = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            d = v.denominator
-            inv = inverse.get(d)
-            if inv is None:
-                if d % P == 0:
-                    return None
-                inv = inverse[d] = pow(d, -1, P)
-            x = v.numerator * inv % P
-            if x:
-                rows[i][j] = x
-        return rows
+    def _column_scales(self) -> list[int]:
+        """Per column j, the lcm s_j of its denominators: s_j times the
+        column is integral."""
+        scale = [1] * self.cols
+        for (_, j), v in self.entries.items():
+            if type(v) is not int:
+                scale[j] = math.lcm(scale[j], v.denominator)
+        return scale
 
     def _annihilates(self, vectors) -> bool:
         """Whether A v = 0 for every sparse rational vector v, checked in
-        integers: column j is scaled by the lcm s_j of its denominators
-        and v by the lcm of den(v_j) * s_j over its entries."""
-        columns: dict[int, dict[int, Scalar]] = {
+        integers: column j is scaled by s_j (``_column_scales``) and v by
+        the lcm of den(v_j) * s_j over its entries."""
+        scale = self._column_scales()
+        columns: dict[int, dict[int, int]] = {
             j: {} for vec in vectors for j in vec}
         for (i, j), v in self.entries.items():
             col = columns.get(j)
             if col is not None:
-                col[i] = v
-        scale = {}
-        for j, col in columns.items():
-            s = scale[j] = math.lcm(*(v.denominator for v in col.values()))
-            columns[j] = {i: v.numerator * (s // v.denominator)
-                          for i, v in col.items()}
+                col[i] = v.numerator * (scale[j] // v.denominator)
         for vec in vectors:
             lcm = math.lcm(*(q.denominator * scale[j] for j, q in vec.items()))
             acc: dict[int, int] = {}
@@ -348,12 +375,42 @@ class Matrix:
                 return False
         return True
 
+    def _hadamard_certifies(self, rank: int) -> bool:
+        """Whether Hadamard's bound shows that every column prefix has the
+        same rank over Q as mod P, where rank is the rank mod P: the
+        product of the rank + 1 largest squared norms of the columns,
+        each scaled to integers (``_column_scales``), is below P^2 (see
+        the module docstring).  With every column a pivot mod P there is
+        nothing to show."""
+        if rank == self.cols:
+            return True
+        scale = self._column_scales()
+        norms = [0] * self.cols
+        for (_, j), v in self.entries.items():
+            norms[j] += (v.numerator * (scale[j] // v.denominator)) ** 2
+        return math.prod(sorted(norms)[-rank - 1:]) < P * P
+
     def rank_profile(self) -> list[int]:
-        """The pivot columns of the reduced echelon form, in increasing order."""
-        return self.row_echelon()[1]
+        """The pivot columns of the reduced echelon form, in increasing order.
+
+        One forward pass mod P; its pivots answer when Hadamard's bound
+        certifies them (``_hadamard_certifies``).  Otherwise the same
+        reduced rows are lifted and checked as in ``row_echelon``
+        (``_lift``), and the exact elimination answers if that fails too.
+        """
+        if not self.entries:
+            return []
+        forward = self._forward_mod_p()
+        if forward is not None:
+            if self._hadamard_certifies(len(forward[1])):
+                return forward[1]
+            certified = self._lift(*forward)
+            if certified is not None:
+                return certified[1]
+        return self._fraction_rref()[1]
 
     def rank(self) -> int:
-        return len(self.row_echelon()[1])
+        return len(self.rank_profile())
 
     def kernel_basis(self) -> list[dict[int, Scalar]]:
         """Basis of the right null space, one sparse vector per free column.
@@ -535,30 +592,33 @@ def lead_coordinates(basis: Sequence[Mapping], leads: Sequence[Hashable],
 
 
 def lead_pair_coordinates(basis: Sequence[Mapping], leads: Sequence[Hashable],
-                          target: Mapping
-                          ) -> tuple[dict[tuple[int, int], Scalar], dict]:
-    """Coordinates of target over the products basis[a] (x) basis[b],
+                          targets: Sequence[Mapping]
+                          ) -> list[tuple[dict[tuple[int, int], Scalar], dict]]:
+    """Per target, its coordinates over the products basis[a] (x) basis[b],
     keyed (a, b) in increasing order and read at the lead pairs, and what
-    is left of target after subtracting them; no elimination.
+    is left of it after subtracting them; no elimination.
 
     With basis as in ``lead_coordinates``, basis[a] (x) basis[b] reads 1
-    at (leads[a], leads[b]) and 0 at every other lead pair, so target lies
-    in the span exactly when the remainder is empty.  A pair product is
-    formed only for a nonzero coordinate.  The coordinates are found
-    through a lead -> position index from target's own keys, so the read
-    costs O(len(leads) + len(target)), not O(len(leads)^2); a key that is
-    not a pair of leads (a row of another kind) is passed over.
+    at (leads[a], leads[b]) and 0 at every other lead pair, so a target
+    lies in the span exactly when its remainder is empty.  The coordinates
+    are found through one lead -> position index over each target's own
+    keys, so a read costs O(len(target)), not O(len(leads)^2); a key that
+    is not a pair of leads (a row of another kind) is passed over.  A pair
+    product is formed only for a nonzero coordinate.
     """
     position = {lead: a for a, lead in enumerate(leads)}
-    found = []
-    for key, c in target.items():
-        if c and isinstance(key, tuple) and len(key) == 2:
-            a, b = position.get(key[0]), position.get(key[1])
-            if a is not None and b is not None:
-                found.append(((a, b), c))
-    coeffs = dict(sorted(found))
-    remainder = dict(target)
-    for (a, b), c in coeffs.items():
-        add_scaled(remainder, {(k, l): x * y for k, x in basis[a].items()
-                               for l, y in basis[b].items()}, -c)
-    return coeffs, remainder
+    out = []
+    for target in targets:
+        found = []
+        for key, c in target.items():
+            if c and isinstance(key, tuple) and len(key) == 2:
+                a, b = position.get(key[0]), position.get(key[1])
+                if a is not None and b is not None:
+                    found.append(((a, b), c))
+        coeffs = dict(sorted(found))
+        remainder = dict(target)
+        for (a, b), c in coeffs.items():
+            add_scaled(remainder, {(k, l): x * y for k, x in basis[a].items()
+                                   for l, y in basis[b].items()}, -c)
+        out.append((coeffs, remainder))
+    return out

@@ -169,7 +169,7 @@ def _coradical_kernel(h: HopfPresentation, monos: list[Monomial], columns,
     remainders.
     """
     terms, leads = [f.terms for f in factors], _leads(factors)
-    rests = [lead_pair_coordinates(terms, leads, col)[1] for col in columns]
+    rests = [rest for _, rest in lead_pair_coordinates(terms, leads, columns)]
     kernel = Matrix.from_keyed_columns(rests).kernel_basis()
     return [AlgebraElement(h.algebra, {monos[i]: c for i, c in vec.items()})
             for vec in kernel]
@@ -270,9 +270,9 @@ def extract_cla(h: HopfPresentation) -> CLA:
             brackets[(i, j)] = terms
 
     delta = {}
-    for i, b in enumerate(basis):
-        terms, rest = lead_pair_coordinates(basis_terms, leads,
-                                            h.reduced_coproduct(b).terms)
+    coproducts = lead_pair_coordinates(
+        basis_terms, leads, [h.reduced_coproduct(b).terms for b in basis])
+    for i, (terms, rest) in enumerate(coproducts):
         if rest:
             raise StructuralError(
                 f"delta({names[i]}) does not lie in P2 (x) P2")

@@ -18,9 +18,12 @@ tracer = Tracer()
 tracer.instrument()
 from hopfalg import make_K
 from hopfalg.cobar import h2_report
+from hopfalg.structure import p2_space
 h2_report(make_K(), 3)
+p2_space(make_K())
 first = tracer.take_counts()
 h2_report(make_K(), 6)
+p2_space(make_K())
 print(json.dumps([first, tracer.take_counts()]))
 """
 
@@ -32,7 +35,8 @@ def test_tracer_instruments_the_library_and_counts_eliminations():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     # each bound reads a new K, so each builds the complex once: up to
-    # the bound 3 below G' = 4, and up to G' for the bound 6
+    # the bound 3 below G' = 4, and up to G' for the bound 6; rank
+    # profiles bypass row_echelon, so the P2 kernel is what reaches it
     for counts in json.loads(run.stdout):
         assert counts["exactlin.row_echelon.calls"] > 0
         assert counts["cobar.build_complex.calls"] == 1

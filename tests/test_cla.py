@@ -582,25 +582,25 @@ def test_ce_h2_of_the_k_lantern_takes_two_eliminations(K, monkeypatch):
     # one rank profile of d1 and one of d2, not one per grade block
     gl = lantern_of_hopf(K)
     calls = []
-    certified = Matrix._certified_rref
+    forward = Matrix._forward_mod_p
 
     def spy(self):
         calls.append((self.rows, self.cols))
-        return certified(self)
+        return forward(self)
 
-    monkeypatch.setattr(Matrix, "_certified_rref", spy)
+    monkeypatch.setattr(Matrix, "_forward_mod_p", spy)
     assert gl.ce_h2_dims() == {3: 1, 4: 1}
     assert len(calls) == 2
 
 
 def test_enveloping_eliminates_no_zero_matrix(monkeypatch):
-    certified = Matrix._certified_rref
+    forward = Matrix._forward_mod_p
 
     def spy(self):
         assert self.entries, "an all-zero matrix was eliminated"
-        return certified(self)
+        return forward(self)
 
-    monkeypatch.setattr(Matrix, "_certified_rref", spy)
+    monkeypatch.setattr(Matrix, "_forward_mod_p", spy)
     for L in cla_catalog():
         assert enveloping(L).verify_compatibility().passed
 
@@ -610,13 +610,13 @@ def test_ker_delta_is_eliminated_once_per_cla(monkeypatch):
     # enveloping, kernel_delta and lantern_of_cla share one elimination
     L = make_cla_35("f")
     matrices = []
-    certified = Matrix._certified_rref
+    forward = Matrix._forward_mod_p
 
     def spy(self):
         matrices.append(frozenset(self.entries.items()))
-        return certified(self)
+        return forward(self)
 
-    monkeypatch.setattr(Matrix, "_certified_rref", spy)
+    monkeypatch.setattr(Matrix, "_forward_mod_p", spy)
     enveloping(L)
     lantern_of_cla(L)
     kernel = kernel_delta(L)

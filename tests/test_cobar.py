@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfalg import catalog
+from hopfalg import catalog, exactlin
 from hopfalg.catalog import build, list_catalog, make_A, make_lie
 from hopfalg.cla import GradedLie, enveloping, object_battery
 from hopfalg.cobar import (_eliminated_counts, _g_prime, _grading, _lantern_ce,
@@ -36,6 +36,18 @@ def _d2_after_d1(h, bound):
     d1 = h._reduced_monomial
     return next((m for m in h.algebra.monomials_up_to(bound)
                  if coassociator(d1(m), d1)), None)
+
+
+def _spy_eliminations(monkeypatch, record):
+    """Call record(m) on every matrix m that ``row_echelon`` or
+    ``rank_profile`` is asked for; neither reaches the other, so each
+    elimination, a matrix with no entries included, is recorded once."""
+    for name in ("row_echelon", "rank_profile"):
+        def spy(self, real=getattr(Matrix, name)):
+            record(self)
+            return real(self)
+
+        monkeypatch.setattr(Matrix, name, spy)
 
 
 def test_rank_one_differential_examples(A000):
@@ -149,21 +161,65 @@ def test_total_mode_is_served_by_certified_rank_profiles(K, monkeypatch):
     def refuse(self):
         raise AssertionError("rank profile fell back to Fraction elimination")
 
-    profiles = []
+    profiles, passes, lifted = [], [], []
     certified = Matrix.rank_profile
+    forward, lift = exactlin._forward, Matrix._lift
 
     def spy(self):
         profiles.append(certified(self))
         return profiles[-1]
 
+    def count(*args):
+        passes.append(1)
+        return forward(*args)
+
+    def lift_spy(self, reduced, pivots):
+        lifted.append(len(pivots))
+        return lift(self, reduced, pivots)
+
     _lantern_ce(K, False)  # kept on K, so the spy sees d2 and d1 alone
     monkeypatch.setattr(Matrix, "_fraction_rref", refuse)
     monkeypatch.setattr(Matrix, "rank_profile", spy)
+    monkeypatch.setattr(exactlin, "_forward", count)
+    monkeypatch.setattr(Matrix, "_lift", lift_spy)
     rep = _eliminated_report(K, 8)
     assert rep.total_h2 == 2
     d2_pivots, _ = profiles
     assert len(d2_pivots) == 1257
+    # Hadamard's bound refuses d2 and certifies d1; d2 is lifted from the
+    # rows of its one forward pass
+    assert lifted == [1257] and len(passes) == 2
     assert rep.rows[-1]["cocycles"] == 1392 - 1257
+
+
+def test_reports_read_every_rank_profile_off_the_bound(monkeypatch):
+    # K at 8, a D with rational parameters at 7 and A(0,0,0) by bidegree
+    # at 8, each on a fresh presentation: the largest matrix is the 56 x 64
+    # d2 of rank 40 over C_<=G', whose Hadamard product (about 2^167 on K)
+    # is below P^2; no rank profile is lifted or eliminated over Q
+    def refuse(self, *args):
+        raise AssertionError("a rank profile was not certified by the bound")
+
+    profiles = []
+    certified = Matrix.rank_profile
+
+    def spy(self):
+        if self.entries:
+            profiles.append((self.rows, self.cols))
+        return certified(self)
+
+    monkeypatch.setattr(Matrix, "_lift", refuse)
+    monkeypatch.setattr(Matrix, "_fraction_rref", refuse)
+    monkeypatch.setattr(Matrix, "rank_profile", spy)
+    F = Fraction
+    D = catalog.make_D(F(4, 7), -6, -1, F(-4, 9), F(-7, 9), F(-1, 3),
+                       F(-1, 5), F(3, 2))
+    assert h2_report(catalog.make_K(), 8).total_h2 == 2
+    assert h2_report(D, 7).total_h2 == 2
+    rows = h2_report(make_A(0, 0, 0), 8, by_bidegree=True).rows
+    assert {r["bidegree"]: r["h2"] for r in rows if r["h2"]} == {
+        (2, 1): 1, (1, 2): 1}
+    assert len(profiles) == 11 and (56, 64) in profiles
 
 
 def _block_ranks(h, bound):
@@ -206,13 +262,7 @@ def test_h2_report_takes_one_elimination_per_differential(by_bidegree,
     A000 = make_A(0, 0, 0)
     cx = build_complex(A000, 6)
     shapes = []
-    echelon = Matrix.row_echelon
-
-    def spy(self):
-        shapes.append((self.rows, self.cols))
-        return echelon(self)
-
-    monkeypatch.setattr(Matrix, "row_echelon", spy)
+    _spy_eliminations(monkeypatch, lambda m: shapes.append((m.rows, m.cols)))
     rep = _eliminated_report(A000, 6, by_bidegree=by_bidegree)
     assert rep.total_h2 == 2
     d2_d1 = [(cx.d2.rows, cx.d2.cols), (cx.d1.rows, cx.d1.cols)]
@@ -233,16 +283,11 @@ def test_h2_report_takes_the_two_rank_profiles_at_g_prime(
     h = catalog.make_K() if family == "K" else make_A(0, 0, 0)
     lantern = lantern_of_hopf(h)
     shapes = []
-    echelon = Matrix.row_echelon
-
-    def spy(self):
-        shapes.append((self.rows, self.cols))
-        return echelon(self)
 
     def refuse(self):
         raise AssertionError("the report took a kernel basis")
 
-    monkeypatch.setattr(Matrix, "row_echelon", spy)
+    _spy_eliminations(monkeypatch, lambda m: shapes.append((m.rows, m.cols)))
     monkeypatch.setattr(Matrix, "kernel_basis", refuse)
     top = max(lantern.ce_h2_dims())
     ce_shapes = list(shapes)
@@ -286,18 +331,13 @@ def test_h2_report_scales_to_bound_twelve(monkeypatch):
     top = max(lantern_of_hopf(K).ce_h2_dims())
     reach = max(top, *K.algebra.degrees)
     widths, degrees = [], []
-    echelon = Matrix.row_echelon
     reduced = HopfPresentation._reduced_monomial
-
-    def spy_echelon(self):
-        widths.append(self.cols)
-        return echelon(self)
 
     def spy_reduced(self, m):
         degrees.append(self.algebra.monomial_degree(m))
         return reduced(self, m)
 
-    monkeypatch.setattr(Matrix, "row_echelon", spy_echelon)
+    _spy_eliminations(monkeypatch, lambda m: widths.append(m.cols))
     monkeypatch.setattr(HopfPresentation, "_reduced_monomial", spy_reduced)
     widest = {}
     for bound, seconds in [(reach + 1, 60), (12, 60), (30, 1)]:
@@ -481,13 +521,7 @@ def test_no_report_eliminates_past_g_prime(case, monkeypatch):
     for by_bidegree in modes:
         _lantern_ce(h, by_bidegree)     # kept, so the spy sees the rest
     shapes = []
-    echelon = Matrix.row_echelon
-
-    def spy(self):
-        shapes.append((self.rows, self.cols))
-        return echelon(self)
-
-    monkeypatch.setattr(Matrix, "row_echelon", spy)
+    _spy_eliminations(monkeypatch, lambda m: shapes.append((m.rows, m.cols)))
     reports = {(by_bidegree, n): h2_report(h, n, by_bidegree)
                for by_bidegree in modes for n in range(1, 3 * reach + 1)}
     monkeypatch.undo()
@@ -718,14 +752,8 @@ def test_inflated_ce_prediction_takes_no_elimination_past_g_prime(
     # one CE class too many: H^2(C_<=4) falls short of the prediction, and
     # the rows past G' = 4 still read the two rank profiles of C_<=4
     shapes = []
-    echelon = Matrix.row_echelon
-
-    def spy(self):
-        shapes.append((self.rows, self.cols))
-        return echelon(self)
-
     h = _misprediction(monkeypatch, 1)
-    monkeypatch.setattr(Matrix, "row_echelon", spy)
+    _spy_eliminations(monkeypatch, lambda m: shapes.append((m.rows, m.cols)))
     rep = h2_report(h, 6)
     monkeypatch.undo()
     low = build_complex(h, 4)
@@ -749,13 +777,7 @@ def test_deflated_ce_prediction_breaks_the_e1_bound(monkeypatch):
 def test_is_coboundary_takes_one_elimination(A000, monkeypatch):
     # rank and solution both come from the RREF of [d1 columns | w]
     shapes = []
-    echelon = Matrix.row_echelon
-
-    def spy(self):
-        shapes.append((self.rows, self.cols))
-        return echelon(self)
-
-    monkeypatch.setattr(Matrix, "row_echelon", spy)
+    _spy_eliminations(monkeypatch, lambda m: shapes.append((m.rows, m.cols)))
     alg = A000.algebra
     w = A000.reduced_coproduct(alg.monomial({"X": 2, "Y": 1}))
     for cocycle, want in [(cocycle_u(A000), (False, 10, 11)),
@@ -814,13 +836,7 @@ def test_every_bound_reads_the_kept_counts(by_bidegree, monkeypatch):
     # per presentation; later bounds only count monomials
     h = make_A(0, 0, 0)
     calls = []
-    echelon = Matrix.row_echelon
-
-    def spy(self):
-        calls.append((self.rows, self.cols))
-        return echelon(self)
-
-    monkeypatch.setattr(Matrix, "row_echelon", spy)
+    _spy_eliminations(monkeypatch, lambda m: calls.append((m.rows, m.cols)))
     first = h2_report(h, 5, by_bidegree)
     assert first.complete and calls
     assert not any(h2_report(h, n, by_bidegree).complete for n in (1, 2, 3))

@@ -3,9 +3,9 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from hopfalg import structure
+from hopfalg import exactlin, structure
 from hopfalg.catalog import build, list_catalog
 from hopfalg.cla import (CLA, cla_transform, enveloping, kernel_delta,
                          verify_cla)
@@ -277,13 +277,15 @@ def test_lead_coordinates_agree_with_express_on_kept_bases(kept_bases):
         pairs = _pair_products(basis)
         pair_leads = [(k, l) for k in leads for l in leads]
         for vectors, at, read, keyed in (
-                (basis, leads, lead_coordinates, range(len(basis))),
-                (list(pairs.values()), pair_leads, lead_pair_coordinates,
-                 list(pairs))):
+                (basis, leads, lambda targets: [
+                    lead_coordinates(basis, leads, t) for t in targets],
+                 range(len(basis))),
+                (list(pairs.values()), pair_leads, lambda targets:
+                 lead_pair_coordinates(basis, leads, targets), list(pairs))):
             keys = sorted({k for vec in vectors for k in vec}, key=repr)
             targets = _targets(rng, vectors, keys)
-            for target, want in zip(targets, express(vectors, targets)[0]):
-                coords, rest = read(basis, leads, target)
+            for (coords, rest), want in zip(read(targets),
+                                            express(vectors, targets)[0]):
                 assert (None if rest else coords) == (None if want is None else
                     {keyed[i]: c for i, c in want.items()}), name
                 assert list(coords) == sorted(coords), name
@@ -337,11 +339,13 @@ def test_lead_pair_coordinates_match_the_all_pairs_read(data):
                      st.just("nowhere"), st.sampled_from(keys),
                      st.sampled_from(pairs).map(lambda t: t + t[:1]))
     target.update(data.draw(st.dictionaries(rows, _small, max_size=6)))
-    got = lead_pair_coordinates(basis, leads, target)
-    want = _all_pairs_read(basis, leads, target)
-    assert got == want
-    assert list(got[0]) == list(want[0]) == sorted(got[0])
-    assert list(got[1].items()) == list(want[1].items())
+    # one call reads every target through one index
+    targets = [target, dict(reversed(target.items()))]
+    for got, t in zip(lead_pair_coordinates(basis, leads, targets), targets):
+        want = _all_pairs_read(basis, leads, t)
+        assert got == want
+        assert list(got[0]) == list(want[0]) == sorted(got[0])
+        assert list(got[1].items()) == list(want[1].items())
 
 
 def test_express_edge_cases():
@@ -416,11 +420,12 @@ def test_rank_profile_matches_fraction_rref_and_sympy(cols, height, inner,
     # the rank drops mod P: the reconstructed kernel vector (-1, 1) is
     # a kernel vector mod P only, and the exact product A v = (0, P) says so
     ([[1, 1], [1, 1 + P]], [0, 1]),
-    # kernel entries beyond the reconstruction bound: for -3^23 / 2^40 no
-    # rational within it matches the residue, for -3^30 / 2^40 a wrong one
-    # (449312213/576617187) does and the exact product refutes it
-    ([[2**40, 3**23]], [0]),
-    ([[2**40, 3**30]], [0]),
+    # kernel entries beyond the reconstruction bound of about 2^63: for
+    # -3^43 / 2^70 no rational within it matches the residue, for
+    # -3^44 / 2^70 a wrong one (6490462988713273897/4498410466312197315 in
+    # the RREF) does and the exact product refutes it
+    ([[2**70, 3**43]], [0]),
+    ([[2**70, 3**44]], [0]),
 ])
 def test_rank_profile_falls_back_when_it_cannot_certify(data, pivots):
     m = Matrix.from_rows(data)
@@ -435,6 +440,113 @@ def test_rank_profile_certifies_rational_kernels():
     assert m._certified_rref() == (
         [{0: 1, 2: Fraction(1, 2)}, {1: 1, 2: Fraction(3, 7)}], [0, 1])
     assert Matrix(3, 2)._certified_rref() == ([], [])
+
+
+def _answered(m):
+    """m.rank_profile(), the path that answered it and the number of
+    forward passes it ran: "bound" when Hadamard's bound certified the
+    modular pivots, "lift" when the lifted RREF did, "exact" when the
+    Fraction elimination answered."""
+    passes, paths = [], []
+    forward, lift, fraction = (exactlin._forward, Matrix._lift,
+                               Matrix._fraction_rref)
+
+    def count(*args):
+        passes.append(1)
+        return forward(*args)
+
+    def lift_spy(self, reduced, pivots):
+        paths.append("lift")
+        return lift(self, reduced, pivots)
+
+    def fraction_spy(self):
+        paths.append("exact")
+        return fraction(self)
+
+    with mock.patch.object(exactlin, "_forward", count), \
+            mock.patch.object(Matrix, "_lift", lift_spy), \
+            mock.patch.object(Matrix, "_fraction_rref", fraction_spy):
+        pivots = m.rank_profile()
+    return pivots, (paths or ["bound"])[-1], len(passes)
+
+
+_KINDS = {
+    # small entries: every product of squared column norms is far below P^2
+    "small": st.fractions(min_value=-9, max_value=9, max_denominator=4),
+    # 36 to 44 bits: the bound holds at rank 1 and fails from rank 3 up
+    "moderate": st.one_of(st.integers(2**36, 2**44),
+                          st.integers(-2**44, -2**36)),
+    # 128 bits and more, and multiples of P and their neighbours, on which
+    # the rank of a column prefix can drop mod P
+    "large": st.one_of(st.integers(2**128, 2**140),
+                       st.integers(-2**140, -2**128),
+                       st.sampled_from([P, -P, 2 * P, P - 1, P + 1])),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_KINDS)), st.integers(1, 6),
+       st.integers(1, 8), st.data())
+def test_rank_profile_is_certified_by_hadamard_or_lifted(kind, rows, cols,
+                                                         data):
+    # the pivots equal the exact elimination's and the rank sympy's on
+    # whichever path answered; small entries pass the bound, and large
+    # ones fail it unless every nonzero column is a pivot mod P; a failed
+    # bound lifts the rows of the one forward pass, and takes a second
+    # pass only in the Fraction elimination
+    sympy = pytest.importorskip("sympy")
+    m = _sparse_matrix(rows, cols, data.draw(
+        _entries(rows, cols, _KINDS[kind], 2 * rows * cols)))
+    pivots, path, passes = _answered(m)
+    event(f"{kind}: {path}")
+    assert pivots == m._fraction_rref()[1]
+    dense = sympy.Matrix(rows, cols, lambda i, j: sympy.Rational(
+        m[i, j].numerator, m[i, j].denominator))
+    assert len(pivots) == dense.rank()
+    if not m.entries:
+        assert (path, passes) == ("bound", 0)
+        return
+    assert passes == (2 if path == "exact" else 1)
+    if kind == "small":
+        assert path == "bound"
+    if kind == "large":
+        nonzero = len({j for _, j in m.entries})
+        rank_mod_p = len(m._forward_mod_p()[1])
+        assert (path == "bound") == (rank_mod_p == nonzero)
+
+
+def test_equal_total_ranks_do_not_certify_the_pivots():
+    # [[P, 1]] has rank 1 mod P and over Q, but its pivot is column 1 mod
+    # P and column 0 over Q; the bound refuses it (P^2 is not below P^2),
+    # the lifted kernel vector of column 0 fails, and the exact
+    # elimination answers
+    assert _answered(Matrix.from_rows([[P, 1]])) == ([0], "exact", 2)
+
+
+def test_a_failed_bound_lifts_the_one_forward_pass():
+    # columns of 2^70: 2^280 is above P^2, but the RREF [1, 1] lifts
+    m = Matrix.from_rows([[2**70, 2**70, 1], [0, 0, 3]])
+    assert _answered(m) == ([0, 2], "lift", 1)
+    assert _answered(Matrix.from_rows([[1, 1, 1], [0, 0, 3]])) == (
+        [0, 2], "bound", 1)
+
+
+def test_rank_profiles_and_echelon_forms_reach_each_other_never(
+        monkeypatch):
+    # elimination counts spy on both entry points at once, so neither may
+    # call the other
+    m = Matrix.from_rows([[1, 2, 3], [2, 4, 7]])
+
+    def refuse(self):
+        raise AssertionError("one entry point reached the other")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Matrix, "row_echelon", refuse)
+        assert m.rank_profile() == [0, 2] and m.rank() == 2
+    monkeypatch.setattr(Matrix, "rank_profile", refuse)
+    assert m.row_echelon()[1] == [0, 2]
+    assert m.kernel_basis() == [{0: -2, 1: 1}]
+    assert express(m.columns(), [{0: 1}])[1] == 2
 
 
 @pytest.mark.parametrize("m", [Matrix(3, 2), Matrix(1, 0), Matrix(0, 4),
@@ -481,8 +593,8 @@ def test_fraction_rref_of_int_matrices_has_no_floats(rows, cols, data):
 @pytest.mark.parametrize("data", [
     [[Fraction(1, P), 1], [2, 2]],
     [[1, 1], [1, 1 + P]],
-    [[2**40, 3**23]],
-    [[2**40, 3**30]],
+    [[2**70, 3**43]],
+    [[2**70, 3**44]],
 ])
 def test_fraction_rref_without_certificate_has_no_floats(data):
     sympy = pytest.importorskip("sympy")

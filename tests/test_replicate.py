@@ -96,15 +96,17 @@ def test_no_elimination_repeats_within_an_entry(monkeypatch):
         current.append(spec.describe())
         return _real_build(spec)
 
-    certified = Matrix._certified_rref
+    # the one modular pass of every elimination, echelon form or rank
+    # profile alike
+    forward = Matrix._forward_mod_p
 
     def spy(self):
         eliminated.append((current[-1], self.rows, self.cols,
                            frozenset(self.entries.items())))
-        return certified(self)
+        return forward(self)
 
     monkeypatch.setattr(replicate, "build", build)
-    monkeypatch.setattr(Matrix, "_certified_rref", spy)
+    monkeypatch.setattr(Matrix, "_forward_mod_p", spy)
     assert all(r.passed for r in replicate.run_replication())
     repeated = sorted({key[:3] for key in eliminated
                        if eliminated.count(key) > 1})

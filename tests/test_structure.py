@@ -20,7 +20,8 @@ from hopfalg.ore import AlgebraElement, OrePresentation, bracket
 from hopfalg.structure import (associated_graded, complete_bound,
                                coradical_filtration, extract_cla,
                                lantern_of_hopf, p2_space, primitive_space)
-from test_cobar import HAND_BUILT, _eliminated_report, _random_commutative
+from test_cobar import (HAND_BUILT, _eliminated_report, _random_commutative,
+                        _spy_eliminations)
 from test_complete_bounds import _central_w
 
 F = Fraction
@@ -263,17 +264,12 @@ def test_lantern_runs_no_elimination_and_builds_no_presentation(
     # gr H is polynomial on the generators, so the lantern is read off
     # delta of the generators: no product matrix, no gr H presentation
     calls = []
-    echelon = Matrix.row_echelon
-
-    def spy(self):
-        calls.append(self.cols)
-        return echelon(self)
 
     def graded_spy(h):
         calls.append("associated_graded")
         return associated_graded(h)
 
-    monkeypatch.setattr(Matrix, "row_echelon", spy)
+    _spy_eliminations(monkeypatch, lambda m: calls.append(m.cols))
     monkeypatch.setattr(structure, "associated_graded", graded_spy)
     gl = lantern_of_hopf(D01)
     assert calls == []
@@ -473,13 +469,7 @@ def test_subspaces_take_one_elimination_per_kernel(monkeypatch):
     # the degree-one certificate is one rank, kept; read it first
     assert complete_bound(K, 1) == 1
     calls = []
-    echelon = Matrix.row_echelon
-
-    def spy(self):
-        calls.append(self.cols)
-        return echelon(self)
-
-    monkeypatch.setattr(Matrix, "row_echelon", spy)
+    _spy_eliminations(monkeypatch, lambda m: calls.append(m.cols))
     primitives = primitive_space(K).basis   # taken at 1
     assert calls == [len(K.algebra.monomials_up_to(1))]
     calls.clear()
@@ -525,12 +515,7 @@ def test_every_coradical_kernel_has_one_column_per_monomial(monkeypatch):
     # only columns of the matrix are the monomials'
     presentations = _catalog_presentations()
     columns = []
-    echelon = Matrix.row_echelon
     kernel = structure._coradical_kernel
-
-    def echelon_spy(self):
-        columns[-1].append(self.cols)
-        return echelon(self)
 
     def kernel_spy(h, monos, cols, factors):
         columns.append([len(monos)])
@@ -538,7 +523,7 @@ def test_every_coradical_kernel_has_one_column_per_monomial(monkeypatch):
 
     for _, h in presentations:
         complete_bound(h, 1)   # the kept degree-one certificate, one rank
-    monkeypatch.setattr(Matrix, "row_echelon", echelon_spy)
+    _spy_eliminations(monkeypatch, lambda m: columns[-1].append(m.cols))
     monkeypatch.setattr(structure, "_coradical_kernel", kernel_spy)
     for _, h in presentations:
         p2_space(h)
