@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 
 from .errors import InputError, StructuralError
 from .exactlin import (Matrix, Scalar, add_scaled, add_term, coassociator,
-                       express, graded_h2, lead_pair_coordinates, map_slot,
-                       scalar)
+                       express, grade_sum, graded_h2, lead_pair_coordinates,
+                       map_slot, scalar)
 from .hopf import HopfPresentation
 from .ore import GeneratorInfo, OrePresentation, _is_int
 from .reports import AnswerStore, VerificationReport
@@ -217,10 +217,10 @@ class GradedLie(LieConstants, AnswerStore):
                     if k != r:
                         pair, s = ((k, r), sign) if k < r else ((r, k), -sign)
                         add_term(d2[pair], triple, s * c)
+        d2_pivots = Matrix.from_keyed_columns(list(d2.values())).rank_profile()
         cocycles, coboundaries = graded_h2(
-            Matrix.from_keyed_columns(d1), grades,
-            Matrix.from_keyed_columns(list(d2.values())),
-            [_grade_sum(grades[i], grades[j]) for i, j in d2])
+            grades, Matrix.from_keyed_columns(d1).rank_profile(),
+            [grade_sum(grades[i], grades[j]) for i, j in d2], d2_pivots)
         return {g: h2 for g, z in cocycles.items()
                 if (h2 := z - coboundaries.get(g, 0))}
 
@@ -239,7 +239,7 @@ class GradedLie(LieConstants, AnswerStore):
         names = self.names
         for (i, j), terms in self.brackets.items():
             for k in terms:
-                if grades[k] != _grade_sum(grades[i], grades[j]):
+                if grades[k] != grade_sum(grades[i], grades[j]):
                     return (f"[{names[i]},{names[j]}] -> {names[k]}: "
                             f"{grades[k]} != {grades[i]} + {grades[j]}")
         return None
@@ -267,11 +267,6 @@ class GradedLie(LieConstants, AnswerStore):
             rels.append(f"[{self.names[i]},{self.names[j]}]={rhs}")
         return (f"GradedLie(dims by degree {degs}; "
                 f"{'; '.join(rels) or 'abelian'})")
-
-
-def _grade_sum(a, b):
-    """g_a + g_b for int grades, entrywise for tuples."""
-    return a + b if isinstance(a, int) else tuple(map(sum, zip(a, b)))
 
 
 # -- verification and the enveloping algebra ------------------------------------

@@ -23,6 +23,7 @@ none: each reads an invariant of H whole, at its complete bound.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -227,7 +228,11 @@ def cmd_replicate(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each subcommand's
+    ``fn`` looks its library calls up when it runs, so the parser holds
+    nothing that changes between calls."""
     parser = argparse.ArgumentParser(
         prog="hopf",
         description="exact computations with connected Hopf algebra "
@@ -277,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except HopfAlgError as exc:

@@ -5,20 +5,23 @@ extends the reduced coproduct as a derivation with alternating signs:
 on rank 1, d(c) = delta(c); on rank 2, d(a(x)b) = delta(a)(x)b -
 a(x)delta(b).  Coassociativity makes d^2 = 0.  Since delta never raises
 weighted degree, the tuples of total degree <= n form a subcomplex C_<=n.
-``build_complex`` keeps the bases of ranks 1..3, d^1 with a column
-``_reduced_monomial(m)`` per monomial and d^2 with a ``coassociator``
-column per pair, each over the tuples its columns reach.
+``build_complex`` keeps the bases of ranks 1..3, listed grade by grade
+by total degree, then by the canonical index of each slot, and d^2 with
+a ``coassociator`` column per pair over the triples it reaches; d^1,
+with a column ``_reduced_monomial(m)`` per monomial, is built on first
+read.
 
 ``h2_report`` gives the rank-2 dimensions of C_<=n for every n up to a
 bound N.  The Chevalley-Eilenberg cohomology of the lantern is the E_1
 page of the degree filtration and bounds H^2(C_<=n) from above; above
 G' = max(G, top generator degree), G the top degree of a CE class, no
 grade carries H^2 and P(gr H) is zero, so H^2(C_<=n) = H^2(C_<=G').
-d^2 and d^1 are eliminated on C_<=min(N, G') only, and each grade above
-G' has its monomial count as both cocycles and coboundaries.  Neither
-the lantern's CE H^2 nor the counts of C_<=G' depend on N, so both are
-kept on the presentation, and every bound past G' reads them.  Both
-arguments need a Hopf algebra; ``require_hopf_algebra`` refuses a
+d^2 of C_<=min(N, G') is the one matrix eliminated: the pivots of d^1
+are the monomials that are not leads of the kept P basis, and each
+grade above G' has its monomial count as both cocycles and coboundaries.
+Neither the lantern's CE H^2 nor the counts of C_<=G' depend on N, so
+both are kept on the presentation, and every bound past G' reads them.
+Both arguments need a Hopf algebra; ``require_hopf_algebra`` refuses a
 presentation whose kept verdicts fail.
 """
 
@@ -27,58 +30,67 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import InputError
-from .exactlin import Matrix, coassociator, express, graded_h2
+from .exactlin import Matrix, coassociator, express, grade_sum, graded_h2
 from .hopf import HopfPresentation, TensorElement
-from .ore import AlgebraElement
+from .ore import AlgebraElement, Monomial
 from .reports import VerificationReport, require_passed
-from .structure import lantern_of_hopf
+from .structure import _leads, lantern_of_hopf, primitive_space
 
 
 @dataclass
 class CobarComplex:
+    presentation: HopfPresentation
     bases: dict[int, list[tuple]]  # rank -> tuple basis, by degree
-    d1: Matrix  # columns: d^1 of bases[1]; rows: the pairs they reach
     d2: Matrix  # columns: d^2 of bases[2]; rows: the triples they reach
+
+    @functools.cached_property
+    def d1(self) -> Matrix:
+        """Columns: d^1 of bases[1]; rows: the pairs they reach.  Built on
+        first read: ``h2_report`` reads the pivots of d^1 off the kept P
+        and never asks for it."""
+        delta = self.presentation._reduced_monomial
+        return Matrix.from_keyed_columns([delta(m) for (m,) in self.bases[1]])
 
 
 def build_complex(h: HopfPresentation, bound: int) -> CobarComplex:
-    """Bases for ranks 1..3, total degree <= bound, and the matrices of d^1
-    and d^2 on the bases of ranks 1 and 2."""
+    """Bases for ranks 1..3, total degree <= bound, and the matrix of d^2
+    on the basis of rank 2; that of d^1 is built when read."""
     if bound < 1:
         raise InputError("cobar bound must be >= 1")
-    alg = h.algebra
-    monos = alg.monomials_up_to(bound)
-    # degrees and sort keys are read once per monomial, not once per tuple
-    degree = {m: alg.monomial_degree(m) for m in monos}
-    key = {m: alg.monomial_key(m) for m in monos}
-
-    def tuple_key(t):
-        return (sum(degree[m] for m in t), tuple(key[m] for m in t))
-
-    pairs = []
-    triples = []
-    for a in monos:
-        da = degree[a]
-        for b in monos:
-            dab = da + degree[b]
-            if dab > bound:
-                continue
-            pairs.append((a, b))
-            for c in monos:
-                if dab + degree[c] <= bound:
-                    triples.append((a, b, c))
-    pairs.sort(key=tuple_key)
-    triples.sort(key=tuple_key)
+    monos = h.algebra.monomials_up_to(bound)
+    pairs, triples = _graded_tuples(monos, h.algebra.monomial_degree, bound)
     # the reduced echelon form depends on the row space alone, so the row
     # numbers from_keyed_columns gives the reached tuples move no pivot
-    d1 = Matrix.from_keyed_columns([h._reduced_monomial(m) for m in monos])
     d2 = Matrix.from_keyed_columns(
         [coassociator({pair: 1}, h._reduced_monomial) for pair in pairs])
-    return CobarComplex({1: [(m,) for m in monos], 2: pairs, 3: triples},
-                        d1, d2)
+    return CobarComplex(h, {1: [(m,) for m in monos], 2: pairs, 3: triples},
+                        d2)
+
+
+def _graded_tuples(monos: list[Monomial], degree: Callable[[Monomial], int],
+                   bound: int) -> tuple[list[tuple], list[tuple]]:
+    """The pairs and triples over ``monos`` (canonically ordered) of total
+    degree <= bound, by total degree, then by the canonical index of each
+    slot in turn.
+
+    They are listed grade by grade, with no tuple past the bound formed
+    and no sort: a pair of degree t is a first slot of degree e < t, in
+    canonical order, then a monomial of degree t - e; a triple of degree t
+    is a first slot of degree e, then a pair of degree t - e.
+    """
+    by_degree: dict[int, list[Monomial]] = {}
+    for m in monos:
+        by_degree.setdefault(degree(m), []).append(m)
+    pairs = {t: [(a, b) for e, first in by_degree.items() if e < t
+                 for a in first for b in by_degree.get(t - e, ())]
+             for t in range(2, bound + 1)}
+    triples = [(a, *pair) for t in range(3, bound + 1)
+               for e, first in by_degree.items() if e < t - 1
+               for a in first for pair in pairs[t - e]]
+    return [pair for grade in pairs.values() for pair in grade], triples
 
 
 @dataclass
@@ -175,13 +187,28 @@ def h2_report(h: HopfPresentation, bound: int,
     (``OrePresentation._monomial_counts``).  The bidegree blocks refine
     the degree ones, so G' is the same in both modes.
 
-    The rank profiles of d^2 and d^1 (``_eliminated_counts``) are taken
-    on C_<=min(N, G') and kept on h per level and mode, so every bound
-    past G' reads the same pair.  Both arguments need a Hopf algebra.  A
-    failed coassociativity verdict is refused; PBW consistency and
-    compatibility (a fifth of a cold catalog report) are the caller's,
-    as in ``hopf cohomology`` and ``object_battery``.  An E_1 breach
-    reads all three, and is a library defect only on a Hopf algebra.
+    One elimination, d^2 of C_<=min(N, G'), is taken
+    (``_eliminated_counts``); d^1's pivots come with none.  List the
+    monomials in canonical order.  Column m of d^1 is a non-pivot exactly
+    when it is a combination of the columns before it, that is when some
+    primitive a has lead m.  The kept P basis (``primitive_space``) is
+    the canonical kernel of the same columns over the monomials of degree
+    <= ``complete_bound(h, 1)``, a prefix of that order, so its leads are
+    the non-pivots there; and P has no vector past that bound, which is
+    at most g <= G'.  So on C_<=n, for every n, n below that bound
+    included, the pivots of d^1 are the monomials of degree <= n that
+    are not leads of P.  Under the degree-one certificate P's columns
+    are those of the degree-one monomials, whose reduced coproducts are
+    zero, so P takes no elimination either.  d^1 is never built, and
+    d^2's columns ask for delta(m) of degree <= G' - 1 alone.  The counts
+    are kept on h per level and mode, so every bound past G' reads the
+    same ones.
+
+    Both arguments need a Hopf algebra.  A failed coassociativity verdict
+    is refused; PBW consistency and compatibility (a fifth of a cold
+    catalog report) are the caller's, as in ``hopf cohomology`` and
+    ``object_battery``.  An E_1 breach reads all three, and is a library
+    defect only on a Hopf algebra.
     """
     if bound < 1:
         raise InputError("cobar bound must be >= 1")
@@ -228,19 +255,27 @@ def _lantern_ce(h: HopfPresentation, by_bidegree: bool) -> dict:
 
 def _eliminated_counts(h: HopfPresentation, bound: int,
                        by_bidegree: bool) -> tuple[dict, dict]:
-    """Cocycles and coboundaries of C_<=bound per grade (``graded_h2``).
+    """Cocycles and coboundaries of C_<=bound per grade (``graded_h2``),
+    from the rank profile of d^2 and the monomials that are not leads of
+    the kept P, d^1's pivots (see ``h2_report``).
 
-    The grade of a tuple is its total degree or its bidegree.  In total
-    mode the bases are sorted by degree, so the pivots up to a level
-    number the rank of that truncation.  In bidegree mode d maps each
-    bidegree block into tuples of the same bidegree
-    (``_require_bihomogeneous``), so the blocks share no rows and the
-    pivots of a block number its rank.
+    The grade of a tuple is its total degree or its bidegree, the sum of
+    its monomials' grades, each read once.  In total mode the bases are
+    sorted by degree, so the pivots up to a level number the rank of that
+    truncation.  In bidegree mode d maps each bidegree block into tuples
+    of the same bidegree (``_require_bihomogeneous``), so the blocks
+    share no rows and the pivots of a block number its rank.
     """
     grade = _grading(h, by_bidegree)
     cx = build_complex(h, bound)
-    return graded_h2(cx.d1, [grade(t) for t in cx.bases[1]],
-                     cx.d2, [grade(t) for t in cx.bases[2]])
+    monos = [m for (m,) in cx.bases[1]]
+    grades = {m: grade(m) for m in monos}
+    leads = set(_leads(primitive_space(h).basis))
+    return graded_h2(
+        [grades[m] for m in monos],
+        [i for i, m in enumerate(monos) if m not in leads],
+        [grade_sum(grades[a], grades[b]) for a, b in cx.bases[2]],
+        cx.d2.rank_profile())
 
 
 def _g_prime(h: HopfPresentation, ce: dict) -> int:
@@ -277,28 +312,15 @@ def _report(bound: int, by_bidegree: bool, cocycles: dict,
 
 
 def _grading(h: HopfPresentation, by_bidegree: bool):
-    """The grade of a tuple: its bidegree, checked to be respected by the
-    presentation, or its total degree."""
+    """The grade of a monomial: its bidegree, checked to be respected by
+    the presentation, or its degree."""
     alg = h.algebra
     if not by_bidegree:
-        return functools.partial(_tuple_degree, alg)
+        return alg.monomial_degree
     if alg.bidegrees is None:
         raise InputError("bidegree mode requires bidegrees on all generators")
     _require_bihomogeneous(h)
-    return functools.partial(_tuple_bidegree, alg)
-
-
-def _tuple_degree(alg, t: tuple) -> int:
-    return sum(alg.monomial_degree(m) for m in t)
-
-
-def _tuple_bidegree(alg, t: tuple) -> tuple[int, int]:
-    a = b = 0
-    for m in t:
-        ba, bb = alg.monomial_bidegree(m)
-        a += ba
-        b += bb
-    return (a, b)
+    return alg.monomial_bidegree
 
 
 def _require_bihomogeneous(h: HopfPresentation):

@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError
 
@@ -561,18 +561,23 @@ def express(basis: Sequence[Mapping], targets: Sequence[Mapping]
     return out, k
 
 
-def graded_h2(d1: Matrix, grades1: Sequence, d2: Matrix, grades2: Sequence
-              ) -> tuple[Counter, Counter]:
+def graded_h2(grades1: Sequence, pivots1: Iterable[int], grades2: Sequence,
+              pivots2: Iterable[int]) -> tuple[Counter, Counter]:
     """Cocycles and coboundaries in C^2 of C^1 -d1-> C^2 -d2-> C^3 per
-    grade (column j of d1 has grade grades1[j], of d2 grades2[j]): the d2
-    columns minus their pivots, and the d1 pivots.  The pivots of a grade
-    number the rank of its block when grade blocks share no rows; summed
-    up to a grade, the rank of that truncation when columns are sorted
-    by grade.
+    grade, from the pivot columns of d1 and of d2 (column j of d1 has
+    grade grades1[j], of d2 grades2[j]): the d2 columns minus their
+    pivots, and the d1 pivots.  The pivots of a grade number the rank of
+    its block when grade blocks share no rows; summed up to a grade, the
+    rank of that truncation when columns are sorted by grade.
     """
     cocycles = Counter(grades2)
-    cocycles.subtract(grades2[p] for p in d2.rank_profile())
-    return cocycles, Counter(grades1[p] for p in d1.rank_profile())
+    cocycles.subtract(grades2[p] for p in pivots2)
+    return cocycles, Counter(grades1[p] for p in pivots1)
+
+
+def grade_sum(a, b):
+    """g_a + g_b for int grades, entrywise for tuples."""
+    return a + b if isinstance(a, int) else tuple(map(sum, zip(a, b)))
 
 
 def lead_coordinates(basis: Sequence[Mapping], leads: Sequence[Hashable],

@@ -543,3 +543,18 @@ def test_cohomology_bidegree_mode_reports_stability(capsys):
                            "--bidegree", "--json")
         assert code == 0
         assert json.loads(out)["stable_from_previous_bound"] is stable
+
+
+def test_main_serves_two_subcommands_from_one_parser(capsys):
+    # the parser is built once per process; each call parses afresh, so
+    # the second subcommand sees none of the first one's options
+    from hopfalg import cli
+    code, out, _ = run(capsys, "catalog", "--json")
+    assert code == 0 and json.loads(out)["catalog"]
+    code, out, _ = run(capsys, "lantern", "--family", "K", "--json")
+    assert code == 0
+    assert json.loads(out)["basis"] == ["X*", "Y*", "Z*", "W*"]
+    code, out, _ = run(capsys, "cohomology", "--family", "K",
+                       "--max-degree", "6", "--json")
+    assert code == 0 and json.loads(out)["total_h2"] == 2
+    assert cli.build_parser.cache_info().misses == 1

@@ -10,22 +10,36 @@ from hypothesis import given, settings, strategies as st
 from hopfalg import catalog, exactlin
 from hopfalg.catalog import build, list_catalog, make_A, make_lie
 from hopfalg.cla import GradedLie, enveloping, object_battery
-from hopfalg.cobar import (_eliminated_counts, _g_prime, _grading, _lantern_ce,
-                           _report, build_complex, h2_report, is_coboundary)
+from hopfalg.cobar import (CobarComplex, _eliminated_counts, _g_prime,
+                           _graded_tuples, _grading, _lantern_ce, _report,
+                           build_complex, h2_report, is_coboundary)
 from hopfalg.errors import InputError, StructuralError
-from hopfalg.exactlin import Matrix, add_term, coassociator, express
+from hopfalg.exactlin import (Matrix, add_term, coassociator, express,
+                              grade_sum, graded_h2)
 from hopfalg.hopf import HopfPresentation
 from hopfalg.ledger import cocycle_t, cocycle_u
 from hopfalg.ore import OrePresentation
-from hopfalg.structure import (complete_bound, coradical_filtration,
-                               lantern_of_hopf)
+from hopfalg.structure import (_leads, complete_bound, coradical_filtration,
+                               lantern_of_hopf, primitive_space)
+
+
+def _tuple_grades(h, basis, by_bidegree):
+    """The grade of each tuple of a cobar basis: the sum of its monomials'
+    degrees or bidegrees."""
+    grade = _grading(h, by_bidegree)
+    return [functools.reduce(grade_sum, map(grade, t)) for t in basis]
 
 
 def _eliminated_report(h, bound, by_bidegree=False):
     """Oracle: the rows from one rank profile of d^2 and one of d^1 of
-    C_<=bound, with no reading of C_<=G' or of monomial counts."""
+    C_<=bound, both eliminated here, with no reading of P, of C_<=G' or of
+    monomial counts."""
     ce = _lantern_ce(h, by_bidegree)
-    counts = _eliminated_counts(h, bound, by_bidegree)
+    cx = build_complex(h, bound)
+    d2_pivots = cx.d2.rank_profile()
+    counts = graded_h2(_tuple_grades(h, cx.bases[1], by_bidegree),
+                       cx.d1.rank_profile(),
+                       _tuple_grades(h, cx.bases[2], by_bidegree), d2_pivots)
     return _report(bound, by_bidegree, *counts, ce, _g_prime(h, ce))
 
 
@@ -257,47 +271,61 @@ def test_bidegree_rows_match_block_ranks(family, bound, request):
 @pytest.mark.parametrize("by_bidegree", [False, True])
 def test_h2_report_takes_one_elimination_per_differential(by_bidegree,
                                                           monkeypatch):
-    # on a cold presentation the report also takes the lantern's CE H^2,
-    # one elimination per CE differential, kept for every later report
+    # the counts of C_<=6 eliminate d2 alone, as d1's pivots are read off
+    # the kept P; on a cold presentation they also take the degree-one
+    # certificate's one rank and P's kernel, a matrix with no entries,
+    # both kept, so a second count eliminates d2 alone
     A000 = make_A(0, 0, 0)
     cx = build_complex(A000, 6)
+    constants = Matrix.from_keyed_columns(
+        list(lantern_of_hopf(A000).brackets.values()))
+    degree_one = len(A000.algebra.monomials_up_to(1))
     shapes = []
     _spy_eliminations(monkeypatch, lambda m: shapes.append((m.rows, m.cols)))
-    rep = _eliminated_report(A000, 6, by_bidegree=by_bidegree)
-    assert rep.total_h2 == 2
-    d2_d1 = [(cx.d2.rows, cx.d2.cols), (cx.d1.rows, cx.d1.cols)]
-    assert shapes[2:] == d2_d1 and len(shapes) == 4
+    counts = _eliminated_counts(A000, 6, by_bidegree)
+    d2 = (cx.d2.rows, cx.d2.cols)
+    assert shapes == [(constants.rows, constants.cols), (1, degree_one), d2]
     shapes.clear()
-    _eliminated_report(A000, 6, by_bidegree=by_bidegree)
-    assert shapes == d2_d1
+    assert _eliminated_counts(A000, 6, by_bidegree) == counts
+    assert shapes == [d2]
+    monkeypatch.undo()
+    ce = _lantern_ce(A000, by_bidegree)
+    rep = _report(6, by_bidegree, *counts, ce, _g_prime(A000, ce))
+    assert rep.total_h2 == 2
+    assert rep.rows == _eliminated_report(A000, 6, by_bidegree).rows
 
 
 @pytest.mark.parametrize("family, by_bidegree",
                          [("K", False), ("A000", True)])
-def test_h2_report_takes_the_two_rank_profiles_at_g_prime(
+def test_h2_report_takes_one_rank_profile_at_g_prime(
         family, by_bidegree, monkeypatch):
-    # past the lantern's CE ranks, the report eliminates d2 and d1 of
-    # C_<=G' once each, and takes no kernel basis; it reads the kept
-    # lantern, so its CE H^2 by degree is not taken again, while that by
-    # bidegree is a second grading of the same lantern
+    # past the lantern's CE ranks, the report eliminates d2 of C_<=G'
+    # once, and takes no kernel basis but P's, whose matrix has no
+    # entries (the degree-one certificate is kept, so read first); it
+    # reads the kept lantern, so its CE H^2 by degree is not taken again,
+    # while that by bidegree is a second grading of the same lantern
     h = catalog.make_K() if family == "K" else make_A(0, 0, 0)
     lantern = lantern_of_hopf(h)
-    shapes = []
+    assert complete_bound(h, 1) == 1
+    shapes, kernels = [], []
+    kernel_basis = Matrix.kernel_basis
 
-    def refuse(self):
-        raise AssertionError("the report took a kernel basis")
+    def kernel_spy(self):
+        kernels.append(len(self.entries))
+        return kernel_basis(self)
 
     _spy_eliminations(monkeypatch, lambda m: shapes.append((m.rows, m.cols)))
-    monkeypatch.setattr(Matrix, "kernel_basis", refuse)
+    monkeypatch.setattr(Matrix, "kernel_basis", kernel_spy)
     top = max(lantern.ce_h2_dims())
     ce_shapes = list(shapes)
     shapes.clear()
     rep = h2_report(h, 8, by_bidegree)
     monkeypatch.undo()
     assert rep.total_h2 == 2
+    assert kernels == [0]
     cx = build_complex(h, max(top, *h.algebra.degrees))
     assert shapes == (ce_shapes if by_bidegree else []) + [
-        (cx.d2.rows, cx.d2.cols), (cx.d1.rows, cx.d1.cols)]
+        (1, len(h.algebra.monomials_up_to(1))), (cx.d2.rows, cx.d2.cols)]
 
 
 def _expire(signum, frame):
@@ -324,8 +352,9 @@ def test_h2_report_scales_to_bound_nine(K):
 
 
 def test_h2_report_scales_to_bound_twelve(monkeypatch):
-    # d1 is injective above G' = max(G, top generator degree), so the
-    # report asks for no delta(m) past G', and its widest elimination
+    # d1 is injective above G' = max(G, top generator degree), and its
+    # pivots are read off P, so the report asks for no delta(m) of degree
+    # G' or more (d2's columns reach G' - 1), and its widest elimination
     # is as wide at N = 12 and N = 30 as at N = G' + 1
     K = catalog.make_K()
     top = max(lantern_of_hopf(K).ce_h2_dims())
@@ -346,7 +375,7 @@ def test_h2_report_scales_to_bound_twelve(monkeypatch):
         rep = _within(seconds, h2_report, catalog.make_K(), bound)
         assert rep.total_h2 == 2
         assert rep.stable_from_previous_bound
-        assert max(degrees) == reach == 4
+        assert max(degrees) == reach - 1 == 3
         widest[bound] = max(widths)
     assert widest[12] == widest[30] == widest[reach + 1]
 
@@ -512,14 +541,15 @@ def _grade(row):
                          ids=[*(s.describe() for s in HOPF_CATALOG), *DYING])
 def test_no_report_eliminates_past_g_prime(case, monkeypatch):
     # at every N up to 3G', in each mode, the only eliminations besides
-    # the lantern's CE differentials are d2 and d1 of C_<=min(N, G'), each
-    # once per mode; the rows are the full elimination's up to the
-    # oracle's bound
+    # the lantern's CE differentials and the kept P are d2 of
+    # C_<=min(N, G'), once per mode; the rows are the full elimination's
+    # up to the oracle's bound
     h = _hand_built(case) if case in DYING else build(HOPF_CATALOG[case])
     modes = _modes(h)
     reach = _g_prime(h, _lantern_ce(h, False))
     for by_bidegree in modes:
         _lantern_ce(h, by_bidegree)     # kept, so the spy sees the rest
+    primitive_space(h)                  # kept too
     shapes = []
     _spy_eliminations(monkeypatch, lambda m: shapes.append((m.rows, m.cols)))
     reports = {(by_bidegree, n): h2_report(h, n, by_bidegree)
@@ -528,7 +558,7 @@ def test_no_report_eliminates_past_g_prime(case, monkeypatch):
     expected = []
     for level in range(1, reach + 1):
         cx = build_complex(h, level)
-        expected += [(cx.d2.rows, cx.d2.cols), (cx.d1.rows, cx.d1.cols)]
+        expected.append((cx.d2.rows, cx.d2.cols))
     assert shapes == expected * len(modes)
     oracles = {by_bidegree: (_eliminated_report(h, 8, True) if by_bidegree
                              else _oracle(case)[1]) for by_bidegree in modes}
@@ -541,7 +571,7 @@ def test_no_report_eliminates_past_g_prime(case, monkeypatch):
 @pytest.mark.parametrize("case", DYING)
 def test_rows_past_g_prime_repeat_g_prime_when_a_ce_class_dies(case):
     # H^2(C_<=4) falls short of the CE sum, yet every bound past G' = 4
-    # reads the same two rank profiles of C_<=4 and is complete
+    # reads the same rank profile of C_<=4 and is complete
     h = HAND_BUILT[case]
     ce, rows = DYING[case]
     assert object_battery(h, antipode_bound=5).passed
@@ -556,11 +586,10 @@ def test_rows_past_g_prime_repeat_g_prime_when_a_ce_class_dies(case):
             n for g, n in ce.items() if g <= bound)), bound
 
 
-def _grade_counts(basis, pivots, grade):
-    """grade -> [columns, pivot columns] over the tuples of a basis; the
-    oracle below counts for itself rather than through the library's
+def _grade_counts(grades, pivots):
+    """grade -> [columns, pivot columns] over columns of the given grades;
+    the oracle below counts for itself rather than through the library's
     ``graded_h2``."""
-    grades = [grade(t) for t in basis]
     counts = {}
     for g in grades:
         counts.setdefault(g, [0, 0])[0] += 1
@@ -575,7 +604,6 @@ def _bound_elimination_report(h, bound, by_bidegree=False):
     profile of [d1 of every monomial up to N | W] for the coboundaries,
     and the grades above G enumerated from pairs of monomial grades."""
     alg = h.algebra
-    grade = _grading(h, by_bidegree)
     lantern = lantern_of_hopf(h)
     if by_bidegree:
         ce = lantern.ce_h2_dims([alg.monomial_bidegree(m)
@@ -590,8 +618,8 @@ def _bound_elimination_report(h, bound, by_bidegree=False):
     # the kernel vector of free column f ends at f
     free = {max(vec) for vec in kernel}
     cocycles = {g: columns - rank for g, (columns, rank) in _grade_counts(
-        low.bases[2], [c for c in range(low.d2.cols) if c not in free],
-        grade).items()}
+        _tuple_grades(h, low.bases[2], by_bidegree),
+        [c for c in range(low.d2.cols) if c not in free]).items()}
     kernel = [{low.bases[2][i]: c for i, c in vec.items()} for vec in kernel]
     d1 = [h._reduced_monomial(m) for m in alg.monomials_up_to(top)]
     witnesses = [kernel[p - len(d1)] for p in
@@ -605,7 +633,8 @@ def _bound_elimination_report(h, bound, by_bidegree=False):
     d1_pivots = [p for p in pivots if p < len(monos)]
     assert len(pivots) - len(d1_pivots) == len(witnesses)
     coboundaries = {g: rank for g, (_, rank) in _grade_counts(
-        [(m,) for m in monos], d1_pivots, grade).items()}
+        _tuple_grades(h, [(m,) for m in monos], by_bidegree),
+        d1_pivots).items()}
     if by_bidegree:
         single = {alg.monomial_bidegree(m) for m in monos}
         above = {(a + c, b + d) for a, b in single for c, d in single
@@ -750,15 +779,14 @@ def _misprediction(monkeypatch, step):
 def test_inflated_ce_prediction_takes_no_elimination_past_g_prime(
         monkeypatch):
     # one CE class too many: H^2(C_<=4) falls short of the prediction, and
-    # the rows past G' = 4 still read the two rank profiles of C_<=4
+    # the rows past G' = 4 still read the one rank profile of C_<=4
     shapes = []
     h = _misprediction(monkeypatch, 1)
     _spy_eliminations(monkeypatch, lambda m: shapes.append((m.rows, m.cols)))
     rep = h2_report(h, 6)
     monkeypatch.undo()
     low = build_complex(h, 4)
-    assert shapes[-2:] == [(low.d2.rows, low.d2.cols),
-                           (low.d1.rows, low.d1.cols)]
+    assert shapes[-1:] == [(low.d2.rows, low.d2.cols)]
     assert max(cols for _, cols in shapes) == low.d2.cols
     assert rep.complete and not rep.matches_lantern
     assert rep.rows == _eliminated_report(catalog.make_K(), 6).rows
@@ -959,3 +987,150 @@ def test_is_coboundary_matches_a_search_over_every_degree():
                         assert h.reduced_coproduct(res.witness) == w
                     cases += 1
     assert cases == 396
+
+
+def _seeded_d(seed):
+    """A D with seeded rational parameters."""
+    rng = random.Random(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # off-normalization parameters
+        return catalog.make_D(*[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                for _ in range(8)])
+
+
+def _assert_d1_pivots_skip_the_p_leads(h, top=6):
+    """At every N <= top, the rank profile of d^1 on C_<=N is the
+    monomials of degree <= N that are not leads of the kept P."""
+    alg = h.algebra
+    leads = set(_leads(primitive_space(h).basis))
+    for bound in range(1, top + 1):
+        monos = alg.monomials_up_to(bound)
+        d1 = Matrix.from_keyed_columns(
+            [h._reduced_monomial(m) for m in monos])
+        assert d1.rank_profile() == [
+            i for i, m in enumerate(monos) if m not in leads], bound
+
+
+def _hopf(spec):
+    """A catalog entry as a presentation, a CLA enveloped."""
+    obj = build(spec)
+    return obj if isinstance(obj, HopfPresentation) else enveloping(obj)
+
+
+D1_CASES = {**{s.describe(): functools.partial(_hopf, s)
+               for s in list_catalog()},
+            **{f"D seed {seed}": functools.partial(_seeded_d, seed)
+               for seed in range(5)},
+            **{case: functools.partial(_hand_built, case) for case in DYING}}
+
+
+@pytest.mark.parametrize("case", D1_CASES)
+def test_d1_pivots_are_the_monomials_that_lead_no_primitive(case):
+    # P is complete at 1 under the degree-one certificate, at g = 3 on the
+    # three presentations where it declines; N runs below that bound too
+    h = D1_CASES[case]()
+    assert lantern_of_hopf(h).generated_in_degree_one() == (
+        case not in DYING)
+    _assert_d1_pivots_skip_the_p_leads(h)
+
+
+def test_p_of_a_certified_presentation_takes_no_modular_pass(monkeypatch):
+    # under the degree-one certificate P's columns are the reduced
+    # coproducts of the degree-one monomials, all zero, so P's matrix has
+    # no entries and its kernel is read with no elimination
+    certified = [D1_CASES[case]() for case in D1_CASES if case not in DYING]
+    for h in certified:
+        assert complete_bound(h, 1) == 1
+    passes = []
+    forward = Matrix._forward_mod_p
+
+    def spy(self):
+        passes.append((self.rows, self.cols))
+        return forward(self)
+
+    monkeypatch.setattr(Matrix, "_forward_mod_p", spy)
+    for h in certified:
+        assert primitive_space(h).dim == len(h.algebra.monomials_up_to(1))
+    assert passes == [] and len(certified) == 39
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_d1_pivots_are_the_monomials_that_lead_no_primitive_at_random(seed):
+    _assert_d1_pivots_skip_the_p_leads(_random_commutative(seed))
+
+
+def _sorted_tuples(h, bound):
+    """Oracle: the pairs and triples of monomials of total degree <=
+    bound, scanned from the whole cube and sorted by total degree, then
+    by the canonical key of each slot."""
+    alg = h.algebra
+    monos = alg.monomials_up_to(bound)
+    degree = {m: alg.monomial_degree(m) for m in monos}
+    key = {m: alg.monomial_key(m) for m in monos}
+
+    def tuple_key(t):
+        return (sum(degree[m] for m in t), tuple(key[m] for m in t))
+
+    pairs, triples = [], []
+    for a in monos:
+        for b in monos:
+            dab = degree[a] + degree[b]
+            if dab > bound:
+                continue
+            pairs.append((a, b))
+            for c in monos:
+                if dab + degree[c] <= bound:
+                    triples.append((a, b, c))
+    return sorted(pairs, key=tuple_key), sorted(triples, key=tuple_key)
+
+
+@pytest.mark.parametrize("case", [*range(len(HOPF_CATALOG)), *HAND_BUILT],
+                         ids=[*(s.describe() for s in HOPF_CATALOG),
+                              *HAND_BUILT])
+def test_tuples_come_grade_by_grade_in_the_sorted_order(case):
+    h = HAND_BUILT[case] if case in HAND_BUILT else build(HOPF_CATALOG[case])
+    alg = h.algebra
+    for bound in range(1, 7):
+        monos = alg.monomials_up_to(bound)
+        got = _graded_tuples(monos, alg.monomial_degree, bound)
+        assert got == _sorted_tuples(h, bound), bound
+    cx = build_complex(h, 4)
+    assert (cx.bases[2], cx.bases[3]) == _sorted_tuples(h, 4)
+
+
+def test_a_cobar_job_eliminates_d2_alone(monkeypatch):
+    # the three reports of the cobar benchmark, each on a fresh
+    # presentation: past the lantern's CE H^2 and the degree-one
+    # certificate, both kept, the one modular pass is d2's of C_<=G'; P's
+    # matrix has no entries and takes none, d1 is never built, and no
+    # delta(m) of degree G' is asked for
+    passes, degrees = [], []
+    forward = Matrix._forward_mod_p
+    reduced = HopfPresentation._reduced_monomial
+
+    def spy(self):
+        passes.append((self.rows, self.cols))
+        return forward(self)
+
+    def spy_reduced(self, m):
+        degrees.append(self.algebra.monomial_degree(m))
+        return reduced(self, m)
+
+    def refuse(self):
+        raise AssertionError("the report built d1")
+
+    monkeypatch.setattr(Matrix, "_forward_mod_p", spy)
+    monkeypatch.setattr(HopfPresentation, "_reduced_monomial", spy_reduced)
+    monkeypatch.setattr(CobarComplex, "d1", property(refuse))
+    for h, bound, by_bidegree in [(catalog.make_K(), 8, False),
+                                  (_seeded_d(1), 7, False),
+                                  (make_A(0, 0, 0), 8, True)]:
+        reach = _g_prime(h, _lantern_ce(h, by_bidegree))
+        assert complete_bound(h, 1) == 1
+        passes.clear()
+        degrees.clear()
+        assert h2_report(h, bound, by_bidegree).total_h2 == 2
+        low = build_complex(h, reach)
+        assert passes == [(low.d2.rows, low.d2.cols)]
+        assert max(degrees) == reach - 1
