@@ -204,10 +204,6 @@ class GradedLie(LieConstants, AnswerStore):
         bad = self._ungraded_bracket(grades)
         if bad:
             raise InputError(f"grades do not add on {bad}")
-        d1: list[dict] = [{} for _ in range(n)]
-        for (i, j), terms in self.brackets.items():
-            for k, c in terms.items():
-                d1[k][(i, j)] = -c
         d2: dict[tuple[int, int], dict] = {
             pair: {} for pair in combinations(range(n), 2)}
         for triple in combinations(range(n), 3):
@@ -219,19 +215,29 @@ class GradedLie(LieConstants, AnswerStore):
                         add_term(d2[pair], triple, s * c)
         d2_pivots = Matrix.from_keyed_columns(list(d2.values())).rank_profile()
         cocycles, coboundaries = graded_h2(
-            grades, Matrix.from_keyed_columns(d1).rank_profile(),
+            grades, self._d1_pivots(),
             [grade_sum(grades[i], grades[j]) for i, j in d2], d2_pivots)
         return {g: h2 for g, z in cocycles.items()
                 if (h2 := z - coboundaries.get(g, 0))}
 
-    def generated_in_degree_one(self) -> bool:
-        """Whether L(1) generates L, that is L = L(1) + [L, L], kept: one
-        rank of the bracket constants, which span [L, L], against the
-        number of basis vectors of degree >= 2."""
+    def _d1_pivots(self) -> tuple[int, ...]:
+        """The rank profile of CE d^1, kept: column k is d xi^k = -sum_{i<j}
+        c_ij^k xi^i ^ xi^j, the negated transpose of the bracket constants,
+        so it depends on no grade list."""
         def compute():
-            constants = Matrix.from_keyed_columns(list(self.brackets.values()))
-            return constants.rank() == sum(d > 1 for d in self.degrees)
-        return self._kept(("degree one",), compute)
+            d1: list[dict] = [{} for _ in range(self.dim)]
+            for (i, j), terms in self.brackets.items():
+                for k, c in terms.items():
+                    d1[k][(i, j)] = -c
+            return tuple(Matrix.from_keyed_columns(d1).rank_profile())
+        return self._kept(("ce d1",), compute)
+
+    def generated_in_degree_one(self) -> bool:
+        """Whether L(1) generates L, that is L = L(1) + [L, L]: the rank of
+        the bracket constants, which span [L, L], is that of CE d^1, their
+        negated transpose (``_d1_pivots``), against the number of basis
+        vectors of degree >= 2."""
+        return len(self._d1_pivots()) == sum(d > 1 for d in self.degrees)
 
     def _ungraded_bracket(self, grades: Sequence) -> Optional[str]:
         """The first stored bracket [x_i, x_j] with a term x_k whose grade

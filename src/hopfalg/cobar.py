@@ -7,7 +7,8 @@ a(x)delta(b).  Coassociativity makes d^2 = 0.  Since delta never raises
 weighted degree, the tuples of total degree <= n form a subcomplex C_<=n.
 ``build_complex`` keeps the bases of ranks 1..3, listed grade by grade
 by total degree, then by the canonical index of each slot, and d^2 with
-a ``coassociator`` column per pair over the triples it reaches; d^1,
+a column delta(a)(x)b - a(x)delta(b) per pair over the triples it
+reaches, written straight into the matrix (``_d2``); d^1,
 with a column ``_reduced_monomial(m)`` per monomial, is built on first
 read.
 
@@ -62,12 +63,39 @@ def build_complex(h: HopfPresentation, bound: int) -> CobarComplex:
         raise InputError("cobar bound must be >= 1")
     monos = h.algebra.monomials_up_to(bound)
     pairs, triples = _graded_tuples(monos, h.algebra.monomial_degree, bound)
-    # the reduced echelon form depends on the row space alone, so the row
-    # numbers from_keyed_columns gives the reached tuples move no pivot
-    d2 = Matrix.from_keyed_columns(
-        [coassociator({pair: 1}, h._reduced_monomial) for pair in pairs])
     return CobarComplex(h, {1: [(m,) for m in monos], 2: pairs, 3: triples},
-                        d2)
+                        _d2(h._reduced_monomial, pairs))
+
+
+def _d2(delta: Callable[[Monomial], dict], pairs: list[tuple]) -> Matrix:
+    """The matrix of d^2 on ``pairs``: the one ``from_keyed_columns``
+    builds from the ``coassociator`` columns, rows numbered in order of
+    first appearance, with no merge.
+
+    Column (a, b) is {(l, r, b): c for delta(a)} followed by {(a, l, r):
+    -c for delta(b)}, two halves over distinct keys with nonzero values.
+    They share no key: a shared one needs a left slot a in delta(a), and
+    every left slot of delta(a) has degree below deg a.  Write a = x_g^k
+    a', x_g its first generator.  Delta(a) is a block times Delta(a'),
+    whose one term with a left slot of degree k deg x_g is x_g^k (x) 1
+    (the rest are 1 (x) x_g, delta(x_g) or lower binomial terms).  Slot
+    products never raise degree, so by induction on a' the one term of
+    Delta(a) with a left slot of degree deg a is x_g^k a' (x) 1 = a (x) 1,
+    a sorted word with coefficient 1, and delta(a) drops it.  The reduced
+    echelon form depends on the row space alone, so the row numbers move
+    no pivot.
+    """
+    index: dict[tuple, int] = {}
+    row = index.setdefault
+    entries = {}
+    for col, (a, b) in enumerate(pairs):
+        for (l, r), c in delta(a).items():
+            entries[(row((l, r, b), len(index)), col)] = c
+        for (l, r), c in delta(b).items():
+            entries[(row((a, l, r), len(index)), col)] = -c
+    d2 = Matrix(max(len(index), 1), len(pairs))
+    d2.entries = entries
+    return d2
 
 
 def _graded_tuples(monos: list[Monomial], degree: Callable[[Monomial], int],

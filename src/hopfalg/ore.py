@@ -23,17 +23,35 @@ at every step, so it terminates.  The sorted monomials
 x_1^{e_1}...x_n^{e_n} span the algebra; whether they are a
 *basis* is certified by the overlap check (`verify_pbw_consistency`),
 never assumed.
+
+The recursion runs on ints alone, for every table.  With D the lcm of
+kappa's denominators (`_scale`, 1 for an integral table) it works in the
+basis y_g = D^{deg x_g} x_g, where every commutator coefficient is an
+int (`_scaled_table`), and a result leaves it only through `_unscale`:
+a product miss of `mul_monomials` (whose cache keeps the x form), a
+`normal_form` and an overlap witness.  This is the same algebra in
+another basis.  A word of degree w in the y's is D^w times its word in
+the x's, and y^t = D^{deg t} x^t, so the y-form value at t of every
+accumulator is the x-form value times D^{w - deg t}, a nonzero constant
+per key.  Every addition into a key is scaled by that one constant, so
+the same sums vanish, and the same keys are written and deleted in the
+same order as over the x table; dividing by D^{w - deg t} with
+`quotient` gives the x-form values with an int for every integral one.
+Values, scalar types and key order are those of the x-form recursion,
+and when D = 1 nothing is scaled and no pass is made over a result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import mul
 from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .errors import InputError, StructuralError
-from .exactlin import Scalar, add_scaled, add_term, integral_values, scalar
+from .exactlin import (Scalar, add_scaled, add_term, integral_values, quotient,
+                       scalar)
 from .reports import VerificationReport
 
 Monomial = tuple  # exponent vector, one entry per generator
@@ -89,13 +107,9 @@ class OrePresentation:
 
         # kappa[(j, i)] with j > i: terms of [x_j, x_i] as monomial -> coefficient.
         # The public table is a read-only view because _mul_cache is only
-        # valid for one table; rewriting reads the faster plain dicts behind it.
-        self._kappa: dict[tuple[int, int], dict[Monomial, Scalar]] = {}
-        # _kappa_folds[(j, i)]: the fold plan of kappa_ji (`_add_kappa_times`),
-        # one (word, coefficient) per term in table order; the word of a
-        # one-letter term is its generator index, of any other its letters
-        # right to left
-        self._kappa_folds: dict[tuple[int, int], tuple] = {}
+        # valid for one table; rewriting reads the scaled integer table
+        # `_kappa` instead (see `_scaled_table`).
+        kappa: dict[tuple[int, int], dict[Monomial, Scalar]] = {}
         given: dict[tuple[int, int], object] = {}
         for key, value in (commutators or {}).items():
             j, i = self._pair_indices(key)
@@ -113,20 +127,33 @@ class OrePresentation:
                 raise StructuralError(
                     f"[{self.names[j]},{self.names[i]}] has weighted degree "
                     f"{worst} >= {bound}; rewriting would not terminate")
-            self._kappa[(j, i)] = terms
-            self._kappa_folds[(j, i)] = tuple(
-                (mono.index(1) if sum(mono) == 1
-                 else tuple(self._letters(mono)), kc)
-                for mono, kc in terms.items())
+            kappa[(j, i)] = terms
         self.kappa = MappingProxyType(
-            {key: MappingProxyType(terms) for key, terms in self._kappa.items()})
+            {key: MappingProxyType(terms) for key, terms in kappa.items()})
+        # _scale: D, the lcm of kappa's denominators; _powers[k] = D^k,
+        # extended by `_unscale`; _kappa: kappa in the basis y_g = D^deg(g) x_g
+        self._scale = math.lcm(*{c.denominator for terms in kappa.values()
+                                 for c in terms.values()
+                                 if type(c) is not int})
+        self._powers = [1]
+        self._kappa: dict[tuple[int, int], dict[Monomial, int]] = (
+            self._scaled_table(kappa))
+        # _kappa_folds[(j, i)]: the fold plan of the scaled kappa_ji
+        # (`_add_kappa_times`), one (word, coefficient) per term in table
+        # order; the word of a one-letter term is its generator index, of
+        # any other its letters right to left
+        self._kappa_folds: dict[tuple[int, int], tuple] = {
+            pair: tuple((mono.index(1) if sum(mono) == 1
+                         else tuple(self._letters(mono)), kc)
+                        for mono, kc in terms.items())
+            for pair, terms in self._kappa.items()}
         # _blockers[j]: the i < j with kappa_ji != 0, read off the fixed table
         self._blockers = tuple(
             tuple(i for i in range(j) if (j, i) in self._kappa)
             for j in range(len(gens)))
 
         self._mul_cache: dict[tuple[Monomial, Monomial], dict[Monomial, Scalar]] = {}
-        self._gen_cache: dict[tuple[int, Monomial], dict[Monomial, Scalar]] = {}
+        self._gen_cache: dict[tuple[int, Monomial], dict[Monomial, int]] = {}
         self._mask_cache: dict[Monomial, tuple[int, int]] = {}
 
     # -- construction helpers ----------------------------------------------
@@ -290,8 +317,46 @@ class OrePresentation:
 
     # -- rewriting -------------------------------------------------------------
 
-    def _gen_times(self, j: int, m: Monomial) -> dict[Monomial, Scalar]:
-        """x_j * m for a sorted monomial m, cached on (j, m); do not mutate it.
+    def _scaled_table(self, kappa: dict
+                      ) -> dict[tuple[int, int], dict[Monomial, int]]:
+        """kappa in the basis y_g = D^{deg x_g} x_g, D = `_scale`.
+
+        Multiplying [x_j, x_i] = sum_m kappa_ji[m] x^m by D^{deg x_i +
+        deg x_j} gives [y_j, y_i] = sum_m kappa_ji[m] D^e y^m with e =
+        deg x_i + deg x_j - deg m >= 1 (the constructor's degree drop),
+        so each coefficient is the int numerator * (D // denominator) *
+        D^{e-1}, formed by int operations alone.  When D = 1 it is kappa
+        itself.
+        """
+        scale = self._scale
+        if scale == 1:
+            return kappa
+        degrees, degree = self.degrees, self.monomial_degree
+        out = {}
+        for (j, i), terms in kappa.items():
+            top = degrees[i] + degrees[j] - 1
+            out[(j, i)] = {m: c.numerator * (scale // c.denominator)
+                           * scale ** (top - degree(m))
+                           for m, c in terms.items()}
+        return out
+
+    def _unscale(self, terms: dict[Monomial, int], w: int
+                 ) -> dict[Monomial, Scalar]:
+        """The x form of a y-form result of word degree w (the module
+        docstring): the coefficient of t over D^{w - deg t}, by
+        `quotient`, in key order; terms itself when D = 1."""
+        if self._scale == 1:
+            return terms
+        powers, degree = self._powers, self.monomial_degree
+        while len(powers) <= w:
+            powers.append(powers[-1] * self._scale)
+        return {t: quotient(c, powers[w - degree(t)])
+                for t, c in terms.items()}
+
+    def _gen_times(self, j: int, m: Monomial) -> dict[Monomial, int]:
+        """y_j * m for a sorted monomial m in the y basis (the module
+        docstring), cached on (j, m); do not mutate it.  Written below in
+        the x's, as the recursion reads the same in both bases.
 
         When m has no letter among the blockers of x_j (`_blockers[j]`,
         the i < j with kappa_ji != 0), x_j m = m + e_j, returned uncached.
@@ -311,9 +376,10 @@ class OrePresentation:
         rather than scaled after its fold.  That adds, key by key, the
         value ``add_scaled(hit, _left_mul(letters, {m': kc}))`` would:
         c v = 0 exactly when v = 0 for c != 0, so the same keys are
-        written and deleted in the same order, and `integral_values`
-        normalises what is kept.  A direct caller (`_resolve_overlap`)
-        gets a free slide from the early return.
+        written and deleted in the same order.  Every coefficient of the
+        scaled table is an int, so the cache holds ints alone.  A direct
+        caller (`_resolve_overlap`) gets a free slide from the early
+        return.
         """
         for i in self._blockers[j]:
             if m[i]:
@@ -329,13 +395,14 @@ class OrePresentation:
             for t, c in self._gen_times(j, rest).items():
                 self._add_gen_times(hit, i, t, c)
             self._add_kappa_times(hit, j, i, rest)
-            self._gen_cache[key] = integral_values(hit)
+            self._gen_cache[key] = hit
         return hit
 
-    def _add_kappa_times(self, acc: dict[Monomial, Scalar], j: int, i: int,
+    def _add_kappa_times(self, acc: dict[Monomial, int], j: int, i: int,
                          m: Monomial) -> None:
-        """acc += kappa_ji * m, for a sorted monomial m, term by term in
-        table order through the fold plan `_kappa_folds[(j, i)]`.
+        """acc += kappa_ji * m, kappa scaled to the y basis, for a sorted
+        monomial m, term by term in table order through the fold plan
+        `_kappa_folds[(j, i)]`.
 
         A one-letter term kc x_l adds kc * x_l m by one `_add_gen_times`
         step; any other term folds its letters into m seeded with kc
@@ -348,33 +415,32 @@ class OrePresentation:
             else:
                 add_scaled(acc, self._left_mul(word, {m: kc}))
 
-    def _add_gen_times(self, acc: dict[Monomial, Scalar], j: int,
-                       m: Monomial, c: Scalar) -> None:
-        """acc += c * x_j m, for a sorted monomial m and c != 0.
+    def _add_gen_times(self, acc: dict[Monomial, int], j: int,
+                       m: Monomial, c: int) -> None:
+        """acc += c * y_j m, for a sorted monomial m and an int c != 0.
 
         A free slide (m has no letter among the blockers of x_j) adds the
         one term m + e_j with coefficient c: no dict, no `_gen_times`
-        call and no product c * 1.  What is added is what
-        ``add_scaled(acc, {m + e_j: 1}, c)`` adds, the int 1 when c == 1
-        (so also for an integral Fraction 1) and c otherwise.  Any other
-        m adds c * `_gen_times(j, m)`.
+        call and no product c * 1, so what ``add_scaled(acc, {m + e_j:
+        1}, c)`` adds.  Any other m adds c * `_gen_times(j, m)`.
         """
         for i in self._blockers[j]:
             if m[i]:
                 add_scaled(acc, self._gen_times(j, m), c)
                 return
-        add_term(acc, m[:j] + (m[j] + 1,) + m[j + 1:], 1 if c == 1 else c)
+        add_term(acc, m[:j] + (m[j] + 1,) + m[j + 1:], c)
 
     def _letters(self, m: Monomial):
         """The letters of a sorted monomial, right to left."""
         return (i for i in range(len(m) - 1, -1, -1) for _ in range(m[i]))
 
-    def _left_mul(self, letters, terms: dict[Monomial, Scalar]
-                  ) -> dict[Monomial, Scalar]:
-        """x_{l_k} ... x_{l_1} * terms: a new dict, or terms if no letters."""
+    def _left_mul(self, letters, terms: dict[Monomial, int]
+                  ) -> dict[Monomial, int]:
+        """y_{l_k} ... y_{l_1} * terms in the y basis: a new dict, or terms
+        if no letters."""
         add_gen_times = self._add_gen_times
         for j in letters:
-            nxt: dict[Monomial, Scalar] = {}
+            nxt: dict[Monomial, int] = {}
             for m, c in terms.items():
                 add_gen_times(nxt, j, m, c)
             terms = nxt
@@ -386,16 +452,18 @@ class OrePresentation:
             if name not in self.index:
                 raise InputError(f"unknown generator {name!r} in word")
         letters = [self.index[name] for name in reversed(word)]
-        return AlgebraElement(self, integral_values(self._left_mul(
-            letters, {self.unit_monomial: 1})))
+        return AlgebraElement(self, self._unscale(
+            self._left_mul(letters, {self.unit_monomial: 1}),
+            sum(self.degrees[g] for g in letters)))
 
     def mul_monomials(self, a: Monomial, b: Monomial) -> dict[Monomial, Scalar]:
         """Normal form of a*b for PBW monomials, cached; do not mutate it.
 
         When a slides into b (`_slides`), the normal form is the exponent
-        sum; otherwise the letters of a are folded into b right to left.
-        Both results are cached: the exponent sums are cheaper to keep
-        than to rebuild.
+        sum; otherwise the letters of a are folded into b right to left in
+        the y basis, and the result is mapped back (`_unscale`, word
+        degree deg a + deg b).  Both results are cached in the x form: the
+        exponent sums are cheaper to keep than to rebuild.
         """
         key = (a, b)
         hit = self._mul_cache.get(key)
@@ -403,8 +471,9 @@ class OrePresentation:
             if self._slides(a, b):
                 hit = {tuple(x + y for x, y in zip(a, b)): 1}
             else:
-                hit = integral_values(
-                    self._left_mul(self._letters(a), {b: 1}))
+                hit = self._unscale(self._left_mul(self._letters(a), {b: 1}),
+                                    self.monomial_degree(a)
+                                    + self.monomial_degree(b))
             self._mul_cache[key] = hit
         return hit
 
@@ -448,27 +517,36 @@ class OrePresentation:
         """Resolve every overlap x_k x_j x_i (k > j > i) in the two possible ways.
 
         Confluence of all such overlaps certifies that the sorted monomials
-        form a basis (none of them can be collapsed by the relations).
+        form a basis (none of them can be collapsed by the relations).  The
+        two sides are compared in the y form (`_unscale`), which is zero
+        exactly when the x form is; only a nonzero difference, the
+        witness, is mapped back to the x basis.
         """
         report = VerificationReport("PBW consistency (overlap resolution)")
-        n = len(self.names)
+        n, degrees = len(self.names), self.degrees
         found = False
         for k in range(2, n):
             for j in range(1, k):
                 for i in range(j):
                     found = True
-                    first = self._resolve_overlap(k, j, i, inner_first=False)
-                    second = self._resolve_overlap(k, j, i, inner_first=True)
-                    diff = first - second
+                    diff = add_scaled(
+                        self._resolve_overlap(k, j, i, inner_first=False),
+                        self._resolve_overlap(k, j, i, inner_first=True), -1)
+                    witness = None
+                    if diff:
+                        witness = AlgebraElement(self, self._unscale(
+                            diff, degrees[k] + degrees[j] + degrees[i]))
                     name = f"overlap {self.names[k]}*{self.names[j]}*{self.names[i]}"
-                    report.add(name, diff.is_zero(),
-                               witness=None if diff.is_zero() else diff)
+                    report.add(name, not diff, witness=witness)
         if not found:
             report.add("no overlaps (fewer than three generators)", True,
                        informational=True)
         return report
 
-    def _resolve_overlap(self, k: int, j: int, i: int, inner_first: bool):
+    def _resolve_overlap(self, k: int, j: int, i: int, inner_first: bool
+                         ) -> dict[Monomial, int]:
+        """y_k y_j y_i in the y form, rewritten from the inner or the outer
+        pair first."""
         if inner_first:
             # x_k (x_j x_i) -> x_k x_i x_j + x_k kappa_ji
             acc = self._left_mul((j, i, k), {self.unit_monomial: 1})
@@ -479,7 +557,7 @@ class OrePresentation:
             x_i = self.letter(i)
             acc = self._left_mul((k, j), {x_i: 1})
             self._add_kappa_times(acc, k, j, x_i)
-        return AlgebraElement(self, acc)
+        return acc
 
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)

@@ -207,8 +207,9 @@ _FULL_TABLES = [
 
 
 def _render_tables(label, h):
-    """The lines of the catalog_tables golden for h: kappa, its fold plans,
-    the blockers and delta_gen, each in key order and with each scalar as
+    """The lines of the catalog_tables golden for h: kappa, its fold plans
+    (over the table scaled by D, the lcm of kappa's denominators), the
+    blockers, D and delta_gen, each in key order and with each scalar as
     its repr, so an int and an integral Fraction print apart."""
     a = h.algebra
     lines = [label]
@@ -216,6 +217,7 @@ def _render_tables(label, h):
         lines.append(f"  kappa {pair}: {list(terms.items())!r}")
         lines.append(f"  folds {pair}: {a._kappa_folds[pair]!r}")
     lines.append(f"  blockers {a._blockers!r}")
+    lines.append(f"  scale {a._scale!r}")
     for g, terms in h.delta_gen.items():
         lines.append(f"  delta {g}: {list(terms.items())!r}")
     return lines
@@ -226,7 +228,10 @@ def test_catalog_tables_match_their_golden():
     # entry (the envelope of a CLA), and of each family with every
     # coefficient nonzero, byte for byte: values, value types and key
     # order.  It was written from the catalog's {name: exponent} tables
-    # before their term shapes were compiled to exponent tuples.
+    # before their term shapes were compiled to exponent tuples; when the
+    # fold plans moved to the scaled integer table, only the folds lines
+    # of the eight entries with a proper fraction in kappa changed, and
+    # each entry gained its scale line.
     lines = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

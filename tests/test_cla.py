@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfalg.catalog import (list_catalog, build, family_parameter_names,
-                             make_cla_35, make_cla_a, make_cla_b, make_lie)
+                             make_K, make_cla_35, make_cla_a, make_cla_b,
+                             make_lie)
 from hopfalg.cobar import _g_prime, _lantern_ce, h2_report
 from hopfalg.cla import (CLA, GradedLie, _envelope, cla_transform, conilpotency_index,
                          enveloping, kernel_delta, lantern_of_cla,
@@ -578,9 +579,11 @@ def test_ce_h2_matches_blockwise_ranks_on_random_tables(seed):
     _same_ce(gl, bidegrees)
 
 
-def test_ce_h2_of_the_k_lantern_takes_two_eliminations(K, monkeypatch):
-    # one rank profile of d1 and one of d2, not one per grade block
-    gl = lantern_of_hopf(K)
+def test_ce_h2_of_the_k_lantern_takes_two_eliminations(monkeypatch):
+    # one rank profile of d1 and one of d2, not one per grade block, on a
+    # fresh lantern; the d1 profile is kept, so the degree-one
+    # certificate and a second grade list read it with no elimination
+    gl = lantern_of_hopf(make_K())
     calls = []
     forward = Matrix._forward_mod_p
 
@@ -591,6 +594,11 @@ def test_ce_h2_of_the_k_lantern_takes_two_eliminations(K, monkeypatch):
     monkeypatch.setattr(Matrix, "_forward_mod_p", spy)
     assert gl.ce_h2_dims() == {3: 1, 4: 1}
     assert len(calls) == 2
+    assert gl.generated_in_degree_one()
+    assert len(calls) == 2
+    assert gl.ce_h2_dims([(d, 0) for d in gl.degrees]) == {(3, 0): 1,
+                                                            (4, 0): 1}
+    assert calls[2:] == calls[:1]
 
 
 def test_enveloping_eliminates_no_zero_matrix(monkeypatch):

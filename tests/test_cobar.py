@@ -210,7 +210,9 @@ def test_reports_read_every_rank_profile_off_the_bound(monkeypatch):
     # K at 8, a D with rational parameters at 7 and A(0,0,0) by bidegree
     # at 8, each on a fresh presentation: the largest matrix is the 56 x 64
     # d2 of rank 40 over C_<=G', whose Hadamard product (about 2^167 on K)
-    # is below P^2; no rank profile is lifted or eliminated over Q
+    # is below P^2; no rank profile is lifted or eliminated over Q.  Each
+    # lantern's CE d1 is taken once, for the degree-one certificate and
+    # the CE H^2 alike
     def refuse(self, *args):
         raise AssertionError("a rank profile was not certified by the bound")
 
@@ -233,7 +235,7 @@ def test_reports_read_every_rank_profile_off_the_bound(monkeypatch):
     rows = h2_report(make_A(0, 0, 0), 8, by_bidegree=True).rows
     assert {r["bidegree"]: r["h2"] for r in rows if r["h2"]} == {
         (2, 1): 1, (1, 2): 1}
-    assert len(profiles) == 11 and (56, 64) in profiles
+    assert len(profiles) == 8 and (56, 64) in profiles
 
 
 def _block_ranks(h, bound):
@@ -273,18 +275,21 @@ def test_h2_report_takes_one_elimination_per_differential(by_bidegree,
                                                           monkeypatch):
     # the counts of C_<=6 eliminate d2 alone, as d1's pivots are read off
     # the kept P; on a cold presentation they also take the degree-one
-    # certificate's one rank and P's kernel, a matrix with no entries,
-    # both kept, so a second count eliminates d2 alone
+    # certificate's one rank profile, of the lantern's CE d1, and P's
+    # kernel, a matrix with no entries, both kept, so a second count
+    # eliminates d2 alone
     A000 = make_A(0, 0, 0)
     cx = build_complex(A000, 6)
-    constants = Matrix.from_keyed_columns(
-        list(lantern_of_hopf(A000).brackets.values()))
+    lantern = lantern_of_hopf(A000)
+    ce_d1 = Matrix.from_keyed_columns(
+        [{pair: -terms[k] for pair, terms in lantern.brackets.items()
+          if k in terms} for k in range(lantern.dim)])
     degree_one = len(A000.algebra.monomials_up_to(1))
     shapes = []
     _spy_eliminations(monkeypatch, lambda m: shapes.append((m.rows, m.cols)))
     counts = _eliminated_counts(A000, 6, by_bidegree)
     d2 = (cx.d2.rows, cx.d2.cols)
-    assert shapes == [(constants.rows, constants.cols), (1, degree_one), d2]
+    assert shapes == [(ce_d1.rows, ce_d1.cols), (1, degree_one), d2]
     shapes.clear()
     assert _eliminated_counts(A000, 6, by_bidegree) == counts
     assert shapes == [d2]
@@ -1097,6 +1102,32 @@ def test_tuples_come_grade_by_grade_in_the_sorted_order(case):
         assert got == _sorted_tuples(h, bound), bound
     cx = build_complex(h, 4)
     assert (cx.bases[2], cx.bases[3]) == _sorted_tuples(h, 4)
+
+
+_ENVELOPED_CATALOG = list_catalog()
+
+
+@pytest.mark.parametrize("case", [*range(len(_ENVELOPED_CATALOG)),
+                                  *HAND_BUILT],
+                         ids=[*(s.describe() for s in _ENVELOPED_CATALOG),
+                              *HAND_BUILT])
+def test_d2_is_the_matrix_of_the_coassociator_columns(case):
+    # d2 written straight from delta(a) and delta(b) is the matrix
+    # from_keyed_columns builds from the coassociator columns: the same
+    # shape, and the same entries in the same order with the same types
+    if case in HAND_BUILT:
+        h = HAND_BUILT[case]
+    else:
+        obj = build(_ENVELOPED_CATALOG[case])
+        h = obj if isinstance(obj, HopfPresentation) else enveloping(obj)
+    for bound in range(1, 7):
+        cx = build_complex(h, bound)
+        want = Matrix.from_keyed_columns(
+            [coassociator({pair: 1}, h._reduced_monomial)
+             for pair in cx.bases[2]])
+        assert (cx.d2.rows, cx.d2.cols) == (want.rows, want.cols), bound
+        assert ([(k, type(v), v) for k, v in cx.d2.entries.items()]
+                == [(k, type(v), v) for k, v in want.entries.items()]), bound
 
 
 def test_a_cobar_job_eliminates_d2_alone(monkeypatch):

@@ -353,14 +353,18 @@ def test_cached_tables_are_read_only(K):
 
 def reference_tensor_mul(s, t):
     """Oracle: the per-pair, per-slot product loop, every slot through the
-    full rewriting recursion (no unit or sorted shortcut)."""
+    full rewriting recursion (no unit or sorted shortcut), whose scaled
+    result is mapped back to the x basis."""
     p = s.p
     out = {}
     for t1, c1 in s.terms.items():
         for t2, c2 in t.terms.items():
             partial = {(): c1 * c2}
             for slot in range(s.rank):
-                factor = p._left_mul(p._letters(t1[slot]), {t2[slot]: 1})
+                a, b = t1[slot], t2[slot]
+                factor = p._unscale(
+                    p._left_mul(p._letters(a), {b: 1}),
+                    p.monomial_degree(a) + p.monomial_degree(b))
                 nxt = {}
                 for prefix, c in partial.items():
                     for m, cm in factor.items():

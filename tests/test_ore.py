@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hopfalg.catalog import build, list_catalog, make_D, make_F, make_K
 from hopfalg.cla import enveloping
 from hopfalg.errors import InputError, StructuralError
-from hopfalg.exactlin import add_scaled, add_term, integral_values
+from hopfalg.exactlin import add_scaled, add_term
 from hopfalg.hopf import HopfPresentation, TensorElement
 from hopfalg.ore import GeneratorInfo, OrePresentation, bracket
 
@@ -635,14 +635,15 @@ def _fresh(p):
 
 
 @st.composite
-def small_tables(draw):
+def small_tables(draw, coeff=st.sampled_from([1, -1, 2, Fraction(1, 2),
+                                              Fraction(-3, 2)])):
     """Three or four generators of degree 1 or 2 and a random commutator
-    table whose terms mix single letters, longer words and constants."""
+    table whose terms mix single letters, longer words and constants,
+    with coefficients drawn from ``coeff``."""
     degrees = sorted(draw(st.lists(st.sampled_from([1, 1, 2]),
                                    min_size=3, max_size=4)))
     gens = [(f"G{g}", d) for g, d in enumerate(degrees)]
     base = OrePresentation(gens)
-    coeff = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
     table = {}
     for j in range(len(gens)):
         for i in range(j):
@@ -662,9 +663,10 @@ _RECURSION_TABLES = [p for _, p in CATALOG] + [_corrupted_f()]
 @given(st.one_of(st.sampled_from(_RECURSION_TABLES), small_tables()),
        st.data())
 def test_gen_times_is_its_defining_expansion(table, data):
-    # x_j x_i m' = x_i (x_j m') + kappa_ji m', every kappa term folded by
-    # _left_mul on its own: the fold plan writes the same keys, in the
-    # same order, with the same scalar types, on every table
+    # y_j y_i m' = y_i (y_j m') + kappa_ji m' in the scaled basis, over the
+    # scaled table _kappa, every kappa term folded by _left_mul on its
+    # own: the fold plan writes the same keys, in the same order, with the
+    # same scalar types, on every table, and every value is an int
     p = _fresh(table)
     blocked = [j for j in range(len(p.names)) if p._blockers[j]]
     assume(blocked)
@@ -674,10 +676,11 @@ def test_gen_times_is_its_defining_expansion(table, data):
     i = next(i for i, e in enumerate(m) if e)
     rest = m[:i] + (m[i] - 1,) + m[i + 1:]
     want = p._left_mul((i,), p._gen_times(j, rest))
-    for mono, kc in p.kappa.get((j, i), {}).items():
+    for mono, kc in p._kappa.get((j, i), {}).items():
         add_scaled(want, p._left_mul(p._letters(mono), {rest: kc}))
-    assert _typed_items(p._gen_times(j, m)) == _typed_items(
-        integral_values(want))
+    got = p._gen_times(j, m)
+    assert _typed_items(got) == _typed_items(want)
+    assert all(type(c) is int for c in got.values())
 
 
 def _spy_left_mul(monkeypatch, p):
@@ -712,3 +715,88 @@ def test_a_one_letter_kappa_term_is_one_generator_step(monkeypatch):
     calls = _spy_left_mul(monkeypatch, q)
     q._gen_times(w, q.letter(z))
     assert calls == [(tuple(q._letters(xy2)), {q.unit_monomial: -1})]
+
+
+def _plain_gen_times(p, j, m, memo):
+    """Oracle: x_j m over the x table kappa in Fraction arithmetic, with no
+    scaling, fold plan or shortcut past the recursion itself: m + e_j when
+    no letter of m has kappa_ji != 0, else x_i (x_j m') + kappa_ji m' for
+    the first generator x_i of m = x_i m', every kappa term folded on its
+    own in table order; memoised in ``memo``."""
+    if (j, m) not in memo:
+        if not any(m[i] and (j, i) in p.kappa for i in range(j)):
+            return {m[:j] + (m[j] + 1,) + m[j + 1:]: Fraction(1)}
+        i = next(i for i, e in enumerate(m) if e)
+        rest = m[:i] + (m[i] - 1,) + m[i + 1:]
+        out = _plain_left_mul(p, [i], _plain_gen_times(p, j, rest, memo), memo)
+        for mono, kc in p.kappa.get((j, i), {}).items():
+            add_scaled(out, _plain_left_mul(p, _right_to_left(mono),
+                                            {rest: Fraction(kc)}, memo))
+        memo[(j, m)] = out
+    return memo[(j, m)]
+
+
+def _plain_left_mul(p, letters, terms, memo):
+    """Oracle: x_{l_k} ... x_{l_1} * terms by `_plain_gen_times`."""
+    for j in letters:
+        nxt = {}
+        for m, c in terms.items():
+            add_scaled(nxt, _plain_gen_times(p, j, m, memo), c)
+        terms = nxt
+    return terms
+
+
+def _right_to_left(m):
+    return [i for i in reversed(range(len(m))) for _ in range(m[i])]
+
+
+def _canonical(terms):
+    """(key, type, value) of each term, in key order, a Fraction with
+    denominator 1 taken as its int."""
+    return _typed_items({k: c.numerator if c.denominator == 1 else c
+                         for k, c in terms.items()})
+
+
+def _plain_overlaps(p, memo):
+    """Oracle: the rows of ``verify_pbw_consistency`` from the two
+    resolutions of each overlap x_k x_j x_i by the Fraction recursion, as
+    (name, passed, typed witness)."""
+    n, unit = len(p.names), p.unit_monomial
+    rows = []
+    for k, j, i in ((k, j, i) for k in range(n) for j in range(k)
+                    for i in range(j)):
+        x_i = p.letter(i)
+        first = _plain_left_mul(p, (k, j), {x_i: Fraction(1)}, memo)
+        for mono, kc in p.kappa.get((k, j), {}).items():
+            add_scaled(first, _plain_left_mul(p, _right_to_left(mono),
+                                              {x_i: Fraction(kc)}, memo))
+        second = _plain_left_mul(p, (j, i, k), {unit: Fraction(1)}, memo)
+        for mono, c in p.kappa.get((j, i), {}).items():
+            add_scaled(second, _plain_gen_times(p, k, mono, memo), c)
+        diff = add_scaled(first, second, -1)
+        rows.append((f"overlap {p.names[k]}*{p.names[j]}*{p.names[i]}",
+                     not diff, _canonical(diff) if diff else None))
+    return rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_tables(st.fractions(-4, 4, max_denominator=6)), st.data())
+def test_scaled_rewriting_matches_a_fraction_recursion(p, data):
+    # every exit of the int recursion in the scaled basis (a product miss,
+    # a normal form, the PBW report with its failing overlaps' witnesses)
+    # equals the recursion over the x table in Fraction arithmetic: the
+    # same values, scalar types and key order
+    memo = {}
+    monos = p.monomials_up_to(3, include_unit=True)
+    a, b = data.draw(st.sampled_from(monos)), data.draw(st.sampled_from(monos))
+    assert _typed_items(p.mul_monomials(a, b)) == _canonical(_plain_left_mul(
+        p, _right_to_left(a), {b: Fraction(1)}, memo))
+    word = data.draw(st.lists(st.sampled_from(range(len(p.names))),
+                              max_size=4))
+    assert _typed_items(p.normal_form([p.names[g] for g in word]).terms) == (
+        _canonical(_plain_left_mul(p, reversed(word),
+                                   {p.unit_monomial: Fraction(1)}, memo)))
+    rows = [(c.name, c.passed,
+             None if c.witness is None else _typed_items(c.witness.terms))
+            for c in p.verify_pbw_consistency().checks]
+    assert rows == _plain_overlaps(p, memo)

@@ -132,7 +132,9 @@ def test_every_catalog_scalar_is_an_int_or_a_fraction():
 
 def test_no_cache_keeps_an_integral_fraction():
     # a sum or product of Fractions can come out integral; every product,
-    # coproduct and antipode cache stores such a value as an int.  The
+    # coproduct and antipode cache stores such a value as an int, and the
+    # generator cache of the rewriting recursion, which works in the basis
+    # scaled to clear kappa's denominators, holds ints alone.  The
     # parameters are the pbw benchmark's seed-11 D.
     h = make_D(Fraction(3, 2), 1, Fraction(-1, 6), Fraction(-5, 2), -1, 1,
                Fraction(-9, 2), Fraction(8, 9))
@@ -146,8 +148,10 @@ def test_no_cache_keeps_an_integral_fraction():
         h.antipode(p.monomial(m))
     assert h.verify_antipode(6).passed
     assert h._antipode_loop(6).passed
+    assert p._scale > 1 and p._gen_cache
+    assert all(type(v) is int for vec in p._gen_cache.values()
+               for v in vec.values())
     caches = {
-        "_gen_cache": p._gen_cache.values(),
         "_mul_cache": p._mul_cache.values(),
         "_coproduct_cache": [t.terms for t in h._coproduct_cache.values()],
         "_reduced_cache": h._reduced_cache.values(),
