@@ -18,11 +18,11 @@ print("the graded model, by bidegree (note the two hits at (2,1), (1,2)):")
 print(h2_report(graded, 6, by_bidegree=True))
 
 print("\nu is a cocycle but not a coboundary:")
-print("  ", is_coboundary(graded, cocycle_u(graded), 6))
+print("  ", is_coboundary(graded, cocycle_u(graded)))
 
 w = graded.reduced_coproduct(graded.algebra.monomial({"X": 2, "Y": 1}))
 print("a reduced coproduct is always a coboundary:")
-print("  ", is_coboundary(graded, w, 6))
+print("  ", is_coboundary(graded, w))
 
 print("\nthe deformations keep total H^2 = 2 (stable from bound 5 to 6):")
 for params in [(1, 0, 0), (0, 0, 1)]:

@@ -13,7 +13,7 @@ from .catalog import (FamilySpec, build, family_parameter_names, list_catalog,
                       make_cla_35, make_cla_a, make_cla_b, make_lie,
                       make_lie_preset)
 from .errors import HopfAlgError, InputError, ParameterError, StructuralError
-from .exactlin import Matrix, Scalar, format_scalar, scalar
+from .exactlin import Matrix, Scalar, scalar
 from .hopf import HopfPresentation, TensorElement, tensor_of
 from .jsonio import (cla_from_json, cla_to_json, element_to_terms,
                      load_object, presentation_from_json, presentation_to_json)
@@ -32,10 +32,10 @@ __all__ = [
     "build", "build_complex", "cla_from_json", "cla_to_json", "cla_transform",
     "complete_bound", "conilpotency_index", "coradical_filtration",
     "element_to_terms", "enveloping", "extract_cla", "family_parameter_names",
-    "format_scalar", "h2_report", "is_coboundary", "kernel_delta",
-    "lantern_of_cla", "lantern_of_hopf", "list_catalog", "load_object",
-    "make_A", "make_B", "make_D", "make_E", "make_F", "make_K", "make_cla_35",
-    "make_cla_a", "make_cla_b", "make_lie", "make_lie_preset", "p2_space",
+    "h2_report", "is_coboundary", "kernel_delta", "lantern_of_cla",
+    "lantern_of_hopf", "list_catalog", "load_object", "make_A", "make_B",
+    "make_D", "make_E", "make_F", "make_K", "make_cla_35", "make_cla_a",
+    "make_cla_b", "make_lie", "make_lie_preset", "p2_space",
     "presentation_from_json", "presentation_to_json", "primitive_space",
     "scalar", "tensor_of", "verify_cla",
 ]

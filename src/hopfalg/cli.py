@@ -14,10 +14,10 @@
 Objects come either from the built-in catalog (--family/--params) or from
 a JSON file (--file) in the schema documented in the README.  Exit codes:
 0 all checks pass, 1 a verification failed, 2 malformed input; any other
-exception is a defect and propagates.  verify and cohomology take a
-degree bound, 5 by default; override it with --max-degree or
-HOPF_MAX_DEGREE.  primitives, p2, coradical, extract-cla and lantern take
-none: each reads an invariant of H whole, at its complete bound.
+exception is a defect and propagates.  Only cohomology takes a degree
+bound, --max-degree, 5 by default.  verify reads the antipode axiom in
+every degree off its certificate; primitives, p2, coradical, extract-cla
+and lantern each read an invariant of H whole, at its complete bound.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .catalog import build, family_parameter_names, from_cli_params, list_catalog
@@ -41,20 +40,6 @@ from .structure import (coradical_filtration, extract_cla, lantern_of_hopf,
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
-
-
-def default_bound() -> int:
-    env = os.environ.get("HOPF_MAX_DEGREE")
-    if not env:
-        return 5
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise InputError(f"HOPF_MAX_DEGREE={env!r} is not an integer") from exc
-
-
-def max_degree(args) -> int:
-    return args.max_degree if args.max_degree is not None else default_bound()
 
 
 def add_object_args(sub):
@@ -91,7 +76,7 @@ def emit(args, human: str, payload: dict) -> None:
 
 def cmd_verify(args) -> int:
     obj = resolve_object(args)
-    report = object_battery(obj, antipode_bound=max_degree(args))
+    report = object_battery(obj)
     emit(args, str(report), report.to_json())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -149,12 +134,12 @@ def cmd_cohomology(args) -> int:
     require_hopf_algebra(obj.verify_pbw_consistency(),
                          obj.verify_coassociativity(),
                          obj.verify_compatibility())
-    bound = max_degree(args)
-    report = h2_report(obj, bound, by_bidegree=args.bidegree)
+    report = h2_report(obj, args.max_degree, by_bidegree=args.bidegree)
     stable = report.stable_from_previous_bound
     payload = report.to_json()
     payload["stable_from_previous_bound"] = stable
-    emit(args, f"{report}\n  stable from bound {bound - 1}: {stable}", payload)
+    emit(args, f"{report}\n  stable from bound {args.max_degree - 1}: "
+               f"{stable}", payload)
     return EXIT_OK
 
 
@@ -248,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub("verify", cmd_verify, help="run the verification battery")
     add_object_args(s)
-    s.add_argument("--max-degree", type=int, default=None,
-                   help="antipode check bound (default 5)")
 
     for name, fn in (("primitives", cmd_primitives), ("p2", cmd_p2)):
         s = sub(name, fn, help=f"compute the {name} space")
@@ -268,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub("cohomology", cmd_cohomology, help="bounded cobar H^2 report")
     add_object_args(s)
-    s.add_argument("--max-degree", type=int, default=None)
+    s.add_argument("--max-degree", type=int, default=5)
     s.add_argument("--bidegree", action="store_true",
                    help="report per bidegree (graded presentations only)")
 

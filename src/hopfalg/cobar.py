@@ -385,11 +385,9 @@ class CoboundaryResult:
                 f"{self.rank_augmented})")
 
 
-def is_coboundary(h: HopfPresentation, w: TensorElement,
-                  bound: int) -> CoboundaryResult:
-    """Solve d^1(c) = w over the monomials of degree <= min(bound, max(deg
-    w, g)), g = ``top_degree``, or certify that no c of degree <=
-    bound solves it.
+def is_coboundary(h: HopfPresentation, w: TensorElement) -> CoboundaryResult:
+    """Solve d^1(c) = w over the monomials of degree <= max(deg w, g), g =
+    ``top_degree``, or certify that no c of any degree solves it.
 
     No solution has degree e > max(deg w, g): d^1 never raises degree,
     so the degree-e part of d^1(c) = w, which is delta_gr(c_top) in gr
@@ -403,12 +401,8 @@ def is_coboundary(h: HopfPresentation, w: TensorElement,
     # cocycle precondition: the derivation differential must kill w
     if coassociator(w.terms, h._reduced_monomial):
         raise InputError("input is not a 2-cocycle")
-    deg = w.total_degree()
-    level = max(deg if deg is not None else 1, 1)
-    if level > bound:
-        raise InputError(f"tensor degree {level} exceeds the bound {bound}")
-    monos = h.algebra.monomials_up_to(
-        min(bound, max(level, h.top_degree)))
+    monos = h.algebra.monomials_up_to(max(w.total_degree() or 0,
+                                          h.top_degree))
     cols = [h._reduced_monomial(m) for m in monos]
     (sol,), rank = express(cols, [w.terms])
     if sol is None:

@@ -105,11 +105,6 @@ def quotient(a: Scalar, b: Scalar) -> Scalar:
     return _lowest(Fraction(a, b))
 
 
-def format_scalar(q: Scalar) -> str:
-    """Serialize as ``"p/q"`` (or ``"p"`` when q = 1), sign on the numerator."""
-    return str(q)
-
-
 # -- sparse linear combinations ---------------------------------------------
 #
 # A sparse vector is a dict key -> nonzero scalar over any hashable keys

@@ -522,9 +522,14 @@ class HopfPresentation(AnswerStore):
         """
         if degree_bound < 0:
             raise InputError("degree bound must be >= 0")
-        if self._kept(("antipode",), self._antipode_certified):
+        if self._antipode_certificate():
             return _antipode_report(degree_bound, True, True, None)
         return self._antipode_loop(degree_bound)
+
+    def _antipode_certificate(self) -> bool:
+        """The ``_antipode_certified`` verdict, kept on the presentation:
+        ``verify_antipode`` and ``object_battery`` read this one run."""
+        return self._kept(("antipode",), self._antipode_certified)
 
     def _antipode_loop(self, degree_bound: int) -> VerificationReport:
         """Both antipode rows on every monomial of degree <= the bound."""
@@ -558,7 +563,7 @@ class HopfPresentation(AnswerStore):
         """Whether both antipode rows vanish on every monomial but 1, in
         every degree: the kept PBW, compatibility and coassociativity
         verdicts pass, and both rows vanish on each generator.
-        ``verify_antipode`` keeps the verdict on the presentation.
+        ``_antipode_certificate`` keeps the verdict on the presentation.
 
         With (a) the overlaps resolved (``verify_pbw_consistency``), the
         normal-form product is associative; with (b) Delta respecting

@@ -21,8 +21,8 @@ from hopfalg.structure import (coradical_filtration, lantern_of_hopf,
                                p2_space, primitive_space)
 
 from test_cobar import _d2_after_d1, _eliminated_report
-from test_complete_bounds import _direct
-from test_hopf import _same_as_loop
+from test_complete_bounds import _central_w, _direct
+from test_hopf import _FAILING, _not_coassociative, _same_as_loop
 
 F = Fraction
 
@@ -421,6 +421,31 @@ def test_one_presentation_per_enveloping_and_battery(monkeypatch):
     assert verify_cla(L).passed and built == []
 
 
+def test_battery_antipode_row_agrees_with_the_degree_loop():
+    # the battery checks no degree: it passes exactly when the kept PBW,
+    # coassociativity and compatibility verdicts pass (and the CLA axioms,
+    # for a CLA) and the degree loop passes through 6
+    cases = [(s.describe(), build(s)) for s in list_catalog()]
+    cases += [(f"failing {i}", make()) for i, make in enumerate(_FAILING)]
+    cases += [("delta(W) = X(x)XY",
+               _not_coassociative([(1, {"X": 1}, {"X": 1, "Y": 1})])),
+              ("central W", _central_w())]
+    verdicts = {}
+    for label, obj in cases:
+        h, axioms = obj, True
+        if isinstance(obj, CLA):
+            h, axioms = enveloping(obj), verify_cla(obj).passed
+        kept = [h.verify_pbw_consistency(), h.verify_coassociativity(),
+                h.verify_compatibility()]
+        oracle = (axioms and all(r.passed for r in kept)
+                  and h._antipode_loop(6).passed)
+        verdicts[label] = object_battery(obj).passed
+        assert verdicts[label] == oracle, label
+    assert len(cases) == 38
+    assert [label for label, ok in verdicts.items() if not ok] == [
+        "failing 0", "failing 1", "delta(W) = X(x)XY"]
+
+
 def test_basis_not_adapted_to_kernel_filtration():
     # ker delta = span(y, x1 - x2), but of the basis vectors only y is in it
     L = CLA(["x1", "x2", "y"], delta={0: {(2, 2): 1}, 1: {(2, 2): 1}})
@@ -720,7 +745,7 @@ def test_random_clas_agree_with_every_oracle(L):
     # degree loop; d^2 d^1 = 0 and H^2 <= the CE sum on C_<=G'; the report
     # rows are one elimination's to G' + 2; and P, P2 and C_3 at their
     # complete bounds are a direct kernel two degrees past 1, 2 and 3 g
-    assert object_battery(L, antipode_bound=5).passed
+    assert object_battery(L).passed
     h = enveloping(L)
     assert _same_as_loop(h, 5).passed
     ce = _lantern_ce(h, False)

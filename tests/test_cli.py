@@ -38,6 +38,16 @@ def test_verify_corrupted_file_fails(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_verify_shows_one_antipode_row_read_off_the_certificate(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "B", "--params", "0",
+                       "--json")
+    assert code == 0
+    rows = [c for c in json.loads(out)["checks"] if "antipode" in c["name"]]
+    assert [(c["name"], c["passed"], c["informational"]) for c in rows] == [
+        ("antipode axiom in every degree, certified from the generators",
+         True, False)]
+
+
 def test_verify_file_with_a_commutator_pair_given_twice_is_input_error(
         tmp_path, capsys):
     data = presentation_to_json(make_B(1))
@@ -96,10 +106,11 @@ def test_coradical_level(capsys):
 
 
 @pytest.mark.parametrize("argv", [["primitives"], ["p2"],
-                                  ["coradical", "--level", "2"]],
-                         ids=["primitives", "p2", "coradical"])
+                                  ["coradical", "--level", "2"], ["verify"]],
+                         ids=["primitives", "p2", "coradical", "verify"])
 def test_space_commands_take_no_degree_bound(argv, capsys):
-    # each space is answered whole, so a bound is refused, not ignored
+    # each space is answered whole, and the battery reads the antipode
+    # certificate, so a bound is refused, not ignored
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--family", "K", "--max-degree", "5"])
     assert exc.value.code == 2
@@ -128,13 +139,11 @@ def _generators_file(tmp_path, generators, coproducts):
     return str(path)
 
 
-def test_extract_cla_reads_p2_at_its_complete_bound(tmp_path, capsys,
-                                                     monkeypatch):
+def test_extract_cla_reads_p2_at_its_complete_bound(tmp_path, capsys):
     # k[X, Y, W], delta(W) = X(x)Y: P2 holds W - XY/2 of degree 3 = g;
-    # the bound of the other subcommands does not truncate it
+    # no degree bound truncates it
     path = _generators_file(tmp_path, [("X", 1), ("Y", 1), ("W", 3)],
                             {"W": [(1, "X", "Y")]})
-    monkeypatch.setenv("HOPF_MAX_DEGREE", "2")
     code, out, _ = run(capsys, "extract-cla", "--file", path)
     assert code == 0 and out == "CLA(X, Y, p3; abelian)\n"
     code, out, _ = run(capsys, "extract-cla", "--file", path, "--json")
@@ -178,12 +187,10 @@ def test_cohomology_bidegree_json(capsys):
     assert spots == {(1, 2), (2, 1)}
 
 
-def test_cohomology_file_reads_the_rows_at_g_prime(tmp_path, capsys,
-                                                   monkeypatch):
+def test_cohomology_file_reads_the_rows_at_g_prime(tmp_path, capsys):
     # k[X, Y, W] with delta(W) = X(x)Y: the lantern predicts H^2 = 3 but
-    # X(x)Y bounds once W enters, so the report at bound 5 reads 2, the
-    # H^2 of C_<=4
-    monkeypatch.delenv("HOPF_MAX_DEGREE", raising=False)
+    # X(x)Y bounds once W enters, so the report at the default bound 5
+    # reads 2, the H^2 of C_<=4
     path = tmp_path / "delta_w.json"
     path.write_text(json.dumps({
         "generators": [{"name": "X", "degree": 1}, {"name": "Y", "degree": 1},
@@ -274,15 +281,6 @@ def test_importing_the_cli_leaves_the_battery_unloaded():
                           capture_output=True, text=True, timeout=60)
     assert run_.returncode == 0, run_.stderr
     assert run_.stdout.strip() == "[]"
-
-
-def test_env_var_overrides_default_bound(capsys, monkeypatch):
-    monkeypatch.setenv("HOPF_MAX_DEGREE", "3")
-    code, out, _ = run(capsys, "verify", "--family", "B", "--params", "0",
-                       "--json")
-    assert code == 0
-    names = [c["name"] for c in json.loads(out)["checks"]]
-    assert "antipode axiom through degree 3" in names
 
 
 def test_morphism_file(tmp_path, capsys):
@@ -496,13 +494,6 @@ def test_malformed_json_file_is_input_error(tmp_path, capsys):
     assert code == 2 and "JSON" in err
 
 
-@pytest.mark.parametrize("command", ["verify", "cohomology"])
-def test_bad_env_bound_is_input_error(command, capsys, monkeypatch):
-    monkeypatch.setenv("HOPF_MAX_DEGREE", "five")
-    code, _, err = run(capsys, command, "--family", "B", "--params", "0")
-    assert code == 2 and "HOPF_MAX_DEGREE" in err
-
-
 def test_internal_value_error_is_not_reported_as_bad_input(monkeypatch):
     from hopfalg import cli
 
@@ -512,15 +503,6 @@ def test_internal_value_error_is_not_reported_as_bad_input(monkeypatch):
     monkeypatch.setattr(cli, "h2_report", broken)
     with pytest.raises(ValueError, match="internal defect"):
         main(["cohomology", "--family", "A", "--params", "0,0,0"])
-
-
-def test_verify_default_bound_is_five(capsys, monkeypatch):
-    monkeypatch.delenv("HOPF_MAX_DEGREE", raising=False)
-    code, out, _ = run(capsys, "verify", "--family", "B", "--params", "0",
-                       "--json")
-    assert code == 0
-    names = [c["name"] for c in json.loads(out)["checks"]]
-    assert "antipode axiom through degree 5" in names
 
 
 def test_cohomology_total_mode_reports_stability(capsys):

@@ -93,11 +93,11 @@ def test_cocycles_u_and_t_survive_deformation():
         h = make_A(*params)
         for w in (cocycle_u(h), cocycle_t(h)):
             # is_coboundary rejects non-cocycles, so not raising is the check
-            is_coboundary(h, w, 6)
+            is_coboundary(h, w)
 
 
 def test_u_is_not_a_coboundary(A000):
-    res = is_coboundary(A000, cocycle_u(A000), 6)
+    res = is_coboundary(A000, cocycle_u(A000))
     assert not res.is_coboundary
     assert res.witness is None
     assert res.rank < res.rank_augmented
@@ -105,13 +105,13 @@ def test_u_is_not_a_coboundary(A000):
 
 def test_reduced_coproducts_are_coboundaries(A000):
     w = A000.reduced_coproduct(A000.algebra.monomial({"X": 2, "Y": 1}))
-    res = is_coboundary(A000, w, 6)
+    res = is_coboundary(A000, w)
     assert res.is_coboundary
     assert A000.reduced_coproduct(res.witness) == w
 
 
 def test_zero_is_a_coboundary(A000):
-    res = is_coboundary(A000, A000.tensor([]), 6)
+    res = is_coboundary(A000, A000.tensor([]))
     assert res.is_coboundary
     assert res.witness.is_zero()
 
@@ -119,7 +119,7 @@ def test_zero_is_a_coboundary(A000):
 def test_non_cocycle_rejected(A000):
     w = A000.tensor([(1, {"X": 1}, {"Z": 1})])
     with pytest.raises(InputError):
-        is_coboundary(A000, w, 6)
+        is_coboundary(A000, w)
 
 
 def test_bidegree_report_locations(A000):
@@ -579,7 +579,7 @@ def test_rows_past_g_prime_repeat_g_prime_when_a_ce_class_dies(case):
     # reads the same rank profile of C_<=4 and is complete
     h = HAND_BUILT[case]
     ce, rows = DYING[case]
-    assert object_battery(h, antipode_bound=5).passed
+    assert object_battery(h).passed
     assert lantern_of_hopf(h).ce_h2_dims() == ce
     assert _g_prime(h, ce) == 4
     for bound in range(1, 9):
@@ -816,7 +816,7 @@ def test_is_coboundary_takes_one_elimination(A000, monkeypatch):
     for cocycle, want in [(cocycle_u(A000), (False, 10, 11)),
                           (w, (True, 10, 10))]:
         shapes.clear()
-        res = is_coboundary(A000, cocycle, 6)
+        res = is_coboundary(A000, cocycle)
         assert (res.is_coboundary, res.rank, res.rank_augmented) == want
         assert len(shapes) == 1
         assert shapes[0][1] == len(alg.monomials_up_to(cocycle.total_degree())) + 1
@@ -955,21 +955,23 @@ def _search_every_degree(h, w, bound):
 
 
 def test_is_coboundary_searches_above_the_tensor_degree():
-    # delta(W) = X(x)Y bounds through W, of degree 3 > deg X(x)Y = 2
+    # delta(W) = X(x)Y bounds through W, of degree 3 = g > deg X(x)Y = 2,
+    # so the search runs to max(deg w, g) = 3, and no further degree
+    # changes the answer
     h = HAND_BUILT[DELTA_W]
     w = h.tensor([(1, {"X": 1}, {"Y": 1})])
-    for bound in range(2, 7):
-        res = is_coboundary(h, w, bound)
-        assert res.is_coboundary == (bound >= 3) == _search_every_degree(
-            h, w, bound), bound
-        if res.is_coboundary:
-            assert h.reduced_coproduct(res.witness) == w
-            assert res.witness == h.algebra.gen("W")
+    res = is_coboundary(h, w)
+    assert res.is_coboundary
+    assert [_search_every_degree(h, w, bound) for bound in range(2, 7)] == [
+        False, True, True, True, True]
+    assert h.reduced_coproduct(res.witness) == w
+    assert res.witness == h.algebra.gen("W")
 
 
 def test_is_coboundary_matches_a_search_over_every_degree():
     # every cocycle that is one monomial pair of degree <= 4, on every
-    # catalog entry and CLA envelope, at two bounds
+    # catalog entry and CLA envelope, against the search over every
+    # monomial of degree <= max(deg w, g), and two degrees past it
     cases = 0
     for spec in list_catalog():
         h = build(spec)
@@ -984,14 +986,15 @@ def test_is_coboundary_matches_a_search_over_every_degree():
                 if coassociator({(a, b): 1}, h._reduced_monomial):
                     continue
                 w = h.tensor([(1, a, b)])
-                for bound in (4, 6):
-                    res = is_coboundary(h, w, bound)
-                    assert res.is_coboundary == _search_every_degree(
-                        h, w, bound), (spec.describe(), a, b, bound)
-                    if res.is_coboundary:
-                        assert h.reduced_coproduct(res.witness) == w
-                    cases += 1
-    assert cases == 396
+                bound = max(w.total_degree(), h.top_degree)
+                res = is_coboundary(h, w)
+                assert res.is_coboundary == _search_every_degree(
+                    h, w, bound) == _search_every_degree(
+                    h, w, bound + 2), (spec.describe(), a, b)
+                if res.is_coboundary:
+                    assert h.reduced_coproduct(res.witness) == w
+                cases += 1
+    assert cases == 198
 
 
 def _seeded_d(seed):

@@ -823,7 +823,7 @@ def test_a_failing_presentation_is_freed_once_dropped():
     try:
         for make in _FAILING:
             h = make()
-            assert not object_battery(h, 6).passed
+            assert not object_battery(h).passed
             refs = [weakref.ref(h), weakref.ref(h.algebra)]
             del h
             assert [ref() for ref in refs] == [None, None]

@@ -12,8 +12,8 @@ import weakref
 
 import pytest
 
-from hopfalg import cla, replicate
-from hopfalg.catalog import FamilySpec, list_catalog
+from hopfalg import cla, cobar, replicate
+from hopfalg.catalog import FamilySpec, build, list_catalog
 from hopfalg.cla import CLA, GradedLie
 from hopfalg.errors import InputError
 from hopfalg.exactlin import Matrix
@@ -236,6 +236,35 @@ def test_cobar_criterion_checks_the_lantern_prediction(monkeypatch):
     assert all("lantern CE predicts" in f for f in failures)
     assert [f.split(":")[0] for f in failures] == [
         "A(0,0,0)", "A(1,0,0)", "A(0,0,1)", "B(0)", "B(1)"]
+
+
+def test_cobar_criterion_reads_complete(monkeypatch):
+    # with G' raised past the criterion's bound 6, no deformed report is
+    # complete, though its H^2 and the lantern's prediction are unchanged
+    monkeypatch.setattr(cobar, "_g_prime", lambda h, ce: 7)
+    result = replicate.criterion_cobar_cohomology()
+    failures = result.detail.split("; ")
+    assert not result.passed
+    assert all("H^2 at N=6 is 2, expected 2, complete False, lantern CE "
+               "predicts 2" in f for f in failures)
+    assert [f.split(":")[0] for f in failures] == [
+        "A(1,0,0)", "A(0,0,1)", "B(0)", "B(1)"]
+
+
+def test_lantern_criterion_reads_the_degree_one_certificate(monkeypatch):
+    # with no lantern generated in degree 1, the degree profiles fix no
+    # type: exactly D, E, F, K and the dim-4 CLAs fail
+    monkeypatch.setattr(GradedLie, "generated_in_degree_one",
+                        lambda self: False)
+    result = replicate.criterion_lanterns()
+    assert not result.passed
+    # a failure names the lantern, whose repr has "; " in it
+    failed = [spec.describe() for spec in list_catalog()
+              if f"{spec.describe()}: " in result.detail]
+    want = [spec.describe() for spec in list_catalog()
+            if spec.tag in ("D", "E", "F", "K")
+            or (spec.tag.startswith("cla") and build(spec).dim == 4)]
+    assert len(want) == 18 and failed == want
 
 
 def test_criterion_seconds_come_from_a_monotonic_clock(monkeypatch):

@@ -17,8 +17,8 @@ from hopfalg.catalog import build, list_catalog, make_D
 from hopfalg.cla import CLA, enveloping, kernel_delta, lantern_of_cla
 from hopfalg.cobar import build_complex
 from hopfalg.errors import StructuralError
-from hopfalg.exactlin import (P, Matrix, _reconstruct, express, format_scalar,
-                              quotient, scalar)
+from hopfalg.exactlin import (P, Matrix, _reconstruct, express, quotient,
+                              scalar)
 from hopfalg.hopf import HopfPresentation
 from hopfalg.structure import (coradical_filtration, extract_cla,
                                lantern_of_hopf, p2_space)
@@ -225,12 +225,12 @@ def test_reconstruct_returns_ints_for_integral_residues():
     assert minus_third == Fraction(-1, 3)
 
 
-def test_format_scalar_prints_ints_and_fractions_alike():
-    assert format_scalar(3) == format_scalar(Fraction(3)) == "3"
-    assert format_scalar(-3) == format_scalar(Fraction(-6, 2)) == "-3"
-    assert format_scalar(0) == format_scalar(Fraction(0)) == "0"
-    assert format_scalar(Fraction(-3, 4)) == "-3/4"
-    assert format_scalar(scalar("6/8")) == "3/4"
+def test_str_prints_ints_and_fractions_alike():
+    assert str(3) == str(Fraction(3)) == "3"
+    assert str(-3) == str(Fraction(-6, 2)) == "-3"
+    assert str(0) == str(Fraction(0)) == "0"
+    assert str(Fraction(-3, 4)) == "-3/4"
+    assert str(scalar("6/8")) == "3/4"
 
 
 def test_assert_scalars_refuses_a_whole_sparse_vector():
