@@ -315,9 +315,10 @@ def object_battery(obj) -> VerificationReport:
     The antipode row is the kept certificate
     (``HopfPresentation._antipode_certificate``), which checks no degree:
     when the three parts before it pass, it holds in every degree (see
-    ``_antipode_certified``), and when one fails, the battery fails
-    already.  ``verify_antipode(d)`` still checks each monomial up to d
-    where the certificate declines, for a witness.
+    ``_antipode_certified``).  When one fails, the certificate declines
+    and the battery fails already, so the row is informational, "not
+    certified".  ``verify_antipode(d)`` still checks each monomial up to
+    d where the certificate declines, for a witness.
     """
     if isinstance(obj, HopfPresentation):
         h, report = obj, VerificationReport("verification battery")
@@ -329,8 +330,12 @@ def object_battery(obj) -> VerificationReport:
     for part in (h.verify_pbw_consistency(), h.verify_coassociativity(),
                  h.verify_compatibility()):
         report.extend(part)
-    report.add("antipode axiom in every degree, certified from the "
-               "generators", h._antipode_certificate())
+    name = "antipode axiom in every degree, certified from the generators"
+    if report.passed:
+        report.add(name, h._antipode_certificate())
+    else:
+        report.add(name, False, detail="not certified: a row above fails",
+                   informational=True)
     return report
 
 

@@ -1,14 +1,16 @@
 """The replication battery: every headline computation in one table.
 
-Each criterion is a list of checks on catalog entries, one per loop it
-makes over the catalog, and a part that reads no catalog entry.
-`run_replication` walks `list_catalog()` once: each entry is built on
-first use, every criterion runs its checks on that one object and the
-answers it keeps, and the object is dropped before the next entry is
-built, so one entry and its caches are alive at a time.  A
-criterion called alone runs the same walk with only itself.  The same
-criteria back the acceptance test-suite and the `hopf replicate`
-subcommand, so a green table here is exactly a green acceptance run.
+Each criterion is a list of checks on a catalog entry and a part that
+reads no catalog entry.  `run_replication` walks `list_catalog()` once:
+each entry is built on first use, every criterion runs its checks on
+that one object and the answers it keeps, and the object is dropped
+before the next entry is built, so one entry and its caches are alive
+at a time.  A failure on an entry reads "<label>: <cause>", and a
+HopfAlgError is its entry's failure; a criterion's detail joins its
+failures with "; ", entry by entry.  A criterion called alone runs the
+same walk with only itself.  The same criteria back the acceptance
+test-suite and the `hopf replicate` subcommand, so a green table here is
+exactly a green acceptance run.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,68 +64,50 @@ class _Entry:
         return build(self.spec)
 
 
-class _Tally:
-    """One criterion's failures over a walk, per loop (the rest last).
-
-    As in a criterion run loop by loop, an unexpected HopfAlgError ends
-    its loop and the later ones, and the earliest loop's error is the
-    criterion's whole result.
-    """
-
-    def __init__(self):
-        self.failures = defaultdict(list)
-        self.error = None  # (loop, message)
-        self.seconds = 0.0
-
-    def run(self, loop: int, check, *args):
-        if self.error is None or loop < self.error[0]:
-            try:
-                self.failures[loop] += check(*args)
-            except HopfAlgError as exc:
-                self.error = (loop, f"unexpected error: {exc}")
-
-    def result(self, number: int, title: str) -> CriterionResult:
-        failures = ([self.error[1]] if self.error else
-                    [f for loop in sorted(self.failures)
-                     for f in self.failures[loop]])
-        return CriterionResult(number, title, not failures,
-                               "; ".join(failures), self.seconds)
-
-
 class Criterion:
     """One row of the table.
 
-    ``checks`` has one function per loop of the criterion over the
-    catalog, in order: each takes an entry and returns its failures, []
-    outside its loop.  ``rest`` takes nothing and runs after the catalog.
-    The walk calls the criterion with each entry and its tally, then with
-    None for the rest; called with no arguments, the criterion runs the
-    walk alone and returns its CriterionResult.
+    ``checks`` are functions of a catalog entry, each returning its
+    failures on that entry, [] where it checks nothing; ``rest`` takes
+    nothing and runs after the catalog.  The walk calls the criterion
+    with each entry and the criterion's list of failures, then with None
+    for the rest.  A HopfAlgError is the failure of the entry it came
+    from, "<label>: <message>", and ends the criterion's checks on that
+    entry alone; from the rest it reads "unexpected error: <message>".
+    Called with no arguments, the criterion runs the walk alone and
+    returns its CriterionResult.
     """
 
     def __init__(self, name, number, title, checks, rest=None):
         self.__name__, self.number, self.title = name, number, title
         self.checks, self.rest = checks, rest
 
-    def __call__(self, entry=None, tally=None):
-        if tally is None:
+    def __call__(self, entry=None, failures=None):
+        if failures is None:
             return _walk([self])[0]
-        if entry is not None:
-            for loop, check in enumerate(self.checks):
-                tally.run(loop, check, entry)
-        elif self.rest is not None:
-            tally.run(len(self.checks), self.rest)
+        try:
+            if entry is not None:
+                for check in self.checks:
+                    failures += check(entry)
+            elif self.rest is not None:
+                failures += self.rest()
+        except HopfAlgError as exc:
+            where = ("unexpected error" if entry is None
+                     else entry.spec.describe())
+            failures.append(f"{where}: {exc}")
 
 
 def _walk(criteria) -> list[CriterionResult]:
-    tallies = [_Tally() for _ in criteria]
+    failures = [[] for _ in criteria]
+    seconds = [0.0] * len(criteria)
     # one entry at a time: the loop drops an entry before the next is built
     for entry in itertools.chain(map(_Entry, list_catalog()), [None]):
-        for criterion, tally in zip(criteria, tallies):
+        for i, criterion in enumerate(criteria):
             start = time.perf_counter()
-            criterion(entry, tally)
-            tally.seconds += time.perf_counter() - start
-    return [t.result(c.number, c.title) for c, t in zip(criteria, tallies)]
+            criterion(entry, failures[i])
+            seconds[i] += time.perf_counter() - start
+    return [CriterionResult(c.number, c.title, not f, "; ".join(f), s)
+            for c, f, s in zip(criteria, failures, seconds)]
 
 
 def _is_cla(spec: FamilySpec) -> bool:
@@ -140,10 +123,7 @@ def _same(spec: FamilySpec, want: FamilySpec) -> bool:
 
 
 def _validity(entry: _Entry) -> list[str]:
-    try:
-        report = object_battery(entry.obj)
-    except HopfAlgError as exc:
-        return [f"{entry.spec.describe()}: {exc}"]
+    report = object_battery(entry.obj)
     if not report.passed:
         return [f"{entry.spec.describe()}: {report.failures()[0].name}"]
     return []
@@ -179,11 +159,8 @@ criterion_primitive_dimensions = Criterion(
 def _round_trip(entry: _Entry) -> list[str]:
     if not _is_cla(entry.spec):
         return []
-    try:
-        if extract_cla(enveloping(entry.obj)) != entry.obj:
-            return [entry.spec.describe()]
-    except HopfAlgError as exc:
-        return [f"{entry.spec.describe()}: {exc}"]
+    if extract_cla(enveloping(entry.obj)) != entry.obj:
+        return [entry.spec.describe()]
     return []
 
 
@@ -317,7 +294,9 @@ def _hopf_lantern(entry: _Entry) -> list[str]:
                             f"in degree 1")
     elif spec.tag in ("D", "E", "F", "K"):
         if not _lantern_type(gl, [1, 1, 2, 3]):
-            failures.append(f"{spec.describe()}: lantern shape {gl!r}")
+            failures.append(f"{spec.describe()}: lantern degrees "
+                            f"{gl.degrees}, generated in degree one "
+                            f"{gl.generated_in_degree_one()}")
     if not gl.verify().passed:
         failures.append(f"{spec.describe()}: lantern axioms")
     return failures
@@ -327,12 +306,9 @@ def _cla_lantern(entry: _Entry) -> list[str]:
     spec = entry.spec
     if not _is_cla(spec):
         return []
-    try:
-        L = entry.obj
-        env_lantern = lantern_of_hopf(enveloping(L))
-        cla_lantern = lantern_of_cla(L)
-    except HopfAlgError as exc:
-        return [f"{spec.describe()}: {exc}"]
+    L = entry.obj
+    env_lantern = lantern_of_hopf(enveloping(L))
+    cla_lantern = lantern_of_cla(L)
     failures = []
     if (env_lantern.degrees != cla_lantern.degrees
             or env_lantern.brackets != cla_lantern.brackets):
@@ -364,11 +340,12 @@ _SWAPS = {
 }
 
 
-def _w_prime_swap(tag: str, entry: _Entry) -> list[str]:
+def _w_prime_swap(entry: _Entry) -> list[str]:
     spec = entry.spec
-    if spec.tag != tag:
+    swap = _SWAPS.get(spec.tag)
+    if swap is None:
         return []
-    lie_brackets, c = _SWAPS[tag]
+    lie_brackets, c = swap
     src = make_lie(["X", "Y", "Z", "Wp"], lie_brackets(spec.params))
     dst = entry.obj
     alg = dst.algebra
@@ -401,8 +378,7 @@ def _base_changes() -> list[str]:
 criterion_substitutions = Criterion(
     "criterion_substitutions", 8,
     "substitution morphisms and lam <-> 1/lam base changes",
-    [functools.partial(_w_prime_swap, tag) for tag in _SWAPS],
-    _base_changes)
+    [_w_prime_swap], _base_changes)
 
 
 _GROWTH_D = FamilySpec("D", {"t1": F(0), "t2": F(1), "a11": F(0),

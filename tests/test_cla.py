@@ -446,6 +446,22 @@ def test_battery_antipode_row_agrees_with_the_degree_loop():
         "failing 0", "failing 1", "delta(W) = X(x)XY"]
 
 
+@pytest.mark.parametrize("delta_w", [
+    [(1, {"X": 1}, {"X": 1, "Y": 1})],
+    [(1, {"X": 1}, {"X": 1, "Y": 1}), (-1, {"Y": 1}, {"X": 2})],
+], ids=["X(x)XY", "declined"])
+def test_battery_antipode_row_declines_when_a_row_above_fails(delta_w):
+    # only coassociativity fails: the certificate declines, which is no
+    # failure of the antipode axiom (the second case passes the degree
+    # loop), so its row is informational
+    report = object_battery(_not_coassociative(delta_w))
+    assert [c.name for c in report.failures()] == ["coassociativity on W"]
+    row = report.checks[-1]
+    assert (row.name, row.passed, row.informational, row.detail) == (
+        "antipode axiom in every degree, certified from the generators",
+        False, True, "not certified: a row above fails")
+
+
 def test_basis_not_adapted_to_kernel_filtration():
     # ker delta = span(y, x1 - x2), but of the basis vectors only y is in it
     L = CLA(["x1", "x2", "y"], delta={0: {(2, 2): 1}, 1: {(2, 2): 1}})

@@ -167,7 +167,7 @@ def _raising_build(labels):
     def build(spec):
         if spec.describe() in labels:
             raise InputError(f"injected failure for {spec.describe()}")
-        return _real_build(spec)
+        return _corrupted_build(spec)
     return build
 
 
@@ -176,23 +176,23 @@ CORRUPTED = {"1": "corrupted b(1): bracket/coproduct compatibility in U(L)",
                   "bracket/coproduct compatibility in U(L)",
              "7": "corrupted b(1): CLA axioms fail, cannot envelope: "
                   "bracket/coproduct compatibility in U(L)"}
-# B(1) fails criterion 6's second loop before U(abelian, dim 4) fails its
-# first; run loop by loop, the first loop's error is the result
-RAISING = {
-    "1": "B(1): injected failure for B(1); U(abelian, dim 4): injected "
-         "failure for U(abelian, dim 4)",
-    "2": "unexpected error: injected failure for B(1)",
-    "4": "unexpected error: injected failure for B(1)",
-    "6": "unexpected error: injected failure for U(abelian, dim 4)",
-    "7": "unexpected error: injected failure for B(1)",
-}
+# a HopfAlgError is the failure of its entry, and the walk goes on: B(1)
+# raises before the corrupted b(1) is reached and hides it from no criterion
+B1 = "B(1): injected failure for B(1)"
+U4 = "U(abelian, dim 4): injected failure for U(abelian, dim 4)"
+RAISING = {"1": f"{B1}; {U4}", "2": B1, "4": B1, "6": f"{B1}; {U4}",
+           "7": f"{B1}; {U4}"}
+RAISING_AND_CORRUPTED = {
+    "1": f"{B1}; {CORRUPTED['1']}", "2": B1, "3": CORRUPTED["3"], "4": B1,
+    "6": B1, "7": f"{B1}; {CORRUPTED['7']}"}
 
 
 @pytest.mark.parametrize("catalog, build, failed", [
     (list_catalog, _real_build, {}),
     (_corrupted_catalog, _corrupted_build, CORRUPTED),
     (list_catalog, _raising_build({"B(1)", "U(abelian, dim 4)"}), RAISING),
-], ids=["catalog", "corrupted", "raising"])
+    (_corrupted_catalog, _raising_build({"B(1)"}), RAISING_AND_CORRUPTED),
+], ids=["catalog", "corrupted", "raising", "raising-and-corrupted"])
 def test_a_criterion_alone_gives_its_row_of_the_full_run(
         monkeypatch, catalog, build, failed):
     monkeypatch.setattr(replicate, "list_catalog", catalog)
@@ -258,13 +258,13 @@ def test_lantern_criterion_reads_the_degree_one_certificate(monkeypatch):
                         lambda self: False)
     result = replicate.criterion_lanterns()
     assert not result.passed
-    # a failure names the lantern, whose repr has "; " in it
-    failed = [spec.describe() for spec in list_catalog()
-              if f"{spec.describe()}: " in result.detail]
+    # one failure per entry, in catalog order, each led by its label
+    failures = result.detail.split("; ")
     want = [spec.describe() for spec in list_catalog()
             if spec.tag in ("D", "E", "F", "K")
             or (spec.tag.startswith("cla") and build(spec).dim == 4)]
-    assert len(want) == 18 and failed == want
+    assert len(want) == len(failures) == 18
+    assert all(f.startswith(f"{label}: ") for label, f in zip(want, failures))
 
 
 def test_criterion_seconds_come_from_a_monotonic_clock(monkeypatch):
